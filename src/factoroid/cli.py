@@ -42,7 +42,12 @@ class InputError(Exception):
 
 def _default_rank_tol() -> float:
     raw = os.environ.get(_ENV_TOL)
-    return float(raw) if raw else RANK_TOL
+    if not raw:
+        return RANK_TOL
+    try:
+        return float(raw)
+    except ValueError:
+        raise InputError(f"{_ENV_TOL} must be a number, got {raw!r}") from None
 
 
 def _render(data: dict, fmt: str) -> str:
@@ -152,53 +157,24 @@ def cmd_fourier(args) -> int:
     return 0
 
 
+# families that read --n or --seed; the fixed ones are mk.NAMED_INSTANCES
 _FAMILIES = {
-    "z2": lambda args: (mk.group_groupoid(mk.cyclic_group(2)), None),
-    "z3": lambda args: (mk.group_groupoid(mk.cyclic_group(3)), None),
-    "full2": lambda args: (
-        mk.full_relation(["x0", "x1"], {"x0": 0.5, "x1": 0.5}), None
-    ),
-    "full3": lambda args: (
-        mk.full_relation(["x0", "x1", "x2"], {u: 1 / 3 for u in ["x0", "x1", "x2"]}),
-        None,
-    ),
-    "klein4": lambda args: (mk.group_groupoid(mk.klein_four_group()), None),
-    "klein4-twisted": lambda args: mk.klein_four_twisted(),
-    "s3-bundle": lambda args: (
-        mk.group_bundle({"pt": mk.symmetric_group(3)}, {"pt": 1.0}), None
-    ),
-    "swap": lambda args: (
-        mk.transformation_groupoid(
-            mk.cyclic_group(2),
-            {("0", "x0"): "x0", ("0", "x1"): "x1",
-             ("1", "x0"): "x1", ("1", "x1"): "x0"},
-            ["x0", "x1"],
-            {"x0": 0.5, "x1": 0.5},
-        ),
-        None,
-    ),
-    "z4-translation": lambda args: (
-        mk.transformation_groupoid(
-            mk.cyclic_group(4),
-            mk.translation_action(mk.cyclic_group(4)),
-            mk.cyclic_group(4).elements,
-            {u: 0.25 for u in mk.cyclic_group(4).elements},
-        ),
-        None,
-    ),
     "sn-bundle": lambda args: (mk.sn_bundle(args.n)[0], None),
     "random": lambda args: (mk.random_groupoid(args.seed), None),
     "random-twisted": lambda args: mk.random_twisted_pair(args.seed),
 }
+_FAMILY_NAMES = ", ".join(sorted([*mk.NAMED_INSTANCES, *_FAMILIES]))
 
 
 def cmd_gen(args) -> int:
-    if args.family not in _FAMILIES:
+    if args.family in mk.NAMED_INSTANCES:
+        g, w = mk.NAMED_INSTANCES[args.family]()
+    elif args.family in _FAMILIES:
+        g, w = _FAMILIES[args.family](args)
+    else:
         raise InputError(
-            f"unknown family {args.family!r}; "
-            f"choose from {', '.join(sorted(_FAMILIES))}"
+            f"unknown family {args.family!r}; choose from {_FAMILY_NAMES}"
         )
-    g, w = _FAMILIES[args.family](args)
     text = serialize(g, w)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -291,7 +267,10 @@ def cmd_dr_scan(args) -> int:
         sigma = _parse_map_spec(args.map)
         units = tuple(sigma)
         if args.masses:
-            masses = {u: float(v) for u, v in _parse_map_spec(args.masses).items()}
+            try:
+                masses = {u: float(v) for u, v in _parse_map_spec(args.masses).items()}
+            except ValueError as exc:
+                raise InputError(f"bad --masses entry: {exc}") from None
         else:
             masses = {u: 1.0 / len(units) for u in units}
         system = mk.DeaconuRenaultSystem(units, masses, sigma, args.bound)
@@ -351,8 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("gen", help="emit an example family instance")
-    p.add_argument("--family", required=True,
-                   help=", ".join(sorted(_FAMILIES)))
+    p.add_argument("--family", required=True, help=_FAMILY_NAMES)
     p.add_argument("--n", type=int, default=3, help="size for sn-bundle")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output path (default stdout)")
@@ -401,8 +379,8 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except (ParseError, GroupoidError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)

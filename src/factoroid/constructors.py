@@ -3,20 +3,21 @@
 Everything here produces validated :class:`MeasuredGroupoid` instances with
 plain string identifiers: group bundles, transformation groupoids of global
 and partial actions, globalizations of partial actions, eventually-periodic
-shift systems, the symmetric-group bundle family, and a seeded random
-generator used by the verification corpus.
+shift systems, the symmetric-group bundle family, the named example
+instances, and a seeded random generator used by the verification corpus.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .cocycle import Cocycle, Phase, apply_coboundary, pone, validate_cocycle
+from .cocycle import Cocycle, Phase, apply_coboundary, as_complex, pone, validate_cocycle
 from .groupoid import (
     GroupoidError,
     MeasuredGroupoid,
@@ -401,10 +402,7 @@ def cyclic_bicharacter(n: int, exact: bool = False) -> dict[tuple[str, str], Pha
     for a in range(n):
         for b in range(n):
             turn = Fraction(a * b, n) % 1
-            vals[(str(a), str(b))] = turn if exact else (
-                complex(math.cos(2 * math.pi * float(turn)),
-                        math.sin(2 * math.pi * float(turn)))
-            )
+            vals[(str(a), str(b))] = turn if exact else as_complex(turn)
     return vals
 
 
@@ -643,8 +641,6 @@ def globalize(p: PartialActionSystem) -> Globalization:
         return f"{gm}~{x}"
 
     space_units = tuple(label(q) for q in domain)
-    class_of = {label(q) for q in pairs}
-    assert class_of == set(space_units)
 
     theta: dict[tuple[str, str], str] = {}
     for gm in grp.elements:
@@ -715,25 +711,12 @@ def random_partial_action(seed: int) -> PartialActionSystem:
     partial action.
     """
     rng = random.Random(f"partial-{seed}")
-    name = rng.choice(["Z2", "Z3", "Z4", "V4", "S3"])
-    grp = _small_group(name)
+    grp = _small_group(rng.choice(["Z2", "Z3", "Z4", "V4", "S3"]))
     if rng.random() < 0.5:
-        action = translation_action(grp)
-        units = grp.elements
+        action, units = translation_action(grp), grp.elements
     else:
-        gen = rng.choice(grp.elements)
-        sub = {gen, grp.identity}
-        while True:
-            new = {grp.mult[(a, b)] for a in sub for b in sub} | {
-                grp.inverse[a] for a in sub
-            }
-            if new == sub:
-                break
-            sub = new
-        action, units = coset_action(grp, sub)
-    w = [rng.random() + 0.05 for _ in units]
-    tot = sum(w)
-    mass = {u: wi / tot for u, wi in zip(units, w)}
+        action, units = _random_coset_action(rng, grp)
+    mass = _random_masses(rng, units)
     full = global_partial_action(grp, action, units, mass)
     if len(units) >= 2 and rng.random() < 0.8:
         k = rng.randint(1, len(units) - 1)
@@ -760,6 +743,12 @@ class ShiftOrbitData:
     period: dict[str, int]
     cycle_id: dict[str, int]
     phase: dict[str, int]
+
+    def connects(self, x: str, k: int, y: str) -> bool:
+        """Whether some sigma^n x = sigma^m y with n - m = k."""
+        if self.cycle_id[x] != self.cycle_id[y]:
+            return False
+        return (k - (self.phase[y] - self.phase[x])) % self.period[x] == 0
 
 
 def _shift_orbit_data(d: DeaconuRenaultSystem) -> ShiftOrbitData:
@@ -813,11 +802,7 @@ class DeaconuRenaultView:
     b_measure: dict[int, float]
 
     def contains(self, x: str, k: int, y: str) -> bool:
-        od = self.orbit_data
-        if od.cycle_id[x] != od.cycle_id[y]:
-            return False
-        p = od.period[x]
-        return (k - (od.phase[y] - od.phase[x])) % p == 0
+        return self.orbit_data.connects(x, k, y)
 
     def brute_force_contains(self, x: str, k: int, y: str) -> bool:
         """Witness search for sigma^n x = sigma^m y with n - m = k."""
@@ -847,15 +832,20 @@ def deaconu_renault(d: DeaconuRenaultSystem) -> DeaconuRenaultView:
     """
     if d.bound < 1:
         raise GroupoidError("degree bound must be >= 1")
+    stray = sorted(set(d.sigma.values()) - set(d.units))
+    if stray:
+        raise GroupoidError(f"shift map targets non-units {', '.join(stray)}", stray)
+    unweighted = [u for u in d.units if u not in d.mass]
+    if unweighted:
+        raise GroupoidError(f"no mass for {', '.join(unweighted)}", unweighted)
     od = _shift_orbit_data(d)
-    arrows = []
-    for k in range(-d.bound, d.bound + 1):
-        for x in d.units:
-            for y in d.units:
-                if od.cycle_id[x] == od.cycle_id[y] and (
-                    (k - (od.phase[y] - od.phase[x])) % od.period[x] == 0
-                ):
-                    arrows.append((x, k, y))
+    arrows = [
+        (x, k, y)
+        for k in range(-d.bound, d.bound + 1)
+        for x in d.units
+        for y in d.units
+        if od.connects(x, k, y)
+    ]
     scan = max(d.bound, len(d.units))
     b_sets = {}
     b_measure = {}
@@ -870,10 +860,7 @@ def random_shift_system(seed: int, size: int = 6, bound: int = 3) -> DeaconuRena
     rng = random.Random(f"shift-{seed}")
     units = tuple(f"x{i}" for i in range(size))
     sigma = {u: rng.choice(units) for u in units}
-    w = [rng.random() + 0.05 for _ in units]
-    tot = sum(w)
-    mass = {u: wi / tot for u, wi in zip(units, w)}
-    return DeaconuRenaultSystem(units, mass, sigma, bound)
+    return DeaconuRenaultSystem(units, _random_masses(rng, units), sigma, bound)
 
 
 @dataclass(frozen=True)
@@ -932,6 +919,41 @@ def sn_bundle(n_max: int) -> tuple[MeasuredGroupoid, frozenset[str]]:
     return g, transpositions
 
 
+# -- named instances ------------------------------------------------------------
+
+def _uniform_translation(group: FiniteGroupTable) -> MeasuredGroupoid:
+    units = group.elements
+    return transformation_groupoid(
+        group, translation_action(group), units, {u: 1 / len(units) for u in units}
+    )
+
+
+_SWAP_ACTION = {
+    ("0", "x0"): "x0", ("0", "x1"): "x1", ("1", "x0"): "x1", ("1", "x1"): "x0",
+}
+_HALVES = {"x0": 0.5, "x1": 0.5}
+_THIRDS = {u: 1 / 3 for u in ("x0", "x1", "x2")}
+
+# name -> builder of (groupoid, cocycle or None); shared by `factoroid gen`
+# and the test fixtures
+NAMED_INSTANCES: dict[
+    str, Callable[[], tuple[MeasuredGroupoid, Optional[Cocycle]]]
+] = {
+    "z2": lambda: (group_groupoid(cyclic_group(2)), None),
+    "z3": lambda: (group_groupoid(cyclic_group(3)), None),
+    "full2": lambda: (full_relation(list(_HALVES), _HALVES), None),
+    "full3": lambda: (full_relation(list(_THIRDS), _THIRDS), None),
+    "klein4": lambda: (group_groupoid(klein_four_group()), None),
+    "klein4-twisted": klein_four_twisted,
+    "s3-bundle": lambda: (group_bundle({"pt": symmetric_group(3)}, {"pt": 1.0}), None),
+    "swap": lambda: (
+        transformation_groupoid(cyclic_group(2), _SWAP_ACTION, list(_HALVES), _HALVES),
+        None,
+    ),
+    "z4-translation": lambda: (_uniform_translation(cyclic_group(4)), None),
+}
+
+
 # -- seeded random instances ---------------------------------------------------
 
 @dataclass(frozen=True)
@@ -943,22 +965,52 @@ class GeneratorParams:
     restrict_rate: float = 0.2
 
 
-_SMALL_GROUPS: dict[str, FiniteGroupTable] = {}
+_SMALL_GROUP_BUILDERS = {
+    "Z1": lambda: cyclic_group(1),
+    "Z2": lambda: cyclic_group(2),
+    "Z3": lambda: cyclic_group(3),
+    "Z4": lambda: cyclic_group(4),
+    "V4": klein_four_group,
+    "S3": lambda: symmetric_group(3),
+    "D4": lambda: dihedral_group(4),
+}
 
 
+@functools.cache
 def _small_group(name: str) -> FiniteGroupTable:
-    if name not in _SMALL_GROUPS:
-        builders = {
-            "Z1": lambda: cyclic_group(1),
-            "Z2": lambda: cyclic_group(2),
-            "Z3": lambda: cyclic_group(3),
-            "Z4": lambda: cyclic_group(4),
-            "V4": klein_four_group,
-            "S3": lambda: symmetric_group(3),
-            "D4": lambda: dihedral_group(4),
+    return _SMALL_GROUP_BUILDERS[name]()
+
+
+def _random_masses(rng: random.Random, units: Sequence[str]) -> dict[str, float]:
+    """Positive masses summing to one, one draw per unit in order."""
+    w = [rng.random() + 0.05 for _ in units]
+    tot = sum(w)
+    return {u: wi / tot for u, wi in zip(units, w)}
+
+
+def _random_coset_action(
+    rng: random.Random, grp: FiniteGroupTable
+) -> tuple[dict[tuple[str, str], str], tuple[str, ...]]:
+    """Translation on the cosets of the cyclic subgroup of a random element."""
+    sub = {rng.choice(grp.elements), grp.identity}
+    while True:
+        new = {grp.mult[(a, b)] for a in sub for b in sub} | {
+            grp.inverse[a] for a in sub
         }
-        _SMALL_GROUPS[name] = builders[name]()
-    return _SMALL_GROUPS[name]
+        if new == sub:
+            return coset_action(grp, sub)
+        sub = new
+
+
+def _random_part(
+    rng: random.Random, grp: FiniteGroupTable, style: str
+) -> MeasuredGroupoid:
+    """A translation or coset transformation groupoid with random masses."""
+    if style == "translation":
+        action, units = translation_action(grp), grp.elements
+    else:
+        action, units = _random_coset_action(rng, grp)
+    return transformation_groupoid(grp, action, units, _random_masses(rng, units))
 
 
 def disjoint_union(
@@ -998,39 +1050,15 @@ def _random_component(rng: random.Random) -> MeasuredGroupoid:
         n_units = rng.randint(1, 3)
         menu = ["Z1", "Z1", "Z2", "Z3", "Z4", "V4", "S3"]
         fibers = {f"x{i}": _small_group(rng.choice(menu)) for i in range(n_units)}
-        w = [rng.random() + 0.05 for _ in range(n_units)]
-        tot = sum(w)
-        mass = {f"x{i}": w[i] / tot for i in range(n_units)}
-        return group_bundle(fibers, mass)
-    if kind == "translation":
-        grp = _small_group(rng.choice(["Z2", "Z3", "Z4", "V4", "S3"]))
-        units = grp.elements
-        w = [rng.random() + 0.05 for _ in units]
-        tot = sum(w)
-        mass = {u: wi / tot for u, wi in zip(units, w)}
-        return transformation_groupoid(grp, translation_action(grp), units, mass)
-    if kind == "coset":
-        grp = _small_group(rng.choice(["Z4", "V4", "S3", "D4"]))
-        gen = rng.choice(grp.elements)
-        sub = {gen}
-        while True:
-            new = {grp.mult[(a, b)] for a in sub for b in sub} | {
-                grp.inverse[a] for a in sub
-            } | {grp.identity}
-            if new == sub:
-                break
-            sub = new
-        action, cosets = coset_action(grp, sub)
-        w = [rng.random() + 0.05 for _ in cosets]
-        tot = sum(w)
-        mass = {u: wi / tot for u, wi in zip(cosets, w)}
-        return transformation_groupoid(grp, action, cosets, mass)
-    n_units = rng.randint(2, 4)
-    units = [f"x{i}" for i in range(n_units)]
-    w = [rng.random() + 0.05 for _ in units]
-    tot = sum(w)
-    mass = {u: wi / tot for u, wi in zip(units, w)}
-    return full_relation(units, mass)
+        return group_bundle(fibers, _random_masses(rng, list(fibers)))
+    if kind == "full_relation":
+        units = [f"x{i}" for i in range(rng.randint(2, 4))]
+        return full_relation(units, _random_masses(rng, units))
+    menu = {
+        "translation": ["Z2", "Z3", "Z4", "V4", "S3"],
+        "coset": ["Z4", "V4", "S3", "D4"],
+    }[kind]
+    return _random_part(rng, _small_group(rng.choice(menu)), kind)
 
 
 def random_groupoid(
@@ -1077,11 +1105,7 @@ def random_phase(rng: random.Random, exact: bool = False) -> Phase:
     m = rng.choice([1, 2, 3, 4, 6])
     k = rng.randrange(m)
     turn = Fraction(k, m)
-    if exact:
-        return turn
-    return complex(
-        math.cos(2 * math.pi * float(turn)), math.sin(2 * math.pi * float(turn))
-    )
+    return turn if exact else as_complex(turn)
 
 
 def random_coboundary(
@@ -1110,38 +1134,12 @@ def random_twisted_pair(
         grp = _small_group(name)
         style = rng.choice(["bundle", "translation", "coset"])
         if style == "bundle":
-            n_units = rng.randint(1, 2)
-            fibers = {f"x{i}": grp for i in range(n_units)}
-            w = [rng.random() + 0.05 for _ in range(n_units)]
-            tot = sum(w)
-            part = group_bundle(
-                fibers, {f"x{i}": w[i] / tot for i in range(n_units)}
-            )
-        elif style == "translation":
-            units = grp.elements
-            w = [rng.random() + 0.05 for _ in units]
-            tot = sum(w)
-            part = transformation_groupoid(
-                grp, translation_action(grp), units,
-                {u: wi / tot for u, wi in zip(units, w)},
-            )
+            units = [f"x{i}" for i in range(rng.randint(1, 2))]
+            part = group_bundle({u: grp for u in units}, _random_masses(rng, units))
+            group_of_arrow = {a.id: a.id.split(".", 1)[1] for a in part.arrows}
         else:
-            gen = rng.choice(grp.elements)
-            sub = {gen, grp.identity}
-            while True:
-                new = {grp.mult[(a, b)] for a in sub for b in sub} | {
-                    grp.inverse[a] for a in sub
-                }
-                if new == sub:
-                    break
-                sub = new
-            action, cosets = coset_action(grp, sub)
-            w = [rng.random() + 0.05 for _ in cosets]
-            tot = sum(w)
-            part = transformation_groupoid(
-                grp, action, cosets,
-                {u: wi / tot for u, wi in zip(cosets, w)},
-            )
+            part = _random_part(rng, grp, style)
+            group_of_arrow = {a.id: a.id.split("|")[0] for a in part.arrows}
         if name == "V4" and rng.random() < 0.75:
             c = klein_bicharacter(exact)
         elif name in ("Z3", "Z4") and rng.random() < 0.5:
@@ -1151,10 +1149,6 @@ def random_twisted_pair(
                 (a, b): pone(exact)
                 for a in grp.elements for b in grp.elements
             }
-        if style == "bundle":
-            group_of_arrow = {a.id: a.id.split(".", 1)[1] for a in part.arrows}
-        else:
-            group_of_arrow = {a.id: a.id.split("|")[0] for a in part.arrows}
         part_values.append(
             pullback_group_cocycle(part, group_of_arrow, c, exact=exact)
         )

@@ -50,22 +50,27 @@ def parse_text(text: str) -> tuple[MeasuredGroupoid, Optional[Cocycle]]:
             raise ParseError("data before any section header", line_no)
         rows[section].append((line_no, line.split()))
 
+    def rows_of(name: str, usage: str):
+        """The (line, row) pairs of a section, each row as wide as ``usage``."""
+        for line_no, row in rows[name]:
+            if len(row) != len(usage.split()):
+                raise ParseError(f"{name} rows need `{usage}`", line_no)
+            yield line_no, row
+
     units: list[str] = []
-    mass_tokens: dict[str, str] = {}
-    for line_no, row in rows["units"]:
-        if len(row) != 2:
-            raise ParseError("units rows need `id mass`", line_no)
+    mass_tokens: dict[str, tuple[int, str]] = {}  # unit -> (line, token)
+    for line_no, row in rows_of("units", "id mass"):
         if row[0] in mass_tokens:
             raise ParseError(f"duplicate unit {row[0]!r}", line_no)
         units.append(row[0])
-        mass_tokens[row[0]] = row[1]
+        mass_tokens[row[0]] = (line_no, row[1])
     if not units:
         raise ParseError("no units defined", 0)
 
-    exact = any("/" in tok for tok in mass_tokens.values())
+    exact = any("/" in tok for _, tok in mass_tokens.values())
     mass: dict[str, float] = {}
     exact_mass: Optional[dict[str, Fraction]] = {} if exact else None
-    for u, tok in mass_tokens.items():
+    for u, (line_no, tok) in mass_tokens.items():
         try:
             if exact:
                 frac = Fraction(tok)
@@ -74,28 +79,12 @@ def parse_text(text: str) -> tuple[MeasuredGroupoid, Optional[Cocycle]]:
             else:
                 mass[u] = float(tok)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad mass {tok!r} for {u!r}: {exc}", 0) from exc
+            raise ParseError(f"bad mass {tok!r} for {u!r}: {exc}", line_no) from exc
 
-    arrows = []
-    for line_no, row in rows["arrows"]:
-        if len(row) != 3:
-            raise ParseError("arrows rows need `id src tgt`", line_no)
-        arrows.append((row[0], row[1], row[2]))
-    unit_arrows = {}
-    for line_no, row in rows["unit_arrows"]:
-        if len(row) != 2:
-            raise ParseError("unit_arrows rows need `unit arrow`", line_no)
-        unit_arrows[row[0]] = row[1]
-    compose = {}
-    for line_no, row in rows["compose"]:
-        if len(row) != 3:
-            raise ParseError("compose rows need `g h gh`", line_no)
-        compose[(row[0], row[1])] = row[2]
-    inverse = {}
-    for line_no, row in rows["inverse"]:
-        if len(row) != 2:
-            raise ParseError("inverse rows need `g ginv`", line_no)
-        inverse[row[0]] = row[1]
+    arrows = [tuple(row) for _, row in rows_of("arrows", "id src tgt")]
+    unit_arrows = dict(row for _, row in rows_of("unit_arrows", "unit arrow"))
+    compose = {(g, h): gh for _, (g, h, gh) in rows_of("compose", "g h gh")}
+    inverse = dict(row for _, row in rows_of("inverse", "g ginv"))
 
     g = validate_groupoid(
         MeasuredGroupoid(
@@ -107,9 +96,7 @@ def parse_text(text: str) -> tuple[MeasuredGroupoid, Optional[Cocycle]]:
     cocycle = None
     if rows["cocycle"]:
         values = {pair: complex(1.0) for pair in g.composable_pairs()}
-        for line_no, row in rows["cocycle"]:
-            if len(row) != 4:
-                raise ParseError("cocycle rows need `g h re im`", line_no)
+        for line_no, row in rows_of("cocycle", "g h re im"):
             pair = (row[0], row[1])
             if pair not in values:
                 raise ParseError(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -73,6 +73,12 @@ class L2Space:
         vals = np.asarray(vec) / self.sqrt_weights
         return {g: complex(vals[i]) for i, g in enumerate(self.index)}
 
+    def unit_values(self, vec: np.ndarray) -> dict[str, complex]:
+        """Function values at the positive-mass unit arrows, keyed by unit."""
+        vals = self.function_values(vec)
+        g = self.groupoid
+        return {u: vals[g.unit_arrow[u]] for u in g.units if g.unit_arrow[u] in self.pos}
+
     def indicator(self, ids: Iterable[str]) -> np.ndarray:
         """Orthonormal coordinates of an arrow-set indicator function."""
         v = np.zeros(self.dim, dtype=complex)
@@ -100,6 +106,13 @@ def l2_space(g: MeasuredGroupoid) -> L2Space:
         if e in pos:
             unit_vector[pos[e]] = sqrt_weights[pos[e]]
     return L2Space(g, index, pos, weights, sqrt_weights, unit_vector)
+
+
+def _normalized(g: MeasuredGroupoid, w: Optional[Cocycle]) -> Cocycle:
+    """The trivial cocycle for None, else the normalized representative."""
+    if w is None:
+        return trivial_cocycle(g)
+    return w if w.normalized else normalize_cocycle(g, w)
 
 
 def rep_operator(
@@ -195,7 +208,6 @@ class MatrixStarAlgebra:
         self.tol = tol
         self.observed_gap = observed_gap
         if len(ops) == 0:
-            self.singular_values = np.zeros(0)
             self._row_space = np.zeros((0, ops.shape[1] ** 2), dtype=complex)
             self.dim = 0
             return
@@ -203,7 +215,6 @@ class MatrixStarAlgebra:
         _, s, vh = np.linalg.svd(flat, full_matrices=False)
         cutoff = tol * max(1.0, s[0] if len(s) else 0.0)
         rank = int(np.sum(s > cutoff))
-        self.singular_values = s
         self._row_space = vh[:rank]
         self.dim = rank
 
@@ -223,13 +234,6 @@ class MatrixStarAlgebra:
         proj = self._row_space.T @ (self._row_space.conj() @ v)
         residual = float(np.linalg.norm(v - proj) / norm)
         return residual <= tol, residual
-
-    def project_coefficients(self, mat: np.ndarray) -> np.ndarray:
-        """Least-squares coefficients of ``mat`` against ``basis_ops``."""
-        flat = self.basis_ops.reshape(len(self.basis_ops), -1)
-        coeffs, *_ = np.linalg.lstsq(flat.T, np.asarray(mat, complex).reshape(-1),
-                                     rcond=None)
-        return coeffs
 
 
 def subspace_leq(
@@ -264,6 +268,47 @@ def _commutator_residual(x: np.ndarray, ops: np.ndarray) -> float:
     return math.sqrt(total)
 
 
+def _null_algebra(
+    gram: np.ndarray,
+    to_matrix: Callable[[np.ndarray], Optional[np.ndarray]],
+    ops: np.ndarray,
+    tol: float,
+) -> MatrixStarAlgebra:
+    """Span of the confirmed null vectors of a commutator map.
+
+    Eigenvectors of the Gram matrix below the candidate cut are mapped to
+    matrices (``to_matrix`` may drop one by returning None) and accepted when
+    their commutator residual with ``ops`` is below ``tol * max(1, sigma_max)``.
+    """
+    n = ops.shape[1]
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    sigmas = np.sqrt(np.clip(eigvals, 0.0, None))
+    smax = sigmas[-1] if len(sigmas) else 0.0
+    scale = max(1.0, smax)
+    cand = np.nonzero(sigmas <= _CANDIDATE_CUT * scale)[0]
+    null_ops: list[np.ndarray] = []
+    max_accepted = 0.0
+    accepted: set[int] = set()
+    for idx in cand:
+        x = to_matrix(eigvecs[:, idx])
+        if x is None:
+            continue
+        res = _commutator_residual(x, ops)
+        if res <= tol * scale:
+            null_ops.append(x)
+            max_accepted = max(max_accepted, res)
+            accepted.add(int(idx))
+    min_rejected = min(
+        (float(sigmas[i]) for i in range(len(sigmas)) if i not in accepted),
+        default=float("inf"),
+    )
+    return MatrixStarAlgebra(
+        np.array(null_ops).reshape(-1, n, n),
+        tol=tol,
+        observed_gap=(max_accepted, min_rejected),
+    )
+
+
 def commutant(
     ops: Sequence[np.ndarray],
     within: Optional[MatrixStarAlgebra] = None,
@@ -281,41 +326,21 @@ def commutant(
     if ops.ndim != 3:
         raise ValueError("ops must be a sequence of square matrices")
     n = ops.shape[1]
-    ops_r = _as_real_if_possible(ops)
 
     if within is None:
-        dtype = ops_r.dtype
+        ops_r = _as_real_if_possible(ops)
         gram = None
-        eye = sp.identity(n, format="csr", dtype=dtype)
+        eye = sp.identity(n, format="csr", dtype=ops_r.dtype)
         for op in ops_r:
             a = sp.csr_matrix(op)
             k = sp.kron(eye, a.T, format="csr") - sp.kron(a, eye, format="csr")
             term = (k.conj().T @ k)
             gram = term if gram is None else gram + term
-        gram = np.asarray(gram.todense())
-        eigvals, eigvecs = np.linalg.eigh(gram)
-        sigmas = np.sqrt(np.clip(eigvals, 0.0, None))
-        smax = sigmas[-1] if len(sigmas) else 0.0
-        scale = max(1.0, smax)
-        cand = np.nonzero(sigmas <= _CANDIDATE_CUT * scale)[0]
-        null_ops: list[np.ndarray] = []
-        max_accepted = 0.0
-        accepted: set[int] = set()
-        for idx in cand:
-            x = eigvecs[:, idx].reshape(n, n)
-            res = _commutator_residual(x, ops)
-            if res <= tol * scale:
-                null_ops.append(x.astype(complex))
-                max_accepted = max(max_accepted, res)
-                accepted.add(int(idx))
-        min_rejected = min(
-            (float(sigmas[i]) for i in range(len(sigmas)) if i not in accepted),
-            default=float("inf"),
-        )
-        return MatrixStarAlgebra(
-            np.array(null_ops).reshape(-1, n, n),
-            tol=tol,
-            observed_gap=(max_accepted, min_rejected),
+        return _null_algebra(
+            np.asarray(gram.todense()),
+            lambda v: v.reshape(n, n).astype(complex),
+            ops,
+            tol,
         )
 
     basis = within.basis_ops
@@ -325,35 +350,13 @@ def commutant(
         comm = basis @ op - op @ basis
         flat = comm.reshape(k, -1)
         gram += flat.conj() @ flat.T
-    gram = 0.5 * (gram + gram.conj().T)
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    sigmas = np.sqrt(np.clip(eigvals, 0.0, None))
-    smax = sigmas[-1] if len(sigmas) else 0.0
-    scale = max(1.0, smax)
-    cand = np.nonzero(sigmas <= _CANDIDATE_CUT * scale)[0]
-    null_ops = []
-    max_accepted = 0.0
-    accepted: set[int] = set()
-    for idx in cand:
-        x = np.einsum("j,jab->ab", eigvecs[:, idx], basis)
+
+    def to_matrix(v: np.ndarray) -> Optional[np.ndarray]:
+        x = np.einsum("j,jab->ab", v, basis)
         nrm = np.linalg.norm(x)
-        if nrm < 1e-300:
-            continue
-        x = x / nrm
-        res = _commutator_residual(x, ops)
-        if res <= tol * scale:
-            null_ops.append(x)
-            max_accepted = max(max_accepted, res)
-            accepted.add(int(idx))
-    min_rejected = min(
-        (float(sigmas[i]) for i in range(len(sigmas)) if i not in accepted),
-        default=float("inf"),
-    )
-    return MatrixStarAlgebra(
-        np.array(null_ops).reshape(-1, n, n),
-        tol=tol,
-        observed_gap=(max_accepted, min_rejected),
-    )
+        return None if nrm < 1e-300 else x / nrm
+
+    return _null_algebra(0.5 * (gram + gram.conj().T), to_matrix, ops, tol)
 
 
 def algebra(
@@ -376,10 +379,7 @@ def algebra(
     g._require_validated()
     if space is None:
         space = l2_space(g)
-    if w is None:
-        w = trivial_cocycle(g)
-    elif not w.normalized:
-        w = normalize_cocycle(g, w)
+    w = _normalized(g, w)
     ops = np.array(
         [rep_operator(g, w, [a], side, space) for a in space.index]
     ).reshape(len(space.index), space.dim, space.dim)
@@ -447,11 +447,10 @@ def center(
     *,
     alg: Optional[MatrixStarAlgebra] = None,
     tol: float = RANK_TOL,
-    verify: bool = True,
 ) -> MatrixStarAlgebra:
     """Elements of the translation algebra commuting with all of it."""
     if alg is None:
-        alg = algebra(g, w, "left", verify=verify, tol=tol)
+        alg = algebra(g, w, "left", tol=tol)
     return commutant(alg.basis_ops, within=alg, tol=tol)
 
 
@@ -495,12 +494,7 @@ def conditional_expectation(
     ok, res = alg.contains(op, tol)
     if not ok:
         raise NotInAlgebra(f"operator is not in the algebra span ({res})")
-    vals = space.function_values(j_map(g, op, space))
-    return {
-        u: vals[g.unit_arrow[u]]
-        for u in g.units
-        if g.unit_arrow[u] in space.pos
-    }
+    return space.unit_values(j_map(g, op, space))
 
 
 def phi_and_sharp(
@@ -560,10 +554,7 @@ def fourier(
     g._require_validated()
     if space is None:
         space = l2_space(g)
-    if w is None:
-        w = trivial_cocycle(g)
-    elif not w.normalized:
-        w = normalize_cocycle(g, w)
+    w = _normalized(g, w)
     if alg is None:
         alg = algebra(g, w, "left", space=space, verify=False)
     ok, res = alg.contains(op)
@@ -574,12 +565,7 @@ def fourier(
     recon = np.zeros_like(op)
     for bi, block in enumerate(basis.blocks):
         lam = rep_operator(g, w, block, "left", space)
-        vals = space.function_values((op @ lam.conj().T) @ space.unit_vector)
-        cf = {
-            u: vals[g.unit_arrow[u]]
-            for u in g.units
-            if g.unit_arrow[u] in space.pos
-        }
+        cf = space.unit_values((op @ lam.conj().T) @ space.unit_vector)
         coeffs[bi] = cf
         recon += multiplication_operator(space, cf) @ lam
     residual = float(np.linalg.norm(recon - op, 2))
@@ -662,7 +648,6 @@ def factoriality_report(
     *,
     rank_tol: float = RANK_TOL,
     containment_tol: float = CONTAINMENT_TOL,
-    verify: bool = True,
 ) -> FactorialityReport:
     """Cross-check the structural deciders against the numerical center.
 
@@ -676,10 +661,7 @@ def factoriality_report(
     twisted = w is not None and not all(
         abs(as_complex(v) - 1.0) <= 1e-15 for v in w.values.values()
     )
-    if w is None:
-        w = trivial_cocycle(g)
-    elif not w.normalized:
-        w = normalize_cocycle(g, w)
+    w = _normalized(g, w)
 
     erg = g.is_ergodic()
     if twisted:
@@ -697,7 +679,7 @@ def factoriality_report(
     kv = kleppner_holds(g, w)
 
     space = l2_space(g)
-    alg = algebra(g, w, "left", space=space, verify=verify, tol=rank_tol)
+    alg = algebra(g, w, "left", space=space, tol=rank_tol)
     z = center(g, w, alg=alg, tol=rank_tol)
     inv = invariant_subalgebra(g, space)
     equal, residual = subspaces_equal(z, inv, containment_tol)

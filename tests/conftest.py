@@ -4,57 +4,33 @@ from factoroid import constructors as mk
 from factoroid.groupoid import MeasuredGroupoid, validate_groupoid
 
 
-@pytest.fixture(scope="session")
-def z2():
-    return mk.group_groupoid(mk.cyclic_group(2))
+def _named(fixture: str, instance: str):
+    """A session fixture built by ``mk.NAMED_INSTANCES[instance]``: the
+    groupoid alone, or the (groupoid, cocycle) pair of a twisted instance."""
+
+    @pytest.fixture(scope="session", name=fixture)
+    def build():
+        g, w = mk.NAMED_INSTANCES[instance]()
+        return g if w is None else (g, w)
+
+    return build
 
 
-@pytest.fixture(scope="session")
-def z3():
-    return mk.group_groupoid(mk.cyclic_group(3))
-
-
-@pytest.fixture(scope="session")
-def klein4():
-    return mk.group_groupoid(mk.klein_four_group())
-
-
-@pytest.fixture(scope="session")
-def klein_twisted():
-    return mk.klein_four_twisted()
-
-
-@pytest.fixture(scope="session")
-def full2():
-    return mk.full_relation(["x0", "x1"], {"x0": 0.5, "x1": 0.5})
-
-
-@pytest.fixture(scope="session")
-def full3():
-    units = ["x0", "x1", "x2"]
-    return mk.full_relation(units, {u: 1 / 3 for u in units})
-
-
-@pytest.fixture(scope="session")
-def s3_bundle():
-    return mk.group_bundle({"pt": mk.symmetric_group(3)}, {"pt": 1.0})
+z2 = _named("z2", "z2")
+z3 = _named("z3", "z3")
+klein4 = _named("klein4", "klein4")
+klein_twisted = _named("klein_twisted", "klein4-twisted")
+full2 = _named("full2", "full2")
+full3 = _named("full3", "full3")
+s3_bundle = _named("s3_bundle", "s3-bundle")
+swap_groupoid = _named("swap_groupoid", "swap")
+z4_translation = _named("z4_translation", "z4-translation")
 
 
 @pytest.fixture(scope="session")
 def z2_bundle():
     z2 = mk.cyclic_group(2)
     return mk.group_bundle({"x0": z2, "x1": z2}, {"x0": 0.5, "x1": 0.5})
-
-
-@pytest.fixture(scope="session")
-def swap_groupoid():
-    return mk.transformation_groupoid(
-        mk.cyclic_group(2),
-        {("0", "x0"): "x0", ("0", "x1"): "x1",
-         ("1", "x0"): "x1", ("1", "x1"): "x0"},
-        ["x0", "x1"],
-        {"x0": 0.5, "x1": 0.5},
-    )
 
 
 @pytest.fixture(scope="session")
@@ -65,15 +41,6 @@ def z2_trivial_two_points():
          ("1", "x0"): "x0", ("1", "x1"): "x1"},
         ["x0", "x1"],
         {"x0": 0.5, "x1": 0.5},
-    )
-
-
-@pytest.fixture(scope="session")
-def z4_translation():
-    z4 = mk.cyclic_group(4)
-    return mk.transformation_groupoid(
-        z4, mk.translation_action(z4), z4.elements,
-        {u: 0.25 for u in z4.elements},
     )
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from factoroid import constructors as mk
+from factoroid.basis import build_basis
 from factoroid.conjugacy import (
     NotErgodic,
     NotIsotropy,
@@ -163,4 +164,9 @@ def test_basis_sweep_agrees_with_closure(seed):
     if not iso:
         return
     base = iso[seed % len(iso)]
-    conjugacy_class(g, [base])  # raises internally if the sweep disagrees
+    # conjugating twice is conjugating by a product, so one sweep over the
+    # blocks of a basis already gives the fixed point of the closure
+    swept: set[str] = set()
+    for block in build_basis(g, symmetric=True).blocks:
+        swept |= g.mul_sets(g.mul_sets(block, [base]), [g.inverse[b] for b in block])
+    assert swept == conjugacy_class(g, [base]).omega

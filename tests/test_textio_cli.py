@@ -73,6 +73,13 @@ def test_parse_errors_carry_line_numbers():
         parse_text("[nonsense]\n")
 
 
+def test_bad_mass_names_its_line():
+    with pytest.raises(ParseError) as err:
+        parse_text("[units]\nx0 1.0\n\npt abc\n")
+    assert err.value.line == 4
+    assert "'abc'" in str(err.value)
+
+
 def test_missing_inverse_entry_names_arrow(full2):
     text = serialize(full2)
     lines = [l for l in text.splitlines() if l != "r|x0|x1 r|x1|x0"]
@@ -240,3 +247,23 @@ def test_cli_env_tolerance(tmp_path, capsys, monkeypatch):
     code, out = run_cli(capsys, "report", str(path), "--format", "json")
     assert code == 0
     assert json.loads(out)["rank_tol"] == 1e-7
+
+
+def test_cli_bad_env_tolerance_exits_1(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "z2.txt"
+    run_cli(capsys, "gen", "--family", "z2", "--out", str(path))
+    monkeypatch.setenv("FACTOROID_TOLERANCE", "abc")
+    assert cli.main(["report", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "FACTOROID_TOLERANCE" in err
+
+
+def test_cli_dr_scan_rejects_bad_map_and_masses(capsys):
+    for argv in (
+        ["--map", "x0:x9"],
+        ["--map", "x0:x1,x1:x0", "--masses", "x0:abc,x1:1"],
+        ["--map", "x0:x1,x1:x0", "--masses", "x0:1"],
+    ):
+        assert cli.main(["dr-scan", *argv]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and not captured.out
