@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 on success (and a consistent report), 1 on input or usage
-errors, 2 when a report detects an inconsistency between the structural
-deciders and the numerical center (which should never happen and fails any
-surrounding build).
+errors and when the reader of stdout goes away early, 2 when a report
+detects an inconsistency between the structural deciders and the numerical
+center, or an internal self-check fails (either should never happen and
+fails any surrounding build).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .textio import ParseError, parse_file, serialize, write_file
 from .vna import (
     CONTAINMENT_TOL,
     RANK_TOL,
+    InternalInconsistency,
     algebra,
     center,
     factoriality_report,
@@ -381,9 +383,19 @@ _COMMANDS = {
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
+    except InternalInconsistency as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ParseError, GroupoidError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader left; send the rest of the buffer nowhere so the
+        # interpreter's final flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -81,10 +81,25 @@ def parse_text(text: str) -> tuple[MeasuredGroupoid, Optional[Cocycle]]:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad mass {tok!r} for {u!r}: {exc}", line_no) from exc
 
+    def keyed(name: str, usage: str, width: int):
+        """The (line, row) pairs of a section whose first ``width`` fields
+        are a key, rejecting a key that an earlier row already gave."""
+        first: dict[tuple[str, ...], int] = {}
+        for line_no, row in rows_of(name, usage):
+            key = tuple(row[:width])
+            if key in first:
+                raise ParseError(
+                    f"duplicate {name} row for {' '.join(key)!r} "
+                    f"(first given on line {first[key]})",
+                    line_no,
+                )
+            first[key] = line_no
+            yield line_no, row
+
     arrows = [tuple(row) for _, row in rows_of("arrows", "id src tgt")]
-    unit_arrows = dict(row for _, row in rows_of("unit_arrows", "unit arrow"))
-    compose = {(g, h): gh for _, (g, h, gh) in rows_of("compose", "g h gh")}
-    inverse = dict(row for _, row in rows_of("inverse", "g ginv"))
+    unit_arrows = dict(row for _, row in keyed("unit_arrows", "unit arrow", 1))
+    compose = {(g, h): gh for _, (g, h, gh) in keyed("compose", "g h gh", 2)}
+    inverse = dict(row for _, row in keyed("inverse", "g ginv", 1))
 
     g = validate_groupoid(
         MeasuredGroupoid(
@@ -96,7 +111,7 @@ def parse_text(text: str) -> tuple[MeasuredGroupoid, Optional[Cocycle]]:
     cocycle = None
     if rows["cocycle"]:
         values = {pair: complex(1.0) for pair in g.composable_pairs()}
-        for line_no, row in rows_of("cocycle", "g h re im"):
+        for line_no, row in keyed("cocycle", "g h re im", 2):
             pair = (row[0], row[1])
             if pair not in values:
                 raise ParseError(

@@ -6,12 +6,26 @@ coordinates the matrix adjoint is the operator adjoint, left translations
 are pure-phase partial permutations, and right translations carry a
 source/target mass ratio.
 
-Rank and nullspace decisions go through singular values with an explicit
-tolerance.  Nullspaces of commutator maps are computed from the Gram matrix
-of the stacked map (its eigenvalues are the squared singular values) and
-every candidate null vector is confirmed against the directly computed
-commutator residual, which keeps the tolerance honest at 1e-9 even where
-squaring would lose precision; the observed spectral gap is recorded.
+Every single-arrow translation is monomial: each column holds at most one
+entry.  ``algebra`` checks this entry by entry, then checks the product and
+adjoint rules (L_a L_b = w(a,b) L_ab, L_a^* = L_{a^-1}, and their right-hand
+forms) by index arithmetic on those entries.  The translations have pairwise
+disjoint supports, so their span needs no SVD: ``MatrixStarAlgebra`` sees
+the disjoint supports and takes the translations themselves as its
+orthogonal basis.
+
+``center`` reads the commutator map c -> ([sum_a c_a L_a, L_b])_b off the
+composition table and the cocycle as a sparse n^2 x n matrix K, since
+[L_a, L_b] = w(a,b) L_ab - w(b,a) L_ba and distinct translations are
+orthogonal.  Its Gram matrix K^H K is n x n.  ``commutant`` assembles the
+same Gram matrix from dense matrix products and stays as the oracle for
+``center``; without ``within`` it also computes full commutants.
+
+Rank and nullspace decisions use an explicit tolerance.  Nullspaces are read
+off the spectrum of a Gram matrix (its eigenvalues are the squared singular
+values), and every candidate null vector is confirmed against its directly
+computed commutator residual, which keeps the tolerance honest at 1e-9 even
+where squaring would lose precision; the observed spectral gap is recorded.
 """
 
 from __future__ import annotations
@@ -44,9 +58,16 @@ PARSEVAL_TOL = 1e-9
 # final membership is decided by direct residuals at the caller's tolerance
 _CANDIDATE_CUT = 1e-5
 
+# entries per step when a check walks an n x n x n stack a block at a time
+_BLOCK_ENTRIES = 1 << 16
+
 
 class NotInAlgebra(GroupoidError):
     pass
+
+
+class InternalInconsistency(GroupoidError):
+    """Two computations that must agree did not: a defect, not bad input."""
 
 
 class AsymmetricBasis(GroupoidError):
@@ -193,7 +214,14 @@ def twisted_convolve(
 
 
 class MatrixStarAlgebra:
-    """A linear span of matrices, with SVD-backed rank and membership."""
+    """A linear span of matrices, with rank and membership from an orthogonal
+    basis of its flattened row space.
+
+    Matrices with pairwise disjoint supports, such as single-arrow
+    translations, are orthogonal already: they are their own basis, with
+    their Frobenius norms as singular values.  Any other span takes its
+    basis from an SVD.
+    """
 
     def __init__(
         self,
@@ -207,16 +235,19 @@ class MatrixStarAlgebra:
         self.basis_ops = ops
         self.tol = tol
         self.observed_gap = observed_gap
-        if len(ops) == 0:
-            self._row_space = np.zeros((0, ops.shape[1] ** 2), dtype=complex)
-            self.dim = 0
-            return
+        # orthogonal rows spanning the flattened span, and 1/|row|^2 for each
         flat = ops.reshape(len(ops), -1)
-        _, s, vh = np.linalg.svd(flat, full_matrices=False)
-        cutoff = tol * max(1.0, s[0] if len(s) else 0.0)
-        rank = int(np.sum(s > cutoff))
-        self._row_space = vh[:rank]
-        self.dim = rank
+        norms = _disjoint_row_norms(flat)
+        if norms is not None:
+            keep = norms > tol * max(1.0, float(norms.max(initial=0.0)))
+            self._rows = flat if keep.all() else flat[keep]
+            self._row_scale = norms[keep] ** -2.0
+        else:
+            _, s, vh = np.linalg.svd(flat, full_matrices=False)
+            rank = int(np.sum(s > tol * max(1.0, s[0])))
+            self._rows = vh[:rank]
+            self._row_scale = np.ones(rank)
+        self.dim = len(self._rows)
 
     @property
     def matrix_dim(self) -> int:
@@ -229,11 +260,28 @@ class MatrixStarAlgebra:
         norm = np.linalg.norm(v)
         if norm == 0.0:
             return True, 0.0
-        # rows of _row_space are orthonormal under the Hermitian product, so
-        # the projector is sum_i r_i <r_i, v> with the conjugate on the left
-        proj = self._row_space.T @ (self._row_space.conj() @ v)
+        # the projector is sum_i r_i <r_i, v> / |r_i|^2, with the Hermitian
+        # product conjugate-linear on the left (conjugating v, not the rows,
+        # saves a copy of the rows)
+        coef = (self._rows @ v.conj()).conj() * self._row_scale
+        proj = self._rows.T @ coef
         residual = float(np.linalg.norm(v - proj) / norm)
         return residual <= tol, residual
+
+
+def _disjoint_row_norms(flat: np.ndarray) -> Optional[np.ndarray]:
+    """Row norms of ``flat`` if no two rows share a nonzero position, else
+    None; a block of rows at a time, so no temporary is as large as
+    ``flat``."""
+    used = np.zeros(flat.shape[1], dtype=np.intp)
+    norms = np.empty(len(flat))
+    for blk in _blocks(len(flat), flat.shape[1]):
+        rows = flat[blk]
+        used += np.count_nonzero(rows, axis=0)
+        if np.any(used > 1):
+            return None
+        norms[blk] = np.sqrt((rows.real ** 2 + rows.imag ** 2).sum(axis=1))
+    return norms
 
 
 def subspace_leq(
@@ -271,16 +319,17 @@ def _commutator_residual(x: np.ndarray, ops: np.ndarray) -> float:
 def _null_algebra(
     gram: np.ndarray,
     to_matrix: Callable[[np.ndarray], Optional[np.ndarray]],
-    ops: np.ndarray,
+    residual: Callable[[np.ndarray, np.ndarray], float],
+    n: int,
     tol: float,
 ) -> MatrixStarAlgebra:
     """Span of the confirmed null vectors of a commutator map.
 
-    Eigenvectors of the Gram matrix below the candidate cut are mapped to
-    matrices (``to_matrix`` may drop one by returning None) and accepted when
-    their commutator residual with ``ops`` is below ``tol * max(1, sigma_max)``.
+    Eigenvectors v of the Gram matrix below the candidate cut are mapped to
+    n x n matrices x (``to_matrix`` may drop one by returning None) and
+    accepted when ``residual(v, x)``, their directly computed commutator
+    residual, is at most ``tol * max(1, sigma_max)``.
     """
-    n = ops.shape[1]
     eigvals, eigvecs = np.linalg.eigh(gram)
     sigmas = np.sqrt(np.clip(eigvals, 0.0, None))
     smax = sigmas[-1] if len(sigmas) else 0.0
@@ -290,10 +339,11 @@ def _null_algebra(
     max_accepted = 0.0
     accepted: set[int] = set()
     for idx in cand:
-        x = to_matrix(eigvecs[:, idx])
+        v = eigvecs[:, idx]
+        x = to_matrix(v)
         if x is None:
             continue
-        res = _commutator_residual(x, ops)
+        res = residual(v, x)
         if res <= tol * scale:
             null_ops.append(x)
             max_accepted = max(max_accepted, res)
@@ -309,6 +359,17 @@ def _null_algebra(
     )
 
 
+def _span_element(basis: np.ndarray) -> Callable[[np.ndarray], Optional[np.ndarray]]:
+    """Coordinates -> the unit-norm combination of ``basis`` (None for 0)."""
+
+    def to_matrix(v: np.ndarray) -> Optional[np.ndarray]:
+        x = np.tensordot(v, basis, axes=1)
+        nrm = np.linalg.norm(x)
+        return None if nrm < 1e-300 else x / nrm
+
+    return to_matrix
+
+
 def commutant(
     ops: Sequence[np.ndarray],
     within: Optional[MatrixStarAlgebra] = None,
@@ -320,12 +381,16 @@ def commutant(
     spectrum of its Gram matrix (squared singular values); candidates below a
     generous cut are kept only if their directly computed commutator residual
     is below ``tol * max(1, sigma_max)``.  When ``within`` is given the
-    search is performed inside that span.
+    search is performed inside that span.  Every product here is dense, so
+    ``commutant(alg.basis_ops, within=alg)`` is the oracle for ``center``.
     """
     ops = np.asarray(ops, dtype=complex)
     if ops.ndim != 3:
         raise ValueError("ops must be a sequence of square matrices")
     n = ops.shape[1]
+
+    def residual(v: np.ndarray, x: np.ndarray) -> float:
+        return _commutator_residual(x, ops)
 
     if within is None:
         ops_r = _as_real_if_possible(ops)
@@ -339,7 +404,8 @@ def commutant(
         return _null_algebra(
             np.asarray(gram.todense()),
             lambda v: v.reshape(n, n).astype(complex),
-            ops,
+            residual,
+            n,
             tol,
         )
 
@@ -350,13 +416,9 @@ def commutant(
         comm = basis @ op - op @ basis
         flat = comm.reshape(k, -1)
         gram += flat.conj() @ flat.T
-
-    def to_matrix(v: np.ndarray) -> Optional[np.ndarray]:
-        x = np.einsum("j,jab->ab", v, basis)
-        nrm = np.linalg.norm(x)
-        return None if nrm < 1e-300 else x / nrm
-
-    return _null_algebra(0.5 * (gram + gram.conj().T), to_matrix, ops, tol)
+    return _null_algebra(
+        0.5 * (gram + gram.conj().T), _span_element(basis), residual, n, tol
+    )
 
 
 def algebra(
@@ -374,27 +436,107 @@ def algebra(
     star-closed, which ``verify`` checks against the structure constants:
     for the left side  L_a L_b = w(a,b) L_{ab}  and  L_a^* = L_{a^-1}; on the
     right side products gain conjugated phases and adjoints a mass ratio.
+    It also checks that the span has full rank and holds the identity.
     An unnormalized cocycle is replaced by its normalized representative.
     """
     g._require_validated()
     if space is None:
         space = l2_space(g)
     w = _normalized(g, w)
-    ops = np.array(
-        [rep_operator(g, w, [a], side, space) for a in space.index]
-    ).reshape(len(space.index), space.dim, space.dim)
+    n = space.dim
+    ops = np.empty((n, n, n), dtype=complex)
+    for i, a in enumerate(space.index):
+        ops[i] = rep_operator(g, w, [a], side, space)
     alg = MatrixStarAlgebra(ops, tol=tol)
     if verify:
         _verify_structure(g, w, side, space, ops, tol)
-        ident = np.eye(space.dim)
-        ok, res = alg.contains(ident)
+        ok, res = alg.contains(np.eye(n))
         if not ok:
-            raise GroupoidError(f"algebra misses its identity (residual {res})")
-        if alg.dim != len(space.index):
-            raise GroupoidError(
-                f"algebra rank {alg.dim} != arrow count {len(space.index)}"
+            raise InternalInconsistency(
+                f"algebra misses its identity (residual {res})"
             )
+        if alg.dim != n:
+            raise InternalInconsistency(f"algebra rank {alg.dim} != arrow count {n}")
     return alg
+
+
+def _blocks(count: int, size: int) -> Iterable[slice]:
+    """Consecutive slices of range(count), each covering at most about
+    _BLOCK_ENTRIES entries of ``size`` each (at least one item per slice)."""
+    step = max(1, _BLOCK_ENTRIES // max(1, size))
+    for lo in range(0, count, step):
+        yield slice(lo, min(count, lo + step))
+
+
+def _structure_constants(
+    g: MeasuredGroupoid, w: Cocycle, space: L2Space
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Positions of a, b and ab, and the phase w(a, b), over the composable
+    pairs of positive-mass arrows (ab then has positive mass too)."""
+    pos = space.pos
+    pairs = [
+        (pos[a], pos[b], pos[ab], as_complex(w.values[(a, b)]))
+        for (a, b), ab in g.compose.items()
+        if a in pos and b in pos
+    ]
+    if not pairs:
+        empty = np.zeros(0, dtype=np.intp)
+        return empty, empty, empty, np.zeros(0, dtype=complex)
+    i, j, k, phase = zip(*pairs)
+    return np.array(i), np.array(j), np.array(k), np.array(phase, dtype=complex)
+
+
+def _monomials(
+    ops: np.ndarray, tol: float, names: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Column forms of a block of partial permutations with phases.
+
+    For each matrix, returns the row of each column's entry (n for an empty
+    column) and the entry.  Raises unless every other entry is at most
+    ``tol`` in modulus, compared entry by entry, and no two columns share a
+    row.
+    """
+    n = ops.shape[1]
+    mag = np.abs(ops)
+    rows = mag.argmax(axis=1)[:, None, :]
+    vals = np.take_along_axis(ops, rows, axis=1)[:, 0]
+    np.put_along_axis(mag, rows, 0.0, axis=1)
+    rows = rows[:, 0]
+    rows[vals == 0] = n
+    _raise_first_over(
+        mag.max(axis=(1, 2), initial=0.0), tol, names,
+        "translation by {!r} is not monomial (off-support entry {})",
+    )
+    ordered = np.sort(rows, axis=1)
+    shared = (ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] < n)
+    _raise_first_over(
+        shared.sum(axis=1), 0, names,
+        "translation by {!r} sends {} pairs of columns to one row",
+    )
+    return rows, vals
+
+
+def _raise_first_over(
+    values: np.ndarray, tol: float, names: Sequence[str], message: str
+) -> None:
+    """Raise InternalInconsistency for the first value above ``tol``;
+    ``message`` is formatted with its name and the value."""
+    over = np.flatnonzero(values > tol)
+    if over.size:
+        m = over[0]
+        raise InternalInconsistency(message.format(names[m], values[m]))
+
+
+def _monomial_gap(
+    rows1: np.ndarray, vals1: np.ndarray, rows2: np.ndarray, vals2: np.ndarray
+) -> np.ndarray:
+    """Per column, the largest entry modulus of the difference of two
+    column-form monomials."""
+    return np.where(
+        rows1 == rows2,
+        np.abs(vals1 - vals2),
+        np.maximum(np.abs(vals1), np.abs(vals2)),
+    )
 
 
 def _verify_structure(
@@ -405,40 +547,69 @@ def _verify_structure(
     ops: np.ndarray,
     tol: float,
 ) -> None:
-    index = space.index
-    for i, a in enumerate(index):
-        prods = ops[i] @ ops
-        expected = np.zeros_like(prods)
-        for j, b in enumerate(index):
-            ab = g.compose.get((a, b))
-            if ab is None:
-                continue
-            if side == "left":
-                expected[j] = as_complex(w.values[(a, b)]) * ops[space.pos[ab]]
-            else:
-                # R_a R_b collapses to the translation by ab with the
-                # conjugated phase of the inverted pair
-                expected[j] = as_complex(
-                    w.values[(g.inverse[b], g.inverse[a])]
-                ).conjugate() * ops[space.pos[ab]]
-        err = float(np.max(np.abs(prods - expected)))
-        if err > tol:
-            raise GroupoidError(
-                f"translation span not multiplicatively closed at {a!r} ({err})"
-            )
-    for i, a in enumerate(index):
-        ai = g.inverse[a]
-        adj = ops[i].conj().T
-        if side == "left":
-            expected_adj = ops[space.pos[ai]]
-        else:
-            ratio = g.mass[g.tgt[a]] / g.mass[g.src[a]]
-            expected_adj = ratio * ops[space.pos[ai]]
-        err = float(np.max(np.abs(adj - expected_adj)))
-        if err > tol:
-            raise GroupoidError(
-                f"translation span not star-closed at {a!r} ({err})"
-            )
+    """Check the product and adjoint rules of the translation stack.
+
+    Each translation is first reduced to its column form (``_monomials``);
+    products and adjoints of column forms are then index arithmetic, O(n^2)
+    time and memory per arrow, taken a block of arrows at a time.  Row and
+    column n stand for "no entry": the extra row of ``rows`` is the zero
+    operator, and ``rows[i, n] = n`` passes an empty column through a
+    product.
+    """
+    index, n = space.index, space.dim
+    rows = np.full((n + 1, n + 1), n, dtype=np.intp)
+    vals = np.zeros((n + 1, n + 1), dtype=complex)
+    for blk in _blocks(n, n * n):
+        rows[blk, :n], vals[blk, :n] = _monomials(ops[blk], tol, index[blk])
+
+    # index of ab (n if not composable) and the phase of R_a R_b or L_a L_b
+    i, j, k, phase = _structure_constants(g, w, space)
+    if side == "right":
+        # R_a R_b collapses to the translation by ab with the conjugated
+        # phase of the inverted pair
+        phase = np.array(
+            [
+                as_complex(w.values[(g.inverse[index[b]], g.inverse[index[a]])])
+                for a, b in zip(i, j)
+            ],
+            dtype=complex,
+        ).conj()
+    prod = np.full((n, n), n, dtype=np.intp)
+    prod[i, j] = k
+    phases = np.zeros((n, n), dtype=complex)
+    phases[i, j] = phase
+
+    b_rows, b_vals = rows[:n, :n], vals[:n, :n]
+    for blk in _blocks(n, n * n):
+        # column h of L_a L_b is vals[b, h] vals[a, rows[b, h]] at row
+        # rows[a, rows[b, h]]; axes: a in the block, b, h
+        gap = _monomial_gap(
+            rows[blk][:, b_rows],
+            vals[blk][:, b_rows] * b_vals,
+            rows[prod[blk], :n],
+            phases[blk][:, :, None] * vals[prod[blk], :n],
+        ).max(axis=(1, 2), initial=0.0)
+        _raise_first_over(
+            gap, tol, index[blk],
+            "translation span not multiplicatively closed at {!r} ({})",
+        )
+
+    # the adjoint moves entry (rows[a, h], h) to (h, rows[a, h]), conjugated
+    a_hit, h_hit = np.nonzero(rows[:n, :n] < n)
+    adj_rows = np.full((n, n + 1), n, dtype=np.intp)
+    adj_vals = np.zeros((n, n + 1), dtype=complex)
+    adj_rows[a_hit, rows[a_hit, h_hit]] = h_hit
+    adj_vals[a_hit, rows[a_hit, h_hit]] = vals[a_hit, h_hit].conj()
+    inv = np.array([space.pos[g.inverse[a]] for a in index], dtype=np.intp)
+    ratio = np.array(
+        [1.0 if side == "left" else g.mass[g.tgt[a]] / g.mass[g.src[a]] for a in index]
+    )
+    gap = _monomial_gap(
+        adj_rows[:, :n], adj_vals[:, :n], rows[inv, :n], ratio[:, None] * vals[inv, :n]
+    ).max(axis=1, initial=0.0)
+    _raise_first_over(
+        gap, tol, index, "translation span not star-closed at {!r} ({})"
+    )
 
 
 def center(
@@ -448,10 +619,59 @@ def center(
     alg: Optional[MatrixStarAlgebra] = None,
     tol: float = RANK_TOL,
 ) -> MatrixStarAlgebra:
-    """Elements of the translation algebra commuting with all of it."""
+    """Elements of the translation algebra commuting with all of it.
+
+    ``alg`` is the left translation algebra of (g, w), built when not given.
+    In its basis, [sum_a c_a L_a, L_b] = sum_a c_a (w(a,b) L_ab - w(b,a) L_ba),
+    and distinct translations are orthogonal, so the commutator map is the
+    n^2 x n matrix K with K[(b, k), a] = |L_k|_F (w(a,b) [ab = k] -
+    w(b,a) [ba = k]) and K^H K is the Gram matrix that
+    ``commutant(alg.basis_ops, within=alg)`` builds densely.  Row (b, k) of
+    K has at most two entries, at a = k b^-1 and at a = b^-1 k, so K is
+    stored as two (column, value) pairs per row.  A candidate c is accepted
+    when |Kc| / |x|_F <= tol * max(1, sigma_max), where x = sum_a c_a L_a
+    and |x|_F = |(|L_a|_F c_a)_a|.
+    """
+    g._require_validated()
+    w = _normalized(g, w)
+    space = l2_space(g)
     if alg is None:
-        alg = algebra(g, w, "left", tol=tol)
-    return commutant(alg.basis_ops, within=alg, tol=tol)
+        alg = algebra(g, w, "left", space=space, tol=tol)
+    n = space.dim
+    # |L_k|_F^2 counts the arrows L_k moves: those ending where k starts
+    ending: dict[str, int] = {}
+    for h in space.index:
+        ending[g.tgt[h]] = ending.get(g.tgt[h], 0) + 1
+    norms = np.sqrt([float(ending[g.src[k]]) for k in space.index])
+
+    # the two (column, value) entries of each row (b, k); column n, with
+    # value 0, marks a missing entry
+    i, j, k, phase = _structure_constants(g, w, space)
+    value = phase * norms[k]
+    cols = np.full((2, n * n), n, dtype=np.intp)
+    vals = np.zeros((2, n * n), dtype=complex)
+    cols[0, j * n + k], vals[0, j * n + k] = i, value  # c_a w(a,b) L_ab in [x, L_b]
+    cols[1, i * n + k], vals[1, i * n + k] = j, -value  # -c_b w(a,b) L_ab in [x, L_a]
+
+    # K^H K summed over rows: row u adds conj(u_p) u_q at (p, q), for the
+    # columns p, q of its two entries
+    at = (cols[:, None] * (n + 1) + cols[None, :]).ravel()
+    term = (vals.conj()[:, None] * vals[None, :]).ravel()
+    size = (n + 1) ** 2
+    gram = np.bincount(at, term.real, size) + 1j * np.bincount(at, term.imag, size)
+    gram = gram.reshape(n + 1, n + 1)[:n, :n]
+
+    def residual(v: np.ndarray, x: np.ndarray) -> float:
+        kv = (vals * np.append(v, 0.0)[cols]).sum(axis=0)
+        return float(np.linalg.norm(kv) / np.linalg.norm(norms * v))
+
+    return _null_algebra(
+        0.5 * (gram + gram.conj().T),
+        _span_element(alg.basis_ops),
+        residual,
+        n,
+        tol,
+    )
 
 
 def invariant_subalgebra(
@@ -520,7 +740,7 @@ def phi_and_sharp(
     jastar = op.conj().T @ u0
     phi_aa = float(np.real(np.vdot(u0, op.conj().T @ (op @ u0))))
     if abs(phi_aa - float(np.vdot(ja, ja).real)) > 1e-9 * max(1.0, phi_aa):
-        raise GroupoidError("state/GNS mismatch: phi(a*a) != <j(a), j(a)>")
+        raise InternalInconsistency("state/GNS mismatch: phi(a*a) != <j(a), j(a)>")
     sharp = math.sqrt(max(phi_aa, 0.0) + max(float(np.vdot(jastar, jastar).real), 0.0))
     return phi, sharp
 
@@ -581,7 +801,7 @@ def fourier(
         parseval_gap=abs(parseval - phi_aa),
     )
     if residual > residual_tol or data.parseval_gap > parseval_tol:
-        raise GroupoidError(
+        raise InternalInconsistency(
             f"expansion failed its tolerances (residual {residual}, "
             f"parseval gap {data.parseval_gap})"
         )

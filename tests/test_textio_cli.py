@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from factoroid import cli
+import factoroid
+from factoroid import cli, vna
 from factoroid import constructors as mk
 from factoroid.cocycle import NotUnitModulus
 from factoroid.groupoid import BadInverse
@@ -78,6 +83,32 @@ def test_bad_mass_names_its_line():
         parse_text("[units]\nx0 1.0\n\npt abc\n")
     assert err.value.line == 4
     assert "'abc'" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "section, clash",
+    [
+        ("unit_arrows", "x0 r|x0|x1"),
+        ("compose", "r|x0|x1 r|x1|x0 r|x1|x1"),
+        ("inverse", "r|x0|x1 r|x0|x1"),
+        ("cocycle", "r|x0|x1 r|x1|x0 -1.0 0.0"),
+    ],
+    ids=["unit_arrows", "compose", "inverse", "cocycle"],
+)
+def test_duplicate_row_names_its_line(full2, section, clash):
+    # a contradicting row ahead of the true one; the second of the two is named
+    text = serialize(full2) + "[cocycle]\nr|x0|x1 r|x1|x0 1.0 0.0\n"
+    lines = text.splitlines()
+    header = lines.index(f"[{section}]")
+    key = clash.split()[: 1 if section in ("unit_arrows", "inverse") else 2]
+    true_row = next(
+        i for i in range(header + 1, len(lines)) if lines[i].split()[: len(key)] == key
+    )
+    lines.insert(header + 1, clash)
+    with pytest.raises(ParseError) as err:
+        parse_text("\n".join(lines))
+    assert err.value.line == true_row + 2  # 1-based, after the inserted row
+    assert f"first given on line {header + 2}" in str(err.value)
 
 
 def test_missing_inverse_entry_names_arrow(full2):
@@ -157,6 +188,44 @@ def test_cli_inconsistent_report_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "factoriality_report", broken)
     code, _ = run_cli(capsys, "report", str(path))
     assert code == 2
+
+
+def test_cli_internal_inconsistency_exits_2(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "full3.txt"
+    run_cli(capsys, "gen", "--family", "full3", "--out", str(path))
+    real = vna.rep_operator
+
+    def corrupt(g, w, ids, side="left", space=None):
+        mat = real(g, w, ids, side, space)
+        if list(ids) == ["r|x0|x1"]:
+            r, c = np.argwhere(mat)[0]
+            mat[r, c] = -mat[r, c]  # one phase flipped
+        return mat
+
+    monkeypatch.setattr(vna, "rep_operator", corrupt)
+    code = cli.main(["report", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert "multiplicatively closed" in captured.err
+
+
+def test_cli_closed_pipe_exits_1_without_traceback():
+    # the reader is gone before the command writes its first byte
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(factoroid.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "factoroid", "dr-scan", "--size", "10", "--bound", "10"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr and b"Exception ignored" not in proc.stderr
 
 
 def test_cli_reports_are_deterministic(tmp_path, capsys):

@@ -7,8 +7,11 @@ from hypothesis import given, settings, strategies as st
 from factoroid import constructors as mk
 from factoroid.basis import build_basis
 from factoroid.cocycle import normalize_cocycle, trivial_cocycle
+from factoroid import vna
 from factoroid.vna import (
     AsymmetricBasis,
+    InternalInconsistency,
+    MatrixStarAlgebra,
     NotInAlgebra,
     algebra,
     center,
@@ -160,6 +163,97 @@ def test_center_dims(z2, full2, klein_twisted):
     g, w = klein_twisted
     assert center(g, w).dim == 1
     assert center(g).dim == 4
+
+
+def _oracle_cases():
+    for seed in range(200):
+        yield f"random-{seed}", mk.random_groupoid(seed), None
+    for seed in range(100):
+        yield f"twisted-{seed}", *mk.random_twisted_pair(seed)
+
+
+def test_center_matches_dense_oracle():
+    # the structure-constant center against the dense within=alg commutant
+    checked = 0
+    for name, g, w in _oracle_cases():
+        if l2_space(g).dim > 40:
+            continue
+        alg = algebra(g, w)
+        z = center(g, w, alg=alg)
+        oracle = commutant(alg.basis_ops, within=alg)
+        assert z.dim == oracle.dim, name
+        accepted, rejected = z.observed_gap
+        o_accepted, o_rejected = oracle.observed_gap
+        # accepted residuals are rounding noise (about 1e-15) on both sides
+        assert accepted == pytest.approx(o_accepted, rel=1e-9, abs=1e-12), name
+        if math.isfinite(o_rejected):
+            assert rejected == pytest.approx(o_rejected, rel=1e-9), name
+        else:
+            assert rejected == o_rejected, name
+        assert subspaces_equal(z, oracle)[0], name
+        checked += 1
+    assert checked >= 250
+
+
+def _mutated_rep_operator(target, mutation):
+    """rep_operator with the matrix of ``target`` mutated (a monomial with at
+    least two entries): one phase flipped, two rows swapped, one small entry
+    added off the support, or one entry moved into the row of another."""
+    real = vna.rep_operator
+
+    def rep(g, w, ids, side="left", space=None):
+        mat = real(g, w, ids, side, space)
+        if list(ids) != [target]:
+            return mat
+        (r1, r2), (c1, c2) = np.nonzero(mat)[0][:2], np.nonzero(mat)[1][:2]
+        if mutation == "phase":
+            mat[r1, c1] = -mat[r1, c1]
+        elif mutation == "swap":
+            mat[[r1, r2]] = mat[[r2, r1]]
+        elif mutation == "off-support":
+            mat[r2, c1] = 5e-9
+        else:
+            mat[r1, c2], mat[r2, c2] = mat[r2, c2], 0
+        return mat
+
+    return rep
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("mutation", ["phase", "swap", "off-support", "merge"])
+def test_structure_check_catches_mutated_stack(monkeypatch, side, mutation):
+    g, w = mk.random_twisted_pair(2)  # 4 units, uneven masses, twisted
+    assert not g.flags.pmp
+    space = l2_space(g)
+    wn = normalize_cocycle(g, w)
+    target = max(
+        (a for a in space.index if a not in g.unit_arrow_set),
+        key=lambda a: np.count_nonzero(rep_operator(g, wn, [a], side, space)),
+    )
+    assert np.count_nonzero(rep_operator(g, wn, [target], side, space)) >= 2
+    algebra(g, w, side)  # the unmutated stack passes
+    monkeypatch.setattr(vna, "rep_operator", _mutated_rep_operator(target, mutation))
+    with pytest.raises(InternalInconsistency):
+        algebra(g, w, side)
+
+
+def test_disjoint_span_matches_svd_span(s3_bundle):
+    # the same span given by overlapping matrices goes through the SVD
+    rng = np.random.default_rng(3)
+    alg = algebra(s3_bundle)
+    mixed = alg.basis_ops.copy()
+    mixed[1:] += mixed[0]
+    svd = MatrixStarAlgebra(mixed)
+    assert alg.dim == svd.dim == len(alg.basis_ops)
+    inside = random_algebra_element(alg, rng)
+    outside = rng.standard_normal(inside.shape)
+    for mat in (inside, outside):
+        ok, res = alg.contains(mat)
+        ok_svd, res_svd = svd.contains(mat)
+        assert ok == ok_svd and res == pytest.approx(res_svd, abs=1e-12)
+    assert alg.contains(inside)[0] and not alg.contains(outside)[0]
+    zero = MatrixStarAlgebra(np.zeros((2, 3, 3)))
+    assert zero.dim == 0 and not zero.contains(np.eye(3))[0]
 
 
 def test_invariant_subalgebra_dims(full2, z2_bundle, null_orbit_groupoid):
