@@ -58,6 +58,7 @@ from .vna import (
     L2Space,
     MatrixStarAlgebra,
     NotInAlgebra,
+    TranslationAlgebra,
     algebra,
     center,
     commutant,

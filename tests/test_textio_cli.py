@@ -193,16 +193,16 @@ def test_cli_inconsistent_report_exits_2(tmp_path, capsys, monkeypatch):
 def test_cli_internal_inconsistency_exits_2(tmp_path, capsys, monkeypatch):
     path = tmp_path / "full3.txt"
     run_cli(capsys, "gen", "--family", "full3", "--out", str(path))
-    real = vna.rep_operator
+    real = vna._column_forms
 
-    def corrupt(g, w, ids, side="left", space=None):
-        mat = real(g, w, ids, side, space)
-        if list(ids) == ["r|x0|x1"]:
-            r, c = np.argwhere(mat)[0]
-            mat[r, c] = -mat[r, c]  # one phase flipped
-        return mat
+    def corrupt(g, w, side, space):
+        rows, vals = real(g, w, side, space)
+        a = space.pos["r|x0|x1"]
+        h = np.flatnonzero(rows[a] < space.dim)[0]
+        vals[a, h] = -vals[a, h]  # one phase flipped
+        return rows, vals
 
-    monkeypatch.setattr(vna, "rep_operator", corrupt)
+    monkeypatch.setattr(vna, "_column_forms", corrupt)
     code = cli.main(["report", str(path)])
     captured = capsys.readouterr()
     assert code == 2 and not captured.out
@@ -336,3 +336,12 @@ def test_cli_dr_scan_rejects_bad_map_and_masses(capsys):
         assert cli.main(["dr-scan", *argv]) == 1, argv
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and not captured.out
+
+
+@pytest.mark.parametrize("masses", ["x0:-1,x1:0,x2:0.5", "x0:nan,x1:0,x2:0.5"])
+def test_cli_dr_scan_rejects_negative_and_nan_masses(capsys, masses):
+    argv = ["dr-scan", "--map", "x0:x1,x1:x0,x2:x2", "--masses", masses, "--bound", "2"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "'x0'" in captured.err
+    assert not captured.out

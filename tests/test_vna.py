@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from factoroid import constructors as mk
 from factoroid.basis import build_basis
-from factoroid.cocycle import normalize_cocycle, trivial_cocycle
+from factoroid.cocycle import as_complex, normalize_cocycle, trivial_cocycle
 from factoroid import vna
 from factoroid.vna import (
     AsymmetricBasis,
@@ -32,10 +32,8 @@ from factoroid.vna import (
 
 
 def random_algebra_element(alg, rng):
-    coeff = rng.standard_normal(len(alg.basis_ops)) + 1j * rng.standard_normal(
-        len(alg.basis_ops)
-    )
-    return np.einsum("j,jab->ab", coeff, alg.basis_ops)
+    coeff = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
+    return alg.element(coeff)
 
 
 def test_rep_operator_units_is_identity(full2):
@@ -195,65 +193,160 @@ def test_center_matches_dense_oracle():
     assert checked >= 250
 
 
-def _mutated_rep_operator(target, mutation):
-    """rep_operator with the matrix of ``target`` mutated (a monomial with at
-    least two entries): one phase flipped, two rows swapped, one small entry
-    added off the support, or one entry moved into the row of another."""
-    real = vna.rep_operator
+def _regular_class_count(g, w, x):
+    """The w-regular conjugacy classes of the isotropy group at unit x, from
+    the tables alone: g is w-regular when w(g, h) == w(h, g) for every h
+    commuting with g (a coboundary leaves that ratio unchanged)."""
+    group = [a for a in g.arrow_order if g.src[a] == x and g.tgt[a] == x]
 
-    def rep(g, w, ids, side="left", space=None):
-        mat = real(g, w, ids, side, space)
-        if list(ids) != [target]:
-            return mat
-        (r1, r2), (c1, c2) = np.nonzero(mat)[0][:2], np.nonzero(mat)[1][:2]
+    def phase(a, b):
+        return 1.0 if w is None else as_complex(w.values[(a, b)])
+
+    seen, count = set(), 0
+    for a in group:
+        if a in seen:
+            continue
+        seen |= {g.compose[(g.compose[(h, a)], g.inverse[h])] for h in group}
+        commuting = [h for h in group if g.compose[(a, h)] == g.compose[(h, a)]]
+        count += all(abs(phase(a, h) - phase(h, a)) <= 1e-9 for h in commuting)
+    return count
+
+
+def test_center_dim_matches_regular_class_count():
+    # finite twisted groupoid algebras split over orbits into matrix algebras
+    # over C^w G_x, whose center is spanned by the w-regular classes of G_x
+    for name, g, w in _oracle_cases():
+        expected = 0
+        done = set()
+        for x in g.units:
+            if x in done:
+                continue
+            orbit = {g.tgt[a] for a in g.arrow_order if g.src[a] == x}
+            done |= orbit
+            if g.mass[x] > 0.0:
+                expected += _regular_class_count(g, w, x)
+        assert center(g, w).dim == expected, name
+
+
+def _mutated_column_forms(target, mutation):
+    """_column_forms with the translation by arrow position ``target`` (at
+    least two entries) mutated: one phase flipped, the rows of two columns
+    swapped, or one column moved into the row of another."""
+    real = vna._column_forms
+
+    def forms(g, w, side, space):
+        rows, vals = real(g, w, side, space)
+        c1, c2 = np.flatnonzero(rows[target] < space.dim)[:2]
         if mutation == "phase":
-            mat[r1, c1] = -mat[r1, c1]
+            vals[target, c1] = -vals[target, c1]
         elif mutation == "swap":
-            mat[[r1, r2]] = mat[[r2, r1]]
-        elif mutation == "off-support":
-            mat[r2, c1] = 5e-9
+            rows[target, [c1, c2]] = rows[target, [c2, c1]]
         else:
-            mat[r1, c2], mat[r2, c2] = mat[r2, c2], 0
-        return mat
+            rows[target, c2] = rows[target, c1]
+        return rows, vals
 
-    return rep
+    return forms
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
-@pytest.mark.parametrize("mutation", ["phase", "swap", "off-support", "merge"])
+@pytest.mark.parametrize("mutation", ["phase", "swap", "merge"])
 def test_structure_check_catches_mutated_stack(monkeypatch, side, mutation):
     g, w = mk.random_twisted_pair(2)  # 4 units, uneven masses, twisted
     assert not g.flags.pmp
     space = l2_space(g)
-    wn = normalize_cocycle(g, w)
+    rows, _ = vna._column_forms(g, normalize_cocycle(g, w), side, space)
+    occupied = (rows < space.dim).sum(axis=1)
     target = max(
-        (a for a in space.index if a not in g.unit_arrow_set),
-        key=lambda a: np.count_nonzero(rep_operator(g, wn, [a], side, space)),
+        (space.pos[a] for a in space.index if a not in g.unit_arrow_set),
+        key=lambda t: occupied[t],
     )
-    assert np.count_nonzero(rep_operator(g, wn, [target], side, space)) >= 2
-    algebra(g, w, side)  # the unmutated stack passes
-    monkeypatch.setattr(vna, "rep_operator", _mutated_rep_operator(target, mutation))
+    assert occupied[target] >= 2
+    algebra(g, w, side)  # the unmutated forms pass
+    monkeypatch.setattr(vna, "_column_forms", _mutated_column_forms(target, mutation))
     with pytest.raises(InternalInconsistency):
         algebra(g, w, side)
 
 
 def test_disjoint_span_matches_svd_span(s3_bundle):
-    # the same span given by overlapping matrices goes through the SVD
+    # projection by coefficients against the SVD of the same dense stack
     rng = np.random.default_rng(3)
-    alg = algebra(s3_bundle)
-    mixed = alg.basis_ops.copy()
-    mixed[1:] += mixed[0]
-    svd = MatrixStarAlgebra(mixed)
-    assert alg.dim == svd.dim == len(alg.basis_ops)
-    inside = random_algebra_element(alg, rng)
-    outside = rng.standard_normal(inside.shape)
-    for mat in (inside, outside):
-        ok, res = alg.contains(mat)
-        ok_svd, res_svd = svd.contains(mat)
-        assert ok == ok_svd and res == pytest.approx(res_svd, abs=1e-12)
-    assert alg.contains(inside)[0] and not alg.contains(outside)[0]
-    zero = MatrixStarAlgebra(np.zeros((2, 3, 3)))
-    assert zero.dim == 0 and not zero.contains(np.eye(3))[0]
+    g, w = mk.random_twisted_pair(2)
+    for alg in (algebra(s3_bundle), algebra(g, w), algebra(g, w, "right")):
+        svd = MatrixStarAlgebra(alg.basis_ops)
+        assert alg.dim == svd.dim == alg.matrix_dim
+        coeff = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
+        inside = alg.element(coeff)
+        assert np.allclose(inside, np.einsum("j,jab->ab", coeff, alg.basis_ops))
+        outside = rng.standard_normal(inside.shape)
+        for mat in (inside, outside, np.eye(alg.matrix_dim), np.zeros_like(inside)):
+            ok, res = alg.contains(mat)
+            ok_svd, res_svd = svd.contains(mat)
+            assert ok == ok_svd and res == pytest.approx(res_svd, abs=1e-12)
+        assert alg.contains(inside)[0] and not alg.contains(outside)[0]
+    for zero in (np.zeros((2, 3, 3)), np.zeros((0, 3, 3))):
+        span = MatrixStarAlgebra(zero)
+        assert span.dim == 0 and not span.contains(np.eye(3))[0]
+
+
+def _rep_operator_by_loop(g, w, ids, side, space):
+    """The translation by an arrow set, written out column by column."""
+    mat = np.zeros((space.dim, space.dim), dtype=complex)
+    for h in space.index:
+        col = space.pos[h]
+        for a in ids:
+            if side == "left" and g.src[a] == g.tgt[h]:
+                mat[space.pos[g.compose[(a, h)]], col] += as_complex(w.values[(a, h)])
+            elif side == "right" and g.src[a] == g.src[h]:
+                ai = g.inverse[a]
+                row = space.pos[g.compose[(h, ai)]]
+                ratio = math.sqrt(space.weights[row] / space.weights[col])
+                mat[row, col] += ratio * as_complex(w.values[(h, ai)]).conjugate()
+    return mat
+
+
+def test_column_forms_match_loop_definition():
+    cases = [mk.random_twisted_pair(seed) for seed in range(6)]
+    cases += [(mk.random_groupoid(seed), None) for seed in range(6)]
+    for g, w in cases:
+        space = l2_space(g)
+        wn = normalize_cocycle(g, w) if w is not None else trivial_cocycle(g)
+        for side in ("left", "right"):
+            for a in space.index:
+                expect = _rep_operator_by_loop(g, wn, [a], side, space)
+                assert np.array_equal(rep_operator(g, wn, [a], side, space), expect)
+
+
+def test_rep_operator_sums_column_forms():
+    # a set's translation is the sum of its arrows' translations, both sides
+    g, w = mk.random_twisted_pair(2)
+    space = l2_space(g)
+    picked = list(space.index[::3])
+    for side in ("left", "right"):
+        alg = algebra(g, w, side, space=space)
+        wn = normalize_cocycle(g, w)
+        total = rep_operator(g, wn, picked, side, space)
+        singles = sum(rep_operator(g, wn, [a], side, space) for a in picked)
+        assert np.array_equal(total, singles)
+        assert np.allclose(total, alg.element(np.isin(space.index, picked)))
+    with pytest.raises(ValueError):
+        rep_operator(g, w, picked, "up", space)
+
+
+def test_algebra_builds_no_dense_stack():
+    # the column forms are n x n; an n x n x n stack alone would be n^3 * 16 B
+    import tracemalloc
+
+    units = [f"x{i}" for i in range(9)]
+    g = mk.full_relation(units, {u: 1 / 9 for u in units})
+    n = l2_space(g).dim
+    algebra(g)
+    tracemalloc.start()
+    try:
+        algebra(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n ** 3 * 16 / 2, peak
 
 
 def test_invariant_subalgebra_dims(full2, z2_bundle, null_orbit_groupoid):
