@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -42,14 +43,32 @@ class InputError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors (exit 1), not argparse's exit 2."""
+
+    def error(self, message: str):
+        raise InputError(f"{self.prog}: {message}")
+
+
+def _tolerance(raw: str) -> float:
+    """A tolerance: a positive finite number."""
+    try:
+        tol = float(raw)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {raw!r}"
+        )
+    return tol
+
+
 def _default_rank_tol() -> float:
     raw = os.environ.get(_ENV_TOL)
-    if not raw:
-        return RANK_TOL
     try:
-        return float(raw)
-    except ValueError:
-        raise InputError(f"{_ENV_TOL} must be a number, got {raw!r}") from None
+        return _tolerance(raw) if raw else RANK_TOL
+    except argparse.ArgumentTypeError as exc:
+        raise InputError(f"{_ENV_TOL} {exc}") from None
 
 
 def _render(data: dict, fmt: str) -> str:
@@ -295,7 +314,7 @@ def cmd_dr_scan(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="factoroid",
         description=(
             "finite measured groupoids, their twisted von Neumann algebras, "
@@ -304,38 +323,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_file=True):
-        if with_file:
+    def add(name, help, *shared):
+        """A subcommand with the ``shared`` arguments it reads: file, format,
+        rank, containment."""
+        p = sub.add_parser(name, help=help)
+        if "file" in shared:
             p.add_argument("file", help="groupoid file")
-        p.add_argument("--format", choices=["text", "json"], default="text")
-        p.add_argument(
-            "--rank-tol", type=float, default=_default_rank_tol(),
-            help="singular value tolerance for rank decisions",
-        )
-        p.add_argument(
-            "--containment-tol", type=float, default=CONTAINMENT_TOL,
-            help="subspace containment tolerance",
-        )
+        if "format" in shared:
+            p.add_argument("--format", choices=["text", "json"], default="text")
+        if "rank" in shared:
+            p.add_argument(
+                "--rank-tol", type=_tolerance, default=_default_rank_tol(),
+                help="singular value tolerance for rank decisions",
+            )
+        if "containment" in shared:
+            p.add_argument(
+                "--containment-tol", type=_tolerance, default=CONTAINMENT_TOL,
+                help="subspace containment tolerance",
+            )
+        return p
 
-    add_common(sub.add_parser("validate", help="check the groupoid axioms"))
-    add_common(sub.add_parser("report", help="full factoriality report"))
-    add_common(sub.add_parser("icc", help="conjugacy-class decider"))
-    add_common(sub.add_parser("twisted-icc", help="twisted decider"))
-    add_common(sub.add_parser("kleppner", help="phase-symmetry condition"))
-    add_common(sub.add_parser("center", help="numerical center dimension"))
-    p = sub.add_parser("fourier", help="expansion residuals on random elements")
-    add_common(p)
+    add("validate", "check the groupoid axioms", "file")
+    add("report", "full factoriality report", "file", "format", "rank", "containment")
+    add("icc", "conjugacy-class decider", "file", "format")
+    add("twisted-icc", "twisted decider", "file", "format")
+    add("kleppner", "phase-symmetry condition", "file", "format")
+    add("center", "numerical center dimension", "file", "format", "rank")
+    p = add("fourier", "expansion residuals on random elements", "file", "format")
     p.add_argument("--elements", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("gen", help="emit an example family instance")
+    p = add("gen", "emit an example family instance")
     p.add_argument("--family", required=True, help=_FAMILY_NAMES)
     p.add_argument("--n", type=int, default=3, help="size for sn-bundle")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output path (default stdout)")
 
-    p = sub.add_parser("corpus", help="run reports over seeded random instances")
-    add_common(p, with_file=False)
+    p = add("corpus", "run reports over seeded random instances", "rank", "containment")
     p.add_argument("--count", type=int, default=50)
     p.add_argument("--seed", type=int, default=0, help="first seed")
     p.add_argument("--twisted", action="store_true")
@@ -345,20 +369,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="list ergodic non-factors satisfying the phase-symmetry condition",
     )
 
-    p = sub.add_parser("globalize", help="globalize a partial action")
+    p = add("globalize", "globalize a partial action", "format")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--demo", action="store_true",
                    help="use the half-domain fixture")
-    p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out", help="write the global groupoid here")
 
-    p = sub.add_parser("dr-scan", help="shift-system loop degrees")
+    p = add("dr-scan", "shift-system loop degrees", "format")
     p.add_argument("--map", help="sigma as `x0:x1,x1:x1`")
     p.add_argument("--masses", help="masses as `x0:0.5,x1:0.5`")
     p.add_argument("--bound", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--size", type=int, default=6)
-    p.add_argument("--format", choices=["text", "json"], default="text")
     return parser
 
 

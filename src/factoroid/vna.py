@@ -7,21 +7,22 @@ are pure-phase partial permutations, and right translations carry a
 source/target mass ratio.
 
 Every single-arrow translation is monomial: each column holds at most one
-entry.  ``_column_forms`` reads the row and value of that entry, for every
-arrow and column at once, off the composition table and the cocycle, and
-``TranslationAlgebra`` keeps only these n x n arrays: translations are never
-stored as a dense n x n x n stack.  ``algebra`` checks the product and
-adjoint rules (L_a L_b = w(a,b) L_ab, L_a^* = L_{a^-1}, and their right-hand
-forms) by index arithmetic on the column forms.  Distinct translations have
-disjoint supports, so they are an orthogonal basis of their span and
-membership needs no SVD.
+entry.  ``algebra`` reads the composition table once, into structure
+constants (pairs (a, b), products ab, phases w(a, b)); ``_column_forms``
+turns them into the row and value of that entry for every arrow and column,
+and ``TranslationAlgebra`` keeps only these n x n arrays, never a dense
+n x n x n stack.  ``algebra`` checks the product and adjoint rules (L_a L_b =
+w(a,b) L_ab, L_a^* = L_{a^-1}, and their right-hand forms) on the column
+forms against the structure constants, by index arithmetic.  Distinct
+translations have disjoint supports, so they are an orthogonal basis of
+their span and membership needs no SVD.
 
 ``center`` reads the commutator map c -> ([sum_a c_a L_a, L_b])_b off the
-composition table and the cocycle as a sparse n^2 x n matrix K, since
-[L_a, L_b] = w(a,b) L_ab - w(b,a) L_ba and distinct translations are
-orthogonal.  Its Gram matrix K^H K is n x n.  ``commutant`` assembles the
-same Gram matrix from dense matrix products and stays as the oracle for
-``center``; without ``within`` it also computes full commutants.
+checked left column forms as a sparse n^2 x n matrix K, since [L_a, L_b] =
+w(a,b) L_ab - w(b,a) L_ba and distinct translations are orthogonal.  Its
+Gram matrix K^H K is n x n.  ``commutant`` assembles the same Gram matrix
+from dense matrix products and stays as the oracle for ``center``; without
+``within`` it also computes full commutants.
 
 Rank and nullspace decisions use an explicit tolerance.  Nullspaces are read
 off the spectrum of a Gram matrix (its eigenvalues are the squared singular
@@ -33,7 +34,7 @@ where squaring would lose precision; the observed spectral gap is recorded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -63,6 +64,9 @@ _CANDIDATE_CUT = 1e-5
 # entries per step of the structure check; small blocks keep every temporary
 # small
 _BLOCK_ENTRIES = 1 << 12
+
+# positions of a, b and ab and the phase w(a, b), over the composable pairs
+_Constants = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 class NotInAlgebra(GroupoidError):
@@ -149,27 +153,27 @@ def rep_operator(
         space = l2_space(g)
     if w is None:
         w = trivial_cocycle(g)
-    rows, vals = _column_forms(g, w, side, space)
+    rows, vals = _column_forms(_structure_constants(g, w, space), side, space)
     picked = [space.pos[a] for a in ids if a in space.pos]
     return _scatter(rows, vals, np.bincount(picked, minlength=space.dim))
 
 
 def _column_forms(
-    g: MeasuredGroupoid, w: Cocycle, side: str, space: L2Space
+    constants: _Constants, side: str, space: L2Space
 ) -> tuple[np.ndarray, np.ndarray]:
     """Column forms of the translations by all positive-mass arrows.
 
     Column h of the translation by arrow a holds one entry, vals[a, h] at
     row rows[a, h], or none (row n, value 0).  Both n x n arrays come from
-    the composable pairs: the pair (a, h) gives column h of L_a, and the
+    the structure constants: the pair (a, h) gives column h of L_a, and the
     pair (h, a^-1) gives column h of R_a.
     """
     n = space.dim
-    i, j, k, phase = _structure_constants(g, w, space)
+    i, j, k, phase = constants
     if side == "left":
         arrow, col, val = i, j, phase
     elif side == "right":
-        arrow, col = _inverse_positions(g, space)[j], i
+        arrow, col = _inverse_positions(space)[j], i
         val = phase.conj() * np.sqrt(space.weights[k] / space.weights[i])
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -180,8 +184,9 @@ def _column_forms(
     return rows, vals
 
 
-def _inverse_positions(g: MeasuredGroupoid, space: L2Space) -> np.ndarray:
-    return np.array([space.pos[g.inverse[a]] for a in space.index], dtype=np.intp)
+def _inverse_positions(space: L2Space) -> np.ndarray:
+    inverse, pos = space.groupoid.inverse, space.pos
+    return np.array([pos[inverse[a]] for a in space.index], dtype=np.intp)
 
 
 def _scatter(rows: np.ndarray, vals: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -471,10 +476,11 @@ def algebra(
     g._require_validated()
     if space is None:
         space = l2_space(g)
-    w = _normalized(g, w)
     n = space.dim
-    rows, vals = _column_forms(g, w, side, space)
-    _verify_structure(g, w, side, space, rows, vals, tol)
+    # the check compares the forms with the table, never with themselves
+    constants = _structure_constants(g, _normalized(g, w), space)
+    rows, vals = _column_forms(constants, side, space)
+    _verify_structure(constants, side, space, rows, vals, tol)
     alg = TranslationAlgebra(rows, vals, tol)
     ok, res = alg.contains(np.eye(n))
     if not ok:
@@ -492,9 +498,7 @@ def _blocks(count: int, size: int) -> Iterable[slice]:
         yield slice(lo, min(count, lo + step))
 
 
-def _structure_constants(
-    g: MeasuredGroupoid, w: Cocycle, space: L2Space
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _structure_constants(g: MeasuredGroupoid, w: Cocycle, space: L2Space) -> _Constants:
     """Positions of a, b and ab, and the phase w(a, b), over the composable
     pairs of positive-mass arrows (ab then has positive mass too)."""
     pos = space.pos
@@ -534,42 +538,37 @@ def _monomial_gap(
 
 
 def _verify_structure(
-    g: MeasuredGroupoid,
-    w: Cocycle,
+    constants: _Constants,
     side: str,
     space: L2Space,
     rows: np.ndarray,
     vals: np.ndarray,
     tol: float,
 ) -> None:
-    """Check the product and adjoint rules of translations in column form.
+    """Check the product and adjoint rules of translations in column form
+    against the structure constants.
 
     Products and adjoints of column forms are index arithmetic: each
     occupied entry meets every arrow, O(n P) time for P occupied entries,
     taken a block at a time, so no temporary is larger than a block.
     """
     index, n = space.index, space.dim
+    inv = _inverse_positions(space)
     # row n of the padded forms is the zero operator, the product of two
     # arrows that do not compose
     rows_0 = np.vstack([rows, np.full((1, n), n, dtype=np.intp)])
     vals_0 = np.vstack([vals, np.zeros((1, n), dtype=complex)])
 
-    # index of ab (n if not composable) and the phase of R_a R_b or L_a L_b
-    i, j, k, phase = _structure_constants(g, w, space)
-    if side == "right":
-        # R_a R_b collapses to the translation by ab with the conjugated
-        # phase of the inverted pair
-        phase = np.array(
-            [
-                as_complex(w.values[(g.inverse[index[b]], g.inverse[index[a]])])
-                for a, b in zip(i, j)
-            ],
-            dtype=complex,
-        ).conj()
+    # index of ab (n if not composable) and the phase of L_a L_b or R_a R_b
+    i, j, k, phase = constants
     prod = np.full((n, n), n, dtype=np.intp)
     prod[i, j] = k
     phases = np.zeros((n, n), dtype=complex)
     phases[i, j] = phase
+    if side == "right":
+        # R_a R_b collapses to the translation by ab with the conjugated
+        # phase of the inverted pair, conj(w(b^-1, a^-1))
+        phases = phases[np.ix_(inv, inv)].T.conj()
 
     # L_a L_b = phase(a, b) L_ab (0 if a, b do not compose), column by
     # column.  Where column h of L_b holds vals[b, h] at row r = rows[b, h],
@@ -589,7 +588,7 @@ def _verify_structure(
     # where column h of L_b is empty, so is column h of L_a L_b, and column
     # h of L_ab must be empty too
     for blk in _blocks(len(i), n):
-        stray = np.where(rows[j[blk]] == n, np.abs(phase[blk, None] * vals[k[blk]]), 0.0)
+        stray = np.where(rows[j[blk]] == n, np.abs(vals[k[blk]]), 0.0)
         np.maximum.at(worst, i[blk], stray.max(axis=1, initial=0.0))
     _raise_first_over(
         worst, tol, index, "translation span not multiplicatively closed at {!r} ({})"
@@ -600,7 +599,6 @@ def _verify_structure(
     adj_vals = np.zeros((n, n), dtype=complex)
     adj_rows[e_arrow, e_row] = e_col
     adj_vals[e_arrow, e_row] = e_val.conj()
-    inv = _inverse_positions(g, space)
     ratio = space.weights[inv] / space.weights if side == "right" else np.ones(n)
     gap = _monomial_gap(
         adj_rows, adj_vals, rows[inv], ratio[:, None] * vals[inv]
@@ -619,33 +617,29 @@ def center(
 ) -> MatrixStarAlgebra:
     """Elements of the translation algebra commuting with all of it.
 
-    ``alg`` is the left translation algebra of (g, w), built when not given.
-    In its basis, [sum_a c_a L_a, L_b] = sum_a c_a (w(a,b) L_ab - w(b,a) L_ba),
-    and distinct translations are orthogonal, so the commutator map is the
-    n^2 x n matrix K with K[(b, k), a] = |L_k|_F (w(a,b) [ab = k] -
-    w(b,a) [ba = k]) and K^H K is the Gram matrix that
-    ``commutant(alg.basis_ops, within=alg)`` builds densely.  Row (b, k) of
-    K has at most two entries, at a = k b^-1 and at a = b^-1 k, so K is
-    stored as two (column, value) pairs per row.  A candidate c is accepted
-    when |Kc| / |x|_F <= tol * max(1, sigma_max), where x = sum_a c_a L_a
-    and |x|_F = |(|L_a|_F c_a)_a|.
+    ``alg`` is the left translation algebra of (g, w), built when not given;
+    everything is read off its column forms, whose occupied entries are the
+    composable pairs: column b of L_a holds w(a,b) at row ab.  In its basis,
+    [sum_a c_a L_a, L_b] = sum_a c_a (w(a,b) L_ab - w(b,a) L_ba), and distinct
+    translations are orthogonal, so the commutator map is the n^2 x n matrix
+    K with K[(b, k), a] = |L_k|_F (w(a,b) [ab = k] - w(b,a) [ba = k]) and
+    K^H K is the Gram matrix that ``commutant(alg.basis_ops, within=alg)``
+    builds densely.  Row (b, k) of K has at most two entries, at a = k b^-1
+    and at a = b^-1 k, so K is stored as two (column, value) pairs per row.
+    A candidate c is accepted when |Kc| / |x|_F <= tol * max(1, sigma_max),
+    where x = sum_a c_a L_a and |x|_F = |(|L_a|_F c_a)_a|.
     """
-    g._require_validated()
-    w = _normalized(g, w)
-    space = l2_space(g)
     if alg is None:
-        alg = algebra(g, w, "left", space=space, tol=tol)
-    n = space.dim
-    # |L_k|_F^2 counts the arrows L_k moves: those ending where k starts
-    ending: dict[str, int] = {}
-    for h in space.index:
-        ending[g.tgt[h]] = ending.get(g.tgt[h], 0) + 1
-    norms = np.sqrt([float(ending[g.src[k]]) for k in space.index])
+        alg = algebra(g, w, "left", tol=tol)
+    n = alg.matrix_dim
+    occupied = alg.rows < n
+    norms = np.sqrt(occupied.sum(axis=1))  # |L_a|_F^2 counts its entries
+    i, j = np.nonzero(occupied)  # the composable pairs (a, b)
+    k = alg.rows[i, j]  # ab
 
     # the two (column, value) entries of each row (b, k); column n, with
     # value 0, marks a missing entry
-    i, j, k, phase = _structure_constants(g, w, space)
-    value = phase * norms[k]
+    value = alg.vals[i, j] * norms[k]
     cols = np.full((2, n * n), n, dtype=np.intp)
     vals = np.zeros((2, n * n), dtype=complex)
     cols[0, j * n + k], vals[0, j * n + k] = i, value  # c_a w(a,b) L_ab in [x, L_b]
@@ -772,7 +766,6 @@ def fourier(
     g._require_validated()
     if space is None:
         space = l2_space(g)
-    w = _normalized(g, w)
     if alg is None:
         alg = algebra(g, w, "left", space=space)
     ok, res = alg.contains(op)
@@ -788,10 +781,12 @@ def fourier(
         recon += multiplication_operator(space, cf) @ lam
     residual = float(np.linalg.norm(recon - op, 2))
     phi_aa = float(np.real(np.vdot(op @ space.unit_vector, op @ space.unit_vector)))
+    # a*1 takes the value cf_B(t(b)) at each arrow b of block B, and |delta_b|^2
+    # is the mass of s(b), which differs from that of t(b) unless g is pmp
     parseval = 0.0
-    for cf in coeffs.values():
+    for block, cf in zip(basis.blocks, coeffs.values()):
         parseval += math.fsum(
-            g.mass[u] * abs(v) ** 2 for u, v in cf.items()
+            g.mass[g.src[b]] * abs(cf[g.tgt[b]]) ** 2 for b in block if b in space.pos
         )
     data = FourierData(
         coefficients=coeffs,
@@ -833,31 +828,10 @@ class FactorialityReport:
     center_gap: tuple[float, float]
 
     def to_dict(self) -> dict:
-        return {
-            "units": self.units,
-            "arrows": self.arrows,
-            "positive_arrows": self.positive_arrows,
-            "nonsingular": self.nonsingular,
-            "pmp": self.pmp,
-            "ergodic": self.ergodic,
-            "twisted": self.twisted,
-            "icc": self.icc,
-            "icc_witness": list(self.icc_witness) if self.icc_witness else None,
-            "kleppner": self.kleppner,
-            "kleppner_witness": self.kleppner_witness,
-            "center_dim": self.center_dim,
-            "invariant_dim": self.invariant_dim,
-            "center_equals_invariant": self.center_equals_invariant,
-            "containment_residual": self.containment_residual,
-            "factor": self.factor,
-            "center_matches_decider": self.center_matches_decider,
-            "factor_matches_decider": self.factor_matches_decider,
-            "kleppner_necessity_consistent": self.kleppner_necessity_consistent,
-            "consistent": self.consistent,
-            "rank_tol": self.rank_tol,
-            "containment_tol": self.containment_tol,
-            "center_gap": list(self.center_gap),
-        }
+        data = asdict(self)
+        data["icc_witness"] = list(self.icc_witness) if self.icc_witness else None
+        data["center_gap"] = list(self.center_gap)
+        return data
 
 
 def factoriality_report(

@@ -195,8 +195,8 @@ def test_cli_internal_inconsistency_exits_2(tmp_path, capsys, monkeypatch):
     run_cli(capsys, "gen", "--family", "full3", "--out", str(path))
     real = vna._column_forms
 
-    def corrupt(g, w, side, space):
-        rows, vals = real(g, w, side, space)
+    def corrupt(constants, side, space):
+        rows, vals = real(constants, side, space)
         a = space.pos["r|x0|x1"]
         h = np.flatnonzero(rows[a] < space.dim)[0]
         vals[a, h] = -vals[a, h]  # one phase flipped
@@ -325,6 +325,52 @@ def test_cli_bad_env_tolerance_exits_1(tmp_path, capsys, monkeypatch):
     assert cli.main(["report", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "FACTOROID_TOLERANCE" in err
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--rank-tol", "-1"), ("--rank-tol", "0"), ("--rank-tol", "nan"),
+     ("--rank-tol", "inf"), ("--containment-tol", "-1")],
+)
+def test_cli_bad_tolerance_exits_1(tmp_path, capsys, option, value):
+    path = tmp_path / "full3.txt"
+    run_cli(capsys, "gen", "--family", "full3", "--out", str(path))
+    assert cli.main(["report", str(path), option, value]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("error: ") and option in captured.err
+
+
+def test_cli_negative_env_tolerance_exits_1(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "full3.txt"
+    run_cli(capsys, "gen", "--family", "full3", "--out", str(path))
+    monkeypatch.setenv("FACTOROID_TOLERANCE", "-1")
+    assert cli.main(["report", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "FACTOROID_TOLERANCE" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["report"], ["validate", "{file}", "--format", "json"],
+     ["icc", "{file}", "--rank-tol", "1e-9"],
+     ["center", "{file}", "--containment-tol", "1e-8"],
+     ["corpus", "--format", "json"], ["nosuch"], []],
+)
+def test_cli_usage_error_exits_1(tmp_path, capsys, argv):
+    # a missing file, an option the subcommand does not read, no subcommand
+    path = tmp_path / "z2.txt"
+    run_cli(capsys, "gen", "--family", "z2", "--out", str(path))
+    assert cli.main([arg.format(file=path) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out and captured.err.startswith("error: ")
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", "--help"])
+    assert exc.value.code == 0
+    assert "--rank-tol" in capsys.readouterr().out
 
 
 def test_cli_dr_scan_rejects_bad_map_and_masses(capsys):

@@ -234,8 +234,8 @@ def _mutated_column_forms(target, mutation):
     swapped, or one column moved into the row of another."""
     real = vna._column_forms
 
-    def forms(g, w, side, space):
-        rows, vals = real(g, w, side, space)
+    def forms(constants, side, space):
+        rows, vals = real(constants, side, space)
         c1, c2 = np.flatnonzero(rows[target] < space.dim)[:2]
         if mutation == "phase":
             vals[target, c1] = -vals[target, c1]
@@ -254,7 +254,8 @@ def test_structure_check_catches_mutated_stack(monkeypatch, side, mutation):
     g, w = mk.random_twisted_pair(2)  # 4 units, uneven masses, twisted
     assert not g.flags.pmp
     space = l2_space(g)
-    rows, _ = vna._column_forms(g, normalize_cocycle(g, w), side, space)
+    constants = vna._structure_constants(g, normalize_cocycle(g, w), space)
+    rows, _ = vna._column_forms(constants, side, space)
     occupied = (rows < space.dim).sum(axis=1)
     target = max(
         (space.pos[a] for a in space.index if a not in g.unit_arrow_set),
@@ -507,6 +508,22 @@ def test_fourier_random_elements(s3_bundle, klein_twisted):
             assert data.parseval_gap < 1e-9
 
 
+def test_fourier_parseval_on_non_pmp_groupoids():
+    # |a 1|^2 weights the coefficient at arrow b by the mass of s(b), not of t(b)
+    rng = np.random.default_rng(5)
+    cases = [mk.random_twisted_pair(seed) for seed in range(12)]
+    cases += [(mk.random_groupoid(seed), None) for seed in range(12)]
+    cases = [(g, w) for g, w in cases if not g.flags.pmp]
+    assert len(cases) >= 10
+    for g, w in cases:
+        basis = build_basis(g, symmetric=True)
+        space = l2_space(g)
+        alg = algebra(g, w, space=space)
+        for _ in range(3):
+            data = fourier(g, w, random_algebra_element(alg, rng), basis, alg=alg, space=space)
+            assert data.parseval_gap < 1e-12
+
+
 def test_fourier_rejects_asymmetric(full2):
     space = l2_space(full2)
     alg = algebra(full2)
@@ -592,6 +609,31 @@ def test_factoriality_reports(z2, full2, klein_twisted):
     assert rep.twisted and rep.factor and rep.icc and rep.kleppner and rep.consistent
     rep = factoriality_report(g)
     assert not rep.factor and rep.center_dim == 4 and rep.consistent
+
+
+def test_report_reads_composition_table_once(monkeypatch):
+    # the center and the structure check reuse what algebra read
+    g, w = mk.random_twisted_pair(2)
+    calls = {"_structure_constants": 0, "l2_space": 0}
+    for name in calls:
+        real = getattr(vna, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(vna, name, counted)
+    rep = factoriality_report(g, w)
+    assert rep.twisted and rep.consistent
+    assert calls == {"_structure_constants": 1, "l2_space": 1}
+
+
+def test_center_reads_only_the_algebra():
+    g, w = mk.random_twisted_pair(2)
+    alg = algebra(g, w)
+    z, ref = center(None, None, alg=alg), center(g, w)
+    assert z.dim == ref.dim and z.observed_gap == ref.observed_gap
+    assert subspaces_equal(z, ref)[0]
 
 
 def test_report_requires_nonsingular():
