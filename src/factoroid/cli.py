@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -204,32 +203,18 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _corpus_one(task: tuple[int, bool, float, float]) -> tuple[int, dict]:
-    seed, twisted, rank_tol, containment_tol = task
-    if twisted:
-        g, w = mk.random_twisted_pair(seed)
-    else:
-        g, w = mk.random_groupoid(seed), None
-    rep = factoriality_report(
-        g, w, rank_tol=rank_tol, containment_tol=containment_tol
-    )
-    return seed, rep.to_dict()
-
-
 def cmd_corpus(args) -> int:
-    tasks = [
-        (seed, args.twisted, args.rank_tol, args.containment_tol)
-        for seed in range(args.seed, args.seed + args.count)
-    ]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_corpus_one, tasks))
-    else:
-        results = [_corpus_one(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
+    seeds = range(args.seed, args.seed + args.count)
     bad = 0
     converse_hits = []
-    for seed, rep in results:
+    for seed in seeds:
+        if args.twisted:
+            g, w = mk.random_twisted_pair(seed)
+        else:
+            g, w = mk.random_groupoid(seed), None
+        rep = factoriality_report(
+            g, w, rank_tol=args.rank_tol, containment_tol=args.containment_tol
+        ).to_dict()
         status = "ok" if rep["consistent"] else "INCONSISTENT"
         if not rep["consistent"]:
             bad += 1
@@ -240,7 +225,7 @@ def cmd_corpus(args) -> int:
             f"icc={rep['icc']} ergodic={rep['ergodic']} "
             f"center={rep['center_dim']} factor={rep['factor']} {status}"
         )
-    print(f"checked {len(results)} instances, {bad} inconsistent")
+    print(f"checked {len(seeds)} instances, {bad} inconsistent")
     if args.kleppner_converse:
         # ergodic + phase symmetry condition without factoriality would
         # separate the necessary condition from sufficiency; reported only
@@ -333,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=["text", "json"], default="text")
         if "rank" in shared:
             p.add_argument(
-                "--rank-tol", type=_tolerance, default=_default_rank_tol(),
+                "--rank-tol", type=_tolerance,
                 help="singular value tolerance for rank decisions",
             )
         if "containment" in shared:
@@ -363,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=50)
     p.add_argument("--seed", type=int, default=0, help="first seed")
     p.add_argument("--twisted", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument(
         "--kleppner-converse", action="store_true",
         help="list ergodic non-factors satisfying the phase-symmetry condition",
@@ -402,6 +386,9 @@ _COMMANDS = {
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        # only subcommands that take --rank-tol read the environment
+        if getattr(args, "rank_tol", RANK_TOL) is None:
+            args.rank_tol = _default_rank_tol()
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit
         return code

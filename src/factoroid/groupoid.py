@@ -17,9 +17,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
+
+import numpy as np
 
 MASS_TOL = 1e-12
+
+# composable triples per block of PairTable.first_failure; a block's
+# temporaries are a few arrays of this length
+_TRIPLE_BLOCK = 1 << 16
 
 
 class GroupoidError(ValueError):
@@ -82,6 +88,61 @@ class ErgodicityVerdict:
     witness: Optional[tuple[frozenset[str], frozenset[str]]] = None
 
 
+@dataclass(frozen=True)
+class PairTable:
+    """The composition table in integer positions.
+
+    Arrows and units are numbered in storage order; ``src`` and ``tgt`` give
+    the units of each arrow.  Pair p, the p-th of ``composable_pairs()``, is
+    (left[p], right[p]) with product prod[p], on row row[p] of ``compose``.
+    The pair (x, y) is start[y] + rank[x], where rank[x] is the place of x
+    among the arrows with its source.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+    prod: np.ndarray
+    row: np.ndarray
+    src: np.ndarray
+    tgt: np.ndarray
+    start: np.ndarray
+    rank: np.ndarray
+
+    def first_failure(
+        self, fails: Callable[..., np.ndarray], outer: str
+    ) -> Optional[tuple[int, int, int]]:
+        """Arrow positions (x, y, z) of the first composable triple on which
+        ``fails``, given the positions of its pairs xy, yz, (xy)z and x(yz),
+        holds; None if there is none.  First means: the ``outer`` pair ("xy"
+        or "yz") earliest in ``compose``, then the other arrow earliest.
+
+        Blocks are grouped by the middle unit m = t(y): the pairs (y, z) with
+        t(y) = m times the arrows x with source m, whose ranks j give
+        xy = start[y] + j and x(yz) = start[yz] + j.
+        """
+        n, fan = len(self.src), np.bincount(self.src)  # every unit has an arrow
+        mid = self.tgt[self.left]
+        order = np.argsort(mid, kind="stable")
+        by_mid = np.split(order, np.cumsum(np.bincount(mid, minlength=len(fan)))[:-1])
+        best = None
+        for size, pairs in zip(fan, by_mid):
+            j, step = np.arange(size), max(1, _TRIPLE_BLOCK // size)
+            for lo in range(0, len(pairs), step):
+                yz = pairs[lo : lo + step, None]
+                xy = self.start[self.left[yz]] + j
+                xy_z = self.start[self.right[yz]] + self.rank[self.prod[xy]]
+                bad = fails(xy, yz, xy_z, self.start[self.prod[yz]] + j)
+                if not bad.any():
+                    continue
+                xy, yz = xy[bad], np.broadcast_to(yz, bad.shape)[bad]
+                x, y, z = self.left[xy], self.left[yz], self.right[yz]
+                key = self.row[xy] * n + z if outer == "xy" else self.row[yz] * n + x
+                i = key.argmin()
+                if best is None or key[i] < best[0]:
+                    best = key[i], (int(x[i]), int(y[i]), int(z[i]))
+        return None if best is None else best[1]
+
+
 class MeasuredGroupoid:
     """A finite groupoid with a weighted unit space.
 
@@ -126,6 +187,7 @@ class MeasuredGroupoid:
         self.unit_arrow = dict(unit_arrows)
         self.validated = False
         self.flags: Optional[ValidationFlags] = None
+        self.pairs: Optional[PairTable] = None
         self._unit_arrow_ids = frozenset(self.unit_arrow.values())
         self._index = {g: i for i, g in enumerate(self.arrow_order)}
         self._by_source: dict[str, tuple[str, ...]] = {}
@@ -157,13 +219,6 @@ class MeasuredGroupoid:
 
     def is_unit_arrow(self, g: str) -> bool:
         return g in self._unit_arrow_ids
-
-    def composable(self, g: str, h: str) -> bool:
-        return self.tgt[h] == self.src[g]
-
-    def mul(self, g: str, h: str) -> Optional[str]:
-        """Product gh (h first), or None when not composable."""
-        return self.compose.get((g, h))
 
     def conjugate(self, g: str, h: str) -> Optional[str]:
         """g h g^-1, or None when not composable."""
@@ -286,13 +341,16 @@ class MeasuredGroupoid:
                 raise BadUnit(f"unit arrow not left-neutral at {g!r}", [g])
 
         # associativity over every composable triple
-        for (g, h), gh in self.compose.items():
-            for k in self._by_target[self.src[h]]:
-                hk = self.compose[(h, k)]
-                if self.compose[(gh, k)] != self.compose[(g, hk)]:
-                    raise NonAssociative(
-                        f"(g h) k != g (h k) for ({g!r},{h!r},{k!r})", [g, h, k]
-                    )
+        self.pairs = self._pair_table()
+        prod = self.pairs.prod
+        bad = self.pairs.first_failure(
+            lambda xy, yz, xy_z, x_yz: prod[xy_z] != prod[x_yz], "xy"
+        )
+        if bad is not None:
+            g, h, k = (self.arrow_order[i] for i in bad)
+            raise NonAssociative(
+                f"(g h) k != g (h k) for ({g!r},{h!r},{k!r})", [g, h, k]
+            )
 
         nonsingular = all(
             (self.mass[a.src] == 0.0) == (self.mass[a.tgt] == 0.0)
@@ -313,6 +371,27 @@ class MeasuredGroupoid:
         )
         self.validated = True
         return self
+
+    def _pair_table(self) -> PairTable:
+        """The composition table in positions; it must be keyed exactly by
+        the composable pairs, each product having the right endpoints."""
+        unit = {u: i for i, u in enumerate(self.units)}
+        src, tgt = np.array(
+            [(unit[a.src], unit[a.tgt]) for a in self.arrows], dtype=np.intp
+        ).reshape(-1, 2).T
+        fan = np.bincount(src, minlength=len(self.units))
+        rank = np.argsort(np.argsort(src, kind="stable")) - (np.cumsum(fan) - fan)[src]
+        count = fan[tgt]  # pairs with each arrow as right factor
+        start = np.cumsum(count) - count
+        idx = self._index
+        g, h, gh = np.array(
+            [(idx[g], idx[h], idx[gh]) for (g, h), gh in self.compose.items()],
+            dtype=np.intp,
+        ).reshape(-1, 3).T
+        at = start[h] + rank[g]
+        left, right, prod, row = (np.empty(len(at), dtype=np.intp) for _ in range(4))
+        left[at], right[at], prod[at], row[at] = g, h, gh, np.arange(len(at))
+        return PairTable(left, right, prod, row, src, tgt, start, rank)
 
     def _require_validated(self):
         if not self.validated:
@@ -454,6 +533,8 @@ def validate_groupoid(g: MeasuredGroupoid) -> MeasuredGroupoid:
     Raises :class:`BadUnit`, :class:`DanglingReference`, :class:`BadInverse`
     or :class:`NonAssociative` naming the offending identifiers.  Whether
     (G, mu) is nonsingular or pmp is recorded in ``g.flags``, not raised.
+    Associativity is checked on every composable triple in one numpy pass
+    over ``g.pairs``, the table in integer positions.
     """
     return g.validate()
 

@@ -8,14 +8,17 @@ source/target mass ratio.
 
 Every single-arrow translation is monomial: each column holds at most one
 entry.  ``algebra`` reads the composition table once, into structure
-constants (pairs (a, b), products ab, phases w(a, b)); ``_column_forms``
-turns them into the row and value of that entry for every arrow and column,
-and ``TranslationAlgebra`` keeps only these n x n arrays, never a dense
-n x n x n stack.  ``algebra`` checks the product and adjoint rules (L_a L_b =
-w(a,b) L_ab, L_a^* = L_{a^-1}, and their right-hand forms) on the column
-forms against the structure constants, by index arithmetic.  Distinct
-translations have disjoint supports, so they are an orthogonal basis of
-their span and membership needs no SVD.
+constants (pairs (a, b), products ab, phases w(a, b)) taken from the
+groupoid's ``PairTable``; ``_column_forms`` turns them into the row and
+value of that entry for every arrow and column, and ``TranslationAlgebra``
+keeps only these n x n arrays, never a dense n x n x n stack.  The product
+rule L_a L_b = w(a,b) L_ab holds on these forms exactly when (ab)h = a(bh)
+and w(a,b) w(ab,h) = w(b,h) w(a,bh) on every composable triple, which
+``validate_groupoid`` and ``validate_cocycle`` check on the tables (the
+twisted convolution identity of Renault, LNM 793); ``algebra`` checks the
+adjoint rule L_a^* = L_{a^-1} (and its right-hand form), the rank and the
+identity.  Distinct translations have disjoint supports, so they are an
+orthogonal basis of their span and membership needs no SVD.
 
 ``center`` reads the commutator map c -> ([sum_a c_a L_a, L_b])_b off the
 checked left column forms as a sparse n^2 x n matrix K, since [L_a, L_b] =
@@ -60,10 +63,6 @@ PARSEVAL_TOL = 1e-9
 # generous first cut when picking nullspace candidates from a Gram spectrum;
 # final membership is decided by direct residuals at the caller's tolerance
 _CANDIDATE_CUT = 1e-5
-
-# entries per step of the structure check; small blocks keep every temporary
-# small
-_BLOCK_ENTRIES = 1 << 12
 
 # positions of a, b and ab and the phase w(a, b), over the composable pairs
 _Constants = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -146,14 +145,14 @@ def rep_operator(
     Left:  e_h -> w(a, h) e_{a h} summed over a in the set composing with h.
     Right: e_h -> conj(w(h, a^-1)) sqrt(m(t(a))/m(s(a))) e_{h a^-1}; the mass
     ratio is the price of writing the right translation on the source-weighted
-    space (it is 1 in the pmp case).
+    space (it is 1 in the pmp case).  As in ``algebra``, an unnormalized
+    cocycle is replaced by its normalized representative.
     """
     g._require_validated()
     if space is None:
         space = l2_space(g)
-    if w is None:
-        w = trivial_cocycle(g)
-    rows, vals = _column_forms(_structure_constants(g, w, space), side, space)
+    constants = _structure_constants(g, _normalized(g, w), space)
+    rows, vals = _column_forms(constants, side, space)
     picked = [space.pos[a] for a in ids if a in space.pos]
     return _scatter(rows, vals, np.bincount(picked, minlength=space.dim))
 
@@ -467,20 +466,20 @@ def algebra(
     """The span of all translation operators of single arrows.
 
     At finite dimension this span is already multiplicatively closed and
-    star-closed, which is checked against the structure constants: for the
-    left side  L_a L_b = w(a,b) L_{ab}  and  L_a^* = L_{a^-1}; on the right
-    side products gain conjugated phases and adjoints a mass ratio.  It is
-    also checked that the span has full rank and holds the identity.
+    star-closed.  Closure under products, L_a L_b = w(a,b) L_{ab} (on the
+    right side with conjugated phases), follows from associativity and the
+    cocycle identity, which validation checks on the tables.  Here the
+    adjoint rule L_a^* = L_{a^-1} (on the right side with a mass ratio) is
+    checked, and that the span has full rank and holds the identity.
     An unnormalized cocycle is replaced by its normalized representative.
     """
     g._require_validated()
     if space is None:
         space = l2_space(g)
     n = space.dim
-    # the check compares the forms with the table, never with themselves
     constants = _structure_constants(g, _normalized(g, w), space)
     rows, vals = _column_forms(constants, side, space)
-    _verify_structure(constants, side, space, rows, vals, tol)
+    _verify_structure(side, space, rows, vals, tol)
     alg = TranslationAlgebra(rows, vals, tol)
     ok, res = alg.contains(np.eye(n))
     if not ok:
@@ -490,122 +489,47 @@ def algebra(
     return alg
 
 
-def _blocks(count: int, size: int) -> Iterable[slice]:
-    """Consecutive slices of range(count), each covering at most about
-    _BLOCK_ENTRIES entries of ``size`` each (at least one item per slice)."""
-    step = max(1, _BLOCK_ENTRIES // max(1, size))
-    for lo in range(0, count, step):
-        yield slice(lo, min(count, lo + step))
-
-
 def _structure_constants(g: MeasuredGroupoid, w: Cocycle, space: L2Space) -> _Constants:
     """Positions of a, b and ab, and the phase w(a, b), over the composable
     pairs of positive-mass arrows (ab then has positive mass too)."""
-    pos = space.pos
-    pairs = [
-        (pos[a], pos[b], pos[ab], as_complex(w.values[(a, b)]))
-        for (a, b), ab in g.compose.items()
-        if a in pos and b in pos
-    ]
-    if not pairs:
-        empty = np.zeros(0, dtype=np.intp)
-        return empty, empty, empty, np.zeros(0, dtype=complex)
-    i, j, k, phase = zip(*pairs)
-    return np.array(i), np.array(j), np.array(k), np.array(phase, dtype=complex)
-
-
-def _raise_first_over(
-    values: np.ndarray, tol: float, names: Sequence[str], message: str
-) -> None:
-    """Raise InternalInconsistency for the first value above ``tol``;
-    ``message`` is formatted with its name and the value."""
-    over = np.flatnonzero(values > tol)
-    if over.size:
-        m = over[0]
-        raise InternalInconsistency(message.format(names[m], values[m]))
-
-
-def _monomial_gap(
-    rows1: np.ndarray, vals1: np.ndarray, rows2: np.ndarray, vals2: np.ndarray
-) -> np.ndarray:
-    """Per column, the largest entry modulus of the difference of two
-    column-form monomials."""
-    return np.where(
-        rows1 == rows2,
-        np.abs(vals1 - vals2),
-        np.maximum(np.abs(vals1), np.abs(vals2)),
-    )
+    t = g.pairs
+    at = np.full(len(g.arrows), -1, dtype=np.intp)
+    at[[g.arrow_index(a) for a in space.index]] = np.arange(space.dim)
+    keep = np.flatnonzero((at[t.left] >= 0) & (at[t.right] >= 0))
+    values = [w.values[pair] for pair in g.composable_pairs()]
+    phase = np.array([as_complex(values[p]) for p in keep.tolist()], dtype=complex)
+    return at[t.left[keep]], at[t.right[keep]], at[t.prod[keep]], phase
 
 
 def _verify_structure(
-    constants: _Constants,
-    side: str,
-    space: L2Space,
-    rows: np.ndarray,
-    vals: np.ndarray,
-    tol: float,
+    side: str, space: L2Space, rows: np.ndarray, vals: np.ndarray, tol: float
 ) -> None:
-    """Check the product and adjoint rules of translations in column form
-    against the structure constants.
+    """Check the adjoint rule of translations in column form: L_a^* =
+    L_{a^-1}, and on the right R_a^* = (m(t(a))/m(s(a))) R_{a^-1}.
 
-    Products and adjoints of column forms are index arithmetic: each
-    occupied entry meets every arrow, O(n P) time for P occupied entries,
-    taken a block at a time, so no temporary is larger than a block.
+    The product rule L_a L_b = w(a,b) L_ab needs no check here: on column
+    forms it holds exactly when the table is associative and w satisfies the
+    cocycle identity, which ``validate_groupoid`` and ``validate_cocycle``
+    check on every composable triple.
     """
-    index, n = space.index, space.dim
-    inv = _inverse_positions(space)
-    # row n of the padded forms is the zero operator, the product of two
-    # arrows that do not compose
-    rows_0 = np.vstack([rows, np.full((1, n), n, dtype=np.intp)])
-    vals_0 = np.vstack([vals, np.zeros((1, n), dtype=complex)])
-
-    # index of ab (n if not composable) and the phase of L_a L_b or R_a R_b
-    i, j, k, phase = constants
-    prod = np.full((n, n), n, dtype=np.intp)
-    prod[i, j] = k
-    phases = np.zeros((n, n), dtype=complex)
-    phases[i, j] = phase
-    if side == "right":
-        # R_a R_b collapses to the translation by ab with the conjugated
-        # phase of the inverted pair, conj(w(b^-1, a^-1))
-        phases = phases[np.ix_(inv, inv)].T.conj()
-
-    # L_a L_b = phase(a, b) L_ab (0 if a, b do not compose), column by
-    # column.  Where column h of L_b holds vals[b, h] at row r = rows[b, h],
-    # column h of L_a L_b is vals[b, h] vals[a, r] at row rows[a, r]; axes:
-    # a in the block, the occupied entries (b, h) of all translations
-    worst = np.zeros(n)
-    e_arrow, e_col = np.nonzero(rows < n)
-    e_row, e_val = rows[e_arrow, e_col], vals[e_arrow, e_col]
-    for blk in _blocks(n, len(e_arrow)):
-        ab = prod[blk][:, e_arrow]
-        worst[blk] = _monomial_gap(
-            rows[blk][:, e_row],
-            vals[blk][:, e_row] * e_val,
-            rows_0[ab, e_col],
-            phases[blk][:, e_arrow] * vals_0[ab, e_col],
-        ).max(axis=1, initial=0.0)
-    # where column h of L_b is empty, so is column h of L_a L_b, and column
-    # h of L_ab must be empty too
-    for blk in _blocks(len(i), n):
-        stray = np.where(rows[j[blk]] == n, np.abs(vals[k[blk]]), 0.0)
-        np.maximum.at(worst, i[blk], stray.max(axis=1, initial=0.0))
-    _raise_first_over(
-        worst, tol, index, "translation span not multiplicatively closed at {!r} ({})"
-    )
-
+    n, inv = space.dim, _inverse_positions(space)
     # the adjoint moves entry (rows[a, h], h) to (h, rows[a, h]), conjugated
+    a, h = np.nonzero(rows < n)
     adj_rows = np.full((n, n), n, dtype=np.intp)
     adj_vals = np.zeros((n, n), dtype=complex)
-    adj_rows[e_arrow, e_row] = e_col
-    adj_vals[e_arrow, e_row] = e_val.conj()
+    adj_rows[a, rows[a, h]], adj_vals[a, rows[a, h]] = h, vals[a, h].conj()
     ratio = space.weights[inv] / space.weights if side == "right" else np.ones(n)
-    gap = _monomial_gap(
-        adj_rows, adj_vals, rows[inv], ratio[:, None] * vals[inv]
+    want = ratio[:, None] * vals[inv]
+    gap = np.where(
+        adj_rows == rows[inv],
+        np.abs(adj_vals - want),
+        np.maximum(np.abs(adj_vals), np.abs(want)),
     ).max(axis=1, initial=0.0)
-    _raise_first_over(
-        gap, tol, index, "translation span not star-closed at {!r} ({})"
-    )
+    over = np.flatnonzero(gap > tol)
+    if over.size:
+        raise InternalInconsistency(
+            f"translation span not star-closed at {space.index[over[0]]!r} ({gap[over[0]]})"
+        )
 
 
 def center(

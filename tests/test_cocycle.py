@@ -1,4 +1,5 @@
 import cmath
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from factoroid import constructors as mk
 from factoroid.cocycle import (
+    IDENTITY_TOL,
     CocycleIdentityViolated,
     NotUnitModulus,
     apply_coboundary,
@@ -14,12 +16,15 @@ from factoroid.cocycle import (
     is_omega_regular,
     kleppner_holds,
     normalize_cocycle,
+    phase_close,
+    pmul,
     trivial_cocycle,
     twisted_icc,
     validate_cocycle,
     verify_central_certificate,
 )
 from factoroid.conjugacy import is_icc
+from factoroid.groupoid import MeasuredGroupoid
 
 
 def klein_pair(exact=False):
@@ -66,6 +71,46 @@ def test_validate_rejects_random_phases(full2):
 def test_validate_requires_all_pairs(z2):
     with pytest.raises(CocycleIdentityViolated):
         validate_cocycle(z2, {})
+
+
+def _first_identity_failure_by_loop(g, table):
+    """The triple-by-triple loop that ``validate_cocycle`` ran before its
+    index pass, kept as the reference for the first failing triple."""
+    for (y, z), yz in g.compose.items():
+        for x in g.by_source(g.tgt[y]):
+            lhs = pmul(table[(x, yz)], table[(y, z)])
+            rhs = pmul(table[(g.compose[(x, y)], z)], table[(x, y)])
+            if not phase_close(lhs, rhs, IDENTITY_TOL):
+                return f"cocycle identity fails on triple ({x!r},{y!r},{z!r})", (x, y, z)
+    return None
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_index_pass_names_the_loops_first_triple(exact):
+    # one phase perturbed, on a groupoid whose composition rows are shuffled
+    rng = random.Random(1)
+    shift = Fraction(1, 5) if exact else cmath.exp(0.3j)
+    raised = 0
+    for seed in range(40):
+        g, w = mk.random_twisted_pair(seed, exact=exact)
+        rows = list(g.compose.items())
+        rng.shuffle(rows)
+        g = MeasuredGroupoid(
+            g.units, g.mass, [(a.id, a.src, a.tgt) for a in g.arrows],
+            dict(rows), g.inverse, g.unit_arrow,
+        ).validate()
+        values = dict(w.values)
+        pair = rng.choice(sorted(values))
+        values[pair] = pmul(values[pair], shift)
+        expect = _first_identity_failure_by_loop(g, values)
+        try:
+            validate_cocycle(g, values, exact=exact)
+            got = None
+        except CocycleIdentityViolated as exc:
+            got = str(exc), exc.ids
+        assert got == expect
+        raised += got is not None
+    assert raised >= 30
 
 
 def test_normalize_klein():

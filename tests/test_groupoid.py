@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -66,23 +68,70 @@ def test_broken_inverse_detected(full2):
     assert "r|x1|x0" in err.value.ids
 
 
-def test_nonassociative_table_detected():
-    # three loops at one unit with a twisted table
-    units = ["x"]
-    mass = {"x": 1.0}
+def _latin_square() -> MeasuredGroupoid:
+    """Three loops at one unit with a table that is a Latin square but not a
+    group: row/col shuffles breaking (aa)b = a(ab)."""
     arrows = [("e", "x", "x"), ("a", "x", "x"), ("b", "x", "x")]
-    compose = {}
-    # a Latin square that is not a group: row/col shuffles breaking (aa)b = a(ab)
     table = {
         ("e", "e"): "e", ("e", "a"): "a", ("e", "b"): "b",
         ("a", "e"): "a", ("a", "a"): "e", ("a", "b"): "b",
         ("b", "e"): "b", ("b", "a"): "b", ("b", "b"): "e",
     }
-    compose.update(table)
     inverse = {"e": "e", "a": "a", "b": "b"}
-    raw = MeasuredGroupoid(units, mass, arrows, compose, inverse, {"x": "e"})
+    return MeasuredGroupoid(["x"], {"x": 1.0}, arrows, table, inverse, {"x": "e"})
+
+
+def test_nonassociative_table_detected():
     with pytest.raises(NonAssociative):
-        raw.validate()
+        _latin_square().validate()
+
+
+def _first_nonassociative_by_loop(g):
+    """The triple-by-triple associativity loop that ``validate`` ran before
+    its index pass, kept as the reference for the first failing triple."""
+    for (a, b), ab in g.compose.items():
+        for c in g.by_target(g.src[b]):
+            if g.compose[(ab, c)] != g.compose[(a, g.compose[(b, c)])]:
+                return f"(g h) k != g (h k) for ({a!r},{b!r},{c!r})", (a, b, c)
+    return None
+
+
+def _with_swapped_product(g, rng):
+    """``g`` rebuilt with the products of two pairs of non-unit arrows
+    swapped (both products non-unit, with equal endpoints, so that only
+    associativity can fail) and its composition rows shuffled; None when no
+    such pairs exist."""
+    unit = g.is_unit_arrow
+    pairs = [
+        (p, gh) for p, gh in g.compose.items()
+        if not (unit(p[0]) or unit(p[1]) or unit(gh))
+    ]
+    rng.shuffle(pairs)
+    for (p, gh), (q, gh2) in itertools.combinations(pairs, 2):
+        if gh != gh2 and (g.src[gh], g.tgt[gh]) == (g.src[gh2], g.tgt[gh2]):
+            compose = dict(g.compose)
+            compose[p], compose[q] = gh2, gh
+            rows = list(compose.items())
+            rng.shuffle(rows)
+            return MeasuredGroupoid(
+                g.units, g.mass, [(a.id, a.src, a.tgt) for a in g.arrows],
+                dict(rows), g.inverse, g.unit_arrow,
+            )
+    return None
+
+
+def test_index_pass_names_the_loops_first_triple():
+    rng = random.Random(0)
+    cases = [_latin_square()]
+    for seed in range(60):
+        raw = _with_swapped_product(mk.random_groupoid(seed), rng)
+        if raw is not None:
+            cases.append(raw)
+    assert len(cases) > 30
+    for raw in cases:
+        with pytest.raises(NonAssociative) as err:
+            raw.validate()
+        assert (str(err.value), err.value.ids) == _first_nonassociative_by_loop(raw)
 
 
 def test_unnormalized_mass_rejected_without_flag():

@@ -50,17 +50,22 @@ def test_rep_operator_z2_swap(z2):
 
 def test_rep_operator_klein_twisted_signs():
     g, w = mk.klein_four_twisted()
+    wn = normalize_cocycle(g, w)
     space = l2_space(g)
     lam = rep_operator(g, w, ["pt.0.1"], "left", space)
-    # partial permutation with entries +-1: phases w((0,1), h) over the 4 pairs
+    # partial permutation carrying the normalized phases wn((0,1), h) over
+    # the 4 pairs: column h holds wn((0,1), h) at row (0,1) h
     nonzero = {
         (space.index[r], space.index[c]): lam[r, c]
         for r in range(4) for c in range(4) if lam[r, c] != 0
     }
     assert len(nonzero) == 4
-    assert all(v in (1.0 + 0j, -1.0 + 0j) for v in nonzero.values())
-    assert nonzero[("pt.1.1", "pt.1.0")] == -1.0  # w((0,1),(1,0)) = -1
-    assert nonzero[("pt.0.1", "pt.0.0")] == 1.0
+    for h in space.index:
+        phase = as_complex(wn.values[("pt.0.1", h)])
+        assert nonzero[(g.compose[("pt.0.1", h)], h)] == phase
+    assert nonzero[("pt.0.1", "pt.0.0")] == 1.0  # the unit column
+    # normalizing turns the -1 of the given cocycle on (0,1)(1,0) into -i
+    assert nonzero[("pt.1.1", "pt.1.0")] == pytest.approx(-1j, abs=1e-15)
 
 
 def test_rep_operator_adjoint_is_inverse(z4_translation):
@@ -310,11 +315,12 @@ def test_column_forms_match_loop_definition():
     cases += [(mk.random_groupoid(seed), None) for seed in range(6)]
     for g, w in cases:
         space = l2_space(g)
+        # the translations are defined by the normalized representative
         wn = normalize_cocycle(g, w) if w is not None else trivial_cocycle(g)
         for side in ("left", "right"):
             for a in space.index:
                 expect = _rep_operator_by_loop(g, wn, [a], side, space)
-                assert np.array_equal(rep_operator(g, wn, [a], side, space), expect)
+                assert np.array_equal(rep_operator(g, w, [a], side, space), expect)
 
 
 def test_rep_operator_sums_column_forms():
@@ -324,13 +330,27 @@ def test_rep_operator_sums_column_forms():
     picked = list(space.index[::3])
     for side in ("left", "right"):
         alg = algebra(g, w, side, space=space)
-        wn = normalize_cocycle(g, w)
-        total = rep_operator(g, wn, picked, side, space)
-        singles = sum(rep_operator(g, wn, [a], side, space) for a in picked)
+        total = rep_operator(g, w, picked, side, space)
+        singles = sum(rep_operator(g, w, [a], side, space) for a in picked)
         assert np.array_equal(total, singles)
         assert np.allclose(total, alg.element(np.isin(space.index, picked)))
     with pytest.raises(ValueError):
         rep_operator(g, w, picked, "up", space)
+
+
+def test_rep_operator_matches_algebra_element():
+    # both builders normalize the cocycle, so they agree arrow by arrow
+    cases = [mk.random_twisted_pair(seed) for seed in range(4)]
+    cases.append(mk.klein_four_twisted())
+    for g, w in cases:
+        assert not w.normalized
+        space = l2_space(g)
+        for side in ("left", "right"):
+            alg = algebra(g, w, side, space=space)
+            for a, e_a in zip(space.index, np.eye(space.dim)):
+                assert np.array_equal(
+                    rep_operator(g, w, [a], side, space), alg.element(e_a)
+                ), (a, side)
 
 
 def test_algebra_builds_no_dense_stack():
