@@ -78,7 +78,7 @@ def parse_text(text: str) -> tuple[MeasuredGroupoid, Optional[Cocycle]]:
                 mass[u] = float(frac)
             else:
                 mass[u] = float(tok)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ParseError(f"bad mass {tok!r} for {u!r}: {exc}", line_no) from exc
 
     def keyed(name: str, usage: str, width: int):

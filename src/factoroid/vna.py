@@ -22,9 +22,13 @@ orthogonal basis of their span and membership needs no SVD.
 
 ``center`` reads the commutator map c -> ([sum_a c_a L_a, L_b])_b off the
 checked left column forms as a sparse n^2 x n matrix K, since [L_a, L_b] =
-w(a,b) L_ab - w(b,a) L_ba and distinct translations are orthogonal.  Its
-Gram matrix K^H K is n x n.  ``commutant`` assembles the same Gram matrix
-from dense matrix products and stays as the oracle for ``center``; without
+w(a,b) L_ab - w(b,a) L_ba and distinct translations are orthogonal; its
+Gram matrix K^H K is n x n.  After ``algebra`` a report forms no n x n
+operator: ``center`` and ``invariant_subalgebra`` keep the coordinates y_a =
+|L_a|_F c_a of x = sum_a c_a L_a over the orthonormal frame L_a / |L_a|_F,
+an isometry, so ``subspaces_equal`` gets the matrices' ranks and residuals
+from n-vectors.  ``commutant`` builds the same Gram matrix from dense
+products, with matrix elements, as the oracle for ``center``; without
 ``within`` it also computes full commutants.
 
 Rank and nullspace decisions use an explicit tolerance.  Nullspaces are read
@@ -227,8 +231,10 @@ def twisted_convolve(
 
 
 class MatrixStarAlgebra:
-    """A linear span of matrices, with rank and membership from an orthogonal
-    basis of its flattened row space, taken from an SVD."""
+    """A linear span of arrays (flattened), with rank and membership from an
+    orthogonal basis of its row space, taken from an SVD.  ``commutant``
+    keeps matrices; ``center`` and ``invariant_subalgebra`` keep n-vectors of
+    coordinates over the orthonormal frame L_a / |L_a|_F."""
 
     def __init__(
         self,
@@ -237,12 +243,10 @@ class MatrixStarAlgebra:
         observed_gap: Optional[tuple[float, float]] = None,
     ):
         ops = np.asarray(basis_ops, dtype=complex)
-        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
-            raise ValueError("basis_ops must be a sequence of square matrices")
         self.basis_ops = ops
         self.tol = tol
         self.observed_gap = observed_gap
-        flat = ops.reshape(len(ops), ops.shape[1] ** 2)
+        flat = ops.reshape(len(ops), math.prod(ops.shape[1:]))
         _, s, vh = np.linalg.svd(flat, full_matrices=False)
         rank = int(np.sum(s > tol * max(1.0, s.max(initial=0.0))))
         self._rows = vh[:rank]  # orthonormal rows spanning the flattened span
@@ -257,8 +261,8 @@ class MatrixStarAlgebra:
             return True, 0.0
         # the projector is sum_i r_i <r_i, v>, with the Hermitian product
         # conjugate-linear on the left (conjugating v, not the rows, saves a
-        # copy of the rows)
-        proj = self._rows.T @ (self._rows @ v.conj()).conj()
+        # copy of the rows); an empty span may not know the length of v
+        proj = self._rows.T @ (self._rows @ v.conj()).conj() if self.dim else 0.0
         residual = float(np.linalg.norm(v - proj) / norm)
         return residual <= tol, residual
 
@@ -321,10 +325,7 @@ def subspace_leq(
     tol: float = CONTAINMENT_TOL,
 ) -> tuple[bool, float]:
     """Whether span(a) is contained in span(b); returns the worst residual."""
-    worst = 0.0
-    for op in a.basis_ops:
-        ok, res = b.contains(op, tol)
-        worst = max(worst, res)
+    worst = max((b.contains(op, tol)[1] for op in a.basis_ops), default=0.0)
     return worst <= tol, worst
 
 
@@ -353,17 +354,16 @@ def _commutator_residual(x: np.ndarray, ops: np.ndarray) -> float:
 
 def _null_algebra(
     gram: np.ndarray,
-    to_matrix: Callable[[np.ndarray], Optional[np.ndarray]],
+    to_element: Callable[[np.ndarray], Optional[np.ndarray]],
     residual: Callable[[np.ndarray, np.ndarray], float],
-    n: int,
     tol: float,
 ) -> MatrixStarAlgebra:
     """Span of the confirmed null vectors of a commutator map.
 
     Eigenvectors v of the Gram matrix below the candidate cut are mapped to
-    n x n matrices x (``to_matrix`` may drop one by returning None) and
-    accepted when ``residual(v, x)``, their directly computed commutator
-    residual, is at most ``tol * max(1, sigma_max)``.
+    elements x, matrices or coordinate vectors (``to_element`` may drop one
+    by returning None), and accepted when ``residual(v, x)``, their directly
+    computed commutator residual, is at most ``tol * max(1, sigma_max)``.
     """
     eigvals, eigvecs = np.linalg.eigh(gram)
     sigmas = np.sqrt(np.clip(eigvals, 0.0, None))
@@ -372,26 +372,19 @@ def _null_algebra(
     cand = np.nonzero(sigmas <= _CANDIDATE_CUT * scale)[0]
     null_ops: list[np.ndarray] = []
     max_accepted = 0.0
-    accepted: set[int] = set()
+    rejected = np.ones(len(sigmas), dtype=bool)
     for idx in cand:
         v = eigvecs[:, idx]
-        x = to_matrix(v)
+        x = to_element(v)
         if x is None:
             continue
         res = residual(v, x)
         if res <= tol * scale:
             null_ops.append(x)
             max_accepted = max(max_accepted, res)
-            accepted.add(int(idx))
-    min_rejected = min(
-        (float(sigmas[i]) for i in range(len(sigmas)) if i not in accepted),
-        default=float("inf"),
-    )
-    return MatrixStarAlgebra(
-        np.array(null_ops).reshape(-1, n, n),
-        tol=tol,
-        observed_gap=(max_accepted, min_rejected),
-    )
+            rejected[idx] = False
+    min_rejected = float(sigmas[rejected].min(initial=np.inf))
+    return MatrixStarAlgebra(null_ops, tol=tol, observed_gap=(max_accepted, min_rejected))
 
 
 def _unit_norm(x: np.ndarray) -> Optional[np.ndarray]:
@@ -435,7 +428,6 @@ def commutant(
             np.asarray(gram.todense()),
             lambda v: v.reshape(n, n).astype(complex),
             residual,
-            n,
             tol,
         )
 
@@ -450,7 +442,6 @@ def commutant(
         0.5 * (gram + gram.conj().T),
         lambda v: _unit_norm(np.tensordot(v, basis, axes=1)),
         residual,
-        n,
         tol,
     )
 
@@ -497,7 +488,9 @@ def _structure_constants(g: MeasuredGroupoid, w: Cocycle, space: L2Space) -> _Co
     at[[g.arrow_index(a) for a in space.index]] = np.arange(space.dim)
     keep = np.flatnonzero((at[t.left] >= 0) & (at[t.right] >= 0))
     values = [w.values[pair] for pair in g.composable_pairs()]
-    phase = np.array([as_complex(values[p]) for p in keep.tolist()], dtype=complex)
+    if w.exact:
+        values = [as_complex(v) for v in values]
+    phase = np.asarray(values, dtype=complex)[keep]
     return at[t.left[keep]], at[t.right[keep]], at[t.prod[keep]], phase
 
 
@@ -552,6 +545,9 @@ def center(
     and at a = b^-1 k, so K is stored as two (column, value) pairs per row.
     A candidate c is accepted when |Kc| / |x|_F <= tol * max(1, sigma_max),
     where x = sum_a c_a L_a and |x|_F = |(|L_a|_F c_a)_a|.
+
+    Each row of ``basis_ops`` is an accepted x as the unit n-vector y_a =
+    |L_a|_F c_a; ``alg.element(y / |L_a|_F)`` is its matrix.
     """
     if alg is None:
         alg = algebra(g, w, "left", tol=tol)
@@ -583,9 +579,8 @@ def center(
 
     return _null_algebra(
         0.5 * (gram + gram.conj().T),
-        lambda v: _unit_norm(alg.element(v)),
+        lambda v: _unit_norm(norms * v),
         residual,
-        n,
         tol,
     )
 
@@ -593,19 +588,19 @@ def center(
 def invariant_subalgebra(
     g: MeasuredGroupoid, space: Optional[L2Space] = None
 ) -> MatrixStarAlgebra:
-    """Diagonal span of the positive-mass orbit indicator functions."""
+    """Span of the positive-mass orbit diagonals, in ``center``'s coordinates:
+    the diagonal of orbit O is sum_{u in O} L_{e_u}, so its row holds
+    |L_{e_u}|_F at e_u for each u in O, and 0 elsewhere."""
     g._require_validated()
     if space is None:
         space = l2_space(g)
-    ops = []
-    for orbit in g.orbits():
-        if not any(g.mass[u] > 0.0 for u in orbit):
-            continue
-        f = {u: 1.0 for u in orbit}
-        ops.append(multiplication_operator(space, f))
-    if not ops:
-        ops = [np.zeros((space.dim, space.dim))]
-    return MatrixStarAlgebra(np.array(ops, dtype=complex))
+    tgt = [g.tgt[h] for h in space.index]
+    # L_{e_u} has one entry per positive arrow with target u
+    units = [space.pos[g.unit_arrow[u]] for u in tgt]
+    norms = np.sqrt(np.bincount(units, minlength=space.dim))
+    positive = [o for o in g.orbits() if any(g.mass[u] > 0.0 for u in o)]
+    rows = [norms * np.isin(tgt, list(orbit)) for orbit in positive]
+    return MatrixStarAlgebra(rows or np.zeros((1, space.dim)))
 
 
 def j_map(

@@ -343,9 +343,12 @@ def test_criterion_13_central_vector_identities(
     for g, w in fixtures:
         wn = w if w is not None else trivial_cocycle(g)
         space = l2_space(g)
-        z = center(g, wn)
+        alg = algebra(g, wn)
+        z = center(g, wn, alg=alg)
+        norms = np.linalg.norm(alg.vals, axis=1)
         iso = g.iso_subgroupoid()
-        for op in z.basis_ops:
+        for y in z.basis_ops:
+            op = alg.element(y / norms)  # y holds coordinates over L_a / |L_a|_F
             op = op / np.linalg.norm(op)
             vals = space.function_values(j_map(g, op, space))
             off = math.fsum(

@@ -61,7 +61,9 @@ def test_bundle_center_is_diagonal_iff_fibers_trivial():
     import random
 
     import numpy as np
-    from factoroid.vna import MatrixStarAlgebra, l2_space, multiplication_operator, subspaces_equal
+    from factoroid.vna import (
+        MatrixStarAlgebra, algebra, l2_space, multiplication_operator, subspaces_equal,
+    )
 
     menu = [mk.cyclic_group(1), mk.cyclic_group(2), mk.symmetric_group(3)]
     for seed in range(8):
@@ -76,7 +78,13 @@ def test_bundle_center_is_diagonal_iff_fibers_trivial():
                 multiplication_operator(space, {u: 1.0}) for u in g.units
             ])
         )
-        equal, _ = subspaces_equal(center(g), diagonal)
+        alg = algebra(g)
+        # the center's rows are coordinates over L_a / |L_a|_F; as matrices:
+        norms = np.linalg.norm(alg.vals, axis=1)
+        central = MatrixStarAlgebra(
+            [alg.element(y / norms) for y in center(g, alg=alg).basis_ops]
+        )
+        equal, _ = subspaces_equal(central, diagonal)
         trivial = all(len(fibers[u].elements) == 1 for u in g.units)
         assert equal == trivial, seed
 

@@ -1,3 +1,6 @@
+import contextlib
+import functools
+import io
 import json
 import os
 import subprocess
@@ -6,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import factoroid
 from factoroid import cli, vna
@@ -83,6 +87,14 @@ def test_bad_mass_names_its_line():
         parse_text("[units]\nx0 1.0\n\npt abc\n")
     assert err.value.line == 4
     assert "'abc'" in str(err.value)
+
+
+def test_exact_mass_too_large_for_a_float_names_its_line():
+    # a fraction elsewhere makes every mass exact; 1e400 has no float
+    with pytest.raises(ParseError) as err:
+        parse_text("[units]\nx0 1e400\nx1 1/2\n")
+    assert err.value.line == 2
+    assert "'1e400'" in str(err.value)
 
 
 @pytest.mark.parametrize(
@@ -400,3 +412,74 @@ def test_cli_dr_scan_rejects_negative_and_nan_masses(capsys, masses):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "'x0'" in captured.err
     assert not captured.out
+
+
+_BAD_MASSES = ("0", "-0.5", "nan", "inf", "1/0", "1e400")
+_BAD_PHASES = ("nan 0", "inf 0", "0.6 0.8")
+
+
+@functools.cache
+def _fuzz_texts() -> list[tuple[str, ...]]:
+    """Serialized instances, line by line, for the mutation test."""
+    cases = [(mk.random_groupoid(seed), None) for seed in range(4)]
+    cases += [mk.random_twisted_pair(seed) for seed in range(4)]
+    cases.append(mk.NAMED_INSTANCES["klein4-twisted"]())
+    return [tuple(serialize(g, w).splitlines()) for g, w in cases]
+
+
+def _rows_in(lines, section):
+    """Positions of the data lines under ``[section]``."""
+    found, current = [], None
+    for i, line in enumerate(lines):
+        if line.startswith("["):
+            current = line[1:-1]
+        elif current == section:
+            found.append(i)
+    return found
+
+
+def _mutate(lines, kind, data):
+    """Drop, duplicate or swap a row, or give a mass or a phase a bad value."""
+    if kind == "mass":
+        rows = _rows_in(lines, "units")
+    elif kind == "phase":  # a cocycle row, or a new one on a composable pair
+        cocycle = _rows_in(lines, "cocycle")
+        rows = cocycle or _rows_in(lines, "compose")
+    else:
+        rows = [i for i, line in enumerate(lines) if not line.startswith("[")]
+    if not rows:
+        return
+    i = data.draw(st.sampled_from(rows))
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        j = data.draw(st.sampled_from(rows))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "mass":
+        lines[i] = f"{lines[i].split()[0]} {data.draw(st.sampled_from(_BAD_MASSES))}"
+    else:
+        pair = " ".join(lines[i].split()[:2])
+        row = f"{pair} {data.draw(st.sampled_from(_BAD_PHASES))}"
+        if cocycle:
+            lines[i] = row
+        else:
+            lines += ["[cocycle]", row]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cli_report_survives_mutated_files(tmp_path_factory, data):
+    # every mutated file ends in a report or a clean exit 1; exit 2 or an
+    # escaping exception would be a defect
+    lines = list(data.draw(st.sampled_from(_fuzz_texts())))
+    kinds = st.sampled_from(["drop", "duplicate", "swap", "mass", "phase"])
+    for kind in data.draw(st.lists(kinds, min_size=1, max_size=3)):
+        _mutate(lines, kind, data)
+    path = tmp_path_factory.getbasetemp() / "mutated.txt"
+    path.write_text("\n".join(lines) + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["report", str(path)])
+    assert code in (0, 1), err.getvalue()
