@@ -170,7 +170,7 @@ def validate_cocycle(
             v = v % 1
         else:
             v = complex(v)
-            if abs(abs(v) - 1.0) > UNIT_MODULUS_TOL:
+            if not abs(abs(v) - 1.0) <= UNIT_MODULUS_TOL:  # NaN fails too
                 raise NotUnitModulus(
                     f"|w{pair!r}| = {abs(v)!r} is not 1", pair
                 )

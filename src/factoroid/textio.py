@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .cocycle import Cocycle, validate_cocycle
+from .cocycle import UNIT_MODULUS_TOL, Cocycle, validate_cocycle
 from .groupoid import MeasuredGroupoid, validate_groupoid
 
 _SECTIONS = ("units", "arrows", "unit_arrows", "compose", "inverse", "cocycle")
@@ -118,9 +118,11 @@ def parse_text(text: str) -> tuple[MeasuredGroupoid, Optional[Cocycle]]:
                     f"cocycle entry on non-composable pair {pair!r}", line_no
                 )
             try:
-                values[pair] = complex(float(row[2]), float(row[3]))
+                values[pair] = v = complex(float(row[2]), float(row[3]))
             except ValueError as exc:
                 raise ParseError(f"bad phase: {exc}", line_no) from exc
+            if not abs(abs(v) - 1.0) <= UNIT_MODULUS_TOL:  # NaN and inf fail too
+                raise ParseError(f"phase {row[2]} {row[3]} does not have modulus 1", line_no)
         cocycle = validate_cocycle(g, values)
     return g, cocycle
 

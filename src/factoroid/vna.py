@@ -9,27 +9,30 @@ source/target mass ratio.
 Every single-arrow translation is monomial: each column holds at most one
 entry.  ``algebra`` reads the composition table once, into structure
 constants (pairs (a, b), products ab, phases w(a, b)) taken from the
-groupoid's ``PairTable``; ``_column_forms`` turns them into the row and
-value of that entry for every arrow and column, and ``TranslationAlgebra``
-keeps only these n x n arrays, never a dense n x n x n stack.  The product
-rule L_a L_b = w(a,b) L_ab holds on these forms exactly when (ab)h = a(bh)
-and w(a,b) w(ab,h) = w(b,h) w(a,bh) on every composable triple, which
-``validate_groupoid`` and ``validate_cocycle`` check on the tables (the
-twisted convolution identity of Renault, LNM 793); ``algebra`` checks the
-adjoint rule L_a^* = L_{a^-1} (and its right-hand form), the rank and the
-identity.  Distinct translations have disjoint supports, so they are an
-orthogonal basis of their span and membership needs no SVD.
+groupoid's ``PairTable``.  These P entries, one per composable pair, are
+the only form of the translations: ``_column_forms`` gives them as four
+P-long arrays (arrow, column, row, value), the structure constants as they
+are on the left and relabelled on the right, and ``TranslationAlgebra``
+keeps only these arrays and n, never an n x n array or an n x n x n stack.
+The product rule L_a L_b = w(a,b) L_ab holds on these entries exactly when
+(ab)h = a(bh) and w(a,b) w(ab,h) = w(b,h) w(a,bh) on every composable
+triple, which ``validate_groupoid`` and ``validate_cocycle`` check on the
+tables (the twisted convolution identity of Renault, LNM 793); ``algebra``
+checks the adjoint rule L_a^* = L_{a^-1} (and its right-hand form) entry by
+entry, the rank and the identity.  Distinct translations have disjoint
+supports, so they are an orthogonal basis of their span and membership
+needs no SVD.
 
 ``center`` reads the commutator map c -> ([sum_a c_a L_a, L_b])_b off the
-checked left column forms as a sparse n^2 x n matrix K, since [L_a, L_b] =
-w(a,b) L_ab - w(b,a) L_ba and distinct translations are orthogonal; its
-Gram matrix K^H K is n x n.  After ``algebra`` a report forms no n x n
-operator: ``center`` and ``invariant_subalgebra`` keep the coordinates y_a =
-|L_a|_F c_a of x = sum_a c_a L_a over the orthonormal frame L_a / |L_a|_F,
-an isometry, so ``subspaces_equal`` gets the matrices' ranks and residuals
-from n-vectors.  ``commutant`` builds the same Gram matrix from dense
-products, with matrix elements, as the oracle for ``center``; without
-``within`` it also computes full commutants.
+checked left entries as a sparse matrix K with at most 2P rows, since
+[L_a, L_b] = w(a,b) L_ab - w(b,a) L_ba and distinct translations are
+orthogonal; its Gram matrix K^H K is n x n.  After ``algebra`` a report
+forms no n x n operator: ``center`` and ``invariant_subalgebra`` keep the
+coordinates y_a = |L_a|_F c_a of x = sum_a c_a L_a over the orthonormal
+frame L_a / |L_a|_F, an isometry, so ``subspaces_equal`` gets the matrices'
+ranks and residuals from n-vectors.  ``commutant`` builds the same Gram
+matrix from dense products, with matrix elements, as the oracle for
+``center``; without ``within`` it also computes full commutants.
 
 Rank and nullspace decisions use an explicit tolerance.  Nullspaces are read
 off the spectrum of a Gram matrix (its eigenvalues are the squared singular
@@ -156,35 +159,25 @@ def rep_operator(
     if space is None:
         space = l2_space(g)
     constants = _structure_constants(g, _normalized(g, w), space)
-    rows, vals = _column_forms(constants, side, space)
-    picked = [space.pos[a] for a in ids if a in space.pos]
-    return _scatter(rows, vals, np.bincount(picked, minlength=space.dim))
+    coef = np.bincount([space.pos[a] for a in ids if a in space.pos], minlength=space.dim)
+    return _scatter(_column_forms(constants, side, space), space.dim, coef)
 
 
-def _column_forms(
-    constants: _Constants, side: str, space: L2Space
-) -> tuple[np.ndarray, np.ndarray]:
-    """Column forms of the translations by all positive-mass arrows.
+def _column_forms(constants: _Constants, side: str, space: L2Space) -> _Constants:
+    """Entries of the translations by all positive-mass arrows.
 
-    Column h of the translation by arrow a holds one entry, vals[a, h] at
-    row rows[a, h], or none (row n, value 0).  Both n x n arrays come from
-    the structure constants: the pair (a, h) gives column h of L_a, and the
-    pair (h, a^-1) gives column h of R_a.
+    T_a sends e_col to val e_row for each entry (arrow, col, row, val) with
+    arrow a; there is one entry per composable pair.  The pair (a, h) gives
+    column h of L_a, so the left entries are the structure constants as
+    they are, and the pair (h, a^-1) gives column h of R_a.
     """
-    n = space.dim
     i, j, k, phase = constants
     if side == "left":
-        arrow, col, val = i, j, phase
-    elif side == "right":
-        arrow, col = _inverse_positions(space)[j], i
-        val = phase.conj() * np.sqrt(space.weights[k] / space.weights[i])
-    else:
+        return constants
+    if side != "right":
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    rows = np.full((n, n), n, dtype=np.intp)
-    vals = np.zeros((n, n), dtype=complex)
-    rows[arrow, col] = k
-    vals[arrow, col] = val
-    return rows, vals
+    val = phase.conj() * np.sqrt(space.weights[k] / space.weights[i])
+    return _inverse_positions(space)[j], i, k, val
 
 
 def _inverse_positions(space: L2Space) -> np.ndarray:
@@ -192,14 +185,13 @@ def _inverse_positions(space: L2Space) -> np.ndarray:
     return np.array([pos[inverse[a]] for a in space.index], dtype=np.intp)
 
 
-def _scatter(rows: np.ndarray, vals: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """The n x n matrix sum_a coef[a] T_a of translations in column form."""
-    n = len(rows)
-    at = (rows * n + np.arange(n)).ravel()  # row n lands past the matrix
-    terms = (np.asarray(coef)[:, None] * vals).ravel()
-    size = (n + 1) * n
-    flat = np.bincount(at, terms.real, size) + 1j * np.bincount(at, terms.imag, size)
-    return flat[: n * n].reshape(n, n)
+def _scatter(forms: _Constants, n: int, coef: np.ndarray) -> np.ndarray:
+    """The n x n matrix sum_a coef[a] T_a of translations given by entries."""
+    arrow, col, row, val = forms
+    at = row * n + col
+    terms = np.asarray(coef)[arrow] * val
+    flat = np.bincount(at, terms.real, n * n) + 1j * np.bincount(at, terms.imag, n * n)
+    return flat.reshape(n, n)
 
 
 def multiplication_operator(
@@ -268,40 +260,37 @@ class MatrixStarAlgebra:
 
 
 class TranslationAlgebra:
-    """The span of the translations by single arrows, in column form.
+    """The span of the translations by single arrows, kept as their entries.
 
-    Translation a sends e_h to vals[a, h] e_{rows[a, h]} (row n: to 0).
+    ``forms`` holds the P entries (arrow, col, row, val) of ``_column_forms``:
+    translation a sends e_col to val e_row for each entry with arrow a.
     Distinct translations have disjoint supports, so they are an orthogonal
     basis of their span: membership projects by the coefficients
     c_a = <T_a, x> / |T_a|_F^2, and nothing of size n^3 is formed unless
     ``basis_ops`` is read.
     """
 
-    def __init__(self, rows: np.ndarray, vals: np.ndarray, tol: float = RANK_TOL):
-        self.rows = rows
-        self.vals = vals
+    def __init__(self, forms: _Constants, n: int, tol: float = RANK_TOL):
+        self.forms = forms
+        self.matrix_dim = n
         self.tol = tol
-        norms = np.sqrt((vals.real ** 2 + vals.imag ** 2).sum(axis=1))
+        arrow, _, _, val = forms
+        norms = np.sqrt(np.bincount(arrow, val.real ** 2 + val.imag ** 2, n))
         keep = norms > tol * max(1.0, float(norms.max(initial=0.0)))
-        self._scale = np.divide(1.0, norms ** 2, out=np.zeros(len(norms)), where=keep)
+        self._scale = np.divide(1.0, norms ** 2, out=np.zeros(n), where=keep)
         self.dim = int(keep.sum())
-
-    @property
-    def matrix_dim(self) -> int:
-        return len(self.rows)
 
     @property
     def basis_ops(self) -> np.ndarray:
         """The translations as a dense n x n x n stack, built on each read."""
-        n = len(self.rows)
-        ops = np.zeros((n, n, n), dtype=complex)
-        a, h = np.nonzero(self.rows < n)
-        ops[a, self.rows[a, h], h] = self.vals[a, h]
+        arrow, col, row, val = self.forms
+        ops = np.zeros((self.matrix_dim,) * 3, dtype=complex)
+        ops[arrow, row, col] = val
         return ops
 
     def element(self, coef: np.ndarray) -> np.ndarray:
         """sum_a coef[a] T_a as an n x n matrix."""
-        return _scatter(self.rows, self.vals, coef)
+        return _scatter(self.forms, self.matrix_dim, coef)
 
     def contains(self, mat: np.ndarray, tol: Optional[float] = None) -> tuple[bool, float]:
         """Span membership: (verdict, relative projection residual)."""
@@ -310,11 +299,11 @@ class TranslationAlgebra:
         norm = np.linalg.norm(mat)
         if norm == 0.0:
             return True, 0.0
-        n = len(self.rows)
-        padded = np.zeros((n + 1, n), dtype=complex)
-        padded[:n] = mat
+        arrow, col, row, val = self.forms
+        n = self.matrix_dim
         # <T_a, x> pairs each entry of T_a with the entry of x at its place
-        inner = (self.vals.conj() * padded[self.rows, np.arange(n)]).sum(axis=1)
+        terms = val.conj() * mat[row, col]
+        inner = np.bincount(arrow, terms.real, n) + 1j * np.bincount(arrow, terms.imag, n)
         residual = float(np.linalg.norm(mat - self.element(inner * self._scale)) / norm)
         return residual <= tol, residual
 
@@ -469,9 +458,9 @@ def algebra(
         space = l2_space(g)
     n = space.dim
     constants = _structure_constants(g, _normalized(g, w), space)
-    rows, vals = _column_forms(constants, side, space)
-    _verify_structure(side, space, rows, vals, tol)
-    alg = TranslationAlgebra(rows, vals, tol)
+    forms = _column_forms(constants, side, space)
+    _verify_structure(side, space, forms, tol)
+    alg = TranslationAlgebra(forms, n, tol)
     ok, res = alg.contains(np.eye(n))
     if not ok:
         raise InternalInconsistency(f"algebra misses its identity (residual {res})")
@@ -494,34 +483,38 @@ def _structure_constants(g: MeasuredGroupoid, w: Cocycle, space: L2Space) -> _Co
     return at[t.left[keep]], at[t.right[keep]], at[t.prod[keep]], phase
 
 
-def _verify_structure(
-    side: str, space: L2Space, rows: np.ndarray, vals: np.ndarray, tol: float
-) -> None:
-    """Check the adjoint rule of translations in column form: L_a^* =
+def _verify_structure(side: str, space: L2Space, forms: _Constants, tol: float) -> None:
+    """Check the adjoint rule of translations given by entries: L_a^* =
     L_{a^-1}, and on the right R_a^* = (m(t(a))/m(s(a))) R_{a^-1}.
 
-    The product rule L_a L_b = w(a,b) L_ab needs no check here: on column
-    forms it holds exactly when the table is associative and w satisfies the
-    cocycle identity, which ``validate_groupoid`` and ``validate_cocycle``
+    The product rule L_a L_b = w(a,b) L_ab needs no check here: on the
+    entries it holds exactly when the table is associative and w satisfies
+    the cocycle identity, which ``validate_groupoid`` and ``validate_cocycle``
     check on every composable triple.
     """
+    arrow, col, row, val = forms
     n, inv = space.dim, _inverse_positions(space)
-    # the adjoint moves entry (rows[a, h], h) to (h, rows[a, h]), conjugated
-    a, h = np.nonzero(rows < n)
-    adj_rows = np.full((n, n), n, dtype=np.intp)
-    adj_vals = np.zeros((n, n), dtype=complex)
-    adj_rows[a, rows[a, h]], adj_vals[a, rows[a, h]] = h, vals[a, h].conj()
     ratio = space.weights[inv] / space.weights if side == "right" else np.ones(n)
-    want = ratio[:, None] * vals[inv]
+    # the adjoint moves the entry of T_a at (row, col) to (col, row), where the
+    # rule wants ratio[a] times the entry of T_{a^-1} keyed (a^-1, row).  Keys
+    # are distinct, so the partners of entries that pass are distinct: when
+    # every entry passes, every entry of T_{a^-1} is matched as well
+    key = arrow * n + col
+    order = np.argsort(key)
+    want = inv[arrow] * n + row
+    match = order[np.searchsorted(key[order], want).clip(max=len(key) - 1)]
+    found = key[match] == want
+    other = np.where(found, ratio[arrow] * val[match], 0.0)
     gap = np.where(
-        adj_rows == rows[inv],
-        np.abs(adj_vals - want),
-        np.maximum(np.abs(adj_vals), np.abs(want)),
-    ).max(axis=1, initial=0.0)
-    over = np.flatnonzero(gap > tol)
-    if over.size:
+        found & (row[match] == col),
+        np.abs(val.conj() - other),
+        np.maximum(np.abs(val), np.abs(other)),
+    )
+    over = gap > tol
+    if over.any():
+        a = arrow[over].min()
         raise InternalInconsistency(
-            f"translation span not star-closed at {space.index[over[0]]!r} ({gap[over[0]]})"
+            f"translation span not star-closed at {space.index[a]!r} ({gap[arrow == a].max()})"
         )
 
 
@@ -535,16 +528,18 @@ def center(
     """Elements of the translation algebra commuting with all of it.
 
     ``alg`` is the left translation algebra of (g, w), built when not given;
-    everything is read off its column forms, whose occupied entries are the
-    composable pairs: column b of L_a holds w(a,b) at row ab.  In its basis,
-    [sum_a c_a L_a, L_b] = sum_a c_a (w(a,b) L_ab - w(b,a) L_ba), and distinct
-    translations are orthogonal, so the commutator map is the n^2 x n matrix
-    K with K[(b, k), a] = |L_k|_F (w(a,b) [ab = k] - w(b,a) [ba = k]) and
-    K^H K is the Gram matrix that ``commutant(alg.basis_ops, within=alg)``
-    builds densely.  Row (b, k) of K has at most two entries, at a = k b^-1
-    and at a = b^-1 k, so K is stored as two (column, value) pairs per row.
-    A candidate c is accepted when |Kc| / |x|_F <= tol * max(1, sigma_max),
-    where x = sum_a c_a L_a and |x|_F = |(|L_a|_F c_a)_a|.
+    everything is read off its entries, one per composable pair: column b of
+    L_a holds w(a,b) at row ab.  In its basis, [sum_a c_a L_a, L_b] =
+    sum_a c_a (w(a,b) L_ab - w(b,a) L_ba), and distinct translations are
+    orthogonal, so the commutator map is the matrix K with K[(b, k), a] =
+    |L_k|_F (w(a,b) [ab = k] - w(b,a) [ba = k]) and K^H K is the Gram matrix
+    that ``commutant(alg.basis_ops, within=alg)`` builds densely.  Row (b, k)
+    of K has at most two entries, at a = k b^-1 and at a = b^-1 k, and it has
+    one only where (k b^-1, b) or (b, b^-1 k) is a composable pair, so K is
+    stored as two (column, value) pairs on each of its at most 2P occupied
+    rows, in increasing order of (b, k).  A candidate c is accepted when
+    |Kc| / |x|_F <= tol * max(1, sigma_max), where x = sum_a c_a L_a and
+    |x|_F = |(|L_a|_F c_a)_a|.
 
     Each row of ``basis_ops`` is an accepted x as the unit n-vector y_a =
     |L_a|_F c_a; ``alg.element(y / |L_a|_F)`` is its matrix.
@@ -552,18 +547,18 @@ def center(
     if alg is None:
         alg = algebra(g, w, "left", tol=tol)
     n = alg.matrix_dim
-    occupied = alg.rows < n
-    norms = np.sqrt(occupied.sum(axis=1))  # |L_a|_F^2 counts its entries
-    i, j = np.nonzero(occupied)  # the composable pairs (a, b)
-    k = alg.rows[i, j]  # ab
+    i, j, k, phase = alg.forms  # the composable pairs (a, b), ab and w(a, b)
+    norms = np.sqrt(np.bincount(i, minlength=n))  # |L_a|_F^2 counts its entries
 
-    # the two (column, value) entries of each row (b, k); column n, with
-    # value 0, marks a missing entry
-    value = alg.vals[i, j] * norms[k]
-    cols = np.full((2, n * n), n, dtype=np.intp)
-    vals = np.zeros((2, n * n), dtype=complex)
-    cols[0, j * n + k], vals[0, j * n + k] = i, value  # c_a w(a,b) L_ab in [x, L_b]
-    cols[1, i * n + k], vals[1, i * n + k] = j, -value  # -c_b w(a,b) L_ab in [x, L_a]
+    # the two (column, value) entries of each occupied row (b, k); column n,
+    # with value 0, marks a missing entry
+    occupied, place = np.unique(np.concatenate([j * n + k, i * n + k]), return_inverse=True)
+    first, second = np.split(place, 2)
+    value = phase * norms[k]
+    cols = np.full((2, len(occupied)), n, dtype=np.intp)
+    vals = np.zeros((2, len(occupied)), dtype=complex)
+    cols[0, first], vals[0, first] = i, value  # c_a w(a,b) L_ab in [x, L_b]
+    cols[1, second], vals[1, second] = j, -value  # -c_b w(a,b) L_ab in [x, L_a]
 
     # K^H K summed over rows: row u adds conj(u_p) u_q at (p, q), for the
     # columns p, q of its two entries

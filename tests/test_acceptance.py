@@ -345,7 +345,8 @@ def test_criterion_13_central_vector_identities(
         space = l2_space(g)
         alg = algebra(g, wn)
         z = center(g, wn, alg=alg)
-        norms = np.linalg.norm(alg.vals, axis=1)
+        arrow, _, _, val = alg.forms
+        norms = np.sqrt(np.bincount(arrow, np.abs(val) ** 2, alg.matrix_dim))
         iso = g.iso_subgroupoid()
         for y in z.basis_ops:
             op = alg.element(y / norms)  # y holds coordinates over L_a / |L_a|_F

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import factoroid
 from factoroid import cli, vna
 from factoroid import constructors as mk
-from factoroid.cocycle import NotUnitModulus
+from factoroid.cocycle import NotUnitModulus, validate_cocycle
 from factoroid.groupoid import BadInverse
 from factoroid.textio import ParseError, parse_text, serialize
 
@@ -133,8 +133,15 @@ def test_missing_inverse_entry_names_arrow(full2):
 
 def test_bad_cocycle_modulus_rejected(z2):
     text = serialize(z2) + "[cocycle]\npt.1 pt.1 0.5 0.0\n"
-    with pytest.raises(NotUnitModulus):
+    with pytest.raises(ParseError) as err:
         parse_text(text)
+    assert err.value.line == len(text.splitlines())
+    # the cocycle check itself rejects the value, NaN included
+    for bad in (0.5, complex("nan")):
+        values = {pair: 1.0 for pair in z2.composable_pairs()}
+        values[("pt.1", "pt.1")] = bad
+        with pytest.raises(NotUnitModulus):
+            validate_cocycle(z2, values)
 
 
 def test_cocycle_on_noncomposable_pair_rejected(full2):
@@ -208,11 +215,11 @@ def test_cli_internal_inconsistency_exits_2(tmp_path, capsys, monkeypatch):
     real = vna._column_forms
 
     def corrupt(constants, side, space):
-        rows, vals = real(constants, side, space)
-        a = space.pos["r|x0|x1"]
-        h = np.flatnonzero(rows[a] < space.dim)[0]
-        vals[a, h] = -vals[a, h]  # one phase flipped
-        return rows, vals
+        arrow, col, row, val = real(constants, side, space)
+        entries = np.flatnonzero(arrow == space.pos["r|x0|x1"])
+        e = entries[np.argmin(col[entries])]
+        val[e] = -val[e]  # one phase flipped
+        return arrow, col, row, val
 
     monkeypatch.setattr(vna, "_column_forms", corrupt)
     code = cli.main(["report", str(path)])
@@ -220,6 +227,21 @@ def test_cli_internal_inconsistency_exits_2(tmp_path, capsys, monkeypatch):
     assert code == 2 and not captured.out
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
     assert "star-closed" in captured.err
+
+
+@pytest.mark.parametrize("phase", ["nan 0", "0.5 0", "inf 0"])
+def test_cli_bad_phase_exits_1_naming_its_line(tmp_path, capsys, phase):
+    path = tmp_path / "k.txt"
+    run_cli(capsys, "gen", "--family", "klein4-twisted", "--out", str(path))
+    lines = path.read_text().splitlines()
+    row = lines.index("[cocycle]") + 1
+    lines[row] = " ".join(lines[row].split()[:2] + [phase])
+    path.write_text("\n".join(lines) + "\n")
+    code = cli.main(["report", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert f"line {row + 1}:" in captured.err
 
 
 @pytest.mark.parametrize("seed", [21, 24, 48])

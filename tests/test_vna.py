@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -39,7 +40,8 @@ def random_algebra_element(alg, rng):
 def central_matrices(alg, z):
     """The center's rows y, coordinates over the frame L_a / |L_a|_F, as the
     n x n matrices sum_a (y_a / |L_a|_F) L_a."""
-    norms = np.linalg.norm(alg.vals, axis=1)
+    arrow, _, _, val = alg.forms
+    norms = np.sqrt(np.bincount(arrow, np.abs(val) ** 2, alg.matrix_dim))
     return [alg.element(y / norms) for y in z.basis_ops]
 
 
@@ -243,20 +245,22 @@ def test_center_dim_matches_regular_class_count():
 
 def _mutated_column_forms(target, mutation):
     """_column_forms with the translation by arrow position ``target`` (at
-    least two entries) mutated: one phase flipped, the rows of two columns
-    swapped, or one column moved into the row of another."""
+    least two entries) mutated in its first two columns: one phase flipped,
+    the rows of the two columns swapped, or one column moved into the row of
+    the other."""
     real = vna._column_forms
 
     def forms(constants, side, space):
-        rows, vals = real(constants, side, space)
-        c1, c2 = np.flatnonzero(rows[target] < space.dim)[:2]
+        arrow, col, row, val = real(constants, side, space)
+        entries = np.flatnonzero(arrow == target)
+        e1, e2 = entries[np.argsort(col[entries])][:2]
         if mutation == "phase":
-            vals[target, c1] = -vals[target, c1]
+            val[e1] = -val[e1]
         elif mutation == "swap":
-            rows[target, [c1, c2]] = rows[target, [c2, c1]]
+            row[[e1, e2]] = row[[e2, e1]]
         else:
-            rows[target, c2] = rows[target, c1]
-        return rows, vals
+            row[e2] = row[e1]
+        return arrow, col, row, val
 
     return forms
 
@@ -268,8 +272,8 @@ def test_structure_check_catches_mutated_stack(monkeypatch, side, mutation):
     assert not g.flags.pmp
     space = l2_space(g)
     constants = vna._structure_constants(g, normalize_cocycle(g, w), space)
-    rows, _ = vna._column_forms(constants, side, space)
-    occupied = (rows < space.dim).sum(axis=1)
+    arrow = vna._column_forms(constants, side, space)[0]
+    occupied = np.bincount(arrow, minlength=space.dim)
     target = max(
         (space.pos[a] for a in space.index if a not in g.unit_arrow_set),
         key=lambda t: occupied[t],
@@ -279,6 +283,37 @@ def test_structure_check_catches_mutated_stack(monkeypatch, side, mutation):
     monkeypatch.setattr(vna, "_column_forms", _mutated_column_forms(target, mutation))
     with pytest.raises(InternalInconsistency):
         algebra(g, w, side)
+
+
+def test_adjoint_check_matches_dense_definition():
+    # the check keyed by (arrow, column) raises exactly when the dense
+    # translations break T_a^* = ratio_a T_{a^-1}, for every mutated arrow
+    cases = [mk.random_twisted_pair(seed) for seed in range(3)]
+    cases += [(mk.random_groupoid(seed), None) for seed in range(3)]
+    checked = 0
+    for g, w in cases:
+        space = l2_space(g)
+        inv = vna._inverse_positions(space)
+        constants = vna._structure_constants(g, vna._normalized(g, w), space)
+        for side in ("left", "right"):
+            ratio = space.weights[inv] / space.weights if side == "right" else 1.0
+            arrow = vna._column_forms(constants, side, space)[0]
+            for target, mutation in itertools.product(
+                np.flatnonzero(np.bincount(arrow) >= 2), ("phase", "swap", "merge")
+            ):
+                fresh = tuple(a.copy() for a in constants)
+                forms = _mutated_column_forms(target, mutation)(fresh, side, space)
+                ops = vna.TranslationAlgebra(forms, space.dim).basis_ops
+                want = np.reshape(ratio, (-1, 1, 1)) * ops[inv]
+                broken = np.abs(ops.conj().transpose(0, 2, 1) - want).max()
+                try:
+                    vna._verify_structure(side, space, forms, vna.RANK_TOL)
+                    raised = False
+                except InternalInconsistency:
+                    raised = True
+                assert raised == (broken > vna.RANK_TOL), (target, mutation, side)
+                checked += 1
+    assert checked >= 300
 
 
 def test_disjoint_span_matches_svd_span(s3_bundle):
@@ -363,21 +398,34 @@ def test_rep_operator_matches_algebra_element():
                 ), (a, side)
 
 
-def test_algebra_builds_no_dense_stack():
-    # the column forms are n x n; an n x n x n stack alone would be n^3 * 16 B
+def _traced_peak(call):
     import tracemalloc
 
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_algebra_builds_no_dense_stack():
+    # the entries are P-long; an n x n x n stack alone would be n^3 * 16 B
     units = [f"x{i}" for i in range(9)]
     g = mk.full_relation(units, {u: 1 / 9 for u in units})
     n = l2_space(g).dim
     algebra(g)
-    tracemalloc.start()
-    try:
-        algebra(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: algebra(g))
     assert peak < n ** 3 * 16 / 2, peak
+    # center's K has at most 2P rows (P = 4,096 here, against n^2 = 65,536),
+    # so its peak stays within a few n x n complex arrays
+    units = [f"x{i}" for i in range(16)]
+    g = mk.full_relation(units, {u: 1 / 16 for u in units})
+    alg = algebra(g)
+    n = alg.matrix_dim
+    center(g, alg=alg)
+    peak = _traced_peak(lambda: center(g, alg=alg))
+    assert peak < 8 * n ** 2 * 16, peak
 
 
 def test_invariant_subalgebra_dims(full2, z2_bundle, null_orbit_groupoid):
