@@ -5,11 +5,16 @@ errors and when the reader of stdout goes away early, 2 when a report
 detects an inconsistency between the structural deciders and the numerical
 center, or an internal self-check fails (either should never happen and
 fails any surrounding build).
+
+The argument parser is built once per process, on the first call of
+``main``, and holds no per-call state: each call parses into a fresh
+namespace and reads ``FACTOROID_TOLERANCE`` anew.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -298,7 +303,11 @@ def cmd_dr_scan(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``factoroid`` parser, built once per process and shared by every
+    call: it depends on no file, argument or environment variable, and holds
+    no per-call state (parsing leaves it as it was)."""
     parser = _Parser(
         prog="factoroid",
         description=(

@@ -393,6 +393,29 @@ def test_cli_negative_env_tolerance_exits_1(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: ") and "FACTOROID_TOLERANCE" in err
 
 
+def test_cli_shared_parser_keeps_no_state(tmp_path, capsys, monkeypatch):
+    # one parser serves every call in the process; no option, default or
+    # environment value may leak from one call into the next
+    path = str(tmp_path / "k.txt")
+    run_cli(capsys, "gen", "--family", "klein4-twisted", "--out", path)
+
+    def text_rank_tol(out):
+        return [line.split()[1] for line in out.splitlines() if line.startswith("rank_tol ")]
+
+    code, out = run_cli(capsys, "report", "--rank-tol", "1e-6", path)
+    assert code == 0 and text_rank_tol(out) == ["1e-06"]
+    code, first = run_cli(capsys, "report", path, "--format", "json")
+    assert code == 0 and json.loads(first)["rank_tol"] == 1e-9
+    monkeypatch.setenv("FACTOROID_TOLERANCE", "1e-7")
+    code, out = run_cli(capsys, "report", path)
+    assert code == 0 and text_rank_tol(out) == ["1e-07"]
+    monkeypatch.delenv("FACTOROID_TOLERANCE")
+    assert cli.main(["report", "--rank-tol", "abc", path]) == 1
+    assert "--rank-tol" in capsys.readouterr().err
+    assert run_cli(capsys, "report", path, "--format", "json") == (0, first)
+    assert cli.build_parser() is cli.build_parser()
+
+
 @pytest.mark.parametrize(
     "argv",
     [["report"], ["validate", "{file}", "--format", "json"],

@@ -285,6 +285,39 @@ def test_structure_check_catches_mutated_stack(monkeypatch, side, mutation):
         algebra(g, w, side)
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_identity_check_catches_flipped_unit_entry(monkeypatch, side):
+    # a diagonal entry of a unit translation set to -1 keeps the adjoint rule
+    # (the unit is its own inverse) and the rank, but the span loses I
+    g, w = mk.random_twisted_pair(2)
+    space = l2_space(g)
+    constants = vna._structure_constants(g, normalize_cocycle(g, w), space)
+    real = vna._column_forms
+    arrow = real(constants, side, space)[0]
+    occupied = np.bincount(arrow, minlength=space.dim)
+    target = max((space.pos[e] for e in g.unit_arrow_set if e in space.pos),
+                 key=lambda t: occupied[t])
+    assert occupied[target] >= 2
+
+    def flipped(constants, side, space):
+        arrow, col, row, val = real(constants, side, space)
+        val = val.copy()  # the left forms are the constants themselves
+        val[np.flatnonzero((arrow == target) & (row == col))[0]] *= -1
+        return arrow, col, row, val
+
+    # the residual from the entries is the dense one, before and after
+    dense = []
+    for forms in (real(constants, side, space), flipped(constants, side, space)):
+        alg = vna.TranslationAlgebra(forms, space.dim)
+        dense.append(alg.contains(np.eye(space.dim))[1])
+        assert alg.identity_residual() == pytest.approx(dense[-1], abs=1e-15)
+    assert dense[0] < 1e-15 and dense[1] > 0.1
+    algebra(g, w, side)
+    monkeypatch.setattr(vna, "_column_forms", flipped)
+    with pytest.raises(InternalInconsistency, match="algebra misses its identity"):
+        algebra(g, w, side)
+
+
 def test_adjoint_check_matches_dense_definition():
     # the check keyed by (arrow, column) raises exactly when the dense
     # translations break T_a^* = ratio_a T_{a^-1}, for every mutated arrow
@@ -705,8 +738,8 @@ def test_report_reads_composition_table_once(monkeypatch):
 
 
 def test_report_forms_no_operator_after_algebra(monkeypatch):
-    # center, invariants and containment see only n-vectors: the one n x n
-    # operator a report builds is the identity that algebra checks
+    # center, invariants and containment see only n-vectors, and algebra
+    # checks the identity on the entries: a report builds no n x n operator
     s4 = mk.symmetric_group(4)
     bundle = mk.group_bundle({u: s4 for u in ("y0", "y1", "y2")},
                              {"y0": 0.2, "y1": 0.3, "y2": 0.5})
@@ -722,7 +755,7 @@ def test_report_forms_no_operator_after_algebra(monkeypatch):
     for g, w in (mk.random_twisted_pair(2), (bundle, None)):
         calls.update(dict.fromkeys(calls, 0))
         assert factoriality_report(g, w).consistent
-        assert calls == {"multiplication_operator": 0, "_scatter": 1}
+        assert calls == {"multiplication_operator": 0, "_scatter": 0}
 
 
 def test_center_reads_only_the_algebra():
