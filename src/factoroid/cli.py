@@ -6,9 +6,7 @@ detects an inconsistency between the structural deciders and the numerical
 center, or an internal self-check fails (either should never happen and
 fails any surrounding build).
 
-The argument parser is built once per process, on the first call of
-``main``, and holds no per-call state: each call parses into a fresh
-namespace and reads ``FACTOROID_TOLERANCE`` anew.
+The parser is built once per process (see ``build_parser``).
 """
 
 from __future__ import annotations

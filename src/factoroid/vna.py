@@ -26,14 +26,13 @@ needs no SVD.
 ``center`` reads the commutator map c -> ([sum_a c_a L_a, L_b])_b off the
 checked left entries as a sparse matrix K with at most 2P rows, since
 [L_a, L_b] = w(a,b) L_ab - w(b,a) L_ba and distinct translations are
-orthogonal; its Gram matrix K^H K is n x n.  A report forms no n x n
-operator: ``algebra`` checks the identity on the entries, and ``center``
-and ``invariant_subalgebra`` keep the coordinates y_a = |L_a|_F c_a of
-x = sum_a c_a L_a over the orthonormal frame L_a / |L_a|_F, an isometry,
-so ``subspaces_equal`` gets the matrices' ranks and residuals from
-n-vectors.  ``commutant`` builds the same Gram matrix from dense products,
-with matrix elements, as the oracle for ``center``; without ``within`` it
-also computes full commutants.
+orthogonal; its Gram matrix K^H K is n x n.  After ``algebra`` a report
+forms no n x n operator: ``center`` and ``invariant_subalgebra`` keep the
+coordinates y_a = |L_a|_F c_a of x = sum_a c_a L_a over the orthonormal
+frame L_a / |L_a|_F, an isometry, so ``subspaces_equal`` gets the matrices'
+ranks and residuals from n-vectors.  ``commutant`` builds the same Gram
+matrix from dense products, with matrix elements, as the oracle for
+``center``; without ``within`` it also computes full commutants.
 
 Rank and nullspace decisions use an explicit tolerance.  Nullspaces are read
 off the spectrum of a Gram matrix (its eigenvalues are the squared singular
@@ -308,20 +307,6 @@ class TranslationAlgebra:
         residual = float(np.linalg.norm(mat - self.element(inner * self._scale)) / norm)
         return residual <= tol, residual
 
-    def identity_residual(self) -> float:
-        """The residual of ``contains(identity)``, from the entries: c_a sums
-        conj(val) over the diagonal entries of T_a, over |T_a|_F^2, and since
-        supports are disjoint, |I - sum_a c_a T_a|_F^2 sums |[row = col] -
-        c_a val|^2 over the entries, plus 1 per uncovered diagonal place."""
-        arrow, col, row, val = self.forms
-        n = self.matrix_dim
-        diag = row == col
-        on = arrow[diag]
-        inner = np.bincount(on, val[diag].real, n) - 1j * np.bincount(on, val[diag].imag, n)
-        gap = diag - (inner * self._scale)[arrow] * val
-        total = float(np.sum(gap.real ** 2 + gap.imag ** 2)) + (n - len(on))
-        return math.sqrt(total / n) if n else 0.0
-
 
 def subspace_leq(
     a: TranslationAlgebra | MatrixStarAlgebra,
@@ -476,8 +461,8 @@ def algebra(
     forms = _column_forms(constants, side, space)
     _verify_structure(side, space, forms, tol)
     alg = TranslationAlgebra(forms, n, tol)
-    res = alg.identity_residual()
-    if res > tol:
+    ok, res = alg.contains(np.eye(n))
+    if not ok:
         raise InternalInconsistency(f"algebra misses its identity (residual {res})")
     if alg.dim != n:
         raise InternalInconsistency(f"algebra rank {alg.dim} != arrow count {n}")
