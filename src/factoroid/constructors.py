@@ -1,10 +1,11 @@
 """Builders for the standard groupoid families.
 
 Everything here produces validated :class:`MeasuredGroupoid` instances with
-plain string identifiers: group bundles, transformation groupoids of global
-and partial actions, globalizations of partial actions, eventually-periodic
-shift systems, the symmetric-group bundle family, the named example
-instances, and a seeded random generator used by the verification corpus.
+plain string identifiers: group bundles, groupoids of partial actions (a
+transformation groupoid of a global action is the full-domain case, built by
+the same code), globalizations of partial actions, eventually-periodic shift
+systems, the symmetric-group bundle family, the named example instances, and
+a seeded random generator used by the verification corpus.
 """
 
 from __future__ import annotations
@@ -26,10 +27,6 @@ from .groupoid import (
 )
 
 
-class NotAnAction(GroupoidError):
-    pass
-
-
 class InvalidPartialAction(GroupoidError):
     pass
 
@@ -45,24 +42,6 @@ class FiniteGroupTable:
     mult: dict[tuple[str, str], str]
     inverse: dict[str, str]
     identity: str
-
-    def validate(self) -> "FiniteGroupTable":
-        elems = set(self.elements)
-        if len(elems) != len(self.elements):
-            raise GroupoidError(f"duplicate elements in group {self.name}")
-        for a in self.elements:
-            if self.mult[(self.identity, a)] != a or self.mult[(a, self.identity)] != a:
-                raise GroupoidError(f"identity fails in group {self.name} at {a}")
-            if self.mult[(a, self.inverse[a])] != self.identity:
-                raise GroupoidError(f"inverse fails in group {self.name} at {a}")
-        # associativity is not checked here: every table is built from
-        # addition mod n, composition of permutations or a direct product of
-        # such tables, and validate_groupoid checks it on every groupoid made
-        # from one
-        pairs = itertools.product(self.elements, repeat=2)
-        if any(self.mult[p] not in elems for p in pairs):
-            raise GroupoidError(f"multiplication not closed in {self.name}")
-        return self
 
     def conjugacy_classes(self) -> list[frozenset[str]]:
         """Brute-force conjugacy classes, in first-element order."""
@@ -86,7 +65,7 @@ def cyclic_group(n: int) -> FiniteGroupTable:
         (str(i), str(j)): str((i + j) % n) for i in range(n) for j in range(n)
     }
     inv = {str(i): str((-i) % n) for i in range(n)}
-    return FiniteGroupTable(f"Z{n}", elems, mult, inv, "0").validate()
+    return FiniteGroupTable(f"Z{n}", elems, mult, inv, "0")
 
 
 def _perm_label(p: tuple[int, ...]) -> str:
@@ -107,7 +86,7 @@ def _group_from_perms(name: str, perms: Iterable[tuple[int, ...]]) -> FiniteGrou
     ident = tuple(range(len(perms[0])))
     return FiniteGroupTable(
         name, tuple(label[p] for p in perms), mult, inv, label[ident]
-    ).validate()
+    )
 
 
 def symmetric_group(n: int) -> FiniteGroupTable:
@@ -144,7 +123,7 @@ def direct_product(a: FiniteGroupTable, b: FiniteGroupTable) -> FiniteGroupTable
     return FiniteGroupTable(
         f"{a.name}x{b.name}", elems, mult, inv,
         f"{a.identity}.{b.identity}",
-    ).validate()
+    )
 
 
 def klein_four_group() -> FiniteGroupTable:
@@ -231,37 +210,9 @@ def transformation_groupoid(
     mass: Mapping[str, float],
     **kw,
 ) -> MeasuredGroupoid:
-    """Arrows (g, x) from x to g.x, composing as (g, h.x)(h, x) = (gh, x)."""
-    units = tuple(units)
-    for x in units:
-        if action[(group.identity, x)] != x:
-            raise NotAnAction(f"identity moves the point {x!r}")
-    for g1 in group.elements:
-        for g2 in group.elements:
-            for x in units:
-                if action[(g1, action[(g2, x)])] != action[(group.mult[(g1, g2)], x)]:
-                    raise NotAnAction(
-                        f"action not compatible at ({g1}, {g2}, {x})"
-                    )
-
-    def aid(gm: str, x: str) -> str:
-        return f"{gm}|{x}"
-
-    arrows = [(aid(gm, x), x, action[(gm, x)]) for gm in group.elements for x in units]
-    compose = {}
-    inverse = {}
-    for gm in group.elements:
-        for x in units:
-            inverse[aid(gm, x)] = aid(group.inverse[gm], action[(gm, x)])
-            for hm in group.elements:
-                # second factor (hm, x) lands at hm.x where (gm, hm.x) starts
-                compose[(aid(gm, action[(hm, x)]), aid(hm, x))] = (
-                    aid(group.mult[(gm, hm)], x)
-                )
-    unit_arrows = {x: aid(group.identity, x) for x in units}
-    return validate_groupoid(
-        MeasuredGroupoid(units, mass, arrows, compose, inverse, unit_arrows, **kw)
-    )
+    """Arrows (g, x) from x to g.x, composing as (g, h.x)(h, x) = (gh, x): the
+    full-domain partial action, so a non-action raises InvalidPartialAction."""
+    return partial_action_groupoid(global_partial_action(group, action, units, mass), **kw)
 
 
 def translation_action(group: FiniteGroupTable) -> dict[tuple[str, str], str]:
@@ -419,7 +370,11 @@ def klein_four_twisted(exact: bool = False) -> tuple[MeasuredGroupoid, Cocycle]:
 
 @dataclass(frozen=True)
 class PartialActionSystem:
-    """Domains X_g and partial bijections sigma_g : X_{g^-1} -> X_g."""
+    """Domains X_g and partial bijections sigma_g : X_{g^-1} -> X_g.
+
+    The partial-action axioms are checked on construction, so every instance
+    is valid; an invalid one raises :class:`InvalidPartialAction`.
+    """
 
     group: FiniteGroupTable
     units: tuple[str, ...]
@@ -427,7 +382,7 @@ class PartialActionSystem:
     domains: dict[str, frozenset[str]]
     maps: dict[str, dict[str, str]]  # g -> {x in X_{g^-1}: sigma_g(x)}
 
-    def validate(self) -> "PartialActionSystem":
+    def __post_init__(self) -> None:
         grp = self.group
         unit_set = set(self.units)
         for gm in grp.elements:
@@ -469,7 +424,6 @@ class PartialActionSystem:
                                 f"composition of {g1}, {g2} leaves graph of {g12}",
                                 [x],
                             )
-        return self
 
     def fix(self, gm: str) -> frozenset[str]:
         return frozenset(
@@ -489,12 +443,11 @@ def global_partial_action(
     maps = {
         gm: {x: action[(gm, x)] for x in units} for gm in group.elements
     }
-    return PartialActionSystem(group, units, dict(mass), domains, maps).validate()
+    return PartialActionSystem(group, units, dict(mass), domains, maps)
 
 
 def partial_action_groupoid(p: PartialActionSystem, **kw) -> MeasuredGroupoid:
     """Arrows (g, x) for x in the inverse domain of g, from x to sigma_g(x)."""
-    p.validate()
     grp = p.group
 
     def aid(gm: str, x: str) -> str:
@@ -526,7 +479,6 @@ def restrict_partial(p: PartialActionSystem, keep: Iterable[str]) -> PartialActi
     The groupoid of the restriction equals the restriction of the groupoid,
     which is verified arrow-for-arrow before returning.
     """
-    p.validate()
     keep_set = set(keep)
     if not keep_set:
         raise InvalidPartialAction("restriction to an empty subset")
@@ -549,7 +501,7 @@ def restrict_partial(p: PartialActionSystem, keep: Iterable[str]) -> PartialActi
         }
     restricted = PartialActionSystem(
         p.group, units, {u: p.mass[u] / total for u in units}, domains, maps
-    ).validate()
+    )
 
     lhs = partial_action_groupoid(restricted)
     rhs, _ = partial_action_groupoid(p).restrict(units)
@@ -588,7 +540,6 @@ def globalize(p: PartialActionSystem) -> Globalization:
     coordinate.  The embedded copy of the original space is checked to be
     full and to restrict back to the original groupoid.
     """
-    p.validate()
     grp = p.group
     order = [grp.identity] + [e for e in grp.elements if e != grp.identity]
 
@@ -698,9 +649,7 @@ def half_domain_fixture() -> PartialActionSystem:
         "0": {"y0": "y0", "y1": "y1"},
         "1": {"y0": "y0"},
     }
-    return PartialActionSystem(
-        grp, units, {"y0": 0.5, "y1": 0.5}, domains, maps
-    ).validate()
+    return PartialActionSystem(grp, units, {"y0": 0.5, "y1": 0.5}, domains, maps)
 
 
 def random_partial_action(seed: int) -> PartialActionSystem:

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from factoroid import constructors as mk
 from factoroid.conjugacy import conjugacy_class, is_icc, min_bisection_cover_count
-from factoroid.groupoid import GroupoidError, check_isomorphism
+from factoroid.groupoid import (
+    GroupoidError, MeasuredGroupoid, check_isomorphism, validate_groupoid,
+)
 from factoroid.textio import serialize
 from factoroid.vna import center
 
@@ -16,7 +18,7 @@ def test_group_tables():
         mk.cyclic_group(1), mk.cyclic_group(4), mk.symmetric_group(3),
         mk.dihedral_group(4), mk.klein_four_group(),
     ):
-        table.validate()
+        assert mk.group_groupoid(table).validated
     assert len(mk.symmetric_group(3).elements) == 6
     assert len(mk.dihedral_group(4).elements) == 8
     assert len(mk.klein_four_group().elements) == 4
@@ -154,25 +156,52 @@ def test_induced_diagnostic_coset_action():
     assert len(witness.subgroup) == 2
 
 
-def test_rejects_non_action():
-    z2 = mk.cyclic_group(2)
-    with pytest.raises(mk.NotAnAction):
+def _z3_twice_the_same_swap():
+    # every map is a bijection, but sigma_1 sigma_1 is not sigma_2
+    swap = {"x": "y", "y": "x", "z": "z"}
+    return {(g, u): (u if g == "0" else swap[u]) for g in "012" for u in "xyz"}
+
+
+@pytest.mark.parametrize(
+    "group, action",
+    [
+        (mk.cyclic_group(2), {("0", "x"): "x", ("1", "x"): "y",
+                              ("0", "y"): "x", ("1", "y"): "x"}),
+        (mk.cyclic_group(2), {("0", "x"): "y", ("1", "x"): "x",
+                              ("0", "y"): "x", ("1", "y"): "y"}),
+        (mk.cyclic_group(3), _z3_twice_the_same_swap()),
+    ],
+    ids=["not-bijective", "identity-moves-a-point", "not-compatible"],
+)
+def test_rejects_non_action(group, action):
+    units = sorted({u for _, u in action})
+    with pytest.raises(mk.InvalidPartialAction):
         mk.transformation_groupoid(
-            z2, {("0", "x"): "x", ("1", "x"): "y",
-                 ("0", "y"): "x", ("1", "y"): "x"},
-            ["x", "y"], {"x": 0.5, "y": 0.5},
+            group, action, units, {u: 1 / len(units) for u in units}
         )
 
 
-def test_full_domain_partial_action_matches_global(swap_groupoid):
+def test_full_domain_partial_action_matches_global():
     z2 = mk.cyclic_group(2)
     action = {("0", "x0"): "x0", ("0", "x1"): "x1",
               ("1", "x0"): "x1", ("1", "x1"): "x0"}
     p = mk.global_partial_action(z2, action, ["x0", "x1"],
                                  {"x0": 0.5, "x1": 0.5})
     g = mk.partial_action_groupoid(p)
+    # the swap groupoid written out by hand: (g, h.x)(h, x) = (g + h, x)
+    swap = validate_groupoid(MeasuredGroupoid(
+        ["x0", "x1"], {"x0": 0.5, "x1": 0.5},
+        [("0|x0", "x0", "x0"), ("0|x1", "x1", "x1"),
+         ("1|x0", "x0", "x1"), ("1|x1", "x1", "x0")],
+        {("0|x0", "0|x0"): "0|x0", ("0|x0", "1|x1"): "1|x1",
+         ("1|x0", "0|x0"): "1|x0", ("1|x0", "1|x1"): "0|x1",
+         ("0|x1", "0|x1"): "0|x1", ("0|x1", "1|x0"): "1|x0",
+         ("1|x1", "0|x1"): "1|x1", ("1|x1", "1|x0"): "0|x0"},
+        {"0|x0": "0|x0", "0|x1": "0|x1", "1|x0": "1|x1", "1|x1": "1|x0"},
+        {"x0": "0|x0", "x1": "0|x1"},
+    ))
     assert check_isomorphism(
-        g, swap_groupoid,
+        g, swap,
         {u: u for u in g.units},
         {a: a for a in g.arrow_order},
         check_mass=True,
@@ -193,7 +222,7 @@ def test_empty_domains_give_trivial_groupoid():
         z2, ("y0", "y1"), {"y0": 0.5, "y1": 0.5},
         {"0": frozenset({"y0", "y1"}), "1": frozenset()},
         {"0": {"y0": "y0", "y1": "y1"}, "1": {}},
-    ).validate()
+    )
     g = mk.partial_action_groupoid(p)
     assert len(g.arrows) == 2
 
@@ -205,7 +234,7 @@ def test_invalid_partial_action_detected():
             z2, ("y0", "y1"), {"y0": 0.5, "y1": 0.5},
             {"0": frozenset({"y0", "y1"}), "1": frozenset({"y0"})},
             {"0": {"y0": "y0", "y1": "y1"}, "1": {"y0": "y1"}},  # not into X_1
-        ).validate()
+        )
 
 
 def test_restrict_partial_identity():
@@ -258,7 +287,7 @@ def test_globalize_empty_domains_gives_product():
         z2, ("y0", "y1"), {"y0": 0.5, "y1": 0.5},
         {"0": frozenset({"y0", "y1"}), "1": frozenset()},
         {"0": {"y0": "y0", "y1": "y1"}, "1": {}},
-    ).validate()
+    )
     glob = mk.globalize(p)
     assert len(glob.space_units) == 4  # G x Y
 
@@ -393,12 +422,23 @@ def _serialized_digest(instances) -> str:
 
 def test_generator_output_is_pinned():
     # the acceptance corpora and the benchmark pool are drawn from these
-    # seeds; a refactor of the generators must keep every RNG draw in order
+    # seeds; a refactor of the generators must keep every RNG draw in order.
+    # The named instances and globalizations pin the other builders' output.
     assert _serialized_digest((mk.random_groupoid(s),) for s in range(200)) == (
         "dc491908a31a23934df3bdf0aba9817333318c793458980410c30b5cca086fa7"
     )
     assert _serialized_digest(mk.random_twisted_pair(s) for s in range(100)) == (
         "0f7f2cbb2618acecd0d084dee7e46d02e83a346f77c86d1695301e233946a667"
+    )
+    named = (mk.NAMED_INSTANCES[name]() for name in sorted(mk.NAMED_INSTANCES))
+    assert _serialized_digest(named) == (
+        "eb97b8b6b96e97093f877c4be32f5f60db7ce9e92965793c931d659cdfe38880"
+    )
+    globalized = (
+        (mk.globalize(mk.random_partial_action(s)).groupoid,) for s in range(8)
+    )
+    assert _serialized_digest(globalized) == (
+        "5f3fffd2ef88619684c90e088ed27c828819fd069278fdfdbf756bc68226973f"
     )
 
 
