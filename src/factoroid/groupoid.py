@@ -15,7 +15,10 @@ nothing.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate, chain, islice, repeat
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -143,6 +146,24 @@ class PairTable:
         return None if best is None else best[1]
 
 
+def _positions(index: Mapping[str, int], ids: Iterable, *sizes: int) -> list[np.ndarray]:
+    """The positions of ``ids`` under ``index``, -1 for an unknown id, cut
+    into consecutive pieces of the given sizes."""
+    at = np.fromiter(map(index.get, ids, repeat(-1)), dtype=np.intp, count=sum(sizes))
+    ends = list(accumulate(sizes))
+    return [at[i:j] for i, j in zip([0, *ends], ends)]
+
+
+def _first_row(*masks: np.ndarray) -> Optional[tuple[int, int]]:
+    """The first row on which one of the masks holds, and the first mask
+    that holds there; None if none does."""
+    rows = reduce(np.logical_or, masks)
+    if not rows.any():
+        return None
+    r = int(rows.argmax())
+    return r, next(i for i, mask in enumerate(masks) if mask[r])
+
+
 class MeasuredGroupoid:
     """A finite groupoid with a weighted unit space.
 
@@ -235,10 +256,10 @@ class MeasuredGroupoid:
     # -- validation ------------------------------------------------------
 
     def validate(self) -> "MeasuredGroupoid":
-        unit_set = set(self.units)
-        if len(unit_set) != len(self.units):
-            dupes = [u for u in unit_set if self.units.count(u) > 1]
-            raise BadUnit("duplicate unit identifiers", dupes)
+        unit = {u: i for i, u in enumerate(self.units)}
+        if len(unit) != len(self.units):
+            count = Counter(self.units)
+            raise BadUnit("duplicate unit identifiers", [u for u in unit if count[u] > 1])
         if len(self._index) != len(self.arrows):
             seen: set[str] = set()
             dupes = []
@@ -248,6 +269,7 @@ class MeasuredGroupoid:
                 seen.add(a)
             raise DanglingReference("duplicate arrow identifiers", dupes)
 
+        unit_set = set(self.units)
         for u in self.units:
             if self.mass[u] < 0.0:
                 raise BadUnit(f"negative mass at unit {u!r}", [u])
@@ -265,25 +287,35 @@ class MeasuredGroupoid:
                 "unit masses do not sum to 1 (pass unnormalized=True to allow)"
             )
 
-        for a in self.arrows:
-            if a.src not in unit_set or a.tgt not in unit_set:
-                raise DanglingReference(
-                    f"arrow {a.id!r} references unknown unit", [a.id]
-                )
+        # Every table in positions, -1 for an unknown id.  None, which is no
+        # id, ends src_ and tgt_ with a -1: an unknown arrow's endpoints.
+        n, k, m, rows = map(len, (self.arrows, self.unit_arrow, self.inverse, self.compose))
+        src_, tgt_, x = _positions(unit, chain(
+            self.src.values(), [None], self.tgt.values(), [None], self.unit_arrow
+        ), n + 1, n + 1, k)
+        e, g, gi, gh, pair = _positions(self._index, chain(
+            self.unit_arrow.values(), self.inverse, self.inverse.values(),
+            self.compose.values(), chain.from_iterable(self.compose),
+        ), k, m, m, rows, 2 * rows)
+        src, tgt = src_[:-1], tgt_[:-1]
+        bad = (src < 0) | (tgt < 0)
+        if bad.any():
+            a = self.arrow_order[bad.argmax()]
+            raise DanglingReference(f"arrow {a!r} references unknown unit", [a])
 
         if set(self.unit_arrow) != unit_set:
             missing = sorted(unit_set - set(self.unit_arrow))
             raise BadUnit("unit_arrows must be defined for every unit", missing)
-        for x, e in self.unit_arrow.items():
-            if e not in self._index:
-                raise DanglingReference(
-                    f"unit arrow {e!r} of {x!r} is not an arrow", [e]
-                )
-            if self.src[e] != x or self.tgt[e] != x:
-                raise BadUnit(f"unit arrow {e!r} is not a loop at {x!r}", [e])
+        found = _first_row(e < 0, (src_[e] != x) | (tgt_[e] != x))
+        if found is not None:
+            u, a = next(islice(self.unit_arrow.items(), found[0], None))
+            raise (
+                DanglingReference(f"unit arrow {a!r} of {u!r} is not an arrow", [a]),
+                BadUnit(f"unit arrow {a!r} is not a loop at {u!r}", [a]),
+            )[found[1]]
+        unit_arrow = np.empty(len(unit), dtype=np.intp)
+        unit_arrow[x] = e
         self._unit_arrow_ids = frozenset(self.unit_arrow.values())
-        if len(self._unit_arrow_ids) != len(self.units):
-            raise BadUnit("distinct units share a unit arrow")
 
         by_source: dict[str, list[str]] = {u: [] for u in self.units}
         by_target: dict[str, list[str]] = {u: [] for u in self.units}
@@ -293,57 +325,48 @@ class MeasuredGroupoid:
         self._by_source = {u: tuple(v) for u, v in by_source.items()}
         self._by_target = {u: tuple(v) for u, v in by_target.items()}
 
-        # composition table: keyed exactly by the composable pairs
-        for (g, h), gh in self.compose.items():
-            for a in (g, h, gh):
-                if a not in self._index:
-                    raise DanglingReference(
-                        f"compose entry ({g!r},{h!r})->{gh!r} uses unknown arrow",
-                        [a],
-                    )
-            if self.tgt[h] != self.src[g]:
-                raise BadUnit(
-                    f"compose({g!r},{h!r}) defined but tgt(h) != src(g)", [g, h]
-                )
-            if self.src[gh] != self.src[h] or self.tgt[gh] != self.tgt[g]:
-                raise BadUnit(
-                    f"product {gh!r} of ({g!r},{h!r}) has wrong endpoints",
-                    [g, h, gh],
-                )
-        for h in self.arrow_order:
-            for g in self._by_source[self.tgt[h]]:
-                if (g, h) not in self.compose:
-                    raise DanglingReference(
-                        f"missing composition for composable pair ({g!r},{h!r})",
-                        [g, h],
-                    )
+        pairs = self._pair_table(src_, tgt_, *pair.reshape(-1, 2).T, gh)
+        prod, start, rank = pairs.prod, pairs.start, pairs.rank
 
-        # inversion: involution producing the unit arrows
+        # inversion: an involution giving the unit arrows.  A row that fails
+        # a check may point outside the table, where clip keeps it; its later
+        # checks are not read.
         if set(self.inverse) != set(self._index):
             missing = sorted(set(self._index) - set(self.inverse))
             raise BadInverse("inverse must be defined for every arrow", missing)
-        for g, gi in self.inverse.items():
-            if gi not in self._index:
-                raise DanglingReference(f"inverse of {g!r} is unknown", [g, gi])
-            if self.inverse[gi] != g:
-                raise BadInverse(f"inverse is not an involution at {g!r}", [g, gi])
-            if self.src[gi] != self.tgt[g] or self.tgt[gi] != self.src[g]:
-                raise BadInverse(f"inverse of {g!r} has wrong endpoints", [g, gi])
-            if self.compose.get((g, gi)) != self.unit_arrow[self.tgt[g]]:
-                raise BadInverse(f"g * g^-1 is not the unit at tgt({g!r})", [g])
-            if self.compose.get((gi, g)) != self.unit_arrow[self.src[g]]:
-                raise BadInverse(f"g^-1 * g is not the unit at src({g!r})", [g])
+        inv = np.full(n + 1, -1)  # the inverse of each arrow, and of none
+        inv[g] = gi
+        found = _first_row(
+            gi < 0,
+            inv[gi] != g,
+            (src_[gi] != tgt[g]) | (tgt_[gi] != src[g]),
+            prod.take(start[gi] + rank[g], mode="clip") != unit_arrow[tgt[g]],
+            prod.take(start[g] + rank[gi], mode="clip") != unit_arrow[src[g]],
+        )
+        if found is not None:
+            a, b = next(islice(self.inverse.items(), found[0], None))
+            raise (
+                DanglingReference(f"inverse of {a!r} is unknown", [a, b]),
+                BadInverse(f"inverse is not an involution at {a!r}", [a, b]),
+                BadInverse(f"inverse of {a!r} has wrong endpoints", [a, b]),
+                BadInverse(f"g * g^-1 is not the unit at tgt({a!r})", [a]),
+                BadInverse(f"g^-1 * g is not the unit at src({a!r})", [a]),
+            )[found[1]]
 
-        for g in self.arrow_order:
-            if self.compose.get((g, self.unit_arrow[self.src[g]])) != g:
-                raise BadUnit(f"unit arrow not right-neutral at {g!r}", [g])
-            if self.compose.get((self.unit_arrow[self.tgt[g]], g)) != g:
-                raise BadUnit(f"unit arrow not left-neutral at {g!r}", [g])
+        every = np.arange(n)
+        found = _first_row(
+            prod[start[unit_arrow[src]] + rank] != every,
+            prod[start + rank[unit_arrow[tgt]]] != every,
+        )
+        if found is not None:
+            a = self.arrow_order[found[0]]
+            raise (
+                BadUnit(f"unit arrow not right-neutral at {a!r}", [a]),
+                BadUnit(f"unit arrow not left-neutral at {a!r}", [a]),
+            )[found[1]]
 
         # associativity over every composable triple
-        self.pairs = self._pair_table()
-        prod = self.pairs.prod
-        bad = self.pairs.first_failure(
+        bad = pairs.first_failure(
             lambda xy, yz, xy_z, x_yz: prod[xy_z] != prod[x_yz], "xy"
         )
         if bad is not None:
@@ -352,44 +375,49 @@ class MeasuredGroupoid:
                 f"(g h) k != g (h k) for ({g!r},{h!r},{k!r})", [g, h, k]
             )
 
-        nonsingular = all(
-            (self.mass[a.src] == 0.0) == (self.mass[a.tgt] == 0.0)
-            for a in self.arrows
-        )
+        mass = np.array([self.mass[u] for u in self.units])
+        nonsingular = bool(((mass[src] == 0.0) == (mass[tgt] == 0.0)).all())
         if self.exact_mass is not None:
-            pmp = all(
-                self.exact_mass[a.src] == self.exact_mass[a.tgt]
-                for a in self.arrows
-            )
+            exact = np.array([self.exact_mass[u] for u in self.units], dtype=object)
+            pmp = bool((exact[src] == exact[tgt]).all())
         else:
-            pmp = all(
-                abs(self.mass[a.src] - self.mass[a.tgt]) <= MASS_TOL
-                for a in self.arrows
-            )
+            pmp = bool((np.abs(mass[src] - mass[tgt]) <= MASS_TOL).all())
+        self.pairs = pairs
         self.flags = ValidationFlags(
             nonsingular=nonsingular, pmp=pmp, mass_normalized=normalized
         )
         self.validated = True
         return self
 
-    def _pair_table(self) -> PairTable:
+    def _pair_table(self, src_, tgt_, g, h, gh) -> PairTable:
         """The composition table in positions; it must be keyed exactly by
-        the composable pairs, each product having the right endpoints."""
-        unit = {u: i for i, u in enumerate(self.units)}
-        src, tgt = np.array(
-            [(unit[a.src], unit[a.tgt]) for a in self.arrows], dtype=np.intp
-        ).reshape(-1, 2).T
+        the composable pairs, each product having the right endpoints.  Row
+        i is g[i] h[i] = gh[i]; ``src_`` and ``tgt_`` are as in validate."""
+        found = _first_row(g < 0, h < 0, gh < 0, tgt_[h] != src_[g],
+                           (src_[gh] != src_[h]) | (tgt_[gh] != tgt_[g]))
+        if found is not None:
+            (a, b), ab = next(islice(self.compose.items(), found[0], None))
+            raise (
+                *(DanglingReference(f"compose entry ({a!r},{b!r})->{ab!r} uses unknown arrow",
+                                    [c]) for c in (a, b, ab)),
+                BadUnit(f"compose({a!r},{b!r}) defined but tgt(h) != src(g)", [a, b]),
+                BadUnit(f"product {ab!r} of ({a!r},{b!r}) has wrong endpoints", [a, b, ab]),
+            )[found[1]]
+
+        src, tgt = src_[:-1], tgt_[:-1]
         fan = np.bincount(src, minlength=len(self.units))
         rank = np.argsort(np.argsort(src, kind="stable")) - (np.cumsum(fan) - fan)[src]
         count = fan[tgt]  # pairs with each arrow as right factor
         start = np.cumsum(count) - count
-        idx = self._index
-        g, h, gh = np.array(
-            [(idx[g], idx[h], idx[gh]) for (g, h), gh in self.compose.items()],
-            dtype=np.intp,
-        ).reshape(-1, 3).T
-        at = start[h] + rank[g]
-        left, right, prod, row = (np.empty(len(at), dtype=np.intp) for _ in range(4))
+        at, size = start[h] + rank[g], int(count.sum())
+        if len(at) < size:  # the rows are distinct composable pairs, not all
+            p = int(np.bincount(at, minlength=size).argmin())
+            y = int(np.searchsorted(start, p, side="right")) - 1
+            b = self.arrow_order[y]
+            a = self._by_source[self.tgt[b]][p - start[y]]
+            raise DanglingReference(f"missing composition for composable pair ({a!r},{b!r})",
+                                    [a, b])
+        left, right, prod, row = (np.empty(size, dtype=np.intp) for _ in range(4))
         left[at], right[at], prod[at], row[at] = g, h, gh, np.arange(len(at))
         return PairTable(left, right, prod, row, src, tgt, start, rank)
 
@@ -484,7 +512,7 @@ class MeasuredGroupoid:
             {u: self.mass[u] / total for u in units},
             [(a.id, a.src, a.tgt) for a in kept],
             compose,
-            {g: self.inverse[g] for g in kept_ids},
+            {a.id: self.inverse[a.id] for a in kept},
             {u: self.unit_arrow[u] for u in units},
             exact_mass=exact,
         )
@@ -533,8 +561,14 @@ def validate_groupoid(g: MeasuredGroupoid) -> MeasuredGroupoid:
     Raises :class:`BadUnit`, :class:`DanglingReference`, :class:`BadInverse`
     or :class:`NonAssociative` naming the offending identifiers.  Whether
     (G, mu) is nonsingular or pmp is recorded in ``g.flags``, not raised.
-    Associativity is checked on every composable triple in one numpy pass
-    over ``g.pairs``, the table in integer positions.
+    Each table is mapped to integer positions once, and each axiom is one
+    mask over those arrays; associativity is one pass over the composable
+    triples of ``g.pairs``, the composition table in positions.  The fault
+    named is the first met when the checks run in the order units, arrows,
+    unit arrows, compose rows, composable pairs, inverse entries, unit
+    neutrality per arrow, triples; within each, rows count in the table's
+    stored order (pairs in ``composable_pairs()`` order, triples as
+    ``PairTable.first_failure`` orders them), an unknown id first in a row.
     """
     return g.validate()
 

@@ -13,6 +13,12 @@ rows::
 '#' starts a comment.  Serialization is deterministic and round-trips
 identifiers bit-exactly and masses decimal-exactly (floats are written with
 their shortest exact representation, fractions verbatim).
+
+Parsing is one pass over the lines that gathers each section's fields; the
+tables are cut from them column by column, and a ragged or repeated row is
+named, by its line, only once a table shows there is one.  The groupoid
+axioms are then checked on position arrays by ``validate_groupoid``, which
+names the first fault in table order.
 """
 
 from __future__ import annotations
@@ -23,7 +29,10 @@ from typing import Optional
 from .cocycle import UNIT_MODULUS_TOL, Cocycle, validate_cocycle
 from .groupoid import MeasuredGroupoid, validate_groupoid
 
-_SECTIONS = ("units", "arrows", "unit_arrows", "compose", "inverse", "cocycle")
+_USAGE = {  # the fields of each section's rows
+    "units": "id mass", "arrows": "id src tgt", "unit_arrows": "unit arrow",
+    "compose": "g h gh", "inverse": "g ginv", "cocycle": "g h re im",
+}
 
 
 class ParseError(ValueError):
@@ -34,43 +43,67 @@ class ParseError(ValueError):
 
 def parse_text(text: str) -> tuple[MeasuredGroupoid, Optional[Cocycle]]:
     """Parse and validate a groupoid (and optional cocycle) document."""
-    rows: dict[str, list[tuple[int, list[str]]]] = {s: [] for s in _SECTIONS}
-    section: Optional[str] = None
+    fields: dict[str, list[str]] = {s: [] for s in _USAGE}  # row after row
+    lines: dict[str, list[int]] = {s: [] for s in _USAGE}  # the line of each row
+    ragged: dict[str, int] = {}  # section -> place of its first row of wrong width
+    width = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        row = raw.partition("#")[0].split()
+        if not row:
             continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            if name not in _SECTIONS:
+        if row[0][0] == "[" and row[-1][-1] == "]":
+            name = raw.partition("#")[0].strip()[1:-1].strip()
+            if name not in _USAGE:
                 raise ParseError(f"unknown section {name!r}", line_no)
-            section = name
+            out, at, width = fields[name], lines[name], len(_USAGE[name].split())
             continue
-        if section is None:
+        if width is None:
             raise ParseError("data before any section header", line_no)
-        rows[section].append((line_no, line.split()))
+        if len(row) != width:
+            ragged.setdefault(name, len(at))
+        out += row
+        at.append(line_no)
 
-    def rows_of(name: str, usage: str):
-        """The (line, row) pairs of a section, each row as wide as ``usage``."""
-        for line_no, row in rows[name]:
-            if len(row) != len(usage.split()):
-                raise ParseError(f"{name} rows need `{usage}`", line_no)
-            yield line_no, row
+    def columns(name: str) -> tuple[list[list[str]], int]:
+        """A section's fields column by column, up to its first row of the
+        wrong width; and that row's place (the row count if there is none)."""
+        width = len(_USAGE[name].split())
+        stop = ragged.get(name, len(lines[name]))
+        return [fields[name][i : width * stop : width] for i in range(width)], stop
 
-    units: list[str] = []
-    mass_tokens: dict[str, tuple[int, str]] = {}  # unit -> (line, token)
-    for line_no, row in rows_of("units", "id mass"):
-        if row[0] in mass_tokens:
-            raise ParseError(f"duplicate unit {row[0]!r}", line_no)
-        units.append(row[0])
-        mass_tokens[row[0]] = (line_no, row[1])
-    if not units:
+    def fault(name: str, keys, stop: int) -> Optional[ParseError]:
+        """The error naming a section's first row that repeats the key of an
+        earlier row or, at ``stop``, has the wrong width."""
+        first: dict[tuple[str, ...], int] = {}
+        for line_no, key in zip(lines[name], keys):
+            if key in first:
+                return ParseError(
+                    f"duplicate unit {key[0]!r}" if name == "units" else
+                    f"duplicate {name} row for {' '.join(key)!r} "
+                    f"(first given on line {first[key]})",
+                    line_no,
+                )
+            first[key] = line_no
+        if stop < len(lines[name]):
+            return ParseError(f"{name} rows need `{_USAGE[name]}`", lines[name][stop])
+        return None
+
+    def keyed(name: str) -> dict:
+        """A section's rows as a dict from their key (the first field, or
+        the first two for compose) to their last field."""
+        cols, stop = columns(name)
+        table = dict(zip(cols[0] if len(cols) == 2 else zip(*cols[:2]), cols[-1]))
+        if len(table) < len(lines[name]):
+            raise fault(name, zip(*cols[:-1]), stop)
+        return table
+
+    mass_tokens = keyed("units")
+    if not mass_tokens:
         raise ParseError("no units defined", 0)
-
-    exact = any("/" in tok for _, tok in mass_tokens.values())
+    exact = any("/" in tok for tok in mass_tokens.values())
     mass: dict[str, float] = {}
     exact_mass: Optional[dict[str, Fraction]] = {} if exact else None
-    for u, (line_no, tok) in mass_tokens.items():
+    for line_no, (u, tok) in zip(lines["units"], mass_tokens.items()):
         try:
             if exact:
                 frac = Fraction(tok)
@@ -81,48 +114,37 @@ def parse_text(text: str) -> tuple[MeasuredGroupoid, Optional[Cocycle]]:
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ParseError(f"bad mass {tok!r} for {u!r}: {exc}", line_no) from exc
 
-    def keyed(name: str, usage: str, width: int):
-        """The (line, row) pairs of a section whose first ``width`` fields
-        are a key, rejecting a key that an earlier row already gave."""
-        first: dict[tuple[str, ...], int] = {}
-        for line_no, row in rows_of(name, usage):
-            key = tuple(row[:width])
-            if key in first:
-                raise ParseError(
-                    f"duplicate {name} row for {' '.join(key)!r} "
-                    f"(first given on line {first[key]})",
-                    line_no,
-                )
-            first[key] = line_no
-            yield line_no, row
-
-    arrows = [tuple(row) for _, row in rows_of("arrows", "id src tgt")]
-    unit_arrows = dict(row for _, row in keyed("unit_arrows", "unit arrow", 1))
-    compose = {(g, h): gh for _, (g, h, gh) in keyed("compose", "g h gh", 2)}
-    inverse = dict(row for _, row in keyed("inverse", "g ginv", 1))
-
+    arrows, stop = columns("arrows")
+    if stop < len(lines["arrows"]):
+        raise fault("arrows", (), stop)
+    unit_arrows, compose, inverse = keyed("unit_arrows"), keyed("compose"), keyed("inverse")
     g = validate_groupoid(
         MeasuredGroupoid(
-            units, mass, arrows, compose, inverse, unit_arrows,
+            list(mass), mass, list(zip(*arrows)), compose, inverse, unit_arrows,
             exact_mass=exact_mass,
         )
     )
 
     cocycle = None
-    if rows["cocycle"]:
+    if lines["cocycle"]:
         values = {pair: complex(1.0) for pair in g.composable_pairs()}
-        for line_no, row in keyed("cocycle", "g h re im", 2):
-            pair = (row[0], row[1])
+        (x, y, real, imag), stop = columns("cocycle")
+        error = fault("cocycle", zip(x, y), stop)
+        for line_no, pair, a, b in zip(lines["cocycle"], zip(x, y), real, imag):
+            if error is not None and line_no == error.line:
+                break
             if pair not in values:
                 raise ParseError(
                     f"cocycle entry on non-composable pair {pair!r}", line_no
                 )
             try:
-                values[pair] = v = complex(float(row[2]), float(row[3]))
+                values[pair] = v = complex(float(a), float(b))
             except ValueError as exc:
                 raise ParseError(f"bad phase: {exc}", line_no) from exc
             if not abs(abs(v) - 1.0) <= UNIT_MODULUS_TOL:  # NaN and inf fail too
-                raise ParseError(f"phase {row[2]} {row[3]} does not have modulus 1", line_no)
+                raise ParseError(f"phase {a} {b} does not have modulus 1", line_no)
+        if error is not None:
+            raise error
         cocycle = validate_cocycle(g, values)
     return g, cocycle
 

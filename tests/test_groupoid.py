@@ -1,7 +1,9 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from factoroid.groupoid import (
     BadUnit,
     DanglingReference,
     EmptyRestriction,
+    GroupoidError,
     MeasuredGroupoid,
     NonAssociative,
     check_isomorphism,
@@ -134,6 +137,170 @@ def test_index_pass_names_the_loops_first_triple():
         assert (str(err.value), err.value.ids) == _first_nonassociative_by_loop(raw)
 
 
+def _tables_of(g: MeasuredGroupoid) -> dict:
+    """The tables of ``g`` as fresh, mutable constructor arguments."""
+    return dict(
+        units=list(g.units), mass=dict(g.mass),
+        arrows=[(a.id, a.src, a.tgt) for a in g.arrows], compose=dict(g.compose),
+        inverse=dict(g.inverse), unit_arrows=dict(g.unit_arrow),
+    )
+
+
+def _edit(name: str, **changes):
+    """The tables of a named instance with some replaced; a callable value
+    is applied to the table in place instead."""
+    t = _tables_of(mk.NAMED_INSTANCES[name]()[0])
+    for key, change in changes.items():
+        if callable(change):
+            change(t[key])
+        else:
+            t[key] = change
+    return t
+
+
+# full2: r|x0|x1 runs from x1 to x0, r|x1|x0 from x0 to x1; z3: pt.k is k mod 3
+_E0, _E1, _A, _B = "r|x0|x0", "r|x1|x1", "r|x0|x1", "r|x1|x0"
+
+_BROKEN = {
+    "duplicate unit": (
+        _edit("full2", units=["x0", "x1", "x0"]),
+        BadUnit, "duplicate unit identifiers", ("x0",)),
+    "duplicate units, in storage order": (
+        _edit("full2", units=["x1", "x0", "x1", "x0"]),
+        BadUnit, "duplicate unit identifiers", ("x1", "x0")),
+    "duplicate arrow": (
+        _edit("full2", arrows=lambda a: a.append(a[2])),
+        DanglingReference, "duplicate arrow identifiers", (_B,)),
+    "negative mass": (
+        _edit("full2", mass={"x0": 1.5, "x1": -0.5}),
+        BadUnit, "negative mass at unit 'x1'", ("x1",)),
+    "exact masses miss a unit": (
+        _edit("full2", exact_mass={"x0": Fraction(1, 2)}),
+        BadUnit, "exact masses must cover exactly the units", ()),
+    "exact and float masses disagree": (
+        _edit("full2", exact_mass={"x0": Fraction(1, 3), "x1": Fraction(2, 3)}),
+        BadUnit, "exact and float mass disagree at 'x0'", ("x0",)),
+    "masses do not sum to 1": (
+        _edit("full2", mass={"x0": 0.5, "x1": 0.25}),
+        BadUnit, "unit masses do not sum to 1 (pass unnormalized=True to allow)", ()),
+    "dangling src": (
+        _edit("full2", arrows=lambda a: a.__setitem__(1, (_A, "zz", "x0"))),
+        DanglingReference, "arrow 'r|x0|x1' references unknown unit", (_A,)),
+    "unit without a unit arrow": (
+        _edit("full2", unit_arrows={"x0": _E0}),
+        BadUnit, "unit_arrows must be defined for every unit", ("x1",)),
+    "unit arrow unknown": (
+        _edit("full2", unit_arrows={"x0": _E0, "x1": "zz"}),
+        DanglingReference, "unit arrow 'zz' of 'x1' is not an arrow", ("zz",)),
+    "unit arrow not a loop": (
+        _edit("full2", unit_arrows={"x0": _E0, "x1": _A}),
+        BadUnit, "unit arrow 'r|x0|x1' is not a loop at 'x1'", (_A,)),
+    "shared unit arrow": (
+        _edit("full2", unit_arrows={"x0": _E0, "x1": _E0}),
+        BadUnit, "unit arrow 'r|x0|x0' is not a loop at 'x1'", (_E0,)),
+    "unit arrows: first faulty row": (
+        _edit("full2", unit_arrows={"x0": _A, "x1": "zz"}),
+        BadUnit, "unit arrow 'r|x0|x1' is not a loop at 'x0'", (_A,)),
+    "compose: unknown g": (
+        _edit("full2", compose=lambda c: c.__setitem__(("zz", _E0), _E0)),
+        DanglingReference, "compose entry ('zz','r|x0|x0')->'r|x0|x0' uses unknown arrow",
+        ("zz",)),
+    "compose: unknown h": (
+        _edit("full2", compose=lambda c: c.__setitem__((_E0, "zz"), _E0)),
+        DanglingReference, "compose entry ('r|x0|x0','zz')->'r|x0|x0' uses unknown arrow",
+        ("zz",)),
+    "compose: unknown gh": (
+        _edit("full2", compose=lambda c: c.__setitem__((_A, _B), "zz")),
+        DanglingReference, "compose entry ('r|x0|x1','r|x1|x0')->'zz' uses unknown arrow",
+        ("zz",)),
+    "compose: arrows do not compose": (
+        _edit("full2", compose=lambda c: c.__setitem__((_A, _A), _E0)),
+        BadUnit, "compose('r|x0|x1','r|x0|x1') defined but tgt(h) != src(g)", (_A, _A)),
+    "compose: wrong product endpoints": (
+        _edit("full2", compose=lambda c: c.__setitem__((_A, _B), _E1)),
+        BadUnit, "product 'r|x1|x1' of ('r|x0|x1','r|x1|x0') has wrong endpoints",
+        (_A, _B, _E1)),
+    "compose: first faulty row": (
+        _edit("full2", compose=lambda c: c.update({(_E0, _A): _E1, (_E1, _E1): "zz"})),
+        BadUnit, "product 'r|x1|x1' of ('r|x0|x0','r|x0|x1') has wrong endpoints",
+        (_E0, _A, _E1)),
+    "compose: missing pair": (
+        _edit("full2", compose=lambda c: c.pop((_B, _A))),
+        DanglingReference, "missing composition for composable pair ('r|x1|x0','r|x0|x1')",
+        (_B, _A)),
+    "inverse missing": (
+        _edit("full2", inverse=lambda i: i.pop(_A)),
+        BadInverse, "inverse must be defined for every arrow", (_A,)),
+    "inverse unknown": (
+        _edit("full2", inverse=lambda i: i.__setitem__(_A, "zz")),
+        DanglingReference, "inverse of 'r|x0|x1' is unknown", (_A, "zz")),
+    "inverse not an involution": (
+        _edit("full2", inverse=lambda i: i.__setitem__(_B, _B)),
+        BadInverse, "inverse is not an involution at 'r|x0|x1'", (_A, _B)),
+    "inverse with wrong endpoints": (
+        _edit("full3", inverse=lambda i: i.update({
+            "r|x0|x1": "r|x2|x0", "r|x2|x0": "r|x0|x1",
+            "r|x1|x0": "r|x0|x2", "r|x0|x2": "r|x1|x0",
+        })),
+        BadInverse, "inverse of 'r|x0|x1' has wrong endpoints", ("r|x0|x1", "r|x2|x0")),
+    "g g^-1 not the unit": (
+        _edit("z3", inverse={"pt.0": "pt.0", "pt.1": "pt.1", "pt.2": "pt.2"}),
+        BadInverse, "g * g^-1 is not the unit at tgt('pt.1')", ("pt.1",)),
+    "g^-1 g not the unit": (
+        _edit("z3", compose=lambda c: c.__setitem__(("pt.2", "pt.1"), "pt.1")),
+        BadInverse, "g^-1 * g is not the unit at src('pt.1')", ("pt.1",)),
+    "inverse: first faulty row": (
+        _edit("z3", inverse={"pt.0": "pt.0", "pt.1": "pt.1", "pt.2": "zz"}),
+        BadInverse, "g * g^-1 is not the unit at tgt('pt.1')", ("pt.1",)),
+    "unit not right-neutral": (
+        _edit("z3", compose=lambda c: c.__setitem__(("pt.1", "pt.0"), "pt.2")),
+        BadUnit, "unit arrow not right-neutral at 'pt.1'", ("pt.1",)),
+    "unit not left-neutral": (
+        _edit("z3", compose=lambda c: c.__setitem__(("pt.0", "pt.1"), "pt.2")),
+        BadUnit, "unit arrow not left-neutral at 'pt.1'", ("pt.1",)),
+    "non-associative": (
+        None,
+        NonAssociative, "(g h) k != g (h k) for ('a','b','b')", ("a", "b", "b")),
+}
+
+
+@pytest.mark.parametrize("case", list(_BROKEN), ids=list(_BROKEN))
+def test_each_broken_table_names_its_fault(case):
+    # one table per check of validate, and tables with faults in two rows:
+    # the first faulty row in table order is named, whatever the checks' order
+    tables, cls, message, ids = _BROKEN[case]
+    raw = _latin_square() if tables is None else MeasuredGroupoid(**tables)
+    with pytest.raises(GroupoidError) as err:
+        raw.validate()
+    assert (type(err.value), str(err.value), err.value.ids) == (cls, message, ids)
+
+
+class _IterateOnly(dict):
+    """A composition table that may be iterated but not probed by key."""
+
+    def get(self, *args):
+        raise AssertionError("the composition table was probed by key")
+
+    __getitem__ = __contains__ = get
+
+
+def test_validate_reads_the_composition_table_only_by_iterating_it():
+    # the S4 translation groupoid: 576 arrows, 13,824 composable pairs
+    s4 = mk.symmetric_group(4)
+    g = mk.transformation_groupoid(
+        s4, mk.translation_action(s4), s4.elements,
+        {u: 1 / len(s4.elements) for u in s4.elements},
+    )
+    raw = MeasuredGroupoid(**{
+        **_tables_of(g), "compose": {},
+    })
+    raw.compose = _IterateOnly(g.compose)
+    raw.validate()
+    assert len(raw.pairs.prod) == 13_824
+    for a, b in zip(vars(raw.pairs).values(), vars(g.pairs).values()):
+        assert np.array_equal(a, b)
+
+
 def test_unnormalized_mass_rejected_without_flag():
     with pytest.raises(BadUnit):
         mk.trivial_groupoid(["x"], {"x": 0.7})
@@ -220,6 +387,8 @@ def test_restrict(full3, s3_bundle):
 def test_restrict_all_units_is_identity(full3):
     sub, factor = full3.restrict(list(full3.units))
     assert factor == pytest.approx(1.0)
+    # the tables keep storage order, so validate names faults deterministically
+    assert list(sub.inverse) == list(full3.inverse) == list(sub.arrow_order)
     assert check_isomorphism(
         sub, full3,
         {u: u for u in full3.units},

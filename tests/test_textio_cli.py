@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import itertools
 import io
 import json
 import os
@@ -121,6 +122,34 @@ def test_duplicate_row_names_its_line(full2, section, clash):
         parse_text("\n".join(lines))
     assert err.value.line == true_row + 2  # 1-based, after the inserted row
     assert f"first given on line {header + 2}" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("r|x1|x1 r|x1|x0", "compose rows need `g h gh`"),
+        ("r|x0|x0 r|x0|x0 r|x0|x1",
+         "duplicate compose row for 'r|x0|x0 r|x0|x0' (first given on line {first})"),
+    ],
+    ids=["width", "duplicate"],
+)
+def test_line_numbers_count_every_line_break(full2, bad, message):
+    # rows numbered as str.splitlines numbers them, whatever the separator
+    lines = serialize(full2).splitlines()
+    header = lines.index("[compose]")
+    lines[header] += "  # g h gh"
+    lines[header + 1] += "  # the unit squares to itself"
+    lines[header + 1 : header + 1] = ["", "# one row per composable pair", "   "]
+    lines.insert(1, "")
+    first = lines.index("r|x0|x0 r|x0|x0 r|x0|x0  # the unit squares to itself") + 1
+    at = lines.index("[inverse]")
+    separators = itertools.cycle(["\r\n", "\x0c", "\u2028", "\n"])
+    parse_text("".join(line + next(separators) for line in lines))
+    lines.insert(at, bad)
+    with pytest.raises(ParseError) as err:
+        parse_text("".join(line + next(separators) for line in lines))
+    assert err.value.line == at + 1
+    assert str(err.value) == f"line {at + 1}: " + message.format(first=first)
 
 
 def test_missing_inverse_entry_names_arrow(full2):
