@@ -23,7 +23,7 @@ import numpy as np
 
 from . import constructors as mk
 from .basis import build_basis
-from .cocycle import kleppner_holds, trivial_cocycle, twisted_icc
+from .cocycle import _normalized, kleppner_holds, twisted_icc
 from .conjugacy import is_icc
 from .groupoid import GroupoidError
 from .textio import ParseError, parse_file, serialize, write_file
@@ -119,9 +119,7 @@ def cmd_icc(args) -> int:
 
 def cmd_twisted_icc(args) -> int:
     g, w = _load(args.file)
-    if w is None:
-        w = trivial_cocycle(g)
-    verdict = twisted_icc(g, w)
+    verdict = twisted_icc(g, _normalized(g, w))
     data = {"twisted_icc": verdict.icc}
     if verdict.certificate is not None:
         data["central_support"] = sorted(verdict.certificate.support)
@@ -131,9 +129,7 @@ def cmd_twisted_icc(args) -> int:
 
 def cmd_kleppner(args) -> int:
     g, w = _load(args.file)
-    if w is None:
-        w = trivial_cocycle(g)
-    verdict = kleppner_holds(g, w)
+    verdict = kleppner_holds(g, _normalized(g, w))
     data = {"kleppner_holds": verdict.holds, "witness": verdict.witness}
     print(_render(data, args.format))
     return 0

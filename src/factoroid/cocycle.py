@@ -1,8 +1,9 @@
 """Unit-modulus 2-cocycles on a groupoid and the twisted structure deciders.
 
 A cocycle assigns a phase to every composable pair of arrows, subject to the
-associativity identity  w(x,yz) w(y,z) = w(xy,z) w(x,y).  Phases are stored
-either as complex numbers or, in exact mode, as rational turns t representing
+associativity identity  w(x,yz) w(y,z) = w(xy,z) w(x,y).  It is stored as one
+array in the order of the groupoid's pairs ``g.pairs``, of complex numbers
+or, in exact mode, of rational turns t (``Fraction``) representing
 exp(2*pi*i*t); exact mode makes every comparison an equality of fractions,
 which is convenient when all inputs are roots of unity.
 
@@ -43,16 +44,25 @@ class CocycleIdentityViolated(GroupoidError):
 
 # -- phase arithmetic (complex numbers or rational turns) -------------------
 
+def _exact(a) -> bool:  # a rational turn, or an array of them
+    return isinstance(a, Fraction) or getattr(a, "dtype", None) == object
+
+
 def pmul(a: Phase, b: Phase) -> Phase:
-    if isinstance(a, Fraction):
+    """a b, entry by entry on arrays.  A complex array product is written
+    out as Python's ``*`` computes it, which NumPy's can miss in the last bit."""
+    if _exact(a):
         return (a + b) % 1
-    return a * b
+    if not isinstance(a, np.ndarray):
+        return a * b
+    out = np.empty(a.shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def pconj(a: Phase) -> Phase:
-    if isinstance(a, Fraction):
-        return (-a) % 1
-    return a.conjugate()
+    return (-a) % 1 if _exact(a) else a.conjugate()
 
 
 def phalf(a: Phase) -> Phase:
@@ -78,21 +88,38 @@ def phase_close(a: Phase, b: Phase, tol: float) -> bool:
     return abs(as_complex(a) - as_complex(b)) <= tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cocycle:
-    values: dict[tuple[str, str], Phase]  # keyed by every composable pair
+    """A validated cocycle: ``phases[p]`` is its phase, complex or in exact
+    mode a ``Fraction`` turn, at pair p of ``groupoid.pairs``.  ``w(g, h)``
+    reads the pair (g, h) by arrow names."""
+
+    groupoid: MeasuredGroupoid
+    phases: np.ndarray
     exact: bool
     normalized: bool
 
     def __call__(self, g: str, h: str) -> Phase:
-        return self.values[(g, h)]
+        t = self.groupoid.pairs
+        x, y = self.groupoid.arrow_index(g), self.groupoid.arrow_index(h)
+        if t.src[x] != t.tgt[y]:
+            raise KeyError((g, h))
+        return self.phases.item(t.start[y] + t.rank[x])
+
+    def on(self, g: MeasuredGroupoid) -> np.ndarray:
+        """The phases, in the order of ``g.pairs``: ``g`` must be ``groupoid``."""
+        if self.groupoid is not g:
+            raise GroupoidError("the cocycle is defined on another groupoid")
+        return self.phases
+
+    def complex_phases(self, g: MeasuredGroupoid) -> np.ndarray:
+        """``on(g)`` as complex numbers, a turn t as exp(2*pi*i*t)."""
+        if not self.exact:
+            return self.on(g)
+        return np.fromiter(map(as_complex, self.on(g)), complex, len(self.phases))
 
     def conjugate_cocycle(self) -> "Cocycle":
-        return Cocycle(
-            {k: pconj(v) for k, v in self.values.items()},
-            exact=self.exact,
-            normalized=self.normalized,
-        )
+        return Cocycle(self.groupoid, pconj(self.phases), self.exact, self.normalized)
 
 
 @dataclass(frozen=True)
@@ -128,19 +155,17 @@ class TwistedIccVerdict:
     certificate: Optional[CentralSetCertificate] = None
 
 
-def _is_normalized(g: MeasuredGroupoid, values: Mapping[tuple[str, str], Phase],
-                   tol: float) -> bool:
-    one = pone(isinstance(next(iter(values.values()), Fraction(0)), Fraction))
-    for x in g.arrow_order:
-        right_unit = g.unit_arrow[g.src[x]]
-        left_unit = g.unit_arrow[g.tgt[x]]
-        if not phase_close(values[(x, right_unit)], one, tol):
-            return False
-        if not phase_close(values[(left_unit, x)], one, tol):
-            return False
-        if not phase_close(values[(x, g.inverse[x])], one, tol):
-            return False
-    return True
+def _is_normalized(g: MeasuredGroupoid, phases: np.ndarray, tol: float) -> bool:
+    """Whether the phase is 1 on every (x, 1), (1, x) and (x, x^-1)."""
+    t = g.pairs
+    at = phases[np.concatenate([
+        t.start[t.unit_arrow[t.src]] + t.rank,
+        t.start + t.rank[t.unit_arrow[t.tgt]],
+        t.start[t.inv] + t.rank,
+    ])]
+    if _exact(phases):
+        return bool((at == 0).all())
+    return bool((np.abs(at - 1) <= tol).all())
 
 
 def validate_cocycle(
@@ -157,31 +182,27 @@ def validate_cocycle(
     over the composable triples of ``g.pairs``.
     """
     g._require_validated()
-    table: dict[tuple[str, str], Phase] = {}
-    for pair in g.composable_pairs():
+    w = np.empty(len(g.pairs.left), dtype=object if exact else complex)
+    for p, pair in enumerate(g.composable_pairs()):
         if pair not in values:
             raise CocycleIdentityViolated(
                 f"cocycle value missing for composable pair {pair!r}", pair
             )
         v = values[pair]
         if exact:
-            if not isinstance(v, Fraction):
-                v = Fraction(v)
-            v = v % 1
+            v = Fraction(v) % 1
         else:
             v = complex(v)
             if not abs(abs(v) - 1.0) <= UNIT_MODULUS_TOL:  # NaN fails too
                 raise NotUnitModulus(
                     f"|w{pair!r}| = {abs(v)!r} is not 1", pair
                 )
-        table[pair] = v
-    extra = set(values) - set(table)
-    if extra:
+        w[p] = v
+    if len(values) > len(w):  # every composable pair has its value
+        extra = set(values) - set(g.composable_pairs())
         raise CocycleIdentityViolated(
             "cocycle defined on non-composable pairs", sorted(extra)[0]
         )
-
-    w = np.array(list(table.values()), dtype=object if exact else complex)  # pair order
 
     def fails(xy, yz, xy_z, x_yz):  # w(x,yz) w(y,z) != w(xy,z) w(x,y)
         if exact:  # rational turns, compared exactly
@@ -193,15 +214,13 @@ def validate_cocycle(
         raise CocycleIdentityViolated(
             f"cocycle identity fails on triple ({x!r},{y!r},{z!r})", (x, y, z)
         )
-    return Cocycle(table, exact=exact,
-                   normalized=_is_normalized(g, table, UNIT_MODULUS_TOL))
+    return Cocycle(g, w, exact, _is_normalized(g, w, UNIT_MODULUS_TOL))
 
 
 def trivial_cocycle(g: MeasuredGroupoid, *, exact: bool = False) -> Cocycle:
     g._require_validated()
-    one = pone(exact)
-    return Cocycle({pair: one for pair in g.composable_pairs()},
-                   exact=exact, normalized=True)
+    phases = np.full(len(g.pairs.left), pone(exact), dtype=object if exact else complex)
+    return Cocycle(g, phases, exact, normalized=True)
 
 
 def apply_coboundary(
@@ -209,34 +228,37 @@ def apply_coboundary(
 ) -> Cocycle:
     """The cohomologous cocycle  w'(x,y) = rho(x) rho(y) conj(rho(xy)) w(x,y)."""
     g._require_validated()
-    values = {}
-    for (x, y), v in w.values.items():
-        xy = g.compose[(x, y)]
-        values[(x, y)] = pmul(pmul(rho[x], pmul(rho[y], pconj(rho[xy]))), v)
-    return Cocycle(values, exact=w.exact,
-                   normalized=_is_normalized(g, values, UNIT_MODULUS_TOL))
+    t = g.pairs
+    r = np.array([rho[x] for x in g.arrow_order], dtype=w.phases.dtype)
+    phases = pmul(pmul(r[t.left], pmul(r[t.right], pconj(r[t.prod]))), w.on(g))
+    return Cocycle(g, phases, w.exact, _is_normalized(g, phases, UNIT_MODULUS_TOL))
 
 
 def normalize_cocycle(g: MeasuredGroupoid, w: Cocycle) -> Cocycle:
     """Apply the two explicit coboundary corrections yielding a cocycle with
     phase 1 on every pair involving a unit arrow and on every (x, x^-1)."""
     g._require_validated()
-    rho1 = {
-        x: pconj(w.values[(x, g.unit_arrow[g.src[x]])]) for x in g.arrow_order
-    }
-    step1 = apply_coboundary(g, w, rho1)
+    t = g.pairs
+    rho1 = pconj(w.on(g)[t.start[t.unit_arrow[t.src]] + t.rank])  # conj w(x, 1)
+    step1 = apply_coboundary(g, w, dict(zip(g.arrow_order, rho1.tolist())))
     # one half-phase per inverse pair, taken at a canonical representative:
     # rho(x) rho(x^-1) then squares to the exact conjugate phase no matter
     # which branch the square root picks (the values at x and x^-1 agree only
     # up to rounding, which matters exactly on the branch cut)
-    rho2: dict[str, Phase] = {}
-    for x in g.arrow_order:
-        rep = min(x, g.inverse[x], key=g.arrow_index)
-        rho2[x] = phalf(pconj(step1.values[(rep, g.inverse[rep])]))
+    rep = np.minimum(np.arange(len(t.inv)), t.inv)
+    half = pconj(step1.phases[t.start[t.inv[rep]] + t.rank[rep]])  # conj w(rep, rep^-1)
+    rho2 = {x: phalf(v) for x, v in zip(g.arrow_order, half.tolist())}
     step2 = apply_coboundary(g, step1, rho2)
     if not step2.normalized:
         raise CocycleIdentityViolated("normalization failed; invalid cocycle")
     return step2
+
+
+def _normalized(g: MeasuredGroupoid, w: Optional[Cocycle]) -> Cocycle:
+    """The trivial cocycle for None, else the normalized representative."""
+    if w is None:
+        return trivial_cocycle(g)
+    return w if w.normalized else normalize_cocycle(g, w)
 
 
 def _conjugation_moves(g: MeasuredGroupoid, h: str) -> Iterable[tuple[str, str]]:
@@ -251,7 +273,7 @@ def _conjugation_moves(g: MeasuredGroupoid, h: str) -> Iterable[tuple[str, str]]
 
 def _edge_phase(w: Cocycle, a: str, h: str, c: str) -> Phase:
     # transport factor of f along h -> c = a h a^-1
-    return pmul(pconj(w.values[(c, a)]), w.values[(a, h)])
+    return pmul(pconj(w(c, a)), w(a, h))
 
 
 def central_set_search(
@@ -265,8 +287,7 @@ def central_set_search(
     every off-tree move closes up (loop holonomy 1 within ``tol``).
     """
     g._require_validated()
-    if not w.normalized:
-        w = normalize_cocycle(g, w)
+    w = _normalized(g, w)
     nodes = [
         h
         for h in g.arrow_order
@@ -320,8 +341,7 @@ def verify_central_certificate(
 ) -> None:
     """Re-check a certificate against the defining transformation rule."""
     g._require_validated()
-    if not w.normalized:
-        w = normalize_cocycle(g, w)
+    w = _normalized(g, w)
     for h in cert.support:
         if g.src[h] != g.tgt[h] or h in g.unit_arrow_set:
             raise GroupoidError("certificate support is not isotropy off units", [h])
@@ -353,8 +373,7 @@ def is_omega_regular(
     Evaluated on the normalized representative of the cocycle.
     """
     g._require_validated()
-    if not w.normalized:
-        w = normalize_cocycle(g, w)
+    w = _normalized(g, w)
     ids = _require_isotropy(g, ids)
     if not g.is_bisection(ids):
         raise GroupoidError("phase regularity is defined for bisections")
@@ -363,7 +382,7 @@ def is_omega_regular(
             y = g.conjugate(a, x)
             if y is None or y not in ids:
                 continue
-            if not phase_close(w.values[(y, a)], w.values[(a, x)], tol):
+            if not phase_close(w(y, a), w(a, x), tol):
                 return RegularityVerdict(False, witness=(a, x, y))
     return RegularityVerdict(True)
 
@@ -380,8 +399,7 @@ def kleppner_holds(
     bisection forces the self-condition on each of its positive singletons.
     """
     g._require_validated()
-    if not w.normalized:
-        w = normalize_cocycle(g, w)
+    w = _normalized(g, w)
     for h in g.arrow_order:
         if g.src[h] != g.tgt[h] or h in g.unit_arrow_set:
             continue
@@ -391,7 +409,7 @@ def kleppner_holds(
         for a in g.by_source(g.src[h]):
             if g.conjugate(a, h) != h:
                 continue
-            if not phase_close(w.values[(h, a)], w.values[(a, h)], tol):
+            if not phase_close(w(h, a), w(a, h), tol):
                 symmetric = False
                 break
         if symmetric:

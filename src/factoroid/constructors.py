@@ -322,8 +322,6 @@ def pullback_group_cocycle(
     g: MeasuredGroupoid,
     group_of_arrow: Mapping[str, str],
     c: Mapping[tuple[str, str], Phase],
-    *,
-    exact: bool = False,
 ) -> dict[tuple[str, str], Phase]:
     """Lift a group 2-cocycle through an arrow -> group-element labelling."""
     values: dict[tuple[str, str], Phase] = {}
@@ -362,7 +360,7 @@ def klein_four_twisted(exact: bool = False) -> tuple[MeasuredGroupoid, Cocycle]:
     table = klein_four_group()
     g = group_groupoid(table)
     labels = {f"pt.{gm}": gm for gm in table.elements}
-    vals = pullback_group_cocycle(g, labels, klein_bicharacter(exact), exact=exact)
+    vals = pullback_group_cocycle(g, labels, klein_bicharacter(exact))
     return g, validate_cocycle(g, vals, exact=exact)
 
 
@@ -1074,8 +1072,9 @@ def random_twisted_pair(
     rng = random.Random(f"twisted-{seed}")
     n_parts = rng.randint(1, 2)
     parts: list[MeasuredGroupoid] = []
-    part_values: list[dict[tuple[str, str], Phase]] = []
-    for _ in range(n_parts):
+    labels: dict[str, tuple[int, str]] = {}  # arrow of g -> (part, group element)
+    table: dict[tuple[tuple[int, str], tuple[int, str]], Phase] = {}  # by labels
+    for i in range(n_parts):
         name = rng.choice(["V4", "V4", "Z3", "Z4"])
         grp = _small_group(name)
         style = rng.choice(["bundle", "translation", "coset"])
@@ -1095,18 +1094,12 @@ def random_twisted_pair(
                 (a, b): pone(exact)
                 for a in grp.elements for b in grp.elements
             }
-        part_values.append(
-            pullback_group_cocycle(part, group_of_arrow, c, exact=exact)
-        )
+        labels.update({f"p{i}:{a}": (i, x) for a, x in group_of_arrow.items()})
+        table.update({((i, x), (i, y)): v for (x, y), v in c.items()})
         parts.append(part)
     weights = [rng.random() + 0.1 for _ in parts]
     tot = sum(weights)
     g = disjoint_union(parts, [wi / tot for wi in weights])
-    values: dict[tuple[str, str], Phase] = {}
-    for i, pv in enumerate(part_values):
-        pre = f"p{i}:"
-        for (a, b), v in pv.items():
-            values[(pre + a, pre + b)] = v
-    w0 = validate_cocycle(g, values, exact=exact)
+    w0 = validate_cocycle(g, pullback_group_cocycle(g, labels, table), exact=exact)
     rho = random_coboundary(g, rng, exact)
     return g, apply_coboundary(g, w0, rho)

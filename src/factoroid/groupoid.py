@@ -96,10 +96,11 @@ class PairTable:
     """The composition table in integer positions.
 
     Arrows and units are numbered in storage order; ``src`` and ``tgt`` give
-    the units of each arrow.  Pair p, the p-th of ``composable_pairs()``, is
-    (left[p], right[p]) with product prod[p], on row row[p] of ``compose``.
-    The pair (x, y) is start[y] + rank[x], where rank[x] is the place of x
-    among the arrows with its source.
+    the units of each arrow, ``inv`` its inverse and ``unit_arrow`` the
+    identity arrow of each unit.  Pair p, the p-th of ``composable_pairs()``,
+    is (left[p], right[p]) with product prod[p], on row row[p] of
+    ``compose``.  The pair (x, y) is start[y] + rank[x], where rank[x] is the
+    place of x among the arrows with its source.
     """
 
     left: np.ndarray
@@ -110,6 +111,8 @@ class PairTable:
     tgt: np.ndarray
     start: np.ndarray
     rank: np.ndarray
+    inv: np.ndarray
+    unit_arrow: np.ndarray
 
     def first_failure(
         self, fails: Callable[..., np.ndarray], outer: str
@@ -179,8 +182,9 @@ class MeasuredGroupoid:
     exact_mass:   optional unit id -> Fraction, for exact measure checks.
     unnormalized: allow total mass != 1.
 
-    Construction only stores the tables; call :func:`validate_groupoid` (or
-    ``.validate()``) before using any other operation.
+    Construction only stores the tables, taking ``compose`` over rather than
+    copying it; call :func:`validate_groupoid` (or ``.validate()``) before
+    using any other operation.
     """
 
     def __init__(
@@ -203,7 +207,7 @@ class MeasuredGroupoid:
         self.arrow_order = tuple(a.id for a in self.arrows)
         self.src = {a.id: a.src for a in self.arrows}
         self.tgt = {a.id: a.tgt for a in self.arrows}
-        self.compose = dict(compose)
+        self.compose = compose
         self.inverse = dict(inverse)
         self.unit_arrow = dict(unit_arrows)
         self.validated = False
@@ -315,6 +319,8 @@ class MeasuredGroupoid:
             )[found[1]]
         unit_arrow = np.empty(len(unit), dtype=np.intp)
         unit_arrow[x] = e
+        inv = np.full(n + 1, -1)  # the inverse of each arrow, and of none
+        inv[g] = gi
         self._unit_arrow_ids = frozenset(self.unit_arrow.values())
 
         by_source: dict[str, list[str]] = {u: [] for u in self.units}
@@ -325,7 +331,7 @@ class MeasuredGroupoid:
         self._by_source = {u: tuple(v) for u, v in by_source.items()}
         self._by_target = {u: tuple(v) for u, v in by_target.items()}
 
-        pairs = self._pair_table(src_, tgt_, *pair.reshape(-1, 2).T, gh)
+        pairs = self._pair_table(src_, tgt_, *pair.reshape(-1, 2).T, gh, inv[:-1], unit_arrow)
         prod, start, rank = pairs.prod, pairs.start, pairs.rank
 
         # inversion: an involution giving the unit arrows.  A row that fails
@@ -334,8 +340,6 @@ class MeasuredGroupoid:
         if set(self.inverse) != set(self._index):
             missing = sorted(set(self._index) - set(self.inverse))
             raise BadInverse("inverse must be defined for every arrow", missing)
-        inv = np.full(n + 1, -1)  # the inverse of each arrow, and of none
-        inv[g] = gi
         found = _first_row(
             gi < 0,
             inv[gi] != g,
@@ -389,10 +393,10 @@ class MeasuredGroupoid:
         self.validated = True
         return self
 
-    def _pair_table(self, src_, tgt_, g, h, gh) -> PairTable:
+    def _pair_table(self, src_, tgt_, g, h, gh, inv, unit_arrow) -> PairTable:
         """The composition table in positions; it must be keyed exactly by
         the composable pairs, each product having the right endpoints.  Row
-        i is g[i] h[i] = gh[i]; ``src_`` and ``tgt_`` are as in validate."""
+        i is g[i] h[i] = gh[i]; the other arguments are as in validate."""
         found = _first_row(g < 0, h < 0, gh < 0, tgt_[h] != src_[g],
                            (src_[gh] != src_[h]) | (tgt_[gh] != tgt_[g]))
         if found is not None:
@@ -419,7 +423,7 @@ class MeasuredGroupoid:
                                     [a, b])
         left, right, prod, row = (np.empty(size, dtype=np.intp) for _ in range(4))
         left[at], right[at], prod[at], row[at] = g, h, gh, np.arange(len(at))
-        return PairTable(left, right, prod, row, src, tgt, start, rank)
+        return PairTable(left, right, prod, row, src, tgt, start, rank, inv, unit_arrow)
 
     def _require_validated(self):
         if not self.validated:

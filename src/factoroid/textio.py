@@ -26,6 +26,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .cocycle import UNIT_MODULUS_TOL, Cocycle, validate_cocycle
 from .groupoid import MeasuredGroupoid, validate_groupoid
 
@@ -171,19 +173,17 @@ def serialize(g: MeasuredGroupoid, w: Optional[Cocycle] = None) -> str:
     out.append("[unit_arrows]")
     out.extend(f"{u} {g.unit_arrow[u]}" for u in g.units)
     out.append("[compose]")
-    index = g.arrow_index
-    for (x, y) in sorted(g.compose, key=lambda p: (index(p[0]), index(p[1]))):
-        out.append(f"{x} {y} {g.compose[(x, y)]}")
+    t, name = g.pairs, g.arrow_order
+    order = np.lexsort((t.right, t.left))  # by left factor, then right
+    out.extend(f"{name[t.left[p]]} {name[t.right[p]]} {name[t.prod[p]]}" for p in order)
     out.append("[inverse]")
     out.extend(f"{a} {g.inverse[a]}" for a in g.arrow_order)
     if w is not None:
-        from .cocycle import as_complex
-
         out.append("[cocycle]")
-        for (x, y) in sorted(w.values, key=lambda p: (index(p[0]), index(p[1]))):
-            v = as_complex(w.values[(x, y)])
-            if v != 1:
-                out.append(f"{x} {y} {v.real!r} {v.imag!r}")
+        phase = w.complex_phases(g)
+        for p in order[phase[order] != 1]:
+            v = complex(phase[p])
+            out.append(f"{name[t.left[p]]} {name[t.right[p]]} {v.real!r} {v.imag!r}")
     return "\n".join(out) + "\n"
 
 

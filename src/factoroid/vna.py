@@ -53,9 +53,9 @@ import scipy.sparse as sp
 from .basis import Basis
 from .cocycle import (
     Cocycle,
-    as_complex,
+    _normalized,
     kleppner_holds,
-    normalize_cocycle,
+    pmul,
     trivial_cocycle,
     twisted_icc,
 )
@@ -133,13 +133,6 @@ def l2_space(g: MeasuredGroupoid) -> L2Space:
     return L2Space(g, index, pos, weights, sqrt_weights, unit_vector)
 
 
-def _normalized(g: MeasuredGroupoid, w: Optional[Cocycle]) -> Cocycle:
-    """The trivial cocycle for None, else the normalized representative."""
-    if w is None:
-        return trivial_cocycle(g)
-    return w if w.normalized else normalize_cocycle(g, w)
-
-
 def rep_operator(
     g: MeasuredGroupoid,
     w: Optional[Cocycle],
@@ -213,13 +206,13 @@ def twisted_convolve(
     g._require_validated()
     if w is None:
         w = trivial_cocycle(g)
-    out: dict[str, complex] = {a: 0.0 + 0.0j for a in g.arrow_order}
-    for (a, b), ab in g.compose.items():
-        va = f1.get(a)
-        vb = f2.get(b)
-        if va and vb:
-            out[ab] += as_complex(w.values[(a, b)]) * va * vb
-    return out
+    t, n = g.pairs, len(g.arrows)
+    v1, v2 = (np.array([complex(f.get(a) or 0) for a in g.arrow_order]) for f in (f1, f2))
+    p = np.argsort(t.row)  # pairs without a zero factor, in compose row order
+    p = p[(v1[t.left[p]] != 0) & (v2[t.right[p]] != 0)]
+    terms = pmul(pmul(w.complex_phases(g)[p], v1[t.left[p]]), v2[t.right[p]])
+    out = np.bincount(t.prod[p], terms.real, n) + 1j * np.bincount(t.prod[p], terms.imag, n)
+    return dict(zip(g.arrow_order, out.tolist()))
 
 
 class MatrixStarAlgebra:
@@ -476,11 +469,7 @@ def _structure_constants(g: MeasuredGroupoid, w: Cocycle, space: L2Space) -> _Co
     at = np.full(len(g.arrows), -1, dtype=np.intp)
     at[[g.arrow_index(a) for a in space.index]] = np.arange(space.dim)
     keep = np.flatnonzero((at[t.left] >= 0) & (at[t.right] >= 0))
-    values = [w.values[pair] for pair in g.composable_pairs()]
-    if w.exact:
-        values = [as_complex(v) for v in values]
-    phase = np.asarray(values, dtype=complex)[keep]
-    return at[t.left[keep]], at[t.right[keep]], at[t.prod[keep]], phase
+    return at[t.left[keep]], at[t.right[keep]], at[t.prod[keep]], w.complex_phases(g)[keep]
 
 
 def _verify_structure(side: str, space: L2Space, forms: _Constants, tol: float) -> None:
@@ -764,9 +753,7 @@ def factoriality_report(
     treat disagreement as a hard failure.
     """
     g._require_validated()
-    twisted = w is not None and not all(
-        abs(as_complex(v) - 1.0) <= 1e-15 for v in w.values.values()
-    )
+    twisted = w is not None and not (np.abs(w.complex_phases(g) - 1.0) <= 1e-15).all()
     w = _normalized(g, w)
 
     erg = g.is_ergodic()

@@ -364,8 +364,8 @@ def test_criterion_13_central_vector_identities(
                     c = g.conjugate(a, h)
                     if c is None or c not in space.pos:
                         continue
-                    lhs = as_complex(wn.values[(c, a)]) * vals[c]
-                    rhs = as_complex(wn.values[(a, h)]) * vals[h]
+                    lhs = as_complex(wn(c, a)) * vals[c]
+                    rhs = as_complex(wn(a, h)) * vals[h]
                     assert abs(lhs - rhs) < 1e-8
                     total_checked += 1
     assert total_checked > 0

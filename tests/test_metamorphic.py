@@ -12,15 +12,16 @@ import random
 import pytest
 
 from factoroid import constructors as mk
-from factoroid.cocycle import apply_coboundary, trivial_cocycle
+from factoroid.cocycle import apply_coboundary, trivial_cocycle, validate_cocycle
 from factoroid.groupoid import MeasuredGroupoid, validate_groupoid
 from factoroid.vna import factoriality_report
 
 FIELDS = ("icc", "ergodic", "factor", "center_dim", "consistent")
 
 
-def _rebuild(g, rename, arrows, compose):
-    return validate_groupoid(
+def _rebuild(g, w, rename, arrows, compose):
+    """The groupoid rewritten, and the cocycle w, pair by pair, on it."""
+    h = validate_groupoid(
         MeasuredGroupoid(
             [rename[u] for u in g.units],
             {rename[u]: g.mass[u] for u in g.units},
@@ -35,6 +36,9 @@ def _rebuild(g, rename, arrows, compose):
             unnormalized=g.unnormalized,
         )
     )
+    if w is None:
+        return h, None
+    return h, validate_cocycle(h, {p: w(*p) for p in g.composable_pairs()}, exact=w.exact)
 
 
 def permute_arrows(g, w, rng):
@@ -42,7 +46,7 @@ def permute_arrows(g, w, rng):
     rng.shuffle(arrows)
     pairs = list(g.compose.items())
     rng.shuffle(pairs)
-    return _rebuild(g, {u: u for u in g.units}, arrows, dict(pairs)), w
+    return _rebuild(g, w, {u: u for u in g.units}, arrows, dict(pairs))
 
 
 def rename_units(g, w, rng):
@@ -50,7 +54,7 @@ def rename_units(g, w, rng):
     rng.shuffle(order)
     rename = {u: f"v{i}" for i, u in enumerate(order)}
     arrows = [(a.id, a.src, a.tgt) for a in g.arrows]
-    return _rebuild(g, rename, arrows, g.compose), w
+    return _rebuild(g, w, rename, arrows, g.compose)
 
 
 def coboundary(g, w, rng):

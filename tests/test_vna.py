@@ -9,6 +9,8 @@ from factoroid import constructors as mk
 from factoroid.basis import build_basis
 from factoroid.cocycle import as_complex, normalize_cocycle, trivial_cocycle
 from factoroid import vna
+from factoroid.groupoid import MeasuredGroupoid
+from factoroid.textio import parse_text, serialize
 from factoroid.vna import (
     AsymmetricBasis,
     InternalInconsistency,
@@ -70,7 +72,7 @@ def test_rep_operator_klein_twisted_signs():
     }
     assert len(nonzero) == 4
     for h in space.index:
-        phase = as_complex(wn.values[("pt.0.1", h)])
+        phase = as_complex(wn("pt.0.1", h))
         assert nonzero[(g.compose[("pt.0.1", h)], h)] == phase
     assert nonzero[("pt.0.1", "pt.0.0")] == 1.0  # the unit column
     # normalizing turns the -1 of the given cocycle on (0,1)(1,0) into -i
@@ -87,6 +89,20 @@ def test_rep_operator_adjoint_is_inverse(z4_translation):
         assert np.allclose(lam.conj().T, lam_inv)
 
 
+def test_report_reads_no_pair_list(monkeypatch):
+    # the report reads the composition table and the cocycle by position:
+    # it never walks the composable pairs by name
+    def refuse(self):
+        raise AssertionError("composable_pairs() was called")
+
+    for family in ("full3", "klein4-twisted"):
+        g, w = parse_text(serialize(*mk.NAMED_INSTANCES[family]()))
+        with monkeypatch.context() as patch:
+            patch.setattr(MeasuredGroupoid, "composable_pairs", refuse)
+            report = factoriality_report(g, w)
+        assert report.consistent and report.twisted == (w is not None)
+
+
 def test_twisted_convolution_unit(full2):
     space = l2_space(full2)
     f = {a: 1.0 for a in full2.unit_arrow_set}
@@ -100,6 +116,34 @@ def test_twisted_convolution_z2_inverse(z2):
     out = twisted_convolve(z2, None, {"pt.1": 1.0}, {"pt.1": 1.0})
     assert out["pt.0"] == pytest.approx(1.0)
     assert out["pt.1"] == 0.0
+
+
+def _convolve_by_loop(g, w, f1, f2):
+    """``twisted_convolve`` as it was written over the compose rows, kept as
+    the reference for its rounding."""
+    out = {a: 0.0 + 0.0j for a in g.arrow_order}
+    for (a, b), ab in g.compose.items():
+        va, vb = f1.get(a), f2.get(b)
+        if va and vb:
+            out[ab] += as_complex(w(a, b)) * va * vb
+    return out
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_twisted_convolution_matches_the_loop_bit_for_bit(exact):
+    import random
+
+    rng = random.Random(4)
+    for seed in range(40):
+        g, w = mk.random_twisted_pair(seed, exact=exact)
+        f1, f2 = (
+            {a: complex(rng.gauss(0, 1), rng.gauss(0, 1))
+             for a in g.arrow_order if rng.random() < 0.7}
+            for _ in range(2)
+        )
+        got = twisted_convolve(g, w, f1, f2)
+        expect = _convolve_by_loop(g, w, f1, f2)
+        assert list(map(repr, got.items())) == list(map(repr, expect.items())), seed
 
 
 def test_convolution_matches_operator_product():
@@ -215,7 +259,7 @@ def _regular_class_count(g, w, x):
     group = [a for a in g.arrow_order if g.src[a] == x and g.tgt[a] == x]
 
     def phase(a, b):
-        return 1.0 if w is None else as_complex(w.values[(a, b)])
+        return 1.0 if w is None else as_complex(w(a, b))
 
     seen, count = set(), 0
     for a in group:
@@ -372,12 +416,12 @@ def _rep_operator_by_loop(g, w, ids, side, space):
         col = space.pos[h]
         for a in ids:
             if side == "left" and g.src[a] == g.tgt[h]:
-                mat[space.pos[g.compose[(a, h)]], col] += as_complex(w.values[(a, h)])
+                mat[space.pos[g.compose[(a, h)]], col] += as_complex(w(a, h))
             elif side == "right" and g.src[a] == g.src[h]:
                 ai = g.inverse[a]
                 row = space.pos[g.compose[(h, ai)]]
                 ratio = math.sqrt(space.weights[row] / space.weights[col])
-                mat[row, col] += ratio * as_complex(w.values[(h, ai)]).conjugate()
+                mat[row, col] += ratio * as_complex(w(h, ai)).conjugate()
     return mat
 
 
@@ -683,8 +727,8 @@ def test_twisted_conjugation_identity(klein_twisted):
         for h in g.iso_subgroupoid():
             for a in g.by_source(g.src[h]):
                 c = g.conjugate(a, h)
-                lhs = as_complex(wn.values[(c, a)]) * vals[c]
-                rhs = as_complex(wn.values[(a, h)]) * vals[h]
+                lhs = as_complex(wn(c, a)) * vals[c]
+                rhs = as_complex(wn(a, h)) * vals[h]
                 assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
