@@ -73,9 +73,21 @@ def _default_rank_tol() -> float:
         raise InputError(f"{_ENV_TOL} {exc}") from None
 
 
+def _json_safe(value):
+    """``value`` with every non-finite float as None (JSON null), since
+    RFC 8259 has no Infinity or NaN."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    return value
+
+
 def _render(data: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(data, indent=2)
+        return json.dumps(_json_safe(data), indent=2, allow_nan=False)
     width = max(len(k) for k in data)
     return "\n".join(f"{k.ljust(width)}  {data[k]!r}" for k in data)
 

@@ -32,7 +32,11 @@ coordinates y_a = |L_a|_F c_a of x = sum_a c_a L_a over the orthonormal
 frame L_a / |L_a|_F, an isometry, so ``subspaces_equal`` gets the matrices'
 ranks and residuals from n-vectors.  ``commutant`` builds the same Gram
 matrix from dense products, with matrix elements, as the oracle for
-``center``; without ``within`` it also computes full commutants.
+``center``; without ``within`` it also computes full commutants.  That
+branch is the only user of scipy and imports ``scipy.sparse`` when it runs:
+importing factoroid, and every CLI subcommand, loads numpy alone, since the
+scipy import would take about half the start-up time and a third of the
+memory of a process that makes one report.
 
 Rank and nullspace decisions use an explicit tolerance.  Nullspaces are read
 off the spectrum of a Gram matrix (its eigenvalues are the squared singular
@@ -48,7 +52,6 @@ from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .basis import Basis
 from .cocycle import (
@@ -388,6 +391,8 @@ def commutant(
     is below ``tol * max(1, sigma_max)``.  When ``within`` is given the
     search is performed inside that span.  Every product here is dense, so
     ``commutant(alg.basis_ops, within=alg)`` is the oracle for ``center``.
+    Without ``within`` the map is a sparse Kronecker sum; ``scipy.sparse`` is
+    imported only then, so that no report pays for loading it.
     """
     ops = np.asarray(ops, dtype=complex)
     if ops.ndim != 3:
@@ -398,6 +403,8 @@ def commutant(
         return _commutator_residual(x, ops)
 
     if within is None:
+        import scipy.sparse as sp  # deferred: see the docstring
+
         ops_r = _as_real_if_possible(ops)
         gram = None
         eye = sp.identity(n, format="csr", dtype=ops_r.dtype)

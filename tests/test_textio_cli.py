@@ -286,22 +286,85 @@ def test_cli_tight_rank_tol_passes_structure_check(tmp_path, capsys, seed):
     assert code == 0, captured.err
 
 
+def _env_with_src():
+    """The environment, with this checkout's package first on the path."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(factoroid.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_cli_closed_pipe_exits_1_without_traceback():
     # the reader is gone before the command writes its first byte
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(factoroid.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "factoroid", "dr-scan", "--size", "10", "--bound", "10"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            stdout=write_end, stderr=subprocess.PIPE, env=_env_with_src(), timeout=120,
         )
     finally:
         os.close(write_end)
     assert proc.returncode == 1
     assert b"Traceback" not in proc.stderr and b"Exception ignored" not in proc.stderr
+
+
+def _strict_json(text):
+    """Parse ``text`` as RFC 8259 JSON, which has no Infinity or NaN."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_cli_json_writes_non_finite_floats_as_null(tmp_path, capsys):
+    # center rejects no eigenvalue on z2, so the rejected end of the gap is inf
+    path = str(tmp_path / "z2.txt")
+    run_cli(capsys, "gen", "--family", "z2", "--out", path)
+    code, out = run_cli(capsys, "report", path, "--format", "json")
+    assert code == 0
+    assert _strict_json(out)["center_gap"] == [0.0, None]
+    code, out = run_cli(capsys, "center", path, "--format", "json")
+    assert code == 0
+    assert _strict_json(out)["gap"] == [0.0, None]
+    code, out = run_cli(capsys, "report", path)
+    assert code == 0
+    assert ["center_gap", "[0.0, inf]"] in [line.split(None, 1) for line in out.splitlines()]
+
+
+_SCIPY_BLOCKED = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None  # any import of scipy now raises
+from factoroid import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_cli_never_imports_scipy(tmp_path, capsys):
+    # only the commutant oracle uses scipy; no subcommand may load it
+    path = str(tmp_path / "k.txt")
+    run_cli(capsys, "gen", "--family", "klein4-twisted", "--out", path)
+    calls = [
+        ["report", path, "--format", "json"], ["center", path], ["validate", path],
+        ["icc", path], ["twisted-icc", path], ["kleppner", path],
+        ["fourier", path, "--elements", "2"], ["gen", "--family", "klein4-twisted"],
+        ["corpus", "--count", "3"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_BLOCKED, json.dumps(calls)],
+        capture_output=True, text=True, env=_env_with_src(), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    blocked = json.loads(proc.stdout)
+    for argv, (code, out) in zip(calls, blocked, strict=True):
+        assert [code, out] == list(run_cli(capsys, *argv)) and code == 0, argv
 
 
 def test_cli_reports_are_deterministic(tmp_path, capsys):
