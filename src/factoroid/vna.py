@@ -26,23 +26,28 @@ needs no SVD.
 ``center`` reads the commutator map c -> ([sum_a c_a L_a, L_b])_b off the
 checked left entries as a sparse matrix K with at most 2P rows, since
 [L_a, L_b] = w(a,b) L_ab - w(b,a) L_ba and distinct translations are
-orthogonal; its Gram matrix K^H K is n x n.  After ``algebra`` a report
-forms no n x n operator: ``center`` and ``invariant_subalgebra`` keep the
-coordinates y_a = |L_a|_F c_a of x = sum_a c_a L_a over the orthonormal
-frame L_a / |L_a|_F, an isometry, so ``subspaces_equal`` gets the matrices'
-ranks and residuals from n-vectors.  ``commutant`` builds the same Gram
-matrix from dense products, with matrix elements, as the oracle for
-``center``; without ``within`` it also computes full commutants.  That
-branch is the only user of scipy and imports ``scipy.sparse`` when it runs:
-importing factoroid, and every CLI subcommand, loads numpy alone, since the
-scipy import would take about half the start-up time and a third of the
-memory of a process that makes one report.
+orthogonal.  Its Gram matrix K^H K is block diagonal over the conjugacy
+classes of isotropy arrows (the splitting over orbits into matrix algebras
+over twisted isotropy group algebras, B. Steinberg, Adv. Math. 223, 2010),
+and ``center`` takes its spectrum block by block.  A report forms no n x n
+operator: ``algebra`` checks its identity on the entries, and ``center``
+and ``invariant_subalgebra`` keep the coordinates y_a = |L_a|_F c_a of x =
+sum_a c_a L_a over the orthonormal frame L_a / |L_a|_F, an isometry, so
+``subspaces_equal`` gets the matrices' ranks and residuals from n-vectors.
+``commutant`` builds the whole Gram matrix from dense products, with matrix
+elements, as the oracle for ``center``; without ``within`` it also computes
+full commutants.  That branch is the only user of scipy and imports
+``scipy.sparse`` when it runs: importing factoroid, and every CLI
+subcommand, loads numpy alone, since the scipy import would take about half
+the start-up time and a third of the memory of a process that makes one
+report.
 
 Rank and nullspace decisions use an explicit tolerance.  Nullspaces are read
 off the spectrum of a Gram matrix (its eigenvalues are the squared singular
 values), and every candidate null vector is confirmed against its directly
 computed commutator residual, which keeps the tolerance honest at 1e-9 even
 where squaring would lose precision; the observed spectral gap is recorded.
+``center`` and ``commutant`` share this rule, ``_null_algebra``.
 """
 
 from __future__ import annotations
@@ -338,44 +343,30 @@ def _commutator_residual(x: np.ndarray, ops: np.ndarray) -> float:
 
 
 def _null_algebra(
-    gram: np.ndarray,
-    to_element: Callable[[np.ndarray], Optional[np.ndarray]],
-    residual: Callable[[np.ndarray, np.ndarray], float],
+    eigvals: np.ndarray,
+    confirm: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     tol: float,
 ) -> MatrixStarAlgebra:
     """Span of the confirmed null vectors of a commutator map.
 
-    Eigenvectors v of the Gram matrix below the candidate cut are mapped to
-    elements x, matrices or coordinate vectors (``to_element`` may drop one
-    by returning None), and accepted when ``residual(v, x)``, their directly
-    computed commutator residual, is at most ``tol * max(1, sigma_max)``.
+    ``eigvals`` is the spectrum of the map's Gram matrix, its squared
+    singular values, taken whole or as the union of its diagonal blocks'
+    spectra.  ``confirm(cand)`` maps the eigenvectors at the
+    positions ``cand`` below the candidate cut to their elements x, matrices
+    or coordinate vectors, and to their directly computed commutator
+    residuals (inf drops one); x is accepted when its residual is at most
+    ``tol * max(1, sigma_max)``.  The observed gap is the largest accepted
+    residual against the smallest singular value not accepted.
     """
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    sigmas = np.sqrt(np.clip(eigvals, 0.0, None))
-    smax = sigmas[-1] if len(sigmas) else 0.0
-    scale = max(1.0, smax)
-    cand = np.nonzero(sigmas <= _CANDIDATE_CUT * scale)[0]
-    null_ops: list[np.ndarray] = []
-    max_accepted = 0.0
+    sigmas = np.sqrt(np.maximum(eigvals, 0.0))
+    scale = max(1.0, float(sigmas.max(initial=0.0)))
+    cand = np.flatnonzero(sigmas <= _CANDIDATE_CUT * scale)
+    elements, residuals = confirm(cand)
+    ok = residuals <= tol * scale
     rejected = np.ones(len(sigmas), dtype=bool)
-    for idx in cand:
-        v = eigvecs[:, idx]
-        x = to_element(v)
-        if x is None:
-            continue
-        res = residual(v, x)
-        if res <= tol * scale:
-            null_ops.append(x)
-            max_accepted = max(max_accepted, res)
-            rejected[idx] = False
-    min_rejected = float(sigmas[rejected].min(initial=np.inf))
-    return MatrixStarAlgebra(null_ops, tol=tol, observed_gap=(max_accepted, min_rejected))
-
-
-def _unit_norm(x: np.ndarray) -> Optional[np.ndarray]:
-    """``x`` scaled to unit Frobenius norm (None for 0)."""
-    nrm = np.linalg.norm(x)
-    return None if nrm < 1e-300 else x / nrm
+    rejected[cand[ok]] = False
+    gap = (float(residuals[ok].max(initial=0.0)), float(sigmas[rejected].min(initial=np.inf)))
+    return MatrixStarAlgebra(elements[ok], tol=tol, observed_gap=gap)
 
 
 def commutant(
@@ -389,8 +380,10 @@ def commutant(
     spectrum of its Gram matrix (squared singular values); candidates below a
     generous cut are kept only if their directly computed commutator residual
     is below ``tol * max(1, sigma_max)``.  When ``within`` is given the
-    search is performed inside that span.  Every product here is dense, so
-    ``commutant(alg.basis_ops, within=alg)`` is the oracle for ``center``.
+    search is performed inside that span.  Every product here is dense and
+    the Gram matrix is taken whole, with one ``eigh``, so
+    ``commutant(alg.basis_ops, within=alg)`` is the oracle for ``center``,
+    which takes the same spectrum block by block.
     Without ``within`` the map is a sparse Kronecker sum; ``scipy.sparse`` is
     imported only then, so that no report pays for loading it.
     """
@@ -398,9 +391,6 @@ def commutant(
     if ops.ndim != 3:
         raise ValueError("ops must be a sequence of square matrices")
     n = ops.shape[1]
-
-    def residual(v: np.ndarray, x: np.ndarray) -> float:
-        return _commutator_residual(x, ops)
 
     if within is None:
         import scipy.sparse as sp  # deferred: see the docstring
@@ -413,26 +403,35 @@ def commutant(
             k = sp.kron(eye, a.T, format="csr") - sp.kron(a, eye, format="csr")
             term = (k.conj().T @ k)
             gram = term if gram is None else gram + term
-        return _null_algebra(
-            np.asarray(gram.todense()),
-            lambda v: v.reshape(n, n).astype(complex),
-            residual,
-            tol,
-        )
+        gram = np.asarray(gram.todense())
 
-    basis = within.basis_ops
-    k = len(basis)
-    gram = np.zeros((k, k), dtype=complex)
-    for op in ops:
-        comm = basis @ op - op @ basis
-        flat = comm.reshape(k, -1)
-        gram += flat.conj() @ flat.T
-    return _null_algebra(
-        0.5 * (gram + gram.conj().T),
-        lambda v: _unit_norm(np.tensordot(v, basis, axes=1)),
-        residual,
-        tol,
-    )
+        def to_elements(vecs: np.ndarray) -> np.ndarray:
+            return vecs.T.reshape(-1, n, n).astype(complex)
+    else:
+        basis = within.basis_ops
+        k = len(basis)
+        gram = np.zeros((k, k), dtype=complex)
+        for op in ops:
+            comm = basis @ op - op @ basis
+            flat = comm.reshape(k, -1)
+            gram += flat.conj() @ flat.T
+        gram = 0.5 * (gram + gram.conj().T)
+
+        def to_elements(vecs: np.ndarray) -> np.ndarray:
+            return np.tensordot(vecs.T, basis, axes=1)
+
+    eigvals, eigvecs = np.linalg.eigh(gram)
+
+    def confirm(cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # each candidate scaled to unit Frobenius norm; a zero one is dropped
+        xs = to_elements(eigvecs[:, cand])
+        size = np.linalg.norm(xs.reshape(len(xs), -1), axis=1)
+        keep = size >= 1e-300
+        xs[keep] /= size[keep, None, None]
+        res = [_commutator_residual(x, ops) if kept else np.inf for x, kept in zip(xs, keep)]
+        return xs, np.array(res)
+
+    return _null_algebra(eigvals, confirm, tol)
 
 
 def algebra(
@@ -461,8 +460,15 @@ def algebra(
     forms = _column_forms(constants, side, space)
     _verify_structure(side, space, forms, tol)
     alg = TranslationAlgebra(forms, n, tol)
-    ok, res = alg.contains(np.eye(n))
-    if not ok:
+    # the identity projects to sum_a c_a T_a, c_a = <T_a, I> / |T_a|_F^2 from
+    # the diagonal entries; the supports are disjoint, so the residual sums
+    # over the entries, plus 1 for each diagonal place that no entry holds
+    arrow, col, row, val = forms
+    diag = row == col
+    inner = np.bincount(arrow[diag], val[diag].real, n) - 1j * np.bincount(arrow[diag], val[diag].imag, n)
+    miss = (inner * alg._scale)[arrow] * val - diag
+    res = math.sqrt((np.sum(miss.real ** 2 + miss.imag ** 2) + n - diag.sum()) / max(n, 1))
+    if not res <= tol:
         raise InternalInconsistency(f"algebra misses its identity (residual {res})")
     if alg.dim != n:
         raise InternalInconsistency(f"algebra rank {alg.dim} != arrow count {n}")
@@ -533,9 +539,20 @@ def center(
     of K has at most two entries, at a = k b^-1 and at a = b^-1 k, and it has
     one only where (k b^-1, b) or (b, b^-1 k) is a composable pair, so K is
     stored as two (column, value) pairs on each of its at most 2P occupied
-    rows, in increasing order of (b, k).  A candidate c is accepted when
-    |Kc| / |x|_F <= tol * max(1, sigma_max), where x = sum_a c_a L_a and
-    |x|_F = |(|L_a|_F c_a)_a|.
+    rows, in increasing order of (b, k).
+
+    A row has two entries only when both columns exist, and then s(k) = s(b)
+    and t(k) = t(b): both are isotropy arrows, and b^-1 k = b^-1 (k b^-1) b
+    is conjugate to k b^-1.  So K^H K is block diagonal over the components
+    of the graph that the two-entry rows draw on the columns, the conjugacy
+    classes of isotropy arrows (the blocks of Steinberg's decomposition over
+    orbits into matrix algebras over C^w G_x), and every other column is a
+    1 x 1 block.  The components are found from K's entries alone, all the
+    block Gram matrices are summed in one ``bincount``, and the spectrum of
+    K^H K is the union of their spectra, from one batched ``eigh`` per block
+    size.  A candidate v lives on one block, so Kv is nonzero only on that
+    block's rows, and it is accepted when |Kv| / |x|_F <= tol * max(1,
+    sigma_max), where x = sum_a c_a L_a and |x|_F = |(|L_a|_F c_a)_a|.
 
     Each row of ``basis_ops`` is an accepted x as the unit n-vector y_a =
     |L_a|_F c_a; ``alg.element(y / |L_a|_F)`` is its matrix.
@@ -546,34 +563,80 @@ def center(
     i, j, k, phase = alg.forms  # the composable pairs (a, b), ab and w(a, b)
     norms = np.sqrt(np.bincount(i, minlength=n))  # |L_a|_F^2 counts its entries
 
-    # the two (column, value) entries of each occupied row (b, k); column n,
-    # with value 0, marks a missing entry
+    # the two (column, value) entries of each occupied row (b, k); a missing
+    # entry repeats the other one's column, with value 0
     occupied, place = np.unique(np.concatenate([j * n + k, i * n + k]), return_inverse=True)
-    first, second = np.split(place, 2)
+    first, second = place[:len(i)], place[len(i):]
     value = phase * norms[k]
-    cols = np.full((2, len(occupied)), n, dtype=np.intp)
+    cols = np.empty((2, len(occupied)), dtype=np.intp)
     vals = np.zeros((2, len(occupied)), dtype=complex)
+    cols[1, first], cols[0, second] = i, j
     cols[0, first], vals[0, first] = i, value  # c_a w(a,b) L_ab in [x, L_b]
     cols[1, second], vals[1, second] = j, -value  # -c_b w(a,b) L_ab in [x, L_a]
 
+    # the blocks: label[a] ends as the least column of a's component, once
+    # no row joins two labels
+    head, tail = np.concatenate([cols, cols[::-1]], axis=1)
+    label = np.arange(n)
+    while True:
+        np.minimum.at(label, head, label[tail])
+        if (label[head] == label[tail]).all():
+            break
+
+    # the columns in order of block size, then block: a block of size s holds
+    # s consecutive sorted positions, and its s x s Gram matrix lies row-major
+    # in ``gram``, the row of the column at sorted position p from at[p]
+    size = np.bincount(label, minlength=n)[label]
+    order = np.lexsort((label, size))
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    sizes = size[order]
+    at = np.cumsum(sizes) - sizes  # by sorted position
+    local = rank - rank[label]
     # K^H K summed over rows: row u adds conj(u_p) u_q at (p, q), for the
     # columns p, q of its two entries
-    at = (cols[:, None] * (n + 1) + cols[None, :]).ravel()
+    cell = (at[rank][cols][:, None] + local[cols][None, :]).ravel()
     term = (vals.conj()[:, None] * vals[None, :]).ravel()
-    size = (n + 1) ** 2
-    gram = np.bincount(at, term.real, size) + 1j * np.bincount(at, term.imag, size)
-    gram = gram.reshape(n + 1, n + 1)[:n, :n]
+    total = int(sizes.sum())
+    gram = np.bincount(cell, term.real, total) + 1j * np.bincount(cell, term.imag, total)
 
-    def residual(v: np.ndarray, x: np.ndarray) -> float:
-        kv = (vals * np.append(v, 0.0)[cols]).sum(axis=0)
-        return float(np.linalg.norm(kv) / np.linalg.norm(norms * v))
+    # the eigenvalue at sorted position p has its eigenvector, over the
+    # columns of its block, at vecs[at[p]:][:s], as its Gram row was
+    eigvals, vecs = np.empty(n), np.ones(total, dtype=complex)
+    # a run of one block size starts at position 0 (if there is one) and
+    # wherever the sorted sizes change
+    starts = np.flatnonzero(np.concatenate([sizes[:1] > 0, sizes[1:] != sizes[:-1]])).tolist()
+    for lo, hi in zip(starts, [*starts[1:], n]):
+        s, cells = sizes[lo], slice(at[lo], at[lo] + (hi - lo) * sizes[lo])
+        if s == 1:
+            eigvals[lo:hi] = gram[cells].real
+        else:
+            e, v = np.linalg.eigh(gram[cells].reshape(-1, s, s))
+            eigvals[lo:hi], vecs[cells] = e.ravel(), v.swapaxes(1, 2).ravel()
 
-    return _null_algebra(
-        0.5 * (gram + gram.conj().T),
-        lambda v: _unit_norm(norms * v),
-        residual,
-        tol,
-    )
+    def confirm(cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        first = cand - local[order[cand]]  # sorted position of the block's least column
+        # entry ``step`` of the eigenvector of candidate ``own``
+        own = np.repeat(np.arange(len(cand)), sizes[cand])
+        step = np.arange(len(own)) - (np.cumsum(sizes[cand]) - sizes[cand])[own]
+        column, v = order[first[own] + step], vecs[at[cand][own] + step]
+        y = norms[column] * v
+        length = np.sqrt(np.bincount(own, y.real ** 2 + y.imag ** 2, len(cand)))
+        # a row of K lies in one block, so candidates of distinct blocks share
+        # one pass over the rows, each taking |Kv|^2 from its own block's rows
+        layer = np.arange(len(cand)) - np.searchsorted(first, first)
+        squares = np.zeros(len(cand) + 1)
+        for t in range(layer.max(initial=-1) + 1):
+            mine = layer[own] == t
+            coef, who = np.zeros(n, dtype=complex), np.full(n, len(cand))
+            coef[column[mine]], who[column[mine]] = v[mine], own[mine]
+            kv = (vals * coef[cols]).sum(axis=0)
+            squares += np.bincount(who[cols[0]], kv.real ** 2 + kv.imag ** 2, len(cand) + 1)
+        x = np.zeros((len(cand), n), dtype=complex)
+        x[own, column] = y / length[own]
+        return x, np.sqrt(squares[:-1]) / length
+
+    return _null_algebra(eigvals, confirm, tol)
 
 
 def invariant_subalgebra(
@@ -590,7 +653,9 @@ def invariant_subalgebra(
     units = [space.pos[g.unit_arrow[u]] for u in tgt]
     norms = np.sqrt(np.bincount(units, minlength=space.dim))
     positive = [o for o in g.orbits() if any(g.mass[u] > 0.0 for u in o)]
-    rows = [norms * np.isin(tgt, list(orbit)) for orbit in positive]
+    orbit_of = {u: at for at, orbit in enumerate(positive) for u in orbit}
+    orbit = np.array([orbit_of.get(u, -1) for u in tgt])
+    rows = [norms * (orbit == at) for at in range(len(positive))]
     return MatrixStarAlgebra(rows or np.zeros((1, space.dim)))
 
 

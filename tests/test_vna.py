@@ -775,8 +775,8 @@ def test_report_reads_composition_table_once(monkeypatch):
 
 
 def test_report_forms_no_operator_after_algebra(monkeypatch):
-    # center, invariants and containment see only n-vectors: the one n x n
-    # operator a report builds is the identity that algebra checks
+    # algebra checks its identity on the entries, and center, invariants and
+    # containment see only n-vectors: a report builds no n x n operator
     s4 = mk.symmetric_group(4)
     bundle = mk.group_bundle({u: s4 for u in ("y0", "y1", "y2")},
                              {"y0": 0.2, "y1": 0.3, "y2": 0.5})
@@ -792,7 +792,7 @@ def test_report_forms_no_operator_after_algebra(monkeypatch):
     for g, w in (mk.random_twisted_pair(2), (bundle, None)):
         calls.update(dict.fromkeys(calls, 0))
         assert factoriality_report(g, w).consistent
-        assert calls == {"multiplication_operator": 0, "_scatter": 1}
+        assert calls == {"multiplication_operator": 0, "_scatter": 0}
 
 
 def test_center_reads_only_the_algebra():
@@ -801,6 +801,92 @@ def test_center_reads_only_the_algebra():
     z, ref = center(None, None, alg=alg), center(g, w)
     assert z.dim == ref.dim and z.observed_gap == ref.observed_gap
     assert subspaces_equal(z, ref)[0]
+
+
+def test_center_does_not_read_the_structural_side(monkeypatch, klein_twisted, s3_bundle):
+    # the blocks come from K's entries alone, not from the conjugacy classes
+    from factoroid import conjugacy
+
+    cases = [klein_twisted, (s3_bundle, None), mk.random_twisted_pair(2)]
+    algs = [algebra(g, w) for g, w in cases]
+    refs = [center(None, None, alg=alg) for alg in algs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("center read the structural side")
+
+    for name in ("conjugacy_class", "is_icc"):
+        monkeypatch.setattr(conjugacy, name, refuse)
+    monkeypatch.setattr(vna, "is_icc", refuse)
+    for alg, ref, dim in zip(algs, refs, (1, 3, 1)):
+        z = center(None, None, alg=alg)
+        assert z.dim == ref.dim == dim and z.observed_gap == ref.observed_gap
+        assert np.array_equal(z.basis_ops, ref.basis_ops)
+
+
+def _s4_translation():
+    s4 = mk.symmetric_group(4)
+    units = s4.elements
+    return mk.transformation_groupoid(
+        s4, mk.translation_action(s4), units, {u: 1 / len(units) for u in units}
+    )
+
+
+@pytest.mark.parametrize("build, largest, dim", [
+    (_s4_translation, 24, 1),  # n = 576; one block, the 24 unit arrows
+    (lambda: mk.sn_bundle(5)[0], 30, 17),  # the 4-cycles of S5; classes of S2..S5
+], ids=["s4-translation", "sn-bundle-5"])
+def test_center_takes_the_spectrum_block_by_block(monkeypatch, build, largest, dim):
+    # K^H K is block diagonal over the conjugacy classes of isotropy arrows,
+    # so no eigh sees more than the largest class
+    g = build()
+    alg = algebra(g)
+    seen = []
+    real = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.shape(a)[-1])
+        return real(a, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", spy)
+        z = center(g, alg=alg)
+    assert seen and max(seen) <= largest < alg.matrix_dim
+    assert z.dim == dim
+
+
+def test_center_confirms_several_candidates_per_block(monkeypatch):
+    # with the candidate cut lifted, every eigenvector of every block (up to
+    # 8 in a block here, the 3-cycles of S4) is confirmed in the batched pass;
+    # the verdict is unchanged, and each residual |Kv| / |x|_F is sigma / |L_a|_F,
+    # as |L_a|_F is constant on a conjugacy class.  Below sigma = 1e-3 the
+    # squared spectrum is rounding noise (one null vector reads 5.6e-7), and
+    # the direct residual is what tells the null vectors
+    g = mk.sn_bundle(4)[0]
+    alg = algebra(g)
+    ref = center(g, alg=alg)
+    seen = []
+    real = vna._null_algebra
+
+    def spy(eigvals, confirm, tol):
+        def checked(cand):
+            x, res = confirm(cand)
+            seen.append((eigvals[cand], x, res))
+            return x, res
+
+        return real(eigvals, checked, tol)
+
+    monkeypatch.setattr(vna, "_CANDIDATE_CUT", np.inf)
+    monkeypatch.setattr(vna, "_null_algebra", spy)
+    z = center(g, alg=alg)
+    assert z.dim == ref.dim == 10 and z.observed_gap == ref.observed_gap
+    assert subspaces_equal(z, ref)[0]
+    (eigvals, x, res), = seen
+    assert len(res) == alg.matrix_dim
+    norms = np.sqrt(np.bincount(alg.forms[0], minlength=alg.matrix_dim))
+    sigma = np.sqrt(np.maximum(eigvals, 0.0))
+    at, big = np.abs(x).argmax(axis=1), sigma > 1e-3
+    assert np.allclose(res[big] * norms[at[big]], sigma[big], rtol=1e-9)
+    assert (res[~big] < 1e-12).all() and (~big).sum() == z.dim
 
 
 def test_report_requires_nonsingular():
@@ -823,6 +909,20 @@ def test_report_requires_nonsingular():
     assert not g.flags.nonsingular
     with pytest.raises(GroupoidError):
         factoriality_report(g)
+
+
+def test_report_with_no_positive_arrow():
+    # every unit null: the space, the algebra and the center are all empty
+    from factoroid.groupoid import validate_groupoid
+
+    g = validate_groupoid(MeasuredGroupoid(
+        ["x"], {"x": 0.0}, [("e", "x", "x")], {("e", "e"): "e"}, {"e": "e"},
+        {"x": "e"}, unnormalized=True,
+    ))
+    assert algebra(g).matrix_dim == 0
+    rep = factoriality_report(g)
+    assert rep.positive_arrows == rep.center_dim == rep.invariant_dim == 0
+    assert rep.center_gap == (0.0, math.inf) and rep.center_equals_invariant
 
 
 def test_report_with_exact_masses():
