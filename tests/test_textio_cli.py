@@ -16,7 +16,7 @@ import factoroid
 from factoroid import cli, vna
 from factoroid import constructors as mk
 from factoroid.cocycle import NotUnitModulus, validate_cocycle
-from factoroid.groupoid import BadInverse
+from factoroid.groupoid import BadInverse, DanglingReference
 from factoroid.textio import ParseError, parse_text, serialize
 
 
@@ -150,6 +150,178 @@ def test_line_numbers_count_every_line_break(full2, bad, message):
         parse_text("".join(line + next(separators) for line in lines))
     assert err.value.line == at + 1
     assert str(err.value) == f"line {at + 1}: " + message.format(first=first)
+
+
+def _fault_base() -> list[str]:
+    """full2 on lines 1-25 (headers on 1, 4, 9, 12 and 21), then a cocycle
+    section: its header on line 26 and two rows on lines 27-28."""
+    g, _ = mk.NAMED_INSTANCES["full2"]()
+    text = serialize(g) + "[cocycle]\nr|x0|x1 r|x1|x0 1.0 0.0\nr|x1|x0 r|x0|x1 1.0 0.0\n"
+    return text.splitlines()
+
+
+# an edit (k, row) with k > 0 replaces line k; with k < 0 it inserts the row
+# so that it becomes line -k; edits apply from the largest |k| down
+_FAULTS = {  # edits of _fault_base(), then the class, line and message
+    "units: ragged row": (
+        [(2, "x0 0.5 extra")], ParseError, 2,
+        "units rows need `id mass`"),
+    "units: repeated key": (
+        [(-4, "x0 0.25")], ParseError, 4,
+        "duplicate unit 'x0'"),
+    "units: unknown section": (
+        [(1, "[unitz]")], ParseError, 1,
+        "unknown section 'unitz'"),
+    "units: bad mass": (
+        [(3, "x1 abc")], ParseError, 3,
+        "bad mass 'abc' for 'x1': could not convert string to float: 'abc'"),
+    "units: no rows": (
+        [(2, "# x0 0.5"), (3, "")], ParseError, 0,
+        "no units defined"),
+    "arrows: ragged row": (
+        [(5, "r|x0|x0 x0")], ParseError, 5,
+        "arrows rows need `id src tgt`"),
+    "arrows: repeated key": (
+        [(-9, "r|x0|x1 x1 x0")], DanglingReference, None,
+        "duplicate arrow identifiers"),
+    "arrows: unknown id": (
+        [(6, "r|x0|x1 zz x0")], DanglingReference, None,
+        "arrow 'r|x0|x1' references unknown unit"),
+    "arrows: unknown section": (
+        [(4, "[arrowz]")], ParseError, 4,
+        "unknown section 'arrowz'"),
+    "unit_arrows: ragged row": (
+        [(10, "x0 r|x0|x0 extra")], ParseError, 10,
+        "unit_arrows rows need `unit arrow`"),
+    "unit_arrows: repeated key": (
+        [(-12, "x0 r|x1|x1")], ParseError, 12,
+        "duplicate unit_arrows row for 'x0' (first given on line 10)"),
+    "unit_arrows: unknown id": (
+        [(11, "x1 zz")], DanglingReference, None,
+        "unit arrow 'zz' of 'x1' is not an arrow"),
+    "unit_arrows: unknown section": (
+        [(9, "[unit_arrowz]")], ParseError, 9,
+        "unknown section 'unit_arrowz'"),
+    "compose: ragged row": (
+        [(13, "r|x0|x0 r|x0|x0")], ParseError, 13,
+        "compose rows need `g h gh`"),
+    "compose: repeated key": (
+        [(-21, "r|x0|x0 r|x0|x1 r|x0|x0")], ParseError, 21,
+        "duplicate compose row for 'r|x0|x0 r|x0|x1' (first given on line 14)"),
+    "compose: unknown id": (
+        [(15, "r|x0|x1 zz r|x0|x0")], DanglingReference, None,
+        "compose entry ('r|x0|x1','zz')->'r|x0|x0' uses unknown arrow"),
+    "compose: unknown section": (
+        [(12, "[composer]")], ParseError, 12,
+        "unknown section 'composer'"),
+    "inverse: ragged row": (
+        [(22, "r|x0|x0")], ParseError, 22,
+        "inverse rows need `g ginv`"),
+    "inverse: repeated key": (
+        [(-26, "r|x0|x1 r|x0|x1")], ParseError, 26,
+        "duplicate inverse row for 'r|x0|x1' (first given on line 23)"),
+    "inverse: unknown id": (
+        [(23, "r|x0|x1 zz")], DanglingReference, None,
+        "inverse of 'r|x0|x1' is unknown"),
+    "inverse: unknown section": (
+        [(21, "[inverses]")], ParseError, 21,
+        "unknown section 'inverses'"),
+    "cocycle: ragged row": (
+        [(27, "r|x0|x1 r|x1|x0 1.0")], ParseError, 27,
+        "cocycle rows need `g h re im`"),
+    "cocycle: repeated key": (
+        [(-29, "r|x0|x1 r|x1|x0 -1.0 0.0")], ParseError, 29,
+        "duplicate cocycle row for 'r|x0|x1 r|x1|x0' (first given on line 27)"),
+    "cocycle: unknown id": (
+        [(27, "zz r|x1|x0 1.0 0.0")], ParseError, 27,
+        "cocycle entry on non-composable pair ('zz', 'r|x1|x0')"),
+    "cocycle: unknown section": (
+        [(26, "[cocycles]")], ParseError, 26,
+        "unknown section 'cocycles'"),
+    "cocycle: bad phase": (
+        [(28, "r|x1|x0 r|x0|x1 1.0 abc")], ParseError, 28,
+        "bad phase: could not convert string to float: 'abc'"),
+    "cocycle: non-unit phase": (
+        [(27, "r|x0|x1 r|x1|x0 0.5 0.0")], ParseError, 27,
+        "phase 0.5 0.0 does not have modulus 1"),
+    "cocycle: nan phase": (
+        [(27, "r|x0|x1 r|x1|x0 nan 0.0")], ParseError, 27,
+        "phase nan 0.0 does not have modulus 1"),
+    "cocycle: non-composable pair": (
+        [(28, "r|x0|x1 r|x0|x1 1 0")], ParseError, 28,
+        "cocycle entry on non-composable pair ('r|x0|x1', 'r|x0|x1')"),
+    "compose: header with a stray bracketed field": (
+        [(12, "[compose] x]  # note")], ParseError, 12,
+        "unknown section 'compose] x'"),
+    "data before a header": (
+        [(-1, "x0 0.5")], ParseError, 1,
+        "data before any section header"),
+    "data before a header, after a comment": (
+        [(-1, "# note"), (-1, ""), (-1, "x0 0.5")], ParseError, 1,
+        "data before any section header"),
+    "compose: repeated key before an unknown id": (
+        [(13, "zz r|x0|x0 r|x0|x0"), (-21, "r|x0|x0 r|x0|x1 r|x0|x0")], ParseError, 21,
+        "duplicate compose row for 'r|x0|x0 r|x0|x1' (first given on line 14)"),
+    "compose: distinct unknown ids are no repeat": (
+        [(13, "zz r|x0|x0 r|x0|x0"), (14, "yy r|x0|x0 r|x0|x0")], DanglingReference, None,
+        "compose entry ('zz','r|x0|x0')->'r|x0|x0' uses unknown arrow"),
+    "compose: a repeated unknown id is a repeat": (
+        [(13, "zz r|x0|x0 r|x0|x0"), (-21, "zz r|x0|x0 r|x1|x1")], ParseError, 21,
+        "duplicate compose row for 'zz r|x0|x0' (first given on line 13)"),
+    "compose: repeated key before a later ragged row": (
+        [(-21, "r|x0|x0 r|x0|x1 r|x0|x0"), (-22, "r|x0|x0")], ParseError, 21,
+        "duplicate compose row for 'r|x0|x0 r|x0|x1' (first given on line 14)"),
+    "compose: ragged row before a repeated key": (
+        [(13, "r|x0|x0"), (-21, "r|x0|x0 r|x0|x1 r|x0|x0")], ParseError, 13,
+        "compose rows need `g h gh`"),
+    "compose: repeated key before an inverse repeat": (
+        [(-21, "r|x0|x0 r|x0|x1 r|x0|x0"), (-26, "r|x0|x1 r|x0|x1")], ParseError, 21,
+        "duplicate compose row for 'r|x0|x0 r|x0|x1' (first given on line 14)"),
+    "compose: repeated key before an arrow fault": (
+        [(6, "r|x0|x1 zz x0"), (-21, "r|x0|x0 r|x0|x1 r|x0|x0")], ParseError, 21,
+        "duplicate compose row for 'r|x0|x0 r|x0|x1' (first given on line 14)"),
+    "units: bad mass before a compose repeat": (
+        [(3, "x1 abc"), (-21, "r|x0|x0 r|x0|x1 r|x0|x0")], ParseError, 3,
+        "bad mass 'abc' for 'x1': could not convert string to float: 'abc'"),
+    "units: ragged row before an unknown section": (
+        [(2, "x0 0.5 extra"), (21, "[inverses]")], ParseError, 21,
+        "unknown section 'inverses'"),
+    "inverse: repeated key before an arrow fault": (
+        [(6, "r|x0|x1 zz x0"), (-26, "r|x0|x1 r|x0|x1")], ParseError, 26,
+        "duplicate inverse row for 'r|x0|x1' (first given on line 23)"),
+    "cocycle: non-unit phase before a repeat": (
+        [(27, "r|x0|x1 r|x1|x0 0.5 0.0"), (-29, "r|x0|x1 r|x1|x0 -1.0 0.0")],
+        ParseError, 27,
+        "phase 0.5 0.0 does not have modulus 1"),
+    "cocycle: repeat before a ragged row": (
+        [(-29, "r|x0|x1 r|x1|x0 -1.0 0.0"), (-30, "r|x0|x1")], ParseError, 29,
+        "duplicate cocycle row for 'r|x0|x1 r|x1|x0' (first given on line 27)"),
+    "cocycle: ragged row before a bad phase": (
+        [(27, "r|x0|x1 r|x1|x0 1.0"), (28, "r|x1|x0 r|x0|x1 abc 0.0")], ParseError, 27,
+        "cocycle rows need `g h re im`"),
+    "cocycle: unknown id after a groupoid fault": (
+        [(23, "r|x0|x1 zz"), (27, "zz r|x1|x0 1.0 0.0")], DanglingReference, None,
+        "inverse of 'r|x0|x1' is unknown"),
+}
+
+
+@pytest.mark.parametrize("case", list(_FAULTS), ids=list(_FAULTS))
+def test_first_fault_is_pinned(case):
+    # every section crossed with every fault, and pairs of faults: the class,
+    # message and line of the fault named first
+    edits, cls, line, message = _FAULTS[case]
+    lines = _fault_base()
+    for at, row in sorted(edits, key=lambda e: -abs(e[0])):
+        if at > 0:
+            lines[at - 1] = row
+        else:
+            lines.insert(-at - 1, row)
+    with pytest.raises(ValueError) as err:
+        parse_text("\n".join(lines) + "\n")
+    prefix = "" if line is None else f"line {line}: "
+    assert type(err.value) is cls
+    assert str(err.value) == prefix + message
+    assert getattr(err.value, "line", None) == line
 
 
 def test_missing_inverse_entry_names_arrow(full2):
