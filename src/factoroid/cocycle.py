@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -170,39 +170,34 @@ def _is_normalized(g: MeasuredGroupoid, phases: np.ndarray, tol: float) -> bool:
 
 def validate_cocycle(
     g: MeasuredGroupoid,
-    values: Mapping[tuple[str, str], Phase],
+    phases: Sequence[Phase],
     *,
     exact: bool = False,
 ) -> Cocycle:
     """Check unit modulus and the cocycle identity on all composable triples.
 
-    In exact mode every value must be a rational turn t standing for
-    exp(2*pi*i*t), compared exactly; otherwise values are arbitrary
-    unit-modulus complex numbers.  The identity is checked in one numpy pass
-    over the composable triples of ``g.pairs``.
+    ``phases`` holds one value per composable pair, in the order of
+    ``g.pairs`` (of ``composable_pairs()``).  In exact mode every value must
+    be a rational turn t standing for exp(2*pi*i*t), compared exactly;
+    otherwise values are arbitrary unit-modulus complex numbers.  The
+    identity is checked in one numpy pass over the composable triples of
+    ``g.pairs``.
     """
-    g._require_validated()
-    w = np.empty(len(g.pairs.left), dtype=object if exact else complex)
-    for p, pair in enumerate(g.composable_pairs()):
-        if pair not in values:
-            raise CocycleIdentityViolated(
-                f"cocycle value missing for composable pair {pair!r}", pair
-            )
-        v = values[pair]
-        if exact:
-            v = Fraction(v) % 1
-        else:
-            v = complex(v)
-            if not abs(abs(v) - 1.0) <= UNIT_MODULUS_TOL:  # NaN fails too
-                raise NotUnitModulus(
-                    f"|w{pair!r}| = {abs(v)!r} is not 1", pair
-                )
-        w[p] = v
-    if len(values) > len(w):  # every composable pair has its value
-        extra = set(values) - set(g.composable_pairs())
+    t = g._pair_table()
+    if len(phases) != len(t.left):
         raise CocycleIdentityViolated(
-            "cocycle defined on non-composable pairs", sorted(extra)[0]
+            f"a cocycle needs one phase per composable pair: {len(t.left)}, "
+            f"not {len(phases)}"
         )
+    if exact:
+        w = np.fromiter((Fraction(v) % 1 for v in phases), dtype=object, count=len(t.left))
+    else:
+        w = np.array(phases, dtype=complex)
+        bad = ~(np.abs(np.abs(w) - 1.0) <= UNIT_MODULUS_TOL)  # NaN fails too
+        if bad.any():
+            p = int(bad.argmax())
+            pair = g.arrow_order[t.left[p]], g.arrow_order[t.right[p]]
+            raise NotUnitModulus(f"|w{pair!r}| = {abs(complex(w[p]))!r} is not 1", pair)
 
     def fails(xy, yz, xy_z, x_yz):  # w(x,yz) w(y,z) != w(xy,z) w(x,y)
         if exact:  # rational turns, compared exactly
@@ -261,19 +256,33 @@ def _normalized(g: MeasuredGroupoid, w: Optional[Cocycle]) -> Cocycle:
     return w if w.normalized else normalize_cocycle(g, w)
 
 
-def _conjugation_moves(g: MeasuredGroupoid, h: str) -> Iterable[tuple[str, str]]:
-    """(g, ghg^-1) pairs for positive-target conjugators with s(g) = s(h)."""
-    for a in g.by_source(g.src[h]):
-        if g.mass[g.tgt[a]] <= 0.0:
-            continue
-        c = g.conjugate(a, h)
-        if c is not None:
-            yield a, c
+def _loops_off_units(g: MeasuredGroupoid) -> np.ndarray:
+    """Positions, in storage order, of the positive-mass isotropy arrows
+    that are not unit arrows."""
+    t = g.pairs
+    mass = np.array([g.mass[u] for u in g.units])
+    keep = (t.src == t.tgt) & (mass[t.src] > 0.0)
+    keep[t.unit_arrow] = False
+    return np.flatnonzero(keep)
 
 
-def _edge_phase(w: Cocycle, a: str, h: str, c: str) -> Phase:
-    # transport factor of f along h -> c = a h a^-1
-    return pmul(pconj(w(c, a)), w(a, h))
+def _transports(
+    g: MeasuredGroupoid, w: Cocycle, loops: np.ndarray
+) -> list[list[tuple[int, int, Phase]]]:
+    """For each loop h, its moves to c = a h a^-1 by the positive-target
+    arrows a with s(a) = s(h), in storage order: (a, c, conj(w(c, a)) w(a, h)),
+    the transport factor of f along h -> c, by arrow positions."""
+    t, phase = g.pairs, w.on(g)
+    p, a, c = t.conjugations(loops)
+    factor = pmul(pconj(phase[t.start[a] + t.rank[c]]), phase[p])
+    mass = np.array([g.mass[u] for u in g.units])
+    keep = mass[t.tgt[a]] > 0.0
+    owner = np.repeat(np.arange(len(loops)), np.bincount(t.src)[t.tgt[loops]])[keep]
+    moves: list[list[tuple[int, int, Phase]]] = [[] for _ in loops]
+    for i, x, y, v in zip(owner.tolist(), a[keep].tolist(), c[keep].tolist(),
+                          factor[keep].tolist()):
+        moves[i].append((x, y, v))
+    return moves
 
 
 def central_set_search(
@@ -284,39 +293,35 @@ def central_set_search(
     Scans each conjugation orbit of positive-mass non-unit isotropy arrows.
     On an orbit, any compatible f is determined up to scale by transport
     along a spanning tree, so the orbit carries a certificate exactly when
-    every off-tree move closes up (loop holonomy 1 within ``tol``).
+    every off-tree move closes up (loop holonomy 1 within ``tol``).  The
+    moves and their phases are read from ``g.pairs`` by position.
     """
     g._require_validated()
     w = _normalized(g, w)
-    nodes = [
-        h
-        for h in g.arrow_order
-        if g.src[h] == g.tgt[h]
-        and h not in g.unit_arrow_set
-        and g.mass[g.src[h]] > 0.0
-    ]
-    unvisited = set(nodes)
-    for root in nodes:
+    loops = _loops_off_units(g)
+    moves = dict(zip(loops.tolist(), _transports(g, w, loops)))
+    unvisited = set(moves)
+    for root in moves:
         if root not in unvisited:
             continue
         # breadth-first transport of f from f(root) = 1
-        f: dict[str, Phase] = {root: pone(w.exact)}
+        f: dict[int, Phase] = {root: pone(w.exact)}
         order = [root]
         queue = [root]
         while queue:
             h = queue.pop(0)
-            for a, c in _conjugation_moves(g, h):
+            for _, c, factor in moves[h]:
                 if c not in f:
-                    f[c] = pmul(_edge_phase(w, a, h, c), f[h])
+                    f[c] = pmul(factor, f[h])
                     order.append(c)
                     queue.append(c)
         unvisited -= set(f)
         consistent = True
         max_defect = 0.0
         for h in order:
-            for a, c in _conjugation_moves(g, h):
+            for _, c, factor in moves[h]:
                 lhs = f[c]
-                rhs = pmul(_edge_phase(w, a, h, c), f[h])
+                rhs = pmul(factor, f[h])
                 defect = abs(as_complex(lhs) - as_complex(rhs))
                 max_defect = max(max_defect, defect)
                 if not phase_close(lhs, rhs, tol):
@@ -325,9 +330,10 @@ def central_set_search(
             if not consistent:
                 break
         if consistent:
+            name = g.arrow_order
             return CentralSetCertificate(
-                support=frozenset(order),
-                f={h: as_complex(v) for h, v in f.items()},
+                support=frozenset(name[h] for h in order),
+                f={name[h]: as_complex(v) for h, v in f.items()},
                 max_defect=max_defect,
             )
     return None
@@ -342,22 +348,26 @@ def verify_central_certificate(
     """Re-check a certificate against the defining transformation rule."""
     g._require_validated()
     w = _normalized(g, w)
-    for h in cert.support:
+    support = g.sort_arrows(cert.support)
+    for h in support:
         if g.src[h] != g.tgt[h] or h in g.unit_arrow_set:
             raise GroupoidError("certificate support is not isotropy off units", [h])
         if g.mass[g.src[h]] <= 0.0:
             raise GroupoidError("certificate support touches a null unit", [h])
         if cert.f[h] == 0:
             raise GroupoidError("certificate function vanishes on support", [h])
-        for a, c in _conjugation_moves(g, h):
-            if c not in cert.support:
+    name = g.arrow_order
+    loops = np.array([g.arrow_index(h) for h in support], dtype=np.intp)
+    for h, moves in zip(support, _transports(g, w, loops)):
+        for a, c, factor in moves:
+            if name[c] not in cert.support:
                 raise GroupoidError(
-                    "certificate support is not conjugation invariant", [h, a]
+                    "certificate support is not conjugation invariant", [h, name[a]]
                 )
-            expected = as_complex(_edge_phase(w, a, h, c)) * cert.f[h]
-            if abs(cert.f[c] - expected) > tol:
+            expected = as_complex(factor) * cert.f[h]
+            if abs(cert.f[name[c]] - expected) > tol:
                 raise GroupoidError(
-                    "certificate function breaks the transport rule", [h, a]
+                    "certificate function breaks the transport rule", [h, name[a]]
                 )
 
 
@@ -397,23 +407,22 @@ def kleppner_holds(
     such a singleton is itself a non-null phase-regular bisection (its class
     has finite measure at finite scale), and conversely any offending
     bisection forces the self-condition on each of its positive singletons.
+    The conjugations and phases are read from ``g.pairs`` by position.
     """
     g._require_validated()
     w = _normalized(g, w)
-    for h in g.arrow_order:
-        if g.src[h] != g.tgt[h] or h in g.unit_arrow_set:
-            continue
-        if g.mass[g.src[h]] <= 0.0:
-            continue
-        symmetric = True
-        for a in g.by_source(g.src[h]):
-            if g.conjugate(a, h) != h:
-                continue
-            if not phase_close(w(h, a), w(a, h), tol):
-                symmetric = False
-                break
-        if symmetric:
-            return KleppnerVerdict(False, witness=h)
+    t, phase = g.pairs, w.on(g)
+    loops = _loops_off_units(g)
+    p, a, c = t.conjugations(loops)
+    owner = np.repeat(np.arange(len(loops)), np.bincount(t.src)[t.tgt[loops]])
+    fixes = c == loops[owner]  # a h a^-1 = h
+    p, a, owner = p[fixes], a[fixes], owner[fixes]
+    ha, ah = phase[t.start[a] + t.rank[loops[owner]]], phase[p]  # w(h, a), w(a, h)
+    close = ha == ah if w.exact else np.abs(ha - ah) <= tol
+    asymmetric = np.bincount(owner[~close], minlength=len(loops))
+    for h, count in zip(loops.tolist(), asymmetric.tolist()):
+        if not count:
+            return KleppnerVerdict(False, witness=g.arrow_order[h])
     return KleppnerVerdict(True)
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .groupoid import GroupoidError, MeasuredGroupoid
 
 
@@ -55,17 +57,15 @@ def conjugacy_class(g: MeasuredGroupoid, base: Iterable[str]) -> ConjugacyClass:
     """Close an isotropy subset under conjugation by every arrow."""
     g._require_validated()
     base = _require_isotropy(g, base)
-    omega = set(base)
-    frontier = list(base)
-    while frontier:
-        fresh: list[str] = []
-        for h in frontier:
-            for a in g.by_source(g.src[h]):
-                c = g.conjugate(a, h)
-                if c is not None and c not in omega:
-                    omega.add(c)
-                    fresh.append(c)
-        frontier = fresh
+    # conjugate the newest arrows by every arrow at once, by position in g.pairs
+    frontier = np.array(sorted(map(g.arrow_index, base)), dtype=np.intp)
+    closed = np.zeros(len(g.arrows), dtype=bool)
+    closed[frontier] = True
+    while len(frontier):
+        conjugates = g.pairs.conjugations(frontier)[2]
+        frontier = np.unique(conjugates[~closed[conjugates]])
+        closed[frontier] = True
+    omega = [g.arrow_order[i] for i in np.flatnonzero(closed)]
 
     counts: dict[str, int] = {u: 0 for u in g.units if g.mass[u] > 0.0}
     for h in omega:

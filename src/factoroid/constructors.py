@@ -137,7 +137,7 @@ def trivial_groupoid(
 ) -> MeasuredGroupoid:
     """Units only: every arrow is a unit arrow."""
     arrows = [(f"e|{u}", u, u) for u in units]
-    compose = {(f"e|{u}", f"e|{u}"): f"e|{u}" for u in units}
+    compose = [f"e|{u}" for u in units for _ in range(3)]
     inverse = {f"e|{u}": f"e|{u}" for u in units}
     unit_arrows = {u: f"e|{u}" for u in units}
     return validate_groupoid(
@@ -151,10 +151,10 @@ def full_relation(units: Sequence[str], mass: Mapping[str, float], **kw) -> Meas
         return f"r|{x}|{y}"  # arrow from y to x
 
     arrows = [(aid(x, y), y, x) for x in units for y in units]
-    compose = {
-        (aid(x, y), aid(y, z)): aid(x, z)
-        for x in units for y in units for z in units
-    }
+    compose = [
+        c for x in units for y in units for z in units
+        for c in (aid(x, y), aid(y, z), aid(x, z))
+    ]
     inverse = {aid(x, y): aid(y, x) for x in units for y in units}
     unit_arrows = {u: aid(u, u) for u in units}
     return validate_groupoid(
@@ -171,7 +171,7 @@ def group_bundle(
     """Disjoint union of groups sitting over the units; all arrows are loops."""
     units = tuple(units) if units is not None else tuple(fibers)
     arrows = []
-    compose = {}
+    compose = []
     inverse = {}
     unit_arrows = {}
     for x in units:
@@ -181,7 +181,7 @@ def group_bundle(
         for g1 in tab.elements:
             inverse[f"{x}.{g1}"] = f"{x}.{tab.inverse[g1]}"
             for g2 in tab.elements:
-                compose[(f"{x}.{g1}", f"{x}.{g2}")] = f"{x}.{tab.mult[(g1, g2)]}"
+                compose += (f"{x}.{g1}", f"{x}.{g2}", f"{x}.{tab.mult[(g1, g2)]}")
         unit_arrows[x] = f"{x}.{tab.identity}"
     return validate_groupoid(
         MeasuredGroupoid(units, mass, arrows, compose, inverse, unit_arrows, **kw)
@@ -322,12 +322,11 @@ def pullback_group_cocycle(
     g: MeasuredGroupoid,
     group_of_arrow: Mapping[str, str],
     c: Mapping[tuple[str, str], Phase],
-) -> dict[tuple[str, str], Phase]:
-    """Lift a group 2-cocycle through an arrow -> group-element labelling."""
-    values: dict[tuple[str, str], Phase] = {}
-    for (a, b) in g.composable_pairs():
-        values[(a, b)] = c[(group_of_arrow[a], group_of_arrow[b])]
-    return values
+) -> list[Phase]:
+    """Lift a group 2-cocycle through an arrow -> group-element labelling:
+    one phase per composable pair, in the order of ``g.pairs``."""
+    label = [group_of_arrow[a] for a in g.arrow_order]
+    return [c[(label[a], label[b])] for a, b in zip(g.pairs.left.tolist(), g.pairs.right.tolist())]
 
 
 def klein_bicharacter(exact: bool = False) -> dict[tuple[str, str], Phase]:
@@ -455,16 +454,14 @@ def partial_action_groupoid(p: PartialActionSystem, **kw) -> MeasuredGroupoid:
     for gm in grp.elements:
         for x in sorted(p.maps[gm], key=p.units.index):
             arrows.append((aid(gm, x), x, p.maps[gm][x]))
-    compose = {}
+    compose = []
     inverse = {}
     for gm in grp.elements:
         for x, y in p.maps[gm].items():
             inverse[aid(gm, x)] = aid(grp.inverse[gm], y)
             for g2 in grp.elements:
                 if y in p.maps[g2]:
-                    compose[(aid(g2, y), aid(gm, x))] = (
-                        aid(grp.mult[(g2, gm)], x)
-                    )
+                    compose += (aid(g2, y), aid(gm, x), aid(grp.mult[(g2, gm)], x))
     unit_arrows = {x: aid(grp.identity, x) for x in p.units}
     return validate_groupoid(
         MeasuredGroupoid(p.units, p.mass, arrows, compose, inverse, unit_arrows, **kw)
@@ -966,7 +963,7 @@ def disjoint_union(
     units: list[str] = []
     mass: dict[str, float] = {}
     arrows = []
-    compose = {}
+    compose = []
     inverse = {}
     unit_arrows = {}
     for i, (part, weight) in enumerate(zip(parts, weights)):
@@ -975,9 +972,7 @@ def disjoint_union(
         for u in part.units:
             mass[pre + u] = weight * part.mass[u]
         arrows.extend((pre + a.id, pre + a.src, pre + a.tgt) for a in part.arrows)
-        compose.update(
-            {(pre + x, pre + y): pre + z for (x, y), z in part.compose.items()}
-        )
+        compose += [pre + x for x in part.compose_rows]
         inverse.update({pre + x: pre + y for x, y in part.inverse.items()})
         unit_arrows.update({pre + u: pre + e for u, e in part.unit_arrow.items()})
     return validate_groupoid(

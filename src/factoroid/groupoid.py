@@ -2,9 +2,10 @@
 
 A groupoid here is a finite set of arrows with source/target maps into a
 finite weighted unit space, a stored composition table, a stored inversion
-table, and an embedding of units as identity arrows.  Everything is id-based:
-units and arrows are referenced by plain string identifiers, which keeps
-instances serializable and diffable.
+table, and an embedding of units as identity arrows.  Units and arrows are
+named by plain string identifiers, which keeps instances serializable and
+diffable; validation maps the composition table to integer positions once
+(``PairTable``), and every later read of it goes through those positions.
 
 All mass bookkeeping treats zero-mass ("null") units as structurally present
 but measure-theoretically invisible: measure computations weight arrows by the
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, chain, islice, repeat
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -98,9 +99,9 @@ class PairTable:
     Arrows and units are numbered in storage order; ``src`` and ``tgt`` give
     the units of each arrow, ``inv`` its inverse and ``unit_arrow`` the
     identity arrow of each unit.  Pair p, the p-th of ``composable_pairs()``,
-    is (left[p], right[p]) with product prod[p], on row row[p] of
-    ``compose``.  The pair (x, y) is start[y] + rank[x], where rank[x] is the
-    place of x among the arrows with its source.
+    is (left[p], right[p]) with product prod[p], on row row[p] of the
+    composition table.  The pair (x, y) is start[y] + rank[x], where rank[x]
+    is the place of x among the arrows with its source.
     """
 
     left: np.ndarray
@@ -114,13 +115,31 @@ class PairTable:
     inv: np.ndarray
     unit_arrow: np.ndarray
 
+    def at(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The positions of the pairs (x[i], y[i]), -1 where an arrow is
+        unknown (-1) or the pair is not composable."""
+        ok = (x >= 0) & (y >= 0)
+        ok[ok] = self.src[x[ok]] == self.tgt[y[ok]]
+        return np.where(ok, self.start[y] + self.rank[x], -1)
+
+    def conjugations(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every conjugation of the loops h: the pairs p = (a, h[i]) with a
+        running over the arrows with source s(h[i]) in storage order, h[0]
+        first, and the conjugates c = a h[i] a^-1.  Returns (p, a, c)."""
+        count = np.bincount(self.src, minlength=len(self.unit_arrow))[self.tgt[h]]
+        first = np.cumsum(count) - count
+        p = np.arange(int(count.sum())) + np.repeat(self.start[h] - first, count)
+        a = self.left[p]
+        return p, a, self.prod[self.start[self.inv[a]] + self.rank[self.prod[p]]]
+
     def first_failure(
         self, fails: Callable[..., np.ndarray], outer: str
     ) -> Optional[tuple[int, int, int]]:
         """Arrow positions (x, y, z) of the first composable triple on which
         ``fails``, given the positions of its pairs xy, yz, (xy)z and x(yz),
         holds; None if there is none.  First means: the ``outer`` pair ("xy"
-        or "yz") earliest in ``compose``, then the other arrow earliest.
+        or "yz") earliest in the composition table, then the other arrow
+        earliest.
 
         Blocks are grouped by the middle unit m = t(y): the pairs (y, z) with
         t(y) = m times the arrows x with source m, whose ranks j give
@@ -167,6 +186,36 @@ def _first_row(*masks: np.ndarray) -> Optional[tuple[int, int]]:
     return r, next(i for i, mask in enumerate(masks) if mask[r])
 
 
+class _ComposeView(Mapping):
+    """The composition table (g, h) -> gh of a validated groupoid, read from
+    ``g.pairs``: length, lookups and items in table row order, by position."""
+
+    __slots__ = ("_g",)
+
+    def __init__(self, g: "MeasuredGroupoid"):
+        self._g = g
+
+    def __len__(self) -> int:
+        return len(self._g._pair_table().left)
+
+    def __getitem__(self, key: tuple[str, str]) -> str:
+        g, t = self._g, self._g._pair_table()
+        x, y = g._index.get(key[0]), g._index.get(key[1])
+        if x is None or y is None or t.src[x] != t.tgt[y]:
+            raise KeyError(key)
+        return g.arrow_order[t.prod[t.start[y] + t.rank[x]]]
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        return (pair for pair, _ in self.items())
+
+    def items(self) -> Iterator[tuple[tuple[str, str], str]]:
+        t, name = self._g._pair_table(), self._g.arrow_order
+        by_row = np.empty_like(t.row)
+        by_row[t.row] = np.arange(len(t.row))
+        for x, y, xy in zip(*(v[by_row].tolist() for v in (t.left, t.right, t.prod))):
+            yield (name[x], name[y]), name[xy]
+
+
 class MeasuredGroupoid:
     """A finite groupoid with a weighted unit space.
 
@@ -175,16 +224,19 @@ class MeasuredGroupoid:
     units:        ordered unit identifiers.
     mass:         unit id -> nonnegative float (probability atoms).
     arrows:       ordered (arrow id, src unit, tgt unit) triples.
-    compose:      (g, h) -> gh, defined exactly when tgt(h) == src(g);
-                  the product runs h first, then g.
+    compose_rows: the rows g h gh of the composition table one after another,
+                  flat (g0, h0, g0h0, g1, h1, ...): one row for each pair
+                  with tgt(h) == src(g), the product running h first.
     inverse:      arrow id -> arrow id.
     unit_arrows:  unit id -> its identity arrow.
     exact_mass:   optional unit id -> Fraction, for exact measure checks.
     unnormalized: allow total mass != 1.
 
-    Construction only stores the tables, taking ``compose`` over rather than
-    copying it; call :func:`validate_groupoid` (or ``.validate()``) before
-    using any other operation.
+    Construction only stores the tables, taking ``compose_rows`` over rather
+    than copying it; call :func:`validate_groupoid` (or ``.validate()``)
+    before using any other operation.  Validation maps the rows to positions
+    once, into ``pairs``; ``compose`` is then a read-only mapping
+    (g, h) -> gh served from ``pairs``, its items in row order.
     """
 
     def __init__(
@@ -192,7 +244,7 @@ class MeasuredGroupoid:
         units: Sequence[str],
         mass: Mapping[str, float],
         arrows: Sequence[tuple[str, str, str]],
-        compose: Mapping[tuple[str, str], str],
+        compose_rows: Sequence[str],
         inverse: Mapping[str, str],
         unit_arrows: Mapping[str, str],
         *,
@@ -207,7 +259,8 @@ class MeasuredGroupoid:
         self.arrow_order = tuple(a.id for a in self.arrows)
         self.src = {a.id: a.src for a in self.arrows}
         self.tgt = {a.id: a.tgt for a in self.arrows}
-        self.compose = compose
+        self.compose_rows = compose_rows
+        self.compose: Mapping[tuple[str, str], str] = _ComposeView(self)
         self.inverse = dict(inverse)
         self.unit_arrow = dict(unit_arrows)
         self.validated = False
@@ -223,6 +276,10 @@ class MeasuredGroupoid:
 
     def arrow_index(self, g: str) -> int:
         return self._index[g]
+
+    def arrow_positions(self, ids: Sequence[str]) -> np.ndarray:
+        """The storage positions of ``ids``, -1 for an unknown id."""
+        return np.fromiter(map(self._index.get, ids, repeat(-1)), dtype=np.intp, count=len(ids))
 
     def sort_arrows(self, ids: Iterable[str]) -> tuple[str, ...]:
         """Arrow ids in storage order (the canonical order everywhere)."""
@@ -246,11 +303,11 @@ class MeasuredGroupoid:
         return g in self._unit_arrow_ids
 
     def conjugate(self, g: str, h: str) -> Optional[str]:
-        """g h g^-1, or None when not composable."""
-        gh = self.compose.get((g, h))
-        if gh is None:
+        """g h g^-1 for a loop h, or None when g and h do not compose."""
+        x, y, t = self.arrow_index(g), self.arrow_index(h), self._pair_table()
+        if t.src[x] != t.tgt[y] or t.src[y] != t.tgt[y]:
             return None
-        return self.compose.get((gh, self.inverse[g]))
+        return self.arrow_order[t.prod[t.start[t.inv[x]] + t.rank[t.prod[t.start[y] + t.rank[x]]]]]
 
     def composable_pairs(self) -> Iterable[tuple[str, str]]:
         for h in self.arrow_order:
@@ -293,14 +350,15 @@ class MeasuredGroupoid:
 
         # Every table in positions, -1 for an unknown id.  None, which is no
         # id, ends src_ and tgt_ with a -1: an unknown arrow's endpoints.
-        n, k, m, rows = map(len, (self.arrows, self.unit_arrow, self.inverse, self.compose))
+        n, k, m, fields = map(len, (self.arrows, self.unit_arrow, self.inverse, self.compose_rows))
+        if fields % 3:
+            raise DanglingReference("compose rows must hold three ids: g h gh")
         src_, tgt_, x = _positions(unit, chain(
             self.src.values(), [None], self.tgt.values(), [None], self.unit_arrow
         ), n + 1, n + 1, k)
-        e, g, gi, gh, pair = _positions(self._index, chain(
-            self.unit_arrow.values(), self.inverse, self.inverse.values(),
-            self.compose.values(), chain.from_iterable(self.compose),
-        ), k, m, m, rows, 2 * rows)
+        e, g, gi, table = _positions(self._index, chain(
+            self.unit_arrow.values(), self.inverse, self.inverse.values(), self.compose_rows,
+        ), k, m, m, fields)
         src, tgt = src_[:-1], tgt_[:-1]
         bad = (src < 0) | (tgt < 0)
         if bad.any():
@@ -331,7 +389,9 @@ class MeasuredGroupoid:
         self._by_source = {u: tuple(v) for u, v in by_source.items()}
         self._by_target = {u: tuple(v) for u, v in by_target.items()}
 
-        pairs = self._pair_table(src_, tgt_, *pair.reshape(-1, 2).T, gh, inv[:-1], unit_arrow)
+        pairs = self._table_in_positions(
+            src_, tgt_, *table.reshape(-1, 3).T, inv[:-1], unit_arrow
+        )
         prod, start, rank = pairs.prod, pairs.start, pairs.rank
 
         # inversion: an involution giving the unit arrows.  A row that fails
@@ -393,14 +453,14 @@ class MeasuredGroupoid:
         self.validated = True
         return self
 
-    def _pair_table(self, src_, tgt_, g, h, gh, inv, unit_arrow) -> PairTable:
-        """The composition table in positions; it must be keyed exactly by
-        the composable pairs, each product having the right endpoints.  Row
-        i is g[i] h[i] = gh[i]; the other arguments are as in validate."""
+    def _table_in_positions(self, src_, tgt_, g, h, gh, inv, unit_arrow) -> PairTable:
+        """The composition table in positions; it must hold each composable
+        pair once and nothing else, each product having the right endpoints.
+        Row i is g[i] h[i] = gh[i]; the other arguments are as in validate."""
         found = _first_row(g < 0, h < 0, gh < 0, tgt_[h] != src_[g],
                            (src_[gh] != src_[h]) | (tgt_[gh] != tgt_[g]))
         if found is not None:
-            (a, b), ab = next(islice(self.compose.items(), found[0], None))
+            a, b, ab = self.compose_rows[3 * found[0] : 3 * found[0] + 3]
             raise (
                 *(DanglingReference(f"compose entry ({a!r},{b!r})->{ab!r} uses unknown arrow",
                                     [c]) for c in (a, b, ab)),
@@ -414,8 +474,15 @@ class MeasuredGroupoid:
         count = fan[tgt]  # pairs with each arrow as right factor
         start = np.cumsum(count) - count
         at, size = start[h] + rank[g], int(count.sum())
+        hits = np.bincount(at, minlength=size)
+        if hits.max(initial=1) > 1:
+            order = np.argsort(at, kind="stable")  # a row repeats the one before it
+            i = int(order[1:][at[order[1:]] == at[order[:-1]]].min())
+            a, b = self.compose_rows[3 * i : 3 * i + 2]
+            raise DanglingReference(f"compose row for ({a!r},{b!r}) repeats an earlier row",
+                                    [a, b])
         if len(at) < size:  # the rows are distinct composable pairs, not all
-            p = int(np.bincount(at, minlength=size).argmin())
+            p = int(hits.argmin())
             y = int(np.searchsorted(start, p, side="right")) - 1
             b = self.arrow_order[y]
             a = self._by_source[self.tgt[b]][p - start[y]]
@@ -428,6 +495,10 @@ class MeasuredGroupoid:
     def _require_validated(self):
         if not self.validated:
             raise GroupoidError("groupoid has not been validated")
+
+    def _pair_table(self) -> PairTable:
+        self._require_validated()
+        return self.pairs
 
     # -- structural operations --------------------------------------------
 
@@ -501,11 +572,10 @@ class MeasuredGroupoid:
         kept = [a for a in self.arrows
                 if a.src in keep_set and a.tgt in keep_set]
         kept_ids = {a.id for a in kept}
-        compose = {
-            (g, h): gh
-            for (g, h), gh in self.compose.items()
-            if g in kept_ids and h in kept_ids
-        }
+        rows = [
+            x for (g, h), gh in self.compose.items()
+            if g in kept_ids and h in kept_ids for x in (g, h, gh)
+        ]
         exact = None
         if self.exact_mass is not None:
             etotal = sum(self.exact_mass[u] for u in keep_set)
@@ -515,7 +585,7 @@ class MeasuredGroupoid:
             units,
             {u: self.mass[u] / total for u in units},
             [(a.id, a.src, a.tgt) for a in kept],
-            compose,
+            rows,
             {a.id: self.inverse[a.id] for a in kept},
             {u: self.unit_arrow[u] for u in units},
             exact_mass=exact,
@@ -569,10 +639,11 @@ def validate_groupoid(g: MeasuredGroupoid) -> MeasuredGroupoid:
     mask over those arrays; associativity is one pass over the composable
     triples of ``g.pairs``, the composition table in positions.  The fault
     named is the first met when the checks run in the order units, arrows,
-    unit arrows, compose rows, composable pairs, inverse entries, unit
-    neutrality per arrow, triples; within each, rows count in the table's
-    stored order (pairs in ``composable_pairs()`` order, triples as
-    ``PairTable.first_failure`` orders them), an unknown id first in a row.
+    unit arrows, compose rows, a composable pair given twice, one not given,
+    inverse entries, unit neutrality per arrow, triples; within each, rows
+    count in the table's stored order (pairs in ``composable_pairs()``
+    order, triples as ``PairTable.first_failure`` orders them), an unknown
+    id first in a row.
     """
     return g.validate()
 

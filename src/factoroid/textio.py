@@ -14,27 +14,38 @@ rows::
 identifiers bit-exactly and masses decimal-exactly (floats are written with
 their shortest exact representation, fractions verbatim).
 
-Parsing is one pass over the lines that gathers each section's fields; the
-tables are cut from them column by column, and a ragged or repeated row is
-named, by its line, only once a table shows there is one.  The groupoid
-axioms are then checked on position arrays by ``validate_groupoid``, which
-names the first fault in table order.
+Parsing cuts the text into lines and sections once, and each section into
+its fields with C-level string calls (``str.split`` and ``str.join``), with
+no Python statement per line: the rows of a section all have its width
+exactly when a separator joined in between them lands on every
+(width + 1)-th field.  The compose rows go to the groupoid as that flat
+field list, which ``validate_groupoid`` maps to positions and checks against
+the groupoid axioms; the cocycle rows become one phase array in the order
+of ``g.pairs``.  Line numbers and per-row bookkeeping are built only once a
+table shows a fault (a ragged or repeated row, a pair that does not compose,
+a bad value): the fault named is the first in section order (units, arrows,
+unit_arrows, compose, inverse, then the groupoid axioms, then cocycle),
+within a section the first in line order.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from typing import Optional
+from itertools import chain, count
+from typing import Callable, Optional
 
 import numpy as np
 
 from .cocycle import UNIT_MODULUS_TOL, Cocycle, validate_cocycle
-from .groupoid import MeasuredGroupoid, validate_groupoid
+from .groupoid import GroupoidError, MeasuredGroupoid, validate_groupoid
 
 _USAGE = {  # the fields of each section's rows
     "units": "id mass", "arrows": "id src tgt", "unit_arrows": "unit arrow",
     "compose": "g h gh", "inverse": "g ginv", "cocycle": "g h re im",
 }
+_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # str.splitlines breaks besides \n
+_COMMENT = re.compile("#[^\n]*")
 
 
 class ParseError(ValueError):
@@ -43,112 +54,177 @@ class ParseError(ValueError):
         self.line = line
 
 
-def parse_text(text: str) -> tuple[MeasuredGroupoid, Optional[Cocycle]]:
-    """Parse and validate a groupoid (and optional cocycle) document."""
-    fields: dict[str, list[str]] = {s: [] for s in _USAGE}  # row after row
-    lines: dict[str, list[int]] = {s: [] for s in _USAGE}  # the line of each row
-    ragged: dict[str, int] = {}  # section -> place of its first row of wrong width
-    width = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        row = raw.partition("#")[0].split()
-        if not row:
-            continue
-        if row[0][0] == "[" and row[-1][-1] == "]":
-            name = raw.partition("#")[0].strip()[1:-1].strip()
+class _Sections:
+    """A document as lines, and the ranges of lines [a, b) of each section."""
+
+    def __init__(self, text: str):
+        if any(c in text for c in _BREAKS):  # then number lines as splitlines does
+            text = "\n".join(text.splitlines())
+        if "#" in text:
+            text = _COMMENT.sub("", text)
+        self.lines = text.split("\n")
+        # a field that no row holds: it separates the rows joined in fields()
+        self.mark = next(c for c in map(chr, count()) if c not in text and not c.isspace())
+        heads: list[tuple[int, str]] = []  # (line index, name) of each header
+        line, seen, at = 0, 0, text.find("[")
+        while at >= 0:  # only lines holding a "[" can be headers
+            line, seen = line + text.count("\n", seen, at), at
+            end = text.find("\n", at)
+            end = len(text) if end < 0 else end
+            head = text[text.rfind("\n", 0, at) + 1 : end].strip()
+            if head[0] == "[" and head[-1] == "]":
+                heads.append((line, head[1:-1].strip()))
+            at = text.find("[", end)
+        first = heads[0][0] if heads else len(self.lines)
+        if "".join(self.lines[:first]).strip():
+            line = next(i for i, row in enumerate(self.lines) if row.strip())
+            raise ParseError("data before any section header", line + 1)
+        self.spans: dict[str, list[tuple[int, int]]] = {s: [] for s in _USAGE}
+        for (line, name), (end, _) in zip(heads, heads[1:] + [(len(self.lines), "")]):
             if name not in _USAGE:
-                raise ParseError(f"unknown section {name!r}", line_no)
-            out, at, width = fields[name], lines[name], len(_USAGE[name].split())
-            continue
-        if width is None:
-            raise ParseError("data before any section header", line_no)
-        if len(row) != width:
-            ragged.setdefault(name, len(at))
-        out += row
-        at.append(line_no)
+                raise ParseError(f"unknown section {name!r}", line + 1)
+            self.spans[name].append((line + 1, end))
 
-    def columns(name: str) -> tuple[list[list[str]], int]:
-        """A section's fields column by column, up to its first row of the
-        wrong width; and that row's place (the row count if there is none)."""
+    def fields(self, name: str) -> Optional[list[str]]:
+        """A section's fields row after row; None if a row has the wrong width."""
         width = len(_USAGE[name].split())
-        stop = ragged.get(name, len(lines[name]))
-        return [fields[name][i : width * stop : width] for i in range(width)], stop
+        rows = list(chain.from_iterable(self.lines[a:b] for a, b in self.spans[name]))
+        fields = self._cut(rows, width)
+        if fields is None:  # a blank row, or a ragged one
+            rows = list(filter(str.strip, rows))
+            fields = self._cut(rows, width) if rows else []
+        return fields
 
-    def fault(name: str, keys, stop: int) -> Optional[ParseError]:
-        """The error naming a section's first row that repeats the key of an
-        earlier row or, at ``stop``, has the wrong width."""
-        first: dict[tuple[str, ...], int] = {}
-        for line_no, key in zip(lines[name], keys):
-            if key in first:
-                return ParseError(
-                    f"duplicate unit {key[0]!r}" if name == "units" else
-                    f"duplicate {name} row for {' '.join(key)!r} "
-                    f"(first given on line {first[key]})",
-                    line_no,
-                )
-            first[key] = line_no
-        if stop < len(lines[name]):
-            return ParseError(f"{name} rows need `{_USAGE[name]}`", lines[name][stop])
-        return None
+    def _cut(self, rows: list[str], width: int) -> Optional[list[str]]:
+        fields = f" {self.mark} ".join(rows).split()
+        if len(fields) != len(rows) * (width + 1) - 1:
+            return None
+        if fields[width :: width + 1].count(self.mark) != len(rows) - 1:
+            return None
+        del fields[width :: width + 1]
+        return fields
 
-    def keyed(name: str) -> dict:
-        """A section's rows as a dict from their key (the first field, or
-        the first two for compose) to their last field."""
-        cols, stop = columns(name)
-        table = dict(zip(cols[0] if len(cols) == 2 else zip(*cols[:2]), cols[-1]))
-        if len(table) < len(lines[name]):
-            raise fault(name, zip(*cols[:-1]), stop)
+    def keyed(self, name: str) -> dict[str, str]:
+        """A two-field section as a dict from its first field to its second."""
+        fields = self.fields(name)
+        table = {} if fields is None else dict(zip(fields[0::2], fields[1::2]))
+        if fields is None or 2 * len(table) < len(fields):
+            self.check(name, 1)
         return table
 
-    mass_tokens = keyed("units")
-    if not mass_tokens:
+    def check(
+        self, name: str, keys: int, row_fault: Optional[Callable[[list[str], int], None]] = None
+    ) -> None:
+        """Raise the error naming a section's first row that has the wrong
+        width, repeats the key (its first ``keys`` fields) of an earlier row,
+        or fails ``row_fault``, which raises; return if there is none."""
+        first: dict[tuple[str, ...], int] = {}
+        width = len(_USAGE[name].split())
+        for a, b in self.spans[name]:
+            for line_no, line in enumerate(self.lines[a:b], start=a + 1):
+                row = line.split()
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise ParseError(f"{name} rows need `{_USAGE[name]}`", line_no)
+                key = tuple(row[:keys])
+                if keys and key in first:
+                    raise ParseError(
+                        f"duplicate unit {key[0]!r}" if name == "units" else
+                        f"duplicate {name} row for {' '.join(key)!r} "
+                        f"(first given on line {first[key]})",
+                        line_no,
+                    )
+                first[key] = line_no
+                if row_fault is not None:
+                    row_fault(row, line_no)
+
+
+def _masses(tokens: dict[str, str], exact: bool):
+    """The float and exact masses of the units; raises on a bad token."""
+    if not exact:
+        return dict(zip(tokens, map(float, tokens.values()))), None
+    exact_mass = dict(zip(tokens, map(Fraction, tokens.values())))
+    return dict(zip(tokens, map(float, exact_mass.values()))), exact_mass
+
+
+def _phases(g: MeasuredGroupoid, fields: list[str]) -> Optional[np.ndarray]:
+    """The phases of the cocycle rows ``fields`` (g h re im, flat) in the
+    order of ``g.pairs``, 1 on every pair not given; None if a row names a
+    pair that does not compose or an earlier row's pair, or a bad phase."""
+    t = g.pairs
+    at = t.at(g.arrow_positions(fields[0::4]), g.arrow_positions(fields[1::4]))
+    if (at < 0).any() or np.bincount(at, minlength=len(t.left)).max(initial=0) > 1:
+        return None
+    v = np.empty(len(at), dtype=complex)
+    try:
+        v.real = np.fromiter(map(float, fields[2::4]), float, len(at))
+        v.imag = np.fromiter(map(float, fields[3::4]), float, len(at))
+    except ValueError:
+        return None
+    if not (np.abs(np.abs(v) - 1.0) <= UNIT_MODULUS_TOL).all():  # NaN fails too
+        return None
+    phases = np.ones(len(t.left), dtype=complex)
+    phases[at] = v
+    return phases
+
+
+def parse_text(text: str) -> tuple[MeasuredGroupoid, Optional[Cocycle]]:
+    """Parse and validate a groupoid (and optional cocycle) document."""
+    doc = _Sections(text)
+    tokens = doc.keyed("units")
+    if not tokens:
         raise ParseError("no units defined", 0)
-    exact = any("/" in tok for tok in mass_tokens.values())
-    mass: dict[str, float] = {}
-    exact_mass: Optional[dict[str, Fraction]] = {} if exact else None
-    for line_no, (u, tok) in zip(lines["units"], mass_tokens.items()):
+    exact = "/" in "".join(tokens.values())
+
+    def bad_mass(row: list[str], line_no: int) -> None:
+        u, tok = row
         try:
-            if exact:
-                frac = Fraction(tok)
-                exact_mass[u] = frac
-                mass[u] = float(frac)
-            else:
-                mass[u] = float(tok)
+            _masses({u: tok}, exact)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ParseError(f"bad mass {tok!r} for {u!r}: {exc}", line_no) from exc
 
-    arrows, stop = columns("arrows")
-    if stop < len(lines["arrows"]):
-        raise fault("arrows", (), stop)
-    unit_arrows, compose, inverse = keyed("unit_arrows"), keyed("compose"), keyed("inverse")
-    g = validate_groupoid(
-        MeasuredGroupoid(
-            list(mass), mass, list(zip(*arrows)), compose, inverse, unit_arrows,
-            exact_mass=exact_mass,
-        )
-    )
+    try:
+        mass, exact_mass = _masses(tokens, exact)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        doc.check("units", 1, bad_mass)
+        raise
+    arrows = doc.fields("arrows")
+    if arrows is None:
+        doc.check("arrows", 0)
+    unit_arrows = doc.keyed("unit_arrows")
+    compose = doc.fields("compose")
+    if compose is None:
+        doc.check("compose", 2)
+    try:
+        inverse = doc.keyed("inverse")
+        g = validate_groupoid(MeasuredGroupoid(
+            list(mass), mass, list(zip(arrows[0::3], arrows[1::3], arrows[2::3])),
+            compose, inverse, unit_arrows, exact_mass=exact_mass,
+        ))
+    except (ParseError, GroupoidError):
+        doc.check("compose", 2)  # a repeated compose row is named first
+        raise
 
-    cocycle = None
-    if lines["cocycle"]:
-        values = {pair: complex(1.0) for pair in g.composable_pairs()}
-        (x, y, real, imag), stop = columns("cocycle")
-        error = fault("cocycle", zip(x, y), stop)
-        for line_no, pair, a, b in zip(lines["cocycle"], zip(x, y), real, imag):
-            if error is not None and line_no == error.line:
-                break
-            if pair not in values:
-                raise ParseError(
-                    f"cocycle entry on non-composable pair {pair!r}", line_no
-                )
-            try:
-                values[pair] = v = complex(float(a), float(b))
-            except ValueError as exc:
-                raise ParseError(f"bad phase: {exc}", line_no) from exc
-            if not abs(abs(v) - 1.0) <= UNIT_MODULUS_TOL:  # NaN and inf fail too
-                raise ParseError(f"phase {a} {b} does not have modulus 1", line_no)
-        if error is not None:
-            raise error
-        cocycle = validate_cocycle(g, values)
-    return g, cocycle
+    fields = doc.fields("cocycle")
+    if fields == []:
+        return g, None
+
+    def bad_row(row: list[str], line_no: int) -> None:
+        x, y, a, b = row
+        if g.pairs.at(g.arrow_positions([x]), g.arrow_positions([y]))[0] < 0:
+            raise ParseError(f"cocycle entry on non-composable pair {(x, y)!r}", line_no)
+        try:
+            v = complex(float(a), float(b))
+        except ValueError as exc:
+            raise ParseError(f"bad phase: {exc}", line_no) from exc
+        if not abs(abs(v) - 1.0) <= UNIT_MODULUS_TOL:  # NaN and inf fail too
+            raise ParseError(f"phase {a} {b} does not have modulus 1", line_no)
+
+    phases = None if fields is None else _phases(g, fields)
+    if phases is None:
+        doc.check("cocycle", 2, bad_row)
+    return g, validate_cocycle(g, phases)
 
 
 def parse_file(path) -> tuple[MeasuredGroupoid, Optional[Cocycle]]:

@@ -247,17 +247,18 @@ class MatrixStarAlgebra:
 
     def contains(self, mat: np.ndarray, tol: Optional[float] = None) -> tuple[bool, float]:
         """Span membership: (verdict, relative projection residual)."""
-        tol = self.tol if tol is None else tol
-        v = np.asarray(mat, dtype=complex).reshape(-1)
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            return True, 0.0
+        residual = float(self.residuals(np.asarray(mat)[None])[0])
+        return residual <= (self.tol if tol is None else tol), residual
+
+    def residuals(self, ops: np.ndarray) -> np.ndarray:
+        """The relative residual of projecting each array of ``ops`` on the
+        span, all in one product; 0 for a zero array."""
+        ops = np.asarray(ops, dtype=complex)
+        flat = ops.reshape(len(ops), math.prod(ops.shape[1:]))
         # the projector is sum_i r_i <r_i, v>, with the Hermitian product
-        # conjugate-linear on the left (conjugating v, not the rows, saves a
-        # copy of the rows); an empty span may not know the length of v
-        proj = self._rows.T @ (self._rows @ v.conj()).conj() if self.dim else 0.0
-        residual = float(np.linalg.norm(v - proj) / norm)
-        return residual <= tol, residual
+        # conjugate-linear on the left; an empty span may not know the length of v
+        proj = (flat @ self._rows.conj().T) @ self._rows if self.dim else 0.0
+        return _relative(np.linalg.norm(flat - proj, axis=1), np.linalg.norm(flat, axis=1))
 
 
 class TranslationAlgebra:
@@ -295,18 +296,24 @@ class TranslationAlgebra:
 
     def contains(self, mat: np.ndarray, tol: Optional[float] = None) -> tuple[bool, float]:
         """Span membership: (verdict, relative projection residual)."""
-        tol = self.tol if tol is None else tol
-        mat = np.asarray(mat, dtype=complex)
-        norm = np.linalg.norm(mat)
-        if norm == 0.0:
-            return True, 0.0
+        residual = float(self.residuals(np.asarray(mat)[None])[0])
+        return residual <= (self.tol if tol is None else tol), residual
+
+    def residuals(self, ops: np.ndarray) -> np.ndarray:
+        """The relative residual of projecting each n x n matrix of ``ops``
+        on the span; 0 for a zero matrix."""
+        ops = np.asarray(ops, dtype=complex)
         arrow, col, row, val = self.forms
-        n = self.matrix_dim
         # <T_a, x> pairs each entry of T_a with the entry of x at its place
-        terms = val.conj() * mat[row, col]
-        inner = np.bincount(arrow, terms.real, n) + 1j * np.bincount(arrow, terms.imag, n)
-        residual = float(np.linalg.norm(mat - self.element(inner * self._scale)) / norm)
-        return residual <= tol, residual
+        inner = np.zeros((self.matrix_dim, len(ops)), dtype=complex)
+        np.add.at(inner, arrow, (val.conj() * ops[:, row, col]).T)
+        proj = np.zeros_like(ops)  # entries of distinct translations never share a place
+        proj[:, row, col] = (inner.T * self._scale)[:, arrow] * val
+        return _relative(np.linalg.norm(ops - proj, axis=(1, 2)), np.linalg.norm(ops, axis=(1, 2)))
+
+
+def _relative(residual: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    return np.divide(residual, norm, out=np.zeros_like(residual), where=norm > 0.0)
 
 
 def subspace_leq(
@@ -314,8 +321,9 @@ def subspace_leq(
     b: TranslationAlgebra | MatrixStarAlgebra,
     tol: float = CONTAINMENT_TOL,
 ) -> tuple[bool, float]:
-    """Whether span(a) is contained in span(b); returns the worst residual."""
-    worst = max((b.contains(op, tol)[1] for op in a.basis_ops), default=0.0)
+    """Whether span(a) is contained in span(b): every basis array of a
+    projected on span(b) at once; returns the worst residual."""
+    worst = float(b.residuals(a.basis_ops).max(initial=0.0))
     return worst <= tol, worst
 
 

@@ -53,12 +53,8 @@ def null_orbit_groupoid() -> MeasuredGroupoid:
         ("e0", "x0", "x0"), ("e1", "x1", "x1"), ("e2", "x2", "x2"),
         ("a12", "x2", "x1"), ("a21", "x1", "x2"),
     ]
-    compose = {
-        ("e0", "e0"): "e0", ("e1", "e1"): "e1", ("e2", "e2"): "e2",
-        ("a12", "e2"): "a12", ("e1", "a12"): "a12",
-        ("a21", "e1"): "a21", ("e2", "a21"): "a21",
-        ("a12", "a21"): "e1", ("a21", "a12"): "e2",
-    }
+    compose = """e0 e0 e0  e1 e1 e1  e2 e2 e2  a12 e2 a12  e1 a12 a12
+                 a21 e1 a21  e2 a21 a21  a12 a21 e1  a21 a12 e2""".split()
     inverse = {"e0": "e0", "e1": "e1", "e2": "e2", "a12": "a21", "a21": "a12"}
     unit_arrows = {"x0": "e0", "x1": "e1", "x2": "e2"}
     return validate_groupoid(

@@ -194,7 +194,7 @@ def test_criterion_7_measure_class_invariance(corpus):
                     g.units,
                     {u: g.mass[u] * factors[u] / total for u in g.units},
                     [(a.id, a.src, a.tgt) for a in g.arrows],
-                    g.compose,
+                    g.compose_rows,
                     g.inverse,
                     g.unit_arrow,
                 )

@@ -55,7 +55,7 @@ def test_validate_rejects_non_unit_modulus(z2):
     values = {pair: complex(1.0) for pair in z2.composable_pairs()}
     values[("pt.1", "pt.1")] = 0.5 + 0j
     with pytest.raises(NotUnitModulus):
-        validate_cocycle(z2, values)
+        validate_cocycle(z2, list(values.values()))  # in the order of z2.pairs
 
 
 def test_validate_rejects_random_phases(full2):
@@ -67,12 +67,14 @@ def test_validate_rejects_random_phases(full2):
         for pair in full2.composable_pairs()
     }
     with pytest.raises(CocycleIdentityViolated):
-        validate_cocycle(full2, values)
+        validate_cocycle(full2, list(values.values()))
 
 
 def test_validate_requires_all_pairs(z2):
     with pytest.raises(CocycleIdentityViolated):
-        validate_cocycle(z2, {})
+        validate_cocycle(z2, [])
+    with pytest.raises(CocycleIdentityViolated):
+        validate_cocycle(z2, [1.0])
 
 
 def _first_identity_failure_by_loop(g, table):
@@ -99,14 +101,14 @@ def test_index_pass_names_the_loops_first_triple(exact):
         rng.shuffle(rows)
         g = MeasuredGroupoid(
             g.units, g.mass, [(a.id, a.src, a.tgt) for a in g.arrows],
-            dict(rows), g.inverse, g.unit_arrow,
+            [x for (a, b), ab in rows for x in (a, b, ab)], g.inverse, g.unit_arrow,
         ).validate()
         values = {pair: w(*pair) for pair in g.composable_pairs()}
         pair = rng.choice(sorted(values))
         values[pair] = pmul(values[pair], shift)
         expect = _first_identity_failure_by_loop(g, values)
         try:
-            validate_cocycle(g, values, exact=exact)
+            validate_cocycle(g, list(values.values()), exact=exact)
             got = None
         except CocycleIdentityViolated as exc:
             got = str(exc), exc.ids

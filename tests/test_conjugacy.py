@@ -148,7 +148,7 @@ def test_icc_depends_only_on_measure_class(seed, scale_seed):
             g.units,
             {u: g.mass[u] * factors[u] / total for u in g.units},
             [(a.id, a.src, a.tgt) for a in g.arrows],
-            g.compose,
+            g.compose_rows,
             g.inverse,
             g.unit_arrow,
         )

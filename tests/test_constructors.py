@@ -193,10 +193,8 @@ def test_full_domain_partial_action_matches_global():
         ["x0", "x1"], {"x0": 0.5, "x1": 0.5},
         [("0|x0", "x0", "x0"), ("0|x1", "x1", "x1"),
          ("1|x0", "x0", "x1"), ("1|x1", "x1", "x0")],
-        {("0|x0", "0|x0"): "0|x0", ("0|x0", "1|x1"): "1|x1",
-         ("1|x0", "0|x0"): "1|x0", ("1|x0", "1|x1"): "0|x1",
-         ("0|x1", "0|x1"): "0|x1", ("0|x1", "1|x0"): "1|x0",
-         ("1|x1", "0|x1"): "1|x1", ("1|x1", "1|x0"): "0|x0"},
+        """0|x0 0|x0 0|x0  0|x0 1|x1 1|x1  1|x0 0|x0 1|x0  1|x0 1|x1 0|x1
+           0|x1 0|x1 0|x1  0|x1 1|x0 1|x0  1|x1 0|x1 1|x1  1|x1 1|x0 0|x0""".split(),
         {"0|x0": "0|x0", "0|x1": "0|x1", "1|x0": "1|x1", "1|x1": "1|x0"},
         {"x0": "0|x0", "x1": "0|x1"},
     ))

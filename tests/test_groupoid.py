@@ -22,6 +22,11 @@ from factoroid.groupoid import (
 )
 
 
+def _rows(table) -> list[str]:
+    """A composition table given as a dict (g, h) -> gh, as flat rows."""
+    return [x for (g, h), gh in table.items() for x in (g, h, gh)]
+
+
 def test_z2_is_valid_and_pmp(z2):
     assert z2.flags.pmp and z2.flags.nonsingular and z2.flags.mass_normalized
 
@@ -40,7 +45,7 @@ def test_broken_compose_reports_bad_unit():
     bad[("r|x0|x1", "r|x0|x1")] = "r|x0|x0"  # tgt != src
     raw = MeasuredGroupoid(
         h.units, h.mass, [(a.id, a.src, a.tgt) for a in h.arrows],
-        bad, h.inverse, h.unit_arrow,
+        _rows(bad), h.inverse, h.unit_arrow,
     )
     with pytest.raises(BadUnit):
         raw.validate()
@@ -52,7 +57,7 @@ def test_missing_composition_detected(full2):
     raw = MeasuredGroupoid(
         full2.units, full2.mass,
         [(a.id, a.src, a.tgt) for a in full2.arrows],
-        compose, full2.inverse, full2.unit_arrow,
+        _rows(compose), full2.inverse, full2.unit_arrow,
     )
     with pytest.raises(DanglingReference):
         raw.validate()
@@ -64,7 +69,7 @@ def test_broken_inverse_detected(full2):
     raw = MeasuredGroupoid(
         full2.units, full2.mass,
         [(a.id, a.src, a.tgt) for a in full2.arrows],
-        full2.compose, inverse, full2.unit_arrow,
+        full2.compose_rows, inverse, full2.unit_arrow,
     )
     with pytest.raises(BadInverse) as err:
         raw.validate()
@@ -81,7 +86,7 @@ def _latin_square() -> MeasuredGroupoid:
         ("b", "e"): "b", ("b", "a"): "b", ("b", "b"): "e",
     }
     inverse = {"e": "e", "a": "a", "b": "b"}
-    return MeasuredGroupoid(["x"], {"x": 1.0}, arrows, table, inverse, {"x": "e"})
+    return MeasuredGroupoid(["x"], {"x": 1.0}, arrows, _rows(table), inverse, {"x": "e"})
 
 
 def test_nonassociative_table_detected():
@@ -92,9 +97,11 @@ def test_nonassociative_table_detected():
 def _first_nonassociative_by_loop(g):
     """The triple-by-triple associativity loop that ``validate`` ran before
     its index pass, kept as the reference for the first failing triple."""
-    for (a, b), ab in g.compose.items():
+    rows = g.compose_rows
+    compose = dict(zip(zip(rows[0::3], rows[1::3]), rows[2::3]))
+    for (a, b), ab in compose.items():
         for c in g.by_target(g.src[b]):
-            if g.compose[(ab, c)] != g.compose[(a, g.compose[(b, c)])]:
+            if compose[(ab, c)] != compose[(a, compose[(b, c)])]:
                 return f"(g h) k != g (h k) for ({a!r},{b!r},{c!r})", (a, b, c)
     return None
 
@@ -118,7 +125,7 @@ def _with_swapped_product(g, rng):
             rng.shuffle(rows)
             return MeasuredGroupoid(
                 g.units, g.mass, [(a.id, a.src, a.tgt) for a in g.arrows],
-                dict(rows), g.inverse, g.unit_arrow,
+                _rows(dict(rows)), g.inverse, g.unit_arrow,
             )
     return None
 
@@ -138,12 +145,21 @@ def test_index_pass_names_the_loops_first_triple():
 
 
 def _tables_of(g: MeasuredGroupoid) -> dict:
-    """The tables of ``g`` as fresh, mutable constructor arguments."""
+    """The tables of ``g`` as fresh, mutable constructor arguments, but for
+    the composition table as a dict ``compose``; see ``_build``."""
     return dict(
         units=list(g.units), mass=dict(g.mass),
         arrows=[(a.id, a.src, a.tgt) for a in g.arrows], compose=dict(g.compose),
         inverse=dict(g.inverse), unit_arrows=dict(g.unit_arrow),
     )
+
+
+def _build(tables: dict) -> MeasuredGroupoid:
+    """The groupoid of ``_tables_of``-style tables; ``compose`` may also be
+    given as flat rows already."""
+    tables = dict(tables)
+    rows = tables.pop("compose")
+    return MeasuredGroupoid(**tables, compose_rows=_rows(rows) if isinstance(rows, dict) else rows)
 
 
 def _edit(name: str, **changes):
@@ -224,6 +240,10 @@ _BROKEN = {
         _edit("full2", compose=lambda c: c.update({(_E0, _A): _E1, (_E1, _E1): "zz"})),
         BadUnit, "product 'r|x1|x1' of ('r|x0|x0','r|x0|x1') has wrong endpoints",
         (_E0, _A, _E1)),
+    "compose: pair given twice": (
+        _edit("full2", compose=[*mk.NAMED_INSTANCES["full2"]()[0].compose_rows, _E0, _A, _A]),
+        DanglingReference, "compose row for ('r|x0|x0','r|x0|x1') repeats an earlier row",
+        (_E0, _A)),
     "compose: missing pair": (
         _edit("full2", compose=lambda c: c.pop((_B, _A))),
         DanglingReference, "missing composition for composable pair ('r|x1|x0','r|x0|x1')",
@@ -269,19 +289,17 @@ def test_each_broken_table_names_its_fault(case):
     # one table per check of validate, and tables with faults in two rows:
     # the first faulty row in table order is named, whatever the checks' order
     tables, cls, message, ids = _BROKEN[case]
-    raw = _latin_square() if tables is None else MeasuredGroupoid(**tables)
+    raw = _latin_square() if tables is None else _build(tables)
     with pytest.raises(GroupoidError) as err:
         raw.validate()
     assert (type(err.value), str(err.value), err.value.ids) == (cls, message, ids)
 
 
-class _IterateOnly(dict):
-    """A composition table that may be iterated but not probed by key."""
+class _IterateOnly(list):
+    """Composition rows that may be iterated but not indexed."""
 
-    def get(self, *args):
-        raise AssertionError("the composition table was probed by key")
-
-    __getitem__ = __contains__ = get
+    def __getitem__(self, *args):
+        raise AssertionError("the composition rows were indexed")
 
 
 def test_validate_reads_the_composition_table_only_by_iterating_it():
@@ -291,10 +309,7 @@ def test_validate_reads_the_composition_table_only_by_iterating_it():
         s4, mk.translation_action(s4), s4.elements,
         {u: 1 / len(s4.elements) for u in s4.elements},
     )
-    raw = MeasuredGroupoid(**{
-        **_tables_of(g), "compose": {},
-    })
-    raw.compose = _IterateOnly(g.compose)
+    raw = _build({**_tables_of(g), "compose": _IterateOnly(g.compose_rows)})
     raw.validate()
     assert len(raw.pairs.prod) == 13_824
     for a, b in zip(vars(raw.pairs).values(), vars(g.pairs).values()):
@@ -457,7 +472,7 @@ def test_adding_isolated_null_unit_keeps_orbits(seed):
             list(g.units) + ["zz_null"],
             {**g.mass, "zz_null": 0.0},
             [(a.id, a.src, a.tgt) for a in g.arrows] + [("zz_e", "zz_null", "zz_null")],
-            {**g.compose, ("zz_e", "zz_e"): "zz_e"},
+            [*g.compose_rows, "zz_e", "zz_e", "zz_e"],
             {**g.inverse, "zz_e": "zz_e"},
             {**g.unit_arrow, "zz_null": "zz_e"},
         )

@@ -26,7 +26,7 @@ def _rebuild(g, w, rename, arrows, compose):
             [rename[u] for u in g.units],
             {rename[u]: g.mass[u] for u in g.units},
             [(a, rename[s], rename[t]) for a, s, t in arrows],
-            compose,
+            [x for (a, b), ab in compose.items() for x in (a, b, ab)],
             g.inverse,
             {rename[u]: e for u, e in g.unit_arrow.items()},
             exact_mass=(
@@ -38,7 +38,7 @@ def _rebuild(g, w, rename, arrows, compose):
     )
     if w is None:
         return h, None
-    return h, validate_cocycle(h, {p: w(*p) for p in g.composable_pairs()}, exact=w.exact)
+    return h, validate_cocycle(h, [w(*p) for p in h.composable_pairs()], exact=w.exact)
 
 
 def permute_arrows(g, w, rng):

@@ -324,6 +324,19 @@ def test_first_fault_is_pinned(case):
     assert getattr(err.value, "line", None) == line
 
 
+def test_messy_file_reports_like_the_clean_one(tmp_path, capsys):
+    # comments, blank lines, tabs, CRLF line ends and a spaced header
+    messy = os.path.join(os.path.dirname(__file__), "data", "klein4-twisted-messy.txt")
+    with open(messy, "rb") as fh:
+        raw = fh.read()
+    assert raw.count(b"\r\n") == raw.count(b"\n") and b"\t" in raw
+    assert b"[ compose ]  # note" in raw
+    clean = tmp_path / "clean.txt"
+    assert run_cli(capsys, "gen", "--family", "klein4-twisted", "--out", str(clean))[0] == 0
+    code, want = run_cli(capsys, "report", str(clean), "--format", "json")
+    assert code == 0 and run_cli(capsys, "report", messy, "--format", "json") == (0, want)
+
+
 def test_missing_inverse_entry_names_arrow(full2):
     text = serialize(full2)
     lines = [l for l in text.splitlines() if l != "r|x0|x1 r|x1|x0"]
@@ -342,7 +355,7 @@ def test_bad_cocycle_modulus_rejected(z2):
         values = {pair: 1.0 for pair in z2.composable_pairs()}
         values[("pt.1", "pt.1")] = bad
         with pytest.raises(NotUnitModulus):
-            validate_cocycle(z2, values)
+            validate_cocycle(z2, list(values.values()))
 
 
 def test_cocycle_on_noncomposable_pair_rejected(full2):

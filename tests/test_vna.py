@@ -90,17 +90,47 @@ def test_rep_operator_adjoint_is_inverse(z4_translation):
 
 
 def test_report_reads_no_pair_list(monkeypatch):
-    # the report reads the composition table and the cocycle by position:
-    # it never walks the composable pairs by name
+    # parsing and the report read the composition table and the cocycle by
+    # position: they never walk the composable pairs by name, and the
+    # groupoid keeps no dict as long as its pair list
     def refuse(self):
         raise AssertionError("composable_pairs() was called")
 
     for family in ("full3", "klein4-twisted"):
-        g, w = parse_text(serialize(*mk.NAMED_INSTANCES[family]()))
+        text = serialize(*mk.NAMED_INSTANCES[family]())
         with monkeypatch.context() as patch:
             patch.setattr(MeasuredGroupoid, "composable_pairs", refuse)
+            g, w = parse_text(text)
             report = factoriality_report(g, w)
         assert report.consistent and report.twisted == (w is not None)
+        assert (w is not None) == ("[cocycle]" in text)
+        longest = max(len(v) for v in vars(g).values() if isinstance(v, dict))
+        assert longest < len(g.compose) == len(g.pairs.left)
+
+
+def _worst_residual_row_by_row(a, b):
+    """``subspace_leq`` as it was written, one projection on span(b) per
+    basis row of a, kept as the reference for its one batched projection."""
+    worst = 0.0
+    for v in a.basis_ops:
+        v = np.asarray(v, dtype=complex).reshape(-1)
+        if np.linalg.norm(v) > 0.0:
+            proj = b._rows.T @ (b._rows @ v.conj()).conj() if b.dim else 0.0
+            worst = max(worst, float(np.linalg.norm(v - proj) / np.linalg.norm(v)))
+    return worst
+
+
+def test_subspace_leq_matches_the_row_by_row_projection():
+    checked = 0
+    for seed in range(40):
+        for g, w in ((mk.random_groupoid(seed), None), mk.random_twisted_pair(seed)):
+            z, inv = center(g, w), invariant_subalgebra(g)
+            for a, b in ((z, inv), (inv, z)):
+                ok, worst = subspace_leq(a, b)
+                expect = _worst_residual_row_by_row(a, b)
+                assert abs(worst - expect) <= 1e-15 and ok == (expect <= vna.CONTAINMENT_TOL)
+                checked += worst > 0.0
+    assert checked > 10
 
 
 def test_twisted_convolution_unit(full2):
@@ -898,10 +928,7 @@ def test_report_requires_nonsingular():
             {"x0": 1.0, "x1": 0.0},
             [("e0", "x0", "x0"), ("e1", "x1", "x1"),
              ("a", "x0", "x1"), ("b", "x1", "x0")],
-            {("e0", "e0"): "e0", ("e1", "e1"): "e1",
-             ("a", "e0"): "a", ("e1", "a"): "a",
-             ("b", "e1"): "b", ("e0", "b"): "b",
-             ("a", "b"): "e1", ("b", "a"): "e0"},
+            "e0 e0 e0  e1 e1 e1  a e0 a  e1 a a  b e1 b  e0 b b  a b e1  b a e0".split(),
             {"e0": "e0", "e1": "e1", "a": "b", "b": "a"},
             {"x0": "e0", "x1": "e1"},
         )
@@ -916,7 +943,7 @@ def test_report_with_no_positive_arrow():
     from factoroid.groupoid import validate_groupoid
 
     g = validate_groupoid(MeasuredGroupoid(
-        ["x"], {"x": 0.0}, [("e", "x", "x")], {("e", "e"): "e"}, {"e": "e"},
+        ["x"], {"x": 0.0}, [("e", "x", "x")], ["e", "e", "e"], {"e": "e"},
         {"x": "e"}, unnormalized=True,
     ))
     assert algebra(g).matrix_dim == 0
