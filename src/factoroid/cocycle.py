@@ -100,11 +100,7 @@ class Cocycle:
     normalized: bool
 
     def __call__(self, g: str, h: str) -> Phase:
-        t = self.groupoid.pairs
-        x, y = self.groupoid.arrow_index(g), self.groupoid.arrow_index(h)
-        if t.src[x] != t.tgt[y]:
-            raise KeyError((g, h))
-        return self.phases.item(t.start[y] + t.rank[x])
+        return self.phases.item(self.groupoid.pair_position(g, h))
 
     def on(self, g: MeasuredGroupoid) -> np.ndarray:
         """The phases, in the order of ``g.pairs``: ``g`` must be ``groupoid``."""

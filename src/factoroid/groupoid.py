@@ -199,11 +199,7 @@ class _ComposeView(Mapping):
         return len(self._g._pair_table().left)
 
     def __getitem__(self, key: tuple[str, str]) -> str:
-        g, t = self._g, self._g._pair_table()
-        x, y = g._index.get(key[0]), g._index.get(key[1])
-        if x is None or y is None or t.src[x] != t.tgt[y]:
-            raise KeyError(key)
-        return g.arrow_order[t.prod[t.start[y] + t.rank[x]]]
+        return self._g.arrow_order[self._g.pairs.prod[self._g.pair_position(*key)]]
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
         return (pair for pair, _ in self.items())
@@ -260,7 +256,6 @@ class MeasuredGroupoid:
         self.src = {a.id: a.src for a in self.arrows}
         self.tgt = {a.id: a.tgt for a in self.arrows}
         self.compose_rows = compose_rows
-        self.compose: Mapping[tuple[str, str], str] = _ComposeView(self)
         self.inverse = dict(inverse)
         self.unit_arrow = dict(unit_arrows)
         self.validated = False
@@ -273,6 +268,11 @@ class MeasuredGroupoid:
         self._orbits: Optional[tuple[frozenset[str], ...]] = None
 
     # -- basic accessors -------------------------------------------------
+
+    @property
+    def compose(self) -> Mapping[tuple[str, str], str]:
+        """The composition table (g, h) -> gh, read from ``pairs``."""
+        return _ComposeView(self)  # made on each read: a stored view would form a cycle
 
     def arrow_index(self, g: str) -> int:
         return self._index[g]
@@ -302,12 +302,25 @@ class MeasuredGroupoid:
     def is_unit_arrow(self, g: str) -> bool:
         return g in self._unit_arrow_ids
 
+    def pair_position(self, g: str, h: str) -> int:
+        """The position of the pair (g, h) in ``pairs``; KeyError when an
+        arrow is unknown or the two do not compose."""
+        t, x, y = self._pair_table(), self._index[g], self._index[h]
+        if t.src[x] != t.tgt[y]:
+            raise KeyError((g, h))
+        return int(t.start[y] + t.rank[x])
+
     def conjugate(self, g: str, h: str) -> Optional[str]:
-        """g h g^-1 for a loop h, or None when g and h do not compose."""
-        x, y, t = self.arrow_index(g), self.arrow_index(h), self._pair_table()
-        if t.src[x] != t.tgt[y] or t.src[y] != t.tgt[y]:
+        """g h g^-1 for a loop h, or None when not composable."""
+        t = self._pair_table()
+        try:
+            gh = t.prod[self.pair_position(g, h)]
+        except KeyError:
             return None
-        return self.arrow_order[t.prod[t.start[t.inv[x]] + t.rank[t.prod[t.start[y] + t.rank[x]]]]]
+        x, y = self._index[g], self._index[h]
+        if t.src[y] != t.tgt[y]:  # then gh and g^-1 do not compose
+            return None
+        return self.arrow_order[t.prod[t.start[t.inv[x]] + t.rank[gh]]]
 
     def composable_pairs(self) -> Iterable[tuple[str, str]]:
         for h in self.arrow_order:
