@@ -252,14 +252,12 @@ def _normalized(g: MeasuredGroupoid, w: Optional[Cocycle]) -> Cocycle:
     return w if w.normalized else normalize_cocycle(g, w)
 
 
-def _loops_off_units(g: MeasuredGroupoid) -> np.ndarray:
+def _loops_off_units(g: MeasuredGroupoid) -> list[int]:
     """Positions, in storage order, of the positive-mass isotropy arrows
     that are not unit arrows."""
-    t = g.pairs
-    mass = np.array([g.mass[u] for u in g.units])
-    keep = (t.src == t.tgt) & (mass[t.src] > 0.0)
-    keep[t.unit_arrow] = False
-    return np.flatnonzero(keep)
+    units, mass = g.unit_arrow_set, g.mass
+    return [i for i, a in enumerate(g.arrows)
+            if a.src == a.tgt and mass[a.src] > 0.0 and a.id not in units]
 
 
 def _transports(
@@ -269,15 +267,12 @@ def _transports(
     arrows a with s(a) = s(h), in storage order: (a, c, conj(w(c, a)) w(a, h)),
     the transport factor of f along h -> c, by arrow positions."""
     t, phase = g.pairs, w.on(g)
-    p, a, c = t.conjugations(loops)
+    i, p, a, c = t.conjugations(loops)
     factor = pmul(pconj(phase[t.start[a] + t.rank[c]]), phase[p])
-    mass = np.array([g.mass[u] for u in g.units])
-    keep = mass[t.tgt[a]] > 0.0
-    owner = np.repeat(np.arange(len(loops)), np.bincount(t.src)[t.tgt[loops]])[keep]
+    keep = np.array([g.mass[u] for u in g.units])[t.tgt[a]] > 0.0
     moves: list[list[tuple[int, int, Phase]]] = [[] for _ in loops]
-    for i, x, y, v in zip(owner.tolist(), a[keep].tolist(), c[keep].tolist(),
-                          factor[keep].tolist()):
-        moves[i].append((x, y, v))
+    for j, x, y, v in zip(*(u[keep].tolist() for u in (i, a, c, factor))):
+        moves[j].append((x, y, v))
     return moves
 
 
@@ -293,9 +288,11 @@ def central_set_search(
     moves and their phases are read from ``g.pairs`` by position.
     """
     g._require_validated()
-    w = _normalized(g, w)
     loops = _loops_off_units(g)
-    moves = dict(zip(loops.tolist(), _transports(g, w, loops)))
+    if not loops:
+        return None
+    w = _normalized(g, w)
+    moves = dict(zip(loops, _transports(g, w, np.array(loops))))
     unvisited = set(moves)
     for root in moves:
         if root not in unvisited:
@@ -406,19 +403,18 @@ def kleppner_holds(
     The conjugations and phases are read from ``g.pairs`` by position.
     """
     g._require_validated()
-    w = _normalized(g, w)
-    t, phase = g.pairs, w.on(g)
     loops = _loops_off_units(g)
-    p, a, c = t.conjugations(loops)
-    owner = np.repeat(np.arange(len(loops)), np.bincount(t.src)[t.tgt[loops]])
-    fixes = c == loops[owner]  # a h a^-1 = h
-    p, a, owner = p[fixes], a[fixes], owner[fixes]
-    ha, ah = phase[t.start[a] + t.rank[loops[owner]]], phase[p]  # w(h, a), w(a, h)
+    if not loops:
+        return KleppnerVerdict(True)
+    t, phase, h = g.pairs, _normalized(g, w).on(g), np.array(loops)
+    i, p, a, c = t.conjugations(h)
+    fixes = c == h[i]  # a h a^-1 = h
+    i, p, a = i[fixes], p[fixes], a[fixes]
+    ha, ah = phase[t.start[a] + t.rank[h[i]]], phase[p]  # w(h, a), w(a, h)
     close = ha == ah if w.exact else np.abs(ha - ah) <= tol
-    asymmetric = np.bincount(owner[~close], minlength=len(loops))
-    for h, count in zip(loops.tolist(), asymmetric.tolist()):
-        if not count:
-            return KleppnerVerdict(False, witness=g.arrow_order[h])
+    symmetric = np.flatnonzero(np.bincount(i[~close], minlength=len(h)) == 0)
+    if len(symmetric):
+        return KleppnerVerdict(False, witness=g.arrow_order[loops[symmetric[0]]])
     return KleppnerVerdict(True)
 
 

@@ -62,7 +62,7 @@ def conjugacy_class(g: MeasuredGroupoid, base: Iterable[str]) -> ConjugacyClass:
     closed = np.zeros(len(g.arrows), dtype=bool)
     closed[frontier] = True
     while len(frontier):
-        conjugates = g.pairs.conjugations(frontier)[2]
+        conjugates = g.pairs.conjugations(frontier)[3]
         frontier = np.unique(conjugates[~closed[conjugates]])
         closed[frontier] = True
     omega = [g.arrow_order[i] for i in np.flatnonzero(closed)]

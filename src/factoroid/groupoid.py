@@ -122,15 +122,15 @@ class PairTable:
         ok[ok] = self.src[x[ok]] == self.tgt[y[ok]]
         return np.where(ok, self.start[y] + self.rank[x], -1)
 
-    def conjugations(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def conjugations(self, h: np.ndarray) -> tuple[np.ndarray, ...]:
         """Every conjugation of the loops h: the pairs p = (a, h[i]) with a
         running over the arrows with source s(h[i]) in storage order, h[0]
-        first, and the conjugates c = a h[i] a^-1.  Returns (p, a, c)."""
+        first, and the conjugates c = a h[i] a^-1.  Returns (i, p, a, c)."""
         count = np.bincount(self.src, minlength=len(self.unit_arrow))[self.tgt[h]]
-        first = np.cumsum(count) - count
-        p = np.arange(int(count.sum())) + np.repeat(self.start[h] - first, count)
+        i = np.repeat(np.arange(len(h)), count)
+        p = np.arange(len(i)) + np.repeat(self.start[h] - (np.cumsum(count) - count), count)
         a = self.left[p]
-        return p, a, self.prod[self.start[self.inv[a]] + self.rank[self.prod[p]]]
+        return i, p, a, self.prod[self.start[self.inv[a]] + self.rank[self.prod[p]]]
 
     def first_failure(
         self, fails: Callable[..., np.ndarray], outer: str

@@ -258,7 +258,7 @@ class MatrixStarAlgebra:
         # the projector is sum_i r_i <r_i, v>, with the Hermitian product
         # conjugate-linear on the left; an empty span may not know the length of v
         proj = (flat @ self._rows.conj().T) @ self._rows if self.dim else 0.0
-        return _relative(np.linalg.norm(flat - proj, axis=1), np.linalg.norm(flat, axis=1))
+        return _relative(_row_norms(flat - proj), _row_norms(flat))
 
 
 class TranslationAlgebra:
@@ -309,7 +309,12 @@ class TranslationAlgebra:
         np.add.at(inner, arrow, (val.conj() * ops[:, row, col]).T)
         proj = np.zeros_like(ops)  # entries of distinct translations never share a place
         proj[:, row, col] = (inner.T * self._scale)[:, arrow] * val
-        return _relative(np.linalg.norm(ops - proj, axis=(1, 2)), np.linalg.norm(ops, axis=(1, 2)))
+        diff = (ops - proj).reshape(len(ops), -1)
+        return _relative(_row_norms(diff), _row_norms(ops.reshape(len(ops), -1)))
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.vecdot(rows, rows).real)
 
 
 def _relative(residual: np.ndarray, norm: np.ndarray) -> np.ndarray:
