@@ -407,6 +407,8 @@ def kleppner_holds(
     if not loops:
         return KleppnerVerdict(True)
     t, phase, h = g.pairs, _normalized(g, w).on(g), np.array(loops)
+    if (phase == phase[0]).all():  # untwisted: the first loop is phase-symmetric
+        return KleppnerVerdict(False, witness=g.arrow_order[loops[0]])
     i, p, a, c = t.conjugations(h)
     fixes = c == h[i]  # a h a^-1 = h
     i, p, a = i[fixes], p[fixes], a[fixes]
