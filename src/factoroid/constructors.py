@@ -326,7 +326,8 @@ def pullback_group_cocycle(
     """Lift a group 2-cocycle through an arrow -> group-element labelling:
     one phase per composable pair, in the order of ``g.pairs``."""
     label = [group_of_arrow[a] for a in g.arrow_order]
-    return [c[(label[a], label[b])] for a, b in zip(g.pairs.left.tolist(), g.pairs.right.tolist())]
+    pairs = zip(g.pairs.left.tolist(), g.pairs.right.tolist())
+    return [c[(label[a], label[b])] for a, b in pairs]
 
 
 def klein_bicharacter(exact: bool = False) -> dict[tuple[str, str], Phase]:

@@ -279,7 +279,7 @@ class MeasuredGroupoid:
 
     def arrow_positions(self, ids: Sequence[str]) -> np.ndarray:
         """The storage positions of ``ids``, -1 for an unknown id."""
-        return np.fromiter(map(self._index.get, ids, repeat(-1)), dtype=np.intp, count=len(ids))
+        return _positions(self._index, ids, len(ids))[0]
 
     def sort_arrows(self, ids: Iterable[str]) -> tuple[str, ...]:
         """Arrow ids in storage order (the canonical order everywhere)."""
@@ -365,7 +365,7 @@ class MeasuredGroupoid:
         # id, ends src_ and tgt_ with a -1: an unknown arrow's endpoints.
         n, k, m, fields = map(len, (self.arrows, self.unit_arrow, self.inverse, self.compose_rows))
         if fields % 3:
-            raise DanglingReference("compose rows must hold three ids: g h gh")
+            raise GroupoidError("compose rows must hold three ids: g h gh")
         src_, tgt_, x = _positions(unit, chain(
             self.src.values(), [None], self.tgt.values(), [None], self.unit_arrow
         ), n + 1, n + 1, k)

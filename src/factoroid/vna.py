@@ -309,8 +309,8 @@ class TranslationAlgebra:
         np.add.at(inner, arrow, (val.conj() * ops[:, row, col]).T)
         proj = np.zeros_like(ops)  # entries of distinct translations never share a place
         proj[:, row, col] = (inner.T * self._scale)[:, arrow] * val
-        diff = (ops - proj).reshape(len(ops), -1)
-        return _relative(_row_norms(diff), _row_norms(ops.reshape(len(ops), -1)))
+        shape = (len(ops), math.prod(ops.shape[1:]))
+        return _relative(_row_norms((ops - proj).reshape(shape)), _row_norms(ops.reshape(shape)))
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
