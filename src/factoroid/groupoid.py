@@ -277,10 +277,6 @@ class MeasuredGroupoid:
     def arrow_index(self, g: str) -> int:
         return self._index[g]
 
-    def arrow_positions(self, ids: Sequence[str]) -> np.ndarray:
-        """The storage positions of ``ids``, -1 for an unknown id."""
-        return _positions(self._index, ids, len(ids))[0]
-
     def sort_arrows(self, ids: Iterable[str]) -> tuple[str, ...]:
         """Arrow ids in storage order (the canonical order everywhere)."""
         return tuple(sorted(ids, key=self._index.__getitem__))
@@ -311,16 +307,11 @@ class MeasuredGroupoid:
         return int(t.start[y] + t.rank[x])
 
     def conjugate(self, g: str, h: str) -> Optional[str]:
-        """g h g^-1 for a loop h, or None when not composable."""
-        t = self._pair_table()
-        try:
-            gh = t.prod[self.pair_position(g, h)]
-        except KeyError:
+        """g h g^-1, or None when not composable."""
+        gh = self.compose.get((g, h))
+        if gh is None:
             return None
-        x, y = self._index[g], self._index[h]
-        if t.src[y] != t.tgt[y]:  # then gh and g^-1 do not compose
-            return None
-        return self.arrow_order[t.prod[t.start[t.inv[x]] + t.rank[gh]]]
+        return self.compose.get((gh, self.inverse[g]))
 
     def composable_pairs(self) -> Iterable[tuple[str, str]]:
         for h in self.arrow_order:

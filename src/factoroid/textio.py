@@ -38,7 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cocycle import UNIT_MODULUS_TOL, Cocycle, validate_cocycle
-from .groupoid import GroupoidError, MeasuredGroupoid, validate_groupoid
+from .groupoid import GroupoidError, MeasuredGroupoid, _positions, validate_groupoid
 
 _USAGE = {  # the fields of each section's rows
     "units": "id mass", "arrows": "id src tgt", "unit_arrows": "unit arrow",
@@ -153,7 +153,8 @@ def _phases(g: MeasuredGroupoid, fields: list[str]) -> Optional[np.ndarray]:
     order of ``g.pairs``, 1 on every pair not given; None if a row names a
     pair that does not compose or an earlier row's pair, or a bad phase."""
     t = g.pairs
-    at = t.at(g.arrow_positions(fields[0::4]), g.arrow_positions(fields[1::4]))
+    n = len(fields) // 4
+    at = t.at(*_positions(g._index, chain(fields[0::4], fields[1::4]), n, n))
     if (at < 0).any() or np.bincount(at, minlength=len(t.left)).max(initial=0) > 1:
         return None
     v = np.empty(len(at), dtype=complex)
@@ -212,8 +213,10 @@ def parse_text(text: str) -> tuple[MeasuredGroupoid, Optional[Cocycle]]:
 
     def bad_row(row: list[str], line_no: int) -> None:
         x, y, a, b = row
-        if g.pairs.at(g.arrow_positions([x]), g.arrow_positions([y]))[0] < 0:
-            raise ParseError(f"cocycle entry on non-composable pair {(x, y)!r}", line_no)
+        try:
+            g.pair_position(x, y)
+        except KeyError:
+            raise ParseError(f"cocycle entry on non-composable pair {(x, y)!r}", line_no) from None
         try:
             v = complex(float(a), float(b))
         except ValueError as exc:

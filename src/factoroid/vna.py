@@ -79,6 +79,10 @@ PARSEVAL_TOL = 1e-9
 # final membership is decided by direct residuals at the caller's tolerance
 _CANDIDATE_CUT = 1e-5
 
+# entries of the arrays that subspace_leq projects in one product (4 MiB of
+# complex); bounds its working arrays whatever the dimension of the span
+_PROJECT_BLOCK = 1 << 18
+
 # positions of a, b and ab and the phase w(a, b), over the composable pairs
 _Constants = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
@@ -258,7 +262,7 @@ class MatrixStarAlgebra:
         # the projector is sum_i r_i <r_i, v>, with the Hermitian product
         # conjugate-linear on the left; an empty span may not know the length of v
         proj = (flat @ self._rows.conj().T) @ self._rows if self.dim else 0.0
-        return _relative(_row_norms(flat - proj), _row_norms(flat))
+        return _relative(flat - proj, flat)
 
 
 class TranslationAlgebra:
@@ -310,15 +314,13 @@ class TranslationAlgebra:
         proj = np.zeros_like(ops)  # entries of distinct translations never share a place
         proj[:, row, col] = (inner.T * self._scale)[:, arrow] * val
         shape = (len(ops), math.prod(ops.shape[1:]))
-        return _relative(_row_norms((ops - proj).reshape(shape)), _row_norms(ops.reshape(shape)))
+        return _relative((ops - proj).reshape(shape), ops.reshape(shape))
 
 
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.vecdot(rows, rows).real)
-
-
-def _relative(residual: np.ndarray, norm: np.ndarray) -> np.ndarray:
-    return np.divide(residual, norm, out=np.zeros_like(residual), where=norm > 0.0)
+def _relative(diff: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """|diff_i| / |flat_i| for each row; 0 for a zero row, NaN for a NaN one."""
+    residual, norm = np.linalg.norm(diff, axis=1), np.linalg.norm(flat, axis=1)
+    return np.divide(residual, norm, out=np.zeros_like(residual), where=norm != 0.0)
 
 
 def subspace_leq(
@@ -326,9 +328,13 @@ def subspace_leq(
     b: TranslationAlgebra | MatrixStarAlgebra,
     tol: float = CONTAINMENT_TOL,
 ) -> tuple[bool, float]:
-    """Whether span(a) is contained in span(b): every basis array of a
-    projected on span(b) at once; returns the worst residual."""
-    worst = float(b.residuals(a.basis_ops).max(initial=0.0))
+    """Whether span(a) is contained in span(b): the basis arrays of a
+    projected on span(b) a block of rows at a time, each block at most
+    _PROJECT_BLOCK entries; returns the worst residual (NaN if any is)."""
+    ops = a.basis_ops
+    step = max(1, _PROJECT_BLOCK // max(1, math.prod(ops.shape[1:])))
+    blocks = [b.residuals(ops[i : i + step]) for i in range(0, len(ops), step)]
+    worst = float(np.concatenate(blocks).max(initial=0.0)) if blocks else 0.0
     return worst <= tol, worst
 
 

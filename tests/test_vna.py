@@ -133,6 +133,36 @@ def test_subspace_leq_matches_the_row_by_row_projection():
     assert checked > 10
 
 
+def test_subspace_leq_agrees_across_projection_blocks(monkeypatch, full3):
+    # blocks of one row and of two rows must give the one-block residuals
+    left = algebra(full3)
+    c = commutant(left.basis_ops)
+    pairs = [(left, c), (c, left), (center(full3), invariant_subalgebra(full3))]
+    whole = [subspace_leq(a, b) for a, b in pairs]
+    for rows in (1, 2):
+        monkeypatch.setattr(vna, "_PROJECT_BLOCK", rows * left.matrix_dim**2)
+        for (a, b), (ok, worst) in zip(pairs, whole):
+            ok_blocks, worst_blocks = subspace_leq(a, b)
+            assert ok_blocks == ok and abs(worst_blocks - worst) <= 1e-15
+            assert abs(worst - max(b.contains(op)[1] for op in a.basis_ops)) <= 1e-15
+
+
+def test_contains_fails_on_nan(full3):
+    # a NaN entry gives a NaN residual, which fails every tolerance
+    left = algebra(full3)
+    dense = MatrixStarAlgebra(left.basis_ops)
+    for alg in (left, dense):
+        mat = np.eye(left.matrix_dim, dtype=complex)
+        assert alg.contains(mat)[0] and alg.contains(np.zeros_like(mat)) == (True, 0.0)
+        mat[0, 1] = np.nan
+        ok, residual = alg.contains(mat)
+        assert not ok and math.isnan(residual)
+    bad = MatrixStarAlgebra([np.eye(2)])
+    bad.basis_ops = np.array([np.eye(2), np.full((2, 2), np.nan), np.zeros((2, 2))])
+    ok, worst = subspace_leq(bad, MatrixStarAlgebra([np.eye(2)]))
+    assert not ok and math.isnan(worst)
+
+
 def test_twisted_convolution_unit(full2):
     space = l2_space(full2)
     f = {a: 1.0 for a in full2.unit_arrow_set}
