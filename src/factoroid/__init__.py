@@ -61,7 +61,6 @@ from .vna import (
     TranslationAlgebra,
     algebra,
     center,
-    commutant,
     conditional_expectation,
     factoriality_report,
     fourier,
@@ -70,7 +69,6 @@ from .vna import (
     l2_space,
     multiplication_operator,
     phi_and_sharp,
-    rep_operator,
     subspace_leq,
     subspaces_equal,
     twisted_convolve,

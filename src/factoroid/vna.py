@@ -34,27 +34,28 @@ operator: ``algebra`` checks its identity on the entries, and ``center``
 and ``invariant_subalgebra`` keep the coordinates y_a = |L_a|_F c_a of x =
 sum_a c_a L_a over the orthonormal frame L_a / |L_a|_F, an isometry, so
 ``subspaces_equal`` gets the matrices' ranks and residuals from n-vectors.
-``commutant`` builds the whole Gram matrix from dense products, with matrix
-elements, as the oracle for ``center``; without ``within`` it also computes
-full commutants.  That branch is the only user of scipy and imports
-``scipy.sparse`` when it runs: importing factoroid, and every CLI
-subcommand, loads numpy alone, since the scipy import would take about half
-the start-up time and a third of the memory of a process that makes one
-report.
+Both spans are orthonormal by construction: the center's accepted vectors
+are unit eigenvectors of one block each (|L_a|_F is constant on a conjugacy
+class), and the orbit diagonals have disjoint supports and are divided by
+their norms.  So ``MatrixStarAlgebra`` takes its rows as they are, with no
+SVD, and checks once that they are orthonormal.  The dense oracle for
+``center``, which builds the whole Gram matrix from dense products and also
+computes full commutants, lives in ``tests/dense_oracle.py`` with the SVD
+span that holds its elements; the package itself needs numpy alone.
 
 Rank and nullspace decisions use an explicit tolerance.  Nullspaces are read
 off the spectrum of a Gram matrix (its eigenvalues are the squared singular
 values), and every candidate null vector is confirmed against its directly
 computed commutator residual, which keeps the tolerance honest at 1e-9 even
 where squaring would lose precision; the observed spectral gap is recorded.
-``center`` and ``commutant`` share this rule, ``_null_algebra``.
+``center`` and the dense oracle share this rule, ``_null_algebra``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -145,36 +146,16 @@ def l2_space(g: MeasuredGroupoid) -> L2Space:
     return L2Space(g, index, pos, weights, sqrt_weights, unit_vector)
 
 
-def rep_operator(
-    g: MeasuredGroupoid,
-    w: Optional[Cocycle],
-    ids: Iterable[str],
-    side: str = "left",
-    space: Optional[L2Space] = None,
-) -> np.ndarray:
-    """Matrix of the (projective) translation by an arrow set.
-
-    Left:  e_h -> w(a, h) e_{a h} summed over a in the set composing with h.
-    Right: e_h -> conj(w(h, a^-1)) sqrt(m(t(a))/m(s(a))) e_{h a^-1}; the mass
-    ratio is the price of writing the right translation on the source-weighted
-    space (it is 1 in the pmp case).  As in ``algebra``, an unnormalized
-    cocycle is replaced by its normalized representative.
-    """
-    g._require_validated()
-    if space is None:
-        space = l2_space(g)
-    constants = _structure_constants(g, _normalized(g, w), space)
-    coef = np.bincount([space.pos[a] for a in ids if a in space.pos], minlength=space.dim)
-    return _scatter(_column_forms(constants, side, space), space.dim, coef)
-
-
 def _column_forms(constants: _Constants, side: str, space: L2Space) -> _Constants:
     """Entries of the translations by all positive-mass arrows.
 
     T_a sends e_col to val e_row for each entry (arrow, col, row, val) with
     arrow a; there is one entry per composable pair.  The pair (a, h) gives
-    column h of L_a, so the left entries are the structure constants as
-    they are, and the pair (h, a^-1) gives column h of R_a.
+    column h of L_a: e_h -> w(a, h) e_{ah}, so the left entries are the
+    structure constants as they are.  The pair (h, a^-1) gives column h of
+    R_a: e_h -> conj(w(h, a^-1)) sqrt(m(t(a))/m(s(a))) e_{h a^-1}; the mass
+    ratio is the price of writing the right translation on the
+    source-weighted space (it is 1 in the pmp case).
     """
     i, j, k, phase = constants
     if side == "left":
@@ -227,32 +208,44 @@ def twisted_convolve(
     return dict(zip(g.arrow_order, out.tolist()))
 
 
-class MatrixStarAlgebra:
-    """A linear span of arrays (flattened), with rank and membership from an
-    orthogonal basis of its row space, taken from an SVD.  ``commutant``
-    keeps matrices; ``center`` and ``invariant_subalgebra`` keep n-vectors of
-    coordinates over the orthonormal frame L_a / |L_a|_F."""
+class _Span:
+    """Membership of one array, from the batched ``residuals`` of a span."""
 
-    def __init__(
-        self,
-        basis_ops: Sequence[np.ndarray],
-        tol: float = RANK_TOL,
-        observed_gap: Optional[tuple[float, float]] = None,
-    ):
-        ops = np.asarray(basis_ops, dtype=complex)
-        self.basis_ops = ops
-        self.tol = tol
-        self.observed_gap = observed_gap
-        flat = ops.reshape(len(ops), math.prod(ops.shape[1:]))
-        _, s, vh = np.linalg.svd(flat, full_matrices=False)
-        rank = int(np.sum(s > tol * max(1.0, s.max(initial=0.0))))
-        self._rows = vh[:rank]  # orthonormal rows spanning the flattened span
-        self.dim = rank
+    tol: float
 
     def contains(self, mat: np.ndarray, tol: Optional[float] = None) -> tuple[bool, float]:
         """Span membership: (verdict, relative projection residual)."""
         residual = float(self.residuals(np.asarray(mat)[None])[0])
         return residual <= (self.tol if tol is None else tol), residual
+
+
+class MatrixStarAlgebra(_Span):
+    """The linear span of orthonormal arrays (flattened), each one a basis
+    row.  ``center`` and ``invariant_subalgebra`` keep n-vectors of
+    coordinates over the orthonormal frame L_a / |L_a|_F.
+
+    The rows are orthonormal by construction, so the rank is their number
+    and projection needs no SVD.  That is checked once, at ``RANK_TOL``
+    whatever the containment ``tol``: a defect above it (or a NaN) is a
+    broken invariant and raises ``InternalInconsistency``.
+    """
+
+    def __init__(
+        self,
+        rows: Sequence[np.ndarray],
+        tol: float = RANK_TOL,
+        observed_gap: Optional[tuple[float, float]] = None,
+    ):
+        ops = np.asarray(rows, dtype=complex)
+        self.basis_ops = ops
+        self.tol = tol
+        self.observed_gap = observed_gap
+        self._rows = ops.reshape(len(ops), math.prod(ops.shape[1:]))
+        self.dim = len(ops)
+        gram = self._rows @ self._rows.conj().T
+        defect = float(np.abs(gram - np.eye(self.dim)).max(initial=0.0))
+        if not defect <= RANK_TOL:
+            raise InternalInconsistency(f"span rows are not orthonormal (defect {defect})")
 
     def residuals(self, ops: np.ndarray) -> np.ndarray:
         """The relative residual of projecting each array of ``ops`` on the
@@ -265,7 +258,7 @@ class MatrixStarAlgebra:
         return _relative(flat - proj, flat)
 
 
-class TranslationAlgebra:
+class TranslationAlgebra(_Span):
     """The span of the translations by single arrows, kept as their entries.
 
     ``forms`` holds the P entries (arrow, col, row, val) of ``_column_forms``:
@@ -297,11 +290,6 @@ class TranslationAlgebra:
     def element(self, coef: np.ndarray) -> np.ndarray:
         """sum_a coef[a] T_a as an n x n matrix."""
         return _scatter(self.forms, self.matrix_dim, coef)
-
-    def contains(self, mat: np.ndarray, tol: Optional[float] = None) -> tuple[bool, float]:
-        """Span membership: (verdict, relative projection residual)."""
-        residual = float(self.residuals(np.asarray(mat)[None])[0])
-        return residual <= (self.tol if tol is None else tol), residual
 
     def residuals(self, ops: np.ndarray) -> np.ndarray:
         """The relative residual of projecting each n x n matrix of ``ops``
@@ -348,25 +336,12 @@ def subspaces_equal(
     return ok_ab and ok_ba, max(res_ab, res_ba)
 
 
-def _as_real_if_possible(ops: np.ndarray) -> np.ndarray:
-    if np.all(np.abs(ops.imag) < 1e-300):
-        return ops.real.copy()
-    return ops
-
-
-def _commutator_residual(x: np.ndarray, ops: np.ndarray) -> float:
-    total = 0.0
-    for op in ops:
-        total += float(np.linalg.norm(x @ op - op @ x) ** 2)
-    return math.sqrt(total)
-
-
 def _null_algebra(
     eigvals: np.ndarray,
     confirm: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     tol: float,
-) -> MatrixStarAlgebra:
-    """Span of the confirmed null vectors of a commutator map.
+) -> tuple[np.ndarray, tuple[float, float]]:
+    """The confirmed null vectors of a commutator map, and the observed gap.
 
     ``eigvals`` is the spectrum of the map's Gram matrix, its squared
     singular values, taken whole or as the union of its diagonal blocks'
@@ -385,72 +360,7 @@ def _null_algebra(
     rejected = np.ones(len(sigmas), dtype=bool)
     rejected[cand[ok]] = False
     gap = (float(residuals[ok].max(initial=0.0)), float(sigmas[rejected].min(initial=np.inf)))
-    return MatrixStarAlgebra(elements[ok], tol=tol, observed_gap=gap)
-
-
-def commutant(
-    ops: Sequence[np.ndarray],
-    within: Optional[TranslationAlgebra | MatrixStarAlgebra] = None,
-    tol: float = RANK_TOL,
-) -> MatrixStarAlgebra:
-    """Matrices commuting with every given operator, at tolerance ``tol``.
-
-    The nullspace of the stacked map x -> ([x, op_i])_i is read off the
-    spectrum of its Gram matrix (squared singular values); candidates below a
-    generous cut are kept only if their directly computed commutator residual
-    is below ``tol * max(1, sigma_max)``.  When ``within`` is given the
-    search is performed inside that span.  Every product here is dense and
-    the Gram matrix is taken whole, with one ``eigh``, so
-    ``commutant(alg.basis_ops, within=alg)`` is the oracle for ``center``,
-    which takes the same spectrum block by block.
-    Without ``within`` the map is a sparse Kronecker sum; ``scipy.sparse`` is
-    imported only then, so that no report pays for loading it.
-    """
-    ops = np.asarray(ops, dtype=complex)
-    if ops.ndim != 3:
-        raise ValueError("ops must be a sequence of square matrices")
-    n = ops.shape[1]
-
-    if within is None:
-        import scipy.sparse as sp  # deferred: see the docstring
-
-        ops_r = _as_real_if_possible(ops)
-        gram = None
-        eye = sp.identity(n, format="csr", dtype=ops_r.dtype)
-        for op in ops_r:
-            a = sp.csr_matrix(op)
-            k = sp.kron(eye, a.T, format="csr") - sp.kron(a, eye, format="csr")
-            term = (k.conj().T @ k)
-            gram = term if gram is None else gram + term
-        gram = np.asarray(gram.todense())
-
-        def to_elements(vecs: np.ndarray) -> np.ndarray:
-            return vecs.T.reshape(-1, n, n).astype(complex)
-    else:
-        basis = within.basis_ops
-        k = len(basis)
-        gram = np.zeros((k, k), dtype=complex)
-        for op in ops:
-            comm = basis @ op - op @ basis
-            flat = comm.reshape(k, -1)
-            gram += flat.conj() @ flat.T
-        gram = 0.5 * (gram + gram.conj().T)
-
-        def to_elements(vecs: np.ndarray) -> np.ndarray:
-            return np.tensordot(vecs.T, basis, axes=1)
-
-    eigvals, eigvecs = np.linalg.eigh(gram)
-
-    def confirm(cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # each candidate scaled to unit Frobenius norm; a zero one is dropped
-        xs = to_elements(eigvecs[:, cand])
-        size = np.linalg.norm(xs.reshape(len(xs), -1), axis=1)
-        keep = size >= 1e-300
-        xs[keep] /= size[keep, None, None]
-        res = [_commutator_residual(x, ops) if kept else np.inf for x, kept in zip(xs, keep)]
-        return xs, np.array(res)
-
-    return _null_algebra(eigvals, confirm, tol)
+    return elements[ok], gap
 
 
 def algebra(
@@ -554,7 +464,7 @@ def center(
     sum_a c_a (w(a,b) L_ab - w(b,a) L_ba), and distinct translations are
     orthogonal, so the commutator map is the matrix K with K[(b, k), a] =
     |L_k|_F (w(a,b) [ab = k] - w(b,a) [ba = k]) and K^H K is the Gram matrix
-    that ``commutant(alg.basis_ops, within=alg)`` builds densely.  Row (b, k)
+    that the dense oracle of the tests builds from matrix products.  Row (b, k)
     of K has at most two entries, at a = k b^-1 and at a = b^-1 k, and it has
     one only where (k b^-1, b) or (b, b^-1 k) is a composable pair, so K is
     stored as two (column, value) pairs on each of its at most 2P occupied
@@ -655,7 +565,8 @@ def center(
         x[own, column] = y / length[own]
         return x, np.sqrt(squares[:-1]) / length
 
-    return _null_algebra(eigvals, confirm, tol)
+    rows, gap = _null_algebra(eigvals, confirm, tol)
+    return MatrixStarAlgebra(rows, tol, gap)
 
 
 def invariant_subalgebra(
@@ -663,7 +574,8 @@ def invariant_subalgebra(
 ) -> MatrixStarAlgebra:
     """Span of the positive-mass orbit diagonals, in ``center``'s coordinates:
     the diagonal of orbit O is sum_{u in O} L_{e_u}, so its row holds
-    |L_{e_u}|_F at e_u for each u in O, and 0 elsewhere."""
+    |L_{e_u}|_F at e_u for each u in O, and 0 elsewhere, divided by its norm.
+    The rows have disjoint supports, so they are orthonormal."""
     g._require_validated()
     if space is None:
         space = l2_space(g)
@@ -674,8 +586,8 @@ def invariant_subalgebra(
     positive = [o for o in g.orbits() if any(g.mass[u] > 0.0 for u in o)]
     orbit_of = {u: at for at, orbit in enumerate(positive) for u in orbit}
     orbit = np.array([orbit_of.get(u, -1) for u in tgt])
-    rows = [norms * (orbit == at) for at in range(len(positive))]
-    return MatrixStarAlgebra(rows or np.zeros((1, space.dim)))
+    rows = norms * (orbit == np.arange(len(positive))[:, None])
+    return MatrixStarAlgebra(rows / np.linalg.norm(rows, axis=1, keepdims=True))
 
 
 def j_map(

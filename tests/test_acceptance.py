@@ -19,13 +19,14 @@ from factoroid.groupoid import MeasuredGroupoid, validate_groupoid
 from factoroid.vna import (
     algebra,
     center,
-    commutant,
     factoriality_report,
     fourier,
     j_map,
     l2_space,
     subspaces_equal,
 )
+
+from dense_oracle import commutant
 
 N_CORPUS = 500
 N_TWISTED = 200

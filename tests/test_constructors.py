@@ -63,9 +63,8 @@ def test_bundle_center_is_diagonal_iff_fibers_trivial():
     import random
 
     import numpy as np
-    from factoroid.vna import (
-        MatrixStarAlgebra, algebra, l2_space, multiplication_operator, subspaces_equal,
-    )
+    from dense_oracle import svd_span
+    from factoroid.vna import algebra, l2_space, multiplication_operator, subspaces_equal
 
     menu = [mk.cyclic_group(1), mk.cyclic_group(2), mk.symmetric_group(3)]
     for seed in range(8):
@@ -75,7 +74,7 @@ def test_bundle_center_is_diagonal_iff_fibers_trivial():
         mass = {f"x{i}": 1.0 / n for i in range(n)}
         g = mk.group_bundle(fibers, mass)
         space = l2_space(g)
-        diagonal = MatrixStarAlgebra(
+        diagonal = svd_span(
             np.array([
                 multiplication_operator(space, {u: 1.0}) for u in g.units
             ])
@@ -84,7 +83,7 @@ def test_bundle_center_is_diagonal_iff_fibers_trivial():
         # the center's rows are coordinates over L_a / |L_a|_F; as matrices:
         arrow, _, _, val = alg.forms
         norms = np.sqrt(np.bincount(arrow, np.abs(val) ** 2, alg.matrix_dim))
-        central = MatrixStarAlgebra(
+        central = svd_span(
             [alg.element(y / norms) for y in center(g, alg=alg).basis_ops]
         )
         equal, _ = subspaces_equal(central, diagonal)

@@ -533,7 +533,7 @@ print(json.dumps(results))
 
 
 def test_cli_never_imports_scipy(tmp_path, capsys):
-    # only the commutant oracle uses scipy; no subcommand may load it
+    # scipy is for the tests' dense oracle alone; no subcommand may load it
     path = str(tmp_path / "k.txt")
     run_cli(capsys, "gen", "--family", "klein4-twisted", "--out", path)
     calls = [

@@ -18,7 +18,6 @@ from factoroid.vna import (
     NotInAlgebra,
     algebra,
     center,
-    commutant,
     conditional_expectation,
     factoriality_report,
     fourier,
@@ -27,11 +26,12 @@ from factoroid.vna import (
     l2_space,
     multiplication_operator,
     phi_and_sharp,
-    rep_operator,
     subspace_leq,
     subspaces_equal,
     twisted_convolve,
 )
+
+from dense_oracle import commutant, svd_span
 
 
 def random_algebra_element(alg, rng):
@@ -47,15 +47,21 @@ def central_matrices(alg, z):
     return [alg.element(y / norms) for y in z.basis_ops]
 
 
+def translation(g, w, ids, side, space):
+    """The translation by an arrow set: the element of the translation
+    algebra whose coefficient is 1 at each arrow of the set."""
+    return algebra(g, w, side, space=space).element(np.isin(space.index, list(ids)))
+
+
 def test_rep_operator_units_is_identity(full2):
     space = l2_space(full2)
-    lam = rep_operator(full2, None, full2.unit_arrow_set, "left", space)
+    lam = translation(full2, None, full2.unit_arrow_set, "left", space)
     assert np.allclose(lam, np.eye(space.dim))
 
 
 def test_rep_operator_z2_swap(z2):
     space = l2_space(z2)
-    lam = rep_operator(z2, None, ["pt.1"], "left", space)
+    lam = translation(z2, None, ["pt.1"], "left", space)
     assert np.allclose(lam, np.array([[0, 1], [1, 0]], dtype=complex))
 
 
@@ -63,7 +69,7 @@ def test_rep_operator_klein_twisted_signs():
     g, w = mk.klein_four_twisted()
     wn = normalize_cocycle(g, w)
     space = l2_space(g)
-    lam = rep_operator(g, w, ["pt.0.1"], "left", space)
+    lam = translation(g, w, ["pt.0.1"], "left", space)
     # partial permutation carrying the normalized phases wn((0,1), h) over
     # the 4 pairs: column h holds wn((0,1), h) at row (0,1) h
     nonzero = {
@@ -84,8 +90,8 @@ def test_rep_operator_adjoint_is_inverse(z4_translation):
     space = l2_space(g)
     w = trivial_cocycle(g)
     for a in g.arrow_order[:6]:
-        lam = rep_operator(g, w, [a], "left", space)
-        lam_inv = rep_operator(g, w, [g.inverse[a]], "left", space)
+        lam = translation(g, w, [a], "left", space)
+        lam_inv = translation(g, w, [g.inverse[a]], "left", space)
         assert np.allclose(lam.conj().T, lam_inv)
 
 
@@ -125,6 +131,9 @@ def test_subspace_leq_matches_the_row_by_row_projection():
     for seed in range(40):
         for g, w in ((mk.random_groupoid(seed), None), mk.random_twisted_pair(seed)):
             z, inv = center(g, w), invariant_subalgebra(g)
+            for span in (z, inv):  # orthonormal rows, as MatrixStarAlgebra checks
+                gram = span.basis_ops @ span.basis_ops.conj().T
+                assert np.abs(gram - np.eye(span.dim)).max(initial=0.0) <= 1e-12
             for a, b in ((z, inv), (inv, z)):
                 ok, worst = subspace_leq(a, b)
                 expect = _worst_residual_row_by_row(a, b)
@@ -147,19 +156,34 @@ def test_subspace_leq_agrees_across_projection_blocks(monkeypatch, full3):
             assert abs(worst - max(b.contains(op)[1] for op in a.basis_ops)) <= 1e-15
 
 
+def test_span_refuses_rows_that_are_not_orthonormal():
+    # the rows are taken as they are, so a broken invariant must raise, at
+    # RANK_TOL whatever the containment tolerance; a NaN row fails the test
+    n = 4
+    unit = np.eye(n)[0]
+    for rows in ([2 * unit], [unit, unit], [unit, np.full(n, np.nan)]):
+        for tol in (vna.RANK_TOL, 1.0):
+            with pytest.raises(InternalInconsistency, match="not orthonormal"):
+                MatrixStarAlgebra(rows, tol=tol)
+    empty = MatrixStarAlgebra(np.zeros((0, n)))
+    assert empty.dim == 0 and empty.contains(np.zeros(n)) == (True, 0.0)
+    assert not empty.contains(unit)[0]
+    assert MatrixStarAlgebra(np.eye(n)[1:3]).dim == 2
+
+
 def test_contains_fails_on_nan(full3):
     # a NaN entry gives a NaN residual, which fails every tolerance
     left = algebra(full3)
-    dense = MatrixStarAlgebra(left.basis_ops)
+    dense = svd_span(left.basis_ops)
     for alg in (left, dense):
         mat = np.eye(left.matrix_dim, dtype=complex)
         assert alg.contains(mat)[0] and alg.contains(np.zeros_like(mat)) == (True, 0.0)
         mat[0, 1] = np.nan
         ok, residual = alg.contains(mat)
         assert not ok and math.isnan(residual)
-    bad = MatrixStarAlgebra([np.eye(2)])
+    bad = svd_span([np.eye(2)])
     bad.basis_ops = np.array([np.eye(2), np.full((2, 2), np.nan), np.zeros((2, 2))])
-    ok, worst = subspace_leq(bad, MatrixStarAlgebra([np.eye(2)]))
+    ok, worst = subspace_leq(bad, svd_span([np.eye(2)]))
     assert not ok and math.isnan(worst)
 
 
@@ -211,7 +235,7 @@ def test_convolution_matches_operator_product():
     wn = normalize_cocycle(g, w)
     space = l2_space(g)
     a_set, b_set = ["pt.1.0"], ["pt.1.1"]
-    lam = rep_operator(g, wn, a_set, "left", space) @ rep_operator(
+    lam = translation(g, wn, a_set, "left", space) @ translation(
         g, wn, b_set, "left", space
     )
     ja = space.function_values(j_map(g, lam, space))
@@ -306,7 +330,7 @@ def test_center_matches_dense_oracle():
             assert rejected == pytest.approx(o_rejected, rel=1e-9), name
         else:
             assert rejected == o_rejected, name
-        matrices = MatrixStarAlgebra(central_matrices(alg, z))
+        matrices = svd_span(central_matrices(alg, z))
         assert subspaces_equal(matrices, oracle)[0], name
         checked += 1
     assert checked >= 250
@@ -451,7 +475,7 @@ def test_disjoint_span_matches_svd_span(s3_bundle):
     rng = np.random.default_rng(3)
     g, w = mk.random_twisted_pair(2)
     for alg in (algebra(s3_bundle), algebra(g, w), algebra(g, w, "right")):
-        svd = MatrixStarAlgebra(alg.basis_ops)
+        svd = svd_span(alg.basis_ops)
         assert alg.dim == svd.dim == alg.matrix_dim
         coeff = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
         inside = alg.element(coeff)
@@ -462,14 +486,13 @@ def test_disjoint_span_matches_svd_span(s3_bundle):
             ok_svd, res_svd = svd.contains(mat)
             assert ok == ok_svd and res == pytest.approx(res_svd, abs=1e-12)
         assert alg.contains(inside)[0] and not alg.contains(outside)[0]
-    # a stack of any shape is flattened; the empty list that _null_algebra
-    # passes when it confirms no null vector has no row length
+    # a stack of any shape is flattened; an empty list has no row length
     for zero in (np.zeros((2, 3, 3)), np.zeros((0, 3, 3)), np.zeros((1, 9)), []):
-        span = MatrixStarAlgebra(zero)
+        span = svd_span(zero)
         assert span.dim == 0 and not span.contains(np.eye(3))[0]
 
 
-def _rep_operator_by_loop(g, w, ids, side, space):
+def _translation_by_loop(g, w, ids, side, space):
     """The translation by an arrow set, written out column by column."""
     mat = np.zeros((space.dim, space.dim), dtype=complex)
     for h in space.index:
@@ -493,38 +516,42 @@ def test_column_forms_match_loop_definition():
         # the translations are defined by the normalized representative
         wn = normalize_cocycle(g, w) if w is not None else trivial_cocycle(g)
         for side in ("left", "right"):
-            for a in space.index:
-                expect = _rep_operator_by_loop(g, wn, [a], side, space)
-                assert np.array_equal(rep_operator(g, w, [a], side, space), expect)
+            alg = algebra(g, w, side, space=space)
+            for a, e_a in zip(space.index, np.eye(space.dim)):
+                expect = _translation_by_loop(g, wn, [a], side, space)
+                assert np.array_equal(alg.element(e_a), expect)
 
 
 def test_rep_operator_sums_column_forms():
     # a set's translation is the sum of its arrows' translations, both sides
     g, w = mk.random_twisted_pair(2)
+    wn = normalize_cocycle(g, w)
     space = l2_space(g)
     picked = list(space.index[::3])
     for side in ("left", "right"):
         alg = algebra(g, w, side, space=space)
-        total = rep_operator(g, w, picked, side, space)
-        singles = sum(rep_operator(g, w, [a], side, space) for a in picked)
+        total = alg.element(np.isin(space.index, picked))
+        singles = sum(alg.element(np.isin(space.index, [a])) for a in picked)
         assert np.array_equal(total, singles)
-        assert np.allclose(total, alg.element(np.isin(space.index, picked)))
+        assert np.allclose(total, _translation_by_loop(g, wn, picked, side, space))
     with pytest.raises(ValueError):
-        rep_operator(g, w, picked, "up", space)
+        algebra(g, w, "up", space=space)
 
 
 def test_rep_operator_matches_algebra_element():
-    # both builders normalize the cocycle, so they agree arrow by arrow
+    # algebra normalizes the cocycle, so its elements agree arrow by arrow
+    # with the loop over the normalized representative
     cases = [mk.random_twisted_pair(seed) for seed in range(4)]
     cases.append(mk.klein_four_twisted())
     for g, w in cases:
         assert not w.normalized
+        wn = normalize_cocycle(g, w)
         space = l2_space(g)
         for side in ("left", "right"):
             alg = algebra(g, w, side, space=space)
             for a, e_a in zip(space.index, np.eye(space.dim)):
                 assert np.array_equal(
-                    rep_operator(g, w, [a], side, space), alg.element(e_a)
+                    _translation_by_loop(g, wn, [a], side, space), alg.element(e_a)
                 ), (a, side)
 
 
@@ -568,11 +595,11 @@ def test_invariant_subalgebra_dims(full2, z2_bundle, null_orbit_groupoid):
 def test_conditional_expectation_values(full2):
     space = l2_space(full2)
     alg = algebra(full2)
-    lam_units = rep_operator(full2, None, full2.unit_arrow_set, "left", space)
+    lam_units = translation(full2, None, full2.unit_arrow_set, "left", space)
     e = conditional_expectation(full2, lam_units, alg, space)
     assert e == {"x0": pytest.approx(1), "x1": pytest.approx(1)}
 
-    lam = rep_operator(full2, None, ["r|x0|x1"], "left", space)
+    lam = translation(full2, None, ["r|x0|x1"], "left", space)
     e = conditional_expectation(full2, lam, alg, space)
     assert all(v == pytest.approx(0) for v in e.values())
 
@@ -604,7 +631,7 @@ def test_phi_and_sharp(full2):
     assert phi == pytest.approx(1.0)
     assert sharp == pytest.approx(math.sqrt(2.0))
 
-    lam = rep_operator(full2, None, ["r|x0|x1"], "left", space)
+    lam = translation(full2, None, ["r|x0|x1"], "left", space)
     phi, sharp = phi_and_sharp(full2, lam, alg, space)
     m = full2.arrow_measure(["r|x0|x1"], "source")
     assert phi == pytest.approx(0.0)
@@ -624,7 +651,7 @@ def test_phi_faithful(s3_bundle):
 
 def test_j_map_values(full2):
     space = l2_space(full2)
-    lam = rep_operator(full2, None, ["r|x0|x1"], "left", space)
+    lam = translation(full2, None, ["r|x0|x1"], "left", space)
     vals = space.function_values(j_map(full2, lam, space))
     assert vals["r|x0|x1"] == pytest.approx(1.0)
     assert sum(abs(v) for a, v in vals.items() if a != "r|x0|x1") == pytest.approx(0.0)
@@ -646,7 +673,7 @@ def test_diagonal_conjugation_relation(swap_groupoid):
     space = l2_space(g)
     a_set = ["1|x0"]  # arrow x0 -> x1
     f = {"x0": 2.0, "x1": -3.0}
-    lam = rep_operator(g, None, a_set, "left", space)
+    lam = translation(g, None, a_set, "left", space)
     lhs = lam @ multiplication_operator(space, f) @ lam.conj().T
     rhs = multiplication_operator(space, {"x1": f["x0"]})
     assert np.allclose(lhs, rhs)
@@ -676,7 +703,7 @@ def test_fourier_block_indicator(full2):
     space = l2_space(full2)
     alg = algebra(full2)
     block = basis.blocks[1]
-    lam = rep_operator(full2, None, block, "left", space)
+    lam = translation(full2, None, block, "left", space)
     data = fourier(full2, None, lam, basis, alg=alg, space=space)
     assert data.residual < 1e-10
     for bi, cf in data.coefficients.items():
