@@ -17,7 +17,6 @@ from .groupoid import (
     MeasuredGroupoid,
     NonAssociative,
     check_isomorphism,
-    compose_many,
     validate_groupoid,
 )
 from .basis import Basis, build_basis, check_basis, conjugate_basis, extend_iso_basis
@@ -29,9 +28,7 @@ from .conjugacy import (
     NotIsotropy,
     conjugacy_class,
     ergodic_class_decomposition,
-    fiber_count,
     is_icc,
-    min_bisection_cover_count,
 )
 from .cocycle import (
     CentralSetCertificate,
@@ -49,7 +46,6 @@ from .cocycle import (
     trivial_cocycle,
     twisted_icc,
     validate_cocycle,
-    verify_central_certificate,
 )
 from .vna import (
     AsymmetricBasis,
@@ -71,7 +67,6 @@ from .vna import (
     phi_and_sharp,
     subspace_leq,
     subspaces_equal,
-    twisted_convolve,
 )
 from .textio import ParseError, parse_file, parse_text, serialize, write_file
 

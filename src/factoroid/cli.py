@@ -26,7 +26,7 @@ from .basis import build_basis
 from .cocycle import _normalized, kleppner_holds, twisted_icc
 from .conjugacy import is_icc
 from .groupoid import GroupoidError
-from .textio import ParseError, parse_file, serialize, write_file
+from .textio import ParseError, parse_file, serialize
 from .vna import (
     CONTAINMENT_TOL,
     RANK_TOL,
@@ -92,11 +92,25 @@ def _render(data: dict, fmt: str) -> str:
     return "\n".join(f"{k.ljust(width)}  {data[k]!r}" for k in data)
 
 
+def _cannot(verb: str, path: str, exc: Exception) -> InputError:
+    """An unreadable or unwritable path as an input error naming it."""
+    return InputError(f"cannot {verb} {path}: {getattr(exc, 'strerror', None) or exc}")
+
+
 def _load(path: str):
     try:
         return parse_file(path)
-    except FileNotFoundError:
-        raise InputError(f"no such file: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _cannot("read", path, exc) from None
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _cannot("write", path, exc) from None
+    print(f"wrote {path}")
 
 
 def cmd_validate(args) -> int:
@@ -206,9 +220,7 @@ def cmd_gen(args) -> int:
         )
     text = serialize(g, w)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -262,8 +274,7 @@ def cmd_globalize(args) -> int:
     }
     print(_render(data, args.format))
     if args.out:
-        write_file(args.out, glob.groupoid)
-        print(f"wrote {args.out}")
+        _write(args.out, serialize(glob.groupoid))
     return 0
 
 

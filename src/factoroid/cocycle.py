@@ -151,7 +151,7 @@ class TwistedIccVerdict:
     certificate: Optional[CentralSetCertificate] = None
 
 
-def _is_normalized(g: MeasuredGroupoid, phases: np.ndarray, tol: float) -> bool:
+def _is_normalized(g: MeasuredGroupoid, phases: np.ndarray) -> bool:
     """Whether the phase is 1 on every (x, 1), (1, x) and (x, x^-1)."""
     t = g.pairs
     at = phases[np.concatenate([
@@ -161,7 +161,7 @@ def _is_normalized(g: MeasuredGroupoid, phases: np.ndarray, tol: float) -> bool:
     ])]
     if _exact(phases):
         return bool((at == 0).all())
-    return bool((np.abs(at - 1) <= tol).all())
+    return bool((np.abs(at - 1) <= UNIT_MODULUS_TOL).all())
 
 
 def validate_cocycle(
@@ -205,7 +205,7 @@ def validate_cocycle(
         raise CocycleIdentityViolated(
             f"cocycle identity fails on triple ({x!r},{y!r},{z!r})", (x, y, z)
         )
-    return Cocycle(g, w, exact, _is_normalized(g, w, UNIT_MODULUS_TOL))
+    return Cocycle(g, w, exact, _is_normalized(g, w))
 
 
 def trivial_cocycle(g: MeasuredGroupoid, *, exact: bool = False) -> Cocycle:
@@ -222,7 +222,7 @@ def apply_coboundary(
     t = g.pairs
     r = np.array([rho[x] for x in g.arrow_order], dtype=w.phases.dtype)
     phases = pmul(pmul(r[t.left], pmul(r[t.right], pconj(r[t.prod]))), w.on(g))
-    return Cocycle(g, phases, w.exact, _is_normalized(g, phases, UNIT_MODULUS_TOL))
+    return Cocycle(g, phases, w.exact, _is_normalized(g, phases))
 
 
 def normalize_cocycle(g: MeasuredGroupoid, w: Cocycle) -> Cocycle:
@@ -276,15 +276,13 @@ def _transports(
     return moves
 
 
-def central_set_search(
-    g: MeasuredGroupoid, w: Cocycle, tol: float = HOLONOMY_TOL
-) -> Optional[CentralSetCertificate]:
+def central_set_search(g: MeasuredGroupoid, w: Cocycle) -> Optional[CentralSetCertificate]:
     """Find a central isotropy set off the units, or report none exists.
 
     Scans each conjugation orbit of positive-mass non-unit isotropy arrows.
     On an orbit, any compatible f is determined up to scale by transport
     along a spanning tree, so the orbit carries a certificate exactly when
-    every off-tree move closes up (loop holonomy 1 within ``tol``).  The
+    every off-tree move closes up (loop holonomy 1 within ``HOLONOMY_TOL``).  The
     moves and their phases are read from ``g.pairs`` by position.
     """
     g._require_validated()
@@ -317,7 +315,7 @@ def central_set_search(
                 rhs = pmul(factor, f[h])
                 defect = abs(as_complex(lhs) - as_complex(rhs))
                 max_defect = max(max_defect, defect)
-                if not phase_close(lhs, rhs, tol):
+                if not phase_close(lhs, rhs, HOLONOMY_TOL):
                     consistent = False
                     break
             if not consistent:
@@ -332,43 +330,10 @@ def central_set_search(
     return None
 
 
-def verify_central_certificate(
-    g: MeasuredGroupoid,
-    w: Cocycle,
-    cert: CentralSetCertificate,
-    tol: float = HOLONOMY_TOL,
-) -> None:
-    """Re-check a certificate against the defining transformation rule."""
-    g._require_validated()
-    w = _normalized(g, w)
-    support = g.sort_arrows(cert.support)
-    for h in support:
-        if g.src[h] != g.tgt[h] or h in g.unit_arrow_set:
-            raise GroupoidError("certificate support is not isotropy off units", [h])
-        if g.mass[g.src[h]] <= 0.0:
-            raise GroupoidError("certificate support touches a null unit", [h])
-        if cert.f[h] == 0:
-            raise GroupoidError("certificate function vanishes on support", [h])
-    name = g.arrow_order
-    loops = np.array([g.arrow_index(h) for h in support], dtype=np.intp)
-    for h, moves in zip(support, _transports(g, w, loops)):
-        for a, c, factor in moves:
-            if name[c] not in cert.support:
-                raise GroupoidError(
-                    "certificate support is not conjugation invariant", [h, name[a]]
-                )
-            expected = as_complex(factor) * cert.f[h]
-            if abs(cert.f[name[c]] - expected) > tol:
-                raise GroupoidError(
-                    "certificate function breaks the transport rule", [h, name[a]]
-                )
-
-
 def is_omega_regular(
     g: MeasuredGroupoid,
     w: Cocycle,
     ids: Iterable[str],
-    tol: float = HOLONOMY_TOL,
 ) -> RegularityVerdict:
     """Phase symmetry of a bisection inside the isotropy:
     w(y, g) == w(g, x) whenever g x g^-1 = y with x, y in the set.
@@ -385,14 +350,12 @@ def is_omega_regular(
             y = g.conjugate(a, x)
             if y is None or y not in ids:
                 continue
-            if not phase_close(w(y, a), w(a, x), tol):
+            if not phase_close(w(y, a), w(a, x), HOLONOMY_TOL):
                 return RegularityVerdict(False, witness=(a, x, y))
     return RegularityVerdict(True)
 
 
-def kleppner_holds(
-    g: MeasuredGroupoid, w: Cocycle, tol: float = HOLONOMY_TOL
-) -> KleppnerVerdict:
+def kleppner_holds(g: MeasuredGroupoid, w: Cocycle) -> KleppnerVerdict:
     """Decide the phase-symmetry obstruction over singleton bisections.
 
     The condition fails exactly when some positive-mass non-unit isotropy
@@ -413,16 +376,14 @@ def kleppner_holds(
     fixes = c == h[i]  # a h a^-1 = h
     i, p, a = i[fixes], p[fixes], a[fixes]
     ha, ah = phase[t.start[a] + t.rank[h[i]]], phase[p]  # w(h, a), w(a, h)
-    close = ha == ah if w.exact else np.abs(ha - ah) <= tol
+    close = ha == ah if w.exact else np.abs(ha - ah) <= HOLONOMY_TOL
     symmetric = np.flatnonzero(np.bincount(i[~close], minlength=len(h)) == 0)
     if len(symmetric):
         return KleppnerVerdict(False, witness=g.arrow_order[loops[symmetric[0]]])
     return KleppnerVerdict(True)
 
 
-def twisted_icc(
-    g: MeasuredGroupoid, w: Cocycle, tol: float = HOLONOMY_TOL
-) -> TwistedIccVerdict:
+def twisted_icc(g: MeasuredGroupoid, w: Cocycle) -> TwistedIccVerdict:
     """Twisted analogue of the icc decider: no central set may exist."""
-    cert = central_set_search(g, w, tol)
+    cert = central_set_search(g, w)
     return TwistedIccVerdict(icc=cert is None, certificate=cert)

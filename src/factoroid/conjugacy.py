@@ -80,12 +80,6 @@ def conjugacy_class(g: MeasuredGroupoid, base: Iterable[str]) -> ConjugacyClass:
     )
 
 
-def fiber_count(g: MeasuredGroupoid, base: Iterable[str], unit: str) -> int:
-    """Number of arrows of the conjugacy class based at one unit."""
-    cls = conjugacy_class(g, base)
-    return sum(1 for h in cls.omega if g.src[h] == unit)
-
-
 def is_icc(g: MeasuredGroupoid) -> IccVerdict:
     """Decide the infinite-conjugacy-class condition.
 
@@ -153,17 +147,3 @@ def ergodic_class_decomposition(
     assert not remaining
     return layers
 
-
-def min_bisection_cover_count(g: MeasuredGroupoid, ids: Iterable[str]) -> int:
-    """Minimal number of bisections needed to cover an isotropy subset.
-
-    For sets inside the isotropy a bisection holds at most one arrow per
-    unit, so the answer is the largest per-unit arrow count; the greedy
-    layer extraction achieves it.
-    """
-    g._require_validated()
-    ids = _require_isotropy(g, ids)
-    counts: dict[str, int] = {}
-    for h in ids:
-        counts[g.src[h]] = counts.get(g.src[h], 0) + 1
-    return max(counts.values(), default=0)

@@ -132,19 +132,6 @@ def klein_four_group() -> FiniteGroupTable:
 
 # -- direct constructions ----------------------------------------------------
 
-def trivial_groupoid(
-    units: Sequence[str], mass: Mapping[str, float], **kw
-) -> MeasuredGroupoid:
-    """Units only: every arrow is a unit arrow."""
-    arrows = [(f"e|{u}", u, u) for u in units]
-    compose = [f"e|{u}" for u in units for _ in range(3)]
-    inverse = {f"e|{u}": f"e|{u}" for u in units}
-    unit_arrows = {u: f"e|{u}" for u in units}
-    return validate_groupoid(
-        MeasuredGroupoid(units, mass, arrows, compose, inverse, unit_arrows, **kw)
-    )
-
-
 def full_relation(units: Sequence[str], mass: Mapping[str, float], **kw) -> MeasuredGroupoid:
     """The principal groupoid connecting every pair of units."""
     def aid(x: str, y: str) -> str:
@@ -191,16 +178,6 @@ def group_bundle(
 def group_groupoid(table: FiniteGroupTable, unit: str = "pt", **kw) -> MeasuredGroupoid:
     """A group as a one-unit groupoid with full mass."""
     return group_bundle({unit: table}, {unit: 1.0}, **kw)
-
-
-def bundle_center_dim_oracle(
-    fibers: Mapping[str, FiniteGroupTable], mass: Mapping[str, float]
-) -> int:
-    """Independent center-dimension count for a bundle: the number of fiber
-    conjugacy classes summed over positive-mass units."""
-    return sum(
-        len(fibers[x].conjugacy_classes()) for x in fibers if mass[x] > 0.0
-    )
 
 
 def transformation_groupoid(
@@ -898,13 +875,12 @@ NAMED_INSTANCES: dict[
 
 # -- seeded random instances ---------------------------------------------------
 
-@dataclass(frozen=True)
-class GeneratorParams:
-    max_units: int = 12
-    max_arrows: int = 60
-    max_components: int = 3
-    null_component_rate: float = 0.2
-    restrict_rate: float = 0.2
+# the bounds and rates of random_groupoid
+_MAX_UNITS = 12
+_MAX_ARROWS = 60
+_MAX_COMPONENTS = 3
+_NULL_COMPONENT_RATE = 0.2
+_RESTRICT_RATE = 0.2
 
 
 _SMALL_GROUP_BUILDERS = {
@@ -973,7 +949,7 @@ def disjoint_union(
         for u in part.units:
             mass[pre + u] = weight * part.mass[u]
         arrows.extend((pre + a.id, pre + a.src, pre + a.tgt) for a in part.arrows)
-        compose += [pre + x for x in part.compose_rows]
+        compose += [pre + x for (g, h), gh in part.compose.items() for x in (g, h, gh)]
         inverse.update({pre + x: pre + y for x, y in part.inverse.items()})
         unit_arrows.update({pre + u: pre + e for u, e in part.unit_arrow.items()})
     return validate_groupoid(
@@ -1001,9 +977,7 @@ def _random_component(rng: random.Random) -> MeasuredGroupoid:
     return _random_part(rng, _small_group(rng.choice(menu)), kind)
 
 
-def random_groupoid(
-    seed: int, params: Optional[GeneratorParams] = None
-) -> MeasuredGroupoid:
+def random_groupoid(seed: int) -> MeasuredGroupoid:
     """Deterministic random instance within the size bounds.
 
     The distribution mixes one to three components drawn from group bundles
@@ -1014,14 +988,13 @@ def random_groupoid(
     positive subset.  Null mass is assigned per component, so instances stay
     nonsingular.
     """
-    params = params or GeneratorParams()
     rng = random.Random(f"groupoid-{seed}")
     for _ in range(200):
-        n_parts = rng.randint(1, params.max_components)
+        n_parts = rng.randint(1, _MAX_COMPONENTS)
         parts = [_random_component(rng) for _ in range(n_parts)]
         weights = []
         for i in range(n_parts):
-            if n_parts > 1 and rng.random() < params.null_component_rate:
+            if n_parts > 1 and rng.random() < _NULL_COMPONENT_RATE:
                 weights.append(0.0)
             else:
                 weights.append(rng.random() + 0.1)
@@ -1030,13 +1003,13 @@ def random_groupoid(
         tot = sum(weights)
         weights = [w / tot for w in weights]
         g = disjoint_union(parts, weights)
-        if rng.random() < params.restrict_rate:
+        if rng.random() < _RESTRICT_RATE:
             positive = [u for u in g.units if g.mass[u] > 0.0]
             k = rng.randint(max(1, len(positive) // 2), len(positive))
             keep = rng.sample(positive, k)
             keep += [u for u in g.units if g.mass[u] == 0.0 and rng.random() < 0.5]
             g, _ = g.restrict(keep)
-        if len(g.units) <= params.max_units and len(g.arrows) <= params.max_arrows:
+        if len(g.units) <= _MAX_UNITS and len(g.arrows) <= _MAX_ARROWS:
             return g
     raise GroupoidError(f"generator failed to fit bounds for seed {seed}")
 

@@ -231,8 +231,9 @@ class MeasuredGroupoid:
     Construction only stores the tables, taking ``compose_rows`` over rather
     than copying it; call :func:`validate_groupoid` (or ``.validate()``)
     before using any other operation.  Validation maps the rows to positions
-    once, into ``pairs``; ``compose`` is then a read-only mapping
-    (g, h) -> gh served from ``pairs``, its items in row order.
+    once, into ``pairs``, and then drops them (``compose_rows`` is None);
+    ``compose`` is a read-only mapping (g, h) -> gh served from ``pairs``,
+    its items in row order.
     """
 
     def __init__(
@@ -321,6 +322,8 @@ class MeasuredGroupoid:
     # -- validation ------------------------------------------------------
 
     def validate(self) -> "MeasuredGroupoid":
+        if self.compose_rows is None:  # dropped by an earlier validation
+            self.compose_rows = [x for (g, h), gh in self.compose.items() for x in (g, h, gh)]
         unit = {u: i for i, u in enumerate(self.units)}
         if len(unit) != len(self.units):
             count = Counter(self.units)
@@ -451,6 +454,7 @@ class MeasuredGroupoid:
         else:
             pmp = bool((np.abs(mass[src] - mass[tgt]) <= MASS_TOL).all())
         self.pairs = pairs
+        self.compose_rows = None  # every later read goes through pairs
         self.flags = ValidationFlags(
             nonsingular=nonsingular, pmp=pmp, mass_normalized=normalized
         )
@@ -650,22 +654,6 @@ def validate_groupoid(g: MeasuredGroupoid) -> MeasuredGroupoid:
     id first in a row.
     """
     return g.validate()
-
-
-def compose_many(g: MeasuredGroupoid, ids: Sequence[str]) -> Optional[str]:
-    """Left-to-right fold of the composition table; None when undefined."""
-    g._require_validated()
-    if not ids:
-        return None
-    acc = ids[0]
-    if acc not in g.src:
-        return None
-    for nxt in ids[1:]:
-        prod = g.compose.get((acc, nxt))
-        if prod is None:
-            return None
-        acc = prod
-    return acc
 
 
 def check_isomorphism(

@@ -60,14 +60,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .basis import Basis
-from .cocycle import (
-    Cocycle,
-    _normalized,
-    kleppner_holds,
-    pmul,
-    trivial_cocycle,
-    twisted_icc,
-)
+from .cocycle import Cocycle, _normalized, kleppner_holds, twisted_icc
 from .conjugacy import is_icc
 from .groupoid import GroupoidError, MeasuredGroupoid
 
@@ -187,25 +180,6 @@ def multiplication_operator(
     g = space.groupoid
     diag = np.array([complex(f.get(g.tgt[h], 0.0)) for h in space.index])
     return np.diag(diag)
-
-
-def twisted_convolve(
-    g: MeasuredGroupoid,
-    w: Optional[Cocycle],
-    f1: Mapping[str, complex],
-    f2: Mapping[str, complex],
-) -> dict[str, complex]:
-    """Convolution (f1 * f2)(x) = sum over ab = x of w(a,b) f1(a) f2(b)."""
-    g._require_validated()
-    if w is None:
-        w = trivial_cocycle(g)
-    t, n = g.pairs, len(g.arrows)
-    v1, v2 = (np.array([complex(f.get(a) or 0) for a in g.arrow_order]) for f in (f1, f2))
-    p = np.argsort(t.row)  # pairs without a zero factor, in compose row order
-    p = p[(v1[t.left[p]] != 0) & (v2[t.right[p]] != 0)]
-    terms = pmul(pmul(w.complex_phases(g)[p], v1[t.left[p]]), v2[t.right[p]])
-    out = np.bincount(t.prod[p], terms.real, n) + 1j * np.bincount(t.prod[p], terms.imag, n)
-    return dict(zip(g.arrow_order, out.tolist()))
 
 
 class _Span:
@@ -657,8 +631,6 @@ def fourier(
     basis: Basis,
     alg: Optional[TranslationAlgebra] = None,
     space: Optional[L2Space] = None,
-    residual_tol: float = FOURIER_RESIDUAL_TOL,
-    parseval_tol: float = PARSEVAL_TOL,
 ) -> FourierData:
     """Expand an algebra element over a symmetric basis of bisections.
 
@@ -699,7 +671,7 @@ def fourier(
         residual=residual,
         parseval_gap=abs(parseval - phi_aa),
     )
-    if residual > residual_tol or data.parseval_gap > parseval_tol:
+    if residual > FOURIER_RESIDUAL_TOL or data.parseval_gap > PARSEVAL_TOL:
         raise InternalInconsistency(
             f"expansion failed its tolerances (residual {residual}, "
             f"parseval gap {data.parseval_gap})"

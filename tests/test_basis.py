@@ -5,13 +5,15 @@ from factoroid import constructors as mk
 from factoroid.basis import Basis, build_basis, check_basis, conjugate_basis, extend_iso_basis
 from factoroid.groupoid import GroupoidError
 
+from references import trivial_groupoid
+
 
 def block_sets(basis):
     return [frozenset(b) for b in basis.blocks]
 
 
 def test_trivial_groupoid_single_block():
-    g = mk.trivial_groupoid(["x0", "x1"], {"x0": 0.5, "x1": 0.5})
+    g = trivial_groupoid(["x0", "x1"], {"x0": 0.5, "x1": 0.5})
     basis = build_basis(g, symmetric=True)
     assert len(basis.blocks) == 1
     assert frozenset(basis.blocks[0]) == g.unit_arrow_set

@@ -23,10 +23,11 @@ from factoroid.cocycle import (
     trivial_cocycle,
     twisted_icc,
     validate_cocycle,
-    verify_central_certificate,
 )
 from factoroid.conjugacy import is_icc
 from factoroid.groupoid import GroupoidError, MeasuredGroupoid
+
+from references import verify_central_certificate
 
 
 def klein_pair(exact=False):

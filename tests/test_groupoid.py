@@ -17,14 +17,10 @@ from factoroid.groupoid import (
     MeasuredGroupoid,
     NonAssociative,
     check_isomorphism,
-    compose_many,
     validate_groupoid,
 )
 
-
-def _rows(table) -> list[str]:
-    """A composition table given as a dict (g, h) -> gh, as flat rows."""
-    return [x for (g, h), gh in table.items() for x in (g, h, gh)]
+from references import compose_rows, trivial_groupoid
 
 
 def test_z2_is_valid_and_pmp(z2):
@@ -45,7 +41,7 @@ def test_broken_compose_reports_bad_unit():
     bad[("r|x0|x1", "r|x0|x1")] = "r|x0|x0"  # tgt != src
     raw = MeasuredGroupoid(
         h.units, h.mass, [(a.id, a.src, a.tgt) for a in h.arrows],
-        _rows(bad), h.inverse, h.unit_arrow,
+        compose_rows(bad), h.inverse, h.unit_arrow,
     )
     with pytest.raises(BadUnit):
         raw.validate()
@@ -57,7 +53,7 @@ def test_missing_composition_detected(full2):
     raw = MeasuredGroupoid(
         full2.units, full2.mass,
         [(a.id, a.src, a.tgt) for a in full2.arrows],
-        _rows(compose), full2.inverse, full2.unit_arrow,
+        compose_rows(compose), full2.inverse, full2.unit_arrow,
     )
     with pytest.raises(DanglingReference):
         raw.validate()
@@ -69,7 +65,7 @@ def test_broken_inverse_detected(full2):
     raw = MeasuredGroupoid(
         full2.units, full2.mass,
         [(a.id, a.src, a.tgt) for a in full2.arrows],
-        full2.compose_rows, inverse, full2.unit_arrow,
+        compose_rows(full2.compose), inverse, full2.unit_arrow,
     )
     with pytest.raises(BadInverse) as err:
         raw.validate()
@@ -86,7 +82,7 @@ def _latin_square() -> MeasuredGroupoid:
         ("b", "e"): "b", ("b", "a"): "b", ("b", "b"): "e",
     }
     inverse = {"e": "e", "a": "a", "b": "b"}
-    return MeasuredGroupoid(["x"], {"x": 1.0}, arrows, _rows(table), inverse, {"x": "e"})
+    return MeasuredGroupoid(["x"], {"x": 1.0}, arrows, compose_rows(table), inverse, {"x": "e"})
 
 
 def test_nonassociative_table_detected():
@@ -125,7 +121,7 @@ def _with_swapped_product(g, rng):
             rng.shuffle(rows)
             return MeasuredGroupoid(
                 g.units, g.mass, [(a.id, a.src, a.tgt) for a in g.arrows],
-                _rows(dict(rows)), g.inverse, g.unit_arrow,
+                compose_rows(dict(rows)), g.inverse, g.unit_arrow,
             )
     return None
 
@@ -159,7 +155,8 @@ def _build(tables: dict) -> MeasuredGroupoid:
     given as flat rows already."""
     tables = dict(tables)
     rows = tables.pop("compose")
-    return MeasuredGroupoid(**tables, compose_rows=_rows(rows) if isinstance(rows, dict) else rows)
+    rows = compose_rows(rows) if isinstance(rows, dict) else rows
+    return MeasuredGroupoid(**tables, compose_rows=rows)
 
 
 def _edit(name: str, **changes):
@@ -241,7 +238,8 @@ _BROKEN = {
         BadUnit, "product 'r|x1|x1' of ('r|x0|x0','r|x0|x1') has wrong endpoints",
         (_E0, _A, _E1)),
     "compose: pair given twice": (
-        _edit("full2", compose=[*mk.NAMED_INSTANCES["full2"]()[0].compose_rows, _E0, _A, _A]),
+        _edit("full2", compose=[
+            *compose_rows(mk.NAMED_INSTANCES["full2"]()[0].compose), _E0, _A, _A]),
         DanglingReference, "compose row for ('r|x0|x0','r|x0|x1') repeats an earlier row",
         (_E0, _A)),
     "compose: missing pair": (
@@ -309,28 +307,28 @@ def test_validate_reads_the_composition_table_only_by_iterating_it():
         s4, mk.translation_action(s4), s4.elements,
         {u: 1 / len(s4.elements) for u in s4.elements},
     )
-    raw = _build({**_tables_of(g), "compose": _IterateOnly(g.compose_rows)})
+    raw = _build({**_tables_of(g), "compose": _IterateOnly(compose_rows(g.compose))})
     raw.validate()
     assert len(raw.pairs.prod) == 13_824
     for a, b in zip(vars(raw.pairs).values(), vars(g.pairs).values()):
         assert np.array_equal(a, b)
 
 
+def test_validation_drops_the_compose_rows_and_can_run_again():
+    g = mk.NAMED_INSTANCES["full3"]()[0]  # not the session fixture: validate runs again
+    pairs, compose = g.pairs, dict(g.compose)
+    assert g.compose_rows is None
+    assert g.validate() is g and g.compose_rows is None
+    assert dict(g.compose) == compose
+    for a, b in zip(vars(g.pairs).values(), vars(pairs).values()):
+        assert np.array_equal(a, b)
+
+
 def test_unnormalized_mass_rejected_without_flag():
     with pytest.raises(BadUnit):
-        mk.trivial_groupoid(["x"], {"x": 0.7})
-    g = mk.trivial_groupoid(["x"], {"x": 0.7}, unnormalized=True)
+        trivial_groupoid(["x"], {"x": 0.7})
+    g = trivial_groupoid(["x"], {"x": 0.7}, unnormalized=True)
     assert not g.flags.mass_normalized
-
-
-def test_compose_many(z2, full2):
-    a = "pt.1"
-    assert compose_many(z2, [a, a]) == "pt.0"
-    assert compose_many(z2, [a, z2.inverse[a]]) == z2.unit_arrow["pt"]
-    assert compose_many(full2, ["r|x0|x1", "r|x1|x0"]) == "r|x0|x0"
-    assert compose_many(full2, ["r|x0|x1", "r|x0|x1"]) is None
-    assert compose_many(full2, ["r|x0|x0"]) == "r|x0|x0"
-    assert compose_many(full2, []) is None
 
 
 def test_iso_subgroupoid(z2, full2, z2_trivial_two_points):
@@ -354,7 +352,7 @@ def test_orbits(full2, z4_translation):
 
 def test_ergodicity(full2, null_orbit_groupoid):
     assert full2.is_ergodic().ergodic
-    two = mk.trivial_groupoid(["x0", "x1"], {"x0": 0.5, "x1": 0.5})
+    two = trivial_groupoid(["x0", "x1"], {"x0": 0.5, "x1": 0.5})
     verdict = two.is_ergodic()
     assert not verdict.ergodic
     assert verdict.witness is not None and len(verdict.witness) == 2
@@ -394,7 +392,7 @@ def test_restrict(full3, s3_bundle):
     assert same.arrow_order == s3_bundle.arrow_order
 
     with pytest.raises(EmptyRestriction):
-        mk.trivial_groupoid(
+        trivial_groupoid(
             ["x0", "x1"], {"x0": 1.0, "x1": 0.0}
         ).restrict(["x1"])
 
@@ -472,7 +470,7 @@ def test_adding_isolated_null_unit_keeps_orbits(seed):
             list(g.units) + ["zz_null"],
             {**g.mass, "zz_null": 0.0},
             [(a.id, a.src, a.tgt) for a in g.arrows] + [("zz_e", "zz_null", "zz_null")],
-            [*g.compose_rows, "zz_e", "zz_e", "zz_e"],
+            [*compose_rows(g.compose), "zz_e", "zz_e", "zz_e"],
             {**g.inverse, "zz_e": "zz_e"},
             {**g.unit_arrow, "zz_null": "zz_e"},
         )

@@ -19,6 +19,8 @@ from factoroid.cocycle import NotUnitModulus, validate_cocycle
 from factoroid.groupoid import BadInverse, DanglingReference
 from factoroid.textio import ParseError, parse_text, serialize
 
+from references import trivial_groupoid
+
 
 def test_round_trip_plain(full3):
     text = serialize(full3)
@@ -44,7 +46,7 @@ def test_round_trip_cocycle(klein_twisted):
 
 
 def test_round_trip_exact_masses():
-    g0 = mk.trivial_groupoid(
+    g0 = trivial_groupoid(
         ["x0", "x1"],
         {"x0": float(Fraction(1, 3)), "x1": float(Fraction(2, 3))},
         exact_mass={"x0": Fraction(1, 3), "x1": Fraction(2, 3)},
@@ -58,7 +60,7 @@ def test_round_trip_exact_masses():
 
 def test_round_trip_awkward_floats():
     masses = {"x0": 0.1, "x1": 0.2, "x2": 1.0 - 0.1 - 0.2}
-    g0 = mk.trivial_groupoid(["x0", "x1", "x2"], masses)
+    g0 = trivial_groupoid(["x0", "x1", "x2"], masses)
     g, _ = parse_text(serialize(g0))
     assert g.mass == masses
 
@@ -405,6 +407,23 @@ def test_cli_corrupted_file_exits_1(tmp_path, capsys):
     path.write_text("[units]\nx0 0.5\n[arrows]\ng x0 missing\n")
     code = cli.main(["validate", str(path)])
     assert code == 1
+
+
+@pytest.mark.parametrize("verb, command, target", [
+    ("read", ["report"], "dir"),
+    ("read", ["report"], "utf16.txt"),
+    ("write", ["gen", "--family", "z2", "--out"], "dir"),
+    ("write", ["gen", "--family", "z2", "--out"], "missing/x.txt"),
+    ("write", ["globalize", "--out"], "dir"),
+], ids=["report-dir", "report-utf16", "gen-dir", "gen-missing-dir", "globalize-dir"])
+def test_cli_unusable_path_exits_1_naming_it(tmp_path, capsys, verb, command, target):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "utf16.txt").write_bytes("[units]\n".encode("utf-16"))  # starts ff fe
+    path = str(tmp_path / target)
+    code = cli.main([*command, path])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: cannot {verb} {path}: ") and "Traceback" not in err
 
 
 def test_cli_inconsistent_report_exits_2(tmp_path, capsys, monkeypatch):
@@ -805,3 +824,16 @@ def test_cli_report_survives_mutated_files(tmp_path_factory, data):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.main(["report", str(path)])
     assert code in (0, 1), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cli_report_survives_random_bytes(tmp_path_factory, data):
+    # random bytes, alone or spliced into a valid file, end in an exit code
+    text = "\n".join(data.draw(st.sampled_from(_fuzz_texts()))).encode()
+    at, noise = data.draw(st.integers(0, len(text))), data.draw(st.binary(max_size=64))
+    path = tmp_path_factory.getbasetemp() / "random.bin"
+    path.write_bytes(data.draw(st.sampled_from([noise, text[:at] + noise + text[at:]])))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["report", str(path)])
+    assert code in (0, 1, 2)
