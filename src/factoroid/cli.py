@@ -272,9 +272,9 @@ def cmd_globalize(args) -> int:
         "embedded_full": glob.embedded_full,
         "restriction_isomorphic": glob.restriction_isomorphic,
     }
-    print(_render(data, args.format))
-    if args.out:
+    if args.out:  # written first, so a failed write prints no summary
         _write(args.out, serialize(glob.groupoid))
+    print(_render(data, args.format))
     return 0
 
 

@@ -199,7 +199,7 @@ def validate_cocycle(
         if exact:  # rational turns, compared exactly
             return (w[x_yz] + w[yz]) % 1 != (w[xy_z] + w[xy]) % 1
         return ~(np.abs(w[x_yz] * w[yz] - w[xy_z] * w[xy]) <= IDENTITY_TOL)
-    bad = g.pairs.first_failure(fails, "yz")
+    bad = t.first_failure(fails, "yz", np.arange(len(t.src)))
     if bad is not None:
         x, y, z = (g.arrow_order[i] for i in bad)
         raise CocycleIdentityViolated(

@@ -854,7 +854,8 @@ _HALVES = {"x0": 0.5, "x1": 0.5}
 _THIRDS = {u: 1 / 3 for u in ("x0", "x1", "x2")}
 
 # name -> builder of (groupoid, cocycle or None); shared by `factoroid gen`
-# and the test fixtures
+# and the test fixtures.  The translation groupoids of S4, S4 x Z2 and S5
+# (576, 2,304 and 14,400 arrows) are the size ladder of the reports
 NAMED_INSTANCES: dict[
     str, Callable[[], tuple[MeasuredGroupoid, Optional[Cocycle]]]
 ] = {
@@ -870,6 +871,11 @@ NAMED_INSTANCES: dict[
         None,
     ),
     "z4-translation": lambda: (_uniform_translation(cyclic_group(4)), None),
+    "s4-translation": lambda: (_uniform_translation(symmetric_group(4)), None),
+    "s4xz2-translation": lambda: (
+        _uniform_translation(direct_product(symmetric_group(4), cyclic_group(2))), None,
+    ),
+    "s5-translation": lambda: (_uniform_translation(symmetric_group(5)), None),
 }
 
 

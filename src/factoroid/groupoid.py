@@ -28,8 +28,10 @@ import numpy as np
 MASS_TOL = 1e-12
 
 # composable triples per block of PairTable.first_failure; a block's
-# temporaries are a few arrays of this length
-_TRIPLE_BLOCK = 1 << 16
+# temporaries are a few arrays of this length, which stay in cache (2^16
+# made the full pass on the 1,728 pairs of the S4 bundle on three units
+# about 1.7 times slower)
+_TRIPLE_BLOCK = 1 << 14
 
 
 class GroupoidError(ValueError):
@@ -133,27 +135,32 @@ class PairTable:
         return i, p, a, self.prod[self.start[self.inv[a]] + self.rank[self.prod[p]]]
 
     def first_failure(
-        self, fails: Callable[..., np.ndarray], outer: str
+        self, fails: Callable[..., np.ndarray], outer: str, middles: np.ndarray
     ) -> Optional[tuple[int, int, int]]:
-        """Arrow positions (x, y, z) of the first composable triple on which
-        ``fails``, given the positions of its pairs xy, yz, (xy)z and x(yz),
-        holds; None if there is none.  First means: the ``outer`` pair ("xy"
-        or "yz") earliest in the composition table, then the other arrow
-        earliest.
+        """Arrow positions (x, y, z) of the first composable triple with y in
+        ``middles`` on which ``fails``, given the positions of its pairs xy,
+        yz, (xy)z and x(yz), holds; None if there is none.  First means: the
+        ``outer`` pair ("xy" or "yz") earliest in the composition table, then
+        the other arrow earliest.
 
-        Blocks are grouped by the middle unit m = t(y): the pairs (y, z) with
-        t(y) = m times the arrows x with source m, whose ranks j give
-        xy = start[y] + j and x(yz) = start[yz] + j.
+        The pairs (y, z) are grouped by the number s of arrows x with source
+        t(y), and each group is taken in blocks of about _TRIPLE_BLOCK
+        triples: its pairs times the ranks j < s, which give xy = start[y] + j
+        and x(yz) = start[yz] + j.
         """
-        n, fan = len(self.src), np.bincount(self.src)  # every unit has an arrow
-        mid = self.tgt[self.left]
-        order = np.argsort(mid, kind="stable")
-        by_mid = np.split(order, np.cumsum(np.bincount(mid, minlength=len(fan)))[:-1])
+        n, fan = len(self.src), np.bincount(self.src)
+        chosen = np.zeros(n, dtype=bool)
+        chosen[middles] = True
+        pairs = np.flatnonzero(chosen[self.left])
+        size = fan[self.tgt[self.left[pairs]]]
+        order = np.argsort(size, kind="stable")
+        pairs, size = pairs[order], size[order]
+        runs = np.flatnonzero(np.diff(size, prepend=-1)).tolist()
         best = None
-        for size, pairs in zip(fan, by_mid):
-            j, step = np.arange(size), max(1, _TRIPLE_BLOCK // size)
-            for lo in range(0, len(pairs), step):
-                yz = pairs[lo : lo + step, None]
+        for first, end in zip(runs, [*runs[1:], len(pairs)]):
+            j, step = np.arange(size[first]), max(1, _TRIPLE_BLOCK // size[first])
+            for lo in range(first, end, step):
+                yz = pairs[lo : min(lo + step, end), None]
                 xy = self.start[self.left[yz]] + j
                 xy_z = self.start[self.right[yz]] + self.rank[self.prod[xy]]
                 bad = fails(xy, yz, xy_z, self.start[self.prod[yz]] + j)
@@ -166,6 +173,69 @@ class PairTable:
                 if best is None or key[i] < best[0]:
                     best = key[i], (int(x[i]), int(y[i]), int(z[i]))
         return None if best is None else best[1]
+
+    def generators(self) -> np.ndarray:
+        """Arrow positions S whose closure with the unit arrows under the
+        table's products is every arrow.
+
+        For each orbit, with r its least unit: one arrow from r to every
+        other unit, and its inverse; then, while the closure misses an arrow,
+        the first missed arrow of each orbit that misses one.  The closure R
+        is taken on the table itself, R <- R u R.R over the pairs, so it is
+        the closure under the products the table states, right or wrong.
+
+        Associativity on the middles S is associativity everywhere (Light's
+        test; A. H. Clifford and G. B. Preston, *The Algebraic Theory of
+        Semigroups* I, AMS 1961, 1.2).  Let M be the arrows m with
+        (xm)y = x(my) for all composable x, y.  If a and b are in M, then
+        (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y), so ab is in M.
+        A unit arrow is in M once it is neutral, which ``validate`` checks
+        before associativity; so S in M puts the closure, every arrow, in M.
+        The argument needs every composable pair in the table with a product
+        of the right endpoints, which ``validate`` also checks first.
+        """
+        n, k = len(self.src), len(self.unit_arrow)
+        # the least (source, arrow) into each unit u: the least unit r of u's
+        # orbit, which has an arrow between any two units, and the first
+        # arrow from r to u
+        least = np.full(k, k * n)
+        np.minimum.at(least, self.tgt, self.src * n + np.arange(n))
+        root, first = np.divmod(least, n)
+        orbit = root[self.src]
+        tree = first[root != np.arange(k)]
+        reached = np.zeros(n, dtype=bool)
+        reached[self.unit_arrow] = True
+        found = [np.concatenate([tree, self.inv[tree]])]
+        while True:
+            reached[found[-1]] = True
+            while True:
+                made = self.prod[reached[self.left] & reached[self.right]]
+                if reached[made].all():
+                    break
+                reached[made] = True
+            missed = np.flatnonzero(~reached)
+            if not len(missed):
+                return np.concatenate(found)
+            first[:] = n  # the first missed arrow of each orbit
+            np.minimum.at(first, orbit[missed], missed)
+            found.append(first[first < n])
+
+    def over(self, units: np.ndarray) -> tuple["PairTable", np.ndarray]:
+        """The table of the arrows with source in ``units``, a mask of the
+        units that is a union of orbits, numbered in storage order (a unit
+        not in ``units`` keeps its number and gets unit arrow -1); and the
+        positions here of its pairs, in its order."""
+        arrows = np.flatnonzero(units[self.src])
+        at = np.full(len(self.src), -1, dtype=np.intp)
+        at[arrows] = np.arange(len(arrows))
+        pairs = np.flatnonzero(units[self.src[self.right]])
+        count = np.bincount(self.src, minlength=len(units))[self.tgt[arrows]]
+        table = PairTable(
+            at[self.left[pairs]], at[self.right[pairs]], at[self.prod[pairs]],
+            self.row[pairs], self.src[arrows], self.tgt[arrows], np.cumsum(count) - count,
+            self.rank[arrows], at[self.inv[arrows]], at[self.unit_arrow],
+        )
+        return table, pairs
 
 
 def _positions(index: Mapping[str, int], ids: Iterable, *sizes: int) -> list[np.ndarray]:
@@ -436,12 +506,12 @@ class MeasuredGroupoid:
                 BadUnit(f"unit arrow not left-neutral at {a!r}", [a]),
             )[found[1]]
 
-        # associativity over every composable triple
-        bad = pairs.first_failure(
-            lambda xy, yz, xy_z, x_yz: prod[xy_z] != prod[x_yz], "xy"
-        )
-        if bad is not None:
-            g, h, k = (self.arrow_order[i] for i in bad)
+        # associativity on the generators, and over every composable triple
+        # only to name the first failing one
+        def fails(xy, yz, xy_z, x_yz):
+            return prod[xy_z] != prod[x_yz]
+        if pairs.first_failure(fails, "xy", pairs.generators()) is not None:
+            g, h, k = (self.arrow_order[i] for i in pairs.first_failure(fails, "xy", every))
             raise NonAssociative(
                 f"(g h) k != g (h k) for ({g!r},{h!r},{k!r})", [g, h, k]
             )
@@ -644,10 +714,14 @@ def validate_groupoid(g: MeasuredGroupoid) -> MeasuredGroupoid:
     or :class:`NonAssociative` naming the offending identifiers.  Whether
     (G, mu) is nonsingular or pmp is recorded in ``g.flags``, not raised.
     Each table is mapped to integer positions once, and each axiom is one
-    mask over those arrays; associativity is one pass over the composable
-    triples of ``g.pairs``, the composition table in positions.  The fault
-    named is the first met when the checks run in the order units, arrows,
-    unit arrows, compose rows, a composable pair given twice, one not given,
+    mask over those arrays.  Associativity is checked on the composable
+    triples of ``g.pairs``, the composition table in positions, whose middle
+    arrow is one of ``PairTable.generators()``: a few arrows whose products
+    with the unit arrows reach every arrow, which suffices (Light's test,
+    proved there).  Only when a triple fails there does a pass over every
+    composable triple run, to name the first failing one.  The fault named
+    is the first met when the checks run in the order units, arrows, unit
+    arrows, compose rows, a composable pair given twice, one not given,
     inverse entries, unit neutrality per arrow, triples; within each, rows
     count in the table's stored order (pairs in ``composable_pairs()``
     order, triples as ``PairTable.first_failure`` orders them), an unknown

@@ -21,17 +21,23 @@ tables (the twisted convolution identity of Renault, LNM 793); ``algebra``
 checks the adjoint rule L_a^* = L_{a^-1} (and its right-hand form) entry by
 entry, the rank and the identity.  Distinct translations have disjoint
 supports, so they are an orthogonal basis of their span and membership
-needs no SVD.
+needs no SVD.  Entry p is the p-th pair of the composition table of the
+positive-mass arrows, ``L2Space.pairs``, which the algebra keeps: the
+partner of an entry, in the adjoint check and in ``center``, is read at its
+pair position (start[y] + rank[x]) rather than found by sorting keys.
 
 ``center`` reads the commutator map c -> ([sum_a c_a L_a, L_b])_b off the
 checked left entries as a sparse matrix K with at most 2P rows, since
 [L_a, L_b] = w(a,b) L_ab - w(b,a) L_ba and distinct translations are
-orthogonal.  Its Gram matrix K^H K is block diagonal over the conjugacy
-classes of isotropy arrows (the splitting over orbits into matrix algebras
-over twisted isotropy group algebras, B. Steinberg, Adv. Math. 223, 2010),
-and ``center`` takes its spectrum block by block.  A report forms no n x n
-operator: ``algebra`` checks its identity on the entries, and ``center``
-and ``invariant_subalgebra`` keep the coordinates y_a = |L_a|_F c_a of x =
+orthogonal.  A row of K has two entries only for a pair (a, b) with a a
+loop, and its second entry is read off the pair index; the diagonal of
+K^H K is one ``bincount``, and only those paired rows add products.  K^H K
+is block diagonal over the conjugacy classes of isotropy arrows (the
+splitting over orbits into matrix algebras over twisted isotropy group
+algebras, B. Steinberg, Adv. Math. 223, 2010), and ``center`` takes its
+spectrum block by block.  A report forms no n x n operator: ``algebra``
+checks its identity on the entries, and ``center`` and
+``invariant_subalgebra`` keep the coordinates y_a = |L_a|_F c_a of x =
 sum_a c_a L_a over the orthonormal frame L_a / |L_a|_F, an isometry, so
 ``subspaces_equal`` gets the matrices' ranks and residuals from n-vectors.
 Both spans are orthonormal by construction: the center's accepted vectors
@@ -62,7 +68,7 @@ import numpy as np
 from .basis import Basis
 from .cocycle import Cocycle, _normalized, kleppner_holds, twisted_icc
 from .conjugacy import is_icc
-from .groupoid import GroupoidError, MeasuredGroupoid
+from .groupoid import GroupoidError, MeasuredGroupoid, PairTable
 
 RANK_TOL = 1e-9
 CONTAINMENT_TOL = 1e-8
@@ -95,7 +101,13 @@ class AsymmetricBasis(GroupoidError):
 
 @dataclass(frozen=True)
 class L2Space:
-    """Orthonormalized coordinates on the positive-mass arrows."""
+    """Orthonormalized coordinates on the positive-mass arrows.
+
+    ``pairs`` is the composition table of the positive-mass arrows in these
+    coordinates' positions, and ``pair_positions`` the positions of its
+    pairs in ``groupoid.pairs``: the positive-mass arrows are the groupoid
+    over the positive units, a union of orbits when it is nonsingular.
+    """
 
     groupoid: MeasuredGroupoid
     index: tuple[str, ...]
@@ -103,6 +115,8 @@ class L2Space:
     weights: np.ndarray
     sqrt_weights: np.ndarray
     unit_vector: np.ndarray  # coordinates of the unit-space indicator
+    pairs: PairTable
+    pair_positions: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -136,7 +150,8 @@ def l2_space(g: MeasuredGroupoid) -> L2Space:
         e = g.unit_arrow[u]
         if e in pos:
             unit_vector[pos[e]] = sqrt_weights[pos[e]]
-    return L2Space(g, index, pos, weights, sqrt_weights, unit_vector)
+    pairs, pair_positions = g.pairs.over(np.array([g.mass[u] > 0.0 for u in g.units]))
+    return L2Space(g, index, pos, weights, sqrt_weights, unit_vector, pairs, pair_positions)
 
 
 def _column_forms(constants: _Constants, side: str, space: L2Space) -> _Constants:
@@ -160,8 +175,7 @@ def _column_forms(constants: _Constants, side: str, space: L2Space) -> _Constant
 
 
 def _inverse_positions(space: L2Space) -> np.ndarray:
-    inverse, pos = space.groupoid.inverse, space.pos
-    return np.array([pos[inverse[a]] for a in space.index], dtype=np.intp)
+    return space.pairs.inv
 
 
 def _scatter(forms: _Constants, n: int, coef: np.ndarray) -> np.ndarray:
@@ -240,11 +254,15 @@ class TranslationAlgebra(_Span):
     Distinct translations have disjoint supports, so they are an orthogonal
     basis of their span: membership projects by the coefficients
     c_a = <T_a, x> / |T_a|_F^2, and nothing of size n^3 is formed unless
-    ``basis_ops`` is read.
+    ``basis_ops`` is read.  ``pairs`` is the composition table of the arrows
+    (``L2Space.pairs``), entry p being its pair p; ``center`` reads it.
     """
 
-    def __init__(self, forms: _Constants, n: int, tol: float = RANK_TOL):
+    def __init__(
+        self, forms: _Constants, n: int, tol: float = RANK_TOL, pairs: Optional[PairTable] = None
+    ):
         self.forms = forms
+        self.pairs = pairs
         self.matrix_dim = n
         self.tol = tol
         arrow, _, _, val = forms
@@ -362,7 +380,7 @@ def algebra(
     constants = _structure_constants(g, _normalized(g, w), space)
     forms = _column_forms(constants, side, space)
     _verify_structure(side, space, forms, tol)
-    alg = TranslationAlgebra(forms, n, tol)
+    alg = TranslationAlgebra(forms, n, tol, space.pairs)
     # the identity projects to sum_a c_a T_a, c_a = <T_a, I> / |T_a|_F^2 from
     # the diagonal entries; the supports are disjoint, so the residual sums
     # over the entries, plus 1 for each diagonal place that no entry holds
@@ -380,12 +398,10 @@ def algebra(
 
 def _structure_constants(g: MeasuredGroupoid, w: Cocycle, space: L2Space) -> _Constants:
     """Positions of a, b and ab, and the phase w(a, b), over the composable
-    pairs of positive-mass arrows (ab then has positive mass too)."""
-    t = g.pairs
-    at = np.full(len(g.arrows), -1, dtype=np.intp)
-    at[[g.arrow_index(a) for a in space.index]] = np.arange(space.dim)
-    keep = np.flatnonzero((at[t.left] >= 0) & (at[t.right] >= 0))
-    return at[t.left[keep]], at[t.right[keep]], at[t.prod[keep]], w.complex_phases(g)[keep]
+    pairs of positive-mass arrows (ab then has positive mass too), in the
+    order of ``space.pairs``."""
+    t = space.pairs
+    return t.left, t.right, t.prod, w.complex_phases(g)[space.pair_positions]
 
 
 def _verify_structure(side: str, space: L2Space, forms: _Constants, tol: float) -> None:
@@ -395,7 +411,13 @@ def _verify_structure(side: str, space: L2Space, forms: _Constants, tol: float) 
     The product rule L_a L_b = w(a,b) L_ab needs no check here: on the
     entries it holds exactly when the table is associative and w satisfies
     the cocycle identity, which ``validate_groupoid`` and ``validate_cocycle``
-    check on every composable triple.
+    check (associativity on a generating set, the identity on every
+    composable triple).
+
+    Entry p is pair p of ``space.pairs``: on the left the entry of T_a in
+    column c is the pair (a, c), on the right the pair (c, a^-1).  So the
+    partner of an entry is read at its pair position, and it counts as found
+    only when its arrow and column are the ones wanted.
     """
     arrow, col, row, val = forms
     n, inv = space.dim, _inverse_positions(space)
@@ -404,11 +426,9 @@ def _verify_structure(side: str, space: L2Space, forms: _Constants, tol: float) 
     # rule wants ratio[a] times the entry of T_{a^-1} keyed (a^-1, row).  Keys
     # are distinct, so the partners of entries that pass are distinct: when
     # every entry passes, every entry of T_{a^-1} is matched as well
-    key = arrow * n + col
-    order = np.argsort(key)
-    want = inv[arrow] * n + row
-    match = order[np.searchsorted(key[order], want).clip(max=len(key) - 1)]
-    found = key[match] == want
+    t = space.pairs
+    match = t.at(inv[arrow], row) if side == "left" else t.at(row, arrow)
+    found = (match >= 0) & (arrow[match] == inv[arrow]) & (col[match] == row)
     other = np.where(found, ratio[arrow] * val[match], 0.0)
     gap = np.where(
         found & (row[match] == col),
@@ -421,6 +441,41 @@ def _verify_structure(side: str, space: L2Space, forms: _Constants, tol: float) 
         raise InternalInconsistency(
             f"translation span not star-closed at {space.index[a]!r} ({gap[arrow == a].max()})"
         )
+
+
+def _commutator_rows(alg: TranslationAlgebra) -> tuple[np.ndarray, ...]:
+    """The entries of ``center``'s K, read off the pair index ``alg.pairs``.
+
+    Pair p = (a, b) puts value[p] = |L_ab|_F w(a,b) in column a of row
+    (b, ab) and -value[p] in column b of row (a, ab).  The row (b, ab) of a
+    loop pair p = loop[m] also holds the second entry of the pair mate[m] =
+    (b, c), in column c[m] = b^-1 a b, the product of the pair (b^-1, ab);
+    every other row has one entry.  Returns (value, loop, c, mate).
+    """
+    pairs, n = alg.pairs, alg.matrix_dim
+    i, j, k, phase = alg.forms
+    value = phase * np.sqrt(np.bincount(i, minlength=n))[k]
+    loop = np.flatnonzero(pairs.src[i] == pairs.tgt[i])
+    b = j[loop]
+    c = k[pairs.start[k[loop]] + pairs.rank[pairs.inv[b]]]
+    return value, loop, c, pairs.start[c] + pairs.rank[b]
+
+
+def _gram_entries(
+    alg: TranslationAlgebra, value: np.ndarray, loop: np.ndarray, c: np.ndarray, mate: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """K^H K for the rows of ``_commutator_rows`` as (row, column, term)
+    triples: each diagonal entry, the sum of |value|^2 over its column's
+    entries, and on each paired row u, conj(u_a) u_c at (a, c) and its
+    conjugate at (c, a)."""
+    n = alg.matrix_dim
+    i, j = alg.forms[:2]
+    square = value.real ** 2 + value.imag ** 2
+    diagonal = np.bincount(np.concatenate([i, j]), np.concatenate([square, square]), n)
+    a, every = i[loop], np.arange(n)
+    cross = -(value[loop].conj() * value[mate])
+    return (np.concatenate([every, a, c]), np.concatenate([every, c, a]),
+            np.concatenate([diagonal, cross, cross.conj()]))
 
 
 def center(
@@ -439,22 +494,24 @@ def center(
     orthogonal, so the commutator map is the matrix K with K[(b, k), a] =
     |L_k|_F (w(a,b) [ab = k] - w(b,a) [ba = k]) and K^H K is the Gram matrix
     that the dense oracle of the tests builds from matrix products.  Row (b, k)
-    of K has at most two entries, at a = k b^-1 and at a = b^-1 k, and it has
-    one only where (k b^-1, b) or (b, b^-1 k) is a composable pair, so K is
-    stored as two (column, value) pairs on each of its at most 2P occupied
-    rows, in increasing order of (b, k).
+    of K has at most two entries, at a = k b^-1 and at a = b^-1 k: the pair
+    p = (a, b) puts |L_ab|_F w(a,b) in column a of row (b, ab) and minus that
+    in column b of row (a, ab), so K has at most 2P occupied rows.
 
-    A row has two entries only when both columns exist, and then s(k) = s(b)
-    and t(k) = t(b): both are isotropy arrows, and b^-1 k = b^-1 (k b^-1) b
-    is conjugate to k b^-1.  So K^H K is block diagonal over the components
-    of the graph that the two-entry rows draw on the columns, the conjugacy
-    classes of isotropy arrows (the blocks of Steinberg's decomposition over
-    orbits into matrix algebras over C^w G_x), and every other column is a
-    1 x 1 block.  The components are found from K's entries alone, all the
-    block Gram matrices are summed in one ``bincount``, and the spectrum of
-    K^H K is the union of their spectra, from one batched ``eigh`` per block
-    size.  A candidate v lives on one block, so Kv is nonzero only on that
-    block's rows, and it is accepted when |Kv| / |x|_F <= tol * max(1,
+    A row (b, ab) has its second entry exactly when a is a loop: it is the
+    one the pair q = (b, c) puts in column c = b^-1 a b, and q is read off
+    the pair index ``alg.pairs`` (c is the product of the pair (b^-1, ab)).
+    Both columns are isotropy arrows, conjugate to each other, so K^H K is
+    block diagonal over the components of the graph that these paired rows
+    draw on the columns, the conjugacy classes of isotropy arrows (the
+    blocks of Steinberg's decomposition over orbits into matrix algebras
+    over C^w G_x), and every other column is a 1 x 1 block.  The components
+    are found from K's entries alone.  Every diagonal entry of K^H K is a
+    sum of |value|^2 over the column's entries, taken in one ``bincount``,
+    and only the paired rows add products of two entries.  The spectrum of
+    K^H K is the union of its blocks' spectra, from one batched ``eigh`` per
+    block size.  A candidate v lives on one block, so Kv is nonzero only on
+    that block's rows, and it is accepted when |Kv| / |x|_F <= tol * max(1,
     sigma_max), where x = sum_a c_a L_a and |x|_F = |(|L_a|_F c_a)_a|.
 
     Each row of ``basis_ops`` is an accepted x as the unit n-vector y_a =
@@ -463,23 +520,18 @@ def center(
     if alg is None:
         alg = algebra(g, w, "left", tol=tol)
     n = alg.matrix_dim
-    i, j, k, phase = alg.forms  # the composable pairs (a, b), ab and w(a, b)
+    i, j = alg.forms[:2]  # the composable pairs (a, b)
     norms = np.sqrt(np.bincount(i, minlength=n))  # |L_a|_F^2 counts its entries
-
-    # the two (column, value) entries of each occupied row (b, k); a missing
-    # entry repeats the other one's column, with value 0
-    occupied, place = np.unique(np.concatenate([j * n + k, i * n + k]), return_inverse=True)
-    first, second = place[:len(i)], place[len(i):]
-    value = phase * norms[k]
-    cols = np.empty((2, len(occupied)), dtype=np.intp)
-    vals = np.zeros((2, len(occupied)), dtype=complex)
-    cols[1, first], cols[0, second] = i, j
-    cols[0, first], vals[0, first] = i, value  # c_a w(a,b) L_ab in [x, L_b]
-    cols[1, second], vals[1, second] = j, -value  # -c_b w(a,b) L_ab in [x, L_a]
+    entries = _commutator_rows(alg)
+    value, loop, c, mate = entries
+    a = i[loop]
+    lone = np.ones(len(i), dtype=bool)  # the rows (a, ab) with one entry
+    lone[mate] = False
+    lone_col, lone_value = j[lone], value[lone]
 
     # the blocks: label[a] ends as the least column of a's component, once
     # no row joins two labels
-    head, tail = np.concatenate([cols, cols[::-1]], axis=1)
+    head, tail = np.concatenate([a, c]), np.concatenate([c, a])
     label = np.arange(n)
     while True:
         np.minimum.at(label, head, label[tail])
@@ -496,10 +548,8 @@ def center(
     sizes = size[order]
     at = np.cumsum(sizes) - sizes  # by sorted position
     local = rank - rank[label]
-    # K^H K summed over rows: row u adds conj(u_p) u_q at (p, q), for the
-    # columns p, q of its two entries
-    cell = (at[rank][cols][:, None] + local[cols][None, :]).ravel()
-    term = (vals.conj()[:, None] * vals[None, :]).ravel()
+    gram_row, gram_col, term = _gram_entries(alg, *entries)
+    cell = at[rank[gram_row]] + local[gram_col]
     total = int(sizes.sum())
     gram = np.bincount(cell, term.real, total) + 1j * np.bincount(cell, term.imag, total)
 
@@ -533,8 +583,11 @@ def center(
             mine = layer[own] == t
             coef, who = np.zeros(n, dtype=complex), np.full(n, len(cand))
             coef[column[mine]], who[column[mine]] = v[mine], own[mine]
-            kv = (vals * coef[cols]).sum(axis=0)
-            squares += np.bincount(who[cols[0]], kv.real ** 2 + kv.imag ** 2, len(cand) + 1)
+            kv = value * coef[i]  # the rows (b, ab), then the lone rows (a, ab)
+            kv[loop] -= value[mate] * coef[c]
+            lone_kv = lone_value * coef[lone_col]
+            squares += np.bincount(who[i], kv.real ** 2 + kv.imag ** 2, len(cand) + 1)
+            squares += np.bincount(who[lone_col], lone_kv.real ** 2 + lone_kv.imag ** 2, len(cand) + 1)
         x = np.zeros((len(cand), n), dtype=complex)
         x[own, column] = y / length[own]
         return x, np.sqrt(squares[:-1]) / length

@@ -5,13 +5,17 @@ written as one loop over the composition table, against which the tests
 check the products of the translation algebra; ``verify_central_certificate``
 re-checks a central-set certificate against its defining rule, arrow by
 arrow; ``bundle_center_dim_oracle`` counts the center of a group bundle from
-the fibers' conjugacy classes.  ``trivial_groupoid`` and ``compose_rows``
+the fibers' conjugacy classes; ``sorted_row_gram`` assembles the Gram matrix
+of ``center``'s commutator map row by row, finding the rows by sorting their
+keys.  ``trivial_groupoid`` and ``compose_rows``
 build tables for the tests.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 from factoroid.cocycle import (
     HOLONOMY_TOL,
@@ -23,6 +27,7 @@ from factoroid.cocycle import (
 )
 from factoroid.constructors import FiniteGroupTable
 from factoroid.groupoid import GroupoidError, MeasuredGroupoid, validate_groupoid
+from factoroid.vna import TranslationAlgebra
 
 
 def twisted_convolve(
@@ -98,3 +103,25 @@ def compose_rows(table: Mapping[tuple[str, str], str]) -> list[str]:
     validated groupoid, as the flat rows g h gh that ``MeasuredGroupoid``
     takes, in the table's order."""
     return [x for (g, h), gh in table.items() for x in (g, h, gh)]
+
+
+def sorted_row_gram(alg: TranslationAlgebra) -> np.ndarray:
+    """The dense n x n Gram matrix K^H K of ``center``'s commutator map K,
+    summed over K's occupied rows (b, k), which a sort of their keys finds:
+    pair (a, b) puts |L_ab|_F w(a,b) in column a of row (b, ab) and minus
+    that in column b of row (a, ab), and row u adds conj(u_p) u_q at (p, q)
+    for the columns p, q of its two entries (a missing entry repeats the
+    other one's column with value 0)."""
+    n = alg.matrix_dim
+    i, j, k, phase = alg.forms
+    occupied, place = np.unique(np.concatenate([j * n + k, i * n + k]), return_inverse=True)
+    first, second = place[:len(i)], place[len(i):]
+    value = phase * np.sqrt(np.bincount(i, minlength=n))[k]
+    cols = np.empty((2, len(occupied)), dtype=np.intp)
+    vals = np.zeros((2, len(occupied)), dtype=complex)
+    cols[1, first], cols[0, second] = i, j
+    cols[0, first], vals[0, first] = i, value
+    cols[1, second], vals[1, second] = j, -value
+    gram = np.zeros((n, n), dtype=complex)
+    np.add.at(gram, (cols[:, None], cols[None, :]), vals.conj()[:, None] * vals[None, :])
+    return gram

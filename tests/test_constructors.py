@@ -429,9 +429,15 @@ def test_generator_output_is_pinned():
     assert _serialized_digest(mk.random_twisted_pair(s) for s in range(100)) == (
         "0f7f2cbb2618acecd0d084dee7e46d02e83a346f77c86d1695301e233946a667"
     )
-    named = (mk.NAMED_INSTANCES[name]() for name in sorted(mk.NAMED_INSTANCES))
+    # of the size ladder only its first rung is built here
+    ladder = ("s4-translation", "s4xz2-translation", "s5-translation")
+    named = (mk.NAMED_INSTANCES[name]() for name in sorted(mk.NAMED_INSTANCES)
+             if name not in ladder)
     assert _serialized_digest(named) == (
         "eb97b8b6b96e97093f877c4be32f5f60db7ce9e92965793c931d659cdfe38880"
+    )
+    assert _serialized_digest([mk.NAMED_INSTANCES["s4-translation"]()]) == (
+        "99c9e835b34e14a616b845f7bdd9a24f653cf30c40fc08cf36537141939cc412"
     )
     globalized = (
         (mk.globalize(mk.random_partial_action(s)).groupoid,) for s in range(8)

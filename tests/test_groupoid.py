@@ -16,6 +16,7 @@ from factoroid.groupoid import (
     GroupoidError,
     MeasuredGroupoid,
     NonAssociative,
+    PairTable,
     check_isomorphism,
     validate_groupoid,
 )
@@ -138,6 +139,144 @@ def test_index_pass_names_the_loops_first_triple():
         with pytest.raises(NonAssociative) as err:
             raw.validate()
         assert (str(err.value), err.value.ids) == _first_nonassociative_by_loop(raw)
+
+
+def _closure_by_words(g, generators) -> set:
+    """The arrows that are products of unit arrows and ``generators``, grown
+    one generator at a time through the ``compose`` view."""
+    reached = set(g.unit_arrow_set) | set(generators)
+    frontier = set(reached)
+    while frontier:
+        frontier = {
+            g.compose[(s, r)] for r in frontier for s in generators
+            if g.src[s] == g.tgt[r]
+        } - reached
+        reached |= frontier
+    return reached
+
+
+def _s4_on_cosets_of_s3():
+    """S4 acting on the four cosets of a point stabilizer: one orbit with
+    isotropy S3, so its generators are tree arrows and isotropy arrows."""
+    s4 = mk.symmetric_group(4)
+    action, cosets = mk.coset_action(s4, [e for e in s4.elements if e[3] == "3"])
+    return mk.transformation_groupoid(s4, action, cosets, {c: 1 / len(cosets) for c in cosets})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: mk.NAMED_INSTANCES["full3"]()[0],
+    lambda: mk.NAMED_INSTANCES["klein4-twisted"]()[0],
+    lambda: mk.NAMED_INSTANCES["s4-translation"]()[0],
+    lambda: mk.sn_bundle(4)[0],
+    lambda: _s4_on_cosets_of_s3(),
+    lambda: mk.random_groupoid(7),
+], ids=["full3", "klein4-twisted", "s4-translation", "sn-bundle-4", "s4-on-cosets", "random-7"])
+def test_generators_and_units_generate_every_arrow(build):
+    g = build()
+    generators = [g.arrow_order[a] for a in g.pairs.generators()]
+    assert len(set(generators)) == len(generators)
+    assert _closure_by_words(g, generators) == set(g.arrow_order)
+
+
+def _with_product_changed(g, rng, avoid=()):
+    """The tables of ``g`` with the product of one pair (x, y) of non-unit
+    arrows, y not x^-1 and neither in ``avoid``, replaced by another arrow
+    with its endpoints, and the rows shuffled; None when there is no such
+    pair and arrow."""
+    unit, avoid = g.is_unit_arrow, set(avoid)
+    by_ends: dict = {}
+    for a in g.arrows:
+        by_ends.setdefault((a.src, a.tgt), []).append(a.id)
+    choices = [
+        (pair, other) for pair, xy in g.compose.items()
+        if not (unit(pair[0]) or unit(pair[1]) or avoid & set(pair))
+        and pair[1] != g.inverse[pair[0]]
+        for other in by_ends[(g.src[xy], g.tgt[xy])] if other != xy
+    ]
+    if not choices:
+        return None
+    pair, other = rng.choice(choices)
+    compose = dict(g.compose)
+    compose[pair] = other
+    rows = list(compose.items())
+    rng.shuffle(rows)
+    return dict(
+        units=list(g.units), mass=dict(g.mass),
+        arrows=[(a.id, a.src, a.tgt) for a in g.arrows], compose=compose_rows(dict(rows)),
+        inverse=dict(g.inverse), unit_arrows=dict(g.unit_arrow),
+    )
+
+
+def _validate_watching_the_generator_pass(tables: dict):
+    """Validate the groupoid of ``tables``: the ``NonAssociative`` message
+    and ids or None, what the pass over the generators found, and the
+    loop's first failing triple."""
+    raw, rows = _build(tables), tables["compose"]
+    seen = []
+    real = PairTable.first_failure
+
+    def spy(self, fails, outer, middles):
+        seen.append(real(self, fails, outer, middles))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PairTable, "first_failure", spy)
+        try:
+            raw.validate()
+            named = None
+        except NonAssociative as err:
+            named = str(err), err.ids
+    raw.compose_rows = rows  # a validation that passes drops them
+    return named, seen[0], _first_nonassociative_by_loop(raw)
+
+
+# The S4 translation groupoid is principal: one arrow per (source, target),
+# so a changed product always fails the endpoint check first
+@pytest.mark.parametrize("build", [lambda: mk.sn_bundle(4)[0], _s4_on_cosets_of_s3],
+                         ids=["sn-bundle-4", "s4-on-cosets"])
+def test_a_product_changed_off_the_generators_is_named_as_the_full_pass_names_it(build):
+    g, rng = build(), random.Random(1)
+    generators = {g.arrow_order[a] for a in g.pairs.generators()}
+    for _ in range(3):
+        tables = _with_product_changed(g, rng, avoid=generators)
+        named, found, want = _validate_watching_the_generator_pass(tables)
+        assert found is not None and want is not None
+        assert named == want
+
+
+_LADDER = ("s4-translation", "s4xz2-translation", "s5-translation")
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    source=st.one_of(
+        st.sampled_from(sorted(set(mk.NAMED_INSTANCES) - set(_LADDER))),
+        st.integers(0, 2000),
+    ),
+    seed=st.integers(0, 2**32),
+    change=st.booleans(),
+)
+def test_generator_pass_and_full_pass_agree(source, seed, change):
+    # one product changed, or none: the verdict of the pass over the
+    # generators is the full pass's, and the fault named is the loop's
+    g = mk.random_groupoid(source) if isinstance(source, int) else mk.NAMED_INSTANCES[source]()[0]
+    tables = _with_product_changed(g, random.Random(seed)) if change else None
+    if tables is None:
+        tables = {**_tables_of(g), "compose": compose_rows(g.compose)}
+    named, found, want = _validate_watching_the_generator_pass(tables)
+    assert (found is None) == (want is None)
+    assert named == want
+
+
+def test_generators_stay_small_on_sn_bundle_6():
+    # the bundle of S2..S6: a few generators per fiber, against 872 arrows
+    # and about 375 M composable triples
+    t = mk.sn_bundle(6)[0].pairs
+    generators = t.generators()
+    assert len(t.src) == 872 and len(generators) <= 24
+    fan, into = np.bincount(t.src), np.bincount(t.tgt)
+    triples = into[t.src] * fan[t.tgt]  # by middle arrow
+    assert triples[generators].sum() * 100 < triples.sum()
 
 
 def _tables_of(g: MeasuredGroupoid) -> dict:
@@ -302,11 +441,7 @@ class _IterateOnly(list):
 
 def test_validate_reads_the_composition_table_only_by_iterating_it():
     # the S4 translation groupoid: 576 arrows, 13,824 composable pairs
-    s4 = mk.symmetric_group(4)
-    g = mk.transformation_groupoid(
-        s4, mk.translation_action(s4), s4.elements,
-        {u: 1 / len(s4.elements) for u in s4.elements},
-    )
+    g = mk.NAMED_INSTANCES["s4-translation"]()[0]
     raw = _build({**_tables_of(g), "compose": _IterateOnly(compose_rows(g.compose))})
     raw.validate()
     assert len(raw.pairs.prod) == 13_824

@@ -421,8 +421,8 @@ def test_cli_unusable_path_exits_1_naming_it(tmp_path, capsys, verb, command, ta
     (tmp_path / "utf16.txt").write_bytes("[units]\n".encode("utf-16"))  # starts ff fe
     path = str(tmp_path / target)
     code = cli.main([*command, path])
-    err = capsys.readouterr().err
-    assert code == 1
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
     assert err.startswith(f"error: cannot {verb} {path}: ") and "Traceback" not in err
 
 

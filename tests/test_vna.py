@@ -31,7 +31,7 @@ from factoroid.vna import (
 )
 
 from dense_oracle import commutant, svd_span
-from references import trivial_groupoid, twisted_convolve
+from references import sorted_row_gram, trivial_groupoid, twisted_convolve
 
 
 def random_algebra_element(alg, rng):
@@ -862,6 +862,26 @@ def test_center_reads_only_the_algebra():
     assert subspaces_equal(z, ref)[0]
 
 
+def test_paired_row_gram_matches_the_sorted_rows(klein_twisted, s3_bundle):
+    # center's Gram from one bincount of the diagonal and the paired rows'
+    # products, against the row-by-row sum over K's rows found by sorting
+    cases = [(s3_bundle, None), (mk.NAMED_INSTANCES["full3"]()[0], None), klein_twisted]
+    cases += [mk.random_twisted_pair(seed) for seed in range(4)]  # twisted, non-pmp
+    cases += [(mk.random_groupoid(seed), None) for seed in range(6)]
+    assert any(not g.flags.pmp for g, _ in cases)
+    for g, w in cases:
+        alg = algebra(g, w)
+        n = alg.matrix_dim
+        row, col, term = vna._gram_entries(alg, *vna._commutator_rows(alg))
+        gram = np.zeros((n, n), dtype=complex)
+        np.add.at(gram, (row, col), term)
+        want = sorted_row_gram(alg)
+        # sigma_max^2 floored at 1, as center scales its cut: K is 0 on a
+        # commutative algebra, where its diagonal terms cancel to rounding
+        scale = max(1.0, np.linalg.eigvalsh(want).max())
+        assert np.abs(gram - want).max() <= 1e-14 * scale
+
+
 def test_center_does_not_read_the_structural_side(monkeypatch, klein_twisted, s3_bundle):
     # the blocks come from K's entries alone, not from the conjugacy classes
     from factoroid import conjugacy
@@ -882,16 +902,8 @@ def test_center_does_not_read_the_structural_side(monkeypatch, klein_twisted, s3
         assert np.array_equal(z.basis_ops, ref.basis_ops)
 
 
-def _s4_translation():
-    s4 = mk.symmetric_group(4)
-    units = s4.elements
-    return mk.transformation_groupoid(
-        s4, mk.translation_action(s4), units, {u: 1 / len(units) for u in units}
-    )
-
-
 @pytest.mark.parametrize("build, largest, dim", [
-    (_s4_translation, 24, 1),  # n = 576; one block, the 24 unit arrows
+    (lambda: mk.NAMED_INSTANCES["s4-translation"]()[0], 24, 1),  # n = 576; one block, the 24 unit arrows
     (lambda: mk.sn_bundle(5)[0], 30, 17),  # the 4-cycles of S5; classes of S2..S5
 ], ids=["s4-translation", "sn-bundle-5"])
 def test_center_takes_the_spectrum_block_by_block(monkeypatch, build, largest, dim):
