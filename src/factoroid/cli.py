@@ -116,7 +116,7 @@ def _write(path: str, text: str) -> None:
 def cmd_validate(args) -> int:
     g, w = _load(args.file)
     print(
-        f"valid groupoid: {len(g.units)} units, {len(g.arrows)} arrows, "
+        f"valid groupoid: {len(g.units)} units, {len(g.arrow_order)} arrows, "
         f"nonsingular={g.flags.nonsingular}, pmp={g.flags.pmp}"
         + (", with cocycle" if w is not None else "")
     )

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .groupoid import GroupoidError, MeasuredGroupoid
-from .conjugacy import _require_isotropy
+from .conjugacy import _loops_off_units, _require_isotropy
 
 UNIT_MODULUS_TOL = 1e-12
 IDENTITY_TOL = 1e-10
@@ -252,14 +252,6 @@ def _normalized(g: MeasuredGroupoid, w: Optional[Cocycle]) -> Cocycle:
     return w if w.normalized else normalize_cocycle(g, w)
 
 
-def _loops_off_units(g: MeasuredGroupoid) -> list[int]:
-    """Positions, in storage order, of the positive-mass isotropy arrows
-    that are not unit arrows."""
-    units, mass = g.unit_arrow_set, g.mass
-    return [i for i, a in enumerate(g.arrows)
-            if a.src == a.tgt and mass[a.src] > 0.0 and a.id not in units]
-
-
 def _transports(
     g: MeasuredGroupoid, w: Cocycle, loops: np.ndarray
 ) -> list[list[tuple[int, int, Phase]]]:
@@ -269,7 +261,7 @@ def _transports(
     t, phase = g.pairs, w.on(g)
     i, p, a, c = t.conjugations(loops)
     factor = pmul(pconj(phase[t.start[a] + t.rank[c]]), phase[p])
-    keep = np.array([g.mass[u] for u in g.units])[t.tgt[a]] > 0.0
+    keep = g.unit_masses[t.tgt[a]] > 0.0
     moves: list[list[tuple[int, int, Phase]]] = [[] for _ in loops]
     for j, x, y, v in zip(*(u[keep].tolist() for u in (i, a, c, factor))):
         moves[j].append((x, y, v))
@@ -286,11 +278,11 @@ def central_set_search(g: MeasuredGroupoid, w: Cocycle) -> Optional[CentralSetCe
     moves and their phases are read from ``g.pairs`` by position.
     """
     g._require_validated()
-    loops = _loops_off_units(g)
-    if not loops:
+    loops = np.flatnonzero(_loops_off_units(g)[1])
+    if not len(loops):
         return None
     w = _normalized(g, w)
-    moves = dict(zip(loops, _transports(g, w, np.array(loops))))
+    moves = dict(zip(loops.tolist(), _transports(g, w, loops)))
     unvisited = set(moves)
     for root in moves:
         if root not in unvisited:
@@ -366,12 +358,12 @@ def kleppner_holds(g: MeasuredGroupoid, w: Cocycle) -> KleppnerVerdict:
     The conjugations and phases are read from ``g.pairs`` by position.
     """
     g._require_validated()
-    loops = _loops_off_units(g)
-    if not loops:
+    h = np.flatnonzero(_loops_off_units(g)[1])
+    if not len(h):
         return KleppnerVerdict(True)
-    t, phase, h = g.pairs, _normalized(g, w).on(g), np.array(loops)
+    t, phase = g.pairs, _normalized(g, w).on(g)
     if (phase == phase[0]).all():  # untwisted: the first loop is phase-symmetric
-        return KleppnerVerdict(False, witness=g.arrow_order[loops[0]])
+        return KleppnerVerdict(False, witness=g.arrow_order[h[0]])
     i, p, a, c = t.conjugations(h)
     fixes = c == h[i]  # a h a^-1 = h
     i, p, a = i[fixes], p[fixes], a[fixes]
@@ -379,7 +371,7 @@ def kleppner_holds(g: MeasuredGroupoid, w: Cocycle) -> KleppnerVerdict:
     close = ha == ah if w.exact else np.abs(ha - ah) <= HOLONOMY_TOL
     symmetric = np.flatnonzero(np.bincount(i[~close], minlength=len(h)) == 0)
     if len(symmetric):
-        return KleppnerVerdict(False, witness=g.arrow_order[loops[symmetric[0]]])
+        return KleppnerVerdict(False, witness=g.arrow_order[h[symmetric[0]]])
     return KleppnerVerdict(True)
 
 

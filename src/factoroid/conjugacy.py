@@ -11,6 +11,7 @@ lies outside the units; this reduced test is the decider.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Optional
 
 import numpy as np
@@ -59,19 +60,15 @@ def conjugacy_class(g: MeasuredGroupoid, base: Iterable[str]) -> ConjugacyClass:
     base = _require_isotropy(g, base)
     # conjugate the newest arrows by every arrow at once, by position in g.pairs
     frontier = np.array(sorted(map(g.arrow_index, base)), dtype=np.intp)
-    closed = np.zeros(len(g.arrows), dtype=bool)
+    closed = np.zeros(len(g.arrow_order), dtype=bool)
     closed[frontier] = True
     while len(frontier):
         conjugates = g.pairs.conjugations(frontier)[3]
         frontier = np.unique(conjugates[~closed[conjugates]])
         closed[frontier] = True
     omega = [g.arrow_order[i] for i in np.flatnonzero(closed)]
-
-    counts: dict[str, int] = {u: 0 for u in g.units if g.mass[u] > 0.0}
-    for h in omega:
-        x = g.src[h]
-        if x in counts:
-            counts[x] += 1
+    fiber = np.bincount(g.pairs.src[closed], minlength=len(g.units)).tolist()
+    counts = {u: c for u, c, m in zip(g.units, fiber, g.unit_masses) if m > 0.0}
     return ConjugacyClass(
         base=base,
         omega=frozenset(omega),
@@ -87,21 +84,23 @@ def is_icc(g: MeasuredGroupoid) -> IccVerdict:
     the condition holds exactly when every isotropy arrow outside the units
     is based at a zero-mass unit.
     """
-    g._require_validated()
-    iso = g.iso_subgroupoid()
-    units = g.unit_arrow_set
-    offending = g.sort_arrows(
-        h for h in iso - units if g.mass[g.src[h]] > 0.0
+    off, positive = _loops_off_units(g)
+    witness = frozenset(compress(g.arrow_order, positive))
+    counts = np.bincount(g.pairs.src[off], minlength=len(g.units))
+    return IccVerdict(
+        icc=not witness,
+        witness=witness or None,
+        fiber_counts=dict(zip(g.units, counts.tolist())),
     )
 
-    counts: dict[str, int] = {u: 0 for u in g.units}
-    for h in iso - units:
-        counts[g.src[h]] += 1
-    return IccVerdict(
-        icc=not offending,
-        witness=frozenset(offending) if offending else None,
-        fiber_counts=counts,
-    )
+
+def _loops_off_units(g: MeasuredGroupoid) -> tuple[np.ndarray, np.ndarray]:
+    """Masks over the arrows: the isotropy arrows that are not unit arrows,
+    and those of them at a positive-mass unit."""
+    t = g._pair_table()
+    off = t.src == t.tgt
+    off[t.unit_arrow] = False
+    return off, off & (g.unit_masses[t.src] > 0.0)
 
 
 def ergodic_class_decomposition(

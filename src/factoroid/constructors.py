@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
+import numpy as np
+
 from .cocycle import Cocycle, Phase, apply_coboundary, as_complex, pone, validate_cocycle
 from .groupoid import (
     GroupoidError,
@@ -73,20 +75,21 @@ def _perm_label(p: tuple[int, ...]) -> str:
 
 
 def _group_from_perms(name: str, perms: Iterable[tuple[int, ...]]) -> FiniteGroupTable:
+    """The group of the permutations, sorted, pq running q first; products
+    are found by their mixed-radix codes, which sort as the tuples do."""
     perms = sorted(set(perms))
-    label = {p: _perm_label(p) for p in perms}
-    mult = {}
-    inv = {}
-    for p in perms:
-        q_inv = tuple(sorted(range(len(p)), key=lambda i: p[i]))
-        inv[label[p]] = label[q_inv]
-        for q in perms:
-            comp = tuple(p[q[i]] for i in range(len(p)))
-            mult[(label[p], label[q])] = label[comp]
-    ident = tuple(range(len(perms[0])))
-    return FiniteGroupTable(
-        name, tuple(label[p] for p in perms), mult, inv, label[ident]
-    )
+    label = [_perm_label(p) for p in perms]
+    table = np.array(perms, dtype=np.intp)
+    d = table.shape[1]
+    radix = d ** np.arange(d - 1, -1, -1)
+
+    def element(rows: np.ndarray) -> list[str]:
+        at = np.searchsorted(table @ radix, rows @ radix)
+        return list(map(label.__getitem__, at.ravel().tolist()))
+
+    mult = dict(zip(itertools.product(label, label), element(table[:, table])))
+    inv = dict(zip(label, element(np.argsort(table, axis=1))))
+    return FiniteGroupTable(name, tuple(label), mult, inv, _perm_label(tuple(range(d))))
 
 
 def symmetric_group(n: int) -> FiniteGroupTable:
@@ -163,13 +166,13 @@ def group_bundle(
     unit_arrows = {}
     for x in units:
         tab = fibers[x]
-        for gm in tab.elements:
-            arrows.append((f"{x}.{gm}", x, x))
+        name = {gm: f"{x}.{gm}" for gm in tab.elements}
+        arrows.extend((name[gm], x, x) for gm in tab.elements)
         for g1 in tab.elements:
-            inverse[f"{x}.{g1}"] = f"{x}.{tab.inverse[g1]}"
+            inverse[name[g1]] = name[tab.inverse[g1]]
             for g2 in tab.elements:
-                compose += (f"{x}.{g1}", f"{x}.{g2}", f"{x}.{tab.mult[(g1, g2)]}")
-        unit_arrows[x] = f"{x}.{tab.identity}"
+                compose += (name[g1], name[g2], name[tab.mult[(g1, g2)]])
+        unit_arrows[x] = name[tab.identity]
     return validate_groupoid(
         MeasuredGroupoid(units, mass, arrows, compose, inverse, unit_arrows, **kw)
     )
@@ -482,7 +485,7 @@ def restrict_partial(p: PartialActionSystem, keep: Iterable[str]) -> PartialActi
         lhs, rhs,
         {u: u for u in units},
         {a: a for a in lhs.arrow_order},
-        check_mass=True, mass_tol=1e-9,
+        check_mass=True,
     ):
         raise InvalidPartialAction(
             "restricted action groupoid differs from restricted groupoid"
@@ -591,7 +594,7 @@ def globalize(p: PartialActionSystem) -> Globalization:
             arrow_bij[f"{gm}|{x}"] = f"{gm}|{embedding[x]}"
     iso = check_isomorphism(
         original, restricted, dict(embedding), arrow_bij,
-        check_mass=True, mass_tol=1e-9,
+        check_mass=True,
     )
     if not (fullness.borel_full and iso):
         raise InvalidPartialAction(

@@ -6,6 +6,9 @@ table, and an embedding of units as identity arrows.  Units and arrows are
 named by plain string identifiers, which keeps instances serializable and
 diffable; validation maps the composition table to integer positions once
 (``PairTable``), and every later read of it goes through those positions.
+Orbits, isotropy and masses (``unit_masses``) are read by position too; the
+name views are built on first use: the ``arrows`` triples, ``by_source`` and
+``by_target`` (walked by ``composable_pairs()``) once, ``compose`` per read.
 
 All mass bookkeeping treats zero-mass ("null") units as structurally present
 but measure-theoretically invisible: measure computations weight arrows by the
@@ -19,13 +22,14 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 MASS_TOL = 1e-12
+ISOMORPHISM_MASS_TOL = 1e-9  # restrictions renormalize masses in other orders
 
 # composable triples per block of PairTable.first_failure; a block's
 # temporaries are a few arrays of this length, which stay in cache (2^16
@@ -103,7 +107,9 @@ class PairTable:
     identity arrow of each unit.  Pair p, the p-th of ``composable_pairs()``,
     is (left[p], right[p]) with product prod[p], on row row[p] of the
     composition table.  The pair (x, y) is start[y] + rank[x], where rank[x]
-    is the place of x among the arrows with its source.
+    is the place of x among the arrows with its source.  The orbit of unit u
+    is named by its least unit roots[u], the least source of an arrow into
+    u, since an orbit has an arrow between any two units.
     """
 
     left: np.ndarray
@@ -116,6 +122,7 @@ class PairTable:
     rank: np.ndarray
     inv: np.ndarray
     unit_arrow: np.ndarray
+    roots: np.ndarray
 
     def at(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The positions of the pairs (x[i], y[i]), -1 where an arrow is
@@ -195,12 +202,9 @@ class PairTable:
         of the right endpoints, which ``validate`` also checks first.
         """
         n, k = len(self.src), len(self.unit_arrow)
-        # the least (source, arrow) into each unit u: the least unit r of u's
-        # orbit, which has an arrow between any two units, and the first
-        # arrow from r to u
-        least = np.full(k, k * n)
-        np.minimum.at(least, self.tgt, self.src * n + np.arange(n))
-        root, first = np.divmod(least, n)
+        root, first = self.roots, np.full(k, n)
+        from_root = np.flatnonzero(self.src == root[self.tgt])
+        np.minimum.at(first, self.tgt[from_root], from_root)  # the first arrow r -> u
         orbit = root[self.src]
         tree = first[root != np.arange(k)]
         reached = np.zeros(n, dtype=bool)
@@ -223,8 +227,10 @@ class PairTable:
     def over(self, units: np.ndarray) -> tuple["PairTable", np.ndarray]:
         """The table of the arrows with source in ``units``, a mask of the
         units that is a union of orbits, numbered in storage order (a unit
-        not in ``units`` keeps its number and gets unit arrow -1); and the
-        positions here of its pairs, in its order."""
+        not in ``units`` keeps its number and root and gets unit arrow -1);
+        and the positions here of its pairs, in its order."""
+        if units.all():
+            return self, np.arange(len(self.left))
         arrows = np.flatnonzero(units[self.src])
         at = np.full(len(self.src), -1, dtype=np.intp)
         at[arrows] = np.arange(len(arrows))
@@ -233,7 +239,7 @@ class PairTable:
         table = PairTable(
             at[self.left[pairs]], at[self.right[pairs]], at[self.prod[pairs]],
             self.row[pairs], self.src[arrows], self.tgt[arrows], np.cumsum(count) - count,
-            self.rank[arrows], at[self.inv[arrows]], at[self.unit_arrow],
+            self.rank[arrows], at[self.inv[arrows]], at[self.unit_arrow], self.roots,
         )
         return table, pairs
 
@@ -303,7 +309,8 @@ class MeasuredGroupoid:
     before using any other operation.  Validation maps the rows to positions
     once, into ``pairs``, and then drops them (``compose_rows`` is None);
     ``compose`` is a read-only mapping (g, h) -> gh served from ``pairs``,
-    its items in row order.
+    its items in row order.  ``unit_masses`` holds the masses in unit order
+    once validated.
     """
 
     def __init__(
@@ -322,23 +329,30 @@ class MeasuredGroupoid:
         self.mass = {u: float(mass[u]) for u in self.units}
         self.exact_mass = dict(exact_mass) if exact_mass is not None else None
         self.unnormalized = bool(unnormalized)
-        self.arrows = tuple(Arrow(a, s, t) for (a, s, t) in arrows)
-        self.arrow_order = tuple(a.id for a in self.arrows)
-        self.src = {a.id: a.src for a in self.arrows}
-        self.tgt = {a.id: a.tgt for a in self.arrows}
+        ids, srcs, tgts = tuple(zip(*arrows)) or ((), (), ())
+        self.arrow_order = ids
+        self.src = dict(zip(ids, srcs))
+        self.tgt = dict(zip(ids, tgts))
         self.compose_rows = compose_rows
         self.inverse = dict(inverse)
         self.unit_arrow = dict(unit_arrows)
         self.validated = False
         self.flags: Optional[ValidationFlags] = None
         self.pairs: Optional[PairTable] = None
+        self.unit_masses: Optional[np.ndarray] = None
         self._unit_arrow_ids = frozenset(self.unit_arrow.values())
-        self._index = {g: i for i, g in enumerate(self.arrow_order)}
-        self._by_source: dict[str, tuple[str, ...]] = {}
-        self._by_target: dict[str, tuple[str, ...]] = {}
-        self._orbits: Optional[tuple[frozenset[str], ...]] = None
+        self._index = dict(zip(ids, range(len(ids))))
+        self._arrows: Optional[tuple[Arrow, ...]] = None
+        self._by_unit: Optional[tuple[dict[str, tuple[str, ...]], ...]] = None
 
     # -- basic accessors -------------------------------------------------
+
+    @property
+    def arrows(self) -> tuple[Arrow, ...]:
+        """The arrows as ``Arrow`` triples in storage order, built on first read."""
+        if self._arrows is None:
+            self._arrows = tuple(map(Arrow, self.arrow_order, self.src.values(), self.tgt.values()))
+        return self._arrows
 
     @property
     def compose(self) -> Mapping[tuple[str, str], str]:
@@ -353,10 +367,21 @@ class MeasuredGroupoid:
         return tuple(sorted(ids, key=self._index.__getitem__))
 
     def by_source(self, x: str) -> tuple[str, ...]:
-        return self._by_source.get(x, ())
+        """The arrows with source x, in storage order; ``by_target`` likewise.
+        Both maps are built on first use."""
+        return self._fans()[0].get(x, ())
 
     def by_target(self, x: str) -> tuple[str, ...]:
-        return self._by_target.get(x, ())
+        return self._fans()[1].get(x, ())
+
+    def _fans(self) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]:
+        if self._by_unit is None:
+            fans = {u: [] for u in self.units}, {u: [] for u in self.units}
+            for a in self.arrow_order:
+                fans[0][self.src[a]].append(a)
+                fans[1][self.tgt[a]].append(a)
+            self._by_unit = tuple({u: tuple(v) for u, v in fan.items()} for fan in fans)
+        return self._by_unit
 
     @property
     def unit_arrow_set(self) -> frozenset[str]:
@@ -386,7 +411,7 @@ class MeasuredGroupoid:
 
     def composable_pairs(self) -> Iterable[tuple[str, str]]:
         for h in self.arrow_order:
-            for g in self._by_source.get(self.tgt[h], ()):
+            for g in self.by_source(self.tgt[h]):
                 yield (g, h)
 
     # -- validation ------------------------------------------------------
@@ -398,7 +423,7 @@ class MeasuredGroupoid:
         if len(unit) != len(self.units):
             count = Counter(self.units)
             raise BadUnit("duplicate unit identifiers", [u for u in unit if count[u] > 1])
-        if len(self._index) != len(self.arrows):
+        if len(self._index) != len(self.arrow_order):
             seen: set[str] = set()
             dupes = []
             for a in self.arrow_order:
@@ -427,7 +452,7 @@ class MeasuredGroupoid:
 
         # Every table in positions, -1 for an unknown id.  None, which is no
         # id, ends src_ and tgt_ with a -1: an unknown arrow's endpoints.
-        n, k, m, fields = map(len, (self.arrows, self.unit_arrow, self.inverse, self.compose_rows))
+        n, k, m, fields = map(len, (self.arrow_order, self.unit_arrow, self.inverse, self.compose_rows))
         if fields % 3:
             raise GroupoidError("compose rows must hold three ids: g h gh")
         src_, tgt_, x = _positions(unit, chain(
@@ -457,14 +482,6 @@ class MeasuredGroupoid:
         inv = np.full(n + 1, -1)  # the inverse of each arrow, and of none
         inv[g] = gi
         self._unit_arrow_ids = frozenset(self.unit_arrow.values())
-
-        by_source: dict[str, list[str]] = {u: [] for u in self.units}
-        by_target: dict[str, list[str]] = {u: [] for u in self.units}
-        for a in self.arrows:
-            by_source[a.src].append(a.id)
-            by_target[a.tgt].append(a.id)
-        self._by_source = {u: tuple(v) for u, v in by_source.items()}
-        self._by_target = {u: tuple(v) for u, v in by_target.items()}
 
         pairs = self._table_in_positions(
             src_, tgt_, *table.reshape(-1, 3).T, inv[:-1], unit_arrow
@@ -516,14 +533,14 @@ class MeasuredGroupoid:
                 f"(g h) k != g (h k) for ({g!r},{h!r},{k!r})", [g, h, k]
             )
 
-        mass = np.array([self.mass[u] for u in self.units])
+        mass = np.fromiter(map(self.mass.__getitem__, self.units), float, len(unit))
         nonsingular = bool(((mass[src] == 0.0) == (mass[tgt] == 0.0)).all())
         if self.exact_mass is not None:
             exact = np.array([self.exact_mass[u] for u in self.units], dtype=object)
             pmp = bool((exact[src] == exact[tgt]).all())
         else:
             pmp = bool((np.abs(mass[src] - mass[tgt]) <= MASS_TOL).all())
-        self.pairs = pairs
+        self.pairs, self.unit_masses = pairs, mass
         self.compose_rows = None  # every later read goes through pairs
         self.flags = ValidationFlags(
             nonsingular=nonsingular, pmp=pmp, mass_normalized=normalized
@@ -563,12 +580,14 @@ class MeasuredGroupoid:
             p = int(hits.argmin())
             y = int(np.searchsorted(start, p, side="right")) - 1
             b = self.arrow_order[y]
-            a = self._by_source[self.tgt[b]][p - start[y]]
+            a = self.by_source(self.tgt[b])[p - start[y]]
             raise DanglingReference(f"missing composition for composable pair ({a!r},{b!r})",
                                     [a, b])
         left, right, prod, row = (np.empty(size, dtype=np.intp) for _ in range(4))
         left[at], right[at], prod[at], row[at] = g, h, gh, np.arange(len(at))
-        return PairTable(left, right, prod, row, src, tgt, start, rank, inv, unit_arrow)
+        roots = np.arange(len(fan))  # the unit arrow of u runs into u
+        np.minimum.at(roots, tgt, src)
+        return PairTable(left, right, prod, row, src, tgt, start, rank, inv, unit_arrow, roots)
 
     def _require_validated(self):
         if not self.validated:
@@ -582,43 +601,31 @@ class MeasuredGroupoid:
 
     def iso_subgroupoid(self) -> frozenset[str]:
         """Arrows with equal source and target (includes all unit arrows)."""
-        self._require_validated()
-        return frozenset(a.id for a in self.arrows if a.src == a.tgt)
+        t = self._pair_table()
+        return frozenset(compress(self.arrow_order, t.src == t.tgt))
 
     def orbits(self) -> tuple[frozenset[str], ...]:
         """Partition of units generated by (src, tgt) pairs, in unit order."""
-        self._require_validated()
-        if self._orbits is not None:
-            return self._orbits
-        parent = {u: u for u in self.units}
+        roots = self._pair_table().roots
+        return self._orbits_of(np.flatnonzero(roots == np.arange(len(roots))))
 
-        def find(u: str) -> str:
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            return u
+    def _orbits_of(self, roots: np.ndarray) -> tuple[frozenset[str], ...]:
+        """The orbits of the given least units, by name."""
+        of = self.pairs.roots
+        return tuple(frozenset(compress(self.units, of == r)) for r in roots.tolist())
 
-        for a in self.arrows:
-            ru, rv = find(a.src), find(a.tgt)
-            if ru != rv:
-                parent[rv] = ru
-        groups: dict[str, list[str]] = {}
-        for u in self.units:
-            groups.setdefault(find(u), []).append(u)
-        first = {r: min(self.units.index(u) for u in g) for r, g in groups.items()}
-        ordered = sorted(groups.values(), key=lambda g: first[find(g[0])])
-        self._orbits = tuple(frozenset(g) for g in ordered)
-        return self._orbits
+    def _positive_orbits(self) -> np.ndarray:
+        """The least units of the orbits that carry positive mass, in order."""
+        carries = np.zeros(len(self.units), dtype=bool)
+        carries[self._pair_table().roots[self.unit_masses > 0.0]] = True
+        return np.flatnonzero(carries)
 
     def is_ergodic(self) -> ErgodicityVerdict:
         """True when a single orbit carries all the positive mass."""
-        self._require_validated()
-        positive = [
-            o for o in self.orbits() if any(self.mass[u] > 0.0 for u in o)
-        ]
+        positive = self._positive_orbits()
         if len(positive) <= 1:
             return ErgodicityVerdict(True)
-        return ErgodicityVerdict(False, witness=(positive[0], positive[1]))
+        return ErgodicityVerdict(False, witness=self._orbits_of(positive[:2]))
 
     def arrow_measure(self, ids: Iterable[str], side: str = "source") -> float:
         """Mass of an arrow set: sum of unit masses at each arrow's base."""
@@ -737,9 +744,9 @@ def check_isomorphism(
     arrow_map: Mapping[str, str],
     *,
     check_mass: bool = False,
-    mass_tol: float = MASS_TOL,
 ) -> bool:
-    """Verify that explicit unit/arrow bijections form a groupoid isomorphism."""
+    """Verify that explicit unit/arrow bijections form a groupoid isomorphism,
+    with equal masses within ``ISOMORPHISM_MASS_TOL`` if ``check_mass``."""
     a._require_validated()
     b._require_validated()
     if sorted(unit_map) != sorted(a.units) or sorted(unit_map.values()) != sorted(b.units):
@@ -760,6 +767,6 @@ def check_isomorphism(
             return False
     if check_mass:
         for u in a.units:
-            if abs(a.mass[u] - b.mass[unit_map[u]]) > mass_tol:
+            if abs(a.mass[u] - b.mass[unit_map[u]]) > ISOMORPHISM_MASS_TOL:
                 return False
     return True

@@ -248,7 +248,7 @@ def serialize(g: MeasuredGroupoid, w: Optional[Cocycle] = None) -> str:
     out: list[str] = ["[units]"]
     out.extend(f"{u} {_mass_token(g, u)}" for u in g.units)
     out.append("[arrows]")
-    out.extend(f"{a.id} {a.src} {a.tgt}" for a in g.arrows)
+    out.extend(f"{a} {s} {t}" for a, s, t in zip(g.arrow_order, g.src.values(), g.tgt.values()))
     out.append("[unit_arrows]")
     out.extend(f"{u} {g.unit_arrow[u]}" for u in g.units)
     out.append("[compose]")

@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import compress
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -141,16 +142,15 @@ def l2_space(g: MeasuredGroupoid) -> L2Space:
             "representation requires a nonsingular groupoid "
             "(null units must only connect to null units)"
         )
-    index = tuple(a for a in g.arrow_order if g.mass[g.src[a]] > 0.0)
-    pos = {a: i for i, a in enumerate(index)}
-    weights = np.array([g.mass[g.src[a]] for a in index], dtype=float)
+    positive = g.unit_masses > 0.0
+    pairs, pair_positions = g.pairs.over(positive)
+    index = tuple(compress(g.arrow_order, positive[g.pairs.src]))
+    pos = dict(zip(index, range(len(index))))
+    weights = g.unit_masses[pairs.src]
     sqrt_weights = np.sqrt(weights)
     unit_vector = np.zeros(len(index), dtype=complex)
-    for u in g.units:
-        e = g.unit_arrow[u]
-        if e in pos:
-            unit_vector[pos[e]] = sqrt_weights[pos[e]]
-    pairs, pair_positions = g.pairs.over(np.array([g.mass[u] > 0.0 for u in g.units]))
+    units = pairs.unit_arrow[positive]  # the unit arrows of the positive units
+    unit_vector[units] = sqrt_weights[units]
     return L2Space(g, index, pos, weights, sqrt_weights, unit_vector, pairs, pair_positions)
 
 
@@ -606,13 +606,11 @@ def invariant_subalgebra(
     g._require_validated()
     if space is None:
         space = l2_space(g)
-    tgt = [g.tgt[h] for h in space.index]
+    t = space.pairs
     # L_{e_u} has one entry per positive arrow with target u
-    units = [space.pos[g.unit_arrow[u]] for u in tgt]
-    norms = np.sqrt(np.bincount(units, minlength=space.dim))
-    positive = [o for o in g.orbits() if any(g.mass[u] > 0.0 for u in o)]
-    orbit_of = {u: at for at, orbit in enumerate(positive) for u in orbit}
-    orbit = np.array([orbit_of.get(u, -1) for u in tgt])
+    norms = np.sqrt(np.bincount(t.unit_arrow[t.tgt], minlength=space.dim))
+    positive = g._positive_orbits()
+    orbit = np.searchsorted(positive, g.pairs.roots[t.tgt])
     rows = norms * (orbit == np.arange(len(positive))[:, None])
     return MatrixStarAlgebra(rows / np.linalg.norm(rows, axis=1, keepdims=True))
 
@@ -811,7 +809,7 @@ def factoriality_report(
     kleppner_ok = (not factor) or kv.holds
     return FactorialityReport(
         units=len(g.units),
-        arrows=len(g.arrows),
+        arrows=len(g.arrow_order),
         positive_arrows=space.dim,
         nonsingular=g.flags.nonsingular,
         pmp=g.flags.pmp,

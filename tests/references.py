@@ -9,6 +9,11 @@ the fibers' conjugacy classes; ``sorted_row_gram`` assembles the Gram matrix
 of ``center``'s commutator map row by row, finding the rows by sorting their
 keys.  ``trivial_groupoid`` and ``compose_rows``
 build tables for the tests.
+
+The stages of a report that read ``g.pairs`` by position have their
+name-walking forms here, as the references they are checked against:
+``orbits_by_union_find``, ``invariant_rows_by_name``, ``icc_by_name`` and
+``loops_off_units_by_name``.
 """
 
 from __future__ import annotations
@@ -25,9 +30,10 @@ from factoroid.cocycle import (
     normalize_cocycle,
     trivial_cocycle,
 )
+from factoroid.conjugacy import IccVerdict
 from factoroid.constructors import FiniteGroupTable
 from factoroid.groupoid import GroupoidError, MeasuredGroupoid, validate_groupoid
-from factoroid.vna import TranslationAlgebra
+from factoroid.vna import L2Space, TranslationAlgebra
 
 
 def twisted_convolve(
@@ -125,3 +131,58 @@ def sorted_row_gram(alg: TranslationAlgebra) -> np.ndarray:
     gram = np.zeros((n, n), dtype=complex)
     np.add.at(gram, (cols[:, None], cols[None, :]), vals.conj()[:, None] * vals[None, :])
     return gram
+
+
+def orbits_by_union_find(g: MeasuredGroupoid) -> tuple[frozenset[str], ...]:
+    """The orbits of the units, joined arrow by arrow in a union-find, in
+    the order of their first units."""
+    parent = {u: u for u in g.units}
+
+    def find(u: str) -> str:
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    for a in g.arrow_order:
+        ru, rv = find(g.src[a]), find(g.tgt[a])
+        if ru != rv:
+            parent[rv] = ru
+    groups: dict[str, list[str]] = {}
+    for u in g.units:
+        groups.setdefault(find(u), []).append(u)
+    return tuple(frozenset(o) for o in groups.values())  # first seen, first unit first
+
+
+def invariant_rows_by_name(g: MeasuredGroupoid, space: L2Space) -> np.ndarray:
+    """``invariant_subalgebra``'s rows, walking the positive arrows by name:
+    the row of orbit O holds |L_{e_u}|_F at e_u for u in O, divided by its
+    norm."""
+    tgt = [g.tgt[h] for h in space.index]
+    units = [space.pos[g.unit_arrow[u]] for u in tgt]
+    norms = np.sqrt(np.bincount(units, minlength=space.dim))
+    positive = [o for o in orbits_by_union_find(g) if any(g.mass[u] > 0.0 for u in o)]
+    orbit_of = {u: at for at, orbit in enumerate(positive) for u in orbit}
+    orbit = np.array([orbit_of.get(u, -1) for u in tgt])
+    rows = norms * (orbit == np.arange(len(positive))[:, None])
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def _isotropy_off_units(g: MeasuredGroupoid) -> frozenset[str]:
+    return frozenset(a for a in g.arrow_order if g.src[a] == g.tgt[a]) - g.unit_arrow_set
+
+
+def loops_off_units_by_name(g: MeasuredGroupoid) -> list[int]:
+    """Positions of the positive-mass isotropy arrows off the units."""
+    off = _isotropy_off_units(g)
+    return [i for i, a in enumerate(g.arrow_order) if a in off and g.mass[g.src[a]] > 0.0]
+
+
+def icc_by_name(g: MeasuredGroupoid) -> IccVerdict:
+    """``is_icc`` from the isotropy off the units, arrow by arrow."""
+    off = _isotropy_off_units(g)
+    offending = [h for h in off if g.mass[g.src[h]] > 0.0]
+    counts = {u: 0 for u in g.units}
+    for h in off:
+        counts[g.src[h]] += 1
+    return IccVerdict(not offending, frozenset(offending) or None, counts)

@@ -545,6 +545,16 @@ def test_restrict_all_units_is_identity(full3):
     )
 
 
+@pytest.mark.parametrize("shift, same", [(0.0, True), (1e-10, True), (1e-6, False)])
+def test_isomorphism_compares_masses_within_a_constant(full2, shift, same):
+    # check_mass takes masses within ISOMORPHISM_MASS_TOL (1e-9) as equal
+    moved = mk.full_relation(list(full2.units), {"x0": 0.5 + shift, "x1": 0.5 - shift})
+    ids = {a: a for a in full2.arrow_order}
+    units = {u: u for u in full2.units}
+    assert check_isomorphism(moved, full2, units, ids)
+    assert check_isomorphism(moved, full2, units, ids, check_mass=True) == same
+
+
 def test_fullness(full2, z2_bundle):
     assert full2.is_full(["x0"]) == full2.is_full(["x0", "x1"])
     f = full2.is_full(["x0"])
