@@ -199,7 +199,7 @@ def validate_cocycle(
         if exact:  # rational turns, compared exactly
             return (w[x_yz] + w[yz]) % 1 != (w[xy_z] + w[xy]) % 1
         return ~(np.abs(w[x_yz] * w[yz] - w[xy_z] * w[xy]) <= IDENTITY_TOL)
-    bad = t.first_failure(fails, "yz", np.arange(len(t.src)))
+    bad = t.first_failure(fails, "yz")
     if bad is not None:
         x, y, z = (g.arrow_order[i] for i in bad)
         raise CocycleIdentityViolated(
@@ -219,30 +219,35 @@ def apply_coboundary(
 ) -> Cocycle:
     """The cohomologous cocycle  w'(x,y) = rho(x) rho(y) conj(rho(xy)) w(x,y)."""
     g._require_validated()
-    t = g.pairs
     r = np.array([rho[x] for x in g.arrow_order], dtype=w.phases.dtype)
-    phases = pmul(pmul(r[t.left], pmul(r[t.right], pconj(r[t.prod]))), w.on(g))
+    phases = _coboundary(g, w.on(g), r)
     return Cocycle(g, phases, w.exact, _is_normalized(g, phases))
+
+
+def _coboundary(g: MeasuredGroupoid, phases: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``apply_coboundary`` on arrays: rho as r[x] by arrow position."""
+    t = g.pairs
+    return pmul(pmul(r[t.left], pmul(r[t.right], pconj(r[t.prod]))), phases)
 
 
 def normalize_cocycle(g: MeasuredGroupoid, w: Cocycle) -> Cocycle:
     """Apply the two explicit coboundary corrections yielding a cocycle with
     phase 1 on every pair involving a unit arrow and on every (x, x^-1)."""
     g._require_validated()
-    t = g.pairs
-    rho1 = pconj(w.on(g)[t.start[t.unit_arrow[t.src]] + t.rank])  # conj w(x, 1)
-    step1 = apply_coboundary(g, w, dict(zip(g.arrow_order, rho1.tolist())))
+    t, phases = g.pairs, w.on(g)
+    rho1 = pconj(phases[t.start[t.unit_arrow[t.src]] + t.rank])  # conj w(x, 1)
+    step1 = _coboundary(g, phases, rho1)
     # one half-phase per inverse pair, taken at a canonical representative:
     # rho(x) rho(x^-1) then squares to the exact conjugate phase no matter
     # which branch the square root picks (the values at x and x^-1 agree only
     # up to rounding, which matters exactly on the branch cut)
     rep = np.minimum(np.arange(len(t.inv)), t.inv)
-    half = pconj(step1.phases[t.start[t.inv[rep]] + t.rank[rep]])  # conj w(rep, rep^-1)
-    rho2 = {x: phalf(v) for x, v in zip(g.arrow_order, half.tolist())}
-    step2 = apply_coboundary(g, step1, rho2)
-    if not step2.normalized:
+    half = pconj(step1[t.start[t.inv[rep]] + t.rank[rep]])  # conj w(rep, rep^-1)
+    rho2 = np.array([phalf(v) for v in half.tolist()], dtype=phases.dtype)
+    step2 = _coboundary(g, step1, rho2)
+    if not _is_normalized(g, step2):
         raise CocycleIdentityViolated("normalization failed; invalid cocycle")
-    return step2
+    return Cocycle(g, step2, w.exact, True)
 
 
 def _normalized(g: MeasuredGroupoid, w: Optional[Cocycle]) -> Cocycle:

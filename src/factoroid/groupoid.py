@@ -37,6 +37,14 @@ ISOMORPHISM_MASS_TOL = 1e-9  # restrictions renormalize masses in other orders
 # about 1.7 times slower)
 _TRIPLE_BLOCK = 1 << 14
 
+# validate checks associativity on every composable triple when there are at
+# most this many, and on the generators first above it.  The two routes cost
+# the same at about 4,000 triples: in process on a 2-core x86 host, the full
+# pass took 0.8 to 1.2 times the generator route (generators() and its walk)
+# on tables of 4,096 triples, 0.3 to 0.9 times at 3,504 and below, and 1.0
+# to 4.1 times at 5,832 and above
+_FULL_PASS_TRIPLES = 1 << 12
+
 
 class GroupoidError(ValueError):
     """A groupoid table violates one of the defining axioms.
@@ -142,43 +150,43 @@ class PairTable:
         return i, p, a, self.prod[self.start[self.inv[a]] + self.rank[self.prod[p]]]
 
     def first_failure(
-        self, fails: Callable[..., np.ndarray], outer: str, middles: np.ndarray
+        self, fails: Callable[..., np.ndarray], outer: str, middles: Optional[np.ndarray] = None
     ) -> Optional[tuple[int, int, int]]:
         """Arrow positions (x, y, z) of the first composable triple with y in
-        ``middles`` on which ``fails``, given the positions of its pairs xy,
-        yz, (xy)z and x(yz), holds; None if there is none.  First means: the
-        ``outer`` pair ("xy" or "yz") earliest in the composition table, then
-        the other arrow earliest.
+        ``middles`` (every arrow when None) on which ``fails``, given the
+        positions of its pairs xy, yz, (xy)z and x(yz), holds; None if there
+        is none.  First means: the ``outer`` pair ("xy" or "yz") earliest in
+        the composition table, then the other arrow earliest.  The triple
+        named is the least of a key over every failing triple, so it does not
+        depend on the order in which the triples are visited.  ``validate``
+        passes ``middles`` None on a table of at most _FULL_PASS_TRIPLES
+        triples, and the generators first on a larger one.
 
-        The pairs (y, z) are grouped by the number s of arrows x with source
-        t(y), and each group is taken in blocks of about _TRIPLE_BLOCK
-        triples: its pairs times the ranks j < s, which give xy = start[y] + j
-        and x(yz) = start[yz] + j.
+        A triple is a pair (y, z) and a rank j < s, s the number of arrows x
+        with source t(y): xy = start[y] + j and x(yz) = start[yz] + j.  The
+        triples are visited in 2-D blocks, pairs times ranks, of at most about
+        _TRIPLE_BLOCK entries (see ``_triple_blocks``).
         """
         n, fan = len(self.src), np.bincount(self.src)
-        chosen = np.zeros(n, dtype=bool)
-        chosen[middles] = True
-        pairs = np.flatnonzero(chosen[self.left])
-        size = fan[self.tgt[self.left[pairs]]]
-        order = np.argsort(size, kind="stable")
-        pairs, size = pairs[order], size[order]
-        runs = np.flatnonzero(np.diff(size, prepend=-1)).tolist()
+        if middles is None:
+            pairs = np.arange(len(self.left))
+        else:
+            chosen = np.zeros(n, dtype=bool)
+            chosen[middles] = True
+            pairs = np.flatnonzero(chosen[self.left])
         best = None
-        for first, end in zip(runs, [*runs[1:], len(pairs)]):
-            j, step = np.arange(size[first]), max(1, _TRIPLE_BLOCK // size[first])
-            for lo in range(first, end, step):
-                yz = pairs[lo : min(lo + step, end), None]
-                xy = self.start[self.left[yz]] + j
-                xy_z = self.start[self.right[yz]] + self.rank[self.prod[xy]]
-                bad = fails(xy, yz, xy_z, self.start[self.prod[yz]] + j)
-                if not bad.any():
-                    continue
-                xy, yz = xy[bad], np.broadcast_to(yz, bad.shape)[bad]
-                x, y, z = self.left[xy], self.left[yz], self.right[yz]
-                key = self.row[xy] * n + z if outer == "xy" else self.row[yz] * n + x
-                i = key.argmin()
-                if best is None or key[i] < best[0]:
-                    best = key[i], (int(x[i]), int(y[i]), int(z[i]))
+        for yz, j in _triple_blocks(pairs, fan[self.tgt[self.left[pairs]]]):
+            xy = self.start[self.left[yz]] + j
+            xy_z = self.start[self.right[yz]] + self.rank[self.prod[xy]]
+            bad = fails(xy, yz, xy_z, self.start[self.prod[yz]] + j)
+            if not bad.any():
+                continue
+            xy, yz = xy[bad], yz[bad.nonzero()[0], 0]
+            x, y, z = self.left[xy], self.left[yz], self.right[yz]
+            key = self.row[xy] * n + z if outer == "xy" else self.row[yz] * n + x
+            i = key.argmin()
+            if best is None or key[i] < best[0]:
+                best = key[i], (int(x[i]), int(y[i]), int(z[i]))
         return None if best is None else best[1]
 
     def generators(self) -> np.ndarray:
@@ -242,6 +250,31 @@ class PairTable:
             self.rank[arrows], at[self.inv[arrows]], at[self.unit_arrow], self.roots,
         )
         return table, pairs
+
+
+def _triple_blocks(pairs: np.ndarray, size: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The triples of ``PairTable.first_failure`` in blocks (yz, j), a column
+    of pairs yz and the ranks j that broadcast against it, j < size[yz].
+
+    When the pairs times the largest size are at most _TRIPLE_BLOCK / 4, one
+    block holds them all, with a rank row per pair that repeats its last
+    rank up to the largest size (a triple seen twice is named the same, and
+    no sort or loop over sizes is paid; larger, the rank rows cost more than
+    the sort: 334 against 292 us on the 13,824 triples of S4).  Otherwise
+    the pairs are grouped by size s, each group taken in blocks of about
+    _TRIPLE_BLOCK triples against the one row j < s."""
+    most = int(size.max(initial=0))
+    if len(pairs) * most <= _TRIPLE_BLOCK // 4:
+        yield pairs[:, None], np.minimum(np.arange(most), size[:, None] - 1)
+        return
+    order = np.argsort(size, kind="stable")
+    pairs, size = pairs[order], size[order]
+    cuts = (np.flatnonzero(size[1:] != size[:-1]) + 1).tolist()
+    for first, end in zip([0, *cuts], [*cuts, len(pairs)]):
+        s = int(size[first])
+        j, step = np.arange(s), max(1, _TRIPLE_BLOCK // s)
+        for lo in range(first, end, step):
+            yield pairs[lo : min(lo + step, end), None], j
 
 
 def _positions(index: Mapping[str, int], ids: Iterable, *sizes: int) -> list[np.ndarray]:
@@ -523,15 +556,20 @@ class MeasuredGroupoid:
                 BadUnit(f"unit arrow not left-neutral at {a!r}", [a]),
             )[found[1]]
 
-        # associativity on the generators, and over every composable triple
-        # only to name the first failing one
+        # associativity over every composable triple on a small table; on a
+        # larger one on the generators first, and over every triple only to
+        # name the first failing one
         def fails(xy, yz, xy_z, x_yz):
             return prod[xy_z] != prod[x_yz]
-        if pairs.first_failure(fails, "xy", pairs.generators()) is not None:
-            g, h, k = (self.arrow_order[i] for i in pairs.first_failure(fails, "xy", every))
-            raise NonAssociative(
-                f"(g h) k != g (h k) for ({g!r},{h!r},{k!r})", [g, h, k]
-            )
+        fan = np.bincount(src, minlength=len(unit))
+        if (fan[src] @ fan[tgt] <= _FULL_PASS_TRIPLES
+                or pairs.first_failure(fails, "xy", pairs.generators()) is not None):
+            found = pairs.first_failure(fails, "xy")
+            if found is not None:
+                g, h, k = (self.arrow_order[i] for i in found)
+                raise NonAssociative(
+                    f"(g h) k != g (h k) for ({g!r},{h!r},{k!r})", [g, h, k]
+                )
 
         mass = np.fromiter(map(self.mass.__getitem__, self.units), float, len(unit))
         nonsingular = bool(((mass[src] == 0.0) == (mass[tgt] == 0.0)).all())
@@ -722,11 +760,14 @@ def validate_groupoid(g: MeasuredGroupoid) -> MeasuredGroupoid:
     (G, mu) is nonsingular or pmp is recorded in ``g.flags``, not raised.
     Each table is mapped to integer positions once, and each axiom is one
     mask over those arrays.  Associativity is checked on the composable
-    triples of ``g.pairs``, the composition table in positions, whose middle
-    arrow is one of ``PairTable.generators()``: a few arrows whose products
-    with the unit arrows reach every arrow, which suffices (Light's test,
-    proved there).  Only when a triple fails there does a pass over every
-    composable triple run, to name the first failing one.  The fault named
+    triples of ``g.pairs``, the composition table in positions.  A small
+    table, of at most _FULL_PASS_TRIPLES triples, takes one pass over every
+    triple, which costs less there.  A larger one is checked first on the
+    triples whose middle arrow is one of ``PairTable.generators()``: a few
+    arrows whose products with the unit arrows reach every arrow, which
+    suffices (Light's test, proved there); only when a triple fails there
+    does the pass over every triple run, to name the first failing one.
+    Either route names the same triple.  The fault named
     is the first met when the checks run in the order units, arrows, unit
     arrows, compose rows, a composable pair given twice, one not given,
     inverse entries, unit neutrality per arrow, triples; within each, rows

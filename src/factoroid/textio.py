@@ -254,15 +254,16 @@ def serialize(g: MeasuredGroupoid, w: Optional[Cocycle] = None) -> str:
     out.append("[compose]")
     t, name = g.pairs, g.arrow_order
     order = np.lexsort((t.right, t.left))  # by left factor, then right
-    out.extend(f"{name[t.left[p]]} {name[t.right[p]]} {name[t.prod[p]]}" for p in order)
+    rows = zip(t.left[order].tolist(), t.right[order].tolist(), t.prod[order].tolist())
+    out.extend(f"{name[x]} {name[y]} {name[xy]}" for x, y, xy in rows)
     out.append("[inverse]")
     out.extend(f"{a} {g.inverse[a]}" for a in g.arrow_order)
     if w is not None:
         out.append("[cocycle]")
         phase = w.complex_phases(g)
-        for p in order[phase[order] != 1]:
-            v = complex(phase[p])
-            out.append(f"{name[t.left[p]]} {name[t.right[p]]} {v.real!r} {v.imag!r}")
+        p = order[phase[order] != 1]
+        rows = zip(t.left[p].tolist(), t.right[p].tolist(), phase[p].tolist())
+        out.extend(f"{name[x]} {name[y]} {v.real!r} {v.imag!r}" for x, y, v in rows)
     return "\n".join(out) + "\n"
 
 

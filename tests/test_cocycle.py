@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from factoroid import constructors as mk
+from factoroid import constructors as mk, groupoid
 from factoroid.cocycle import (
     IDENTITY_TOL,
     CocycleIdentityViolated,
@@ -90,9 +90,10 @@ def _first_identity_failure_by_loop(g, table):
     return None
 
 
-@pytest.mark.parametrize("exact", [False, True])
-def test_index_pass_names_the_loops_first_triple(exact):
-    # one phase perturbed, on a groupoid whose composition rows are shuffled
+def _named_as_the_loop_names(exact) -> int:
+    """Perturb one phase of each ``random_twisted_pair`` 0-39, on a groupoid
+    whose composition rows are shuffled, and check that ``validate_cocycle``
+    names the loop's first failing triple; returns how many raised."""
     rng = random.Random(1)
     shift = Fraction(1, 5) if exact else cmath.exp(0.3j)
     raised = 0
@@ -115,7 +116,19 @@ def test_index_pass_names_the_loops_first_triple(exact):
             got = str(exc), exc.ids
         assert got == expect
         raised += got is not None
-    assert raised >= 30
+    return raised
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_index_pass_names_the_loops_first_triple(exact):
+    assert _named_as_the_loop_names(exact) >= 30
+
+
+@pytest.mark.parametrize("block", [1, 7, 1200])
+def test_blocks_of_any_size_name_the_loops_first_failing_triple(block, monkeypatch):
+    # one pair a block, a few pairs a block, and one block for most tables
+    monkeypatch.setattr(groupoid, "_TRIPLE_BLOCK", block)
+    assert _named_as_the_loop_names(exact=False) >= 30
 
 
 def test_normalize_klein():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from factoroid import constructors as mk
+from factoroid import constructors as mk, groupoid
 from factoroid.groupoid import (
     BadInverse,
     BadUnit,
@@ -127,13 +127,19 @@ def _with_swapped_product(g, rng):
     return None
 
 
-def test_index_pass_names_the_loops_first_triple():
+def _swapped_product_cases(seeds: int) -> list[MeasuredGroupoid]:
+    """The Latin square and ``_with_swapped_product`` of random groupoids."""
     rng = random.Random(0)
     cases = [_latin_square()]
-    for seed in range(60):
+    for seed in range(seeds):
         raw = _with_swapped_product(mk.random_groupoid(seed), rng)
         if raw is not None:
             cases.append(raw)
+    return cases
+
+
+def test_index_pass_names_the_loops_first_triple():
+    cases = _swapped_product_cases(60)
     assert len(cases) > 30
     for raw in cases:
         with pytest.raises(NonAssociative) as err:
@@ -207,27 +213,32 @@ def _with_product_changed(g, rng, avoid=()):
     )
 
 
-def _validate_watching_the_generator_pass(tables: dict):
+def _validate_and_pass_the_generators(tables: dict):
     """Validate the groupoid of ``tables``: the ``NonAssociative`` message
-    and ids or None, what the pass over the generators found, and the
-    loop's first failing triple."""
+    and ids or None, what a pass over the generators of its table finds,
+    called directly, and the loop's first failing triple."""
     raw, rows = _build(tables), tables["compose"]
-    seen = []
-    real = PairTable.first_failure
+    built = []
+    real = MeasuredGroupoid._table_in_positions
 
-    def spy(self, fails, outer, middles):
-        seen.append(real(self, fails, outer, middles))
-        return seen[-1]
+    def keep(self, *args):
+        built.append(real(self, *args))
+        return built[-1]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(PairTable, "first_failure", spy)
+        patch.setattr(MeasuredGroupoid, "_table_in_positions", keep)
         try:
             raw.validate()
             named = None
         except NonAssociative as err:
             named = str(err), err.ids
+    t = built[0]
+
+    def fails(xy, yz, xy_z, x_yz):
+        return t.prod[xy_z] != t.prod[x_yz]
+    found = t.first_failure(fails, "xy", t.generators())
     raw.compose_rows = rows  # a validation that passes drops them
-    return named, seen[0], _first_nonassociative_by_loop(raw)
+    return named, found, _first_nonassociative_by_loop(raw)
 
 
 # The S4 translation groupoid is principal: one arrow per (source, target),
@@ -239,7 +250,7 @@ def test_a_product_changed_off_the_generators_is_named_as_the_full_pass_names_it
     generators = {g.arrow_order[a] for a in g.pairs.generators()}
     for _ in range(3):
         tables = _with_product_changed(g, rng, avoid=generators)
-        named, found, want = _validate_watching_the_generator_pass(tables)
+        named, found, want = _validate_and_pass_the_generators(tables)
         assert found is not None and want is not None
         assert named == want
 
@@ -263,9 +274,56 @@ def test_generator_pass_and_full_pass_agree(source, seed, change):
     tables = _with_product_changed(g, random.Random(seed)) if change else None
     if tables is None:
         tables = {**_tables_of(g), "compose": compose_rows(g.compose)}
-    named, found, want = _validate_watching_the_generator_pass(tables)
+    named, found, want = _validate_and_pass_the_generators(tables)
     assert (found is None) == (want is None)
     assert named == want
+
+
+def _triples(t: PairTable) -> int:
+    fan = np.bincount(t.src)
+    return int(fan[t.src] @ fan[t.tgt])
+
+
+@pytest.mark.parametrize("build, small", [
+    (lambda: mk.random_groupoid(266), True),  # 56 arrows, the most triples of seeds 0-299
+    (lambda: mk.full_relation([f"x{i}" for i in range(9)], {f"x{i}": 1 / 9 for i in range(9)}),
+     False),
+    (lambda: mk.sn_bundle(4)[0], False),
+], ids=["random-266", "full9", "sn-bundle-4"])
+def test_small_tables_take_the_full_pass_and_larger_ones_the_generators(build, small):
+    g = build()
+    assert (_triples(g.pairs) <= groupoid._FULL_PASS_TRIPLES) == small
+    middles = []
+    real = PairTable.first_failure
+
+    def spy(self, fails, outer, chosen=None):
+        middles.append(chosen)
+        return real(self, fails, outer, chosen)
+
+    raw = _build({**_tables_of(g), "compose": compose_rows(g.compose)})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PairTable, "first_failure", spy)
+        raw.validate()
+    assert len(middles) == 1
+    if small:
+        assert middles[0] is None  # every arrow
+    else:
+        assert np.array_equal(middles[0], raw.pairs.generators())
+
+
+@pytest.mark.parametrize("block", [1, 7, 1200])
+def test_blocks_of_any_size_name_the_loops_first_triple(block, monkeypatch):
+    # one pair a block, a few pairs a block, and one block for most tables
+    monkeypatch.setattr(groupoid, "_TRIPLE_BLOCK", block)
+    cases = _swapped_product_cases(30)
+    g = mk.sn_bundle(4)[0]  # on the generator route
+    generators = {g.arrow_order[a] for a in g.pairs.generators()}
+    tables = _with_product_changed(g, random.Random(3), avoid=generators)
+    cases.append(_build(tables))
+    for raw in cases:
+        with pytest.raises(NonAssociative) as err:
+            raw.validate()
+        assert (str(err.value), err.value.ids) == _first_nonassociative_by_loop(raw)
 
 
 def test_generators_stay_small_on_sn_bundle_6():
