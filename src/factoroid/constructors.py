@@ -1,11 +1,13 @@
 """Builders for the standard groupoid families.
 
 Everything here produces validated :class:`MeasuredGroupoid` instances with
-plain string identifiers: group bundles, groupoids of partial actions (a
-transformation groupoid of a global action is the full-domain case, built by
-the same code), globalizations of partial actions, eventually-periodic shift
-systems, the symmetric-group bundle family, the named example instances, and
-a seeded random generator used by the verification corpus.
+plain string identifiers, their tables computed as position arrays with
+numpy (a group's product is one |G| x |G| array): group bundles, groupoids
+of partial actions (a transformation groupoid of a global action is the
+full-domain case, built by the same code), globalizations of partial
+actions, eventually-periodic shift systems, the symmetric-group bundle
+family, the named example instances, and a seeded random generator used by
+the verification corpus.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -37,27 +39,39 @@ class InvalidPartialAction(GroupoidError):
 
 @dataclass(frozen=True)
 class FiniteGroupTable:
-    """A finite group as explicit multiplication and inversion tables."""
+    """A finite group as explicit multiplication and inversion tables.
+
+    ``product`` is the multiplication table in element positions, built once
+    from ``mult`` unless given: product[i, j] is the position of
+    elements[i] elements[j]."""
 
     name: str
     elements: tuple[str, ...]
     mult: dict[tuple[str, str], str]
     inverse: dict[str, str]
     identity: str
+    product: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.product is None:
+            at, e = {g: i for i, g in enumerate(self.elements)}, self.elements
+            product = np.array([[at[self.mult[(a, b)]] for b in e] for a in e], dtype=np.intp)
+            object.__setattr__(self, "product", product.reshape(len(e), len(e)))
+
+    @functools.cached_property
+    def inverse_at(self) -> np.ndarray:
+        """The position of each element's inverse."""
+        at = {e: i for i, e in enumerate(self.elements)}
+        return np.array([at[self.inverse[e]] for e in self.elements], dtype=np.intp)
 
     def conjugacy_classes(self) -> list[frozenset[str]]:
         """Brute-force conjugacy classes, in first-element order."""
-        seen: set[str] = set()
-        classes = []
-        for a in self.elements:
-            if a in seen:
-                continue
-            cls = {
-                self.mult[(self.mult[(h, a)], self.inverse[h])]
-                for h in self.elements
-            }
-            classes.append(frozenset(cls))
-            seen |= cls
+        seen, classes = np.zeros(len(self.elements), dtype=bool), []
+        for a in range(len(self.elements)):
+            if not seen[a]:
+                cls = self.product[self.product[:, a], self.inverse_at]  # h a h^-1
+                seen[cls] = True
+                classes.append(frozenset(map(self.elements.__getitem__, cls.tolist())))
         return classes
 
 
@@ -83,13 +97,13 @@ def _group_from_perms(name: str, perms: Iterable[tuple[int, ...]]) -> FiniteGrou
     d = table.shape[1]
     radix = d ** np.arange(d - 1, -1, -1)
 
-    def element(rows: np.ndarray) -> list[str]:
-        at = np.searchsorted(table @ radix, rows @ radix)
-        return list(map(label.__getitem__, at.ravel().tolist()))
+    def element(rows: np.ndarray) -> np.ndarray:
+        return np.searchsorted(table @ radix, rows @ radix)
 
-    mult = dict(zip(itertools.product(label, label), element(table[:, table])))
-    inv = dict(zip(label, element(np.argsort(table, axis=1))))
-    return FiniteGroupTable(name, tuple(label), mult, inv, _perm_label(tuple(range(d))))
+    product, of = element(table[:, table]), label.__getitem__
+    mult = dict(zip(itertools.product(label, label), map(of, product.ravel().tolist())))
+    inv = dict(zip(label, map(of, element(np.argsort(table, axis=1)).tolist())))
+    return FiniteGroupTable(name, tuple(label), mult, inv, _perm_label(tuple(range(d))), product)
 
 
 def symmetric_group(n: int) -> FiniteGroupTable:
@@ -112,21 +126,15 @@ def dihedral_group(n: int) -> FiniteGroupTable:
 
 
 def direct_product(a: FiniteGroupTable, b: FiniteGroupTable) -> FiniteGroupTable:
-    elems = tuple(f"{x}.{y}" for x in a.elements for y in b.elements)
-    mult = {}
-    inv = {}
-    for x1 in a.elements:
-        for y1 in b.elements:
-            inv[f"{x1}.{y1}"] = f"{a.inverse[x1]}.{b.inverse[y1]}"
-            for x2 in a.elements:
-                for y2 in b.elements:
-                    mult[(f"{x1}.{y1}", f"{x2}.{y2}")] = (
-                        f"{a.mult[(x1, x2)]}.{b.mult[(y1, y2)]}"
-                    )
-    return FiniteGroupTable(
-        f"{a.name}x{b.name}", elems, mult, inv,
-        f"{a.identity}.{b.identity}",
-    )
+    """Elements x.y, x of a and y of b, at position i m + j, m = |b|."""
+    elems, m = tuple(f"{x}.{y}" for x in a.elements for y in b.elements), len(b.elements)
+    product = a.product[:, None, :, None] * m + b.product[None, :, None, :]
+    product = product.reshape(len(elems), -1)
+    inv, of = (a.inverse_at[:, None] * m + b.inverse_at).ravel(), elems.__getitem__
+    mult = dict(zip(itertools.product(elems, elems), map(of, product.ravel().tolist())))
+    inverse = dict(zip(elems, map(of, inv.tolist())))
+    return FiniteGroupTable(f"{a.name}x{b.name}", elems, mult, inverse,
+                            f"{a.identity}.{b.identity}", product)
 
 
 def klein_four_group() -> FiniteGroupTable:
@@ -135,47 +143,64 @@ def klein_four_group() -> FiniteGroupTable:
 
 # -- direct constructions ----------------------------------------------------
 
-def full_relation(units: Sequence[str], mass: Mapping[str, float], **kw) -> MeasuredGroupoid:
-    """The principal groupoid connecting every pair of units."""
-    def aid(x: str, y: str) -> str:
-        return f"r|{x}|{y}"  # arrow from y to x
+def _checked(g: MeasuredGroupoid, validate: bool) -> MeasuredGroupoid:
+    return validate_groupoid(g) if validate else g
 
-    arrows = [(aid(x, y), y, x) for x in units for y in units]
-    compose = [
-        c for x in units for y in units for z in units
-        for c in (aid(x, y), aid(y, z), aid(x, z))
-    ]
-    inverse = {aid(x, y): aid(y, x) for x in units for y in units}
-    unit_arrows = {u: aid(u, u) for u in units}
-    return validate_groupoid(
-        MeasuredGroupoid(units, mass, arrows, compose, inverse, unit_arrows, **kw)
-    )
+
+def _joined(tables: Sequence[np.ndarray], offsets: Iterable[int]) -> np.ndarray:
+    """Position tables side by side along their last axis, each shifted by
+    its offset."""
+    if not tables:
+        return np.zeros(0, dtype=np.intp)
+    return np.concatenate([np.add(o, t) for o, t in zip(offsets, tables)], axis=-1)
+
+
+def full_relation(
+    units: Sequence[str], mass: Mapping[str, float], *, validate: bool = True, **kw
+) -> MeasuredGroupoid:
+    """The principal groupoid connecting every pair of units.
+
+    Arrow x k + y, named ``r|x|y``, runs from unit y to unit x; (x, y)(y, z)
+    is (x, z).  ``validate=False`` returns the groupoid unvalidated, for a
+    caller that validates a larger one built from it."""
+    k = len(units)
+    u = np.arange(k)
+    x, y, z = (v.ravel() for v in np.indices((k, k, k)))
+    return _checked(MeasuredGroupoid(
+        units, [mass[v] for v in units], [f"r|{a}|{b}" for a in units for b in units],
+        np.tile(u, k), np.repeat(u, k), (x * k + y, y * k + z, x * k + z),
+        (np.arange(k * k), (u[None, :] * k + u[:, None]).ravel()), (u, u * (k + 1)), **kw,
+    ), validate)
 
 
 def group_bundle(
     fibers: Mapping[str, FiniteGroupTable],
     mass: Mapping[str, float],
     units: Optional[Sequence[str]] = None,
+    *,
+    validate: bool = True,
     **kw,
 ) -> MeasuredGroupoid:
-    """Disjoint union of groups sitting over the units; all arrows are loops."""
+    """Disjoint union of groups sitting over the units; all arrows are loops.
+
+    The arrows over unit x are ``x.g`` for the elements g in table order, and
+    the rows over x are the fiber's product table, one array per fiber."""
     units = tuple(units) if units is not None else tuple(fibers)
-    arrows = []
-    compose = []
-    inverse = {}
-    unit_arrows = {}
-    for x in units:
-        tab = fibers[x]
-        name = {gm: f"{x}.{gm}" for gm in tab.elements}
-        arrows.extend((name[gm], x, x) for gm in tab.elements)
-        for g1 in tab.elements:
-            inverse[name[g1]] = name[tab.inverse[g1]]
-            for g2 in tab.elements:
-                compose += (name[g1], name[g2], name[tab.mult[(g1, g2)]])
-        unit_arrows[x] = name[tab.identity]
-    return validate_groupoid(
-        MeasuredGroupoid(units, mass, arrows, compose, inverse, unit_arrows, **kw)
-    )
+    tabs = [fibers[x] for x in units]
+    size = np.array([len(t.elements) for t in tabs], dtype=np.intp)
+    first = np.cumsum(size) - size  # the first arrow of each fiber
+    rows = [
+        np.stack([np.repeat(np.arange(m), m), np.tile(np.arange(m), m), t.product.ravel()])
+        for m, t in zip(size.tolist(), tabs)
+    ]
+    src = np.repeat(np.arange(len(units)), size)
+    inverse = _joined([t.inverse_at for t in tabs], first)
+    return _checked(MeasuredGroupoid(
+        units, [mass[x] for x in units],
+        [f"{x}.{e}" for x, t in zip(units, tabs) for e in t.elements],
+        src, src, _joined(rows, first), (np.arange(len(inverse)), inverse),
+        (np.arange(len(units)), first + [t.elements.index(t.identity) for t in tabs]), **kw,
+    ), validate)
 
 
 def group_groupoid(table: FiniteGroupTable, unit: str = "pt", **kw) -> MeasuredGroupoid:
@@ -191,7 +216,8 @@ def transformation_groupoid(
     **kw,
 ) -> MeasuredGroupoid:
     """Arrows (g, x) from x to g.x, composing as (g, h.x)(h, x) = (gh, x): the
-    full-domain partial action, so a non-action raises InvalidPartialAction."""
+    full-domain partial action, so a non-action raises InvalidPartialAction.
+    Keywords go to ``partial_action_groupoid``."""
     return partial_action_groupoid(global_partial_action(group, action, units, mass), **kw)
 
 
@@ -234,32 +260,21 @@ def induced_action_diagnostic(
     verdict = is_icc(g)
     if verdict.icc:
         return None
-    first = g.sort_arrows(verdict.witness)[0]
-    omega = conjugacy_class(g, [first]).omega
-    fiber: dict[str, frozenset[str]] = {}
-    for x in units:
-        fiber[x] = frozenset(
-            gm for gm in group.elements
-            if gm != group.identity and f"{gm}|{x}" in omega
-        )
-    candidates = sorted(
-        {
-            c
-            for x, c in fiber.items()
-            if c and mass[x] > 0.0
-        },
-        key=lambda c: (len(c), tuple(sorted(c))),
-    )
+    omega = conjugacy_class(g, [g.sort_arrows(verdict.witness)[0]]).omega
+    inside = np.zeros(len(g.arrow_order), dtype=bool)  # arrow (h, x) is h |X| + x
+    inside[[g.arrow_index(a) for a in omega]] = True
+    inside = inside.reshape(len(group.elements), len(units))
+    inside[group.elements.index(group.identity)] = False
+    e = group.elements
+    fiber = {x: frozenset(itertools.compress(e, col)) for x, col in zip(units, inside.T)}
+    candidates = sorted({c for x, c in fiber.items() if c and mass[x] > 0.0},
+                        key=lambda c: (len(c), tuple(sorted(c))))
     assert candidates, "non-icc witness must meet a positive fiber"
     finite_class = candidates[0]
     invariant_units = tuple(x for x in units if fiber[x] == finite_class)
-    subgroup = tuple(
-        h for h in group.elements
-        if frozenset(
-            group.mult[(group.mult[(h, c)], group.inverse[h])]
-            for c in finite_class
-        ) == finite_class
-    )
+    c = [e.index(x) for x in finite_class]
+    conj = group.product[group.product[:, c], group.inverse_at[:, None]]  # h c h^-1
+    subgroup = tuple(itertools.compress(e, (np.sort(conj, axis=1) == sorted(c)).all(axis=1)))
     for c in finite_class:
         assert c in subgroup
         for y in invariant_units:
@@ -267,33 +282,22 @@ def induced_action_diagnostic(
     for h in subgroup:
         for y in invariant_units:
             assert action[(h, y)] in invariant_units
-    return InducedActionWitness(
-        subgroup=subgroup,
-        invariant_units=invariant_units,
-        finite_class=tuple(sorted(finite_class)),
-    )
+    return InducedActionWitness(subgroup, invariant_units, tuple(sorted(finite_class)))
 
 
 def coset_action(
     group: FiniteGroupTable, subgroup: Iterable[str]
 ) -> tuple[dict[tuple[str, str], str], tuple[str, ...]]:
-    """Left translation on left cosets gH; returns (action, coset labels)."""
-    sub = sorted(set(subgroup), key=group.elements.index)
-    cosets: dict[str, tuple[str, ...]] = {}
-    for gm in group.elements:
-        coset = tuple(sorted((group.mult[(gm, h)] for h in sub),
-                             key=group.elements.index))
-        cosets.setdefault(coset[0], coset)
-    labels = {coset: f"c{rep}" for rep, coset in cosets.items()}
-    member_to_label = {}
-    for coset, lab in labels.items():
-        for gm in coset:
-            member_to_label[gm] = lab
-    action = {}
-    for gm in group.elements:
-        for rep, coset in cosets.items():
-            action[(gm, labels[coset])] = member_to_label[group.mult[(gm, rep)]]
-    return action, tuple(labels[c] for c in cosets.values())
+    """Left translation on left cosets gH; returns (action, coset labels).
+    A coset is named ``c{r}`` by its first element r in table order, and the
+    cosets are listed in that order."""
+    e = group.elements
+    low = group.product[:, [e.index(h) for h in set(subgroup)]].min(axis=1)  # the r of gH
+    reps = np.unique(low)
+    which, labels = np.searchsorted(reps, low), [f"c{e[r]}" for r in reps.tolist()]
+    moved = which[group.product[:, reps]].tolist()  # the coset of g r, for each g and r
+    action = {(g, labels[c]): labels[d] for g, row in zip(e, moved) for c, d in enumerate(row)}
+    return action, tuple(labels)
 
 
 # -- cocycles of group origin -----------------------------------------------
@@ -316,23 +320,14 @@ def klein_bicharacter(exact: bool = False) -> dict[tuple[str, str], Phase]:
     table = klein_four_group()
     minus: Phase = Fraction(1, 2) if exact else complex(-1.0)
     plus: Phase = pone(exact)
-    vals: dict[tuple[str, str], Phase] = {}
-    for x in table.elements:
-        for y in table.elements:
-            x2 = x.split(".")[1]
-            y1 = y.split(".")[0]
-            vals[(x, y)] = minus if (x2 == "1" and y1 == "1") else plus
-    return vals
+    return {(x, y): minus if x.split(".")[1] == y.split(".")[0] == "1" else plus
+            for x in table.elements for y in table.elements}
 
 
 def cyclic_bicharacter(n: int, exact: bool = False) -> dict[tuple[str, str], Phase]:
     """The bicharacter (a, b) -> exp(2 pi i a b / n) on the cyclic group."""
-    vals: dict[tuple[str, str], Phase] = {}
-    for a in range(n):
-        for b in range(n):
-            turn = Fraction(a * b, n) % 1
-            vals[(str(a), str(b))] = turn if exact else as_complex(turn)
-    return vals
+    turns = {(str(a), str(b)): Fraction(a * b, n) % 1 for a in range(n) for b in range(n)}
+    return turns if exact else {ab: as_complex(turn) for ab, turn in turns.items()}
 
 
 def klein_four_twisted(exact: bool = False) -> tuple[MeasuredGroupoid, Cocycle]:
@@ -375,38 +370,51 @@ class PartialActionSystem:
             mp = self.maps[gm]
             if set(mp) != set(dom):
                 raise InvalidPartialAction(
-                    f"map of {gm} not defined exactly on the inverse domain"
-                )
+                    f"map of {gm} not defined exactly on the inverse domain")
             if set(mp.values()) != set(self.domains[gm]):
                 raise InvalidPartialAction(f"map of {gm} is not onto its domain")
             if len(set(mp.values())) != len(mp):
                 raise InvalidPartialAction(f"map of {gm} is not injective")
-        for x in self.units:
-            if self.maps[grp.identity][x] != x:
-                raise InvalidPartialAction("identity map must fix every unit")
-        for gm in grp.elements:
-            inv = grp.inverse[gm]
-            for x, y in self.maps[gm].items():
-                if self.maps[inv].get(y) != x:
-                    raise InvalidPartialAction(
-                        f"map of {inv} is not inverse to map of {gm}", [x]
-                    )
-        for g1 in grp.elements:
-            for g2 in grp.elements:
-                g12 = grp.mult[(g1, g2)]
-                for x, z in self.maps[g2].items():
-                    if z in self.maps[g1]:
-                        y = self.maps[g1][z]
-                        if self.maps[g12].get(x) != y:
-                            raise InvalidPartialAction(
-                                f"composition of {g1}, {g2} leaves graph of {g12}",
-                                [x],
-                            )
+        # the action law on its graph in positions: (g, x, sigma_g(x)) in
+        # element order, then unit order
+        act = self.action
+        gm, x = np.nonzero(act >= 0)
+        y = act[gm, x]
+        if (act[grp.elements.index(grp.identity)] != np.arange(len(self.units))).any():
+            raise InvalidPartialAction("identity map must fix every unit")
+        inv = grp.inverse_at
+        bad = act[inv[gm], y] != x  # sigma_{g^-1} undoes sigma_g
+        if bad.any():
+            i = int(bad.argmax())
+            raise InvalidPartialAction(
+                f"map of {grp.elements[inv[gm[i]]]} is not inverse to map of "
+                f"{grp.elements[gm[i]]}", [self.units[x[i]]],
+            )
+        # sigma_g1 sigma_g2 = sigma_g1g2 where defined: for each g1, every
+        # (g2, x) with sigma_g2(x) in the domain of sigma_g1
+        then = act[:, y]  # then[g1, i] = sigma_g1(y[i]), -1 off the domain
+        bad = (then >= 0) & (act[grp.product[:, gm], x] != then)
+        if bad.any():
+            g1, i = divmod(int(np.argmax(bad)), len(x))
+            e = grp.elements
+            raise InvalidPartialAction(
+                f"composition of {e[g1]}, {e[gm[i]]} leaves graph of {e[grp.product[g1, gm[i]]]}",
+                [self.units[x[i]]],
+            )
+
+    @functools.cached_property
+    def action(self) -> np.ndarray:
+        """The action as a |G| x |X| array of unit positions: sigma_g(x), or
+        -1 where x is outside the domain of sigma_g."""
+        at = {u: i for i, u in enumerate(self.units)}
+        act = np.full((len(self.group.elements), len(self.units)), -1, dtype=np.intp)
+        for row, e in zip(act, self.group.elements):
+            mp = self.maps[e]
+            row[list(map(at.__getitem__, mp))] = list(map(at.__getitem__, mp.values()))
+        return act
 
     def fix(self, gm: str) -> frozenset[str]:
-        return frozenset(
-            x for x, y in self.maps[gm].items() if x == y
-        )
+        return frozenset(x for x, y in self.maps[gm].items() if x == y)
 
 
 def global_partial_action(
@@ -418,35 +426,33 @@ def global_partial_action(
     """Wrap a global action as a partial action with full domains."""
     units = tuple(units)
     domains = {gm: frozenset(units) for gm in group.elements}
-    maps = {
-        gm: {x: action[(gm, x)] for x in units} for gm in group.elements
-    }
+    maps = {gm: {x: action[(gm, x)] for x in units} for gm in group.elements}
     return PartialActionSystem(group, units, dict(mass), domains, maps)
 
 
-def partial_action_groupoid(p: PartialActionSystem, **kw) -> MeasuredGroupoid:
-    """Arrows (g, x) for x in the inverse domain of g, from x to sigma_g(x)."""
-    grp = p.group
+def partial_action_groupoid(
+    p: PartialActionSystem, *, validate: bool = True, **kw
+) -> MeasuredGroupoid:
+    """Arrows (g, x) for x in the inverse domain of g, from x to sigma_g(x).
 
-    def aid(gm: str, x: str) -> str:
-        return f"{gm}|{x}"
-
-    arrows = []
-    for gm in grp.elements:
-        for x in sorted(p.maps[gm], key=p.units.index):
-            arrows.append((aid(gm, x), x, p.maps[gm][x]))
-    compose = []
-    inverse = {}
-    for gm in grp.elements:
-        for x, y in p.maps[gm].items():
-            inverse[aid(gm, x)] = aid(grp.inverse[gm], y)
-            for g2 in grp.elements:
-                if y in p.maps[g2]:
-                    compose += (aid(g2, y), aid(gm, x), aid(grp.mult[(g2, gm)], x))
-    unit_arrows = {x: aid(grp.identity, x) for x in p.units}
-    return validate_groupoid(
-        MeasuredGroupoid(p.units, p.mass, arrows, compose, inverse, unit_arrows, **kw)
-    )
+    Arrow (g, x) is named ``g|x``; the arrows run g in element order, then x
+    in unit order.  The rows run the right factor (g, x) over the arrows,
+    then the left factor (h, sigma_g(x)) over h in element order, and the
+    product (hg, x) is one index into the group's product table.
+    ``validate=False`` returns the groupoid unvalidated."""
+    grp, act, e = p.group, p.action, p.group.elements
+    gm, x = np.nonzero(act >= 0)  # the arrows
+    y = act[gm, x]
+    arrow = np.full(act.shape, -1, dtype=np.intp)
+    arrow[gm, x] = np.arange(len(gm))
+    i, h = np.nonzero((act[:, y] >= 0).T)  # right factor i, left factor h
+    return _checked(MeasuredGroupoid(
+        p.units, [p.mass[u] for u in p.units],
+        [f"{e[g]}|{p.units[u]}" for g, u in zip(gm.tolist(), x.tolist())], x, y,
+        (arrow[h, y[i]], i, arrow[grp.product[h, gm[i]], x[i]]),
+        (np.arange(len(gm)), arrow[grp.inverse_at[gm], y]),
+        (np.arange(act.shape[1]), arrow[e.index(grp.identity)]), **kw,
+    ), validate)
 
 
 def restrict_partial(p: PartialActionSystem, keep: Iterable[str]) -> PartialActionSystem:
@@ -462,34 +468,19 @@ def restrict_partial(p: PartialActionSystem, keep: Iterable[str]) -> PartialActi
     total = math.fsum(p.mass[u] for u in units)
     if total <= 0.0:
         raise InvalidPartialAction("restriction carries zero mass")
-    domains = {}
-    maps = {}
-    for gm in p.group.elements:
-        inv = p.group.inverse[gm]
-        dom = frozenset(
-            x for x in p.domains[gm]
-            if x in keep_set and p.maps[inv][x] in keep_set
-        )
-        domains[gm] = dom
-        maps[gm] = {
-            x: y for x, y in p.maps[gm].items()
-            if x in keep_set and y in keep_set
-        }
+    grp = p.group
+    maps = {g: {x: y for x, y in p.maps[g].items() if x in keep_set and y in keep_set}
+            for g in grp.elements}
+    domains = {g: frozenset(maps[grp.inverse[g]]) for g in grp.elements}  # X_g is sigma_g's image
     restricted = PartialActionSystem(
         p.group, units, {u: p.mass[u] / total for u in units}, domains, maps
     )
 
     lhs = partial_action_groupoid(restricted)
     rhs, _ = partial_action_groupoid(p).restrict(units)
-    if not check_isomorphism(
-        lhs, rhs,
-        {u: u for u in units},
-        {a: a for a in lhs.arrow_order},
-        check_mass=True,
-    ):
-        raise InvalidPartialAction(
-            "restricted action groupoid differs from restricted groupoid"
-        )
+    same = dict(zip(lhs.arrow_order, lhs.arrow_order))
+    if not check_isomorphism(lhs, rhs, dict(zip(units, units)), same, check_mass=True):
+        raise InvalidPartialAction("restricted action groupoid differs from restricted groupoid")
     return restricted
 
 
@@ -516,116 +507,79 @@ def globalize(p: PartialActionSystem) -> Globalization:
     coordinate.  The embedded copy of the original space is checked to be
     full and to restrict back to the original groupoid.
     """
-    grp = p.group
-    order = [grp.identity] + [e for e in grp.elements if e != grp.identity]
-
-    pairs = [(gm, x) for gm in order for x in p.units]
-    parent: dict[tuple[str, str], tuple[str, str]] = {q: q for q in pairs}
-
-    def find(q):
-        while parent[q] != q:
-            parent[q] = parent[parent[q]]
-            q = parent[q]
-        return q
-
-    def union(q1, q2):
-        r1, r2 = find(q1), find(q2)
-        if r1 != r2:
-            parent[r2] = r1
-
-    for gm, x in pairs:
-        for hm in order:
-            step = grp.mult[(grp.inverse[hm], gm)]
-            if x in p.maps[step]:
-                union((gm, x), (hm, p.maps[step][x]))
+    grp, act, units = p.group, p.action, p.units
+    e, inv, prod = grp.elements, grp.inverse_at, grp.product
+    order = np.array([e.index(grp.identity), *(i for i, g in enumerate(e) if g != grp.identity)])
+    at = np.empty_like(order)
+    at[order] = np.arange(len(order))  # the place of each element in order
+    # pair (order[n], x) is n |X| + x; it is glued to (h, y), h = order[m],
+    # for y = sigma_{h^-1 g}(x): join along those edges to the least pair
+    size = act.shape[1]
+    y = act[prod[inv[order][None, :], order[:, None]][:, None, :], np.arange(size)[None, :, None]]
+    n, x, m = np.nonzero(y >= 0)
+    ends = n * size + x, m * size + y[n, x, m]
+    cls = np.arange(len(order) * size)
+    while True:
+        low = cls.copy()
+        for a, b in (ends, ends[::-1]):
+            np.minimum.at(low, a, cls[b])
+        low = low[low]
+        if np.array_equal(low, cls):
+            break
+        cls = low
 
     # enumeration-greedy fundamental domain: (g_n, x) is kept when x avoids
     # every domain X_{g_n^-1 g_k} with k < n
-    domain: list[tuple[str, str]] = []
-    for n, gm in enumerate(order):
-        blocked: set[str] = set()
-        for k in range(n):
-            blocked |= p.domains[grp.mult[(grp.inverse[gm], order[k])]]
-        for x in p.units:
-            if x not in blocked:
-                domain.append((gm, x))
-    rep_of_class: dict[tuple[str, str], tuple[str, str]] = {}
-    for q in domain:
-        root = find(q)
-        if root in rep_of_class:
-            raise InvalidPartialAction(
-                "fundamental domain hits a class twice; invalid partial action"
-            )
-        rep_of_class[root] = q
-    for q in pairs:
-        if find(q) not in rep_of_class:
-            raise InvalidPartialAction(
-                "fundamental domain misses a class; invalid partial action"
-            )
+    within = act[inv][prod[inv[order][:, None], order[None, :]]] >= 0  # [n, k, x]
+    earlier = np.tri(len(order), k=-1, dtype=bool)[:, :, None]  # k < n
+    domain = np.flatnonzero(~(within & earlier).any(axis=1))
+    if len(np.unique(cls[domain])) < len(domain):
+        raise InvalidPartialAction(
+            "fundamental domain hits a class twice; invalid partial action"
+        )
+    rep = np.full(len(cls), -1)
+    rep[cls[domain]] = np.arange(len(domain))
+    if (rep[cls] < 0).any():
+        raise InvalidPartialAction(
+            "fundamental domain misses a class; invalid partial action"
+        )
+    label = rep[cls]  # the space unit of each pair
+    space_units = tuple(f"{e[order[q // size]]}~{units[q % size]}" for q in domain.tolist())
+    # theta(g, (h, x)) = (gh, x), for (h, x) in the domain
+    moved = label[at[prod[:, order[domain // size]]] * size + domain % size]
+    theta = {(g, u): space_units[v]
+             for g, row in zip(e, moved.tolist()) for u, v in zip(space_units, row)}
 
-    def label(q: tuple[str, str]) -> str:
-        gm, x = rep_of_class[find(q)]
-        return f"{gm}~{x}"
-
-    space_units = tuple(label(q) for q in domain)
-
-    theta: dict[tuple[str, str], str] = {}
-    for gm in grp.elements:
-        for hm, x in domain:
-            theta[(gm, label((hm, x)))] = label((grp.mult[(gm, hm)], x))
-
-    total = math.fsum(p.mass[x] for _, x in domain)
+    total = math.fsum(p.mass[units[x]] for x in (domain % size).tolist())
     if total <= 0.0:
         raise InvalidPartialAction("globalization needs positive total mass")
-    mass = {label(q): p.mass[q[1]] / total for q in domain}
+    mass = {u: p.mass[units[q % size]] / total for u, q in zip(space_units, domain.tolist())}
+    embedding = {x: space_units[label[i]] for i, x in enumerate(units)}  # (1, x) is pair x
+    domain = tuple((e[order[q // size]], units[q % size]) for q in domain.tolist())
 
     glob = transformation_groupoid(grp, theta, space_units, mass)
-    embedding = {x: label((grp.identity, x)) for x in p.units}
-    if len(set(embedding.values())) != len(p.units):
+    if len(set(embedding.values())) != len(units):
         raise InvalidPartialAction("embedding of the original space collapsed")
-
-    fullness = glob.is_full(set(embedding.values()))
-    original = partial_action_groupoid(p)
-    restricted, _ = glob.restrict(sorted(set(embedding.values()),
-                                         key=space_units.index))
-    arrow_bij = {}
-    for gm in grp.elements:
-        for x in p.maps[gm]:
-            arrow_bij[f"{gm}|{x}"] = f"{gm}|{embedding[x]}"
-    iso = check_isomorphism(
-        original, restricted, dict(embedding), arrow_bij,
-        check_mass=True,
-    )
-    if not (fullness.borel_full and iso):
+    full = glob.is_full(set(embedding.values())).borel_full
+    restricted, _ = glob.restrict(sorted(set(embedding.values()), key=space_units.index))
+    arrow_bij = {f"{g}|{x}": f"{g}|{embedding[x]}" for g in e for x in p.maps[g]}
+    iso = check_isomorphism(partial_action_groupoid(p), restricted, embedding, arrow_bij,
+                            check_mass=True)
+    if not (full and iso):
         raise InvalidPartialAction(
-            "globalization postconditions failed "
-            f"(full={fullness.borel_full}, isomorphic={iso})"
+            f"globalization postconditions failed (full={full}, isomorphic={iso})"
         )
-    return Globalization(
-        groupoid=glob,
-        group=grp,
-        space_units=space_units,
-        embedding=embedding,
-        fundamental_domain=tuple(domain),
-        arrow_bijection=arrow_bij,
-        restriction_isomorphic=iso,
-        embedded_full=fullness.borel_full,
-    )
+    return Globalization(glob, grp, space_units, embedding, domain, arrow_bij, iso, full)
 
 
 def half_domain_fixture() -> PartialActionSystem:
     """Z/2 acting on two points with the flip defined only at the first."""
-    grp = cyclic_group(2)
     units = ("y0", "y1")
-    domains = {
-        "0": frozenset(units),
-        "1": frozenset({"y0"}),
-    }
-    maps = {
-        "0": {"y0": "y0", "y1": "y1"},
-        "1": {"y0": "y0"},
-    }
-    return PartialActionSystem(grp, units, {"y0": 0.5, "y1": 0.5}, domains, maps)
+    return PartialActionSystem(
+        cyclic_group(2), units, {"y0": 0.5, "y1": 0.5},
+        {"0": frozenset(units), "1": frozenset({"y0"})},
+        {"0": {"y0": "y0", "y1": "y1"}, "1": {"y0": "y0"}},
+    )
 
 
 def random_partial_action(seed: int) -> PartialActionSystem:
@@ -728,22 +682,6 @@ class DeaconuRenaultView:
 
     def contains(self, x: str, k: int, y: str) -> bool:
         return self.orbit_data.connects(x, k, y)
-
-    def brute_force_contains(self, x: str, k: int, y: str) -> bool:
-        """Witness search for sigma^n x = sigma^m y with n - m = k."""
-        horizon = 2 * len(self.system.units) + abs(k) + 1
-        for n in range(0, horizon + 1):
-            m = n - k
-            if m < 0:
-                continue
-            zx, zy = x, y
-            for _ in range(n):
-                zx = self.system.sigma[zx]
-            for _ in range(m):
-                zy = self.system.sigma[zy]
-            if zx == zy:
-                return True
-        return False
 
 
 def deaconu_renault(d: DeaconuRenaultSystem) -> DeaconuRenaultView:
@@ -932,12 +870,13 @@ def _random_coset_action(
 def _random_part(
     rng: random.Random, grp: FiniteGroupTable, style: str
 ) -> MeasuredGroupoid:
-    """A translation or coset transformation groupoid with random masses."""
+    """A translation or coset transformation groupoid with random masses,
+    unvalidated: the caller validates the union it makes of it."""
     if style == "translation":
         action, units = translation_action(grp), grp.elements
     else:
         action, units = _random_coset_action(rng, grp)
-    return transformation_groupoid(grp, action, units, _random_masses(rng, units))
+    return transformation_groupoid(grp, action, units, _random_masses(rng, units), validate=False)
 
 
 def disjoint_union(
@@ -945,28 +884,30 @@ def disjoint_union(
     weights: Sequence[float],
     **kw,
 ) -> MeasuredGroupoid:
-    """Disjoint union with component masses scaled by the given weights."""
-    units: list[str] = []
-    mass: dict[str, float] = {}
-    arrows = []
-    compose = []
-    inverse = {}
-    unit_arrows = {}
-    for i, (part, weight) in enumerate(zip(parts, weights)):
-        pre = f"p{i}:"
-        units.extend(pre + u for u in part.units)
-        for u in part.units:
-            mass[pre + u] = weight * part.mass[u]
-        arrows.extend((pre + a.id, pre + a.src, pre + a.tgt) for a in part.arrows)
-        compose += [pre + x for (g, h), gh in part.compose.items() for x in (g, h, gh)]
-        inverse.update({pre + x: pre + y for x, y in part.inverse.items()})
-        unit_arrows.update({pre + u: pre + e for u, e in part.unit_arrow.items()})
-    return validate_groupoid(
-        MeasuredGroupoid(units, mass, arrows, compose, inverse, unit_arrows, **kw)
-    )
+    """Disjoint union with component masses scaled by the given weights.
+
+    Part i's units and arrows are prefixed ``p{i}:`` and its arrays are
+    shifted past the parts before it.  The parts may be unvalidated: the
+    union's validation checks every axiom of every part."""
+    units = [f"p{i}:{u}" for i, part in enumerate(parts) for u in part.units]
+    labels = [f"p{i}:{a}" for i, part in enumerate(parts) for a in part.arrow_order]
+    unit_at = np.cumsum([0, *(len(part.units) for part in parts)])
+    at = np.cumsum([0, *(len(part.arrow_order) for part in parts)])
+    unit_rows_at = np.stack([unit_at, at], axis=1)[:, :, None]  # (u, e) rows shift by both
+    return validate_groupoid(MeasuredGroupoid(
+        units, [w * m for part, w in zip(parts, weights) for m in part.unit_masses.tolist()],
+        labels,
+        _joined([part._src for part in parts], unit_at),
+        _joined([part._tgt for part in parts], unit_at),
+        _joined([part._compose_rows() for part in parts], at),
+        _joined([part._inverse for part in parts], at),
+        _joined([part._unit_arrows for part in parts], unit_rows_at),
+        **kw,
+    ))
 
 
 def _random_component(rng: random.Random) -> MeasuredGroupoid:
+    """One unvalidated part of ``random_groupoid``."""
     kind = rng.choices(
         ["bundle", "translation", "coset", "full_relation"],
         weights=[0.3, 0.2, 0.3, 0.2],
@@ -975,10 +916,10 @@ def _random_component(rng: random.Random) -> MeasuredGroupoid:
         n_units = rng.randint(1, 3)
         menu = ["Z1", "Z1", "Z2", "Z3", "Z4", "V4", "S3"]
         fibers = {f"x{i}": _small_group(rng.choice(menu)) for i in range(n_units)}
-        return group_bundle(fibers, _random_masses(rng, list(fibers)))
+        return group_bundle(fibers, _random_masses(rng, list(fibers)), validate=False)
     if kind == "full_relation":
         units = [f"x{i}" for i in range(rng.randint(2, 4))]
-        return full_relation(units, _random_masses(rng, units))
+        return full_relation(units, _random_masses(rng, units), validate=False)
     menu = {
         "translation": ["Z2", "Z3", "Z4", "V4", "S3"],
         "coset": ["Z4", "V4", "S3", "D4"],
@@ -1001,12 +942,8 @@ def random_groupoid(seed: int) -> MeasuredGroupoid:
     for _ in range(200):
         n_parts = rng.randint(1, _MAX_COMPONENTS)
         parts = [_random_component(rng) for _ in range(n_parts)]
-        weights = []
-        for i in range(n_parts):
-            if n_parts > 1 and rng.random() < _NULL_COMPONENT_RATE:
-                weights.append(0.0)
-            else:
-                weights.append(rng.random() + 0.1)
+        weights = [0.0 if n_parts > 1 and rng.random() < _NULL_COMPONENT_RATE
+                   else rng.random() + 0.1 for _ in range(n_parts)]
         if all(w == 0.0 for w in weights):
             weights[0] = 1.0
         tot = sum(weights)
@@ -1023,11 +960,14 @@ def random_groupoid(seed: int) -> MeasuredGroupoid:
     raise GroupoidError(f"generator failed to fit bounds for seed {seed}")
 
 
+# the phases random_phase draws, by their turn in twelfths
+_TWELFTHS = tuple(as_complex(Fraction(j, 12)) for j in range(12))
+
+
 def random_phase(rng: random.Random, exact: bool = False) -> Phase:
     m = rng.choice([1, 2, 3, 4, 6])
     k = rng.randrange(m)
-    turn = Fraction(k, m)
-    return turn if exact else as_complex(turn)
+    return Fraction(k, m) if exact else _TWELFTHS[12 * k // m]
 
 
 def random_coboundary(
@@ -1058,20 +998,18 @@ def random_twisted_pair(
         style = rng.choice(["bundle", "translation", "coset"])
         if style == "bundle":
             units = [f"x{i}" for i in range(rng.randint(1, 2))]
-            part = group_bundle({u: grp for u in units}, _random_masses(rng, units))
-            group_of_arrow = {a.id: a.id.split(".", 1)[1] for a in part.arrows}
+            part = group_bundle(dict.fromkeys(units, grp), _random_masses(rng, units),
+                                validate=False)
+            group_of_arrow = {a: a.split(".", 1)[1] for a in part.arrow_order}
         else:
             part = _random_part(rng, grp, style)
-            group_of_arrow = {a.id: a.id.split("|")[0] for a in part.arrows}
+            group_of_arrow = {a: a.split("|")[0] for a in part.arrow_order}
         if name == "V4" and rng.random() < 0.75:
             c = klein_bicharacter(exact)
         elif name in ("Z3", "Z4") and rng.random() < 0.5:
             c = cyclic_bicharacter(int(name[1]), exact)
         else:
-            c = {
-                (a, b): pone(exact)
-                for a in grp.elements for b in grp.elements
-            }
+            c = {(a, b): pone(exact) for a in grp.elements for b in grp.elements}
         labels.update({f"p{i}:{a}": (i, x) for a, x in group_of_arrow.items()})
         table.update({((i, x), (i, y)): v for (x, y), v in c.items()})
         parts.append(part)

@@ -3,12 +3,15 @@
 A groupoid here is a finite set of arrows with source/target maps into a
 finite weighted unit space, a stored composition table, a stored inversion
 table, and an embedding of units as identity arrows.  Units and arrows are
-named by plain string identifiers, which keeps instances serializable and
-diffable; validation maps the composition table to integer positions once
-(``PairTable``), and every later read of it goes through those positions.
-Orbits, isotropy and masses (``unit_masses``) are read by position too; the
-name views are built on first use: the ``arrows`` triples, ``by_source`` and
-``by_target`` (walked by ``composable_pairs()``) once, ``compose`` per read.
+numbered in storage order and carry plain string identifiers, which keeps
+instances serializable and diffable.  The constructor takes every table in
+those positions: builders compute them with numpy, and the parser maps a
+file's names to positions once.  Validation checks the axioms on the arrays
+and keeps the composition table as ``PairTable``; orbits, isotropy and
+masses (``unit_masses``) are read by position too.  The names are an output
+view, built on first use: the ``src``/``tgt``/``inverse``/``unit_arrow``
+dicts and the ``arrows`` triples once, ``by_source`` and ``by_target``
+(walked by ``composable_pairs()``) once, ``compose`` per read.
 
 All mass bookkeeping treats zero-mass ("null") units as structurally present
 but measure-theoretically invisible: measure computations weight arrows by the
@@ -21,8 +24,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+import functools
 from functools import reduce
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import compress
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -277,14 +281,6 @@ def _triple_blocks(pairs: np.ndarray, size: np.ndarray) -> Iterator[tuple[np.nda
             yield pairs[lo : min(lo + step, end), None], j
 
 
-def _positions(index: Mapping[str, int], ids: Iterable, *sizes: int) -> list[np.ndarray]:
-    """The positions of ``ids`` under ``index``, -1 for an unknown id, cut
-    into consecutive pieces of the given sizes."""
-    at = np.fromiter(map(index.get, ids, repeat(-1)), dtype=np.intp, count=sum(sizes))
-    ends = list(accumulate(sizes))
-    return [at[i:j] for i, j in zip([0, *ends], ends)]
-
-
 def _first_row(*masks: np.ndarray) -> Optional[tuple[int, int]]:
     """The first row on which one of the masks holds, and the first mask
     that holds there; None if none does."""
@@ -293,6 +289,14 @@ def _first_row(*masks: np.ndarray) -> Optional[tuple[int, int]]:
         return None
     r = int(rows.argmax())
     return r, next(i for i, mask in enumerate(masks) if mask[r])
+
+
+def _known(at: np.ndarray, n: int) -> np.ndarray:
+    """The positions ``at`` with every one outside [0, n) made -1; ``at``
+    itself when all are inside (a negative one reads as a large unsigned)."""
+    if at.view(np.uintp).max(initial=0) < n:
+        return at
+    return np.where((at >= 0) & (at < n), at, -1)
 
 
 class _ComposeView(Mapping):
@@ -314,78 +318,114 @@ class _ComposeView(Mapping):
         return (pair for pair, _ in self.items())
 
     def items(self) -> Iterator[tuple[tuple[str, str], str]]:
-        t, name = self._g._pair_table(), self._g.arrow_order
-        by_row = np.empty_like(t.row)
-        by_row[t.row] = np.arange(len(t.row))
-        for x, y, xy in zip(*(v[by_row].tolist() for v in (t.left, t.right, t.prod))):
+        name = self._g.arrow_order
+        for x, y, xy in zip(*self._g._compose_rows().tolist()):
             yield (name[x], name[y]), name[xy]
 
 
 class MeasuredGroupoid:
-    """A finite groupoid with a weighted unit space.
+    """A finite groupoid with a weighted unit space, given by its tables in
+    integer positions: units and arrows are numbered in storage order.
 
     Parameters
     ----------
     units:        ordered unit identifiers.
-    mass:         unit id -> nonnegative float (probability atoms).
-    arrows:       ordered (arrow id, src unit, tgt unit) triples.
-    compose_rows: the rows g h gh of the composition table one after another,
-                  flat (g0, h0, g0h0, g1, h1, ...): one row for each pair
-                  with tgt(h) == src(g), the product running h first.
-    inverse:      arrow id -> arrow id.
-    unit_arrows:  unit id -> its identity arrow.
+    mass:         the mass of each unit, in unit order (probability atoms).
+    labels:       ordered arrow identifiers, one per arrow.
+    src, tgt:     the source and target unit of each arrow (-1: none).
+    compose:      the composition table as three int arrays (g, h, gh), row i
+                  g[i] h[i] = gh[i]: one row for each pair with tgt(h) ==
+                  src(g), the product running h first.
+    inverse:      the inversion table as two int arrays (g, g^-1), a row for
+                  each arrow.
+    unit_arrows:  the unit-arrow table as two int arrays (u, e), a row for
+                  each unit.
+    unknown:      ids that the tables name but no arrow has, for fault
+                  messages: position len(labels) + j stands for unknown[j];
+                  a unit or arrow key outside the positions names nothing.
     exact_mass:   optional unit id -> Fraction, for exact measure checks.
     unnormalized: allow total mass != 1.
 
-    Construction only stores the tables, taking ``compose_rows`` over rather
-    than copying it; call :func:`validate_groupoid` (or ``.validate()``)
-    before using any other operation.  Validation maps the rows to positions
-    once, into ``pairs``, and then drops them (``compose_rows`` is None);
-    ``compose`` is a read-only mapping (g, h) -> gh served from ``pairs``,
-    its items in row order.  ``unit_masses`` holds the masses in unit order
-    once validated.
+    Construction only stores the arrays; call :func:`validate_groupoid` (or
+    ``.validate()``) before using any other operation.  Validation keeps the
+    composition table as ``pairs``, which ``compose``, a read-only mapping
+    (g, h) -> gh in row order, and a later validation read.  The dicts by
+    identifier ``src``, ``tgt``, ``inverse`` and ``unit_arrow`` (the last two
+    in table row order) are views, as are ``arrows`` and ``unit_arrow_set``;
+    ``mass`` maps unit to mass.
     """
 
     def __init__(
         self,
         units: Sequence[str],
-        mass: Mapping[str, float],
-        arrows: Sequence[tuple[str, str, str]],
-        compose_rows: Sequence[str],
-        inverse: Mapping[str, str],
-        unit_arrows: Mapping[str, str],
+        mass: Sequence[float],
+        labels: Sequence[str],
+        src: Sequence[int],
+        tgt: Sequence[int],
+        compose: tuple[Sequence[int], Sequence[int], Sequence[int]],
+        inverse: tuple[Sequence[int], Sequence[int]],
+        unit_arrows: tuple[Sequence[int], Sequence[int]],
         *,
+        unknown: Sequence[str] = (),
         exact_mass: Optional[Mapping[str, Fraction]] = None,
         unnormalized: bool = False,
     ):
         self.units = tuple(units)
-        self.mass = {u: float(mass[u]) for u in self.units}
+        self.unit_masses = np.array(mass, dtype=float)
+        self.mass = dict(zip(self.units, self.unit_masses.tolist()))
         self.exact_mass = dict(exact_mass) if exact_mass is not None else None
         self.unnormalized = bool(unnormalized)
-        ids, srcs, tgts = tuple(zip(*arrows)) or ((), (), ())
-        self.arrow_order = ids
-        self.src = dict(zip(ids, srcs))
-        self.tgt = dict(zip(ids, tgts))
-        self.compose_rows = compose_rows
-        self.inverse = dict(inverse)
-        self.unit_arrow = dict(unit_arrows)
+        self.arrow_order = tuple(labels)
+        self._src, self._tgt = (np.asarray(a, dtype=np.intp) for a in (src, tgt))
+        self._rows: Optional[np.ndarray] = np.asarray(compose, dtype=np.intp).reshape(3, -1)
+        self._inverse, self._unit_arrows = (
+            np.asarray(a, dtype=np.intp).reshape(2, -1) for a in (inverse, unit_arrows)
+        )
+        self._unknown = tuple(unknown)
         self.validated = False
         self.flags: Optional[ValidationFlags] = None
         self.pairs: Optional[PairTable] = None
-        self.unit_masses: Optional[np.ndarray] = None
-        self._unit_arrow_ids = frozenset(self.unit_arrow.values())
-        self._index = dict(zip(ids, range(len(ids))))
-        self._arrows: Optional[tuple[Arrow, ...]] = None
-        self._by_unit: Optional[tuple[dict[str, tuple[str, ...]], ...]] = None
+
+    # -- name views, built on first read ---------------------------------
+
+    @staticmethod
+    def _names(names: Sequence[str], at: np.ndarray) -> list[str]:
+        return list(map(names.__getitem__, at.tolist()))
+
+    @functools.cached_property
+    def src(self) -> dict[str, str]:
+        """Arrow id -> source unit id; ``tgt`` likewise."""
+        return dict(zip(self.arrow_order, self._names(self.units, self._src)))
+
+    @functools.cached_property
+    def tgt(self) -> dict[str, str]:
+        return dict(zip(self.arrow_order, self._names(self.units, self._tgt)))
+
+    @functools.cached_property
+    def inverse(self) -> dict[str, str]:
+        return dict(zip(*(self._names(self.arrow_order, v) for v in self._inverse)))
+
+    @functools.cached_property
+    def unit_arrow(self) -> dict[str, str]:
+        """Unit id -> the id of its identity arrow; ``unit_arrow_set`` the ids."""
+        x, e = self._unit_arrows
+        return dict(zip(self._names(self.units, x), self._names(self.arrow_order, e)))
+
+    @functools.cached_property
+    def unit_arrow_set(self) -> frozenset[str]:
+        return frozenset(self._names(self.arrow_order, self._unit_arrows[1]))
+
+    @functools.cached_property
+    def _index(self) -> dict[str, int]:
+        return dict(zip(self.arrow_order, range(len(self.arrow_order))))
+
+    @functools.cached_property
+    def arrows(self) -> tuple[Arrow, ...]:
+        """The arrows as ``Arrow`` triples in storage order."""
+        ends = (self._names(self.units, v) for v in (self._src, self._tgt))
+        return tuple(map(Arrow, self.arrow_order, *ends))
 
     # -- basic accessors -------------------------------------------------
-
-    @property
-    def arrows(self) -> tuple[Arrow, ...]:
-        """The arrows as ``Arrow`` triples in storage order, built on first read."""
-        if self._arrows is None:
-            self._arrows = tuple(map(Arrow, self.arrow_order, self.src.values(), self.tgt.values()))
-        return self._arrows
 
     @property
     def compose(self) -> Mapping[tuple[str, str], str]:
@@ -402,30 +442,25 @@ class MeasuredGroupoid:
     def by_source(self, x: str) -> tuple[str, ...]:
         """The arrows with source x, in storage order; ``by_target`` likewise.
         Both maps are built on first use."""
-        return self._fans()[0].get(x, ())
+        return self._fans[0].get(x, ())
 
     def by_target(self, x: str) -> tuple[str, ...]:
-        return self._fans()[1].get(x, ())
+        return self._fans[1].get(x, ())
 
+    @functools.cached_property
     def _fans(self) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]:
-        if self._by_unit is None:
-            fans = {u: [] for u in self.units}, {u: [] for u in self.units}
-            for a in self.arrow_order:
-                fans[0][self.src[a]].append(a)
-                fans[1][self.tgt[a]].append(a)
-            self._by_unit = tuple({u: tuple(v) for u, v in fan.items()} for fan in fans)
-        return self._by_unit
-
-    @property
-    def unit_arrow_set(self) -> frozenset[str]:
-        return self._unit_arrow_ids
+        fans = {u: [] for u in self.units}, {u: [] for u in self.units}
+        for a in self.arrows:
+            fans[0][a.src].append(a.id)
+            fans[1][a.tgt].append(a.id)
+        return tuple({u: tuple(v) for u, v in fan.items()} for fan in fans)
 
     @property
     def positive_units(self) -> frozenset[str]:
         return frozenset(u for u in self.units if self.mass[u] > 0.0)
 
     def is_unit_arrow(self, g: str) -> bool:
-        return g in self._unit_arrow_ids
+        return g in self.unit_arrow_set
 
     def pair_position(self, g: str, h: str) -> int:
         """The position of the pair (g, h) in ``pairs``; KeyError when an
@@ -447,85 +482,89 @@ class MeasuredGroupoid:
             for g in self.by_source(self.tgt[h]):
                 yield (g, h)
 
+    def _compose_rows(self) -> np.ndarray:
+        """The composition table as rows (g, h, gh) in row order, a 3 x P
+        array: as given before validation, read back from ``pairs`` after."""
+        if self._rows is not None:
+            return self._rows
+        t = self.pairs
+        by_row = np.empty_like(t.row)
+        by_row[t.row] = np.arange(len(t.row))
+        return np.stack([t.left[by_row], t.right[by_row], t.prod[by_row]])
+
+    def _name(self, at: int) -> str:
+        """The identifier at an arrow position, or of an unknown id."""
+        n = len(self.arrow_order)
+        return self.arrow_order[at] if at < n else self._unknown[at - n]
+
     # -- validation ------------------------------------------------------
 
     def validate(self) -> "MeasuredGroupoid":
-        if self.compose_rows is None:  # dropped by an earlier validation
-            self.compose_rows = [x for (g, h), gh in self.compose.items() for x in (g, h, gh)]
-        unit = {u: i for i, u in enumerate(self.units)}
-        if len(unit) != len(self.units):
-            count = Counter(self.units)
-            raise BadUnit("duplicate unit identifiers", [u for u in unit if count[u] > 1])
-        if len(self._index) != len(self.arrow_order):
+        units, labels, mass = self.units, self.arrow_order, self.unit_masses
+        k, n = len(units), len(labels)
+        if len(set(units)) != k:
+            count = Counter(units)
+            raise BadUnit("duplicate unit identifiers",
+                          [u for u in dict.fromkeys(units) if count[u] > 1])
+        if len(set(labels)) != n:
             seen: set[str] = set()
-            dupes = []
-            for a in self.arrow_order:
-                if a in seen:
-                    dupes.append(a)
-                seen.add(a)
+            dupes = [a for a in labels if a in seen or seen.add(a)]  # each repeat
             raise DanglingReference("duplicate arrow identifiers", dupes)
 
-        unit_set = set(self.units)
-        for u in self.units:
-            if self.mass[u] < 0.0:
-                raise BadUnit(f"negative mass at unit {u!r}", [u])
+        for u, m in zip(units, mass.tolist()):
+            if not 0.0 <= m < math.inf:
+                raise BadUnit(f"negative mass at unit {u!r}" if m < 0.0 else
+                              f"mass at unit {u!r} is not finite", [u])
         if self.exact_mass is not None:
-            if set(self.exact_mass) != unit_set:
+            if set(self.exact_mass) != set(units):
                 raise BadUnit("exact masses must cover exactly the units")
-            for u in self.units:
-                if abs(float(self.exact_mass[u]) - self.mass[u]) > MASS_TOL:
+            for u, m in zip(units, mass.tolist()):
+                if abs(float(self.exact_mass[u]) - m) > MASS_TOL:
                     raise BadUnit(f"exact and float mass disagree at {u!r}", [u])
             normalized = sum(self.exact_mass.values()) == 1
         else:
-            normalized = abs(math.fsum(self.mass.values()) - 1.0) <= MASS_TOL
+            normalized = abs(math.fsum(mass.tolist()) - 1.0) <= MASS_TOL
         if not normalized and not self.unnormalized:
             raise BadUnit(
                 "unit masses do not sum to 1 (pass unnormalized=True to allow)"
             )
 
-        # Every table in positions, -1 for an unknown id.  None, which is no
-        # id, ends src_ and tgt_ with a -1: an unknown arrow's endpoints.
-        n, k, m, fields = map(len, (self.arrow_order, self.unit_arrow, self.inverse, self.compose_rows))
-        if fields % 3:
-            raise GroupoidError("compose rows must hold three ids: g h gh")
-        src_, tgt_, x = _positions(unit, chain(
-            self.src.values(), [None], self.tgt.values(), [None], self.unit_arrow
-        ), n + 1, n + 1, k)
-        e, g, gi, table = _positions(self._index, chain(
-            self.unit_arrow.values(), self.inverse, self.inverse.values(), self.compose_rows,
-        ), k, m, m, fields)
-        src, tgt = src_[:-1], tgt_[:-1]
-        bad = (src < 0) | (tgt < 0)
+        src, tgt = self._src, self._tgt
+        bad = (src.view(np.uintp) >= k) | (tgt.view(np.uintp) >= k)  # -1 reads as large
         if bad.any():
-            a = self.arrow_order[bad.argmax()]
+            a = labels[bad.argmax()]
             raise DanglingReference(f"arrow {a!r} references unknown unit", [a])
+        # src_ and tgt_ end with a -1, the endpoints of an unknown arrow,
+        # which every table below names as -1
+        src_, tgt_ = ends = np.full((2, n + 1), -1)
+        ends[:, :n] = src, tgt
 
-        if set(self.unit_arrow) != unit_set:
-            missing = sorted(unit_set - set(self.unit_arrow))
+        x, e = self._unit_arrows
+        if len(x) != k or set(x.tolist()) != set(range(k)):
+            missing = sorted(units[u] for u in set(range(k)) - set(x.tolist()))
             raise BadUnit("unit_arrows must be defined for every unit", missing)
-        found = _first_row(e < 0, (src_[e] != x) | (tgt_[e] != x))
+        known = _known(e, n)
+        found = _first_row(known < 0, (src_[known] != x) | (tgt_[known] != x))
         if found is not None:
-            u, a = next(islice(self.unit_arrow.items(), found[0], None))
+            u, a = units[x[found[0]]], self._name(int(e[found[0]]))
             raise (
                 DanglingReference(f"unit arrow {a!r} of {u!r} is not an arrow", [a]),
                 BadUnit(f"unit arrow {a!r} is not a loop at {u!r}", [a]),
             )[found[1]]
-        unit_arrow = np.empty(len(unit), dtype=np.intp)
+        unit_arrow = np.empty(k, dtype=np.intp)
         unit_arrow[x] = e
+        g, gi = _known(self._inverse, n)
         inv = np.full(n + 1, -1)  # the inverse of each arrow, and of none
         inv[g] = gi
-        self._unit_arrow_ids = frozenset(self.unit_arrow.values())
 
-        pairs = self._table_in_positions(
-            src_, tgt_, *table.reshape(-1, 3).T, inv[:-1], unit_arrow
-        )
+        pairs = self._table_in_positions(src_, tgt_, self._compose_rows(), inv[:-1], unit_arrow)
         prod, start, rank = pairs.prod, pairs.start, pairs.rank
 
         # inversion: an involution giving the unit arrows.  A row that fails
         # a check may point outside the table, where clip keeps it; its later
         # checks are not read.
-        if set(self.inverse) != set(self._index):
-            missing = sorted(set(self._index) - set(self.inverse))
+        if len(g) != n or set(g.tolist()) != set(range(n)):
+            missing = sorted(labels[a] for a in set(range(n)) - set(g.tolist()))
             raise BadInverse("inverse must be defined for every arrow", missing)
         found = _first_row(
             gi < 0,
@@ -535,7 +574,7 @@ class MeasuredGroupoid:
             prod.take(start[g] + rank[gi], mode="clip") != unit_arrow[src[g]],
         )
         if found is not None:
-            a, b = next(islice(self.inverse.items(), found[0], None))
+            a, b = labels[g[found[0]]], self._name(int(self._inverse[1, found[0]]))
             raise (
                 DanglingReference(f"inverse of {a!r} is unknown", [a, b]),
                 BadInverse(f"inverse is not an involution at {a!r}", [a, b]),
@@ -550,7 +589,7 @@ class MeasuredGroupoid:
             prod[start + rank[unit_arrow[tgt]]] != every,
         )
         if found is not None:
-            a = self.arrow_order[found[0]]
+            a = labels[found[0]]
             raise (
                 BadUnit(f"unit arrow not right-neutral at {a!r}", [a]),
                 BadUnit(f"unit arrow not left-neutral at {a!r}", [a]),
@@ -561,39 +600,39 @@ class MeasuredGroupoid:
         # name the first failing one
         def fails(xy, yz, xy_z, x_yz):
             return prod[xy_z] != prod[x_yz]
-        fan = np.bincount(src, minlength=len(unit))
+        fan = np.bincount(src, minlength=k)
         if (fan[src] @ fan[tgt] <= _FULL_PASS_TRIPLES
                 or pairs.first_failure(fails, "xy", pairs.generators()) is not None):
             found = pairs.first_failure(fails, "xy")
             if found is not None:
-                g, h, k = (self.arrow_order[i] for i in found)
+                a, b, c = (labels[i] for i in found)
                 raise NonAssociative(
-                    f"(g h) k != g (h k) for ({g!r},{h!r},{k!r})", [g, h, k]
+                    f"(g h) k != g (h k) for ({a!r},{b!r},{c!r})", [a, b, c]
                 )
 
-        mass = np.fromiter(map(self.mass.__getitem__, self.units), float, len(unit))
         nonsingular = bool(((mass[src] == 0.0) == (mass[tgt] == 0.0)).all())
         if self.exact_mass is not None:
-            exact = np.array([self.exact_mass[u] for u in self.units], dtype=object)
+            exact = np.array([self.exact_mass[u] for u in units], dtype=object)
             pmp = bool((exact[src] == exact[tgt]).all())
         else:
             pmp = bool((np.abs(mass[src] - mass[tgt]) <= MASS_TOL).all())
-        self.pairs, self.unit_masses = pairs, mass
-        self.compose_rows = None  # every later read goes through pairs
+        self.pairs, self._rows = pairs, None  # every later read goes through pairs
         self.flags = ValidationFlags(
             nonsingular=nonsingular, pmp=pmp, mass_normalized=normalized
         )
         self.validated = True
         return self
 
-    def _table_in_positions(self, src_, tgt_, g, h, gh, inv, unit_arrow) -> PairTable:
+    def _table_in_positions(self, src_, tgt_, rows, inv, unit_arrow) -> PairTable:
         """The composition table in positions; it must hold each composable
         pair once and nothing else, each product having the right endpoints.
-        Row i is g[i] h[i] = gh[i]; the other arguments are as in validate."""
-        found = _first_row(g < 0, h < 0, gh < 0, tgt_[h] != src_[g],
-                           (src_[gh] != src_[h]) | (tgt_[gh] != tgt_[g]))
+        Row i is g[i] h[i] = gh[i], (g, h, gh) = rows; the other arguments
+        are as in validate."""
+        (g, h, gh), (x, y, xy) = rows, _known(rows, len(self.arrow_order))
+        found = _first_row(x < 0, y < 0, xy < 0, tgt_[y] != src_[x],
+                           (src_[xy] != src_[y]) | (tgt_[xy] != tgt_[x]))
         if found is not None:
-            a, b, ab = self.compose_rows[3 * found[0] : 3 * found[0] + 3]
+            a, b, ab = (self._name(int(v[found[0]])) for v in (g, h, gh))
             raise (
                 *(DanglingReference(f"compose entry ({a!r},{b!r})->{ab!r} uses unknown arrow",
                                     [c]) for c in (a, b, ab)),
@@ -611,14 +650,14 @@ class MeasuredGroupoid:
         if hits.max(initial=1) > 1:
             order = np.argsort(at, kind="stable")  # a row repeats the one before it
             i = int(order[1:][at[order[1:]] == at[order[:-1]]].min())
-            a, b = self.compose_rows[3 * i : 3 * i + 2]
+            a, b = self.arrow_order[g[i]], self.arrow_order[h[i]]
             raise DanglingReference(f"compose row for ({a!r},{b!r}) repeats an earlier row",
                                     [a, b])
         if len(at) < size:  # the rows are distinct composable pairs, not all
             p = int(hits.argmin())
             y = int(np.searchsorted(start, p, side="right")) - 1
+            a = self.arrow_order[np.flatnonzero(src == tgt[y])[p - start[y]]]
             b = self.arrow_order[y]
-            a = self.by_source(self.tgt[b])[p - start[y]]
             raise DanglingReference(f"missing composition for composable pair ({a!r},{b!r})",
                                     [a, b])
         left, right, prod, row = (np.empty(size, dtype=np.intp) for _ in range(4))
@@ -668,12 +707,9 @@ class MeasuredGroupoid:
     def arrow_measure(self, ids: Iterable[str], side: str = "source") -> float:
         """Mass of an arrow set: sum of unit masses at each arrow's base."""
         self._require_validated()
-        if side == "source":
-            base = self.src
-        elif side == "target":
-            base = self.tgt
-        else:
+        if side not in ("source", "target"):
             raise ValueError(f"side must be 'source' or 'target', got {side!r}")
+        base = self.src if side == "source" else self.tgt
         return math.fsum(self.mass[base[g]] for g in ids)
 
     def restrict(self, keep: Iterable[str]) -> tuple["MeasuredGroupoid", float]:
@@ -691,40 +727,35 @@ class MeasuredGroupoid:
         total = math.fsum(self.mass[u] for u in keep_set)
         if total <= 0.0:
             raise EmptyRestriction("restriction carries zero mass")
-        units = tuple(u for u in self.units if u in keep_set)
-        kept = [a for a in self.arrows
-                if a.src in keep_set and a.tgt in keep_set]
-        kept_ids = {a.id for a in kept}
-        rows = [
-            x for (g, h), gh in self.compose.items()
-            if g in kept_ids and h in kept_ids for x in (g, h, gh)
-        ]
+        t, kept = self.pairs, np.fromiter(map(keep_set.__contains__, self.units), bool)
+        units = np.flatnonzero(kept)
+        arrows = np.flatnonzero(kept[t.src] & kept[t.tgt])
+        unit_at, at = np.full(len(kept), -1), np.full(len(t.src), -1)
+        unit_at[units], at[arrows] = np.arange(len(units)), np.arange(len(arrows))
+        rows = self._compose_rows()  # the pair table in row order, masked
+        rows = at[rows[:, (at[rows[0]] >= 0) & (at[rows[1]] >= 0)]]
+        names = [self.units[u] for u in units.tolist()]
         exact = None
         if self.exact_mass is not None:
             etotal = sum(self.exact_mass[u] for u in keep_set)
             if etotal > 0:
-                exact = {u: self.exact_mass[u] / etotal for u in units}
+                exact = {u: self.exact_mass[u] / etotal for u in names}
         sub = MeasuredGroupoid(
-            units,
-            {u: self.mass[u] / total for u in units},
-            [(a.id, a.src, a.tgt) for a in kept],
-            rows,
-            {a.id: self.inverse[a.id] for a in kept},
-            {u: self.unit_arrow[u] for u in units},
-            exact_mass=exact,
+            names, self.unit_masses[units] / total,
+            [self.arrow_order[a] for a in arrows.tolist()],
+            unit_at[t.src[arrows]], unit_at[t.tgt[arrows]], rows,
+            (np.arange(len(arrows)), at[t.inv[arrows]]),
+            (np.arange(len(units)), at[t.unit_arrow[units]]), exact_mass=exact,
         )
         return sub.validate(), total
 
     def is_full(self, keep: Iterable[str]) -> Fullness:
         """Whether every unit (resp. positive-mass unit) is reachable from K."""
-        self._require_validated()
-        keep_set = set(keep)
-        reachable = {
-            a.tgt for a in self.arrows if a.src in keep_set
-        }
-        borel = all(u in reachable for u in self.units)
-        mu = all(u in reachable for u in self.units if self.mass[u] > 0.0)
-        return Fullness(borel_full=borel, mu_full=mu)
+        t, kept = self._pair_table(), np.fromiter(map(set(keep).__contains__, self.units), bool)
+        reached = np.zeros(len(self.units), dtype=bool)
+        reached[t.tgt[kept[t.src]]] = True
+        return Fullness(borel_full=bool(reached.all()),
+                        mu_full=bool(reached[self.unit_masses > 0.0].all()))
 
     # -- arrow-set algebra -------------------------------------------------
 
@@ -753,27 +784,28 @@ class MeasuredGroupoid:
 
 
 def validate_groupoid(g: MeasuredGroupoid) -> MeasuredGroupoid:
-    """Check every groupoid axiom on the stored tables; returns the input.
+    """Check every groupoid axiom on the stored arrays; returns the input.
 
     Raises :class:`BadUnit`, :class:`DanglingReference`, :class:`BadInverse`
     or :class:`NonAssociative` naming the offending identifiers.  Whether
     (G, mu) is nonsingular or pmp is recorded in ``g.flags``, not raised.
-    Each table is mapped to integer positions once, and each axiom is one
-    mask over those arrays.  Associativity is checked on the composable
-    triples of ``g.pairs``, the composition table in positions.  A small
-    table, of at most _FULL_PASS_TRIPLES triples, takes one pass over every
-    triple, which costs less there.  A larger one is checked first on the
-    triples whose middle arrow is one of ``PairTable.generators()``: a few
-    arrows whose products with the unit arrows reach every arrow, which
-    suffices (Light's test, proved there); only when a triple fails there
-    does the pass over every triple run, to name the first failing one.
-    Either route names the same triple.  The fault named
-    is the first met when the checks run in the order units, arrows, unit
-    arrows, compose rows, a composable pair given twice, one not given,
-    inverse entries, unit neutrality per arrow, triples; within each, rows
-    count in the table's stored order (pairs in ``composable_pairs()``
-    order, triples as ``PairTable.first_failure`` orders them), an unknown
-    id first in a row.
+    The check reads only the arrays the constructor was given, so it is
+    independent of the builder that made them; each axiom is one mask over
+    them.  Associativity is checked on the composable triples of
+    ``g.pairs``, the composition table in positions.  A small table, of at
+    most _FULL_PASS_TRIPLES triples, takes one pass over every triple, which
+    costs less there.  A larger one is checked first on the triples whose
+    middle arrow is one of ``PairTable.generators()``: a few arrows whose
+    products with the unit arrows reach every arrow, which suffices (Light's
+    test, proved there); only when a triple fails there does the pass over
+    every triple run, to name the first failing one.  Either route names the
+    same triple.  The fault named is the first met when the checks run in
+    the order units (identifiers, then masses: negative, not finite, exact,
+    total), arrows, unit arrows, compose rows, a composable pair given
+    twice, one not given, inverse entries, unit neutrality per arrow,
+    triples; within each, rows count in storage order (compose rows in the
+    order given, pairs in ``composable_pairs()`` order, triples as
+    ``PairTable.first_failure`` orders them), an unknown id first in a row.
     """
     return g.validate()
 
@@ -796,18 +828,16 @@ def check_isomorphism(
         return False
     if sorted(arrow_map.values()) != sorted(b.arrow_order):
         return False
-    for g in a.arrow_order:
-        if b.src[arrow_map[g]] != unit_map[a.src[g]]:
-            return False
-        if b.tgt[arrow_map[g]] != unit_map[a.tgt[g]]:
-            return False
-        if arrow_map[a.inverse[g]] != b.inverse[arrow_map[g]]:
-            return False
-    for (g, h), gh in a.compose.items():
-        if b.compose.get((arrow_map[g], arrow_map[h])) != arrow_map[gh]:
-            return False
-    if check_mass:
-        for u in a.units:
-            if abs(a.mass[u] - b.mass[unit_map[u]]) > ISOMORPHISM_MASS_TOL:
-                return False
-    return True
+    unit = dict(zip(b.units, range(len(b.units))))
+    u = np.array([unit[unit_map[v]] for v in a.units], dtype=np.intp)
+    x = np.array([b._index[arrow_map[g]] for g in a.arrow_order], dtype=np.intp)
+    s, t = a.pairs, b.pairs
+    if not all(map(np.array_equal, (t.src[x], t.tgt[x], t.inv[x]),
+                   (u[s.src], u[s.tgt], x[s.inv]))):
+        return False
+    at = t.at(x[s.left], x[s.right])  # the image of each pair of a
+    if (at < 0).any() or not np.array_equal(t.prod[at], x[s.prod]):
+        return False
+    return not check_mass or bool(
+        (np.abs(a.unit_masses - b.unit_masses[u]) <= ISOMORPHISM_MASS_TOL).all()
+    )

@@ -18,27 +18,29 @@ Parsing cuts the text into lines and sections once, and each section into
 its fields with C-level string calls (``str.split`` and ``str.join``), with
 no Python statement per line: the rows of a section all have its width
 exactly when a separator joined in between them lands on every
-(width + 1)-th field.  The compose rows go to the groupoid as that flat
-field list, which ``validate_groupoid`` maps to positions and checks against
-the groupoid axioms; the cocycle rows become one phase array in the order
-of ``g.pairs``.  Line numbers and per-row bookkeeping are built only once a
-table shows a fault (a ragged or repeated row, a pair that does not compose,
-a bad value): the fault named is the first in section order (units, arrows,
+(width + 1)-th field.  Every name is then mapped to its position once, and
+the tables go to ``MeasuredGroupoid`` as position arrays, which
+``validate_groupoid`` checks against the groupoid axioms; the cocycle rows
+become one phase array in the order of ``g.pairs``.  Line numbers and
+per-row bookkeeping are built only once a table shows a fault (a ragged or
+repeated row, a row keyed by an unknown id, a pair that does not compose, a
+bad value): the fault named is the first in section order (units, arrows,
 unit_arrows, compose, inverse, then the groupoid axioms, then cocycle),
 within a section the first in line order.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
-from itertools import chain, count
-from typing import Callable, Optional
+from itertools import accumulate, chain, count, repeat
+from typing import Callable, Iterable, Mapping, Optional
 
 import numpy as np
 
 from .cocycle import UNIT_MODULUS_TOL, Cocycle, validate_cocycle
-from .groupoid import GroupoidError, MeasuredGroupoid, _positions, validate_groupoid
+from .groupoid import GroupoidError, MeasuredGroupoid, validate_groupoid
 
 _USAGE = {  # the fields of each section's rows
     "units": "id mass", "arrows": "id src tgt", "unit_arrows": "unit arrow",
@@ -143,9 +145,20 @@ class _Sections:
 def _masses(tokens: dict[str, str], exact: bool):
     """The float and exact masses of the units; raises on a bad token."""
     if not exact:
-        return dict(zip(tokens, map(float, tokens.values()))), None
+        mass = dict(zip(tokens, map(float, tokens.values())))
+        if not all(map(math.isfinite, mass.values())):
+            raise ValueError("mass must be finite")
+        return mass, None
     exact_mass = dict(zip(tokens, map(Fraction, tokens.values())))
     return dict(zip(tokens, map(float, exact_mass.values()))), exact_mass
+
+
+def _positions(index: Mapping[str, int], ids: Iterable, *sizes: int) -> list[np.ndarray]:
+    """The positions of ``ids`` under ``index``, -1 for an unknown id, cut
+    into consecutive pieces of the given sizes."""
+    at = np.fromiter(map(index.get, ids, repeat(-1)), dtype=np.intp, count=sum(sizes))
+    ends = list(accumulate(sizes))
+    return [at[i:j] for i, j in zip([0, *ends], ends)]
 
 
 def _phases(g: MeasuredGroupoid, fields: list[str]) -> Optional[np.ndarray]:
@@ -199,9 +212,26 @@ def parse_text(text: str) -> tuple[MeasuredGroupoid, Optional[Cocycle]]:
         doc.check("compose", 2)
     try:
         inverse = doc.keyed("inverse")
+        # every name is mapped to its position once; an id that names no
+        # arrow gets a position past the arrows, its name kept for the fault
+        # message
+        units, labels = list(mass), arrows[0::3]
+        k, n, e, m = len(units), len(labels), len(unit_arrows), len(inverse)
+        unit, index = dict(zip(units, range(k))), dict(zip(labels, range(n)))
+        src, tgt, x = _positions(unit, chain(arrows[1::3], arrows[2::3], unit_arrows), n, n, e)
+
+        def ids():
+            return chain(unit_arrows.values(), inverse, inverse.values(), compose)
+
+        at, = _positions(index, ids(), e + 2 * m + len(compose))
+        unknown = []
+        if (at < 0).any():
+            unknown = [i for i, p in zip(ids(), at.tolist()) if p < 0]
+            at[at < 0] = n + np.arange(len(unknown))
         g = validate_groupoid(MeasuredGroupoid(
-            list(mass), mass, list(zip(arrows[0::3], arrows[1::3], arrows[2::3])),
-            compose, inverse, unit_arrows, exact_mass=exact_mass,
+            units, list(mass.values()), labels, src, tgt, at[e + 2 * m :].reshape(-1, 3).T,
+            at[e : e + 2 * m].reshape(2, -1), (x, at[:e]), unknown=unknown,
+            exact_mass=exact_mass,
         ))
     except (ParseError, GroupoidError):
         doc.check("compose", 2)  # a repeated compose row is named first
@@ -245,19 +275,20 @@ def _mass_token(g: MeasuredGroupoid, unit: str) -> str:
 def serialize(g: MeasuredGroupoid, w: Optional[Cocycle] = None) -> str:
     """Deterministic text rendering; parse(serialize(x)) == x."""
     g._require_validated()
+    t, unit, name = g.pairs, g.units, g.arrow_order
     out: list[str] = ["[units]"]
-    out.extend(f"{u} {_mass_token(g, u)}" for u in g.units)
+    out.extend(f"{u} {_mass_token(g, u)}" for u in unit)
     out.append("[arrows]")
-    out.extend(f"{a} {s} {t}" for a, s, t in zip(g.arrow_order, g.src.values(), g.tgt.values()))
+    ends = (map(unit.__getitem__, v.tolist()) for v in (t.src, t.tgt))
+    out.extend(map("{} {} {}".format, name, *ends))
     out.append("[unit_arrows]")
-    out.extend(f"{u} {g.unit_arrow[u]}" for u in g.units)
+    out.extend(map("{} {}".format, unit, map(name.__getitem__, t.unit_arrow.tolist())))
     out.append("[compose]")
-    t, name = g.pairs, g.arrow_order
     order = np.lexsort((t.right, t.left))  # by left factor, then right
     rows = zip(t.left[order].tolist(), t.right[order].tolist(), t.prod[order].tolist())
     out.extend(f"{name[x]} {name[y]} {name[xy]}" for x, y, xy in rows)
     out.append("[inverse]")
-    out.extend(f"{a} {g.inverse[a]}" for a in g.arrow_order)
+    out.extend(map("{} {}".format, name, map(name.__getitem__, t.inv.tolist())))
     if w is not None:
         out.append("[cocycle]")
         phase = w.complex_phases(g)

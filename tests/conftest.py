@@ -3,6 +3,8 @@ import pytest
 from factoroid import constructors as mk
 from factoroid.groupoid import MeasuredGroupoid, validate_groupoid
 
+from references import from_names
+
 
 def _named(fixture: str, instance: str):
     """A session fixture built by ``mk.NAMED_INSTANCES[instance]``: the
@@ -55,8 +57,7 @@ def null_orbit_groupoid() -> MeasuredGroupoid:
     ]
     compose = """e0 e0 e0  e1 e1 e1  e2 e2 e2  a12 e2 a12  e1 a12 a12
                  a21 e1 a21  e2 a21 a21  a12 a21 e1  a21 a12 e2""".split()
+    compose = list(zip(compose[0::3], compose[1::3], compose[2::3]))
     inverse = {"e0": "e0", "e1": "e1", "e2": "e2", "a12": "a21", "a21": "a12"}
     unit_arrows = {"x0": "e0", "x1": "e1", "x2": "e2"}
-    return validate_groupoid(
-        MeasuredGroupoid(units, mass, arrows, compose, inverse, unit_arrows)
-    )
+    return validate_groupoid(from_names(units, mass, arrows, compose, inverse, unit_arrows))

@@ -7,8 +7,17 @@ re-checks a central-set certificate against its defining rule, arrow by
 arrow; ``bundle_center_dim_oracle`` counts the center of a group bundle from
 the fibers' conjugacy classes; ``sorted_row_gram`` assembles the Gram matrix
 of ``center``'s commutator map row by row, finding the rows by sorting their
-keys.  ``trivial_groupoid`` and ``compose_rows``
-build tables for the tests.
+keys.  ``trivial_groupoid`` builds a table for the tests, and
+``shift_connects_by_search`` decides membership in a shift groupoid by a
+witness search.
+
+``from_names`` maps tables given by name to the positions that
+``MeasuredGroupoid`` takes, as the parser does for a file; the tests that
+build faulty tables by name go through it.  The builders of the standard
+families have their name-based forms here (``full_relation_by_name``,
+``group_bundle_by_name``, ``partial_action_groupoid_by_name``,
+``disjoint_union_by_name`` and ``restrict_by_name``), against which the
+array builders are checked.
 
 The stages of a report that read ``g.pairs`` by position have their
 name-walking forms here, as the references they are checked against:
@@ -18,7 +27,8 @@ name-walking forms here, as the references they are checked against:
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+import math
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -31,7 +41,7 @@ from factoroid.cocycle import (
     trivial_cocycle,
 )
 from factoroid.conjugacy import IccVerdict
-from factoroid.constructors import FiniteGroupTable
+from factoroid.constructors import DeaconuRenaultSystem, FiniteGroupTable, PartialActionSystem
 from factoroid.groupoid import GroupoidError, MeasuredGroupoid, validate_groupoid
 from factoroid.vna import L2Space, TranslationAlgebra
 
@@ -91,24 +101,162 @@ def bundle_center_dim_oracle(
     )
 
 
+def from_names(
+    units: Sequence[str],
+    mass: Mapping[str, float],
+    arrows: Sequence[tuple[str, str, str]],
+    compose: Union[Mapping[tuple[str, str], str], Iterable[tuple[str, str, str]]],
+    inverse: Mapping[str, str],
+    unit_arrows: Mapping[str, str],
+    **kw,
+) -> MeasuredGroupoid:
+    """The unvalidated groupoid of tables given by name: ``arrows`` as
+    (id, src, tgt) triples, ``compose`` as a map (g, h) -> gh or as rows
+    (g, h, gh), ``inverse`` and ``unit_arrows`` as maps, their rows in map
+    order.  An unknown unit becomes -1, and an id that names no arrow a
+    position past the arrows (its name kept for the fault message)."""
+    if isinstance(compose, Mapping):
+        compose = [(g, h, gh) for (g, h), gh in compose.items()]
+    unit = {u: i for i, u in enumerate(units)}
+    index = {a: i for i, (a, _, _) in enumerate(arrows)}
+    unknown: list[str] = []
+
+    def arrow(a: str) -> int:
+        if a in index:
+            return index[a]
+        unknown.append(a)
+        return len(arrows) + len(unknown) - 1
+
+    src = [unit.get(s, -1) for _, s, _ in arrows]
+    tgt = [unit.get(t, -1) for _, _, t in arrows]
+    rows = np.array([[arrow(a) for a in row] for row in compose], dtype=np.intp).reshape(-1, 3)
+    return MeasuredGroupoid(
+        units, [mass[u] for u in units], [a for a, _, _ in arrows], src, tgt, tuple(rows.T),
+        ([index.get(a, -1) for a in inverse], [arrow(a) for a in inverse.values()]),
+        ([unit.get(u, -1) for u in unit_arrows], [arrow(a) for a in unit_arrows.values()]),
+        unknown=unknown, **kw,
+    )
+
+
 def trivial_groupoid(
     units: Sequence[str], mass: Mapping[str, float], **kw
 ) -> MeasuredGroupoid:
     """Units only: every arrow is a unit arrow."""
     arrows = [(f"e|{u}", u, u) for u in units]
-    compose = [f"e|{u}" for u in units for _ in range(3)]
+    compose = {(f"e|{u}", f"e|{u}"): f"e|{u}" for u in units}
     inverse = {f"e|{u}": f"e|{u}" for u in units}
     unit_arrows = {u: f"e|{u}" for u in units}
-    return validate_groupoid(
-        MeasuredGroupoid(units, mass, arrows, compose, inverse, unit_arrows, **kw)
+    return validate_groupoid(from_names(units, mass, arrows, compose, inverse, unit_arrows, **kw))
+
+
+def full_relation_by_name(
+    units: Sequence[str], mass: Mapping[str, float], **kw
+) -> MeasuredGroupoid:
+    """``full_relation`` built name by name."""
+    def aid(x: str, y: str) -> str:
+        return f"r|{x}|{y}"  # arrow from y to x
+
+    arrows = [(aid(x, y), y, x) for x in units for y in units]
+    compose = [(aid(x, y), aid(y, z), aid(x, z)) for x in units for y in units for z in units]
+    inverse = {aid(x, y): aid(y, x) for x in units for y in units}
+    unit_arrows = {u: aid(u, u) for u in units}
+    return validate_groupoid(from_names(units, mass, arrows, compose, inverse, unit_arrows, **kw))
+
+
+def group_bundle_by_name(
+    fibers: Mapping[str, FiniteGroupTable],
+    mass: Mapping[str, float],
+    units: Optional[Sequence[str]] = None,
+    **kw,
+) -> MeasuredGroupoid:
+    """``group_bundle`` built name by name."""
+    units = tuple(units) if units is not None else tuple(fibers)
+    arrows, compose, inverse, unit_arrows = [], [], {}, {}
+    for x in units:
+        tab = fibers[x]
+        name = {gm: f"{x}.{gm}" for gm in tab.elements}
+        arrows.extend((name[gm], x, x) for gm in tab.elements)
+        for g1 in tab.elements:
+            inverse[name[g1]] = name[tab.inverse[g1]]
+            for g2 in tab.elements:
+                compose.append((name[g1], name[g2], name[tab.mult[(g1, g2)]]))
+        unit_arrows[x] = name[tab.identity]
+    return validate_groupoid(from_names(units, mass, arrows, compose, inverse, unit_arrows, **kw))
+
+
+def partial_action_groupoid_by_name(p: PartialActionSystem, **kw) -> MeasuredGroupoid:
+    """``partial_action_groupoid`` built name by name."""
+    grp = p.group
+
+    def aid(gm: str, x: str) -> str:
+        return f"{gm}|{x}"
+
+    arrows = [
+        (aid(gm, x), x, p.maps[gm][x])
+        for gm in grp.elements for x in sorted(p.maps[gm], key=p.units.index)
+    ]
+    compose, inverse = [], {}
+    for gm in grp.elements:
+        for x, y in p.maps[gm].items():
+            inverse[aid(gm, x)] = aid(grp.inverse[gm], y)
+            for g2 in grp.elements:
+                if y in p.maps[g2]:
+                    compose.append((aid(g2, y), aid(gm, x), aid(grp.mult[(g2, gm)], x)))
+    unit_arrows = {x: aid(grp.identity, x) for x in p.units}
+    g = from_names(p.units, p.mass, arrows, compose, inverse, unit_arrows, **kw)
+    return validate_groupoid(g)
+
+
+def disjoint_union_by_name(
+    parts: Sequence[MeasuredGroupoid], weights: Sequence[float], **kw
+) -> MeasuredGroupoid:
+    """``disjoint_union`` built name by name from validated parts."""
+    units, mass, arrows, compose, inverse, unit_arrows = [], {}, [], [], {}, {}
+    for i, (part, weight) in enumerate(zip(parts, weights)):
+        pre = f"p{i}:"
+        units.extend(pre + u for u in part.units)
+        mass.update({pre + u: weight * part.mass[u] for u in part.units})
+        arrows.extend((pre + a.id, pre + a.src, pre + a.tgt) for a in part.arrows)
+        compose.extend((pre + g, pre + h, pre + gh) for (g, h), gh in part.compose.items())
+        inverse.update({pre + x: pre + y for x, y in part.inverse.items()})
+        unit_arrows.update({pre + u: pre + e for u, e in part.unit_arrow.items()})
+    return validate_groupoid(from_names(units, mass, arrows, compose, inverse, unit_arrows, **kw))
+
+
+def restrict_by_name(g: MeasuredGroupoid, keep: Iterable[str]) -> tuple[MeasuredGroupoid, float]:
+    """``MeasuredGroupoid.restrict`` built name by name."""
+    keep_set = set(keep)
+    total = math.fsum(g.mass[u] for u in keep_set)
+    units = tuple(u for u in g.units if u in keep_set)
+    kept = [a for a in g.arrows if a.src in keep_set and a.tgt in keep_set]
+    ids = {a.id for a in kept}
+    compose = {p: gh for p, gh in g.compose.items() if p[0] in ids and p[1] in ids}
+    exact = None
+    if g.exact_mass is not None:
+        etotal = sum(g.exact_mass[u] for u in keep_set)
+        if etotal > 0:
+            exact = {u: g.exact_mass[u] / etotal for u in units}
+    sub = from_names(
+        units, {u: g.mass[u] / total for u in units}, [(a.id, a.src, a.tgt) for a in kept],
+        compose, {a.id: g.inverse[a.id] for a in kept}, {u: g.unit_arrow[u] for u in units},
+        exact_mass=exact,
     )
+    return validate_groupoid(sub), total
 
 
-def compose_rows(table: Mapping[tuple[str, str], str]) -> list[str]:
-    """A composition table (g, h) -> gh, such as the ``compose`` view of a
-    validated groupoid, as the flat rows g h gh that ``MeasuredGroupoid``
-    takes, in the table's order."""
-    return [x for (g, h), gh in table.items() for x in (g, h, gh)]
+def shift_connects_by_search(d: DeaconuRenaultSystem, x: str, k: int, y: str) -> bool:
+    """Whether some sigma^n x = sigma^m y with n - m = k, by witness search
+    up to a horizon past every tail and period."""
+    horizon = 2 * len(d.units) + abs(k) + 1
+    for n in range(max(0, k), horizon + 1):
+        zx, zy = x, y
+        for _ in range(n):
+            zx = d.sigma[zx]
+        for _ in range(n - k):
+            zy = d.sigma[zy]
+        if zx == zy:
+            return True
+    return False
 
 
 def sorted_row_gram(alg: TranslationAlgebra) -> np.ndarray:

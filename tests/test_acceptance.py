@@ -15,7 +15,7 @@ from factoroid import constructors as mk
 from factoroid.basis import build_basis
 from factoroid.cocycle import normalize_cocycle, trivial_cocycle
 from factoroid.conjugacy import conjugacy_class, ergodic_class_decomposition, is_icc
-from factoroid.groupoid import MeasuredGroupoid, validate_groupoid
+from factoroid.groupoid import validate_groupoid
 from factoroid.vna import (
     algebra,
     center,
@@ -27,7 +27,7 @@ from factoroid.vna import (
 )
 
 from dense_oracle import commutant
-from references import bundle_center_dim_oracle, compose_rows
+from references import bundle_center_dim_oracle, from_names, shift_connects_by_search
 
 N_CORPUS = 500
 N_TWISTED = 200
@@ -192,11 +192,11 @@ def test_criterion_7_measure_class_invariance(corpus):
             }
             total = sum(g.mass[u] * factors[u] for u in g.units)
             reweighted = validate_groupoid(
-                MeasuredGroupoid(
+                from_names(
                     g.units,
                     {u: g.mass[u] * factors[u] / total for u in g.units},
                     [(a.id, a.src, a.tgt) for a in g.arrows],
-                    compose_rows(g.compose),
+                    g.compose,
                     g.inverse,
                     g.unit_arrow,
                 )
@@ -325,9 +325,7 @@ def test_criterion_12_shift_systems():
         for x in d.units:
             for y in d.units:
                 for k in range(-d.bound, d.bound + 1):
-                    assert view.contains(x, k, y) == view.brute_force_contains(
-                        x, k, y
-                    )
+                    assert view.contains(x, k, y) == shift_connects_by_search(d, x, k, y)
     print("ACCEPTANCE 12 PASS: 25 shift systems; loop scan and witness search agree")
 
 

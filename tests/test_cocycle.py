@@ -25,9 +25,9 @@ from factoroid.cocycle import (
     validate_cocycle,
 )
 from factoroid.conjugacy import is_icc
-from factoroid.groupoid import GroupoidError, MeasuredGroupoid
+from factoroid.groupoid import GroupoidError
 
-from references import verify_central_certificate
+from references import from_names, verify_central_certificate
 
 
 def klein_pair(exact=False):
@@ -101,9 +101,9 @@ def _named_as_the_loop_names(exact) -> int:
         g, w = mk.random_twisted_pair(seed, exact=exact)
         rows = list(g.compose.items())
         rng.shuffle(rows)
-        g = MeasuredGroupoid(
+        g = from_names(
             g.units, g.mass, [(a.id, a.src, a.tgt) for a in g.arrows],
-            [x for (a, b), ab in rows for x in (a, b, ab)], g.inverse, g.unit_arrow,
+            dict(rows), g.inverse, g.unit_arrow,
         ).validate()
         values = {pair: w(*pair) for pair in g.composable_pairs()}
         pair = rng.choice(sorted(values))

@@ -13,7 +13,7 @@ from factoroid.conjugacy import (
     is_icc,
 )
 
-from references import compose_rows
+from references import from_names
 
 
 def brute_force_group_class(table, element):
@@ -142,14 +142,14 @@ def test_icc_depends_only_on_measure_class(seed, scale_seed):
     rng = random.Random(f"reweight-{seed}-{scale_seed}")
     factors = {u: (rng.random() + 0.1 if g.mass[u] > 0 else 0.0) for u in g.units}
     total = sum(g.mass[u] * factors[u] for u in g.units)
-    from factoroid.groupoid import MeasuredGroupoid, validate_groupoid
+    from factoroid.groupoid import validate_groupoid
 
     reweighted = validate_groupoid(
-        MeasuredGroupoid(
+        from_names(
             g.units,
             {u: g.mass[u] * factors[u] / total for u in g.units},
             [(a.id, a.src, a.tgt) for a in g.arrows],
-            compose_rows(g.compose),
+            g.compose,
             g.inverse,
             g.unit_arrow,
         )

@@ -1,5 +1,10 @@
 import hashlib
+import json
 import math
+import os
+import random
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +17,16 @@ from factoroid.groupoid import (
 from factoroid.textio import serialize
 from factoroid.vna import center
 
-from references import bundle_center_dim_oracle
+from references import (
+    bundle_center_dim_oracle,
+    disjoint_union_by_name,
+    from_names,
+    full_relation_by_name,
+    group_bundle_by_name,
+    partial_action_groupoid_by_name,
+    restrict_by_name,
+    shift_connects_by_search,
+)
 
 
 def test_group_tables():
@@ -22,6 +36,7 @@ def test_group_tables():
     ):
         assert mk.group_groupoid(table).validated
     assert len(mk.symmetric_group(3).elements) == 6
+    assert [t.name for t in (mk.symmetric_group(3), mk.klein_four_group())] == ["S3", "Z2xZ2"]
     assert len(mk.dihedral_group(4).elements) == 8
     assert len(mk.klein_four_group().elements) == 4
 
@@ -190,12 +205,13 @@ def test_full_domain_partial_action_matches_global():
                                  {"x0": 0.5, "x1": 0.5})
     g = mk.partial_action_groupoid(p)
     # the swap groupoid written out by hand: (g, h.x)(h, x) = (g + h, x)
-    swap = validate_groupoid(MeasuredGroupoid(
+    rows = """0|x0 0|x0 0|x0  0|x0 1|x1 1|x1  1|x0 0|x0 1|x0  1|x0 1|x1 0|x1
+              0|x1 0|x1 0|x1  0|x1 1|x0 1|x0  1|x1 0|x1 1|x1  1|x1 1|x0 0|x0""".split()
+    swap = validate_groupoid(from_names(
         ["x0", "x1"], {"x0": 0.5, "x1": 0.5},
         [("0|x0", "x0", "x0"), ("0|x1", "x1", "x1"),
          ("1|x0", "x0", "x1"), ("1|x1", "x1", "x0")],
-        """0|x0 0|x0 0|x0  0|x0 1|x1 1|x1  1|x0 0|x0 1|x0  1|x0 1|x1 0|x1
-           0|x1 0|x1 0|x1  0|x1 1|x0 1|x0  1|x1 0|x1 1|x1  1|x1 1|x0 0|x0""".split(),
+        list(zip(rows[0::3], rows[1::3], rows[2::3])),
         {"0|x0": "0|x0", "0|x1": "0|x1", "1|x0": "1|x1", "1|x1": "1|x0"},
         {"x0": "0|x0", "x1": "0|x1"},
     ))
@@ -325,9 +341,8 @@ def test_deaconu_renault_brute_force_agreement():
         for x in d.units:
             for y in d.units:
                 for k in range(-d.bound, d.bound + 1):
-                    assert view.contains(x, k, y) == view.brute_force_contains(
-                        x, k, y
-                    ), (seed, x, k, y)
+                    assert view.contains(x, k, y) == shift_connects_by_search(d, x, k, y), (
+                        seed, x, k, y)
 
 
 def test_deaconu_renault_units_always_loops():
@@ -419,32 +434,152 @@ def _serialized_digest(instances) -> str:
     return digest.hexdigest()
 
 
+# sha256 of the serialized output of every generated family, one instance a
+# line: the named instances but S5 (too slow here), sn_bundle(4) and (5), and
+# the seeds of the acceptance generators that the corpus pool draws from
+with open(os.path.join(os.path.dirname(__file__), "data", "gen-digests.json")) as _fh:
+    _GEN_DIGESTS = json.load(_fh)
+
+_PINNED_FAMILIES = {
+    "sn-bundle": lambda n: (mk.sn_bundle(n)[0], None),
+    "random": lambda seed: (mk.random_groupoid(seed), None),
+    "random-twisted": mk.random_twisted_pair,
+}
+
+
+def _pinned_instance(key: str):
+    if key in mk.NAMED_INSTANCES:
+        return mk.NAMED_INSTANCES[key]()
+    family, _, arg = key.rpartition("-")
+    return _PINNED_FAMILIES[family](int(arg))
+
+
+@pytest.mark.parametrize("family", ["named", "sn-bundle", "random", "random-twisted"])
+def test_gen_output_matches_the_pinned_digests(family):
+    # a refactor of the builders must keep every RNG draw in order and every
+    # table byte for byte; the CLI smoke test checks `factoroid gen` on the
+    # same file
+    keys = [k for k in _GEN_DIGESTS if (k in mk.NAMED_INSTANCES) == (family == "named")
+            and (family == "named" or k.rpartition("-")[0] == family)]
+    assert len(keys) == {"named": 11, "sn-bundle": 2, "random": 200, "random-twisted": 100}[family]
+    got = {k: hashlib.sha256(serialize(*_pinned_instance(k)).encode()).hexdigest() for k in keys}
+    assert got == {k: _GEN_DIGESTS[k] for k in keys}
+
+
 def test_generator_output_is_pinned():
-    # the acceptance corpora and the benchmark pool are drawn from these
-    # seeds; a refactor of the generators must keep every RNG draw in order.
-    # The named instances and globalizations pin the other builders' output.
-    assert _serialized_digest((mk.random_groupoid(s),) for s in range(200)) == (
-        "dc491908a31a23934df3bdf0aba9817333318c793458980410c30b5cca086fa7"
-    )
-    assert _serialized_digest(mk.random_twisted_pair(s) for s in range(100)) == (
-        "0f7f2cbb2618acecd0d084dee7e46d02e83a346f77c86d1695301e233946a667"
-    )
-    # of the size ladder only its first rung is built here
-    ladder = ("s4-translation", "s4xz2-translation", "s5-translation")
-    named = (mk.NAMED_INSTANCES[name]() for name in sorted(mk.NAMED_INSTANCES)
-             if name not in ladder)
-    assert _serialized_digest(named) == (
-        "eb97b8b6b96e97093f877c4be32f5f60db7ce9e92965793c931d659cdfe38880"
-    )
-    assert _serialized_digest([mk.NAMED_INSTANCES["s4-translation"]()]) == (
-        "99c9e835b34e14a616b845f7bdd9a24f653cf30c40fc08cf36537141939cc412"
-    )
+    # the globalizations pin the partial-action builders' output; the other
+    # families are pinned one instance at a time in tests/data/gen-digests.json
     globalized = (
         (mk.globalize(mk.random_partial_action(s)).groupoid,) for s in range(8)
     )
     assert _serialized_digest(globalized) == (
         "5f3fffd2ef88619684c90e088ed27c828819fd069278fdfdbf756bc68226973f"
     )
+
+
+def _same_tables(got: MeasuredGroupoid, want: MeasuredGroupoid) -> None:
+    """The array builder's groupoid and the name-based reference's: the same
+    file, and the same PairTable arrays."""
+    assert serialize(got) == serialize(want)
+    for field, a, b in zip(vars(got.pairs), vars(got.pairs).values(), vars(want.pairs).values()):
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+
+def _uniform_translation_by_name(group):
+    units = group.elements
+    return partial_action_groupoid_by_name(mk.global_partial_action(
+        group, mk.translation_action(group), units, {u: 1 / len(units) for u in units}))
+
+
+# the named instances written with the name-based builders; S5 is left out,
+# since its reference takes many seconds
+_NAMED_BY_NAME = {
+    "z2": lambda: group_bundle_by_name({"pt": mk.cyclic_group(2)}, {"pt": 1.0}),
+    "z3": lambda: group_bundle_by_name({"pt": mk.cyclic_group(3)}, {"pt": 1.0}),
+    "full2": lambda: full_relation_by_name(["x0", "x1"], {"x0": 0.5, "x1": 0.5}),
+    "full3": lambda: full_relation_by_name(["x0", "x1", "x2"],
+                                           dict.fromkeys(("x0", "x1", "x2"), 1 / 3)),
+    "klein4": lambda: group_bundle_by_name({"pt": mk.klein_four_group()}, {"pt": 1.0}),
+    "klein4-twisted": lambda: group_bundle_by_name({"pt": mk.klein_four_group()}, {"pt": 1.0}),
+    "s3-bundle": lambda: group_bundle_by_name({"pt": mk.symmetric_group(3)}, {"pt": 1.0}),
+    "swap": lambda: partial_action_groupoid_by_name(mk.global_partial_action(
+        mk.cyclic_group(2), mk._SWAP_ACTION, ["x0", "x1"], mk._HALVES)),
+    "z4-translation": lambda: _uniform_translation_by_name(mk.cyclic_group(4)),
+    "s4-translation": lambda: _uniform_translation_by_name(mk.symmetric_group(4)),
+    "s4xz2-translation": lambda: _uniform_translation_by_name(
+        mk.direct_product(mk.symmetric_group(4), mk.cyclic_group(2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NAMED_BY_NAME))
+def test_named_instances_match_the_name_based_builders(name):
+    assert set(_NAMED_BY_NAME) == set(mk.NAMED_INSTANCES) - {"s5-translation"}
+    _same_tables(mk.NAMED_INSTANCES[name]()[0], _NAMED_BY_NAME[name]())
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_sn_bundle_matches_the_name_based_builder(n):
+    g = mk.sn_bundle(n)[0]
+    fibers = {f"n{k}": mk.symmetric_group(k) for k in range(2, n + 1)}
+    _same_tables(g, group_bundle_by_name(fibers, g.mass, g.units))
+
+
+def _action_of(g: MeasuredGroupoid) -> dict:
+    """The action of a transformation groupoid, read off its arrows g|x."""
+    return {tuple(a.id.split("|")): a.tgt for a in g.arrows}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_partial_actions_and_globalizations_match_the_name_based_builders(seed):
+    # the globalize seeds of the pinned output: the partial action groupoid
+    # (a restrict_partial for most seeds) and the globalization
+    p = mk.random_partial_action(seed)
+    _same_tables(mk.partial_action_groupoid(p), partial_action_groupoid_by_name(p))
+    glob = mk.globalize(p)
+    g = glob.groupoid
+    theta = mk.global_partial_action(glob.group, _action_of(g), g.units, g.mass)
+    _same_tables(g, partial_action_groupoid_by_name(theta))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_restrict_partial_matches_the_name_based_restriction(seed):
+    rng = random.Random(seed)
+    group = mk.dihedral_group(4) if seed % 2 else mk.symmetric_group(3)
+    action, units = mk._random_coset_action(rng, group)
+    p = mk.global_partial_action(group, action, units, {u: 1 / len(units) for u in units})
+    keep = sorted(rng.sample(units, max(1, len(units) // 2)), key=units.index)
+    q = mk.restrict_partial(p, keep)
+    _same_tables(mk.partial_action_groupoid(q), partial_action_groupoid_by_name(q))
+    sub, factor = mk.partial_action_groupoid(p).restrict(keep)
+    want, want_factor = restrict_by_name(partial_action_groupoid_by_name(p), keep)
+    assert factor == want_factor
+    _same_tables(sub, want)
+
+
+@pytest.mark.parametrize("seed", range(0, 200, 7))
+def test_union_and_restriction_match_the_name_based_builders(seed):
+    # unions of validated and of unvalidated parts, and restrictions to a
+    # random unit subset that keeps some mass
+    rng = random.Random(seed)
+    a, b = mk.random_groupoid(seed), mk.random_groupoid(seed + 1)
+    weights = [rng.random(), 0.0 if seed % 3 == 0 else rng.random()]
+    weights = [w / sum(weights) for w in weights]
+    _same_tables(mk.disjoint_union([a, b], weights), disjoint_union_by_name([a, b], weights))
+    units = [f"x{i}" for i in range(3)]
+    mass = {u: 1 / 3 for u in units}
+    fibers = {u: rng.choice([mk.cyclic_group(3), mk.klein_four_group(), mk.symmetric_group(3)])
+              for u in units}
+    parts = [mk.group_bundle(fibers, mass, validate=False),
+             mk.full_relation(units, mass, validate=False)]
+    _same_tables(mk.disjoint_union(parts, [0.5, 0.5]), disjoint_union_by_name(
+        [group_bundle_by_name(fibers, mass), full_relation_by_name(units, mass)], [0.5, 0.5]))
+    positive = [u for u in a.units if a.mass[u] > 0.0]
+    keep = rng.sample(positive, rng.randint(1, len(positive))) + [
+        u for u in a.units if a.mass[u] == 0.0 and rng.random() < 0.5]
+    got, factor = a.restrict(keep)
+    want, want_factor = restrict_by_name(a, keep)
+    assert factor == want_factor
+    _same_tables(got, want)
 
 
 @settings(max_examples=50, deadline=None)

@@ -21,7 +21,7 @@ from factoroid.groupoid import (
     validate_groupoid,
 )
 
-from references import compose_rows, trivial_groupoid
+from references import from_names, trivial_groupoid
 
 
 def test_z2_is_valid_and_pmp(z2):
@@ -40,9 +40,9 @@ def test_broken_compose_reports_bad_unit():
     h = mk.full_relation(["x0", "x1"], {"x0": 0.5, "x1": 0.5})
     bad = dict(h.compose)
     bad[("r|x0|x1", "r|x0|x1")] = "r|x0|x0"  # tgt != src
-    raw = MeasuredGroupoid(
+    raw = from_names(
         h.units, h.mass, [(a.id, a.src, a.tgt) for a in h.arrows],
-        compose_rows(bad), h.inverse, h.unit_arrow,
+        bad, h.inverse, h.unit_arrow,
     )
     with pytest.raises(BadUnit):
         raw.validate()
@@ -51,10 +51,10 @@ def test_broken_compose_reports_bad_unit():
 def test_missing_composition_detected(full2):
     compose = dict(full2.compose)
     del compose[("r|x1|x0", "r|x0|x1")]
-    raw = MeasuredGroupoid(
+    raw = from_names(
         full2.units, full2.mass,
         [(a.id, a.src, a.tgt) for a in full2.arrows],
-        compose_rows(compose), full2.inverse, full2.unit_arrow,
+        compose, full2.inverse, full2.unit_arrow,
     )
     with pytest.raises(DanglingReference):
         raw.validate()
@@ -63,10 +63,10 @@ def test_missing_composition_detected(full2):
 def test_broken_inverse_detected(full2):
     inverse = dict(full2.inverse)
     inverse["r|x1|x0"] = "r|x1|x0"
-    raw = MeasuredGroupoid(
+    raw = from_names(
         full2.units, full2.mass,
         [(a.id, a.src, a.tgt) for a in full2.arrows],
-        compose_rows(full2.compose), inverse, full2.unit_arrow,
+        full2.compose, inverse, full2.unit_arrow,
     )
     with pytest.raises(BadInverse) as err:
         raw.validate()
@@ -83,7 +83,7 @@ def _latin_square() -> MeasuredGroupoid:
         ("b", "e"): "b", ("b", "a"): "b", ("b", "b"): "e",
     }
     inverse = {"e": "e", "a": "a", "b": "b"}
-    return MeasuredGroupoid(["x"], {"x": 1.0}, arrows, compose_rows(table), inverse, {"x": "e"})
+    return from_names(["x"], {"x": 1.0}, arrows, table, inverse, {"x": "e"})
 
 
 def test_nonassociative_table_detected():
@@ -94,8 +94,8 @@ def test_nonassociative_table_detected():
 def _first_nonassociative_by_loop(g):
     """The triple-by-triple associativity loop that ``validate`` ran before
     its index pass, kept as the reference for the first failing triple."""
-    rows = g.compose_rows
-    compose = dict(zip(zip(rows[0::3], rows[1::3]), rows[2::3]))
+    rows = zip(*g._compose_rows().tolist())
+    compose = {(g._name(a), g._name(b)): g._name(ab) for a, b, ab in rows}
     for (a, b), ab in compose.items():
         for c in g.by_target(g.src[b]):
             if compose[(ab, c)] != compose[(a, compose[(b, c)])]:
@@ -120,9 +120,9 @@ def _with_swapped_product(g, rng):
             compose[p], compose[q] = gh2, gh
             rows = list(compose.items())
             rng.shuffle(rows)
-            return MeasuredGroupoid(
+            return from_names(
                 g.units, g.mass, [(a.id, a.src, a.tgt) for a in g.arrows],
-                compose_rows(dict(rows)), g.inverse, g.unit_arrow,
+                dict(rows), g.inverse, g.unit_arrow,
             )
     return None
 
@@ -208,7 +208,7 @@ def _with_product_changed(g, rng, avoid=()):
     rng.shuffle(rows)
     return dict(
         units=list(g.units), mass=dict(g.mass),
-        arrows=[(a.id, a.src, a.tgt) for a in g.arrows], compose=compose_rows(dict(rows)),
+        arrows=[(a.id, a.src, a.tgt) for a in g.arrows], compose=dict(rows),
         inverse=dict(g.inverse), unit_arrows=dict(g.unit_arrow),
     )
 
@@ -217,7 +217,7 @@ def _validate_and_pass_the_generators(tables: dict):
     """Validate the groupoid of ``tables``: the ``NonAssociative`` message
     and ids or None, what a pass over the generators of its table finds,
     called directly, and the loop's first failing triple."""
-    raw, rows = _build(tables), tables["compose"]
+    raw = from_names(**tables)
     built = []
     real = MeasuredGroupoid._table_in_positions
 
@@ -237,7 +237,6 @@ def _validate_and_pass_the_generators(tables: dict):
     def fails(xy, yz, xy_z, x_yz):
         return t.prod[xy_z] != t.prod[x_yz]
     found = t.first_failure(fails, "xy", t.generators())
-    raw.compose_rows = rows  # a validation that passes drops them
     return named, found, _first_nonassociative_by_loop(raw)
 
 
@@ -273,7 +272,7 @@ def test_generator_pass_and_full_pass_agree(source, seed, change):
     g = mk.random_groupoid(source) if isinstance(source, int) else mk.NAMED_INSTANCES[source]()[0]
     tables = _with_product_changed(g, random.Random(seed)) if change else None
     if tables is None:
-        tables = {**_tables_of(g), "compose": compose_rows(g.compose)}
+        tables = _tables_of(g)
     named, found, want = _validate_and_pass_the_generators(tables)
     assert (found is None) == (want is None)
     assert named == want
@@ -300,7 +299,7 @@ def test_small_tables_take_the_full_pass_and_larger_ones_the_generators(build, s
         middles.append(chosen)
         return real(self, fails, outer, chosen)
 
-    raw = _build({**_tables_of(g), "compose": compose_rows(g.compose)})
+    raw = from_names(**_tables_of(g))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(PairTable, "first_failure", spy)
         raw.validate()
@@ -319,7 +318,7 @@ def test_blocks_of_any_size_name_the_loops_first_triple(block, monkeypatch):
     g = mk.sn_bundle(4)[0]  # on the generator route
     generators = {g.arrow_order[a] for a in g.pairs.generators()}
     tables = _with_product_changed(g, random.Random(3), avoid=generators)
-    cases.append(_build(tables))
+    cases.append(from_names(**tables))
     for raw in cases:
         with pytest.raises(NonAssociative) as err:
             raw.validate()
@@ -338,22 +337,13 @@ def test_generators_stay_small_on_sn_bundle_6():
 
 
 def _tables_of(g: MeasuredGroupoid) -> dict:
-    """The tables of ``g`` as fresh, mutable constructor arguments, but for
-    the composition table as a dict ``compose``; see ``_build``."""
+    """The tables of ``g`` by name as fresh, mutable arguments of
+    ``from_names``, the composition table as a dict ``compose``."""
     return dict(
         units=list(g.units), mass=dict(g.mass),
         arrows=[(a.id, a.src, a.tgt) for a in g.arrows], compose=dict(g.compose),
         inverse=dict(g.inverse), unit_arrows=dict(g.unit_arrow),
     )
-
-
-def _build(tables: dict) -> MeasuredGroupoid:
-    """The groupoid of ``_tables_of``-style tables; ``compose`` may also be
-    given as flat rows already."""
-    tables = dict(tables)
-    rows = tables.pop("compose")
-    rows = compose_rows(rows) if isinstance(rows, dict) else rows
-    return MeasuredGroupoid(**tables, compose_rows=rows)
 
 
 def _edit(name: str, **changes):
@@ -436,7 +426,8 @@ _BROKEN = {
         (_E0, _A, _E1)),
     "compose: pair given twice": (
         _edit("full2", compose=[
-            *compose_rows(mk.NAMED_INSTANCES["full2"]()[0].compose), _E0, _A, _A]),
+            *((g, h, gh) for (g, h), gh in mk.NAMED_INSTANCES["full2"]()[0].compose.items()),
+            (_E0, _A, _A)]),
         DanglingReference, "compose row for ('r|x0|x0','r|x0|x1') repeats an earlier row",
         (_E0, _A)),
     "compose: missing pair": (
@@ -484,24 +475,23 @@ def test_each_broken_table_names_its_fault(case):
     # one table per check of validate, and tables with faults in two rows:
     # the first faulty row in table order is named, whatever the checks' order
     tables, cls, message, ids = _BROKEN[case]
-    raw = _latin_square() if tables is None else _build(tables)
+    raw = _latin_square() if tables is None else from_names(**tables)
     with pytest.raises(GroupoidError) as err:
         raw.validate()
     assert (type(err.value), str(err.value), err.value.ids) == (cls, message, ids)
 
 
-class _IterateOnly(list):
-    """Composition rows that may be iterated but not indexed."""
-
-    def __getitem__(self, *args):
-        raise AssertionError("the composition rows were indexed")
+_NAME_VIEWS = ("src", "tgt", "inverse", "unit_arrow", "unit_arrow_set", "_index", "arrows",
+               "_fans")
 
 
-def test_validate_reads_the_composition_table_only_by_iterating_it():
-    # the S4 translation groupoid: 576 arrows, 13,824 composable pairs
+def test_validate_reads_only_the_arrays_it_was_given():
+    # the S4 translation groupoid: 576 arrows, 13,824 composable pairs; its
+    # tables given by name, then validated with no name view built
     g = mk.NAMED_INSTANCES["s4-translation"]()[0]
-    raw = _build({**_tables_of(g), "compose": _IterateOnly(compose_rows(g.compose))})
+    raw = from_names(**_tables_of(g))
     raw.validate()
+    assert not set(_NAME_VIEWS) & set(vars(raw))
     assert len(raw.pairs.prod) == 13_824
     for a, b in zip(vars(raw.pairs).values(), vars(g.pairs).values()):
         assert np.array_equal(a, b)
@@ -510,11 +500,27 @@ def test_validate_reads_the_composition_table_only_by_iterating_it():
 def test_validation_drops_the_compose_rows_and_can_run_again():
     g = mk.NAMED_INSTANCES["full3"]()[0]  # not the session fixture: validate runs again
     pairs, compose = g.pairs, dict(g.compose)
-    assert g.compose_rows is None
-    assert g.validate() is g and g.compose_rows is None
+    assert g._rows is None
+    assert g.validate() is g and g._rows is None
     assert dict(g.compose) == compose
     for a, b in zip(vars(g.pairs).values(), vars(pairs).values()):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("mass, message", [
+    (math.nan, "mass at unit 'x1' is not finite"),
+    (math.inf, "mass at unit 'x1' is not finite"),
+    (-math.inf, "negative mass at unit 'x1'"),
+])
+def test_a_non_finite_mass_is_named(mass, message, recwarn):
+    # with unnormalized=True no total is checked; the unit is named anyway,
+    # and no numpy warning is raised on the way
+    raw = from_names(**_edit("full2", mass={"x0": 0.5, "x1": mass}))
+    raw.unnormalized = True
+    with pytest.raises(BadUnit) as err:
+        raw.validate()
+    assert (str(err.value), err.value.ids) == (message, ("x1",))
+    assert not recwarn.list
 
 
 def test_unnormalized_mass_rejected_without_flag():
@@ -669,11 +675,11 @@ def test_orbits_ignore_null_unit_arrows(seed):
 def test_adding_isolated_null_unit_keeps_orbits(seed):
     g = mk.random_groupoid(seed)
     extended = validate_groupoid(
-        MeasuredGroupoid(
+        from_names(
             list(g.units) + ["zz_null"],
             {**g.mass, "zz_null": 0.0},
             [(a.id, a.src, a.tgt) for a in g.arrows] + [("zz_e", "zz_null", "zz_null")],
-            [*compose_rows(g.compose), "zz_e", "zz_e", "zz_e"],
+            {**g.compose, ("zz_e", "zz_e"): "zz_e"},
             {**g.inverse, "zz_e": "zz_e"},
             {**g.unit_arrow, "zz_null": "zz_e"},
         )

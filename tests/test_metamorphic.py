@@ -13,8 +13,10 @@ import pytest
 
 from factoroid import constructors as mk
 from factoroid.cocycle import apply_coboundary, trivial_cocycle, validate_cocycle
-from factoroid.groupoid import MeasuredGroupoid, validate_groupoid
+from factoroid.groupoid import validate_groupoid
 from factoroid.vna import factoriality_report
+
+from references import from_names
 
 FIELDS = ("icc", "ergodic", "factor", "center_dim", "consistent")
 
@@ -22,11 +24,11 @@ FIELDS = ("icc", "ergodic", "factor", "center_dim", "consistent")
 def _rebuild(g, w, rename, arrows, compose):
     """The groupoid rewritten, and the cocycle w, pair by pair, on it."""
     h = validate_groupoid(
-        MeasuredGroupoid(
+        from_names(
             [rename[u] for u in g.units],
             {rename[u]: g.mass[u] for u in g.units},
             [(a, rename[s], rename[t]) for a, s, t in arrows],
-            [x for (a, b), ab in compose.items() for x in (a, b, ab)],
+            compose,
             g.inverse,
             {rename[u]: e for u, e in g.unit_arrow.items()},
             exact_mass=(

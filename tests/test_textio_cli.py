@@ -16,7 +16,7 @@ import factoroid
 from factoroid import cli, vna
 from factoroid import constructors as mk
 from factoroid.cocycle import NotUnitModulus, validate_cocycle
-from factoroid.groupoid import BadInverse, DanglingReference
+from factoroid.groupoid import BadInverse, BadUnit, DanglingReference
 from factoroid.textio import ParseError, parse_text, serialize
 
 from references import trivial_groupoid
@@ -177,6 +177,21 @@ _FAULTS = {  # edits of _fault_base(), then the class, line and message
     "units: bad mass": (
         [(3, "x1 abc")], ParseError, 3,
         "bad mass 'abc' for 'x1': could not convert string to float: 'abc'"),
+    "units: nan mass": (
+        [(3, "x1 nan")], ParseError, 3,
+        "bad mass 'nan' for 'x1': mass must be finite"),
+    "units: infinite mass": (
+        [(2, "x0 -inf")], ParseError, 2,
+        "bad mass '-inf' for 'x0': mass must be finite"),
+    "units: mass overflowing to inf": (
+        [(2, "x0 1e999")], ParseError, 2,
+        "bad mass '1e999' for 'x0': mass must be finite"),
+    "unit_arrows: unknown unit": (
+        [(-12, "zz r|x0|x0")], BadUnit, None,
+        "unit_arrows must be defined for every unit"),
+    "inverse: unknown arrow": (
+        [(-26, "zz r|x0|x0")], BadInverse, None,
+        "inverse must be defined for every arrow"),
     "units: no rows": (
         [(2, "# x0 0.5"), (3, "")], ParseError, 0,
         "no units defined"),

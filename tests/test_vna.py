@@ -34,7 +34,7 @@ from factoroid.vna import (
 
 from dense_oracle import commutant, svd_span
 from references import (
-    compose_rows,
+    from_names,
     icc_by_name,
     invariant_rows_by_name,
     loops_off_units_by_name,
@@ -133,9 +133,9 @@ def _sweep_instances():
     for seed in range(150):
         g = mk.random_groupoid(seed)
         yield g
-        yield validate_groupoid(MeasuredGroupoid(
+        yield validate_groupoid(from_names(
             random.Random(seed).sample(g.units, len(g.units)), g.mass,
-            [(a, g.src[a], g.tgt[a]) for a in g.arrow_order], compose_rows(g.compose),
+            [(a, g.src[a], g.tgt[a]) for a in g.arrow_order], g.compose,
             g.inverse, g.unit_arrow, exact_mass=g.exact_mass,
         ))
         keep = g.units[::2]
@@ -182,8 +182,9 @@ def test_positional_stages_match_name_walking_references():
     "family", ["full3", "s3-bundle", "klein4-twisted", "random:0", "random:4", "random-twisted:2"]
 )
 def test_report_builds_no_name_views(family):
-    # after parsing, a report reads positions only: the Arrow triples and
-    # the maps of the arrows by source and by target stay unbuilt
+    # after parsing, a report reads positions only: no name view is built,
+    # not the dicts by identifier, the Arrow triples or the maps of the
+    # arrows by source and by target
     name, _, seed = family.partition(":")
     if name == "random":
         text = serialize(mk.random_groupoid(int(seed)))
@@ -193,7 +194,7 @@ def test_report_builds_no_name_views(family):
         text = serialize(*mk.NAMED_INSTANCES[family]())
     g, w = parse_text(text)
     assert factoriality_report(g, w).consistent
-    assert g._arrows is None and g._by_unit is None
+    assert not {"src", "tgt", "inverse", "unit_arrow", "arrows", "_fans"} & set(vars(g))
 
 
 def _worst_residual_row_by_row(a, b):
@@ -1043,15 +1044,16 @@ def test_center_confirms_several_candidates_per_block(monkeypatch):
 
 
 def test_report_requires_nonsingular():
-    from factoroid.groupoid import GroupoidError, MeasuredGroupoid, validate_groupoid
+    from factoroid.groupoid import GroupoidError, validate_groupoid
 
     g = validate_groupoid(
-        MeasuredGroupoid(
+        from_names(
             ["x0", "x1"],
             {"x0": 1.0, "x1": 0.0},
             [("e0", "x0", "x0"), ("e1", "x1", "x1"),
              ("a", "x0", "x1"), ("b", "x1", "x0")],
-            "e0 e0 e0  e1 e1 e1  a e0 a  e1 a a  b e1 b  e0 b b  a b e1  b a e0".split(),
+            [("e0", "e0", "e0"), ("e1", "e1", "e1"), ("a", "e0", "a"), ("e1", "a", "a"),
+             ("b", "e1", "b"), ("e0", "b", "b"), ("a", "b", "e1"), ("b", "a", "e0")],
             {"e0": "e0", "e1": "e1", "a": "b", "b": "a"},
             {"x0": "e0", "x1": "e1"},
         )
@@ -1065,8 +1067,8 @@ def test_report_with_no_positive_arrow():
     # every unit null: the space, the algebra and the center are all empty
     from factoroid.groupoid import validate_groupoid
 
-    g = validate_groupoid(MeasuredGroupoid(
-        ["x"], {"x": 0.0}, [("e", "x", "x")], ["e", "e", "e"], {"e": "e"},
+    g = validate_groupoid(from_names(
+        ["x"], {"x": 0.0}, [("e", "x", "x")], [("e", "e", "e")], {"e": "e"},
         {"x": "e"}, unnormalized=True,
     ))
     assert algebra(g).matrix_dim == 0
