@@ -6,7 +6,11 @@ detects an inconsistency between the structural deciders and the numerical
 center, or an internal self-check fails (either should never happen and
 fails any surrounding build).
 
-The parser is built once per process (see ``build_parser``).
+The parser is built once per process (see ``build_parser``). A command
+loads only the modules it runs: the instance builders in ``constructors``
+are imported inside ``gen``, ``corpus``, ``globalize`` and ``dr-scan``, and
+``basis`` inside ``fourier``, so a report, ``validate``, ``center``,
+``icc``, ``twisted-icc`` or ``kleppner`` loads neither.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import constructors as mk
-from .basis import build_basis
 from .cocycle import _normalized, kleppner_holds, twisted_icc
 from .conjugacy import is_icc
 from .groupoid import GroupoidError
@@ -63,6 +65,17 @@ def _tolerance(raw: str) -> float:
             f"must be a positive finite number, got {raw!r}"
         )
     return tol
+
+
+def _count(raw: str) -> int:
+    """A count: a whole number, at least 1."""
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number >= 1, got {raw!r}")
+    return n
 
 
 def _default_rank_tol() -> float:
@@ -173,6 +186,8 @@ def cmd_center(args) -> int:
 
 
 def cmd_fourier(args) -> int:
+    from .basis import build_basis
+
     g, w = _load(args.file)
     space = l2_space(g)
     alg = algebra(g, w, "left", space=space)
@@ -200,23 +215,32 @@ def cmd_fourier(args) -> int:
     return 0
 
 
-# families that read --n or --seed; the fixed ones are mk.NAMED_INSTANCES
+# families that read --n or --seed, each given the constructors module; the
+# fixed ones are constructors.NAMED_INSTANCES
 _FAMILIES = {
-    "sn-bundle": lambda args: (mk.sn_bundle(args.n)[0], None),
-    "random": lambda args: (mk.random_groupoid(args.seed), None),
-    "random-twisted": lambda args: mk.random_twisted_pair(args.seed),
+    "sn-bundle": lambda mk, args: (mk.sn_bundle(args.n)[0], None),
+    "random": lambda mk, args: (mk.random_groupoid(args.seed), None),
+    "random-twisted": lambda mk, args: mk.random_twisted_pair(args.seed),
 }
-_FAMILY_NAMES = ", ".join(sorted([*mk.NAMED_INSTANCES, *_FAMILIES]))
+# every `gen` family, sorted: the keys of NAMED_INSTANCES and _FAMILIES,
+# spelt out so that the help text does not import the constructors
+_FAMILY_NAMES = (
+    "full2", "full3", "klein4", "klein4-twisted", "random", "random-twisted",
+    "s3-bundle", "s4-translation", "s4xz2-translation", "s5-translation",
+    "sn-bundle", "swap", "z2", "z3", "z4-translation",
+)
 
 
 def cmd_gen(args) -> int:
+    from . import constructors as mk
+
     if args.family in mk.NAMED_INSTANCES:
         g, w = mk.NAMED_INSTANCES[args.family]()
     elif args.family in _FAMILIES:
-        g, w = _FAMILIES[args.family](args)
+        g, w = _FAMILIES[args.family](mk, args)
     else:
         raise InputError(
-            f"unknown family {args.family!r}; choose from {_FAMILY_NAMES}"
+            f"unknown family {args.family!r}; choose from {', '.join(_FAMILY_NAMES)}"
         )
     text = serialize(g, w)
     if args.out:
@@ -227,6 +251,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    from . import constructors as mk
+
     seeds = range(args.seed, args.seed + args.count)
     bad = 0
     converse_hits = []
@@ -260,6 +286,8 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_globalize(args) -> int:
+    from . import constructors as mk
+
     if args.demo:
         p = mk.half_domain_fixture()
     else:
@@ -289,6 +317,8 @@ def _parse_map_spec(spec: str) -> dict[str, str]:
 
 
 def cmd_dr_scan(args) -> int:
+    from . import constructors as mk
+
     if args.map:
         sigma = _parse_map_spec(args.map)
         units = tuple(sigma)
@@ -361,17 +391,17 @@ def build_parser() -> argparse.ArgumentParser:
     add("kleppner", "phase-symmetry condition", "file", "format")
     add("center", "numerical center dimension", "file", "format", "rank")
     p = add("fourier", "expansion residuals on random elements", "file", "format")
-    p.add_argument("--elements", type=int, default=20)
+    p.add_argument("--elements", type=_count, default=20)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("gen", "emit an example family instance")
-    p.add_argument("--family", required=True, help=_FAMILY_NAMES)
+    p.add_argument("--family", required=True, help=", ".join(_FAMILY_NAMES))
     p.add_argument("--n", type=int, default=3, help="size for sn-bundle")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output path (default stdout)")
 
     p = add("corpus", "run reports over seeded random instances", "rank", "containment")
-    p.add_argument("--count", type=int, default=50)
+    p.add_argument("--count", type=_count, default=50)
     p.add_argument("--seed", type=int, default=0, help="first seed")
     p.add_argument("--twisted", action="store_true")
     p.add_argument(

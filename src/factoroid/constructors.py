@@ -18,6 +18,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -37,26 +38,36 @@ class InvalidPartialAction(GroupoidError):
 
 # -- finite group tables -----------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGroupTable:
     """A finite group as explicit multiplication and inversion tables.
 
-    ``product`` is the multiplication table in element positions, built once
-    from ``mult`` unless given: product[i, j] is the position of
-    elements[i] elements[j]."""
+    ``product`` is the multiplication table in element positions:
+    product[i, j] is the position of elements[i] elements[j].  Two tables
+    are equal when their name, elements, product, inverse and identity are."""
 
     name: str
     elements: tuple[str, ...]
-    mult: dict[tuple[str, str], str]
+    product: np.ndarray = field(repr=False)
     inverse: dict[str, str]
     identity: str
-    product: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.product is None:
-            at, e = {g: i for i, g in enumerate(self.elements)}, self.elements
-            product = np.array([[at[self.mult[(a, b)]] for b in e] for a in e], dtype=np.intp)
-            object.__setattr__(self, "product", product.reshape(len(e), len(e)))
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FiniteGroupTable):
+            return NotImplemented
+        return (
+            (self.name, self.elements, self.inverse, self.identity)
+            == (other.name, other.elements, other.inverse, other.identity)
+            and np.array_equal(self.product, other.product)
+        )
+
+    @functools.cached_property
+    def mult(self) -> Mapping[tuple[str, str], str]:
+        """The product by names, (a, b) -> ab: a read-only view of
+        ``product``, built on first read."""
+        e = self.elements
+        names = map(e.__getitem__, self.product.ravel().tolist())
+        return MappingProxyType(dict(zip(itertools.product(e, e), names)))
 
     @functools.cached_property
     def inverse_at(self) -> np.ndarray:
@@ -77,11 +88,9 @@ class FiniteGroupTable:
 
 def cyclic_group(n: int) -> FiniteGroupTable:
     elems = tuple(str(i) for i in range(n))
-    mult = {
-        (str(i), str(j)): str((i + j) % n) for i in range(n) for j in range(n)
-    }
-    inv = {str(i): str((-i) % n) for i in range(n)}
-    return FiniteGroupTable(f"Z{n}", elems, mult, inv, "0")
+    i = np.arange(n)
+    inv = {str(k): str((-k) % n) for k in range(n)}
+    return FiniteGroupTable(f"Z{n}", elems, (i[:, None] + i) % n, inv, "0")
 
 
 def _perm_label(p: tuple[int, ...]) -> str:
@@ -100,10 +109,9 @@ def _group_from_perms(name: str, perms: Iterable[tuple[int, ...]]) -> FiniteGrou
     def element(rows: np.ndarray) -> np.ndarray:
         return np.searchsorted(table @ radix, rows @ radix)
 
-    product, of = element(table[:, table]), label.__getitem__
-    mult = dict(zip(itertools.product(label, label), map(of, product.ravel().tolist())))
-    inv = dict(zip(label, map(of, element(np.argsort(table, axis=1)).tolist())))
-    return FiniteGroupTable(name, tuple(label), mult, inv, _perm_label(tuple(range(d))), product)
+    inv = dict(zip(label, map(label.__getitem__, element(np.argsort(table, axis=1)).tolist())))
+    return FiniteGroupTable(name, tuple(label), element(table[:, table]), inv,
+                            _perm_label(tuple(range(d))))
 
 
 def symmetric_group(n: int) -> FiniteGroupTable:
@@ -130,11 +138,10 @@ def direct_product(a: FiniteGroupTable, b: FiniteGroupTable) -> FiniteGroupTable
     elems, m = tuple(f"{x}.{y}" for x in a.elements for y in b.elements), len(b.elements)
     product = a.product[:, None, :, None] * m + b.product[None, :, None, :]
     product = product.reshape(len(elems), -1)
-    inv, of = (a.inverse_at[:, None] * m + b.inverse_at).ravel(), elems.__getitem__
-    mult = dict(zip(itertools.product(elems, elems), map(of, product.ravel().tolist())))
-    inverse = dict(zip(elems, map(of, inv.tolist())))
-    return FiniteGroupTable(f"{a.name}x{b.name}", elems, mult, inverse,
-                            f"{a.identity}.{b.identity}", product)
+    inv = (a.inverse_at[:, None] * m + b.inverse_at).ravel()
+    inverse = dict(zip(elems, map(elems.__getitem__, inv.tolist())))
+    return FiniteGroupTable(f"{a.name}x{b.name}", elems, product, inverse,
+                            f"{a.identity}.{b.identity}")
 
 
 def klein_four_group() -> FiniteGroupTable:
@@ -222,7 +229,7 @@ def transformation_groupoid(
 
 
 def translation_action(group: FiniteGroupTable) -> dict[tuple[str, str], str]:
-    return {(g1, g2): group.mult[(g1, g2)] for g1 in group.elements for g2 in group.elements}
+    return dict(group.mult)
 
 
 @dataclass(frozen=True)
@@ -612,6 +619,10 @@ class DeaconuRenaultSystem:
     mass: dict[str, float]
     sigma: dict[str, str]
     bound: int = 3
+
+    def __post_init__(self) -> None:
+        if not self.units:
+            raise GroupoidError("a shift system needs at least one unit")
 
 
 @dataclass(frozen=True)

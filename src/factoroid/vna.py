@@ -62,14 +62,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from itertools import compress
-from typing import Callable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .basis import Basis
 from .cocycle import Cocycle, _normalized, kleppner_holds, twisted_icc
 from .conjugacy import is_icc
 from .groupoid import GroupoidError, MeasuredGroupoid, PairTable
+
+if TYPE_CHECKING:
+    from .basis import Basis
 
 RANK_TOL = 1e-9
 CONTAINMENT_TOL = 1e-8

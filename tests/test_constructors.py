@@ -41,6 +41,40 @@ def test_group_tables():
     assert len(mk.klein_four_group().elements) == 4
 
 
+def test_group_table_equality_compares_product_by_value():
+    s3 = mk.symmetric_group(3)
+    twin = mk.FiniteGroupTable(s3.name, s3.elements, s3.product.copy(), dict(s3.inverse),
+                               s3.identity)
+    assert twin == s3 and mk.symmetric_group(4) == mk.symmetric_group(4)
+    assert mk.cyclic_group(2) != mk.cyclic_group(3)
+    assert mk.klein_four_group() != mk.cyclic_group(4)
+    assert mk.klein_four_group() != "Z2xZ2"
+    swapped = s3.product.copy()
+    swapped[[1, 2]] = swapped[[2, 1]]
+    differ = [
+        mk.FiniteGroupTable("T3", s3.elements, s3.product, s3.inverse, s3.identity),
+        mk.FiniteGroupTable(s3.name, s3.elements, swapped, s3.inverse, s3.identity),
+        mk.FiniteGroupTable(s3.name, s3.elements, s3.product, {**s3.inverse, "021": "012"},
+                            s3.identity),
+        mk.FiniteGroupTable(s3.name, s3.elements, s3.product, s3.inverse, "021"),
+    ]
+    assert all(table != s3 for table in differ)
+
+
+@pytest.mark.parametrize("table", [
+    mk.cyclic_group(5), mk.symmetric_group(3), mk.dihedral_group(4), mk.klein_four_group(),
+])
+def test_group_table_mult_is_a_read_only_view_of_product(table):
+    e = table.elements
+    assert len(table.mult) == len(e) ** 2
+    assert table.mult == {
+        (a, b): e[table.product[i, j]] for i, a in enumerate(e) for j, b in enumerate(e)
+    }
+    assert all(table.mult[(table.identity, a)] == a for a in e)
+    with pytest.raises(TypeError):
+        table.mult[(e[0], e[0])] = e[0]
+
+
 def test_conjugacy_class_counts():
     assert len(mk.cyclic_group(4).conjugacy_classes()) == 4
     assert len(mk.symmetric_group(3).conjugacy_classes()) == 3
@@ -364,6 +398,13 @@ def test_essentially_free_decisions():
     rep = mk.essentially_free(degenerate)
     assert rep.free
     assert "null" in rep.note
+
+
+def test_deaconu_renault_rejects_an_empty_system():
+    with pytest.raises(GroupoidError, match="at least one unit"):
+        mk.DeaconuRenaultSystem((), {}, {}, 2)
+    with pytest.raises(GroupoidError, match="at least one unit"):
+        mk.random_shift_system(0, size=0)
 
 
 @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])

@@ -552,12 +552,13 @@ def test_cli_json_writes_non_finite_floats_as_null(tmp_path, capsys):
     assert ["center_gap", "[0.0, inf]"] in [line.split(None, 1) for line in out.splitlines()]
 
 
-_SCIPY_BLOCKED = """
+_BLOCKED = """
 import contextlib, io, json, sys
-sys.modules["scipy"] = None  # any import of scipy now raises
+for name in json.loads(sys.argv[1]):
+    sys.modules[name] = None  # any import of it now raises
 from factoroid import cli
 results = []
-for argv in json.loads(sys.argv[1]):
+for argv in json.loads(sys.argv[2]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
@@ -566,24 +567,115 @@ print(json.dumps(results))
 """
 
 
+def _run_blocked(capsys, blocked, calls):
+    """Run each of ``calls`` through ``cli.main`` in one fresh interpreter in
+    which every module of ``blocked`` fails to import; each must exit 0 with
+    the code and stdout it gives in this process."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLOCKED, json.dumps(blocked), json.dumps(calls)],
+        capture_output=True, text=True, env=_env_with_src(), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for argv, (code, out) in zip(calls, json.loads(proc.stdout), strict=True):
+        assert [code, out] == list(run_cli(capsys, *argv)) and code == 0, argv
+
+
 def test_cli_never_imports_scipy(tmp_path, capsys):
     # scipy is for the tests' dense oracle alone; no subcommand may load it
     path = str(tmp_path / "k.txt")
     run_cli(capsys, "gen", "--family", "klein4-twisted", "--out", path)
-    calls = [
+    _run_blocked(capsys, ["scipy"], [
         ["report", path, "--format", "json"], ["center", path], ["validate", path],
         ["icc", path], ["twisted-icc", path], ["kleppner", path],
         ["fourier", path, "--elements", "2"], ["gen", "--family", "klein4-twisted"],
         ["corpus", "--count", "3"],
-    ]
+    ])
+
+
+def test_report_commands_load_neither_builders_nor_basis(tmp_path, capsys):
+    # the instance builders and the Fourier basis serve other commands only
+    path = str(tmp_path / "t.txt")
+    run_cli(capsys, "gen", "--family", "random-twisted", "--seed", "3", "--out", path)
+    _run_blocked(capsys, ["scipy", "factoroid.constructors", "factoroid.basis"], [
+        ["report", path], ["report", path, "--format", "json"], ["validate", path],
+        ["center", path], ["icc", path], ["twisted-icc", path], ["kleppner", path],
+    ])
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "s3-bundle"], ["corpus", "--count", "3"],
+    ["fourier", "{file}", "--elements", "2"], ["globalize", "--demo"], ["dr-scan"],
+])
+def test_commands_import_what_they_run_in_a_fresh_process(tmp_path, capsys, argv):
+    path = str(tmp_path / "k.txt")
+    run_cli(capsys, "gen", "--family", "klein4-twisted", "--out", path)
+    argv = [arg.format(file=path) for arg in argv]
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_BLOCKED, json.dumps(calls)],
+        [sys.executable, "-m", "factoroid", *argv],
         capture_output=True, text=True, env=_env_with_src(), timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    blocked = json.loads(proc.stdout)
-    for argv, (code, out) in zip(calls, blocked, strict=True):
-        assert [code, out] == list(run_cli(capsys, *argv)) and code == 0, argv
+    assert run_cli(capsys, *argv) == (0, proc.stdout)
+
+
+def test_family_names_match_the_registry(capsys):
+    names = sorted([*mk.NAMED_INSTANCES, *cli._FAMILIES])
+    assert cli._FAMILY_NAMES == tuple(names)
+    assert cli.main(["gen", "--family", "nosuch"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: unknown family 'nosuch'; choose from {', '.join(names)}\n"
+    )
+
+
+# every public name of the package, submodules included
+_EXPORTED = (
+    "Arrow", "AsymmetricBasis", "BadInverse", "BadUnit", "Basis",
+    "CentralSetCertificate", "Cocycle", "CocycleIdentityViolated", "ConjugacyClass",
+    "DanglingReference", "EmptyRestriction", "FactorialityReport", "FourierData",
+    "GroupoidError", "IccVerdict", "KleppnerVerdict", "L2Space", "MatrixStarAlgebra",
+    "MeasuredGroupoid", "NonAssociative", "NonUniformFiber", "NotErgodic", "NotInAlgebra",
+    "NotIsotropy", "NotUnitModulus", "ParseError", "RegularityVerdict",
+    "TranslationAlgebra", "TwistedIccVerdict", "algebra", "apply_coboundary", "basis",
+    "build_basis", "center", "central_set_search", "check_basis", "check_isomorphism",
+    "cocycle", "conditional_expectation", "conjugacy", "conjugacy_class",
+    "conjugate_basis", "ergodic_class_decomposition", "extend_iso_basis",
+    "factoriality_report", "fourier", "groupoid", "invariant_subalgebra", "is_icc",
+    "is_omega_regular", "j_map", "kleppner_holds", "l2_space", "multiplication_operator",
+    "normalize_cocycle", "parse_file", "parse_text", "phi_and_sharp", "serialize",
+    "subspace_leq", "subspaces_equal", "textio", "trivial_cocycle", "twisted_icc",
+    "validate_cocycle", "validate_groupoid", "vna", "write_file",
+)
+
+_EXPORT_PROBE = """
+import json, sys
+import factoroid.textio
+loaded = sorted(m for m in sys.modules if m.startswith("factoroid"))
+listed = dir(factoroid)
+for name in json.loads(sys.argv[1]):
+    exec(f"from factoroid import {name}")
+print(json.dumps([loaded, listed]))
+"""
+
+
+def test_package_names_resolve_on_first_access():
+    # importing one submodule runs it and what it imports, nothing else;
+    # every public name is listed at once and imports when asked for
+    proc = subprocess.run(
+        [sys.executable, "-c", _EXPORT_PROBE, json.dumps(_EXPORTED)],
+        capture_output=True, text=True, env=_env_with_src(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, listed = json.loads(proc.stdout)
+    assert loaded == [
+        "factoroid", "factoroid.cocycle", "factoroid.conjugacy", "factoroid.groupoid",
+        "factoroid.textio",
+    ]
+    assert set(_EXPORTED) <= set(listed) and "__version__" in listed
+    assert sorted(factoroid.__all__) == sorted(_EXPORTED)
+    assert factoroid.MeasuredGroupoid is factoroid.groupoid.MeasuredGroupoid
+    assert factoroid.build_basis.__module__ == "factoroid.basis"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        factoroid.no_such_name
 
 
 def test_cli_reports_are_deterministic(tmp_path, capsys):
@@ -732,10 +824,14 @@ def test_cli_shared_parser_keeps_no_state(tmp_path, capsys, monkeypatch):
     [["report"], ["validate", "{file}", "--format", "json"],
      ["icc", "{file}", "--rank-tol", "1e-9"],
      ["center", "{file}", "--containment-tol", "1e-8"],
-     ["corpus", "--format", "json"], ["nosuch"], []],
+     ["corpus", "--format", "json"], ["nosuch"], [],
+     ["fourier", "{file}", "--elements", "-2"], ["fourier", "{file}", "--elements", "0"],
+     ["corpus", "--count", "-1"], ["corpus", "--count", "0"], ["corpus", "--count", "x"],
+     ["dr-scan", "--size", "0"], ["dr-scan", "--size", "-3"]],
 )
 def test_cli_usage_error_exits_1(tmp_path, capsys, argv):
-    # a missing file, an option the subcommand does not read, no subcommand
+    # a missing file, an option the subcommand does not read, no subcommand,
+    # a count below 1, an empty shift system
     path = tmp_path / "z2.txt"
     run_cli(capsys, "gen", "--family", "z2", "--out", str(path))
     assert cli.main([arg.format(file=path) for arg in argv]) == 1
