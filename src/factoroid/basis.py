@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .groupoid import GroupoidError, MeasuredGroupoid
 
 
@@ -44,35 +46,29 @@ def _greedy_blocks(
     is emitted as the following block.  This splitting is what makes the
     resulting partition closed under inversion.
     """
+    t, name = g.pairs, g.arrow_order
+    inv, src, tgt = t.inv.tolist(), t.src.tolist(), t.tgt.tolist()
     blocks: list[tuple[str, ...]] = []
-    remaining = list(pool)
-    remaining_set = set(remaining)
+    remaining = list(map(g.arrow_index, pool))
     while remaining:
-        g0 = remaining[0]
-        self_inv0 = g.inverse[g0] == g0
-        used_src: set[str] = set()
-        used_tgt: set[str] = set()
-        block: list[str] = []
-        block_set: set[str] = set()
+        self_inv0 = inv[remaining[0]] == remaining[0]
+        used_src: set[int] = set()
+        used_tgt: set[int] = set()
+        block: dict[int, None] = {}  # in storage order
         for a in remaining:
-            if symmetric:
-                if (g.inverse[a] == a) != self_inv0:
-                    continue
-                if not self_inv0 and g.inverse[a] in block_set:
-                    continue
-            if g.src[a] in used_src or g.tgt[a] in used_tgt:
+            if symmetric and ((inv[a] == a) != self_inv0 or not self_inv0 and inv[a] in block):
                 continue
-            block.append(a)
-            block_set.add(a)
-            used_src.add(g.src[a])
-            used_tgt.add(g.tgt[a])
-        blocks.append(tuple(block))
-        remaining_set -= block_set
+            if src[a] in used_src or tgt[a] in used_tgt:
+                continue
+            block[a] = None
+            used_src.add(src[a])
+            used_tgt.add(tgt[a])
+        taken = [list(block)]
         if symmetric and not self_inv0:
-            inv_block = g.sort_arrows(g.inverse[a] for a in block)
-            blocks.append(inv_block)
-            remaining_set -= set(inv_block)
-        remaining = [a for a in remaining if a in remaining_set]
+            taken.append(sorted(inv[a] for a in block))
+        blocks.extend(tuple(name[a] for a in b) for b in taken)
+        done = set().union(*taken)
+        remaining = [a for a in remaining if a not in done]
     return blocks
 
 
@@ -92,21 +88,29 @@ def conjugate_basis(g: MeasuredGroupoid, basis: Basis, window: Iterable[str]) ->
 
     The result is a basis of the subgroupoid C G C^-1, whose unit space is
     the target set of C.  Blocks that conjugate to the empty set are dropped.
+    An arrow b goes to c b d^-1, c and d the arrows of C with source t(b)
+    and s(b), read from ``g.pairs`` by position; b goes nowhere when either
+    is missing.
     """
     g._require_validated()
     window = list(window)
     if not g.is_bisection(window):
         raise GroupoidError("conjugating set must be a bisection")
-    window_inv = [g.inverse[c] for c in window]
+    t, at = g.pairs, np.fromiter(map(g.arrow_index, window), np.intp, len(window))
+    win = np.full(len(g.units), -1)
+    win[t.src[at]] = at
+    # position -1 is no arrow: the product of no pair, and the inverse of none
+    prod, inv, b = np.append(t.prod, -1), np.append(t.inv, -1), np.arange(len(t.src))
+    image = prod[t.at(prod[t.at(win[t.tgt], b)], inv[win[t.src]])]
     blocks: list[tuple[str, ...]] = []
     unit_index: Optional[int] = None
     for i, block in enumerate(basis.blocks):
-        conj = g.mul_sets(g.mul_sets(window, block), window_inv)
-        if not conj:
+        conj = np.setdiff1d(image[np.fromiter(map(g.arrow_index, block), np.intp, len(block))], -1)
+        if not len(conj):
             continue
         if i == basis.unit_block:
             unit_index = len(blocks)
-        blocks.append(g.sort_arrows(conj))
+        blocks.append(tuple(g._names(g.arrow_order, conj)))
     if unit_index is None:
         raise GroupoidError("conjugation of the unit block vanished")
     return Basis(tuple(blocks), symmetric=basis.symmetric, unit_block=unit_index)
@@ -153,9 +157,7 @@ def check_basis(
     if seen != arrows:
         raise GroupoidError("basis blocks do not cover the arrow set")
     unit_block = frozenset(basis.blocks[basis.unit_block])
-    expected_units = frozenset(u for u in arrows if g.src[u] == g.tgt[u]
-                               and u in g.unit_arrow_set)
-    if unit_block != expected_units:
+    if unit_block != arrows & g.unit_arrow_set:
         raise GroupoidError("designated unit block is not the unit arrows")
     if basis.symmetric:
         sets = {frozenset(b) for b in basis.blocks}

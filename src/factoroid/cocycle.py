@@ -335,21 +335,24 @@ def is_omega_regular(
     """Phase symmetry of a bisection inside the isotropy:
     w(y, g) == w(g, x) whenever g x g^-1 = y with x, y in the set.
 
-    Evaluated on the normalized representative of the cocycle.
+    Evaluated on the normalized representative of the cocycle.  The
+    conjugations and phases are read from ``g.pairs`` by position; the
+    witness is the first failure with x in storage order, then g.
     """
     g._require_validated()
     w = _normalized(g, w)
     ids = _require_isotropy(g, ids)
     if not g.is_bisection(ids):
         raise GroupoidError("phase regularity is defined for bisections")
-    for x in g.sort_arrows(ids):
-        for a in g.by_source(g.src[x]):
-            y = g.conjugate(a, x)
-            if y is None or y not in ids:
-                continue
-            if not phase_close(w(y, a), w(a, x), HOLONOMY_TOL):
-                return RegularityVerdict(False, witness=(a, x, y))
-    return RegularityVerdict(True)
+    t, phase = g.pairs, w.on(g)
+    x = np.array(sorted(map(g.arrow_index, ids)), dtype=np.intp)
+    i, p, a, y = t.conjugations(x)  # y = a x a^-1
+    ya, ax = phase[t.start[a] + t.rank[y]], phase[p]  # w(y, a), w(a, x)
+    bad = np.isin(y, x) & ~(ya == ax if w.exact else np.abs(ya - ax) <= HOLONOMY_TOL)
+    if not bad.any():
+        return RegularityVerdict(True)
+    m = int(bad.argmax())
+    return RegularityVerdict(False, witness=tuple(g.arrow_order[v] for v in (a[m], x[i[m]], y[m])))
 
 
 def kleppner_holds(g: MeasuredGroupoid, w: Cocycle) -> KleppnerVerdict:

@@ -10,6 +10,7 @@ lies outside the units; this reduced test is the decider.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Optional
@@ -48,7 +49,8 @@ class IccVerdict:
 
 def _require_isotropy(g: MeasuredGroupoid, ids: Iterable[str]) -> frozenset[str]:
     ids = frozenset(ids)
-    bad = [a for a in ids if g.src[a] != g.tgt[a]]
+    t, at = g.pairs, list(map(g.arrow_index, ids))
+    bad = list(compress(ids, t.src[at] != t.tgt[at]))
     if bad:
         raise NotIsotropy("set is not contained in the isotropy", sorted(bad))
     return ids
@@ -58,7 +60,22 @@ def conjugacy_class(g: MeasuredGroupoid, base: Iterable[str]) -> ConjugacyClass:
     """Close an isotropy subset under conjugation by every arrow."""
     g._require_validated()
     base = _require_isotropy(g, base)
-    # conjugate the newest arrows by every arrow at once, by position in g.pairs
+    closed = _closure(g, base)
+    at = g.pairs.src[closed]  # the source of each arrow of the class
+    fiber = np.bincount(at, minlength=len(g.units)).tolist()
+    counts = {u: c for u, c, m in zip(g.units, fiber, g.unit_masses) if m > 0.0}
+    return ConjugacyClass(
+        base=base,
+        omega=frozenset(compress(g.arrow_order, closed)),
+        mu_s=math.fsum(g.unit_masses[at].tolist()),
+        fiber_counts=counts,
+    )
+
+
+def _closure(g: MeasuredGroupoid, base: Iterable[str]) -> np.ndarray:
+    """The conjugacy class of an isotropy set as a mask over the arrows:
+    the newest arrows are conjugated by every arrow at once, by position in
+    ``g.pairs``, until no new arrow appears."""
     frontier = np.array(sorted(map(g.arrow_index, base)), dtype=np.intp)
     closed = np.zeros(len(g.arrow_order), dtype=bool)
     closed[frontier] = True
@@ -66,15 +83,7 @@ def conjugacy_class(g: MeasuredGroupoid, base: Iterable[str]) -> ConjugacyClass:
         conjugates = g.pairs.conjugations(frontier)[3]
         frontier = np.unique(conjugates[~closed[conjugates]])
         closed[frontier] = True
-    omega = [g.arrow_order[i] for i in np.flatnonzero(closed)]
-    fiber = np.bincount(g.pairs.src[closed], minlength=len(g.units)).tolist()
-    counts = {u: c for u, c, m in zip(g.units, fiber, g.unit_masses) if m > 0.0}
-    return ConjugacyClass(
-        base=base,
-        omega=frozenset(omega),
-        mu_s=g.arrow_measure(omega, "source"),
-        fiber_counts=counts,
-    )
+    return closed
 
 
 def is_icc(g: MeasuredGroupoid) -> IccVerdict:
@@ -110,39 +119,22 @@ def ergodic_class_decomposition(
 
     Returns k disjoint bisections V_1..V_k covering the class over the
     positive-mass units, each with source equal to the common support; k is
-    the (necessarily uniform) fiber count.
+    the (necessarily uniform) fiber count.  V_j holds the live arrows (in
+    the class, at a positive unit) of rank j among the live arrows at their
+    source, in storage order.
     """
     g._require_validated()
-    verdict = g.is_ergodic()
-    if not verdict.ergodic:
+    if not g.is_ergodic().ergodic:
         raise NotErgodic("decomposition requires an ergodic groupoid")
-    cls = conjugacy_class(g, base)
-    positive = g.positive_units
-    live = [h for h in g.sort_arrows(cls.omega) if g.src[h] in positive]
-    if not live:
-        return []
-    support = {g.src[h] for h in live}
-    counts = {x: 0 for x in support}
-    for h in live:
-        counts[g.src[h]] += 1
-    k = counts[next(iter(support))]
-    if support != positive or any(c != k for c in counts.values()):
+    src, positive = g.pairs.src, g.unit_masses > 0.0
+    live = np.flatnonzero(_closure(g, _require_isotropy(g, base)) & positive[src])
+    fiber = np.bincount(src[live], minlength=len(positive))[positive]
+    k = int(fiber.max(initial=0))
+    if (fiber != k).any():
         raise NonUniformFiber(
             "fiber counts differ across positive-mass units; "
             "ergodicity hypothesis violated"
         )
-    remaining = list(live)
-    layers: list[tuple[str, ...]] = []
-    for _ in range(k):
-        taken: dict[str, str] = {}
-        for h in remaining:
-            x = g.src[h]
-            if x not in taken:
-                taken[x] = h
-        layer = g.sort_arrows(taken.values())
-        layers.append(layer)
-        layer_set = set(layer)
-        remaining = [h for h in remaining if h not in layer_set]
-    assert not remaining
-    return layers
-
+    rank = np.empty_like(live)  # each fiber holds k live arrows
+    rank[np.argsort(src[live], kind="stable")] = np.arange(len(live)) % k
+    return [tuple(g._names(g.arrow_order, live[rank == j])) for j in range(k)]

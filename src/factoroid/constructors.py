@@ -28,6 +28,7 @@ from .groupoid import (
     GroupoidError,
     MeasuredGroupoid,
     check_isomorphism,
+    component_roots,
     validate_groupoid,
 )
 
@@ -261,15 +262,13 @@ def induced_action_diagnostic(
     positive mass, and returns it with Y = {x : F(x) = C} and the stabilizer
     subgroup of C.
     """
-    from .conjugacy import conjugacy_class, is_icc
+    from .conjugacy import _closure, is_icc
 
     g = transformation_groupoid(group, action, units, mass)
     verdict = is_icc(g)
     if verdict.icc:
         return None
-    omega = conjugacy_class(g, [g.sort_arrows(verdict.witness)[0]]).omega
-    inside = np.zeros(len(g.arrow_order), dtype=bool)  # arrow (h, x) is h |X| + x
-    inside[[g.arrow_index(a) for a in omega]] = True
+    inside = _closure(g, g.sort_arrows(verdict.witness)[:1])  # arrow (h, x) is h |X| + x
     inside = inside.reshape(len(group.elements), len(units))
     inside[group.elements.index(group.identity)] = False
     e = group.elements
@@ -524,16 +523,7 @@ def globalize(p: PartialActionSystem) -> Globalization:
     size = act.shape[1]
     y = act[prod[inv[order][None, :], order[:, None]][:, None, :], np.arange(size)[None, :, None]]
     n, x, m = np.nonzero(y >= 0)
-    ends = n * size + x, m * size + y[n, x, m]
-    cls = np.arange(len(order) * size)
-    while True:
-        low = cls.copy()
-        for a, b in (ends, ends[::-1]):
-            np.minimum.at(low, a, cls[b])
-        low = low[low]
-        if np.array_equal(low, cls):
-            break
-        cls = low
+    cls = component_roots(len(order) * size, n * size + x, m * size + y[n, x, m])
 
     # enumeration-greedy fundamental domain: (g_n, x) is kept when x avoids
     # every domain X_{g_n^-1 g_k} with k < n
@@ -966,7 +956,7 @@ def random_groupoid(seed: int) -> MeasuredGroupoid:
             keep = rng.sample(positive, k)
             keep += [u for u in g.units if g.mass[u] == 0.0 and rng.random() < 0.5]
             g, _ = g.restrict(keep)
-        if len(g.units) <= _MAX_UNITS and len(g.arrows) <= _MAX_ARROWS:
+        if len(g.units) <= _MAX_UNITS and len(g.arrow_order) <= _MAX_ARROWS:
             return g
     raise GroupoidError(f"generator failed to fit bounds for seed {seed}")
 

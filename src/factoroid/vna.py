@@ -68,7 +68,7 @@ import numpy as np
 
 from .cocycle import Cocycle, _normalized, kleppner_holds, twisted_icc
 from .conjugacy import is_icc
-from .groupoid import GroupoidError, MeasuredGroupoid, PairTable
+from .groupoid import GroupoidError, MeasuredGroupoid, PairTable, component_roots
 
 if TYPE_CHECKING:
     from .basis import Basis
@@ -173,11 +173,7 @@ def _column_forms(constants: _Constants, side: str, space: L2Space) -> _Constant
     if side != "right":
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     val = phase.conj() * np.sqrt(space.weights[k] / space.weights[i])
-    return _inverse_positions(space)[j], i, k, val
-
-
-def _inverse_positions(space: L2Space) -> np.ndarray:
-    return space.pairs.inv
+    return space.pairs.inv[j], i, k, val
 
 
 def _scatter(forms: _Constants, n: int, coef: np.ndarray) -> np.ndarray:
@@ -422,7 +418,7 @@ def _verify_structure(side: str, space: L2Space, forms: _Constants, tol: float) 
     only when its arrow and column are the ones wanted.
     """
     arrow, col, row, val = forms
-    n, inv = space.dim, _inverse_positions(space)
+    n, inv = space.dim, space.pairs.inv
     ratio = space.weights[inv] / space.weights if side == "right" else np.ones(n)
     # the adjoint moves the entry of T_a at (row, col) to (col, row), where the
     # rule wants ratio[a] times the entry of T_{a^-1} keyed (a^-1, row).  Keys
@@ -531,14 +527,8 @@ def center(
     lone[mate] = False
     lone_col, lone_value = j[lone], value[lone]
 
-    # the blocks: label[a] ends as the least column of a's component, once
-    # no row joins two labels
-    head, tail = np.concatenate([a, c]), np.concatenate([c, a])
-    label = np.arange(n)
-    while True:
-        np.minimum.at(label, head, label[tail])
-        if (label[head] == label[tail]).all():
-            break
+    # the blocks: label[a] is the least column of a's component
+    label = component_roots(n, a, c)
 
     # the columns in order of block size, then block: a block of size s holds
     # s consecutive sorted positions, and its s x s Gram matrix lies row-major

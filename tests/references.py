@@ -22,7 +22,12 @@ array builders are checked.
 The stages of a report that read ``g.pairs`` by position have their
 name-walking forms here, as the references they are checked against:
 ``orbits_by_union_find``, ``invariant_rows_by_name``, ``icc_by_name`` and
-``loops_off_units_by_name``.
+``loops_off_units_by_name``.  So do the conjugacy class, its decomposition
+into full bisections, phase regularity and basis conjugation
+(``class_by_name``, ``ergodic_class_decomposition_by_name``,
+``is_omega_regular_by_name`` and ``conjugate_basis_by_name``), written on
+the name-keyed set algebra that the tests walk: ``by_source``,
+``conjugate``, ``mul_sets`` and ``inv_set``.
 """
 
 from __future__ import annotations
@@ -32,18 +37,100 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from factoroid.basis import Basis
 from factoroid.cocycle import (
     HOLONOMY_TOL,
     CentralSetCertificate,
     Cocycle,
+    RegularityVerdict,
     as_complex,
     normalize_cocycle,
+    phase_close,
     trivial_cocycle,
 )
 from factoroid.conjugacy import IccVerdict
 from factoroid.constructors import DeaconuRenaultSystem, FiniteGroupTable, PartialActionSystem
 from factoroid.groupoid import GroupoidError, MeasuredGroupoid, validate_groupoid
 from factoroid.vna import L2Space, TranslationAlgebra
+
+
+def by_source(g: MeasuredGroupoid, x: str) -> tuple[str, ...]:
+    """The arrows with source x, in storage order."""
+    return tuple(a.id for a in g.arrows if a.src == x)
+
+
+def conjugate(g: MeasuredGroupoid, a: str, h: str) -> Optional[str]:
+    """a h a^-1, or None when not composable."""
+    ah = g.compose.get((a, h))
+    return None if ah is None else g.compose.get((ah, g.inverse[a]))
+
+
+def mul_sets(g: MeasuredGroupoid, left: Iterable[str], right: Iterable[str]) -> frozenset[str]:
+    """Pointwise product set {gh | g in left, h in right, composable}."""
+    left = list(left)
+    return frozenset(g.compose[(a, b)] for b in right for a in left if g.src[a] == g.tgt[b])
+
+
+def inv_set(g: MeasuredGroupoid, ids: Iterable[str]) -> frozenset[str]:
+    return frozenset(g.inverse[a] for a in ids)
+
+
+def class_by_name(g: MeasuredGroupoid, base: Iterable[str]) -> set[str]:
+    """The conjugacy class of an isotropy set, conjugating arrow by arrow."""
+    omega, frontier = set(base), list(base)
+    while frontier:
+        h = frontier.pop()
+        for c in (conjugate(g, a, h) for a in by_source(g, g.src[h])):
+            if c not in omega:
+                omega.add(c)
+                frontier.append(c)
+    return omega
+
+
+def ergodic_class_decomposition_by_name(
+    g: MeasuredGroupoid, base: Iterable[str]
+) -> list[tuple[str, ...]]:
+    """``ergodic_class_decomposition`` of an ergodic groupoid with uniform
+    fibers, peeling off the first live arrow at each source, layer by layer."""
+    positive = {u for u in g.units if g.mass[u] > 0.0}
+    remaining = [h for h in g.sort_arrows(class_by_name(g, base)) if g.src[h] in positive]
+    layers = []
+    while remaining:
+        taken: dict[str, str] = {}
+        for h in remaining:
+            taken.setdefault(g.src[h], h)
+        layers.append(g.sort_arrows(taken.values()))
+        remaining = [h for h in remaining if h not in layers[-1]]
+    return layers
+
+
+def is_omega_regular_by_name(
+    g: MeasuredGroupoid, w: Cocycle, ids: Iterable[str]
+) -> RegularityVerdict:
+    """``is_omega_regular`` on a bisection inside the isotropy, arrow by
+    arrow: x in storage order, then a in ``by_source(s(x))``."""
+    w = w if w.normalized else normalize_cocycle(g, w)
+    ids = frozenset(ids)
+    for x in g.sort_arrows(ids):
+        for a in by_source(g, g.src[x]):
+            y = conjugate(g, a, x)
+            if y in ids and not phase_close(w(y, a), w(a, x), HOLONOMY_TOL):
+                return RegularityVerdict(False, witness=(a, x, y))
+    return RegularityVerdict(True)
+
+
+def conjugate_basis_by_name(g: MeasuredGroupoid, basis: Basis, window: Iterable[str]) -> Basis:
+    """``conjugate_basis`` by the set products C B C^-1, block by block."""
+    window = list(window)
+    blocks, unit_block = [], None
+    for i, block in enumerate(basis.blocks):
+        conj = mul_sets(g, mul_sets(g, window, block), inv_set(g, window))
+        if conj:
+            unit_block = len(blocks) if i == basis.unit_block else unit_block
+            blocks.append(g.sort_arrows(conj))
+    if unit_block is None:
+        raise GroupoidError("conjugation of the unit block vanished")
+    return Basis(tuple(blocks), symmetric=basis.symmetric, unit_block=unit_block)
 
 
 def twisted_convolve(
@@ -80,10 +167,10 @@ def verify_central_certificate(
             raise GroupoidError("certificate support touches a null unit", [h])
         if cert.f[h] == 0:
             raise GroupoidError("certificate function vanishes on support", [h])
-        for a in g.by_source(g.src[h]):
+        for a in by_source(g, g.src[h]):
             if g.mass[g.tgt[a]] <= 0.0:
                 continue
-            c = g.conjugate(a, h)
+            c = conjugate(g, a, h)
             if c not in cert.support:
                 raise GroupoidError("certificate support is not conjugation invariant", [h, a])
             expected = as_complex(w(c, a)).conjugate() * as_complex(w(a, h)) * cert.f[h]

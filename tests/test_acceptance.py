@@ -12,9 +12,14 @@ import numpy as np
 import pytest
 
 from factoroid import constructors as mk
-from factoroid.basis import build_basis
-from factoroid.cocycle import normalize_cocycle, trivial_cocycle
-from factoroid.conjugacy import conjugacy_class, ergodic_class_decomposition, is_icc
+from factoroid.basis import build_basis, conjugate_basis
+from factoroid.cocycle import is_omega_regular, normalize_cocycle, trivial_cocycle
+from factoroid.conjugacy import (
+    _loops_off_units,
+    conjugacy_class,
+    ergodic_class_decomposition,
+    is_icc,
+)
 from factoroid.groupoid import validate_groupoid
 from factoroid.vna import (
     algebra,
@@ -27,7 +32,16 @@ from factoroid.vna import (
 )
 
 from dense_oracle import commutant
-from references import bundle_center_dim_oracle, from_names, shift_connects_by_search
+from references import (
+    bundle_center_dim_oracle,
+    by_source,
+    conjugate,
+    conjugate_basis_by_name,
+    ergodic_class_decomposition_by_name,
+    from_names,
+    is_omega_regular_by_name,
+    shift_connects_by_search,
+)
 
 N_CORPUS = 500
 N_TWISTED = 200
@@ -230,11 +244,68 @@ def test_criterion_8_ergodic_decomposition(full2, s3_bundle, klein4):
         cls = conjugacy_class(g, base)
         k = len(layers)
         assert abs(cls.mu_s - k) <= 1e-12, (cls.mu_s, k)
-        positive = g.positive_units
+        positive = {u for u in g.units if g.mass[u] > 0.0}
         for layer in layers:
             assert g.is_bisection(layer)
             assert {g.src[a] for a in layer} == positive
     print(f"ACCEPTANCE 8 PASS: ergodic class decomposition on {len(cases)} cases")
+
+
+def _decomposition_cases(corpus):
+    """Each ergodic non-icc instance, based at its first icc witness."""
+    for seed, g in corpus:
+        witness = is_icc(g).witness
+        if g.is_ergodic().ergodic and witness:
+            yield seed, g, g.sort_arrows(witness)[:1]
+
+
+def _regularity_cases(twisted_corpus):
+    """The singleton of each positive loop off the units, and each block of
+    an isotropy basis, under the normalized cocycle of a twisted instance."""
+    for seed, g, w in twisted_corpus:
+        w = normalize_cocycle(g, w)
+        loops = [[h] for h in np.asarray(g.arrow_order)[_loops_off_units(g)[1]].tolist()]
+        iso = [b for b in build_basis(g).blocks if all(g.src[a] == g.tgt[a] for a in b)]
+        for ids in loops + iso:
+            yield seed, g, w, ids
+
+
+def _conjugation_cases(corpus):
+    """A basis of each of the first 100 instances, conjugated by each of its
+    blocks."""
+    for seed, g in corpus[:100]:
+        basis = build_basis(g)
+        for block in basis.blocks:
+            yield seed, g, basis, block
+
+
+# stage -> (corpus fixture, its cases, the stage, its name-walking reference)
+_POSITION_STAGES = {
+    "ergodic_class_decomposition": (
+        "corpus", _decomposition_cases,
+        ergodic_class_decomposition, ergodic_class_decomposition_by_name,
+    ),
+    "is_omega_regular": (
+        "twisted_corpus", _regularity_cases, is_omega_regular, is_omega_regular_by_name,
+    ),
+    "conjugate_basis": (
+        "corpus", _conjugation_cases, conjugate_basis, conjugate_basis_by_name,
+    ),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(_POSITION_STAGES))
+def test_position_stages_match_name_walks(stage, request):
+    """The stages that read ``g.pairs`` by position give what their
+    name-walking references give, on the acceptance corpora."""
+    fixture, cases, by_position, by_name = _POSITION_STAGES[stage]
+    checked = 0
+    for seed, g, *args in cases(request.getfixturevalue(fixture)):
+        got, want = by_position(g, *args), by_name(g, *args)
+        assert got == want, (seed, args, got, want)
+        checked += 1
+    assert checked > 0
+    print(f"{stage}: {checked} cases match the name walk")
 
 
 def test_criterion_9_bundle_center_oracle():
@@ -360,8 +431,8 @@ def test_criterion_13_central_vector_identities(
             for h in iso:
                 if h not in space.pos:
                     continue
-                for a in g.by_source(g.src[h]):
-                    c = g.conjugate(a, h)
+                for a in by_source(g, g.src[h]):
+                    c = conjugate(g, a, h)
                     if c is None or c not in space.pos:
                         continue
                     lhs = as_complex(wn(c, a)) * vals[c]

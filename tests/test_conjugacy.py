@@ -13,7 +13,7 @@ from factoroid.conjugacy import (
     is_icc,
 )
 
-from references import from_names
+from references import by_source, conjugate, from_names, inv_set, mul_sets
 
 
 def brute_force_group_class(table, element):
@@ -77,8 +77,8 @@ def test_conjugation_invariance_of_omega(s3_bundle):
     cls = conjugacy_class(s3_bundle, ["pt.102"])
     g = s3_bundle
     for h in cls.omega:
-        for a in g.by_source(g.src[h]):
-            c = g.conjugate(a, h)
+        for a in by_source(g, g.src[h]):
+            c = conjugate(g, a, h)
             assert c in cls.omega
 
 
@@ -169,5 +169,5 @@ def test_basis_sweep_agrees_with_closure(seed):
     # blocks of a basis already gives the fixed point of the closure
     swept: set[str] = set()
     for block in build_basis(g, symmetric=True).blocks:
-        swept |= g.mul_sets(g.mul_sets(block, [base]), [g.inverse[b] for b in block])
+        swept |= mul_sets(g, mul_sets(g, block, [base]), inv_set(g, block))
     assert swept == conjugacy_class(g, [base]).omega
