@@ -8,6 +8,11 @@ full-domain case, built by the same code), globalizations of partial
 actions, eventually-periodic shift systems, the symmetric-group bundle
 family, the named example instances, and a seeded random generator used by
 the verification corpus.
+
+An action, partial or global, is one |G| x |X| array of unit positions:
+action[g, x] is the position of sigma_g(x), or -1 off the domain of sigma_g.
+Translation of a group on itself is its product table.  Membership in a
+shift groupoid is read off the powers of sigma.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -61,14 +65,6 @@ class FiniteGroupTable:
             == (other.name, other.elements, other.inverse, other.identity)
             and np.array_equal(self.product, other.product)
         )
-
-    @functools.cached_property
-    def mult(self) -> Mapping[tuple[str, str], str]:
-        """The product by names, (a, b) -> ab: a read-only view of
-        ``product``, built on first read."""
-        e = self.elements
-        names = map(e.__getitem__, self.product.ravel().tolist())
-        return MappingProxyType(dict(zip(itertools.product(e, e), names)))
 
     @functools.cached_property
     def inverse_at(self) -> np.ndarray:
@@ -218,19 +214,20 @@ def group_groupoid(table: FiniteGroupTable, unit: str = "pt", **kw) -> MeasuredG
 
 def transformation_groupoid(
     group: FiniteGroupTable,
-    action: Mapping[tuple[str, str], str],
+    action: np.ndarray,
     units: Sequence[str],
     mass: Mapping[str, float],
     **kw,
 ) -> MeasuredGroupoid:
-    """Arrows (g, x) from x to g.x, composing as (g, h.x)(h, x) = (gh, x): the
-    full-domain partial action, so a non-action raises InvalidPartialAction.
-    Keywords go to ``partial_action_groupoid``."""
-    return partial_action_groupoid(global_partial_action(group, action, units, mass), **kw)
+    """Arrows (g, x) from x to g.x, composing as (g, h.x)(h, x) = (gh, x).
 
-
-def translation_action(group: FiniteGroupTable) -> dict[tuple[str, str], str]:
-    return dict(group.mult)
+    ``action[g, x]`` is the position of g.x in ``units``: a full-domain
+    partial action, so a non-action, or one undefined somewhere, raises
+    InvalidPartialAction.  Keywords go to ``partial_action_groupoid``."""
+    p = PartialActionSystem(group, tuple(units), dict(mass), action)
+    if (p.action < 0).any():
+        raise InvalidPartialAction("a global action is defined at every unit")
+    return partial_action_groupoid(p, **kw)
 
 
 @dataclass(frozen=True)
@@ -251,14 +248,15 @@ class InducedActionWitness:
 
 def induced_action_diagnostic(
     group: FiniteGroupTable,
-    action: Mapping[tuple[str, str], str],
+    action: np.ndarray,
     units: Sequence[str],
     mass: Mapping[str, float],
 ) -> Optional[InducedActionWitness]:
     """Extract (H, Y, C) from a failed conjugacy-class condition, or None.
 
-    Builds the fiberwise sets F(x) = {g : the loop (g, x) lies in the closure
-    of a witness class}, picks the canonical finite value C attained with
+    ``action`` is the |G| x |X| array of ``transformation_groupoid``.  Builds
+    the fiberwise sets F(x) = {g : the loop (g, x) lies in the closure of a
+    witness class}, picks the canonical finite value C attained with
     positive mass, and returns it with Y = {x : F(x) = C} and the stabilizer
     subgroup of C.
     """
@@ -277,33 +275,29 @@ def induced_action_diagnostic(
                         key=lambda c: (len(c), tuple(sorted(c))))
     assert candidates, "non-icc witness must meet a positive fiber"
     finite_class = candidates[0]
-    invariant_units = tuple(x for x in units if fiber[x] == finite_class)
+    y = [i for i, x in enumerate(units) if fiber[x] == finite_class]
     c = [e.index(x) for x in finite_class]
     conj = group.product[group.product[:, c], group.inverse_at[:, None]]  # h c h^-1
-    subgroup = tuple(itertools.compress(e, (np.sort(conj, axis=1) == sorted(c)).all(axis=1)))
-    for c in finite_class:
-        assert c in subgroup
-        for y in invariant_units:
-            assert action[(c, y)] == y
-    for h in subgroup:
-        for y in invariant_units:
-            assert action[(h, y)] in invariant_units
-    return InducedActionWitness(subgroup, invariant_units, tuple(sorted(finite_class)))
+    stable = (np.sort(conj, axis=1) == sorted(c)).all(axis=1)
+    # C lies in H and fixes Y pointwise, and H sends Y into itself
+    assert stable[c].all() and (action[np.ix_(c, y)] == y).all()
+    assert np.isin(action[stable][:, y], y).all()
+    return InducedActionWitness(tuple(itertools.compress(e, stable)),
+                                tuple(units[i] for i in y), tuple(sorted(finite_class)))
 
 
 def coset_action(
     group: FiniteGroupTable, subgroup: Iterable[str]
-) -> tuple[dict[tuple[str, str], str], tuple[str, ...]]:
-    """Left translation on left cosets gH; returns (action, coset labels).
-    A coset is named ``c{r}`` by its first element r in table order, and the
-    cosets are listed in that order."""
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Left translation on left cosets gH; returns (action, coset labels),
+    action[g, c] the position of the coset g r for the representative r of
+    coset c.  A coset is named ``c{r}`` by its first element r in table
+    order, and the cosets are listed in that order."""
     e = group.elements
     low = group.product[:, [e.index(h) for h in set(subgroup)]].min(axis=1)  # the r of gH
     reps = np.unique(low)
-    which, labels = np.searchsorted(reps, low), [f"c{e[r]}" for r in reps.tolist()]
-    moved = which[group.product[:, reps]].tolist()  # the coset of g r, for each g and r
-    action = {(g, labels[c]): labels[d] for g, row in zip(e, moved) for c, d in enumerate(row)}
-    return action, tuple(labels)
+    which = np.searchsorted(reps, low)
+    return which[group.product[:, reps]], tuple(f"c{e[r]}" for r in reps.tolist())
 
 
 # -- cocycles of group origin -----------------------------------------------
@@ -347,46 +341,36 @@ def klein_four_twisted(exact: bool = False) -> tuple[MeasuredGroupoid, Cocycle]:
 
 # -- partial actions ----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartialActionSystem:
-    """Domains X_g and partial bijections sigma_g : X_{g^-1} -> X_g.
+    """A partial action of a finite group on a finite set, as one array.
 
-    The partial-action axioms are checked on construction, so every instance
-    is valid; an invalid one raises :class:`InvalidPartialAction`.
-    """
+    ``action[g, x]`` is the position in ``units`` of sigma_g(x), or -1 where
+    x lies outside X_{g^-1}, the domain of sigma_g.  Construction checks that
+    the identity row fixes every unit, that sigma_{g^-1} undoes sigma_g, and
+    that sigma_h sigma_g = sigma_{hg} wherever the left side is defined, so
+    every instance is valid; an invalid one raises InvalidPartialAction.
+    The inverse law puts sigma_g(x) in X_g for x in X_{g^-1} and undoes it
+    there, and the law for g^-1 undoes sigma_{g^-1} on X_g: so each sigma_g
+    is a bijection of X_{g^-1} onto X_g, and no domain needs a check."""
 
     group: FiniteGroupTable
     units: tuple[str, ...]
     mass: dict[str, float]
-    domains: dict[str, frozenset[str]]
-    maps: dict[str, dict[str, str]]  # g -> {x in X_{g^-1}: sigma_g(x)}
+    action: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        grp = self.group
-        unit_set = set(self.units)
-        for gm in grp.elements:
-            if gm not in self.domains or gm not in self.maps:
-                raise InvalidPartialAction(f"missing domain or map for {gm}")
-            if not self.domains[gm] <= unit_set:
-                raise InvalidPartialAction(f"domain of {gm} leaves the space")
-        if self.domains[grp.identity] != frozenset(unit_set):
-            raise InvalidPartialAction("identity must be defined everywhere")
-        for gm in grp.elements:
-            dom = self.domains[grp.inverse[gm]]
-            mp = self.maps[gm]
-            if set(mp) != set(dom):
-                raise InvalidPartialAction(
-                    f"map of {gm} not defined exactly on the inverse domain")
-            if set(mp.values()) != set(self.domains[gm]):
-                raise InvalidPartialAction(f"map of {gm} is not onto its domain")
-            if len(set(mp.values())) != len(mp):
-                raise InvalidPartialAction(f"map of {gm} is not injective")
+        grp, act, n = self.group, self.action, len(self.units)
+        shape = (len(grp.elements), n)
+        if not (isinstance(act, np.ndarray) and np.issubdtype(act.dtype, np.integer)
+                and act.shape == shape and ((act >= -1) & (act < n)).all()):
+            raise InvalidPartialAction(
+                f"action must be a {shape[0]} x {n} integer array of unit positions or -1")
         # the action law on its graph in positions: (g, x, sigma_g(x)) in
         # element order, then unit order
-        act = self.action
         gm, x = np.nonzero(act >= 0)
         y = act[gm, x]
-        if (act[grp.elements.index(grp.identity)] != np.arange(len(self.units))).any():
+        if (act[grp.elements.index(grp.identity)] != np.arange(n)).any():
             raise InvalidPartialAction("identity map must fix every unit")
         inv = grp.inverse_at
         bad = act[inv[gm], y] != x  # sigma_{g^-1} undoes sigma_g
@@ -407,33 +391,6 @@ class PartialActionSystem:
                 f"composition of {e[g1]}, {e[gm[i]]} leaves graph of {e[grp.product[g1, gm[i]]]}",
                 [self.units[x[i]]],
             )
-
-    @functools.cached_property
-    def action(self) -> np.ndarray:
-        """The action as a |G| x |X| array of unit positions: sigma_g(x), or
-        -1 where x is outside the domain of sigma_g."""
-        at = {u: i for i, u in enumerate(self.units)}
-        act = np.full((len(self.group.elements), len(self.units)), -1, dtype=np.intp)
-        for row, e in zip(act, self.group.elements):
-            mp = self.maps[e]
-            row[list(map(at.__getitem__, mp))] = list(map(at.__getitem__, mp.values()))
-        return act
-
-    def fix(self, gm: str) -> frozenset[str]:
-        return frozenset(x for x, y in self.maps[gm].items() if x == y)
-
-
-def global_partial_action(
-    group: FiniteGroupTable,
-    action: Mapping[tuple[str, str], str],
-    units: Sequence[str],
-    mass: Mapping[str, float],
-) -> PartialActionSystem:
-    """Wrap a global action as a partial action with full domains."""
-    units = tuple(units)
-    domains = {gm: frozenset(units) for gm in group.elements}
-    maps = {gm: {x: action[(gm, x)] for x in units} for gm in group.elements}
-    return PartialActionSystem(group, units, dict(mass), domains, maps)
 
 
 def partial_action_groupoid(
@@ -470,16 +427,18 @@ def restrict_partial(p: PartialActionSystem, keep: Iterable[str]) -> PartialActi
     keep_set = set(keep)
     if not keep_set:
         raise InvalidPartialAction("restriction to an empty subset")
-    units = tuple(u for u in p.units if u in keep_set)
+    unknown = keep_set.difference(p.units)
+    if unknown:
+        raise InvalidPartialAction("restriction units not in groupoid", sorted(unknown))
+    kept = [i for i, u in enumerate(p.units) if u in keep_set]
+    units = tuple(p.units[i] for i in kept)
     total = math.fsum(p.mass[u] for u in units)
     if total <= 0.0:
         raise InvalidPartialAction("restriction carries zero mass")
-    grp = p.group
-    maps = {g: {x: y for x, y in p.maps[g].items() if x in keep_set and y in keep_set}
-            for g in grp.elements}
-    domains = {g: frozenset(maps[grp.inverse[g]]) for g in grp.elements}  # X_g is sigma_g's image
+    at = np.full(len(p.units) + 1, -1)  # a unit's new position; at[-1] keeps -1
+    at[kept] = np.arange(len(kept))
     restricted = PartialActionSystem(
-        p.group, units, {u: p.mass[u] / total for u in units}, domains, maps
+        p.group, units, {u: p.mass[u] / total for u in units}, at[p.action[:, kept]]
     )
 
     lhs = partial_action_groupoid(restricted)
@@ -543,9 +502,7 @@ def globalize(p: PartialActionSystem) -> Globalization:
     label = rep[cls]  # the space unit of each pair
     space_units = tuple(f"{e[order[q // size]]}~{units[q % size]}" for q in domain.tolist())
     # theta(g, (h, x)) = (gh, x), for (h, x) in the domain
-    moved = label[at[prod[:, order[domain // size]]] * size + domain % size]
-    theta = {(g, u): space_units[v]
-             for g, row in zip(e, moved.tolist()) for u, v in zip(space_units, row)}
+    theta = label[at[prod[:, order[domain // size]]] * size + domain % size]
 
     total = math.fsum(p.mass[units[x]] for x in (domain % size).tolist())
     if total <= 0.0:
@@ -559,7 +516,9 @@ def globalize(p: PartialActionSystem) -> Globalization:
         raise InvalidPartialAction("embedding of the original space collapsed")
     full = glob.is_full(set(embedding.values())).borel_full
     restricted, _ = glob.restrict(sorted(set(embedding.values()), key=space_units.index))
-    arrow_bij = {f"{g}|{x}": f"{g}|{embedding[x]}" for g in e for x in p.maps[g]}
+    gm, x = np.nonzero(act >= 0)  # arrow (g, x) goes to (g, the class of (1, x))
+    arrow_bij = {f"{e[a]}|{units[b]}": f"{e[a]}|{space_units[c]}"
+                 for a, b, c in zip(gm.tolist(), x.tolist(), label[x].tolist())}
     iso = check_isomorphism(partial_action_groupoid(p), restricted, embedding, arrow_bij,
                             check_mass=True)
     if not (full and iso):
@@ -571,16 +530,13 @@ def globalize(p: PartialActionSystem) -> Globalization:
 
 def half_domain_fixture() -> PartialActionSystem:
     """Z/2 acting on two points with the flip defined only at the first."""
-    units = ("y0", "y1")
     return PartialActionSystem(
-        cyclic_group(2), units, {"y0": 0.5, "y1": 0.5},
-        {"0": frozenset(units), "1": frozenset({"y0"})},
-        {"0": {"y0": "y0", "y1": "y1"}, "1": {"y0": "y0"}},
+        cyclic_group(2), ("y0", "y1"), {"y0": 0.5, "y1": 0.5}, np.array([[0, 1], [0, -1]])
     )
 
 
 def random_partial_action(seed: int) -> PartialActionSystem:
-    """Deterministic random partial action with nontrivial domains.
+    """Deterministic random partial action, most often not a global one.
 
     Built as the restriction of a random global action (translation or coset
     translation) to a random positive subset, which is always a valid
@@ -588,12 +544,8 @@ def random_partial_action(seed: int) -> PartialActionSystem:
     """
     rng = random.Random(f"partial-{seed}")
     grp = _small_group(rng.choice(["Z2", "Z3", "Z4", "V4", "S3"]))
-    if rng.random() < 0.5:
-        action, units = translation_action(grp), grp.elements
-    else:
-        action, units = _random_coset_action(rng, grp)
-    mass = _random_masses(rng, units)
-    full = global_partial_action(grp, action, units, mass)
+    action, units = _random_global_action(rng, grp, rng.random() < 0.5)
+    full = PartialActionSystem(grp, units, _random_masses(rng, units), action)
     if len(units) >= 2 and rng.random() < 0.8:
         k = rng.randint(1, len(units) - 1)
         keep = rng.sample(list(units), k)
@@ -615,115 +567,78 @@ class DeaconuRenaultSystem:
             raise GroupoidError("a shift system needs at least one unit")
 
 
-@dataclass(frozen=True)
-class ShiftOrbitData:
-    """Tail lengths, cycle ids and cycle phases of the iteration graph."""
-
-    tail: dict[str, int]
-    period: dict[str, int]
-    cycle_id: dict[str, int]
-    phase: dict[str, int]
-
-    def connects(self, x: str, k: int, y: str) -> bool:
-        """Whether some sigma^n x = sigma^m y with n - m = k."""
-        if self.cycle_id[x] != self.cycle_id[y]:
-            return False
-        return (k - (self.phase[y] - self.phase[x])) % self.period[x] == 0
+def _degree(power: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """sigma^(N+k+) and sigma^(N+k-), whose agreement at (x, y) makes
+    (x, k, y) an arrow (see ``deaconu_renault``)."""
+    n = power.shape[1]
+    return power[n + max(k, 0)], power[n + max(-k, 0)]
 
 
-def _shift_orbit_data(d: DeaconuRenaultSystem) -> ShiftOrbitData:
-    tail: dict[str, int] = {}
-    period: dict[str, int] = {}
-    cycle_id: dict[str, int] = {}
-    phase: dict[str, int] = {}
-    cycles: list[tuple[str, ...]] = []
-    for x in d.units:
-        path = [x]
-        seen = {x: 0}
-        y = x
-        while True:
-            y = d.sigma[y]
-            if y in seen:
-                entry = seen[y]
-                cyc = tuple(path[entry:])
-                for known_i, known in enumerate(cycles):
-                    if set(known) == set(cyc):
-                        cid = known_i
-                        cyc = known
-                        break
-                else:
-                    cid = len(cycles)
-                    cycles.append(cyc)
-                for i, z in enumerate(path):
-                    if z in tail:
-                        continue
-                    t = max(0, entry - i)
-                    tail[z] = t
-                    period[z] = len(cyc)
-                    cycle_id[z] = cid
-                    # position on the cycle of sigma^tail(z), counted in the
-                    # cycle's stored orientation
-                    pos = cyc.index(path[min(i + t, len(path) - 1)] if i + t < len(path) else y)
-                    phase[z] = (pos - t) % len(cyc)
-                break
-            seen[y] = len(path)
-            path.append(y)
-    return ShiftOrbitData(tail, period, cycle_id, phase)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeaconuRenaultView:
-    """Arrows (x, k, y) with sigma^n x = sigma^m y, n - m = k, |k| <= bound."""
+    """Arrows (x, k, y) with sigma^n x = sigma^m y, n - m = k, |k| <= bound.
+
+    ``power[m]`` holds the unit positions of sigma^m, for m up to N + scan,
+    N the number of units and scan = max(bound, N): membership is decided
+    for every degree |k| <= scan."""
 
     system: DeaconuRenaultSystem
-    orbit_data: ShiftOrbitData
+    power: np.ndarray = field(repr=False)
     arrows: tuple[tuple[str, int, str], ...]
     b_sets: dict[int, frozenset[str]]   # n -> units with a loop of degree n
     b_measure: dict[int, float]
 
     def contains(self, x: str, k: int, y: str) -> bool:
-        return self.orbit_data.connects(x, k, y)
+        fx, fy = _degree(self.power, k)
+        return bool(fx[self.system.units.index(x)] == fy[self.system.units.index(y)])
 
 
 def deaconu_renault(d: DeaconuRenaultSystem) -> DeaconuRenaultView:
     """Enumerate the shift groupoid up to degree |k| <= bound.
 
-    Membership of (x, k, y) is decided exactly: the forward orbits of x and y
-    must fall into the same cycle and k must match the difference of their
-    cycle phases modulo the period.  Loop sets are enumerated for every
-    degree up to max(bound, number of units), which suffices to see a loop of
-    minimal positive degree at every unit.
+    Membership is read off powers of sigma.  (x, k, y) is an arrow when
+    sigma^n x = sigma^m y for some n, m >= 0 with n - m = k; with N units,
+    that holds exactly when sigma^(N+k+) x = sigma^(N+k-) y, where
+    k+ = max(k, 0) and k- = max(-k, 0).  One way, (N + k+, N + k-) is such
+    an (n, m).  For the other, both sides lie on cycles, since a tail has
+    fewer than N points, and sigma permutes the points on cycles.  Applying
+    sigma^j with j large turns the pair of exponents into (n + i, m + i) for
+    some i >= 0, where the sides agree; as sigma^j is injective on cycle
+    points, they agreed before.  Loop sets are enumerated for every degree
+    up to max(bound, N), which suffices to see a loop of minimal positive
+    degree at every unit.
     """
     if d.bound < 1:
         raise GroupoidError("degree bound must be >= 1")
-    stray = sorted(set(d.sigma.values()) - set(d.units))
-    if stray:
-        raise GroupoidError(f"shift map targets non-units {', '.join(stray)}", stray)
-    unweighted = [u for u in d.units if u not in d.mass]
-    if unweighted:
-        raise GroupoidError(f"no mass for {', '.join(unweighted)}", unweighted)
+    units = set(d.units)
+    for what, names in (
+        ("shift map undefined at units", [u for u in d.units if u not in d.sigma]),
+        ("shift map defined at non-units", sorted(set(d.sigma) - units)),
+        ("shift map targets non-units", sorted(set(d.sigma.values()) - units)),
+        ("mass given for non-units", sorted(set(d.mass) - units)),
+        ("no mass for", [u for u in d.units if u not in d.mass]),
+    ):
+        if names:
+            raise GroupoidError(f"{what} {', '.join(names)}", names)
     for u in d.units:
         if not 0.0 <= d.mass[u] < math.inf:
             raise GroupoidError(
                 f"mass at unit {u!r} must be finite and nonnegative, got {d.mass[u]!r}",
                 [u],
             )
-    od = _shift_orbit_data(d)
-    arrows = [
-        (x, k, y)
-        for k in range(-d.bound, d.bound + 1)
-        for x in d.units
-        for y in d.units
-        if od.connects(x, k, y)
-    ]
-    scan = max(d.bound, len(d.units))
-    b_sets = {}
-    b_measure = {}
-    for n in range(-scan, scan + 1):
-        members = frozenset(x for x in d.units if n % od.period[x] == 0)
-        b_sets[n] = members
-        b_measure[n] = math.fsum(d.mass[x] for x in members)
-    return DeaconuRenaultView(d, od, tuple(arrows), b_sets, b_measure)
+    n, scan = len(d.units), max(d.bound, len(d.units))
+    at = {u: i for i, u in enumerate(d.units)}
+    power = np.empty((n + scan + 1, n), dtype=np.intp)
+    power[0] = np.arange(n)
+    step = np.array([at[d.sigma[u]] for u in d.units])
+    for m in range(1, len(power)):
+        power[m] = step[power[m - 1]]
+    arrows = tuple((d.units[x], k, d.units[y]) for k in range(-d.bound, d.bound + 1)
+                   for x, y in np.argwhere(np.equal.outer(*_degree(power, k))).tolist())
+    b_sets = {k: frozenset(itertools.compress(d.units, np.equal(*_degree(power, k))))
+              for k in range(-scan, scan + 1)}
+    b_measure = {k: math.fsum(d.mass[x] for x in members) for k, members in b_sets.items()}
+    return DeaconuRenaultView(d, power, arrows, b_sets, b_measure)
 
 
 def random_shift_system(seed: int, size: int = 6, bound: int = 3) -> DeaconuRenaultSystem:
@@ -784,14 +699,10 @@ def sn_bundle(n_max: int) -> tuple[MeasuredGroupoid, frozenset[str]]:
 
 def _uniform_translation(group: FiniteGroupTable) -> MeasuredGroupoid:
     units = group.elements
-    return transformation_groupoid(
-        group, translation_action(group), units, {u: 1 / len(units) for u in units}
-    )
+    return transformation_groupoid(group, group.product, units, {u: 1 / len(units) for u in units})
 
 
-_SWAP_ACTION = {
-    ("0", "x0"): "x0", ("0", "x1"): "x1", ("1", "x0"): "x1", ("1", "x1"): "x0",
-}
+_SWAP_ACTION = np.array([[0, 1], [1, 0]])  # Z/2 on x0, x1: the flip swaps them
 _HALVES = {"x0": 0.5, "x1": 0.5}
 _THIRDS = {u: 1 / 3 for u in ("x0", "x1", "x2")}
 
@@ -854,17 +765,20 @@ def _random_masses(rng: random.Random, units: Sequence[str]) -> dict[str, float]
     return {u: wi / tot for u, wi in zip(units, w)}
 
 
-def _random_coset_action(
-    rng: random.Random, grp: FiniteGroupTable
-) -> tuple[dict[tuple[str, str], str], tuple[str, ...]]:
-    """Translation on the cosets of the cyclic subgroup of a random element."""
-    sub = {rng.choice(grp.elements), grp.identity}
+def _random_global_action(
+    rng: random.Random, grp: FiniteGroupTable, translation: bool
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Translation on the group, or on the cosets of the cyclic subgroup of
+    a random element; returns (action, units)."""
+    if translation:
+        return grp.product, grp.elements
+    e = grp.elements
+    sub = {e.index(rng.choice(e)), e.index(grp.identity)}
     while True:
-        new = {grp.mult[(a, b)] for a in sub for b in sub} | {
-            grp.inverse[a] for a in sub
-        }
+        at = list(sub)
+        new = set(grp.product[np.ix_(at, at)].ravel().tolist()) | set(grp.inverse_at[at].tolist())
         if new == sub:
-            return coset_action(grp, sub)
+            return coset_action(grp, map(e.__getitem__, at))
         sub = new
 
 
@@ -873,10 +787,7 @@ def _random_part(
 ) -> MeasuredGroupoid:
     """A translation or coset transformation groupoid with random masses,
     unvalidated: the caller validates the union it makes of it."""
-    if style == "translation":
-        action, units = translation_action(grp), grp.elements
-    else:
-        action, units = _random_coset_action(rng, grp)
+    action, units = _random_global_action(rng, grp, style == "translation")
     return transformation_groupoid(grp, action, units, _random_masses(rng, units), validate=False)
 
 

@@ -695,11 +695,17 @@ def fourier(
     op = np.asarray(op, dtype=complex)
     coeffs: dict[int, dict[str, complex]] = {}
     recon = np.zeros_like(op)
+    arrow, col, row, val = alg.forms
+    tgt = [g.tgt[h] for h in space.index]
     for bi, block in enumerate(basis.blocks):
-        lam = alg.element(np.isin(space.index, block))
-        cf = space.unit_values((op @ lam.conj().T) @ space.unit_vector)
-        coeffs[bi] = cf
-        recon += multiplication_operator(space, cf) @ lam
+        # L_B sends e_col to val e_row, at most one entry in each row and
+        # column: a L_B^* is a column gather of a, and f L_B a row scaling
+        at = np.isin(space.index, block)[arrow]
+        r, c, v = row[at], col[at], val[at]
+        a_lam = np.zeros_like(op)
+        a_lam[:, r] = op[:, c] * v.conj()
+        cf = coeffs[bi] = space.unit_values(a_lam @ space.unit_vector)
+        recon[r, c] += np.array([complex(cf.get(tgt[i], 0.0)) for i in r.tolist()]) * v
     residual = float(np.linalg.norm(recon - op, 2))
     phi_aa = float(np.real(np.vdot(op @ space.unit_vector, op @ space.unit_vector)))
     # a*1 takes the value cf_B(t(b)) at each arrow b of block B, and |delta_b|^2

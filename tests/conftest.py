@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from factoroid import constructors as mk
@@ -38,11 +39,7 @@ def z2_bundle():
 @pytest.fixture(scope="session")
 def z2_trivial_two_points():
     return mk.transformation_groupoid(
-        mk.cyclic_group(2),
-        {("0", "x0"): "x0", ("0", "x1"): "x1",
-         ("1", "x0"): "x0", ("1", "x1"): "x1"},
-        ["x0", "x1"],
-        {"x0": 0.5, "x1": 0.5},
+        mk.cyclic_group(2), np.array([[0, 1], [0, 1]]), ["x0", "x1"], {"x0": 0.5, "x1": 0.5}
     )
 
 

@@ -13,11 +13,14 @@ witness search.
 
 ``from_names`` maps tables given by name to the positions that
 ``MeasuredGroupoid`` takes, as the parser does for a file; the tests that
-build faulty tables by name go through it.  The builders of the standard
-families have their name-based forms here (``full_relation_by_name``,
-``group_bundle_by_name``, ``partial_action_groupoid_by_name``,
-``disjoint_union_by_name`` and ``restrict_by_name``), against which the
-array builders are checked.
+build faulty tables by name go through it.  ``action_by_name`` does the
+same for an action: it maps a (g, x) -> y dict to the |G| x |X| array of
+unit positions that ``PartialActionSystem`` and ``transformation_groupoid``
+take, and ``product_by_name`` reads a group's product table by name.  The
+builders of the standard families have their name-based forms here
+(``full_relation_by_name``, ``group_bundle_by_name``,
+``partial_action_groupoid_by_name``, ``disjoint_union_by_name`` and
+``restrict_by_name``), against which the array builders are checked.
 
 The stages of a report that read ``g.pairs`` by position have their
 name-walking forms here, as the references they are checked against:
@@ -188,6 +191,25 @@ def bundle_center_dim_oracle(
     )
 
 
+def product_by_name(table: FiniteGroupTable) -> dict[tuple[str, str], str]:
+    """The product of the group by names, (a, b) -> ab."""
+    e = table.elements
+    return {(a, b): e[ab] for a, row in zip(e, table.product.tolist()) for b, ab in zip(e, row)}
+
+
+def action_by_name(
+    group: FiniteGroupTable, units: Sequence[str], action: Mapping[tuple[str, str], str]
+) -> np.ndarray:
+    """The |G| x |X| position array of an action given by name: entry
+    [g, x] is the position of action[(g, x)] in ``units``, or -1 where the
+    dict has no (g, x)."""
+    unit = {u: i for i, u in enumerate(units)}
+    out = np.full((len(group.elements), len(units)), -1, dtype=np.intp)
+    for (g, x), y in action.items():
+        out[group.elements.index(g), unit[x]] = unit[y]
+    return out
+
+
 def from_names(
     units: Sequence[str],
     mass: Mapping[str, float],
@@ -261,34 +283,35 @@ def group_bundle_by_name(
     arrows, compose, inverse, unit_arrows = [], [], {}, {}
     for x in units:
         tab = fibers[x]
+        mult = product_by_name(tab)
         name = {gm: f"{x}.{gm}" for gm in tab.elements}
         arrows.extend((name[gm], x, x) for gm in tab.elements)
         for g1 in tab.elements:
             inverse[name[g1]] = name[tab.inverse[g1]]
             for g2 in tab.elements:
-                compose.append((name[g1], name[g2], name[tab.mult[(g1, g2)]]))
+                compose.append((name[g1], name[g2], name[mult[(g1, g2)]]))
         unit_arrows[x] = name[tab.identity]
     return validate_groupoid(from_names(units, mass, arrows, compose, inverse, unit_arrows, **kw))
 
 
 def partial_action_groupoid_by_name(p: PartialActionSystem, **kw) -> MeasuredGroupoid:
-    """``partial_action_groupoid`` built name by name."""
-    grp = p.group
+    """``partial_action_groupoid`` built name by name, from the maps
+    g -> {x: sigma_g(x)} read off the action array."""
+    grp, mult = p.group, product_by_name(p.group)
+    maps = {gm: {p.units[x]: p.units[y] for x, y in enumerate(row) if y >= 0}
+            for gm, row in zip(grp.elements, p.action.tolist())}
 
     def aid(gm: str, x: str) -> str:
         return f"{gm}|{x}"
 
-    arrows = [
-        (aid(gm, x), x, p.maps[gm][x])
-        for gm in grp.elements for x in sorted(p.maps[gm], key=p.units.index)
-    ]
+    arrows = [(aid(gm, x), x, y) for gm in grp.elements for x, y in maps[gm].items()]
     compose, inverse = [], {}
     for gm in grp.elements:
-        for x, y in p.maps[gm].items():
+        for x, y in maps[gm].items():
             inverse[aid(gm, x)] = aid(grp.inverse[gm], y)
             for g2 in grp.elements:
-                if y in p.maps[g2]:
-                    compose.append((aid(g2, y), aid(gm, x), aid(grp.mult[(g2, gm)], x)))
+                if y in maps[g2]:
+                    compose.append((aid(g2, y), aid(gm, x), aid(mult[(g2, gm)], x)))
     unit_arrows = {x: aid(grp.identity, x) for x in p.units}
     g = from_names(p.units, p.mass, arrows, compose, inverse, unit_arrows, **kw)
     return validate_groupoid(g)

@@ -13,15 +13,13 @@ from factoroid.conjugacy import (
     is_icc,
 )
 
-from references import by_source, conjugate, from_names, inv_set, mul_sets
+from references import by_source, conjugate, from_names, inv_set, mul_sets, product_by_name
 
 
 def brute_force_group_class(table, element):
     """Independent conjugacy closure inside a single group table."""
-    return {
-        table.mult[(table.mult[(h, element)], table.inverse[h])]
-        for h in table.elements
-    }
+    mult = product_by_name(table)
+    return {mult[(mult[(h, element)], table.inverse[h])] for h in table.elements}
 
 
 def test_unit_arrow_class_is_orbit_units(full2):

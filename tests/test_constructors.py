@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -18,15 +19,28 @@ from factoroid.textio import serialize
 from factoroid.vna import center
 
 from references import (
+    action_by_name,
     bundle_center_dim_oracle,
     disjoint_union_by_name,
     from_names,
     full_relation_by_name,
     group_bundle_by_name,
     partial_action_groupoid_by_name,
+    product_by_name,
     restrict_by_name,
     shift_connects_by_search,
 )
+
+# Z/2 on two points, the flip swapping them, and the trivial action
+_SWAP_BY_NAME = {("0", "x0"): "x0", ("0", "x1"): "x1", ("1", "x0"): "x1", ("1", "x1"): "x0"}
+_TRIVIAL_BY_NAME = {("0", "x0"): "x0", ("0", "x1"): "x1", ("1", "x0"): "x0", ("1", "x1"): "x1"}
+_HALVES = {"x0": 0.5, "x1": 0.5}
+
+
+def _system(group, units, action, mass=None):
+    """The partial action of ``group`` given by a (g, x) -> y dict."""
+    mass = mass if mass is not None else {u: 1 / len(units) for u in units}
+    return mk.PartialActionSystem(group, tuple(units), mass, action_by_name(group, units, action))
 
 
 def test_group_tables():
@@ -64,15 +78,15 @@ def test_group_table_equality_compares_product_by_value():
 @pytest.mark.parametrize("table", [
     mk.cyclic_group(5), mk.symmetric_group(3), mk.dihedral_group(4), mk.klein_four_group(),
 ])
-def test_group_table_mult_is_a_read_only_view_of_product(table):
-    e = table.elements
-    assert len(table.mult) == len(e) ** 2
-    assert table.mult == {
-        (a, b): e[table.product[i, j]] for i, a in enumerate(e) for j, b in enumerate(e)
-    }
-    assert all(table.mult[(table.identity, a)] == a for a in e)
-    with pytest.raises(TypeError):
-        table.mult[(e[0], e[0])] = e[0]
+def test_group_table_product_is_a_group_law(table):
+    # translation is the product table itself, so it must be a group law:
+    # an identity, two-sided inverses and associativity, in positions
+    p, inv, n = table.product, table.inverse_at, np.arange(len(table.elements))
+    one = table.elements.index(table.identity)
+    assert (p[one] == n).all() and (p[:, one] == n).all()
+    assert (p[n, inv] == one).all() and (p[inv, n] == one).all()
+    assert np.array_equal(p[p], p[n[:, None, None], p[None]])  # (ab)c = a(bc)
+    assert [table.inverse[a] for a in table.elements] == [table.elements[i] for i in inv]
 
 
 def test_conjugacy_class_counts():
@@ -154,9 +168,7 @@ def test_swap_is_full_relation(swap_groupoid, full2):
 
 def test_trivial_action_on_point_is_group():
     z2 = mk.cyclic_group(2)
-    g = mk.transformation_groupoid(
-        z2, {("0", "pt"): "pt", ("1", "pt"): "pt"}, ["pt"], {"pt": 1.0}
-    )
+    g = mk.transformation_groupoid(z2, np.array([[0], [0]]), ["pt"], {"pt": 1.0})
     ref = mk.group_groupoid(z2)
     assert check_isomorphism(
         g, ref, {"pt": "pt"}, {"0|pt": "pt.0", "1|pt": "pt.1"}
@@ -171,11 +183,8 @@ def test_z4_translation_props(z4_translation):
 
 def test_induced_diagnostic_trivial_action():
     z2 = mk.cyclic_group(2)
-    action = {("0", "x0"): "x0", ("0", "x1"): "x1",
-              ("1", "x0"): "x0", ("1", "x1"): "x1"}
-    witness = mk.induced_action_diagnostic(
-        z2, action, ["x0", "x1"], {"x0": 0.5, "x1": 0.5}
-    )
+    action = action_by_name(z2, ["x0", "x1"], _TRIVIAL_BY_NAME)
+    witness = mk.induced_action_diagnostic(z2, action, ["x0", "x1"], _HALVES)
     assert witness is not None
     assert witness.finite_class == ("1",)
     # the closure of the loop at x0 stays at x0: the orbit is a single point
@@ -185,11 +194,8 @@ def test_induced_diagnostic_trivial_action():
 
 def test_induced_diagnostic_free_action_none():
     z2 = mk.cyclic_group(2)
-    action = {("0", "x0"): "x0", ("0", "x1"): "x1",
-              ("1", "x0"): "x1", ("1", "x1"): "x0"}
-    assert mk.induced_action_diagnostic(
-        z2, action, ["x0", "x1"], {"x0": 0.5, "x1": 0.5}
-    ) is None
+    action = action_by_name(z2, ["x0", "x1"], _SWAP_BY_NAME)
+    assert mk.induced_action_diagnostic(z2, action, ["x0", "x1"], _HALVES) is None
 
 
 def test_induced_diagnostic_coset_action():
@@ -227,16 +233,42 @@ def test_rejects_non_action(group, action):
     units = sorted({u for _, u in action})
     with pytest.raises(mk.InvalidPartialAction):
         mk.transformation_groupoid(
-            group, action, units, {u: 1 / len(units) for u in units}
+            group, action_by_name(group, units, action), units,
+            {u: 1 / len(units) for u in units},
         )
 
 
+_Z2, _Z3 = mk.cyclic_group(2), mk.cyclic_group(3)
+
+
+@pytest.mark.parametrize(
+    "group, action, match",
+    [
+        (_Z2, np.array([0, 1]), "integer array"),
+        (_Z2, np.array([[0, 1], [1, 0]], dtype=float), "integer array"),
+        (_Z2, np.array([[True, False], [False, True]]), "integer array"),
+        (_Z2, [[0, 1], [1, 0]], "integer array"),
+        (_Z2, np.array([[0, 1], [-2, 0]]), "integer array"),
+        (_Z2, np.array([[0, 1], [2, 0]]), "integer array"),
+        (_Z2, np.array([[0, 1, 2], [1, 0, 2]]), "integer array"),
+        (_Z2, np.array([[1, 0], [1, 0]]), "identity map must fix every unit"),
+        (_Z2, np.array([[0, -1], [1, 0]]), "identity map must fix every unit"),
+        (_Z2, np.array([[0, 1], [1, -1]]), "is not inverse to"),
+        (_Z3, np.array([[0, 1, 2], [1, 2, 0], [1, 2, 0]]), "is not inverse to"),
+        (_Z3, np.array([[0, 1, 2], [1, 0, 2], [1, 0, 2]]), "leaves graph"),
+    ],
+    ids=["one-row", "float", "bool", "list", "below-minus-one", "past-the-units", "wide",
+         "identity-moves-a-point", "identity-undefined", "flip-not-undone",
+         "rotation-twice", "swap-twice"],
+)
+def test_partial_action_array_faults(group, action, match):
+    units = ("x0", "x1") if group is _Z2 else ("x0", "x1", "x2")
+    with pytest.raises(mk.InvalidPartialAction, match=match):
+        mk.PartialActionSystem(group, units, dict.fromkeys(units, 1 / len(units)), action)
+
+
 def test_full_domain_partial_action_matches_global():
-    z2 = mk.cyclic_group(2)
-    action = {("0", "x0"): "x0", ("0", "x1"): "x1",
-              ("1", "x0"): "x1", ("1", "x1"): "x0"}
-    p = mk.global_partial_action(z2, action, ["x0", "x1"],
-                                 {"x0": 0.5, "x1": 0.5})
+    p = _system(mk.cyclic_group(2), ["x0", "x1"], _SWAP_BY_NAME)
     g = mk.partial_action_groupoid(p)
     # the swap groupoid written out by hand: (g, h.x)(h, x) = (g + h, x)
     rows = """0|x0 0|x0 0|x0  0|x0 1|x1 1|x1  1|x0 0|x0 1|x0  1|x0 1|x1 0|x1
@@ -265,51 +297,51 @@ def test_half_domain_groupoid():
     assert "1|y0" in iso  # the flip fixes y0
 
 
+# the flip defined nowhere: sigma_1 has empty domain
+_IDENTITY_ONLY = {("0", "y0"): "y0", ("0", "y1"): "y1"}
+
+
 def test_empty_domains_give_trivial_groupoid():
-    z2 = mk.cyclic_group(2)
-    p = mk.PartialActionSystem(
-        z2, ("y0", "y1"), {"y0": 0.5, "y1": 0.5},
-        {"0": frozenset({"y0", "y1"}), "1": frozenset()},
-        {"0": {"y0": "y0", "y1": "y1"}, "1": {}},
-    )
+    p = _system(mk.cyclic_group(2), ["y0", "y1"], _IDENTITY_ONLY)
+    assert (p.action[1] == -1).all()
     g = mk.partial_action_groupoid(p)
     assert len(g.arrows) == 2
 
 
 def test_invalid_partial_action_detected():
-    z2 = mk.cyclic_group(2)
-    with pytest.raises(mk.InvalidPartialAction):
-        mk.PartialActionSystem(
-            z2, ("y0", "y1"), {"y0": 0.5, "y1": 0.5},
-            {"0": frozenset({"y0", "y1"}), "1": frozenset({"y0"})},
-            {"0": {"y0": "y0", "y1": "y1"}, "1": {"y0": "y1"}},  # not into X_1
-        )
+    # sigma_1 sends y0 to y1, where sigma_1 is undefined: not into X_1
+    with pytest.raises(mk.InvalidPartialAction, match="is not inverse to"):
+        _system(mk.cyclic_group(2), ["y0", "y1"], {**_IDENTITY_ONLY, ("1", "y0"): "y1"})
 
 
 def test_restrict_partial_identity():
     p = mk.half_domain_fixture()
     q = mk.restrict_partial(p, ["y0", "y1"])
-    assert q.domains == p.domains and q.maps == p.maps
+    assert q.units == p.units and q.mass == p.mass
+    assert np.array_equal(q.action, p.action)
+
+
+def test_restrict_partial_rejects_unknown_units():
+    # the same message and names as MeasuredGroupoid.restrict
+    p = mk.half_domain_fixture()
+    with pytest.raises(mk.InvalidPartialAction, match="restriction units not in groupoid") as exc:
+        mk.restrict_partial(p, ["y0", "nope", "also"])
+    assert exc.value.ids == ("also", "nope")
+    with pytest.raises(GroupoidError, match="restriction units not in groupoid") as exc:
+        mk.partial_action_groupoid(p).restrict(["y0", "nope", "also"])
+    assert exc.value.ids == ("also", "nope")
 
 
 def test_restrict_partial_kills_swap():
-    z2 = mk.cyclic_group(2)
-    action = {("0", "x0"): "x0", ("0", "x1"): "x1",
-              ("1", "x0"): "x1", ("1", "x1"): "x0"}
-    p = mk.global_partial_action(z2, action, ["x0", "x1"],
-                                 {"x0": 0.5, "x1": 0.5})
+    p = _system(mk.cyclic_group(2), ["x0", "x1"], _SWAP_BY_NAME)
     q = mk.restrict_partial(p, ["x0"])
-    assert q.domains["1"] == frozenset()
+    assert q.action.tolist() == [[0], [-1]]
     g = mk.partial_action_groupoid(q)
     assert len(g.arrows) == 1
 
 
 def test_globalize_global_input_collapses():
-    z2 = mk.cyclic_group(2)
-    action = {("0", "x0"): "x0", ("0", "x1"): "x1",
-              ("1", "x0"): "x1", ("1", "x1"): "x0"}
-    p = mk.global_partial_action(z2, action, ["x0", "x1"],
-                                 {"x0": 0.5, "x1": 0.5})
+    p = _system(mk.cyclic_group(2), ["x0", "x1"], _SWAP_BY_NAME)
     glob = mk.globalize(p)
     assert len(glob.space_units) == len(p.units)
     assert glob.embedded_full and glob.restriction_isomorphic
@@ -331,13 +363,7 @@ def test_globalize_half_domain():
 
 
 def test_globalize_empty_domains_gives_product():
-    z2 = mk.cyclic_group(2)
-    p = mk.PartialActionSystem(
-        z2, ("y0", "y1"), {"y0": 0.5, "y1": 0.5},
-        {"0": frozenset({"y0", "y1"}), "1": frozenset()},
-        {"0": {"y0": "y0", "y1": "y1"}, "1": {}},
-    )
-    glob = mk.globalize(p)
+    glob = mk.globalize(_system(mk.cyclic_group(2), ["y0", "y1"], _IDENTITY_ONLY))
     assert len(glob.space_units) == 4  # G x Y
 
 
@@ -369,14 +395,16 @@ def test_deaconu_renault_tail_into_fixed_point():
 
 
 def test_deaconu_renault_brute_force_agreement():
-    for seed in range(12):
-        d = mk.random_shift_system(seed, size=7, bound=3)
+    # bounds above the number of units, too: k wraps around a cycle more
+    # than once
+    for (size, bound), seed in itertools.product([(7, 3), (1, 5), (3, 8), (4, 11)], range(12)):
+        d = mk.random_shift_system(seed, size=size, bound=bound)
         view = mk.deaconu_renault(d)
-        for x in d.units:
-            for y in d.units:
-                for k in range(-d.bound, d.bound + 1):
-                    assert view.contains(x, k, y) == shift_connects_by_search(d, x, k, y), (
-                        seed, x, k, y)
+        search = {(x, k, y): shift_connects_by_search(d, x, k, y)
+                  for k in range(-bound, bound + 1) for x in d.units for y in d.units}
+        for (x, k, y), want in search.items():
+            assert view.contains(x, k, y) == want, (seed, x, k, y)
+        assert view.arrows == tuple(arrow for arrow, want in search.items() if want), seed
 
 
 def test_deaconu_renault_units_always_loops():
@@ -405,6 +433,25 @@ def test_deaconu_renault_rejects_an_empty_system():
         mk.DeaconuRenaultSystem((), {}, {}, 2)
     with pytest.raises(GroupoidError, match="at least one unit"):
         mk.random_shift_system(0, size=0)
+
+
+@pytest.mark.parametrize(
+    "sigma, mass, match",
+    [
+        ({"x0": "x1"}, {"x0": 0.5, "x1": 0.5}, "shift map undefined at units x1"),
+        ({"x0": "x1", "x1": "x0", "x9": "x0"}, {"x0": 0.5, "x1": 0.5},
+         "shift map defined at non-units x9"),
+        ({"x0": "x1", "x1": "x0"}, {"x0": 0.5, "x1": 0.5, "x9": 0.5},
+         "mass given for non-units x9"),
+    ],
+    ids=["sigma-undefined", "sigma-off-units", "mass-off-units"],
+)
+def test_deaconu_renault_rejects_sigma_and_masses_off_the_units(sigma, mass, match):
+    d = mk.DeaconuRenaultSystem(("x0", "x1"), mass, sigma, 2)
+    with pytest.raises(GroupoidError, match=match):
+        mk.deaconu_renault(d)
+    with pytest.raises(GroupoidError, match=match):
+        mk.essentially_free(d)
 
 
 @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
@@ -527,9 +574,8 @@ def _same_tables(got: MeasuredGroupoid, want: MeasuredGroupoid) -> None:
 
 
 def _uniform_translation_by_name(group):
-    units = group.elements
-    return partial_action_groupoid_by_name(mk.global_partial_action(
-        group, mk.translation_action(group), units, {u: 1 / len(units) for u in units}))
+    return partial_action_groupoid_by_name(
+        _system(group, group.elements, product_by_name(group)))
 
 
 # the named instances written with the name-based builders; S5 is left out,
@@ -543,8 +589,8 @@ _NAMED_BY_NAME = {
     "klein4": lambda: group_bundle_by_name({"pt": mk.klein_four_group()}, {"pt": 1.0}),
     "klein4-twisted": lambda: group_bundle_by_name({"pt": mk.klein_four_group()}, {"pt": 1.0}),
     "s3-bundle": lambda: group_bundle_by_name({"pt": mk.symmetric_group(3)}, {"pt": 1.0}),
-    "swap": lambda: partial_action_groupoid_by_name(mk.global_partial_action(
-        mk.cyclic_group(2), mk._SWAP_ACTION, ["x0", "x1"], mk._HALVES)),
+    "swap": lambda: partial_action_groupoid_by_name(
+        _system(mk.cyclic_group(2), ["x0", "x1"], _SWAP_BY_NAME)),
     "z4-translation": lambda: _uniform_translation_by_name(mk.cyclic_group(4)),
     "s4-translation": lambda: _uniform_translation_by_name(mk.symmetric_group(4)),
     "s4xz2-translation": lambda: _uniform_translation_by_name(
@@ -578,16 +624,16 @@ def test_partial_actions_and_globalizations_match_the_name_based_builders(seed):
     _same_tables(mk.partial_action_groupoid(p), partial_action_groupoid_by_name(p))
     glob = mk.globalize(p)
     g = glob.groupoid
-    theta = mk.global_partial_action(glob.group, _action_of(g), g.units, g.mass)
-    _same_tables(g, partial_action_groupoid_by_name(theta))
+    _same_tables(g, partial_action_groupoid_by_name(_system(glob.group, g.units, _action_of(g),
+                                                            g.mass)))
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_restrict_partial_matches_the_name_based_restriction(seed):
     rng = random.Random(seed)
     group = mk.dihedral_group(4) if seed % 2 else mk.symmetric_group(3)
-    action, units = mk._random_coset_action(rng, group)
-    p = mk.global_partial_action(group, action, units, {u: 1 / len(units) for u in units})
+    action, units = mk._random_global_action(rng, group, False)
+    p = mk.PartialActionSystem(group, units, {u: 1 / len(units) for u in units}, action)
     keep = sorted(rng.sample(units, max(1, len(units) // 2)), key=units.index)
     q = mk.restrict_partial(p, keep)
     _same_tables(mk.partial_action_groupoid(q), partial_action_groupoid_by_name(q))

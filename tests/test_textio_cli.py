@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import hashlib
 import itertools
 import io
 import json
@@ -827,11 +828,12 @@ def test_cli_shared_parser_keeps_no_state(tmp_path, capsys, monkeypatch):
      ["corpus", "--format", "json"], ["nosuch"], [],
      ["fourier", "{file}", "--elements", "-2"], ["fourier", "{file}", "--elements", "0"],
      ["corpus", "--count", "-1"], ["corpus", "--count", "0"], ["corpus", "--count", "x"],
-     ["dr-scan", "--size", "0"], ["dr-scan", "--size", "-3"]],
+     ["dr-scan", "--size", "0"], ["dr-scan", "--size", "-3"],
+     ["dr-scan", "--map", "x0:x0", "--masses", "x0:1,x9:0.5"]],
 )
 def test_cli_usage_error_exits_1(tmp_path, capsys, argv):
     # a missing file, an option the subcommand does not read, no subcommand,
-    # a count below 1, an empty shift system
+    # a count below 1, an empty shift system, a mass for a non-unit
     path = tmp_path / "z2.txt"
     run_cli(capsys, "gen", "--family", "z2", "--out", str(path))
     assert cli.main([arg.format(file=path) for arg in argv]) == 1
@@ -844,6 +846,22 @@ def test_cli_help_exits_0(capsys):
         cli.main(["report", "--help"])
     assert exc.value.code == 0
     assert "--rank-tol" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["globalize", "dr-scan"])
+def test_cli_json_output_matches_the_pinned_digests(capsys, command):
+    # sha256 of `factoroid <command> <key> --format json` on stdout, for
+    # globalize seeds 0-49 and --demo, and for dr-scan on a grid of seed,
+    # size 1-9 and bound 1-5 and the maps of the README and the CI smoke test
+    with open(os.path.join(os.path.dirname(__file__), "data", f"{command}-digests.json")) as fh:
+        want = json.load(fh)
+    assert len(want) == {"globalize": 51, "dr-scan": 272}[command]
+    got = {}
+    for key in want:
+        code, out = run_cli(capsys, command, *key.split(), "--format", "json")
+        assert code == 0, key
+        got[key] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == want
 
 
 def test_cli_dr_scan_rejects_bad_map_and_masses(capsys):
