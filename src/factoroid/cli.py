@@ -42,6 +42,13 @@ from .vna import (
 
 _ENV_TOL = "FACTOROID_TOLERANCE"
 
+# the least rank or containment tolerance taken: the worst rounding seen on
+# valid input is 1.5e-15 (a containment residual of the S5 translation
+# groupoid) and 5.4e-16 (an accepted center residual over its scale, on
+# random_twisted_pair(85)), so this bound stays 600 times above the noise
+# and 1,000 times below the defaults
+MIN_TOLERANCE = 1e-12
+
 
 class InputError(Exception):
     pass
@@ -54,17 +61,22 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
-def _tolerance(raw: str) -> float:
-    """A tolerance: a positive finite number."""
+def _tolerance(raw: str, below: float = math.inf) -> float:
+    """A tolerance: a number at least ``MIN_TOLERANCE`` and below ``below``."""
     try:
         tol = float(raw)
     except ValueError:
         tol = math.nan
-    if not 0.0 < tol < math.inf:
+    if not MIN_TOLERANCE <= tol < below:
         raise argparse.ArgumentTypeError(
-            f"must be a positive finite number, got {raw!r}"
+            f"must be a number >= {MIN_TOLERANCE:g} and < {below:g}, got {raw!r}"
         )
     return tol
+
+
+# a containment residual is relative, at most 1, so a tolerance of 1 would
+# hold every containment and decide nothing
+_containment_tolerance = functools.partial(_tolerance, below=1.0)
 
 
 def _count(raw: str) -> int:
@@ -306,13 +318,18 @@ def cmd_globalize(args) -> int:
     return 0
 
 
-def _parse_map_spec(spec: str) -> dict[str, str]:
+def _parse_map_spec(spec: str, option: str) -> dict[str, str]:
+    """``key:value`` entries of ``option``, split at commas; a key given
+    twice is an input error naming it."""
     out = {}
     for part in spec.split(","):
         src, _, dst = part.partition(":")
         if not dst:
-            raise InputError(f"bad map entry {part!r}")
-        out[src.strip()] = dst.strip()
+            raise InputError(f"bad {option} entry {part!r}")
+        key = src.strip()
+        if key in out:
+            raise InputError(f"{option} gives {key!r} twice")
+        out[key] = dst.strip()
     return out
 
 
@@ -320,11 +337,11 @@ def cmd_dr_scan(args) -> int:
     from . import constructors as mk
 
     if args.map:
-        sigma = _parse_map_spec(args.map)
+        sigma = _parse_map_spec(args.map, "--map")
         units = tuple(sigma)
         if args.masses:
             try:
-                masses = {u: float(v) for u, v in _parse_map_spec(args.masses).items()}
+                masses = {u: float(v) for u, v in _parse_map_spec(args.masses, "--masses").items()}
             except ValueError as exc:
                 raise InputError(f"bad --masses entry: {exc}") from None
         else:
@@ -379,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
         if "containment" in shared:
             p.add_argument(
-                "--containment-tol", type=_tolerance, default=CONTAINMENT_TOL,
+                "--containment-tol", type=_containment_tolerance, default=CONTAINMENT_TOL,
                 help="subspace containment tolerance",
             )
         return p

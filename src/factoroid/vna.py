@@ -17,17 +17,18 @@ keeps only these arrays and n, never an n x n array or an n x n x n stack.
 The product rule L_a L_b = w(a,b) L_ab holds on these entries exactly when
 (ab)h = a(bh) and w(a,b) w(ab,h) = w(b,h) w(a,bh) on every composable
 triple, which ``validate_groupoid`` and ``validate_cocycle`` check on the
-tables (the twisted convolution identity of Renault, LNM 793); ``algebra``
-checks the adjoint rule L_a^* = L_{a^-1} (and its right-hand form) entry by
-entry, the rank and the identity.  Distinct translations have disjoint
-supports, so they are an orthogonal basis of their span and membership
-needs no SVD.  Entry p is the p-th pair of the composition table of the
-positive-mass arrows, ``L2Space.pairs``, which the algebra keeps: the
-partner of an entry, in the adjoint check and in ``center``, is read at its
+tables (the twisted convolution identity of Renault, LNM 793).  The same
+checks, with a normalized cocycle, give the adjoint rule L_a^* = L_{a^-1}
+(and its right-hand form), full rank and the identity, so ``algebra``
+checks none of them again (its docstring has the arguments).  Distinct
+translations have disjoint supports, so they are an orthogonal basis of
+their span and membership needs no SVD.  Entry p is the p-th pair of the
+composition table of the positive-mass arrows, ``L2Space.pairs``, which
+the algebra keeps: the partner of an entry in ``center`` is read at its
 pair position (start[y] + rank[x]) rather than found by sorting keys.
 
 ``center`` reads the commutator map c -> ([sum_a c_a L_a, L_b])_b off the
-checked left entries as a sparse matrix K with at most 2P rows, since
+left entries as a sparse matrix K with at most 2P rows, since
 [L_a, L_b] = w(a,b) L_ab - w(b,a) L_ba and distinct translations are
 orthogonal.  A row of K has two entries only for a pair (a, b) with a a
 loop, and its second entry is read off the pair index; the diagonal of
@@ -35,8 +36,7 @@ K^H K is one ``bincount``, and only those paired rows add products.  K^H K
 is block diagonal over the conjugacy classes of isotropy arrows (the
 splitting over orbits into matrix algebras over twisted isotropy group
 algebras, B. Steinberg, Adv. Math. 223, 2010), and ``center`` takes its
-spectrum block by block.  A report forms no n x n operator: ``algebra``
-checks its identity on the entries, and ``center`` and
+spectrum block by block.  A report forms no n x n operator: ``center`` and
 ``invariant_subalgebra`` keep the coordinates y_a = |L_a|_F c_a of x =
 sum_a c_a L_a over the orthonormal frame L_a / |L_a|_F, an isometry, so
 ``subspaces_equal`` gets the matrices' ranks and residuals from n-vectors.
@@ -249,11 +249,12 @@ class TranslationAlgebra(_Span):
 
     ``forms`` holds the P entries (arrow, col, row, val) of ``_column_forms``:
     translation a sends e_col to val e_row for each entry with arrow a.
-    Distinct translations have disjoint supports, so they are an orthogonal
-    basis of their span: membership projects by the coefficients
-    c_a = <T_a, x> / |T_a|_F^2, and nothing of size n^3 is formed unless
-    ``basis_ops`` is read.  ``pairs`` is the composition table of the arrows
-    (``L2Space.pairs``), entry p being its pair p; ``center`` reads it.
+    Every translation has an entry and distinct ones have disjoint supports,
+    so they are an orthogonal basis of their span, of dimension n:
+    membership projects by the coefficients c_a = <T_a, x> / |T_a|_F^2, and
+    nothing of size n^3 is formed unless ``basis_ops`` is read.  ``pairs``
+    is the composition table of the arrows (``L2Space.pairs``), entry p
+    being its pair p; ``center`` reads it.
     """
 
     def __init__(
@@ -261,13 +262,10 @@ class TranslationAlgebra(_Span):
     ):
         self.forms = forms
         self.pairs = pairs
-        self.matrix_dim = n
+        self.matrix_dim = self.dim = n
         self.tol = tol
         arrow, _, _, val = forms
-        norms = np.sqrt(np.bincount(arrow, val.real ** 2 + val.imag ** 2, n))
-        keep = norms > tol * max(1.0, float(norms.max(initial=0.0)))
-        self._scale = np.divide(1.0, norms ** 2, out=np.zeros(n), where=keep)
-        self.dim = int(keep.sum())
+        self._scale = 1.0 / np.bincount(arrow, val.real ** 2 + val.imag ** 2, n)
 
     @property
     def basis_ops(self) -> np.ndarray:
@@ -363,35 +361,35 @@ def algebra(
 ) -> TranslationAlgebra:
     """The span of all translation operators of single arrows.
 
-    At finite dimension this span is already multiplicatively closed and
-    star-closed.  Closure under products, L_a L_b = w(a,b) L_{ab} (on the
-    right side with conjugated phases), follows from associativity and the
-    cocycle identity, which validation checks on the tables.  Here the
-    adjoint rule L_a^* = L_{a^-1} (on the right side with a mass ratio) is
-    checked, and that the span has full rank and holds the identity.
-    An unnormalized cocycle is replaced by its normalized representative.
+    An unnormalized cocycle is replaced by its normalized representative, so
+    w is 1 on every pair with a unit arrow and on every (a^-1, a).  At finite
+    dimension the span is then a unital *-algebra of rank n, and nothing is
+    left to check: validation has proved it on the tables.
+
+    - Products.  L_a L_b = w(a,b) L_ab (on the right side with conjugated
+      phases) holds on the entries exactly when (ab)h = a(bh) and w(a,b)
+      w(ab,h) = w(b,h) w(a,bh), the associativity and cocycle identity that
+      ``validate_groupoid`` and ``validate_cocycle`` check.
+    - Adjoint rule.  L_a holds w(a,h) at (ah, h) and L_{a^-1} holds
+      w(a^-1, ah) at (h, ah), over the same columns h.  The cocycle identity
+      on (a^-1, a, h) gives w(a^-1, a) = w(a,h) w(a^-1, ah), so w(a^-1, ah)
+      = conj(w(a,h)) and L_a^* = L_{a^-1}.  On the right, the identity on
+      (h, a^-1, a) gives w(h, a^-1) w(ha^-1, a) = 1, and the mass ratios
+      sqrt(m(t(a))/m(s(a))) that ``_column_forms`` takes from
+      ``space.weights`` make R_a^* = (m(t(a))/m(s(a))) R_{a^-1}.
+    - Rank n.  Each translation has at least one entry, at the unit arrow of
+      s(a), and an entry at (row, col) names its arrow (row col^-1 on the
+      left, row^-1 col on the right), so the supports are disjoint and the n
+      translations are orthogonal.
+    - Identity.  L_{e_u} e_h = w(e_u, h) e_h = e_h for each h with target u,
+      from the unit-arrow rows that ``validate_groupoid`` checks, so the sum
+      of the unit translations is I (on the right, over the sources).
     """
     g._require_validated()
     if space is None:
         space = l2_space(g)
-    n = space.dim
     constants = _structure_constants(g, _normalized(g, w), space)
-    forms = _column_forms(constants, side, space)
-    _verify_structure(side, space, forms, tol)
-    alg = TranslationAlgebra(forms, n, tol, space.pairs)
-    # the identity projects to sum_a c_a T_a, c_a = <T_a, I> / |T_a|_F^2 from
-    # the diagonal entries; the supports are disjoint, so the residual sums
-    # over the entries, plus 1 for each diagonal place that no entry holds
-    arrow, col, row, val = forms
-    diag = row == col
-    inner = np.bincount(arrow[diag], val[diag].real, n) - 1j * np.bincount(arrow[diag], val[diag].imag, n)
-    miss = (inner * alg._scale)[arrow] * val - diag
-    res = math.sqrt((np.sum(miss.real ** 2 + miss.imag ** 2) + n - diag.sum()) / max(n, 1))
-    if not res <= tol:
-        raise InternalInconsistency(f"algebra misses its identity (residual {res})")
-    if alg.dim != n:
-        raise InternalInconsistency(f"algebra rank {alg.dim} != arrow count {n}")
-    return alg
+    return TranslationAlgebra(_column_forms(constants, side, space), space.dim, tol, space.pairs)
 
 
 def _structure_constants(g: MeasuredGroupoid, w: Cocycle, space: L2Space) -> _Constants:
@@ -400,45 +398,6 @@ def _structure_constants(g: MeasuredGroupoid, w: Cocycle, space: L2Space) -> _Co
     order of ``space.pairs``."""
     t = space.pairs
     return t.left, t.right, t.prod, w.complex_phases(g)[space.pair_positions]
-
-
-def _verify_structure(side: str, space: L2Space, forms: _Constants, tol: float) -> None:
-    """Check the adjoint rule of translations given by entries: L_a^* =
-    L_{a^-1}, and on the right R_a^* = (m(t(a))/m(s(a))) R_{a^-1}.
-
-    The product rule L_a L_b = w(a,b) L_ab needs no check here: on the
-    entries it holds exactly when the table is associative and w satisfies
-    the cocycle identity, which ``validate_groupoid`` and ``validate_cocycle``
-    check (associativity on a generating set, the identity on every
-    composable triple).
-
-    Entry p is pair p of ``space.pairs``: on the left the entry of T_a in
-    column c is the pair (a, c), on the right the pair (c, a^-1).  So the
-    partner of an entry is read at its pair position, and it counts as found
-    only when its arrow and column are the ones wanted.
-    """
-    arrow, col, row, val = forms
-    n, inv = space.dim, space.pairs.inv
-    ratio = space.weights[inv] / space.weights if side == "right" else np.ones(n)
-    # the adjoint moves the entry of T_a at (row, col) to (col, row), where the
-    # rule wants ratio[a] times the entry of T_{a^-1} keyed (a^-1, row).  Keys
-    # are distinct, so the partners of entries that pass are distinct: when
-    # every entry passes, every entry of T_{a^-1} is matched as well
-    t = space.pairs
-    match = t.at(inv[arrow], row) if side == "left" else t.at(row, arrow)
-    found = (match >= 0) & (arrow[match] == inv[arrow]) & (col[match] == row)
-    other = np.where(found, ratio[arrow] * val[match], 0.0)
-    gap = np.where(
-        found & (row[match] == col),
-        np.abs(val.conj() - other),
-        np.maximum(np.abs(val), np.abs(other)),
-    )
-    over = gap > tol
-    if over.any():
-        a = arrow[over].min()
-        raise InternalInconsistency(
-            f"translation span not star-closed at {space.index[a]!r} ({gap[arrow == a].max()})"
-        )
 
 
 def _commutator_rows(alg: TranslationAlgebra) -> tuple[np.ndarray, ...]:
@@ -696,25 +655,36 @@ def fourier(
     coeffs: dict[int, dict[str, complex]] = {}
     recon = np.zeros_like(op)
     arrow, col, row, val = alg.forms
-    tgt = [g.tgt[h] for h in space.index]
+    t, n = space.pairs, space.dim
+    # the positive units, in the order of g.units, and the rows of their
+    # unit arrows: E(x) reads x*1 only there, so of a L_B^* only these rows
+    # are formed
+    positive = np.flatnonzero(g.unit_masses > 0.0)
+    units = t.unit_arrow[positive]
+    op_units = op[units]
+    names = [g.units[u] for u in positive.tolist()]
+    coef = np.zeros(len(g.units), dtype=complex)  # the coefficient by unit
+    parseval = 0.0
     for bi, block in enumerate(basis.blocks):
         # L_B sends e_col to val e_row, at most one entry in each row and
         # column: a L_B^* is a column gather of a, and f L_B a row scaling
-        at = np.isin(space.index, block)[arrow]
+        member = np.zeros(n, dtype=bool)
+        member[[space.pos[b] for b in block if b in space.pos]] = True
+        at = member[arrow]
         r, c, v = row[at], col[at], val[at]
-        a_lam = np.zeros_like(op)
-        a_lam[:, r] = op[:, c] * v.conj()
-        cf = coeffs[bi] = space.unit_values(a_lam @ space.unit_vector)
-        recon[r, c] += np.array([complex(cf.get(tgt[i], 0.0)) for i in r.tolist()]) * v
+        a_lam = np.zeros((len(units), n), dtype=complex)
+        a_lam[:, r] = op_units[:, c] * v.conj()
+        coef[positive] = (a_lam @ space.unit_vector) / space.sqrt_weights[units]
+        coeffs[bi] = dict(zip(names, coef[positive].tolist()))
+        recon[r, c] += coef[t.tgt[r]] * v
+        # a*1 takes the value cf_B(t(b)) at each arrow b of block B, and
+        # |delta_b|^2 is the mass of s(b), which differs from that of t(b)
+        # unless g is pmp; hypot is the rounding of abs() on a complex
+        b = np.flatnonzero(member)
+        cf = coef[t.tgt[b]]
+        parseval += math.fsum((space.weights[b] * np.hypot(cf.real, cf.imag) ** 2).tolist())
     residual = float(np.linalg.norm(recon - op, 2))
     phi_aa = float(np.real(np.vdot(op @ space.unit_vector, op @ space.unit_vector)))
-    # a*1 takes the value cf_B(t(b)) at each arrow b of block B, and |delta_b|^2
-    # is the mass of s(b), which differs from that of t(b) unless g is pmp
-    parseval = 0.0
-    for block, cf in zip(basis.blocks, coeffs.values()):
-        parseval += math.fsum(
-            g.mass[g.src[b]] * abs(cf[g.tgt[b]]) ** 2 for b in block if b in space.pos
-        )
     data = FourierData(
         coefficients=coeffs,
         residual=residual,

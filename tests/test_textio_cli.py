@@ -459,23 +459,22 @@ def test_cli_inconsistent_report_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_internal_inconsistency_exits_2(tmp_path, capsys, monkeypatch):
+    # the center's rows are orthonormal by construction; rows that are not
+    # break that invariant, which MatrixStarAlgebra checks
     path = tmp_path / "full3.txt"
     run_cli(capsys, "gen", "--family", "full3", "--out", str(path))
-    real = vna._column_forms
+    real = vna._null_algebra
 
-    def corrupt(constants, side, space):
-        arrow, col, row, val = real(constants, side, space)
-        entries = np.flatnonzero(arrow == space.pos["r|x0|x1"])
-        e = entries[np.argmin(col[entries])]
-        val[e] = -val[e]  # one phase flipped
-        return arrow, col, row, val
+    def doubled(eigvals, confirm, tol):
+        rows, gap = real(eigvals, confirm, tol)
+        return 2 * rows, gap
 
-    monkeypatch.setattr(vna, "_column_forms", corrupt)
+    monkeypatch.setattr(vna, "_null_algebra", doubled)
     code = cli.main(["report", str(path)])
     captured = capsys.readouterr()
     assert code == 2 and not captured.out
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
-    assert "star-closed" in captured.err
+    assert "not orthonormal" in captured.err
 
 
 @pytest.mark.parametrize("phase", ["nan 0", "0.5 0", "inf 0"])
@@ -495,15 +494,16 @@ def test_cli_bad_phase_exits_1_naming_its_line(tmp_path, capsys, phase):
 
 @pytest.mark.parametrize("seed", [21, 24, 48])
 def test_cli_tight_rank_tol_passes_structure_check(tmp_path, capsys, seed):
-    # these tables pass validate_cocycle; rounding of the product phases
-    # near 1e-15 is not a structural defect
+    # these tables pass validate_cocycle; rounding of their product phases
+    # near 1e-15 is no structural defect, so at the least tolerance taken
+    # (above that rounding) the report is consistent
     path = tmp_path / "rt.txt"
     run_cli(capsys, "gen", "--family", "random-twisted", "--seed", str(seed),
             "--out", str(path))
-    code = cli.main(["report", str(path), "--rank-tol", "1e-15"])
+    bound = str(cli.MIN_TOLERANCE)
+    code = cli.main(["report", str(path), "--rank-tol", bound, "--containment-tol", bound])
     captured = capsys.readouterr()
-    assert "multiplicatively closed" not in captured.err
-    assert code == 0, captured.err
+    assert code == 0 and not captured.err
 
 
 def _env_with_src():
@@ -771,15 +771,57 @@ def test_cli_bad_env_tolerance_exits_1(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "option, value",
     [("--rank-tol", "-1"), ("--rank-tol", "0"), ("--rank-tol", "nan"),
-     ("--rank-tol", "inf"), ("--containment-tol", "-1")],
+     ("--rank-tol", "inf"), ("--containment-tol", "-1"), ("--containment-tol", "1"),
+     # below MIN_TOLERANCE a decision would rest on rounding, and valid
+     # files ended in exit 2
+     ("--rank-tol", "1e-16"), ("--rank-tol", "1e-15"), ("--rank-tol", "9.9e-13"),
+     ("--containment-tol", "1e-16"), ("--containment-tol", "2.3e-16"),
+     ("--containment-tol", "9.9e-13")],
 )
 def test_cli_bad_tolerance_exits_1(tmp_path, capsys, option, value):
     path = tmp_path / "full3.txt"
     run_cli(capsys, "gen", "--family", "full3", "--out", str(path))
     assert cli.main(["report", str(path), option, value]) == 1
     captured = capsys.readouterr()
-    assert not captured.out
+    assert not captured.out and "Traceback" not in captured.err
     assert captured.err.startswith("error: ") and option in captured.err
+    assert ">= 1e-12" in captured.err
+
+
+@pytest.mark.parametrize("value", ["1e-16", "9.9e-13"])
+def test_cli_env_tolerance_below_the_bound_exits_1(tmp_path, capsys, monkeypatch, value):
+    path = tmp_path / "k.txt"
+    run_cli(capsys, "gen", "--family", "klein4-twisted", "--out", str(path))
+    monkeypatch.setenv("FACTOROID_TOLERANCE", value)
+    for argv in (["report", str(path)], ["center", str(path)], ["corpus", "--count", "1"]):
+        assert cli.main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert not captured.out and "Traceback" not in captured.err
+        assert captured.err.startswith("error: FACTOROID_TOLERANCE ") and "1e-12" in captured.err
+    monkeypatch.setenv("FACTOROID_TOLERANCE", str(cli.MIN_TOLERANCE))
+    code, out = run_cli(capsys, "report", str(path), "--format", "json")
+    assert code == 0 and json.loads(out)["rank_tol"] == cli.MIN_TOLERANCE
+
+
+def test_cli_every_accepted_tolerance_reports_random_twisted_consistently(capsys):
+    # at the bound, for both options, and at wide tolerances, the corpus
+    # runs consistent: no tolerance that is taken ends in exit 2
+    bound = str(cli.MIN_TOLERANCE)
+    for argv in (["--rank-tol", bound], ["--containment-tol", bound],
+                 ["--rank-tol", "0.5"], ["--rank-tol", "2"], ["--containment-tol", "0.999"]):
+        code, out = run_cli(capsys, "corpus", "--twisted", "--count", "200", *argv)
+        assert code == 0 and out.endswith("checked 200 instances, 0 inconsistent\n"), argv
+
+
+@pytest.mark.parametrize("tol", ["0.5", "2"])
+def test_cli_wide_rank_tol_keeps_the_full_algebra(tmp_path, capsys, tol):
+    # the translations have rank n whatever the tolerance, so a wide one no
+    # longer drops any of them; sn_bundle(5) keeps its 17-dimensional center
+    path = tmp_path / "sn5.txt"
+    run_cli(capsys, "gen", "--family", "sn-bundle", "--n", "5", "--out", str(path))
+    code, out = run_cli(capsys, "report", str(path), "--rank-tol", tol, "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and report["consistent"] and report["center_dim"] == 17
 
 
 def test_cli_env_tolerance_read_only_where_taken(capsys, monkeypatch):
@@ -873,6 +915,20 @@ def test_cli_dr_scan_rejects_bad_map_and_masses(capsys):
         assert cli.main(["dr-scan", *argv]) == 1, argv
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and not captured.out
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [(["--map", "x0:x1,x0:x0", "--bound", "1"], "--map"),
+     (["--map", "x0:x1,x1:x0", "--masses", "x0:1,x1:1,x0:0"], "--masses"),
+     (["--map", "x0:x1, x0 :x0"], "--map")],
+)
+def test_cli_dr_scan_rejects_a_repeated_key(capsys, argv, option):
+    # a key given twice would silently keep its last value
+    assert cli.main(["dr-scan", *argv]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out and "Traceback" not in captured.err
+    assert captured.err == f"error: {option} gives 'x0' twice\n"
 
 
 @pytest.mark.parametrize("masses", ["x0:-1,x1:0,x2:0.5", "x0:nan,x1:0,x2:0.5"])

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from factoroid import constructors as mk
 from factoroid.basis import build_basis
-from factoroid.cocycle import as_complex, normalize_cocycle, trivial_cocycle
+from factoroid.cocycle import apply_coboundary, as_complex, normalize_cocycle, trivial_cocycle
 from factoroid.conjugacy import _loops_off_units, is_icc
 from factoroid import vna
 from factoroid.groupoid import MeasuredGroupoid, validate_groupoid
@@ -428,103 +428,124 @@ def test_center_dim_matches_regular_class_count():
         assert center(g, w).dim == expected, name
 
 
-def _mutated_column_forms(target, mutation):
-    """_column_forms with the translation by arrow position ``target`` (at
-    least two entries) mutated in its first two columns: one phase flipped,
-    the rows of the two columns swapped, or one column moved into the row of
-    the other."""
-    real = vna._column_forms
+def _structure_defects(forms, side, space):
+    """What validation implies of the translations given by ``forms``, read
+    off their dense stack: the worst defect of the adjoint rule T_a^* =
+    ratio_a T_{a^-1} (ratio_a = m(t(a))/m(s(a)) on the right, 1 on the
+    left), the worst defect of sum_e T_e = I over the unit arrows, and the
+    rank of the stack."""
+    n, t = space.dim, space.pairs
+    ops = vna.TranslationAlgebra(forms, n).basis_ops
+    ratio = space.weights[t.inv] / space.weights if side == "right" else np.ones(n)
+    adjoint = np.abs(ops.conj().transpose(0, 2, 1) - ratio[:, None, None] * ops[t.inv])
+    units = np.unique(t.unit_arrow[t.tgt])  # the unit arrows of the positive units
+    identity = np.abs(ops[units].sum(axis=0) - np.eye(n))
+    rank = np.linalg.matrix_rank(ops.reshape(n, n * n)) if n else 0
+    return float(adjoint.max(initial=0.0)), float(identity.max(initial=0.0)), int(rank)
 
-    def forms(constants, side, space):
-        arrow, col, row, val = real(constants, side, space)
-        entries = np.flatnonzero(arrow == target)
-        e1, e2 = entries[np.argsort(col[entries])][:2]
-        if mutation == "phase":
-            val[e1] = -val[e1]
-        elif mutation == "swap":
-            row[[e1, e2]] = row[[e2, e1]]
-        else:
-            row[e2] = row[e1]
-        return arrow, col, row, val
 
-    return forms
+def _small_cases():
+    """The small named instances and seeded corpora, the twisted ones also
+    moved by a random coboundary off their normalized form."""
+    for name in ("full2", "full3", "klein4", "klein4-twisted", "s3-bundle", "swap",
+                 "z2", "z3", "z4-translation"):
+        yield name, *mk.NAMED_INSTANCES[name]()
+    for seed in range(60):
+        yield f"random-{seed}", mk.random_groupoid(seed), None
+        g, w = mk.random_twisted_pair(seed)
+        yield f"twisted-{seed}", g, w
+        rho = mk.random_coboundary(g, random.Random(seed))
+        yield f"coboundary-{seed}", g, apply_coboundary(g, w, rho)
+
+
+def _forms(g, w, side):
+    """The entries that ``algebra`` gives, and their L2 space."""
+    return algebra(g, w, side).forms, l2_space(g)
+
+
+def test_adjoint_check_matches_dense_definition():
+    # algebra checks no adjoint rule: validation and normalization imply it,
+    # with the mass ratio on the right, so the dense stacks must satisfy it
+    pmp = set()
+    for (name, g, w), side in itertools.product(_small_cases(), ("left", "right")):
+        forms, space = _forms(g, w, side)
+        if space.dim <= 40:
+            assert _structure_defects(forms, side, space)[0] <= 1e-12, (name, side)
+            pmp.add(g.flags.pmp)
+    assert pmp == {True, False}
+
+
+def test_translations_sum_to_the_identity_and_have_full_rank():
+    # algebra checks neither: the unit-arrow rows give sum_e T_e = I, and
+    # n nonzero translations with disjoint supports have rank n
+    checked = 0
+    for (name, g, w), side in itertools.product(_small_cases(), ("left", "right")):
+        forms, space = _forms(g, w, side)
+        n = space.dim
+        if n > 40:
+            continue
+        _, identity, rank = _structure_defects(forms, side, space)
+        assert identity <= 1e-12 and rank == n, (name, side)
+        arrow, col, row, _ = forms
+        assert len(set(zip(row.tolist(), col.tolist()))) == len(arrow), (name, side)
+        assert set(arrow.tolist()) == set(range(n)), (name, side)
+        assert algebra(g, w, side).dim == n, (name, side)
+        checked += 1
+    assert checked >= 200
+
+
+def _mutated(forms, target, mutation):
+    """Copies of ``forms`` with the translation by arrow position ``target``
+    (at least two entries) mutated in its first two columns: one phase
+    flipped, the rows of the two columns swapped, or one column moved into
+    the row of the other."""
+    arrow, col, row, val = (a.copy() for a in forms)
+    entries = np.flatnonzero(arrow == target)
+    e1, e2 = entries[np.argsort(col[entries])][:2]
+    if mutation == "phase":
+        val[e1] = -val[e1]
+    elif mutation == "swap":
+        row[[e1, e2]] = row[[e2, e1]]
+    else:
+        row[e2] = row[e1]
+    return arrow, col, row, val
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("mutation", ["phase", "swap", "merge"])
-def test_structure_check_catches_mutated_stack(monkeypatch, side, mutation):
+def test_structure_check_catches_mutated_stack(side, mutation):
+    # the dense check of the two property tests above is not blind: each
+    # mutation of one non-unit translation breaks its adjoint rule
     g, w = mk.random_twisted_pair(2)  # 4 units, uneven masses, twisted
     assert not g.flags.pmp
-    space = l2_space(g)
-    constants = vna._structure_constants(g, normalize_cocycle(g, w), space)
-    arrow = vna._column_forms(constants, side, space)[0]
-    occupied = np.bincount(arrow, minlength=space.dim)
+    forms, space = _forms(g, w, side)
+    occupied = np.bincount(forms[0], minlength=space.dim)
     target = max(
         (space.pos[a] for a in space.index if a not in g.unit_arrow_set),
         key=lambda t: occupied[t],
     )
     assert occupied[target] >= 2
-    algebra(g, w, side)  # the unmutated forms pass
-    monkeypatch.setattr(vna, "_column_forms", _mutated_column_forms(target, mutation))
-    with pytest.raises(InternalInconsistency):
-        algebra(g, w, side)
+    adjoint, identity, rank = _structure_defects(forms, side, space)
+    assert adjoint <= 1e-12 and identity <= 1e-12 and rank == space.dim
+    adjoint, identity, _ = _structure_defects(_mutated(forms, target, mutation), side, space)
+    assert adjoint > 0.1 and identity <= 1e-12
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
-def test_identity_check_catches_flipped_unit_entry(monkeypatch, side):
+def test_identity_check_catches_flipped_unit_entry(side):
     # a diagonal entry of a unit translation set to -1 keeps the adjoint rule
-    # (the unit is its own inverse) and the rank, but the span loses I
+    # (the unit is its own inverse) and the rank, but the stack loses I
     g, w = mk.random_twisted_pair(2)
-    space = l2_space(g)
-    constants = vna._structure_constants(g, normalize_cocycle(g, w), space)
-    real = vna._column_forms
-    arrow = real(constants, side, space)[0]
-    occupied = np.bincount(arrow, minlength=space.dim)
+    forms, space = _forms(g, w, side)
+    occupied = np.bincount(forms[0], minlength=space.dim)
     target = max((space.pos[e] for e in g.unit_arrow_set if e in space.pos),
                  key=lambda t: occupied[t])
     assert occupied[target] >= 2
-
-    def flipped(constants, side, space):
-        arrow, col, row, val = real(constants, side, space)
-        val = val.copy()  # the left forms are the constants themselves
-        val[np.flatnonzero((arrow == target) & (row == col))[0]] *= -1
-        return arrow, col, row, val
-
-    algebra(g, w, side)
-    monkeypatch.setattr(vna, "_column_forms", flipped)
-    with pytest.raises(InternalInconsistency, match="algebra misses its identity"):
-        algebra(g, w, side)
-
-
-def test_adjoint_check_matches_dense_definition():
-    # the check keyed by (arrow, column) raises exactly when the dense
-    # translations break T_a^* = ratio_a T_{a^-1}, for every mutated arrow
-    cases = [mk.random_twisted_pair(seed) for seed in range(3)]
-    cases += [(mk.random_groupoid(seed), None) for seed in range(3)]
-    checked = 0
-    for g, w in cases:
-        space = l2_space(g)
-        inv = space.pairs.inv
-        constants = vna._structure_constants(g, vna._normalized(g, w), space)
-        for side in ("left", "right"):
-            ratio = space.weights[inv] / space.weights if side == "right" else 1.0
-            arrow = vna._column_forms(constants, side, space)[0]
-            for target, mutation in itertools.product(
-                np.flatnonzero(np.bincount(arrow) >= 2), ("phase", "swap", "merge")
-            ):
-                fresh = tuple(a.copy() for a in constants)
-                forms = _mutated_column_forms(target, mutation)(fresh, side, space)
-                ops = vna.TranslationAlgebra(forms, space.dim).basis_ops
-                want = np.reshape(ratio, (-1, 1, 1)) * ops[inv]
-                broken = np.abs(ops.conj().transpose(0, 2, 1) - want).max()
-                try:
-                    vna._verify_structure(side, space, forms, vna.RANK_TOL)
-                    raised = False
-                except InternalInconsistency:
-                    raised = True
-                assert raised == (broken > vna.RANK_TOL), (target, mutation, side)
-                checked += 1
-    assert checked >= 300
+    arrow, col, row, val = (a.copy() for a in forms)
+    val[np.flatnonzero((arrow == target) & (row == col))[0]] *= -1
+    adjoint, identity, rank = _structure_defects((arrow, col, row, val), side, space)
+    assert adjoint <= 1e-12 and rank == space.dim
+    assert identity == pytest.approx(2.0)
 
 
 def test_disjoint_span_matches_svd_span(s3_bundle):
