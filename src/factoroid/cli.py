@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cocycle import _normalized, kleppner_holds, twisted_icc
+from .cocycle import kleppner_holds, twisted_icc
 from .conjugacy import is_icc
 from .groupoid import GroupoidError
 from .textio import ParseError, parse_file, serialize
@@ -170,7 +170,7 @@ def cmd_icc(args) -> int:
 
 def cmd_twisted_icc(args) -> int:
     g, w = _load(args.file)
-    verdict = twisted_icc(g, _normalized(g, w))
+    verdict = twisted_icc(g, w)
     data = {"twisted_icc": verdict.icc}
     if verdict.certificate is not None:
         data["central_support"] = sorted(verdict.certificate.support)
@@ -180,7 +180,7 @@ def cmd_twisted_icc(args) -> int:
 
 def cmd_kleppner(args) -> int:
     g, w = _load(args.file)
-    verdict = kleppner_holds(g, _normalized(g, w))
+    verdict = kleppner_holds(g, w)
     data = {"kleppner_holds": verdict.holds, "witness": verdict.witness}
     print(_render(data, args.format))
     return 0

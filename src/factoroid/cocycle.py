@@ -10,9 +10,11 @@ which is convenient when all inputs are roots of unity.
 The twisted factoriality decider looks for a "central" subset of the
 isotropy: a conjugation-invariant set supporting a nowhere-zero function that
 transforms under conjugation by the cocycle's phases.  Existence is decided
-per conjugation orbit by spanning-tree phase propagation: fix the value 1 at
-a root, push values along tree edges, and test every remaining edge.  A loop
-with holonomy different from 1 rules the orbit out.
+per conjugation orbit in one hop: conjugating by a and then by b is
+conjugating by ba, and s(ba) = s(a), so every member of an orbit is one
+conjugation away from its least loop.  Fix the value 1 there, carry it to
+each member along the least loop's first move onto it, and test every move
+at once.  A move with holonomy different from 1 rules the orbit out.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -45,7 +47,7 @@ class CocycleIdentityViolated(GroupoidError):
 # -- phase arithmetic (complex numbers or rational turns) -------------------
 
 def _exact(a) -> bool:  # a rational turn, or an array of them
-    return isinstance(a, Fraction) or getattr(a, "dtype", None) == object
+    return a.dtype.kind == "O" if isinstance(a, np.ndarray) else isinstance(a, Fraction)
 
 
 def pmul(a: Phase, b: Phase) -> Phase:
@@ -82,10 +84,11 @@ def as_complex(a: Phase) -> complex:
     return complex(a)
 
 
-def phase_close(a: Phase, b: Phase, tol: float) -> bool:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a == b
-    return abs(as_complex(a) - as_complex(b)) <= tol
+def complex_array(a: np.ndarray) -> np.ndarray:
+    """An array of phases as complex numbers, a turn t as exp(2*pi*i*t)."""
+    if not _exact(a):
+        return a
+    return np.fromiter(map(as_complex, a.ravel()), complex, a.size).reshape(a.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,12 +110,6 @@ class Cocycle:
         if self.groupoid is not g:
             raise GroupoidError("the cocycle is defined on another groupoid")
         return self.phases
-
-    def complex_phases(self, g: MeasuredGroupoid) -> np.ndarray:
-        """``on(g)`` as complex numbers, a turn t as exp(2*pi*i*t)."""
-        if not self.exact:
-            return self.on(g)
-        return np.fromiter(map(as_complex, self.on(g)), complex, len(self.phases))
 
     def conjugate_cocycle(self) -> "Cocycle":
         return Cocycle(self.groupoid, pconj(self.phases), self.exact, self.normalized)
@@ -214,40 +211,36 @@ def trivial_cocycle(g: MeasuredGroupoid, *, exact: bool = False) -> Cocycle:
     return Cocycle(g, phases, exact, normalized=True)
 
 
-def apply_coboundary(
-    g: MeasuredGroupoid, w: Cocycle, rho: Mapping[str, Phase]
-) -> Cocycle:
-    """The cohomologous cocycle  w'(x,y) = rho(x) rho(y) conj(rho(xy)) w(x,y)."""
+def apply_coboundary(g: MeasuredGroupoid, w: Cocycle, rho: np.ndarray) -> Cocycle:
+    """The cohomologous cocycle  w'(x,y) = rho(x) rho(y) conj(rho(xy)) w(x,y),
+    rho given by arrow position."""
     g._require_validated()
-    r = np.array([rho[x] for x in g.arrow_order], dtype=w.phases.dtype)
-    phases = _coboundary(g, w.on(g), r)
+    t, r = g.pairs, np.asarray(rho, dtype=w.phases.dtype)
+    phases = pmul(pmul(r[t.left], pmul(r[t.right], pconj(r[t.prod]))), w.on(g))
     return Cocycle(g, phases, w.exact, _is_normalized(g, phases))
-
-
-def _coboundary(g: MeasuredGroupoid, phases: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """``apply_coboundary`` on arrays: rho as r[x] by arrow position."""
-    t = g.pairs
-    return pmul(pmul(r[t.left], pmul(r[t.right], pconj(r[t.prod]))), phases)
 
 
 def normalize_cocycle(g: MeasuredGroupoid, w: Cocycle) -> Cocycle:
     """Apply the two explicit coboundary corrections yielding a cocycle with
-    phase 1 on every pair involving a unit arrow and on every (x, x^-1)."""
-    g._require_validated()
-    t, phases = g.pairs, w.on(g)
-    rho1 = pconj(phases[t.start[t.unit_arrow[t.src]] + t.rank])  # conj w(x, 1)
-    step1 = _coboundary(g, phases, rho1)
+    phase 1 on every pair involving a unit arrow and on every (x, x^-1).
+
+    Nothing is re-checked: on a validated cocycle the identity on (x, e, e)
+    and (e, e, x), e a unit, gives w(x, e) = w(e, e) = w(e, x) within
+    ``IDENTITY_TOL``, so the correction by conj(w(x, e)) brings every unit
+    pair to 1 and the one by a square root of conj(w(x, x^-1)), shared by x
+    and x^-1, brings every (x, x^-1) to 1 and leaves the unit pairs, all to
+    that tolerance (exactly for turns).  A check at the tighter
+    ``UNIT_MODULUS_TOL`` would measure only the tolerance."""
+    t = g._pair_table()
+    step1 = apply_coboundary(g, w, pconj(w.on(g)[t.start[t.unit_arrow[t.src]] + t.rank]))
     # one half-phase per inverse pair, taken at a canonical representative:
     # rho(x) rho(x^-1) then squares to the exact conjugate phase no matter
     # which branch the square root picks (the values at x and x^-1 agree only
     # up to rounding, which matters exactly on the branch cut)
     rep = np.minimum(np.arange(len(t.inv)), t.inv)
-    half = pconj(step1[t.start[t.inv[rep]] + t.rank[rep]])  # conj w(rep, rep^-1)
-    rho2 = np.array([phalf(v) for v in half.tolist()], dtype=phases.dtype)
-    step2 = _coboundary(g, step1, rho2)
-    if not _is_normalized(g, step2):
-        raise CocycleIdentityViolated("normalization failed; invalid cocycle")
-    return Cocycle(g, step2, w.exact, True)
+    half = pconj(step1.phases[t.start[t.inv[rep]] + t.rank[rep]])  # conj w(rep, rep^-1)
+    step2 = apply_coboundary(g, step1, [phalf(v) for v in half.tolist()])
+    return Cocycle(g, step2.phases, w.exact, True)
 
 
 def _normalized(g: MeasuredGroupoid, w: Optional[Cocycle]) -> Cocycle:
@@ -257,74 +250,52 @@ def _normalized(g: MeasuredGroupoid, w: Optional[Cocycle]) -> Cocycle:
     return w if w.normalized else normalize_cocycle(g, w)
 
 
-def _transports(
-    g: MeasuredGroupoid, w: Cocycle, loops: np.ndarray
-) -> list[list[tuple[int, int, Phase]]]:
-    """For each loop h, its moves to c = a h a^-1 by the positive-target
-    arrows a with s(a) = s(h), in storage order: (a, c, conj(w(c, a)) w(a, h)),
-    the transport factor of f along h -> c, by arrow positions."""
-    t, phase = g.pairs, w.on(g)
-    i, p, a, c = t.conjugations(loops)
-    factor = pmul(pconj(phase[t.start[a] + t.rank[c]]), phase[p])
-    keep = g.unit_masses[t.tgt[a]] > 0.0
-    moves: list[list[tuple[int, int, Phase]]] = [[] for _ in loops]
-    for j, x, y, v in zip(*(u[keep].tolist() for u in (i, a, c, factor))):
-        moves[j].append((x, y, v))
-    return moves
+def central_set_search(
+    g: MeasuredGroupoid, w: Optional[Cocycle]
+) -> Optional[CentralSetCertificate]:
+    """The first central isotropy set off the units, by least loop, or None.
 
-
-def central_set_search(g: MeasuredGroupoid, w: Cocycle) -> Optional[CentralSetCertificate]:
-    """Find a central isotropy set off the units, or report none exists.
-
-    Scans each conjugation orbit of positive-mass non-unit isotropy arrows.
-    On an orbit, any compatible f is determined up to scale by transport
-    along a spanning tree, so the orbit carries a certificate exactly when
-    every off-tree move closes up (loop holonomy 1 within ``HOLONOMY_TOL``).  The
-    moves and their phases are read from ``g.pairs`` by position.
-    """
+    Conjugating by a and then by b is conjugating by ba, and s(ba) = s(a),
+    so the orbit of a positive-mass loop h is exactly its one-hop conjugates
+    a h a^-1, s(a) = s(h), m(t(a)) > 0.  Any compatible f on it is, up to
+    scale, f(r) = 1 at its least loop r and f(c) carried along r's first
+    move onto c in storage order; the orbit is central exactly when every
+    move closes up (holonomy 1 within ``HOLONOMY_TOL``, exactly for turns).
+    The moves are read from ``g.pairs`` by position and checked at once."""
     g._require_validated()
     loops = np.flatnonzero(_loops_off_units(g)[1])
     if not len(loops):
         return None
     w = _normalized(g, w)
-    moves = dict(zip(loops.tolist(), _transports(g, w, loops)))
-    unvisited = set(moves)
-    for root in moves:
-        if root not in unvisited:
-            continue
-        # breadth-first transport of f from f(root) = 1
-        f: dict[int, Phase] = {root: pone(w.exact)}
-        order = [root]
-        queue = [root]
-        while queue:
-            h = queue.pop(0)
-            for _, c, factor in moves[h]:
-                if c not in f:
-                    f[c] = pmul(factor, f[h])
-                    order.append(c)
-                    queue.append(c)
-        unvisited -= set(f)
-        consistent = True
-        max_defect = 0.0
-        for h in order:
-            for _, c, factor in moves[h]:
-                lhs = f[c]
-                rhs = pmul(factor, f[h])
-                defect = abs(as_complex(lhs) - as_complex(rhs))
-                max_defect = max(max_defect, defect)
-                if not phase_close(lhs, rhs, HOLONOMY_TOL):
-                    consistent = False
-                    break
-            if not consistent:
-                break
-        if consistent:
-            name = g.arrow_order
-            return CentralSetCertificate(
-                support=frozenset(name[h] for h in order),
-                f={name[h]: as_complex(v) for h, v in f.items()},
-                max_defect=max_defect,
-            )
-    return None
+    t, phase = g.pairs, w.on(g)
+    i, p, a, c = t.conjugations(loops)  # the moves h = loops[i] -> c = a h a^-1
+    keep = g.unit_masses[t.tgt[a]] > 0.0
+    i, p, a, c = i[keep], p[keep], a[keep], c[keep]
+    factor = pmul(pconj(phase[t.start[a] + t.rank[c]]), phase[p])  # conj(w(c, a)) w(a, h)
+    j = np.searchsorted(loops, c)
+    # moves run h in ascending order, so the first move onto a loop comes
+    # from the least loop of its orbit, and is that loop's first onto it
+    hit = np.full(len(loops), len(j))
+    np.minimum.at(hit, j, np.arange(len(j)))
+    root = i[hit]
+    roots = np.flatnonzero(root == np.arange(len(loops)))
+    f = pmul(factor[hit], pone(w.exact))
+    f[roots], hit[roots] = pone(w.exact), -1
+    lhs, rhs = f[j], pmul(factor, f[i])
+    d = complex_array(lhs) - complex_array(rhs)
+    defect = np.hypot(d.real, d.imag)  # as Python's abs, to the last bit
+    bad = lhs != rhs if w.exact else ~(defect <= HOLONOMY_TOL)
+    good = roots[np.bincount(root[i[bad]], minlength=len(loops))[roots] == 0]
+    if not len(good):
+        return None
+    orbit = np.flatnonzero(root == good[0])
+    orbit = orbit[np.argsort(hit[orbit])]
+    name = list(map(g.arrow_order.__getitem__, loops[orbit].tolist()))
+    return CentralSetCertificate(
+        support=frozenset(name),
+        f=dict(zip(name, complex_array(f[orbit]).tolist())),
+        max_defect=float(defect[root[i] == good[0]].max()),
+    )
 
 
 def is_omega_regular(
@@ -355,7 +326,7 @@ def is_omega_regular(
     return RegularityVerdict(False, witness=tuple(g.arrow_order[v] for v in (a[m], x[i[m]], y[m])))
 
 
-def kleppner_holds(g: MeasuredGroupoid, w: Cocycle) -> KleppnerVerdict:
+def kleppner_holds(g: MeasuredGroupoid, w: Optional[Cocycle]) -> KleppnerVerdict:
     """Decide the phase-symmetry obstruction over singleton bisections.
 
     The condition fails exactly when some positive-mass non-unit isotropy
@@ -383,7 +354,8 @@ def kleppner_holds(g: MeasuredGroupoid, w: Cocycle) -> KleppnerVerdict:
     return KleppnerVerdict(True)
 
 
-def twisted_icc(g: MeasuredGroupoid, w: Cocycle) -> TwistedIccVerdict:
-    """Twisted analogue of the icc decider: no central set may exist."""
+def twisted_icc(g: MeasuredGroupoid, w: Optional[Cocycle]) -> TwistedIccVerdict:
+    """Twisted analogue of the icc decider: no central set may exist.  None
+    stands for the trivial cocycle, here and in ``kleppner_holds``."""
     cert = central_set_search(g, w)
     return TwistedIccVerdict(icc=cert is None, certificate=cert)

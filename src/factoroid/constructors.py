@@ -27,7 +27,8 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .cocycle import Cocycle, Phase, apply_coboundary, as_complex, pone, validate_cocycle
+from .cocycle import (Cocycle, Phase, apply_coboundary, as_complex, complex_array, pone,
+                      validate_cocycle)
 from .groupoid import (
     GroupoidError,
     MeasuredGroupoid,
@@ -303,39 +304,33 @@ def coset_action(
 # -- cocycles of group origin -----------------------------------------------
 
 def pullback_group_cocycle(
-    g: MeasuredGroupoid,
-    group_of_arrow: Mapping[str, str],
-    c: Mapping[tuple[str, str], Phase],
-) -> list[Phase]:
+    g: MeasuredGroupoid, element: np.ndarray, table: np.ndarray
+) -> np.ndarray:
     """Lift a group 2-cocycle through an arrow -> group-element labelling:
-    one phase per composable pair, in the order of ``g.pairs``."""
-    label = [group_of_arrow[a] for a in g.arrow_order]
-    pairs = zip(g.pairs.left.tolist(), g.pairs.right.tolist())
-    return [c[(label[a], label[b])] for a, b in pairs]
+    ``element[x]`` is the element position of arrow x and ``table`` the
+    |H| x |H| phase array, read at every composable pair of ``g.pairs``."""
+    return table[element[g.pairs.left], element[g.pairs.right]]
 
 
-def klein_bicharacter(exact: bool = False) -> dict[tuple[str, str], Phase]:
-    """The anticommuting phase on the Klein four-group: -1 exactly when the
-    first factor has second coordinate 1 and the second has first coordinate 1."""
-    table = klein_four_group()
-    minus: Phase = Fraction(1, 2) if exact else complex(-1.0)
-    plus: Phase = pone(exact)
-    return {(x, y): minus if x.split(".")[1] == y.split(".")[0] == "1" else plus
-            for x in table.elements for y in table.elements}
+def klein_bicharacter(exact: bool = False) -> np.ndarray:
+    """The anticommuting phase on the Klein four-group, by element position:
+    -1 exactly when the first factor has second coordinate 1 and the second
+    has first coordinate 1."""
+    k = np.arange(4)
+    minus = (k[:, None] % 2 == 1) & (k // 2 == 1)
+    return np.where(minus, *((Fraction(1, 2), Fraction(0)) if exact else (-1.0 + 0j, 1.0 + 0j)))
 
 
-def cyclic_bicharacter(n: int, exact: bool = False) -> dict[tuple[str, str], Phase]:
+def cyclic_bicharacter(n: int, exact: bool = False) -> np.ndarray:
     """The bicharacter (a, b) -> exp(2 pi i a b / n) on the cyclic group."""
-    turns = {(str(a), str(b)): Fraction(a * b, n) % 1 for a in range(n) for b in range(n)}
-    return turns if exact else {ab: as_complex(turn) for ab, turn in turns.items()}
+    turns = np.array([[Fraction(a * b, n) % 1 for b in range(n)] for a in range(n)], dtype=object)
+    return turns if exact else complex_array(turns)
 
 
 def klein_four_twisted(exact: bool = False) -> tuple[MeasuredGroupoid, Cocycle]:
     """The one-unit Klein four groupoid with its anticommuting twist."""
-    table = klein_four_group()
-    g = group_groupoid(table)
-    labels = {f"pt.{gm}": gm for gm in table.elements}
-    vals = pullback_group_cocycle(g, labels, klein_bicharacter(exact))
+    g = group_groupoid(klein_four_group())  # arrow x is element x
+    vals = pullback_group_cocycle(g, np.arange(4), klein_bicharacter(exact))
     return g, validate_cocycle(g, vals, exact=exact)
 
 
@@ -884,8 +879,10 @@ def random_phase(rng: random.Random, exact: bool = False) -> Phase:
 
 def random_coboundary(
     g: MeasuredGroupoid, rng: random.Random, exact: bool = False
-) -> dict[str, Phase]:
-    return {a: random_phase(rng, exact) for a in g.arrow_order}
+) -> np.ndarray:
+    """One random phase per arrow, by arrow position."""
+    return np.array([random_phase(rng, exact) for _ in g.arrow_order],
+                    dtype=object if exact else complex)
 
 
 def random_twisted_pair(
@@ -897,37 +894,40 @@ def random_twisted_pair(
     V4, Z3, Z4), carrying pullbacks of group bicharacters; a random
     coboundary is applied on top.  The Klein four bicharacter contributes
     genuinely nontrivial twists; the rest are coboundaries, which keeps both
-    ends of the twisted/untwisted comparison populated.
+    ends of the twisted/untwisted comparison populated.  The parts' group
+    cocycles sit on the diagonal of one phase table.
     """
     rng = random.Random(f"twisted-{seed}")
     n_parts = rng.randint(1, 2)
     parts: list[MeasuredGroupoid] = []
-    labels: dict[str, tuple[int, str]] = {}  # arrow of g -> (part, group element)
-    table: dict[tuple[tuple[int, str], tuple[int, str]], Phase] = {}  # by labels
+    elements: list[np.ndarray] = []  # each part's arrows -> element positions
+    tables: list[np.ndarray] = []  # each part's group cocycle
     for i in range(n_parts):
         name = rng.choice(["V4", "V4", "Z3", "Z4"])
         grp = _small_group(name)
+        m = len(grp.elements)
         style = rng.choice(["bundle", "translation", "coset"])
-        if style == "bundle":
+        if style == "bundle":  # arrows x.g, g in element order, over each unit x
             units = [f"x{i}" for i in range(rng.randint(1, 2))]
             part = group_bundle(dict.fromkeys(units, grp), _random_masses(rng, units),
                                 validate=False)
-            group_of_arrow = {a: a.split(".", 1)[1] for a in part.arrow_order}
-        else:
+            elements.append(np.tile(np.arange(m), len(units)))
+        else:  # arrows g|x, g in element order, then x
             part = _random_part(rng, grp, style)
-            group_of_arrow = {a: a.split("|")[0] for a in part.arrow_order}
+            elements.append(np.repeat(np.arange(m), len(part.units)))
         if name == "V4" and rng.random() < 0.75:
-            c = klein_bicharacter(exact)
+            tables.append(klein_bicharacter(exact))
         elif name in ("Z3", "Z4") and rng.random() < 0.5:
-            c = cyclic_bicharacter(int(name[1]), exact)
+            tables.append(cyclic_bicharacter(m, exact))
         else:
-            c = {(a, b): pone(exact) for a in grp.elements for b in grp.elements}
-        labels.update({f"p{i}:{a}": (i, x) for a, x in group_of_arrow.items()})
-        table.update({((i, x), (i, y)): v for (x, y), v in c.items()})
+            tables.append(np.full((m, m), pone(exact)))
         parts.append(part)
     weights = [rng.random() + 0.1 for _ in parts]
     tot = sum(weights)
     g = disjoint_union(parts, [wi / tot for wi in weights])
-    w0 = validate_cocycle(g, pullback_group_cocycle(g, labels, table), exact=exact)
-    rho = random_coboundary(g, rng, exact)
-    return g, apply_coboundary(g, w0, rho)
+    first = np.cumsum([0, *map(len, tables)])
+    table = np.full((first[-1], first[-1]), pone(exact))
+    for at, c in zip(first.tolist(), tables):
+        table[at:at + len(c), at:at + len(c)] = c
+    w0 = validate_cocycle(g, pullback_group_cocycle(g, _joined(elements, first), table), exact=exact)
+    return g, apply_coboundary(g, w0, random_coboundary(g, rng, exact))

@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Mapping, Optional
 
 import numpy as np
 
-from .cocycle import UNIT_MODULUS_TOL, Cocycle, validate_cocycle
+from .cocycle import UNIT_MODULUS_TOL, Cocycle, complex_array, validate_cocycle
 from .groupoid import GroupoidError, MeasuredGroupoid, validate_groupoid
 
 _USAGE = {  # the fields of each section's rows
@@ -291,7 +291,7 @@ def serialize(g: MeasuredGroupoid, w: Optional[Cocycle] = None) -> str:
     out.extend(map("{} {}".format, name, map(name.__getitem__, t.inv.tolist())))
     if w is not None:
         out.append("[cocycle]")
-        phase = w.complex_phases(g)
+        phase = complex_array(w.on(g))
         p = order[phase[order] != 1]
         rows = zip(t.left[p].tolist(), t.right[p].tolist(), phase[p].tolist())
         out.extend(f"{name[x]} {name[y]} {v.real!r} {v.imag!r}" for x, y, v in rows)

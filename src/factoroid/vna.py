@@ -66,7 +66,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .cocycle import Cocycle, _normalized, kleppner_holds, twisted_icc
+from .cocycle import Cocycle, _normalized, complex_array, kleppner_holds, twisted_icc
 from .conjugacy import is_icc
 from .groupoid import GroupoidError, MeasuredGroupoid, PairTable, component_roots
 
@@ -397,7 +397,7 @@ def _structure_constants(g: MeasuredGroupoid, w: Cocycle, space: L2Space) -> _Co
     pairs of positive-mass arrows (ab then has positive mass too), in the
     order of ``space.pairs``."""
     t = space.pairs
-    return t.left, t.right, t.prod, w.complex_phases(g)[space.pair_positions]
+    return t.left, t.right, t.prod, complex_array(w.on(g))[space.pair_positions]
 
 
 def _commutator_rows(alg: TranslationAlgebra) -> tuple[np.ndarray, ...]:
@@ -747,7 +747,7 @@ def factoriality_report(
     treat disagreement as a hard failure.
     """
     g._require_validated()
-    twisted = w is not None and not (np.abs(w.complex_phases(g) - 1.0) <= 1e-15).all()
+    twisted = w is not None and not (np.abs(complex_array(w.on(g)) - 1.0) <= 1e-15).all()
     w = _normalized(g, w)
 
     erg = g.is_ergodic()

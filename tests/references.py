@@ -11,6 +11,11 @@ keys.  ``trivial_groupoid`` builds a table for the tests, and
 ``shift_connects_by_search`` decides membership in a shift groupoid by a
 witness search.
 
+``central_set_search_by_bfs`` is the breadth-first walk that
+``central_set_search`` ran before it set each orbit in one hop from its
+least loop, kept verbatim as the reference for its certificates;
+``phase_close`` compares two phases, exactly for rational turns.
+
 ``from_names`` maps tables given by name to the positions that
 ``MeasuredGroupoid`` takes, as the parser does for a file; the tests that
 build faulty tables by name go through it.  ``action_by_name`` does the
@@ -36,6 +41,7 @@ the name-keyed set algebra that the tests walk: ``by_source``,
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -45,13 +51,17 @@ from factoroid.cocycle import (
     HOLONOMY_TOL,
     CentralSetCertificate,
     Cocycle,
+    Phase,
     RegularityVerdict,
+    _normalized,
     as_complex,
     normalize_cocycle,
-    phase_close,
+    pconj,
+    pmul,
+    pone,
     trivial_cocycle,
 )
-from factoroid.conjugacy import IccVerdict
+from factoroid.conjugacy import IccVerdict, _loops_off_units
 from factoroid.constructors import DeaconuRenaultSystem, FiniteGroupTable, PartialActionSystem
 from factoroid.groupoid import GroupoidError, MeasuredGroupoid, validate_groupoid
 from factoroid.vna import L2Space, TranslationAlgebra
@@ -151,6 +161,82 @@ def twisted_convolve(
         if va and vb:
             out[ab] += as_complex(w(a, b)) * va * vb
     return out
+
+
+def phase_close(a: Phase, b: Phase, tol: float) -> bool:
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return a == b
+    return abs(as_complex(a) - as_complex(b)) <= tol
+
+
+def _transports(
+    g: MeasuredGroupoid, w: Cocycle, loops: np.ndarray
+) -> list[list[tuple[int, int, Phase]]]:
+    """For each loop h, its moves to c = a h a^-1 by the positive-target
+    arrows a with s(a) = s(h), in storage order: (a, c, conj(w(c, a)) w(a, h)),
+    the transport factor of f along h -> c, by arrow positions."""
+    t, phase = g.pairs, w.on(g)
+    i, p, a, c = t.conjugations(loops)
+    factor = pmul(pconj(phase[t.start[a] + t.rank[c]]), phase[p])
+    keep = g.unit_masses[t.tgt[a]] > 0.0
+    moves: list[list[tuple[int, int, Phase]]] = [[] for _ in loops]
+    for j, x, y, v in zip(*(u[keep].tolist() for u in (i, a, c, factor))):
+        moves[j].append((x, y, v))
+    return moves
+
+
+def central_set_search_by_bfs(g: MeasuredGroupoid, w: Cocycle) -> Optional[CentralSetCertificate]:
+    """Find a central isotropy set off the units, or report none exists.
+
+    Scans each conjugation orbit of positive-mass non-unit isotropy arrows.
+    On an orbit, any compatible f is determined up to scale by transport
+    along a spanning tree, so the orbit carries a certificate exactly when
+    every off-tree move closes up (loop holonomy 1 within ``HOLONOMY_TOL``).  The
+    moves and their phases are read from ``g.pairs`` by position.
+    """
+    g._require_validated()
+    loops = np.flatnonzero(_loops_off_units(g)[1])
+    if not len(loops):
+        return None
+    w = _normalized(g, w)
+    moves = dict(zip(loops.tolist(), _transports(g, w, loops)))
+    unvisited = set(moves)
+    for root in moves:
+        if root not in unvisited:
+            continue
+        # breadth-first transport of f from f(root) = 1
+        f: dict[int, Phase] = {root: pone(w.exact)}
+        order = [root]
+        queue = [root]
+        while queue:
+            h = queue.pop(0)
+            for _, c, factor in moves[h]:
+                if c not in f:
+                    f[c] = pmul(factor, f[h])
+                    order.append(c)
+                    queue.append(c)
+        unvisited -= set(f)
+        consistent = True
+        max_defect = 0.0
+        for h in order:
+            for _, c, factor in moves[h]:
+                lhs = f[c]
+                rhs = pmul(factor, f[h])
+                defect = abs(as_complex(lhs) - as_complex(rhs))
+                max_defect = max(max_defect, defect)
+                if not phase_close(lhs, rhs, HOLONOMY_TOL):
+                    consistent = False
+                    break
+            if not consistent:
+                break
+        if consistent:
+            name = g.arrow_order
+            return CentralSetCertificate(
+                support=frozenset(name[h] for h in order),
+                f={name[h]: as_complex(v) for h, v in f.items()},
+                max_defect=max_defect,
+            )
+    return None
 
 
 def verify_central_certificate(

@@ -2,6 +2,7 @@ import cmath
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +19,6 @@ from factoroid.cocycle import (
     normalize_cocycle,
     pconj,
     phalf,
-    phase_close,
     pmul,
     trivial_cocycle,
     twisted_icc,
@@ -26,8 +26,15 @@ from factoroid.cocycle import (
 )
 from factoroid.conjugacy import is_icc
 from factoroid.groupoid import GroupoidError
+from factoroid.vna import factoriality_report
 
-from references import by_source, from_names, verify_central_certificate
+from references import (
+    by_source,
+    central_set_search_by_bfs,
+    from_names,
+    phase_close,
+    verify_central_certificate,
+)
 
 
 def klein_pair(exact=False):
@@ -192,7 +199,7 @@ def test_cocycle_is_read_only_on_its_groupoid():
     with pytest.raises(GroupoidError, match="another groupoid"):
         normalize_cocycle(other, w)
     with pytest.raises(GroupoidError, match="another groupoid"):
-        apply_coboundary(other, w, {a: 1.0 for a in g.arrow_order})
+        apply_coboundary(other, w, np.ones(len(g.arrow_order)))
 
 
 def test_normalized_cocycle_inverse_symmetry():
@@ -212,7 +219,7 @@ def test_apply_coboundary_round_trip(full3):
     w = trivial_cocycle(full3)
     rho = mk.random_coboundary(full3, rng)
     w1 = apply_coboundary(full3, w, rho)
-    back = apply_coboundary(full3, w1, {a: v.conjugate() for a, v in rho.items()})
+    back = apply_coboundary(full3, w1, rho.conjugate())
     for pair in full3.composable_pairs():
         assert as_complex(back(*pair)) == pytest.approx(1.0, abs=1e-12)
 
@@ -339,3 +346,44 @@ def test_certificates_verify(seed):
     cert = central_set_search(g, wn)
     if cert is not None:
         verify_central_certificate(g, wn, cert)
+
+
+def heisenberg(n):
+    """Z_n x Z_n with w((a,b),(c,d)) = exp(2 pi i a d / n); its twisted group
+    algebra is M_n(C), a factor.  Element (a, b) sits at a n + b, and arrow x
+    is element x."""
+    g = mk.group_groupoid(mk.direct_product(mk.cyclic_group(n), mk.cyclic_group(n)))
+    k = np.arange(n * n)
+    table = mk.cyclic_bicharacter(n)[np.ix_(k // n, k % n)]
+    return g, validate_cocycle(g, mk.pullback_group_cocycle(g, k, table))
+
+
+_ORACLE_CASES = {
+    "twisted": lambda: (mk.random_twisted_pair(s) for s in range(200)),
+    "twisted-exact": lambda: (mk.random_twisted_pair(s, exact=True) for s in range(200)),
+    "random": lambda: ((g, trivial_cocycle(g)) for g in map(mk.random_groupoid, range(100))),
+    "heisenberg": lambda: map(heisenberg, (5, 6)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_ORACLE_CASES))
+def test_central_set_search_matches_the_breadth_first_oracle(family):
+    # the one-hop search returns the walk's certificate to the last bit: the
+    # same support, f in the same order, and the same max_defect
+    found = 0
+    for g, w in _ORACLE_CASES[family]():
+        got, want = central_set_search(g, w), central_set_search_by_bfs(g, w)
+        assert (got is None) == (want is None)
+        if got is not None:
+            found += 1
+            assert got.support == want.support
+            assert repr(list(got.f.items())) == repr(list(want.f.items()))
+            assert got.max_defect == want.max_defect
+    assert found > 0 or family == "heisenberg"
+
+
+def test_heisenberg_twist_is_a_factor():
+    g, w = heisenberg(6)
+    assert twisted_icc(g, w).icc and kleppner_holds(g, w).holds
+    rep = factoriality_report(g, w)
+    assert rep.factor and rep.consistent

@@ -906,6 +906,38 @@ def test_cli_json_output_matches_the_pinned_digests(capsys, command):
     assert got == want
 
 
+def test_twisted_outputs_match_the_pinned_digests(tmp_path, capsys):
+    # sha256 of `factoroid <command> FILE --format json` on stdout, for the
+    # three twisted commands on `gen --family random-twisted --seed s`, s in
+    # 0-199; the keys read "<command> --seed <s>"
+    with open(os.path.join(os.path.dirname(__file__), "data", "twisted-digests.json")) as fh:
+        want = json.load(fh)
+    assert len(want) == 600
+    got = {}
+    for seed in range(200):
+        path = str(tmp_path / f"t{seed}.txt")
+        assert run_cli(capsys, "gen", "--family", "random-twisted", "--seed", str(seed),
+                       "--out", path)[0] == 0
+        for command in ("twisted-icc", "kleppner", "report"):
+            code, out = run_cli(capsys, command, path, "--format", "json")
+            assert code == 0, (command, seed)
+            got[f"{command} --seed {seed}"] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == want
+
+
+@pytest.mark.parametrize("command", ["validate", "report", "twisted-icc", "kleppner", "center"])
+def test_cocycle_that_validates_normalizes(capsys, command):
+    # w(e, e) off 1 by 5e-11, inside the identity tolerance: every command
+    # that normalizes runs on what validation accepts
+    path = os.path.join(os.path.dirname(__file__), "data", "z2-near-unit-cocycle.txt")
+    code = cli.main([command, path, *(["--format", "json"] if command == "report" else [])])
+    captured = capsys.readouterr()
+    assert code == 0 and not captured.err
+    if command == "report":
+        rep = json.loads(captured.out)
+        assert rep["consistent"] and not rep["factor"]
+
+
 def test_cli_dr_scan_rejects_bad_map_and_masses(capsys):
     for argv in (
         ["--map", "x0:x9"],
