@@ -73,14 +73,19 @@ def _greedy_blocks(
 
 
 def build_basis(g: MeasuredGroupoid, symmetric: bool = True) -> Basis:
-    """Partition all arrows into bisections, with the unit arrows first."""
+    """Partition all arrows into bisections, with the unit arrows first.
+
+    The result is a basis by construction, so ``check_basis`` is not rerun:
+    a block admits an arrow only when its source and target are unused in
+    it, and each pool arrow leaves ``remaining`` once.  In symmetric mode a
+    block is followed by its inverse, which no earlier block has taken: that
+    block's own inverse would then have taken the arrow first.
+    """
     g._require_validated()
     unit_block = g.sort_arrows(g.unit_arrow_set)
     pool = [a for a in g.arrow_order if a not in g.unit_arrow_set]
     blocks = [unit_block] + _greedy_blocks(g, pool, symmetric)
-    basis = Basis(tuple(blocks), symmetric=symmetric, unit_block=0)
-    check_basis(g, basis)
-    return basis
+    return Basis(tuple(blocks), symmetric=symmetric, unit_block=0)
 
 
 def conjugate_basis(g: MeasuredGroupoid, basis: Basis, window: Iterable[str]) -> Basis:

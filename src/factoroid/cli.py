@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 on success (and a consistent report), 1 on input or usage
-errors and when the reader of stdout goes away early, 2 when a report
-detects an inconsistency between the structural deciders and the numerical
-center, or an internal self-check fails (either should never happen and
-fails any surrounding build).
+errors, when memory runs out and when the reader of stdout goes away early,
+2 when a report detects an inconsistency between the structural deciders
+and the numerical center, or an internal self-check fails (either should
+never happen and fails any surrounding build).
 
 The parser is built once per process (see ``build_parser``). A command
 loads only the modules it runs: the instance builders in ``constructors``
@@ -470,6 +470,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except (ParseError, GroupoidError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # an input too large for this host
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # the reader left; send the rest of the buffer nowhere so the

@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -115,8 +115,7 @@ class Cocycle:
         return Cocycle(self.groupoid, pconj(self.phases), self.exact, self.normalized)
 
 
-@dataclass(frozen=True)
-class CentralSetCertificate:
+class CentralSetCertificate(NamedTuple):
     """A conjugation-invariant isotropy set with a compatible phase function.
 
     ``f`` is nowhere zero on the support and satisfies, for every h in the
@@ -130,20 +129,17 @@ class CentralSetCertificate:
     max_defect: float
 
 
-@dataclass(frozen=True)
-class RegularityVerdict:
+class RegularityVerdict(NamedTuple):
     regular: bool
     witness: Optional[tuple[str, str, str]] = None  # (g, x, y) violating triple
 
 
-@dataclass(frozen=True)
-class KleppnerVerdict:
+class KleppnerVerdict(NamedTuple):
     holds: bool
     witness: Optional[str] = None  # phase-symmetric isotropy arrow
 
 
-@dataclass(frozen=True)
-class TwistedIccVerdict:
+class TwistedIccVerdict(NamedTuple):
     icc: bool
     certificate: Optional[CentralSetCertificate] = None
 
@@ -211,12 +207,17 @@ def trivial_cocycle(g: MeasuredGroupoid, *, exact: bool = False) -> Cocycle:
     return Cocycle(g, phases, exact, normalized=True)
 
 
+def _cobounded(g: MeasuredGroupoid, phases: np.ndarray, rho: Sequence[Phase]) -> np.ndarray:
+    """The phases rho(x) rho(y) conj(rho(xy)) w(x,y), rho by arrow position."""
+    t, r = g.pairs, np.asarray(rho, dtype=phases.dtype)
+    return pmul(pmul(r[t.left], pmul(r[t.right], pconj(r[t.prod]))), phases)
+
+
 def apply_coboundary(g: MeasuredGroupoid, w: Cocycle, rho: np.ndarray) -> Cocycle:
     """The cohomologous cocycle  w'(x,y) = rho(x) rho(y) conj(rho(xy)) w(x,y),
     rho given by arrow position."""
     g._require_validated()
-    t, r = g.pairs, np.asarray(rho, dtype=w.phases.dtype)
-    phases = pmul(pmul(r[t.left], pmul(r[t.right], pconj(r[t.prod]))), w.on(g))
+    phases = _cobounded(g, w.on(g), rho)
     return Cocycle(g, phases, w.exact, _is_normalized(g, phases))
 
 
@@ -231,16 +232,15 @@ def normalize_cocycle(g: MeasuredGroupoid, w: Cocycle) -> Cocycle:
     and x^-1, brings every (x, x^-1) to 1 and leaves the unit pairs, all to
     that tolerance (exactly for turns).  A check at the tighter
     ``UNIT_MODULUS_TOL`` would measure only the tolerance."""
-    t = g._pair_table()
-    step1 = apply_coboundary(g, w, pconj(w.on(g)[t.start[t.unit_arrow[t.src]] + t.rank]))
+    t, phases = g._pair_table(), w.on(g)
+    step1 = _cobounded(g, phases, pconj(phases[t.start[t.unit_arrow[t.src]] + t.rank]))
     # one half-phase per inverse pair, taken at a canonical representative:
     # rho(x) rho(x^-1) then squares to the exact conjugate phase no matter
     # which branch the square root picks (the values at x and x^-1 agree only
     # up to rounding, which matters exactly on the branch cut)
     rep = np.minimum(np.arange(len(t.inv)), t.inv)
-    half = pconj(step1.phases[t.start[t.inv[rep]] + t.rank[rep]])  # conj w(rep, rep^-1)
-    step2 = apply_coboundary(g, step1, [phalf(v) for v in half.tolist()])
-    return Cocycle(g, step2.phases, w.exact, True)
+    half = pconj(step1[t.start[t.inv[rep]] + t.rank[rep]])  # conj w(rep, rep^-1)
+    return Cocycle(g, _cobounded(g, step1, [phalf(v) for v in half.tolist()]), w.exact, True)
 
 
 def _normalized(g: MeasuredGroupoid, w: Optional[Cocycle]) -> Cocycle:

@@ -11,9 +11,8 @@ lies outside the units; this reduced test is the decider.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -32,16 +31,14 @@ class NonUniformFiber(GroupoidError):
     pass
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
+class ConjugacyClass(NamedTuple):
     base: frozenset[str]
     omega: frozenset[str]          # closure of base under conjugation
     mu_s: float
     fiber_counts: dict[str, int]   # unit -> |s^-1(x) & omega|, positive units
 
 
-@dataclass(frozen=True)
-class IccVerdict:
+class IccVerdict(NamedTuple):
     icc: bool
     witness: Optional[frozenset[str]]  # non-null isotropy off the units
     fiber_counts: dict[str, int]       # unit -> non-unit isotropy arrows at it

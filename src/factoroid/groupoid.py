@@ -28,7 +28,7 @@ import functools
 from functools import reduce
 from itertools import compress
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -81,15 +81,13 @@ class EmptyRestriction(GroupoidError):
     pass
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     id: str
     src: str
     tgt: str
 
 
-@dataclass(frozen=True)
-class ValidationFlags:
+class ValidationFlags(NamedTuple):
     """Measure-theoretic facts recorded by validation, not axioms."""
 
     nonsingular: bool  # mass(s(g)) == 0 iff mass(t(g)) == 0, for every arrow
@@ -97,14 +95,12 @@ class ValidationFlags:
     mass_normalized: bool
 
 
-@dataclass(frozen=True)
-class Fullness:
+class Fullness(NamedTuple):
     borel_full: bool
     mu_full: bool
 
 
-@dataclass(frozen=True)
-class ErgodicityVerdict:
+class ErgodicityVerdict(NamedTuple):
     ergodic: bool
     # two distinct positive-mass orbits when not ergodic
     witness: Optional[tuple[frozenset[str], frozenset[str]]] = None

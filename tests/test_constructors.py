@@ -181,11 +181,23 @@ def test_z4_translation_props(z4_translation):
     assert is_icc(z4_translation).icc
 
 
+def _assert_witness_sound(group, action, units, witness):
+    """C lies in H, C fixes Y pointwise, and H maps Y into Y."""
+    e = group.elements
+    h, c = [e.index(a) for a in witness.subgroup], [e.index(a) for a in witness.finite_class]
+    y = [units.index(u) for u in witness.invariant_units]
+    assert c and y
+    assert set(c) <= set(h)
+    assert (action[np.ix_(c, y)] == y).all()
+    assert np.isin(action[np.ix_(h, y)], y).all()
+
+
 def test_induced_diagnostic_trivial_action():
     z2 = mk.cyclic_group(2)
     action = action_by_name(z2, ["x0", "x1"], _TRIVIAL_BY_NAME)
     witness = mk.induced_action_diagnostic(z2, action, ["x0", "x1"], _HALVES)
     assert witness is not None
+    _assert_witness_sound(z2, action, ["x0", "x1"], witness)
     assert witness.finite_class == ("1",)
     # the closure of the loop at x0 stays at x0: the orbit is a single point
     assert set(witness.invariant_units) == {"x0"}
@@ -205,11 +217,26 @@ def test_induced_diagnostic_coset_action():
         s3, action, cosets, {u: 1 / len(cosets) for u in cosets}
     )
     assert witness is not None
+    _assert_witness_sound(s3, action, cosets, witness)
     # the class is a single transposition fixing exactly its own coset, and
     # its stabilizer is the order-2 centralizer
     assert len(witness.finite_class) == 1
     assert len(witness.invariant_units) == 1
     assert len(witness.subgroup) == 2
+
+
+def test_induced_diagnostic_witnesses_of_random_coset_actions():
+    sound = 0
+    for seed in range(100):
+        rng = random.Random(seed)
+        group = mk._small_group(rng.choice(sorted(mk._SMALL_GROUP_BUILDERS)))
+        action, units = mk._random_global_action(rng, group, False)
+        witness = mk.induced_action_diagnostic(group, action, units,
+                                               mk._random_masses(rng, units))
+        if witness is not None:
+            _assert_witness_sound(group, action, units, witness)
+            sound += 1
+    assert sound > 50
 
 
 def _z3_twice_the_same_swap():
@@ -616,13 +643,30 @@ def _action_of(g: MeasuredGroupoid) -> dict:
     return {tuple(a.id.split("|")): a.tgt for a in g.arrows}
 
 
-@pytest.mark.parametrize("seed", range(8))
+def _assert_domain_meets_each_class_once(p, glob):
+    """Every pair (g, x) is glued to exactly one pair (h, y) of the
+    fundamental domain, y = sigma_{h^-1 g}(x), and (1, x) to the pair whose
+    class embeds x, one class per unit."""
+    grp, e = p.group, p.group.elements
+    domain = [(e.index(h), p.units.index(y)) for h, y in glob.fundamental_domain]
+    for g, x in itertools.product(range(len(e)), range(len(p.units))):
+        glued = [(h, y) for h, y in domain
+                 if p.action[grp.product[grp.inverse_at[h], g], x] == y]
+        assert len(glued) == 1, (e[g], p.units[x])
+        if e[g] == grp.identity:
+            (h, y), = glued
+            assert glob.embedding[p.units[x]] == f"{e[h]}~{p.units[y]}"
+    assert len(set(glob.embedding.values())) == len(p.units)
+
+
+@pytest.mark.parametrize("seed", range(50))
 def test_partial_actions_and_globalizations_match_the_name_based_builders(seed):
-    # the globalize seeds of the pinned output: the partial action groupoid
+    # the globalize seeds of the pinned outputs: the partial action groupoid
     # (a restrict_partial for most seeds) and the globalization
     p = mk.random_partial_action(seed)
     _same_tables(mk.partial_action_groupoid(p), partial_action_groupoid_by_name(p))
     glob = mk.globalize(p)
+    _assert_domain_meets_each_class_once(p, glob)
     g = glob.groupoid
     _same_tables(g, partial_action_groupoid_by_name(_system(glob.group, g.units, _action_of(g),
                                                             g.mass)))
@@ -630,10 +674,13 @@ def test_partial_actions_and_globalizations_match_the_name_based_builders(seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_restrict_partial_matches_the_name_based_restriction(seed):
+    # the groupoid of a restricted action is the restriction of the groupoid,
+    # for a global action and for a restriction of a restricted one
     rng = random.Random(seed)
     group = mk.dihedral_group(4) if seed % 2 else mk.symmetric_group(3)
     action, units = mk._random_global_action(rng, group, False)
-    p = mk.PartialActionSystem(group, units, {u: 1 / len(units) for u in units}, action)
+    mass = mk._random_masses(random.Random(f"mass-{seed}"), units)
+    p = mk.PartialActionSystem(group, units, mass, action)
     keep = sorted(rng.sample(units, max(1, len(units) // 2)), key=units.index)
     q = mk.restrict_partial(p, keep)
     _same_tables(mk.partial_action_groupoid(q), partial_action_groupoid_by_name(q))
@@ -641,6 +688,10 @@ def test_restrict_partial_matches_the_name_based_restriction(seed):
     want, want_factor = restrict_by_name(partial_action_groupoid_by_name(p), keep)
     assert factor == want_factor
     _same_tables(sub, want)
+    _same_tables(mk.partial_action_groupoid(q), sub)
+    again = sorted(rng.sample(keep, max(1, len(keep) // 2)), key=units.index)
+    _same_tables(mk.partial_action_groupoid(mk.restrict_partial(q, again)),
+                 mk.partial_action_groupoid(q).restrict(again)[0])
 
 
 @pytest.mark.parametrize("seed", range(0, 200, 7))

@@ -449,13 +449,36 @@ def test_cli_inconsistent_report_exits_2(tmp_path, capsys, monkeypatch):
     real = cli.factoriality_report
 
     def broken(g, w=None, **kw):
-        rep = real(g, w, **kw)
-        object.__setattr__(rep, "consistent", False)
-        return rep
+        return real(g, w, **kw)._replace(consistent=False)
 
     monkeypatch.setattr(cli, "factoriality_report", broken)
     code, _ = run_cli(capsys, "report", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize("message, detail", [
+    ("Unable to allocate 43.7 TiB for an array", "Unable to allocate 43.7 TiB for an array"),
+    ("", "allocation failed"),
+], ids=["numpy", "bare"])
+@pytest.mark.parametrize("command, owner, name", [
+    (["report", "{file}"], cli, "factoriality_report"),
+    (["dr-scan", "--bound", "1000000000000"], mk, "deaconu_renault"),
+], ids=["report", "dr-scan"])
+def test_cli_out_of_memory_exits_1(tmp_path, capsys, monkeypatch, command, owner, name,
+                                   message, detail):
+    # the allocation fails by monkeypatch: a real one of that size could be
+    # granted lazily under overcommit and then fill the host's memory
+    path = tmp_path / "z2.txt"
+    run_cli(capsys, "gen", "--family", "z2", "--out", str(path))
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(owner, name, exhausted)
+    code = cli.main([arg.format(file=path) for arg in command])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == f"error: out of memory: {detail}\n"
 
 
 def test_cli_internal_inconsistency_exits_2(tmp_path, capsys, monkeypatch):

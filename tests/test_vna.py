@@ -444,11 +444,14 @@ def _structure_defects(forms, side, space):
     return float(adjoint.max(initial=0.0)), float(identity.max(initial=0.0)), int(rank)
 
 
+_SMALL_NAMED = ("full2", "full3", "klein4", "klein4-twisted", "s3-bundle", "swap",
+                "z2", "z3", "z4-translation")
+
+
 def _small_cases():
     """The small named instances and seeded corpora, the twisted ones also
     moved by a random coboundary off their normalized form."""
-    for name in ("full2", "full3", "klein4", "klein4-twisted", "s3-bundle", "swap",
-                 "z2", "z3", "z4-translation"):
+    for name in _SMALL_NAMED:
         yield name, *mk.NAMED_INSTANCES[name]()
     for seed in range(60):
         yield f"random-{seed}", mk.random_groupoid(seed), None
@@ -714,6 +717,20 @@ def test_phi_and_sharp(full2):
     m = full2.arrow_measure(["r|x0|x1"], "source")
     assert phi == pytest.approx(0.0)
     assert sharp == pytest.approx(math.sqrt(2 * m))
+
+    # phi(a*a) = <1, a*a 1> = |a 1|^2, and sharp(a)^2 = phi(a*a) + phi(aa*)
+    rng = np.random.default_rng(0)
+    for name in _SMALL_NAMED:
+        g, w = mk.NAMED_INSTANCES[name]()
+        space = l2_space(g)
+        alg, one = algebra(g, w, space=space), space.unit_vector
+        for _ in range(5):
+            a = random_algebra_element(alg, rng)
+            phi_aa = phi_and_sharp(g, a.conj().T @ a, alg, space)[0]
+            phi_aa_star = phi_and_sharp(g, a @ a.conj().T, alg, space)[0]
+            _, sharp = phi_and_sharp(g, a, alg, space)
+            assert math.isclose(phi_aa.real, np.vdot(a @ one, a @ one).real, rel_tol=1e-12)
+            assert math.isclose(sharp ** 2, phi_aa.real + phi_aa_star.real, rel_tol=1e-12)
 
 
 def test_phi_faithful(s3_bundle):
