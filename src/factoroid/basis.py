@@ -81,7 +81,6 @@ def build_basis(g: MeasuredGroupoid, symmetric: bool = True) -> Basis:
     block is followed by its inverse, which no earlier block has taken: that
     block's own inverse would then have taken the arrow first.
     """
-    g._require_validated()
     unit_block = g.sort_arrows(g.unit_arrow_set)
     pool = [a for a in g.arrow_order if a not in g.unit_arrow_set]
     blocks = [unit_block] + _greedy_blocks(g, pool, symmetric)
@@ -97,7 +96,6 @@ def conjugate_basis(g: MeasuredGroupoid, basis: Basis, window: Iterable[str]) ->
     and s(b), read from ``g.pairs`` by position; b goes nowhere when either
     is missing.
     """
-    g._require_validated()
     window = list(window)
     if not g.is_bisection(window):
         raise GroupoidError("conjugating set must be a bisection")
@@ -127,7 +125,6 @@ def extend_iso_basis(g: MeasuredGroupoid, iso_basis: Basis) -> Basis:
     The complement of the isotropy is partitioned greedily into bisections
     disjoint from the given blocks.
     """
-    g._require_validated()
     iso = g.iso_subgroupoid()
     if iso_basis.all_arrows() != iso:
         raise GroupoidError("given blocks do not partition the isotropy")
@@ -146,7 +143,6 @@ def check_basis(
     g: MeasuredGroupoid, basis: Basis, arrows: Optional[frozenset[str]] = None
 ) -> None:
     """Assert the basis axioms; ``arrows`` defaults to the whole arrow set."""
-    g._require_validated()
     if arrows is None:
         arrows = frozenset(g.arrow_order)
     seen: set[str] = set()

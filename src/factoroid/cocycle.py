@@ -172,7 +172,7 @@ def validate_cocycle(
     identity is checked in one numpy pass over the composable triples of
     ``g.pairs``.
     """
-    t = g._pair_table()
+    t = g.pairs
     if len(phases) != len(t.left):
         raise CocycleIdentityViolated(
             f"a cocycle needs one phase per composable pair: {len(t.left)}, "
@@ -202,7 +202,6 @@ def validate_cocycle(
 
 
 def trivial_cocycle(g: MeasuredGroupoid, *, exact: bool = False) -> Cocycle:
-    g._require_validated()
     phases = np.full(len(g.pairs.left), pone(exact), dtype=object if exact else complex)
     return Cocycle(g, phases, exact, normalized=True)
 
@@ -216,7 +215,6 @@ def _cobounded(g: MeasuredGroupoid, phases: np.ndarray, rho: Sequence[Phase]) ->
 def apply_coboundary(g: MeasuredGroupoid, w: Cocycle, rho: np.ndarray) -> Cocycle:
     """The cohomologous cocycle  w'(x,y) = rho(x) rho(y) conj(rho(xy)) w(x,y),
     rho given by arrow position."""
-    g._require_validated()
     phases = _cobounded(g, w.on(g), rho)
     return Cocycle(g, phases, w.exact, _is_normalized(g, phases))
 
@@ -232,7 +230,7 @@ def normalize_cocycle(g: MeasuredGroupoid, w: Cocycle) -> Cocycle:
     and x^-1, brings every (x, x^-1) to 1 and leaves the unit pairs, all to
     that tolerance (exactly for turns).  A check at the tighter
     ``UNIT_MODULUS_TOL`` would measure only the tolerance."""
-    t, phases = g._pair_table(), w.on(g)
+    t, phases = g.pairs, w.on(g)
     step1 = _cobounded(g, phases, pconj(phases[t.start[t.unit_arrow[t.src]] + t.rank]))
     # one half-phase per inverse pair, taken at a canonical representative:
     # rho(x) rho(x^-1) then squares to the exact conjugate phase no matter
@@ -262,7 +260,6 @@ def central_set_search(
     move onto c in storage order; the orbit is central exactly when every
     move closes up (holonomy 1 within ``HOLONOMY_TOL``, exactly for turns).
     The moves are read from ``g.pairs`` by position and checked at once."""
-    g._require_validated()
     loops = np.flatnonzero(_loops_off_units(g)[1])
     if not len(loops):
         return None
@@ -310,7 +307,6 @@ def is_omega_regular(
     conjugations and phases are read from ``g.pairs`` by position; the
     witness is the first failure with x in storage order, then g.
     """
-    g._require_validated()
     w = _normalized(g, w)
     ids = _require_isotropy(g, ids)
     if not g.is_bisection(ids):
@@ -336,7 +332,6 @@ def kleppner_holds(g: MeasuredGroupoid, w: Optional[Cocycle]) -> KleppnerVerdict
     bisection forces the self-condition on each of its positive singletons.
     The conjugations and phases are read from ``g.pairs`` by position.
     """
-    g._require_validated()
     h = np.flatnonzero(_loops_off_units(g)[1])
     if not len(h):
         return KleppnerVerdict(True)

@@ -55,7 +55,6 @@ def _require_isotropy(g: MeasuredGroupoid, ids: Iterable[str]) -> frozenset[str]
 
 def conjugacy_class(g: MeasuredGroupoid, base: Iterable[str]) -> ConjugacyClass:
     """Close an isotropy subset under conjugation by every arrow."""
-    g._require_validated()
     base = _require_isotropy(g, base)
     closed = _closure(g, base)
     at = g.pairs.src[closed]  # the source of each arrow of the class
@@ -103,7 +102,7 @@ def is_icc(g: MeasuredGroupoid) -> IccVerdict:
 def _loops_off_units(g: MeasuredGroupoid) -> tuple[np.ndarray, np.ndarray]:
     """Masks over the arrows: the isotropy arrows that are not unit arrows,
     and those of them at a positive-mass unit."""
-    t = g._pair_table()
+    t = g.pairs
     off = t.src == t.tgt
     off[t.unit_arrow] = False
     return off, off & (g.unit_masses[t.src] > 0.0)
@@ -120,7 +119,6 @@ def ergodic_class_decomposition(
     the class, at a positive unit) of rank j among the live arrows at their
     source, in storage order.
     """
-    g._require_validated()
     if not g.is_ergodic().ergodic:
         raise NotErgodic("decomposition requires an ergodic groupoid")
     src, positive = g.pairs.src, g.unit_masses > 0.0

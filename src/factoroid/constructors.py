@@ -1,6 +1,6 @@
 """Builders for the standard groupoid families.
 
-Everything here produces validated :class:`MeasuredGroupoid` instances with
+Everything here produces :class:`MeasuredGroupoid` instances with
 plain string identifiers, their tables computed as position arrays with
 numpy (a group's product is one |G| x |G| array): group bundles, groupoids
 of partial actions (a transformation groupoid of a global action is the
@@ -34,7 +34,6 @@ from .groupoid import (
     MeasuredGroupoid,
     check_isomorphism,
     component_roots,
-    validate_groupoid,
 )
 
 
@@ -148,10 +147,6 @@ def klein_four_group() -> FiniteGroupTable:
 
 # -- direct constructions ----------------------------------------------------
 
-def _checked(g: MeasuredGroupoid, validate: bool) -> MeasuredGroupoid:
-    return validate_groupoid(g) if validate else g
-
-
 def _joined(tables: Sequence[np.ndarray], offsets: Iterable[int]) -> np.ndarray:
     """Position tables side by side along their last axis, each shifted by
     its offset."""
@@ -161,29 +156,26 @@ def _joined(tables: Sequence[np.ndarray], offsets: Iterable[int]) -> np.ndarray:
 
 
 def full_relation(
-    units: Sequence[str], mass: Mapping[str, float], *, validate: bool = True, **kw
+    units: Sequence[str], mass: Mapping[str, float], **kw
 ) -> MeasuredGroupoid:
     """The principal groupoid connecting every pair of units.
 
     Arrow x k + y, named ``r|x|y``, runs from unit y to unit x; (x, y)(y, z)
-    is (x, z).  ``validate=False`` returns the groupoid unvalidated, for a
-    caller that validates a larger one built from it."""
+    is (x, z)."""
     k = len(units)
     u = np.arange(k)
     x, y, z = (v.ravel() for v in np.indices((k, k, k)))
-    return _checked(MeasuredGroupoid(
+    return MeasuredGroupoid(
         units, [mass[v] for v in units], [f"r|{a}|{b}" for a in units for b in units],
         np.tile(u, k), np.repeat(u, k), (x * k + y, y * k + z, x * k + z),
         (np.arange(k * k), (u[None, :] * k + u[:, None]).ravel()), (u, u * (k + 1)), **kw,
-    ), validate)
+    )
 
 
 def group_bundle(
     fibers: Mapping[str, FiniteGroupTable],
     mass: Mapping[str, float],
     units: Optional[Sequence[str]] = None,
-    *,
-    validate: bool = True,
     **kw,
 ) -> MeasuredGroupoid:
     """Disjoint union of groups sitting over the units; all arrows are loops.
@@ -200,12 +192,12 @@ def group_bundle(
     ]
     src = np.repeat(np.arange(len(units)), size)
     inverse = _joined([t.inverse_at for t in tabs], first)
-    return _checked(MeasuredGroupoid(
+    return MeasuredGroupoid(
         units, [mass[x] for x in units],
         [f"{x}.{e}" for x, t in zip(units, tabs) for e in t.elements],
         src, src, _joined(rows, first), (np.arange(len(inverse)), inverse),
         (np.arange(len(units)), first + [t.elements.index(t.identity) for t in tabs]), **kw,
-    ), validate)
+    )
 
 
 def group_groupoid(table: FiniteGroupTable, unit: str = "pt", **kw) -> MeasuredGroupoid:
@@ -388,29 +380,26 @@ class PartialActionSystem:
             )
 
 
-def partial_action_groupoid(
-    p: PartialActionSystem, *, validate: bool = True, **kw
-) -> MeasuredGroupoid:
+def partial_action_groupoid(p: PartialActionSystem, **kw) -> MeasuredGroupoid:
     """Arrows (g, x) for x in the inverse domain of g, from x to sigma_g(x).
 
     Arrow (g, x) is named ``g|x``; the arrows run g in element order, then x
     in unit order.  The rows run the right factor (g, x) over the arrows,
     then the left factor (h, sigma_g(x)) over h in element order, and the
-    product (hg, x) is one index into the group's product table.
-    ``validate=False`` returns the groupoid unvalidated."""
+    product (hg, x) is one index into the group's product table."""
     grp, act, e = p.group, p.action, p.group.elements
     gm, x = np.nonzero(act >= 0)  # the arrows
     y = act[gm, x]
     arrow = np.full(act.shape, -1, dtype=np.intp)
     arrow[gm, x] = np.arange(len(gm))
     i, h = np.nonzero((act[:, y] >= 0).T)  # right factor i, left factor h
-    return _checked(MeasuredGroupoid(
+    return MeasuredGroupoid(
         p.units, [p.mass[u] for u in p.units],
         [f"{e[g]}|{p.units[u]}" for g, u in zip(gm.tolist(), x.tolist())], x, y,
         (arrow[h, y[i]], i, arrow[grp.product[h, gm[i]], x[i]]),
         (np.arange(len(gm)), arrow[grp.inverse_at[gm], y]),
         (np.arange(act.shape[1]), arrow[e.index(grp.identity)]), **kw,
-    ), validate)
+    )
 
 
 def restrict_partial(p: PartialActionSystem, keep: Iterable[str]) -> PartialActionSystem:
@@ -542,6 +531,11 @@ def random_partial_action(seed: int) -> PartialActionSystem:
 
 @dataclass(frozen=True)
 class DeaconuRenaultSystem:
+    """A shift map sigma on finite units, with masses and a degree bound.
+    Construction raises GroupoidError unless there is a unit, the bound is
+    at least 1, sigma maps the units, and only them, into the units, and the
+    masses are given exactly on the units, finite and nonnegative."""
+
     units: tuple[str, ...]
     mass: dict[str, float]
     sigma: dict[str, str]
@@ -550,6 +544,24 @@ class DeaconuRenaultSystem:
     def __post_init__(self) -> None:
         if not self.units:
             raise GroupoidError("a shift system needs at least one unit")
+        if self.bound < 1:
+            raise GroupoidError("degree bound must be >= 1")
+        units = set(self.units)
+        for what, names in (
+            ("shift map undefined at units", [u for u in self.units if u not in self.sigma]),
+            ("shift map defined at non-units", sorted(set(self.sigma) - units)),
+            ("shift map targets non-units", sorted(set(self.sigma.values()) - units)),
+            ("mass given for non-units", sorted(set(self.mass) - units)),
+            ("no mass for", [u for u in self.units if u not in self.mass]),
+        ):
+            if names:
+                raise GroupoidError(f"{what} {', '.join(names)}", names)
+        for u in self.units:
+            if not 0.0 <= self.mass[u] < math.inf:
+                raise GroupoidError(
+                    f"mass at unit {u!r} must be finite and nonnegative, got {self.mass[u]!r}",
+                    [u],
+                )
 
 
 def _degree(power: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -593,24 +605,6 @@ def deaconu_renault(d: DeaconuRenaultSystem) -> DeaconuRenaultView:
     up to max(bound, N), which suffices to see a loop of minimal positive
     degree at every unit.
     """
-    if d.bound < 1:
-        raise GroupoidError("degree bound must be >= 1")
-    units = set(d.units)
-    for what, names in (
-        ("shift map undefined at units", [u for u in d.units if u not in d.sigma]),
-        ("shift map defined at non-units", sorted(set(d.sigma) - units)),
-        ("shift map targets non-units", sorted(set(d.sigma.values()) - units)),
-        ("mass given for non-units", sorted(set(d.mass) - units)),
-        ("no mass for", [u for u in d.units if u not in d.mass]),
-    ):
-        if names:
-            raise GroupoidError(f"{what} {', '.join(names)}", names)
-    for u in d.units:
-        if not 0.0 <= d.mass[u] < math.inf:
-            raise GroupoidError(
-                f"mass at unit {u!r} must be finite and nonnegative, got {d.mass[u]!r}",
-                [u],
-            )
     n, scan = len(d.units), max(d.bound, len(d.units))
     at = {u: i for i, u in enumerate(d.units)}
     power = np.empty((n + scan + 1, n), dtype=np.intp)
@@ -646,7 +640,6 @@ def essentially_free(d: DeaconuRenaultSystem) -> EssentialFreenessReport:
     recurrent set is everything and the map is essentially free only in the
     degenerate case of an all-null measure.
     """
-    deaconu_renault(d)  # rejects stray targets and missing or bad masses
     return EssentialFreenessReport(
         free=math.fsum(d.mass[x] for x in d.units) <= 0.0,
         note=(
@@ -770,10 +763,9 @@ def _random_global_action(
 def _random_part(
     rng: random.Random, grp: FiniteGroupTable, style: str
 ) -> MeasuredGroupoid:
-    """A translation or coset transformation groupoid with random masses,
-    unvalidated: the caller validates the union it makes of it."""
+    """A translation or coset transformation groupoid with random masses."""
     action, units = _random_global_action(rng, grp, style == "translation")
-    return transformation_groupoid(grp, action, units, _random_masses(rng, units), validate=False)
+    return transformation_groupoid(grp, action, units, _random_masses(rng, units))
 
 
 def disjoint_union(
@@ -784,14 +776,14 @@ def disjoint_union(
     """Disjoint union with component masses scaled by the given weights.
 
     Part i's units and arrows are prefixed ``p{i}:`` and its arrays are
-    shifted past the parts before it.  The parts may be unvalidated: the
-    union's validation checks every axiom of every part."""
+    shifted past the parts before it.  A part is read without validating
+    it: the union's validation checks every axiom of every part."""
     units = [f"p{i}:{u}" for i, part in enumerate(parts) for u in part.units]
     labels = [f"p{i}:{a}" for i, part in enumerate(parts) for a in part.arrow_order]
     unit_at = np.cumsum([0, *(len(part.units) for part in parts)])
     at = np.cumsum([0, *(len(part.arrow_order) for part in parts)])
     unit_rows_at = np.stack([unit_at, at], axis=1)[:, :, None]  # (u, e) rows shift by both
-    return validate_groupoid(MeasuredGroupoid(
+    return MeasuredGroupoid(
         units, [w * m for part, w in zip(parts, weights) for m in part.unit_masses.tolist()],
         labels,
         _joined([part._src for part in parts], unit_at),
@@ -800,11 +792,11 @@ def disjoint_union(
         _joined([part._inverse for part in parts], at),
         _joined([part._unit_arrows for part in parts], unit_rows_at),
         **kw,
-    ))
+    )
 
 
 def _random_component(rng: random.Random) -> MeasuredGroupoid:
-    """One unvalidated part of ``random_groupoid``."""
+    """One part of ``random_groupoid``."""
     kind = rng.choices(
         ["bundle", "translation", "coset", "full_relation"],
         weights=[0.3, 0.2, 0.3, 0.2],
@@ -813,10 +805,10 @@ def _random_component(rng: random.Random) -> MeasuredGroupoid:
         n_units = rng.randint(1, 3)
         menu = ["Z1", "Z1", "Z2", "Z3", "Z4", "V4", "S3"]
         fibers = {f"x{i}": _small_group(rng.choice(menu)) for i in range(n_units)}
-        return group_bundle(fibers, _random_masses(rng, list(fibers)), validate=False)
+        return group_bundle(fibers, _random_masses(rng, list(fibers)))
     if kind == "full_relation":
         units = [f"x{i}" for i in range(rng.randint(2, 4))]
-        return full_relation(units, _random_masses(rng, units), validate=False)
+        return full_relation(units, _random_masses(rng, units))
     menu = {
         "translation": ["Z2", "Z3", "Z4", "V4", "S3"],
         "coset": ["Z4", "V4", "S3", "D4"],
@@ -899,8 +891,7 @@ def random_twisted_pair(
         style = rng.choice(["bundle", "translation", "coset"])
         if style == "bundle":  # arrows x.g, g in element order, over each unit x
             units = [f"x{i}" for i in range(rng.randint(1, 2))]
-            part = group_bundle(dict.fromkeys(units, grp), _random_masses(rng, units),
-                                validate=False)
+            part = group_bundle(dict.fromkeys(units, grp), _random_masses(rng, units))
             elements.append(np.tile(np.arange(m), len(units)))
         else:  # arrows g|x, g in element order, then x
             part = _random_part(rng, grp, style)

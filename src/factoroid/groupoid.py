@@ -6,12 +6,12 @@ table, and an embedding of units as identity arrows.  Units and arrows are
 numbered in storage order and carry plain string identifiers, which keeps
 instances serializable and diffable.  The constructor takes every table in
 those positions: builders compute them with numpy, and the parser maps a
-file's names to positions once.  Validation checks the axioms on the arrays
-and keeps the composition table as ``PairTable``; orbits, isotropy and
-masses (``unit_masses``) are read by position too.  The names are an output
-view, built on first use: the ``src``/``tgt``/``inverse``/``unit_arrow``
-dicts and the ``arrows`` triples once, ``compose`` and ``composable_pairs()``
-per read.
+file's names to positions once.  The first read of the composition table
+validates the axioms on the arrays and keeps it as ``PairTable``; orbits,
+isotropy and masses (``unit_masses``) are read by position too.  The names
+are an output view, built on first use: the ``src``/``tgt``/``inverse``/
+``unit_arrow`` dicts and the ``arrows`` triples once, ``compose`` and
+``composable_pairs()`` per read.
 
 All mass bookkeeping treats zero-mass ("null") units as structurally present
 but measure-theoretically invisible: measure computations weight arrows by the
@@ -319,7 +319,7 @@ class _ComposeView(Mapping):
         self._g = g
 
     def __len__(self) -> int:
-        return len(self._g._pair_table().left)
+        return len(self._g.pairs.left)
 
     def __getitem__(self, key: tuple[str, str]) -> str:
         return self._g.arrow_order[self._g.pairs.prod[self._g.pair_position(*key)]]
@@ -356,10 +356,11 @@ class MeasuredGroupoid:
     exact_mass:   optional unit id -> Fraction, for exact measure checks.
     unnormalized: allow total mass != 1.
 
-    Construction only stores the arrays; call :func:`validate_groupoid` (or
-    ``.validate()``) before using any other operation.  Validation keeps the
-    composition table as ``pairs``, which ``compose``, a read-only mapping
-    (g, h) -> gh in row order, and a later validation read.  The dicts by
+    Construction only stores the arrays; the first read of ``pairs`` or
+    ``flags`` validates them, raising a fault as :func:`validate_groupoid`
+    (the explicit check) does, and again at every later read.  ``pairs`` is
+    the composition table, which ``compose``, a read-only mapping (g, h) ->
+    gh in row order, and a later validation read.  The dicts by
     identifier ``src``, ``tgt``, ``inverse`` and ``unit_arrow`` (the last two
     in table row order) are views, as are ``arrows`` and ``unit_arrow_set``;
     ``mass`` maps unit to mass.
@@ -392,9 +393,6 @@ class MeasuredGroupoid:
             np.asarray(a, dtype=np.intp).reshape(2, -1) for a in (inverse, unit_arrows)
         )
         self._unknown = tuple(unknown)
-        self.validated = False
-        self.flags: Optional[ValidationFlags] = None
-        self.pairs: Optional[PairTable] = None
 
     # -- name views, built on first read ---------------------------------
 
@@ -455,14 +453,14 @@ class MeasuredGroupoid:
     def pair_position(self, g: str, h: str) -> int:
         """The position of the pair (g, h) in ``pairs``; KeyError when an
         arrow is unknown or the two do not compose."""
-        t, x, y = self._pair_table(), self._index[g], self._index[h]
+        t, x, y = self.pairs, self._index[g], self._index[h]
         if t.src[x] != t.tgt[y]:
             raise KeyError((g, h))
         return int(t.start[y] + t.rank[x])
 
     def composable_pairs(self) -> Iterator[tuple[str, str]]:
         """The composable pairs (g, h) by name, in the order of ``pairs``."""
-        t = self._pair_table()
+        t = self.pairs
         return zip(self._names(self.arrow_order, t.left), self._names(self.arrow_order, t.right))
 
     def _compose_rows(self) -> np.ndarray:
@@ -603,8 +601,17 @@ class MeasuredGroupoid:
         self.flags = ValidationFlags(
             nonsingular=nonsingular, pmp=pmp, mass_normalized=normalized
         )
-        self.validated = True
         return self
+
+    @functools.cached_property
+    def pairs(self) -> PairTable:
+        """The composition table in positions; the first read validates."""
+        return self.validate().pairs
+
+    @functools.cached_property
+    def flags(self) -> ValidationFlags:
+        """What validation recorded; the first read validates."""
+        return self.validate().flags
 
     def _table_in_positions(self, src_, tgt_, rows, inv, unit_arrow) -> PairTable:
         """The composition table in positions; it must hold each composable
@@ -649,24 +656,16 @@ class MeasuredGroupoid:
         np.minimum.at(roots, tgt, src)
         return PairTable(left, right, prod, row, src, tgt, start, rank, inv, unit_arrow, roots)
 
-    def _require_validated(self):
-        if not self.validated:
-            raise GroupoidError("groupoid has not been validated")
-
-    def _pair_table(self) -> PairTable:
-        self._require_validated()
-        return self.pairs
-
     # -- structural operations --------------------------------------------
 
     def iso_subgroupoid(self) -> frozenset[str]:
         """Arrows with equal source and target (includes all unit arrows)."""
-        t = self._pair_table()
+        t = self.pairs
         return frozenset(compress(self.arrow_order, t.src == t.tgt))
 
     def orbits(self) -> tuple[frozenset[str], ...]:
         """Partition of units generated by (src, tgt) pairs, in unit order."""
-        roots = self._pair_table().roots
+        roots = self.pairs.roots
         return self._orbits_of(np.flatnonzero(roots == np.arange(len(roots))))
 
     def _orbits_of(self, roots: np.ndarray) -> tuple[frozenset[str], ...]:
@@ -677,7 +676,7 @@ class MeasuredGroupoid:
     def _positive_orbits(self) -> np.ndarray:
         """The least units of the orbits that carry positive mass, in order."""
         carries = np.zeros(len(self.units), dtype=bool)
-        carries[self._pair_table().roots[self.unit_masses > 0.0]] = True
+        carries[self.pairs.roots[self.unit_masses > 0.0]] = True
         return np.flatnonzero(carries)
 
     def is_ergodic(self) -> ErgodicityVerdict:
@@ -689,7 +688,7 @@ class MeasuredGroupoid:
 
     def arrow_measure(self, ids: Iterable[str], side: str = "source") -> float:
         """Mass of an arrow set: sum of unit masses at each arrow's base."""
-        t = self._pair_table()
+        t = self.pairs
         if side not in ("source", "target"):
             raise ValueError(f"side must be 'source' or 'target', got {side!r}")
         at = list(map(self._index.__getitem__, ids))
@@ -701,8 +700,7 @@ class MeasuredGroupoid:
         Returns (restricted groupoid, renormalization factor); masses were
         divided by the factor, i.e. factor == mass kept.
         """
-        self._require_validated()
-        keep_set = set(keep)
+        t, keep_set = self.pairs, set(keep)
         unknown = keep_set - set(self.units)
         if unknown:
             raise DanglingReference("restriction units not in groupoid",
@@ -710,7 +708,7 @@ class MeasuredGroupoid:
         total = math.fsum(self.mass[u] for u in keep_set)
         if total <= 0.0:
             raise EmptyRestriction("restriction carries zero mass")
-        t, kept = self.pairs, np.fromiter(map(keep_set.__contains__, self.units), bool)
+        kept = np.fromiter(map(keep_set.__contains__, self.units), bool)
         units = np.flatnonzero(kept)
         arrows = np.flatnonzero(kept[t.src] & kept[t.tgt])
         unit_at, at = np.full(len(kept), -1), np.full(len(t.src), -1)
@@ -730,11 +728,11 @@ class MeasuredGroupoid:
             (np.arange(len(arrows)), at[t.inv[arrows]]),
             (np.arange(len(units)), at[t.unit_arrow[units]]), exact_mass=exact,
         )
-        return sub.validate(), total
+        return sub, total
 
     def is_full(self, keep: Iterable[str]) -> Fullness:
         """Whether every unit (resp. positive-mass unit) is reachable from K."""
-        t, kept = self._pair_table(), np.fromiter(map(set(keep).__contains__, self.units), bool)
+        t, kept = self.pairs, np.fromiter(map(set(keep).__contains__, self.units), bool)
         reached = np.zeros(len(self.units), dtype=bool)
         reached[t.tgt[kept[t.src]]] = True
         return Fullness(borel_full=bool(reached.all()),
@@ -742,7 +740,7 @@ class MeasuredGroupoid:
 
     def is_bisection(self, ids: Iterable[str]) -> bool:
         """Source and target both injective on the set."""
-        t, at = self._pair_table(), list(map(self._index.__getitem__, ids))
+        t, at = self.pairs, list(map(self._index.__getitem__, ids))
         return len(at) == len(set(t.src[at].tolist())) == len(set(t.tgt[at].tolist()))
 
 
@@ -783,8 +781,7 @@ def check_isomorphism(
 ) -> bool:
     """Verify that explicit unit/arrow bijections form a groupoid isomorphism,
     with equal masses within ``ISOMORPHISM_MASS_TOL`` if ``check_mass``."""
-    a._require_validated()
-    b._require_validated()
+    s, t = a.pairs, b.pairs
     if sorted(unit_map) != sorted(a.units) or sorted(unit_map.values()) != sorted(b.units):
         return False
     if sorted(arrow_map) != sorted(a.arrow_order):
@@ -794,7 +791,6 @@ def check_isomorphism(
     unit = dict(zip(b.units, range(len(b.units))))
     u = np.array([unit[unit_map[v]] for v in a.units], dtype=np.intp)
     x = np.array([b._index[arrow_map[g]] for g in a.arrow_order], dtype=np.intp)
-    s, t = a.pairs, b.pairs
     if not all(map(np.array_equal, (t.src[x], t.tgt[x], t.inv[x]),
                    (u[s.src], u[s.tgt], x[s.inv]))):
         return False

@@ -274,7 +274,6 @@ def _mass_token(g: MeasuredGroupoid, unit: str) -> str:
 
 def serialize(g: MeasuredGroupoid, w: Optional[Cocycle] = None) -> str:
     """Deterministic text rendering; parse(serialize(x)) == x."""
-    g._require_validated()
     t, unit, name = g.pairs, g.units, g.arrow_order
     out: list[str] = ["[units]"]
     out.extend(f"{u} {_mass_token(g, u)}" for u in unit)

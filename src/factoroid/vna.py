@@ -138,7 +138,6 @@ class L2Space:
 
 
 def l2_space(g: MeasuredGroupoid) -> L2Space:
-    g._require_validated()
     if not g.flags.nonsingular:
         raise GroupoidError(
             "representation requires a nonsingular groupoid "
@@ -385,7 +384,6 @@ def algebra(
       from the unit-arrow rows that ``validate_groupoid`` checks, so the sum
       of the unit translations is I (on the right, over the sources).
     """
-    g._require_validated()
     if space is None:
         space = l2_space(g)
     constants = _structure_constants(g, _normalized(g, w), space)
@@ -554,7 +552,6 @@ def invariant_subalgebra(
     the diagonal of orbit O is sum_{u in O} L_{e_u}, so its row holds
     |L_{e_u}|_F at e_u for each u in O, and 0 elsewhere, divided by its norm.
     The rows have disjoint supports, so they are orthonormal."""
-    g._require_validated()
     if space is None:
         space = l2_space(g)
     t = space.pairs
@@ -638,7 +635,6 @@ def fourier(
     """
     if not basis.symmetric:
         raise AsymmetricBasis("expansion requires a symmetric basis")
-    g._require_validated()
     if space is None:
         space = l2_space(g)
     if alg is None:
@@ -740,7 +736,6 @@ def factoriality_report(
     unit functions.  The report records whether the two sides agree; callers
     treat disagreement as a hard failure.
     """
-    g._require_validated()
     twisted = w is not None and not (np.abs(complex_array(w.on(g)) - 1.0) <= 1e-15).all()
     w = _normalized(g, w)
 

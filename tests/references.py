@@ -194,7 +194,6 @@ def central_set_search_by_bfs(g: MeasuredGroupoid, w: Cocycle) -> Optional[Centr
     every off-tree move closes up (loop holonomy 1 within ``HOLONOMY_TOL``).  The
     moves and their phases are read from ``g.pairs`` by position.
     """
-    g._require_validated()
     loops = np.flatnonzero(_loops_off_units(g)[1])
     if not len(loops):
         return None
@@ -305,11 +304,13 @@ def from_names(
     unit_arrows: Mapping[str, str],
     **kw,
 ) -> MeasuredGroupoid:
-    """The unvalidated groupoid of tables given by name: ``arrows`` as
-    (id, src, tgt) triples, ``compose`` as a map (g, h) -> gh or as rows
-    (g, h, gh), ``inverse`` and ``unit_arrows`` as maps, their rows in map
-    order.  An unknown unit becomes -1, and an id that names no arrow a
-    position past the arrows (its name kept for the fault message)."""
+    """The groupoid of tables given by name: ``arrows`` as (id, src, tgt)
+    triples, ``compose`` as a map (g, h) -> gh or as rows (g, h, gh),
+    ``inverse`` and ``unit_arrows`` as maps, their rows in map order.  An
+    unknown unit becomes -1, and an id that names no arrow a position past
+    the arrows (its name kept for the fault message).  Nothing is checked
+    here: the tables are validated on the first read of ``pairs`` or
+    ``flags``, or by ``validate_groupoid``, which raise a fault."""
     if isinstance(compose, Mapping):
         compose = [(g, h, gh) for (g, h), gh in compose.items()]
     unit = {u: i for i, u in enumerate(units)}

@@ -48,7 +48,7 @@ def test_group_tables():
         mk.cyclic_group(1), mk.cyclic_group(4), mk.symmetric_group(3),
         mk.dihedral_group(4), mk.klein_four_group(),
     ):
-        assert mk.group_groupoid(table).validated
+        validate_groupoid(mk.group_groupoid(table))
     assert len(mk.symmetric_group(3).elements) == 6
     assert [t.name for t in (mk.symmetric_group(3), mk.klein_four_group())] == ["S3", "Z2xZ2"]
     assert len(mk.dihedral_group(4).elements) == 8
@@ -474,22 +474,14 @@ def test_deaconu_renault_rejects_an_empty_system():
     ids=["sigma-undefined", "sigma-off-units", "mass-off-units"],
 )
 def test_deaconu_renault_rejects_sigma_and_masses_off_the_units(sigma, mass, match):
-    d = mk.DeaconuRenaultSystem(("x0", "x1"), mass, sigma, 2)
     with pytest.raises(GroupoidError, match=match):
-        mk.deaconu_renault(d)
-    with pytest.raises(GroupoidError, match=match):
-        mk.essentially_free(d)
+        mk.DeaconuRenaultSystem(("x0", "x1"), mass, sigma, 2)
 
 
 @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
 def test_deaconu_renault_rejects_bad_masses(bad):
-    d = mk.DeaconuRenaultSystem(
-        ("x0", "x1"), {"x0": 0.5, "x1": bad}, {"x0": "x1", "x1": "x0"}, 2
-    )
     with pytest.raises(GroupoidError, match="'x1'"):
-        mk.deaconu_renault(d)
-    with pytest.raises(GroupoidError, match="'x1'"):
-        mk.essentially_free(d)
+        mk.DeaconuRenaultSystem(("x0", "x1"), {"x0": 0.5, "x1": bad}, {"x0": "x1", "x1": "x0"}, 2)
 
 
 def test_sn_bundle_small():
@@ -696,10 +688,10 @@ def test_restrict_partial_matches_the_name_based_restriction(seed):
 
 @pytest.mark.parametrize("seed", range(0, 200, 7))
 def test_union_and_restriction_match_the_name_based_builders(seed):
-    # unions of validated and of unvalidated parts, and restrictions to a
-    # random unit subset that keeps some mass
+    # unions of validated parts and of parts never read before, and
+    # restrictions to a random unit subset that keeps some mass
     rng = random.Random(seed)
-    a, b = mk.random_groupoid(seed), mk.random_groupoid(seed + 1)
+    a, b = validate_groupoid(mk.random_groupoid(seed)), mk.random_groupoid(seed + 1)
     weights = [rng.random(), 0.0 if seed % 3 == 0 else rng.random()]
     weights = [w / sum(weights) for w in weights]
     _same_tables(mk.disjoint_union([a, b], weights), disjoint_union_by_name([a, b], weights))
@@ -707,8 +699,7 @@ def test_union_and_restriction_match_the_name_based_builders(seed):
     mass = {u: 1 / 3 for u in units}
     fibers = {u: rng.choice([mk.cyclic_group(3), mk.klein_four_group(), mk.symmetric_group(3)])
               for u in units}
-    parts = [mk.group_bundle(fibers, mass, validate=False),
-             mk.full_relation(units, mass, validate=False)]
+    parts = [mk.group_bundle(fibers, mass), mk.full_relation(units, mass)]
     _same_tables(mk.disjoint_union(parts, [0.5, 0.5]), disjoint_union_by_name(
         [group_bundle_by_name(fibers, mass), full_relation_by_name(units, mass)], [0.5, 0.5]))
     positive = [u for u in a.units if a.mass[u] > 0.0]
@@ -720,11 +711,38 @@ def test_union_and_restriction_match_the_name_based_builders(seed):
     _same_tables(got, want)
 
 
+def test_draws_validate_only_what_is_read(monkeypatch):
+    # a union and its parts are read without validating them; a restriction
+    # validates the union it restricts, and a draw is validated on the first
+    # read of its tables, once
+    calls = dict.fromkeys(["validate", "restrict"], 0)
+    for name in calls:
+        def counted(self, *args, _name=name, _method=getattr(MeasuredGroupoid, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(MeasuredGroupoid, name, counted)
+    restricted = 0
+    for seed in range(100):
+        calls.update(validate=0, restrict=0)
+        g = mk.random_groupoid(seed)
+        assert calls["validate"] == calls["restrict"] <= 1, seed
+        restricted += calls["restrict"]
+        before = calls["validate"]
+        g.pairs
+        assert calls["validate"] == before + 1, seed
+        g.pairs, g.flags
+        assert calls["validate"] == before + 1, seed
+    assert 0 < restricted < 100
+    for seed in range(100):
+        calls["validate"] = 0
+        g, w = mk.random_twisted_pair(seed)
+        assert calls["validate"] == 1, seed  # the union, when its cocycle first reads g.pairs
+
+
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 5000))
 def test_random_groupoid_contract(seed):
     g = mk.random_groupoid(seed)
-    assert g.validated
     assert g.flags.nonsingular
     assert len(g.units) <= 12 and len(g.arrows) <= 60
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from factoroid import constructors as mk, groupoid
 from factoroid.basis import Basis, conjugate_basis
 from factoroid.cocycle import is_omega_regular
-from factoroid.conjugacy import conjugacy_class, ergodic_class_decomposition
+from factoroid.conjugacy import conjugacy_class, ergodic_class_decomposition, is_icc
 from factoroid.groupoid import (
     BadInverse,
     BadUnit,
@@ -23,6 +23,8 @@ from factoroid.groupoid import (
     check_isomorphism,
     validate_groupoid,
 )
+from factoroid.textio import serialize
+from factoroid.vna import factoriality_report
 
 from references import by_source, from_names, inv_set, mul_sets, trivial_groupoid
 
@@ -482,6 +484,32 @@ def test_each_broken_table_names_its_fault(case):
     with pytest.raises(GroupoidError) as err:
         raw.validate()
     assert (type(err.value), str(err.value), err.value.ids) == (cls, message, ids)
+
+
+def _z3_not_associative():
+    """Z3 with a a = e: the table of the CI smoke step's ``z3bad.txt``."""
+    rows = [("e", "e", "e"), ("e", "a", "a"), ("e", "b", "b"), ("a", "e", "a"), ("a", "a", "e"),
+            ("a", "b", "e"), ("b", "e", "b"), ("b", "a", "e"), ("b", "b", "a")]
+    return from_names(["x"], {"x": 1.0}, [(a, "x", "x") for a in "eab"], rows,
+                      {"e": "e", "a": "b", "b": "a"}, {"x": "e"})
+
+
+@pytest.mark.parametrize("build", [
+    _z3_not_associative,
+    lambda: mk.full_relation(["x0", "x1"], {"x0": 0.5, "x1": math.nan}),
+], ids=["z3-not-associative", "nan-mass"])
+@pytest.mark.parametrize("read", [
+    lambda g: g.pairs, lambda g: g.flags, is_icc, factoriality_report, serialize,
+], ids=["pairs", "flags", "is_icc", "factoriality_report", "serialize"])
+def test_a_bad_table_fails_at_first_read_with_the_eager_fault(build, read):
+    with pytest.raises(GroupoidError) as eager:
+        validate_groupoid(build())
+    g = build()  # construction checks nothing
+    for _ in range(2):  # nothing is kept from a failed read, so it fails again
+        with pytest.raises(GroupoidError) as err:
+            read(g)
+        assert (type(err.value), str(err.value), err.value.ids) == (
+            type(eager.value), str(eager.value), eager.value.ids)
 
 
 _NAME_VIEWS = ("src", "tgt", "inverse", "unit_arrow", "unit_arrow_set", "_index", "arrows")
