@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
@@ -98,21 +98,31 @@ def _default_rank_tol() -> float:
         raise InputError(f"{_ENV_TOL} {exc}") from None
 
 
-def _json_safe(value):
-    """``value`` with every non-finite float as None (JSON null), since
-    RFC 8259 has no Infinity or NaN."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
+def _json(value, indent: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it, a non-finite float
+    as null (RFC 8259 has no NaN), without the stdlib's pure-Python indenting
+    encoder; any other type, or a dict key that is not a str, raises TypeError."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    inner = indent + "  "
     if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    return value
+        items = (f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items())
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if value else "{}"
+    if isinstance(value, (list, tuple)):
+        items = (_json(v, inner) for v in value)
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if value else "[]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _render(data: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(_json_safe(data), indent=2, allow_nan=False)
+        return _json(data)
     width = max(len(k) for k in data)
     return "\n".join(f"{k.ljust(width)}  {data[k]!r}" for k in data)
 
@@ -354,7 +364,7 @@ def cmd_dr_scan(args) -> int:
     data = {
         "units": len(system.units),
         "bound": system.bound,
-        "arrows_enumerated": len(view.arrows),
+        "arrows_enumerated": view.arrow_count,
         "essentially_free": freeness.free,
         "note": freeness.note,
     }

@@ -577,13 +577,19 @@ class DeaconuRenaultView:
 
     ``power[m]`` holds the unit positions of sigma^m, for m up to N + scan,
     N the number of units and scan = max(bound, N): membership is decided
-    for every degree |k| <= scan."""
+    for every degree |k| <= scan.  ``arrows`` is built on first read."""
 
     system: DeaconuRenaultSystem
     power: np.ndarray = field(repr=False)
-    arrows: tuple[tuple[str, int, str], ...]
+    arrow_count: int
     b_sets: dict[int, frozenset[str]]   # n -> units with a loop of degree n
     b_measure: dict[int, float]
+
+    @functools.cached_property
+    def arrows(self) -> tuple[tuple[str, int, str], ...]:
+        units, bound = self.system.units, self.system.bound
+        return tuple((units[x], k, units[y]) for k in range(-bound, bound + 1)
+                     for x, y in np.argwhere(np.equal.outer(*_degree(self.power, k))).tolist())
 
     def contains(self, x: str, k: int, y: str) -> bool:
         fx, fy = _degree(self.power, k)
@@ -612,12 +618,12 @@ def deaconu_renault(d: DeaconuRenaultSystem) -> DeaconuRenaultView:
     step = np.array([at[d.sigma[u]] for u in d.units])
     for m in range(1, len(power)):
         power[m] = step[power[m - 1]]
-    arrows = tuple((d.units[x], k, d.units[y]) for k in range(-d.bound, d.bound + 1)
-                   for x, y in np.argwhere(np.equal.outer(*_degree(power, k))).tolist())
+    arrow_count = sum(int(np.equal.outer(*_degree(power, k)).sum())
+                      for k in range(-d.bound, d.bound + 1))
     b_sets = {k: frozenset(itertools.compress(d.units, np.equal(*_degree(power, k))))
               for k in range(-scan, scan + 1)}
     b_measure = {k: math.fsum(d.mass[x] for x in members) for k, members in b_sets.items()}
-    return DeaconuRenaultView(d, power, arrows, b_sets, b_measure)
+    return DeaconuRenaultView(d, power, arrow_count, b_sets, b_measure)
 
 
 def random_shift_system(seed: int, size: int = 6, bound: int = 3) -> DeaconuRenaultSystem:

@@ -328,9 +328,10 @@ class _ComposeView(Mapping):
         return (pair for pair, _ in self.items())
 
     def items(self) -> Iterator[tuple[tuple[str, str], str]]:
-        name = self._g.arrow_order
-        for x, y, xy in zip(*self._g._compose_rows().tolist()):
-            yield (name[x], name[y]), name[xy]
+        g = self._g
+        g.pairs  # validates first: the rows as given are never named unchecked
+        for x, y, xy in zip(*g._compose_rows().tolist()):
+            yield (g.arrow_order[x], g.arrow_order[y]), g.arrow_order[xy]
 
 
 class MeasuredGroupoid:
@@ -511,9 +512,9 @@ class MeasuredGroupoid:
             )
 
         src, tgt = self._src, self._tgt
-        bad = (src.view(np.uintp) >= k) | (tgt.view(np.uintp) >= k)  # -1 reads as large
-        if bad.any():
-            a = labels[bad.argmax()]
+        usrc, utgt = src.view(np.uintp), tgt.view(np.uintp)  # -1 reads as large
+        if len(src) and max(usrc.max(), utgt.max()) >= k:  # the mask only then
+            a = labels[((usrc >= k) | (utgt >= k)).argmax()]
             raise DanglingReference(f"arrow {a!r} references unknown unit", [a])
         # src_ and tgt_ end with a -1, the endpoints of an unknown arrow,
         # which every table below names as -1
@@ -618,8 +619,10 @@ class MeasuredGroupoid:
         pair once and nothing else, each product having the right endpoints.
         Row i is g[i] h[i] = gh[i], (g, h, gh) = rows; the other arguments
         are as in validate."""
-        (g, h, gh), (x, y, xy) = rows, _known(rows, len(self.arrow_order))
-        found = _first_row(x < 0, y < 0, xy < 0, tgt_[y] != src_[x],
+        known = _known(rows, len(self.arrow_order))
+        unknown = () if known is rows else tuple(known < 0)  # masks only if an id is unknown
+        (g, h, gh), (x, y, xy) = rows, known
+        found = _first_row(*unknown, tgt_[y] != src_[x],
                            (src_[xy] != src_[y]) | (tgt_[xy] != tgt_[x]))
         if found is not None:
             a, b, ab = (self._name(int(v[found[0]])) for v in (g, h, gh))
@@ -628,11 +631,13 @@ class MeasuredGroupoid:
                                     [c]) for c in (a, b, ab)),
                 BadUnit(f"compose({a!r},{b!r}) defined but tgt(h) != src(g)", [a, b]),
                 BadUnit(f"product {ab!r} of ({a!r},{b!r}) has wrong endpoints", [a, b, ab]),
-            )[found[1]]
+            )[found[1] + 3 - len(unknown)]
 
         src, tgt = src_[:-1], tgt_[:-1]
         fan = np.bincount(src, minlength=len(self.units))
-        rank = np.argsort(np.argsort(src, kind="stable")) - (np.cumsum(fan) - fan)[src]
+        by_src = np.argsort(src, kind="stable")  # rank: the place in its source's run
+        rank = np.empty_like(by_src)
+        rank[by_src] = np.arange(len(src)) - (np.cumsum(fan) - fan)[src[by_src]]
         count = fan[tgt]  # pairs with each arrow as right factor
         start = np.cumsum(count) - count
         at, size = start[h] + rank[g], int(count.sum())

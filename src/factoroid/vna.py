@@ -59,6 +59,7 @@ where squaring would lose precision; the observed spectral gap is recorded.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import compress
@@ -113,8 +114,6 @@ class L2Space:
     """
 
     groupoid: MeasuredGroupoid
-    index: tuple[str, ...]
-    pos: dict[str, int]
     weights: np.ndarray
     sqrt_weights: np.ndarray
     unit_vector: np.ndarray  # coordinates of the unit-space indicator
@@ -123,7 +122,17 @@ class L2Space:
 
     @property
     def dim(self) -> int:
-        return len(self.index)
+        return len(self.weights)
+
+    @functools.cached_property
+    def index(self) -> tuple[str, ...]:
+        """The arrow id of each coordinate (``pos`` the reverse), on first read."""
+        g = self.groupoid
+        return tuple(compress(g.arrow_order, (g.unit_masses > 0.0)[g.pairs.src]))
+
+    @functools.cached_property
+    def pos(self) -> dict[str, int]:
+        return dict(zip(self.index, range(len(self.index))))
 
     def function_values(self, vec: np.ndarray) -> dict[str, complex]:
         """Translate orthonormal coordinates back to function values."""
@@ -145,14 +154,12 @@ def l2_space(g: MeasuredGroupoid) -> L2Space:
         )
     positive = g.unit_masses > 0.0
     pairs, pair_positions = g.pairs.over(positive)
-    index = tuple(compress(g.arrow_order, positive[g.pairs.src]))
-    pos = dict(zip(index, range(len(index))))
     weights = g.unit_masses[pairs.src]
     sqrt_weights = np.sqrt(weights)
-    unit_vector = np.zeros(len(index), dtype=complex)
+    unit_vector = np.zeros(len(weights), dtype=complex)
     units = pairs.unit_arrow[positive]  # the unit arrows of the positive units
     unit_vector[units] = sqrt_weights[units]
-    return L2Space(g, index, pos, weights, sqrt_weights, unit_vector, pairs, pair_positions)
+    return L2Space(g, weights, sqrt_weights, unit_vector, pairs, pair_positions)
 
 
 def _column_forms(constants: _Constants, side: str, space: L2Space) -> _Constants:
@@ -235,7 +242,6 @@ class MatrixStarAlgebra(_Span):
     def residuals(self, ops: np.ndarray) -> np.ndarray:
         """The relative residual of projecting each array of ``ops`` on the
         span, all in one product; 0 for a zero array."""
-        ops = np.asarray(ops, dtype=complex)
         flat = ops.reshape(len(ops), math.prod(ops.shape[1:]))
         # the projector is sum_i r_i <r_i, v>, with the Hermitian product
         # conjugate-linear on the left; an empty span may not know the length of v
@@ -293,8 +299,10 @@ class TranslationAlgebra(_Span):
 
 
 def _relative(diff: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """|diff_i| / |flat_i| for each row; 0 for a zero row, NaN for a NaN one."""
-    residual, norm = np.linalg.norm(diff, axis=1), np.linalg.norm(flat, axis=1)
+    """|diff_i| / |flat_i| for each row; 0 for a zero row, NaN for a NaN one.
+    The row norms are reduced as ``np.linalg.norm(x, axis=1)`` reduces them,
+    so they are its bits, without its Python wrapper."""
+    residual, norm = (np.sqrt(np.add.reduce((x.conj() * x).real, axis=1)) for x in (diff, flat))
     return np.divide(residual, norm, out=np.zeros_like(residual), where=norm != 0.0)
 
 
@@ -560,7 +568,8 @@ def invariant_subalgebra(
     positive = g._positive_orbits()
     orbit = np.searchsorted(positive, g.pairs.roots[t.tgt])
     rows = norms * (orbit == np.arange(len(positive))[:, None])
-    return MatrixStarAlgebra(rows / np.linalg.norm(rows, axis=1, keepdims=True))
+    # the row norms as np.linalg.norm reduces them, without its wrapper
+    return MatrixStarAlgebra(rows / np.sqrt(np.add.reduce(rows * rows, axis=1, keepdims=True)))
 
 
 def j_map(

@@ -434,6 +434,13 @@ def test_deaconu_renault_brute_force_agreement():
         assert view.arrows == tuple(arrow for arrow, want in search.items() if want), seed
 
 
+
+def test_deaconu_renault_counts_the_arrows_it_names_on_first_read():
+    for (size, bound), seed in itertools.product([(7, 3), (1, 5), (3, 8), (30, 40)], range(4)):
+        view = mk.deaconu_renault(mk.random_shift_system(seed, size=size, bound=bound))
+        assert "arrows" not in vars(view)
+        assert view.arrow_count == len(view.arrows) > 0
+
 def test_deaconu_renault_units_always_loops():
     d = mk.random_shift_system(3, size=6)
     view = mk.deaconu_renault(d)

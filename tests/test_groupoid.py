@@ -486,6 +486,20 @@ def test_each_broken_table_names_its_fault(case):
     assert (type(err.value), str(err.value), err.value.ids) == (cls, message, ids)
 
 
+
+@pytest.mark.parametrize("case", ["compose: unknown gh", "inverse not an involution"])
+@pytest.mark.parametrize("read", [lambda c: list(c.items()), dict], ids=["items", "dict"])
+def test_compose_view_validates_before_it_reads_the_rows(case, read):
+    # the rows as given are never named unchecked: an unknown product read
+    # past the arrow ids (IndexError), a wrong inverse returned the rows
+    tables = _BROKEN[case][0]
+    with pytest.raises(GroupoidError) as eager:
+        validate_groupoid(from_names(**tables))
+    with pytest.raises(GroupoidError) as err:
+        read(from_names(**tables).compose)
+    assert (type(err.value), str(err.value), err.value.ids) == (
+        type(eager.value), str(eager.value), eager.value.ids)
+
 def _z3_not_associative():
     """Z3 with a a = e: the table of the CI smoke step's ``z3bad.txt``."""
     rows = [("e", "e", "e"), ("e", "a", "a"), ("e", "b", "b"), ("a", "e", "a"), ("a", "a", "e"),

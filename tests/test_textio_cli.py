@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -946,6 +947,75 @@ def test_twisted_outputs_match_the_pinned_digests(tmp_path, capsys):
             assert code == 0, (command, seed)
             got[f"{command} --seed {seed}"] = hashlib.sha256(out.encode()).hexdigest()
     assert got == want
+
+
+_SMALL_NAMED = ("full2", "full3", "klein4", "klein4-twisted", "s3-bundle", "swap",
+                "z2", "z3", "z4-translation")
+
+
+def test_untwisted_reports_match_the_pinned_digests(tmp_path, capsys):
+    # sha256 of `factoroid report FILE --format json` and `--format text` on
+    # stdout, for `gen --family random --seed s`, s in 0-99, and the nine
+    # small named families; the keys read "<format> random --seed <s>" and
+    # "<format> <family>"
+    with open(os.path.join(os.path.dirname(__file__), "data", "report-digests.json")) as fh:
+        want = json.load(fh)
+    assert len(want) == 218
+    files = {}
+    for seed in range(100):
+        files[f"random --seed {seed}"] = ["--family", "random", "--seed", str(seed)]
+    for name in _SMALL_NAMED:
+        files[name] = ["--family", name]
+    got = {}
+    for key, spec in files.items():
+        path = str(tmp_path / "instance.txt")
+        assert run_cli(capsys, "gen", *spec, "--out", path)[0] == 0
+        for fmt in ("json", "text"):
+            code, out = run_cli(capsys, "report", path, "--format", fmt)
+            assert code == 0, (key, fmt)
+            got[f"{fmt} {key}"] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == want
+
+
+def _json_safe(value):
+    """The reference for ``cli._render``: ``value`` with every non-finite
+    float as None, for ``json.dumps``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    return value
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     math.inf, -math.inf, math.nan, 1e16, 0.1]),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(), _JSON_VALUES, max_size=6))
+def test_json_writer_matches_the_stdlib(value):
+    # every code point in strings and keys, signed zeros, subnormals,
+    # non-finite floats as null, empty lists and dicts at any depth
+    assert cli._render(value, "json") == json.dumps(_json_safe(value), indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("value", [
+    {"a": {1, 2}}, {"a": [np.int64(3)]}, {"a": {1: "x"}}, {"a": {("b",): 1}}, {"a": np.bool_(True)},
+], ids=["set", "numpy-integer", "int-key", "tuple-key", "numpy-bool"])
+def test_json_writer_refuses_what_the_stdlib_cannot_write(value):
+    with pytest.raises(TypeError):
+        cli._render(value, "json")
 
 
 @pytest.mark.parametrize("command", ["validate", "report", "twisted-icc", "kleppner", "center"])

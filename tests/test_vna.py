@@ -227,6 +227,21 @@ def test_subspace_leq_matches_the_row_by_row_projection():
     assert checked > 10
 
 
+
+def test_relative_residuals_are_the_bits_of_linalg_norm():
+    # _relative reduces each row as np.linalg.norm(x, axis=1) does; the
+    # report prints the residual, so the bits must not move
+    rng = np.random.default_rng(0)
+    for rows, cols in ((5, 7), (1, 81), (4, 1), (0, 3), (2, 0)):
+        for flat in (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)),
+                     rng.standard_normal((rows, cols))):
+            diff = flat * rng.random((rows, cols)) * 1e-9
+            if rows > 2:
+                flat[1], diff[2, 0] = 0.0, np.nan  # a zero row reads 0, a NaN row NaN
+            norm = np.linalg.norm(flat, axis=1)
+            want = np.divide(np.linalg.norm(diff, axis=1), norm, out=np.zeros(rows), where=norm != 0.0)
+            assert vna._relative(diff, flat).tobytes() == want.tobytes()
+
 def test_subspace_leq_agrees_across_projection_blocks(monkeypatch, full3):
     # blocks of one row and of two rows must give the one-block residuals
     left = algebra(full3)
