@@ -28,7 +28,7 @@ _EXPORTS = {
     ),
     "basis": ("Basis", "build_basis", "check_basis", "conjugate_basis", "extend_iso_basis"),
     "conjugacy": (
-        "ConjugacyClass", "IccVerdict", "NonUniformFiber", "NotErgodic", "NotIsotropy",
+        "ConjugacyClass", "IccVerdict", "NotErgodic", "NotIsotropy",
         "conjugacy_class", "ergodic_class_decomposition", "is_icc",
     ),
     "cocycle": (

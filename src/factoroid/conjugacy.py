@@ -1,7 +1,7 @@
 """Conjugation closures of isotropy subsets and the icc decider.
 
 The conjugacy class of an arrow set A inside the isotropy is the set of all
-conjugates g a g^-1, computed by iterating conjugation to a fixed point.
+conjugates g a g^-1, taken in one hop (see ``_closure``).
 
 At finite scale every conjugacy class has finite measure, so the groupoid has
 "infinite conjugacy classes" exactly when no positive-mass isotropy arrow
@@ -24,10 +24,6 @@ class NotIsotropy(GroupoidError):
 
 
 class NotErgodic(GroupoidError):
-    pass
-
-
-class NonUniformFiber(GroupoidError):
     pass
 
 
@@ -69,16 +65,13 @@ def conjugacy_class(g: MeasuredGroupoid, base: Iterable[str]) -> ConjugacyClass:
 
 
 def _closure(g: MeasuredGroupoid, base: Iterable[str]) -> np.ndarray:
-    """The conjugacy class of an isotropy set as a mask over the arrows:
-    the newest arrows are conjugated by every arrow at once, by position in
-    ``g.pairs``, until no new arrow appears."""
-    frontier = np.array(sorted(map(g.arrow_index, base)), dtype=np.intp)
+    """The conjugacy class of an isotropy set as a mask over the arrows: the
+    conjugates a h a^-1 of each h in the set over every a with s(a) = s(h),
+    by position in ``g.pairs``.  One hop is the whole class: conjugating by
+    a and then by b is conjugating by ba, and s(ba) = s(a); the unit arrow
+    of s(h) gives h itself."""
     closed = np.zeros(len(g.arrow_order), dtype=bool)
-    closed[frontier] = True
-    while len(frontier):
-        conjugates = g.pairs.conjugations(frontier)[3]
-        frontier = np.unique(conjugates[~closed[conjugates]])
-        closed[frontier] = True
+    closed[g.pairs.conjugations(np.fromiter(map(g.arrow_index, base), np.intp))[3]] = True
     return closed
 
 
@@ -115,21 +108,17 @@ def ergodic_class_decomposition(
 
     Returns k disjoint bisections V_1..V_k covering the class over the
     positive-mass units, each with source equal to the common support; k is
-    the (necessarily uniform) fiber count.  V_j holds the live arrows (in
-    the class, at a positive unit) of rank j among the live arrows at their
-    source, in storage order.
+    the fiber count.  V_j holds the live arrows (in the class, at a positive
+    unit) of rank j among the live arrows at their source, in storage order.
+    Every positive unit holds k live arrows: conjugation by an arrow u -> v
+    carries the class's arrows at u onto those at v, and an ergodic groupoid
+    has an arrow between any two positive units.
     """
     if not g.is_ergodic().ergodic:
         raise NotErgodic("decomposition requires an ergodic groupoid")
     src, positive = g.pairs.src, g.unit_masses > 0.0
     live = np.flatnonzero(_closure(g, _require_isotropy(g, base)) & positive[src])
-    fiber = np.bincount(src[live], minlength=len(positive))[positive]
-    k = int(fiber.max(initial=0))
-    if (fiber != k).any():
-        raise NonUniformFiber(
-            "fiber counts differ across positive-mass units; "
-            "ergodicity hypothesis violated"
-        )
-    rank = np.empty_like(live)  # each fiber holds k live arrows
+    k = int(np.bincount(src[live], minlength=len(positive))[positive].max(initial=0))
+    rank = np.empty_like(live)
     rank[np.argsort(src[live], kind="stable")] = np.arange(len(live)) % k
     return [tuple(g._names(g.arrow_order, live[rank == j])) for j in range(k)]

@@ -29,12 +29,7 @@ import numpy as np
 
 from .cocycle import (Cocycle, Phase, apply_coboundary, as_complex, complex_array, pone,
                       validate_cocycle)
-from .groupoid import (
-    GroupoidError,
-    MeasuredGroupoid,
-    check_isomorphism,
-    component_roots,
-)
+from .groupoid import GroupoidError, MeasuredGroupoid, check_isomorphism
 
 
 class InvalidPartialAction(GroupoidError):
@@ -116,18 +111,10 @@ def symmetric_group(n: int) -> FiniteGroupTable:
 
 
 def dihedral_group(n: int) -> FiniteGroupTable:
-    rot = tuple((i + 1) % n for i in range(n))
-    ref = tuple((n - i) % n for i in range(n))
-    perms = set()
-    frontier = [tuple(range(n))]
-    while frontier:
-        p = frontier.pop()
-        if p in perms:
-            continue
-        perms.add(p)
-        for gen in (rot, ref):
-            frontier.append(tuple(gen[p[i]] for i in range(n)))
-    return _group_from_perms(f"D{n}", perms)
+    """The maps i -> (r + i) mod n and i -> (r - i) mod n of Z/n."""
+    return _group_from_perms(
+        f"D{n}", (tuple((r + s * i) % n for i in range(n)) for r in range(n) for s in (1, -1))
+    )
 
 
 def direct_product(a: FiniteGroupTable, b: FiniteGroupTable) -> FiniteGroupTable:
@@ -455,6 +442,9 @@ def globalize(p: PartialActionSystem) -> Globalization:
     ``PartialActionSystem`` checks make the gluing an equivalence, and
     (g, x) ~ (g, y) only when x = y, so each class has one pair of least
     element, the one pair the domain keeps, and x -> (1, x) is one to one.
+    Being an equivalence, the gluing also lists every pair glued to a pair
+    among that pair's own edges (the identity law glues it to itself), so
+    the least pair of its class is the least of its edges, in one hop.
     """
     grp, act, units = p.group, p.action, p.units
     e, inv, prod = grp.elements, grp.inverse_at, grp.product
@@ -462,11 +452,13 @@ def globalize(p: PartialActionSystem) -> Globalization:
     at = np.empty_like(order)
     at[order] = np.arange(len(order))  # the place of each element in order
     # pair (order[n], x) is n |X| + x; it is glued to (h, y), h = order[m],
-    # for y = sigma_{h^-1 g}(x): join along those edges to the least pair
+    # for y = sigma_{h^-1 g}(x), and these edges list its whole class: each
+    # pair takes the least pair glued to it
     size = act.shape[1]
     y = act[prod[inv[order][None, :], order[:, None]][:, None, :], np.arange(size)[None, :, None]]
     n, x, m = np.nonzero(y >= 0)
-    cls = component_roots(len(order) * size, n * size + x, m * size + y[n, x, m])
+    cls = np.arange(len(order) * size)
+    np.minimum.at(cls, n * size + x, m * size + y[n, x, m])
 
     # enumeration-greedy fundamental domain: (g_n, x) is kept when x avoids
     # every domain X_{g_n^-1 g_k} with k < n
@@ -757,13 +749,10 @@ def _random_global_action(
     if translation:
         return grp.product, grp.elements
     e = grp.elements
-    sub = {e.index(rng.choice(e)), e.index(grp.identity)}
-    while True:
-        at = list(sub)
-        new = set(grp.product[np.ix_(at, at)].ravel().tolist()) | set(grp.inverse_at[at].tolist())
-        if new == sub:
-            return coset_action(grp, map(e.__getitem__, at))
-        sub = new
+    x, sub = e.index(rng.choice(e)), [e.index(grp.identity)]  # the powers of x
+    while grp.product[sub[-1], x] != sub[0]:
+        sub.append(int(grp.product[sub[-1], x]))
+    return coset_action(grp, map(e.__getitem__, sub))
 
 
 def _random_part(

@@ -287,20 +287,6 @@ def _first_row(*masks: np.ndarray) -> Optional[tuple[int, int]]:
     return r, next(i for i, mask in enumerate(masks) if mask[r])
 
 
-def component_roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The least node of the component of each of the nodes 0..n-1 in the
-    graph with an edge between a[i] and b[i].  Each pass lowers every node
-    to the least root of its neighbours, until every edge joins equal roots
-    (pointer jumping as well made the pass slower on the ``center`` graphs
-    of the S4 bundle and the full relation on 9 units)."""
-    head, tail = np.concatenate([a, b]), np.concatenate([b, a])
-    root = np.arange(n)
-    while True:
-        np.minimum.at(root, head, root[tail])
-        if (root[head] == root[tail]).all():
-            return root
-
-
 def _known(at: np.ndarray, n: int) -> np.ndarray:
     """The positions ``at`` with every one outside [0, n) made -1; ``at``
     itself when all are inside (a negative one reads as a large unsigned)."""

@@ -69,7 +69,7 @@ import numpy as np
 
 from .cocycle import Cocycle, _normalized, complex_array, kleppner_holds, twisted_icc
 from .conjugacy import is_icc
-from .groupoid import GroupoidError, MeasuredGroupoid, PairTable, component_roots
+from .groupoid import GroupoidError, MeasuredGroupoid, PairTable
 
 if TYPE_CHECKING:
     from .basis import Basis
@@ -469,9 +469,11 @@ def center(
     draw on the columns, the conjugacy classes of isotropy arrows (the
     blocks of Steinberg's decomposition over orbits into matrix algebras
     over C^w G_x), and every other column is a 1 x 1 block.  The components
-    are found from K's entries alone.  Every diagonal entry of K^H K is a
-    sum of |value|^2 over the column's entries, taken in one ``bincount``,
-    and only the paired rows add products of two entries.  The spectrum of
+    are found from K's entries alone, in one hop: a loop a has a paired row
+    for every b with t(b) = s(a), so its columns c are its whole class.
+    Every diagonal entry of K^H K is a sum of |value|^2 over the column's
+    entries, taken in one ``bincount``, and only the paired rows add
+    products of two entries.  The spectrum of
     K^H K is the union of its blocks' spectra, from one batched ``eigh`` per
     block size.  A candidate v lives on one block, so Kv is nonzero only on
     that block's rows, and it is accepted when |Kv| / |x|_F <= tol * max(1,
@@ -492,8 +494,9 @@ def center(
     lone[mate] = False
     lone_col, lone_value = j[lone], value[lone]
 
-    # the blocks: label[a] is the least column of a's component
-    label = component_roots(n, a, c)
+    # the blocks: label[a] is the least column of a's class
+    label = np.arange(n)
+    np.minimum.at(label, a, c)
 
     # the columns in order of block size, then block: a block of size s holds
     # s consecutive sorted positions, and its s x s Gram matrix lies row-major
@@ -640,7 +643,10 @@ def fourier(
     The coefficient at block B is E(a L_B^*), a function on units; the
     element is reconstructed as the sum of (coefficient as diagonal) L_B.
     Reconstruction is exact at finite dimension, so residuals beyond the
-    stated tolerances are treated as internal errors.
+    stated tolerances are treated as internal errors.  Rounding grows with
+    the element, so the residual is held to ``FOURIER_RESIDUAL_TOL`` times
+    max(1, |op|_F), which bounds |op|_2, and the Parseval gap to
+    ``PARSEVAL_TOL`` times max(1, phi(a*a)).
     """
     if not basis.symmetric:
         raise AsymmetricBasis("expansion requires a symmetric basis")
@@ -690,7 +696,8 @@ def fourier(
         residual=residual,
         parseval_gap=abs(parseval - phi_aa),
     )
-    if residual > FOURIER_RESIDUAL_TOL or data.parseval_gap > PARSEVAL_TOL:
+    if (residual > FOURIER_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(op)))
+            or data.parseval_gap > PARSEVAL_TOL * max(1.0, phi_aa)):
         raise InternalInconsistency(
             f"expansion failed its tolerances (residual {residual}, "
             f"parseval gap {data.parseval_gap})"

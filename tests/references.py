@@ -14,7 +14,12 @@ witness search.
 ``central_set_search_by_bfs`` is the breadth-first walk that
 ``central_set_search`` ran before it set each orbit in one hop from its
 least loop, kept verbatim as the reference for its certificates;
-``phase_close`` compares two phases, exactly for rational turns.
+``phase_close`` compares two phases, exactly for rational turns.  In the
+same way ``component_roots`` (the least node of each component of a graph,
+lowered pass by pass to a fixed point) and ``closure_by_fixed_point`` (a
+conjugacy class conjugated frontier by frontier until nothing new appears)
+are the iterations that the one-hop classes of ``center``, ``globalize``
+and ``conjugacy._closure`` replaced, kept as their oracles.
 
 ``from_names`` maps tables given by name to the positions that
 ``MeasuredGroupoid`` takes, as the parser does for a file; the tests that
@@ -26,6 +31,10 @@ builders of the standard families have their name-based forms here
 (``full_relation_by_name``, ``group_bundle_by_name``,
 ``partial_action_groupoid_by_name``, ``disjoint_union_by_name`` and
 ``restrict_by_name``), against which the array builders are checked.
+
+``relabel`` rewrites a groupoid and its cocycle under a permutation of
+the arrows and of the units and new names, from the position arrays, for
+the invariance tests.
 
 The stages of a report that read ``g.pairs`` by position have their
 name-walking forms here, as the references they are checked against:
@@ -60,6 +69,7 @@ from factoroid.cocycle import (
     pmul,
     pone,
     trivial_cocycle,
+    validate_cocycle,
 )
 from factoroid.conjugacy import IccVerdict, _loops_off_units
 from factoroid.constructors import DeaconuRenaultSystem, FiniteGroupTable, PartialActionSystem
@@ -238,6 +248,32 @@ def central_set_search_by_bfs(g: MeasuredGroupoid, w: Cocycle) -> Optional[Centr
     return None
 
 
+def component_roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The least node of the component of each of the nodes 0..n-1 in the
+    graph with an edge between a[i] and b[i].  Each pass lowers every node
+    to the least root of its neighbours, until every edge joins equal roots."""
+    head, tail = np.concatenate([a, b]), np.concatenate([b, a])
+    root = np.arange(n)
+    while True:
+        np.minimum.at(root, head, root[tail])
+        if (root[head] == root[tail]).all():
+            return root
+
+
+def closure_by_fixed_point(g: MeasuredGroupoid, base: Iterable[str]) -> np.ndarray:
+    """The conjugacy class of an isotropy set as a mask over the arrows: the
+    newest arrows are conjugated by every arrow at once, by position in
+    ``g.pairs``, until no new arrow appears."""
+    frontier = np.array(sorted(map(g.arrow_index, base)), dtype=np.intp)
+    closed = np.zeros(len(g.arrow_order), dtype=bool)
+    closed[frontier] = True
+    while len(frontier):
+        conjugates = g.pairs.conjugations(frontier)[3]
+        frontier = np.unique(conjugates[~closed[conjugates]])
+        closed[frontier] = True
+    return closed
+
+
 def verify_central_certificate(
     g: MeasuredGroupoid, w: Cocycle, cert: CentralSetCertificate
 ) -> None:
@@ -332,6 +368,37 @@ def from_names(
         ([unit.get(u, -1) for u in unit_arrows], [arrow(a) for a in unit_arrows.values()]),
         unknown=unknown, **kw,
     )
+
+
+def relabel(
+    g: MeasuredGroupoid,
+    w: Optional[Cocycle],
+    arrow_perm: np.ndarray,
+    unit_perm: np.ndarray,
+    names: tuple[Sequence[str], Sequence[str]],
+) -> tuple[MeasuredGroupoid, Optional[Cocycle]]:
+    """``g`` and ``w`` written down again: new arrow i is old arrow
+    arrow_perm[i], new unit j is old unit unit_perm[j], and ``names`` gives
+    the new (unit names, arrow labels) in the new order.  The compose rows
+    are reordered by new product, then new right factor, and each phase is
+    carried from the old position of its pair (exact turns stay turns)."""
+    t, unit_names, labels = g.pairs, *names
+    arrow_at, unit_at = np.argsort(arrow_perm), np.argsort(unit_perm)
+    rows = arrow_at[g._compose_rows()]
+    rows = rows[:, np.lexsort((rows[1], rows[2]))]
+    exact = None if g.exact_mass is None else {
+        unit_names[j]: g.exact_mass[g.units[u]] for j, u in enumerate(unit_perm.tolist())}
+    h = MeasuredGroupoid(
+        unit_names, g.unit_masses[unit_perm], labels,
+        unit_at[t.src[arrow_perm]], unit_at[t.tgt[arrow_perm]], tuple(rows),
+        (np.arange(len(labels)), arrow_at[t.inv[arrow_perm]]),
+        (np.arange(len(unit_names)), arrow_at[t.unit_arrow[unit_perm]]),
+        exact_mass=exact, unnormalized=g.unnormalized,
+    )
+    if w is None:
+        return h, None
+    old = t.at(arrow_perm[h.pairs.left], arrow_perm[h.pairs.right])
+    return h, validate_cocycle(h, w.on(g)[old], exact=w.exact)
 
 
 def trivial_groupoid(

@@ -131,6 +131,33 @@ def test_extend_rejects_partial_iso_cover(s3_bundle):
         )
 
 
+_UNITS3 = ("r|x0|x0", "r|x1|x1", "r|x2|x2")
+
+
+@pytest.mark.parametrize("blocks, unit_block, message", [
+    ((_UNITS3, ()), 0, "empty basis block"),
+    ((_UNITS3, ("r|x0|x1", "r|x0|x2")), 0, "basis block is not a bisection"),
+    ((_UNITS3, ("r|x0|x1",), ("r|x0|x1",)), 0, "basis blocks are not disjoint"),
+    ((_UNITS3, ("r|x0|x1",)), 0, "basis blocks do not cover the arrow set"),
+    ((_UNITS3, ("r|x0|x1", "r|x1|x2", "r|x2|x0"), ("r|x1|x0", "r|x2|x1", "r|x0|x2")), 1,
+     "designated unit block is not the unit arrows"),
+    ((_UNITS3, ("r|x0|x1", "r|x1|x0"), ("r|x1|x2", "r|x2|x0"), ("r|x2|x1",), ("r|x0|x2",)), 0,
+     "symmetric basis not closed under inversion"),
+])
+def test_check_basis_names_each_broken_axiom(full3, blocks, unit_block, message):
+    with pytest.raises(GroupoidError, match=f"^{message}$"):
+        check_basis(full3, Basis(blocks, symmetric=True, unit_block=unit_block))
+
+
+@pytest.mark.parametrize("window, message", [
+    (["r|x0|x0", "r|x0|x1"], "conjugating set must be a bisection"),  # both into x0
+    ([], "conjugation of the unit block vanished"),
+])
+def test_conjugate_basis_rejects(full2, window, message):
+    with pytest.raises(GroupoidError, match=f"^{message}$"):
+        conjugate_basis(full2, build_basis(full2, symmetric=True), window)
+
+
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2000), symmetric=st.booleans())
 def test_random_basis_axioms(seed, symmetric):

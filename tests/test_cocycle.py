@@ -1,4 +1,7 @@
 import cmath
+import hashlib
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from factoroid import constructors as mk, groupoid
+from factoroid.cli import _json
 from factoroid.cocycle import (
     IDENTITY_TOL,
     CocycleIdentityViolated,
@@ -387,3 +391,33 @@ def test_heisenberg_twist_is_a_factor():
     assert twisted_icc(g, w).icc and kleppner_holds(g, w).holds
     rep = factoriality_report(g, w)
     assert rep.factor and rep.consistent
+
+
+def _exact_outputs(g, w) -> str:
+    """The exact-mode outputs that no CLI path prints, as one string: the
+    normalized phases, the central-set certificate (sorted support, f by
+    arrow, max_defect), the Kleppner verdict and the factoriality report."""
+    cert = central_set_search(g, w)
+    kv = kleppner_holds(g, w)
+    return "\n".join([
+        " ".join(map(str, normalize_cocycle(g, w).phases.tolist())),
+        "none" if cert is None else repr((sorted(cert.support), sorted(cert.f.items()),
+                                          float(cert.max_defect))),
+        repr((bool(kv.holds), kv.witness)),
+        _json(factoriality_report(g, w).to_dict()),
+    ])
+
+
+def test_exact_mode_outputs_match_the_pinned_digests():
+    # sha256 of ``_exact_outputs`` for random_twisted_pair(s, exact=True),
+    # s in 0-199, and klein_four_twisted(exact=True); the keys read
+    # "random-twisted --seed <s>" and "klein4-twisted"
+    with open(os.path.join(os.path.dirname(__file__), "data", "exact-digests.json")) as fh:
+        want = json.load(fh)
+    assert len(want) == 201
+    cases = {f"random-twisted --seed {s}": lambda s=s: mk.random_twisted_pair(s, exact=True)
+             for s in range(200)}
+    cases["klein4-twisted"] = lambda: mk.klein_four_twisted(exact=True)
+    got = {key: hashlib.sha256(_exact_outputs(*build()).encode()).hexdigest()
+           for key, build in cases.items()}
+    assert got == want

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,12 +9,23 @@ from factoroid.basis import build_basis
 from factoroid.conjugacy import (
     NotErgodic,
     NotIsotropy,
+    _closure,
     conjugacy_class,
     ergodic_class_decomposition,
     is_icc,
 )
+from factoroid.vna import _commutator_rows, algebra
 
-from references import by_source, conjugate, from_names, inv_set, mul_sets, product_by_name
+from references import (
+    by_source,
+    closure_by_fixed_point,
+    component_roots,
+    conjugate,
+    from_names,
+    inv_set,
+    mul_sets,
+    product_by_name,
+)
 
 
 def brute_force_group_class(table, element):
@@ -169,3 +181,48 @@ def test_basis_sweep_agrees_with_closure(seed):
     for block in build_basis(g, symmetric=True).blocks:
         swept |= mul_sets(g, mul_sets(g, block, [base]), inv_set(g, block))
     assert swept == conjugacy_class(g, [base]).omega
+
+
+_ONE_HOP_CASES = {
+    "random": lambda: ((mk.random_groupoid(s), None) for s in range(500)),
+    "random-twisted": lambda: (mk.random_twisted_pair(s) for s in range(200)),
+    "random-twisted-exact": lambda: (mk.random_twisted_pair(s, exact=True) for s in range(200)),
+    "named": lambda: (build() for name, build in sorted(mk.NAMED_INSTANCES.items())
+                      if name != "s5-translation"),
+    "sn-bundle": lambda: ((mk.sn_bundle(n)[0], None) for n in range(2, 6)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_ONE_HOP_CASES))
+def test_one_hop_classes_match_the_fixed_point_oracles(family):
+    # the class of each loop, and the blocks of ``center`` on the edges
+    # (a, b^-1 a b) of its paired rows, are closed after one hop
+    for g, w in _ONE_HOP_CASES[family]():
+        t = g.pairs
+        for h in np.flatnonzero(t.src == t.tgt).tolist():
+            base = [g.arrow_order[h]]
+            assert np.array_equal(_closure(g, base), closure_by_fixed_point(g, base))
+        alg = algebra(g, w, "left")
+        _, loop, c, _ = _commutator_rows(alg)
+        a, label = alg.forms[0][loop], np.arange(alg.matrix_dim)
+        np.minimum.at(label, a, c)
+        assert np.array_equal(label, component_roots(alg.matrix_dim, a, c))
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_globalize_gluing_is_closed_after_one_hop(seed):
+    # pair (g, x), at g |X| + x, is glued to (h, y) for y = sigma_{h^-1 g}(x);
+    # the least pair glued to each pair names its class, as the fixed point
+    # does, and the global unit g.(1, x) of ``globalize`` names the same one
+    p = mk.random_partial_action(seed)
+    act, grp, units = p.action, p.group, p.units
+    n, size = act.shape
+    prod, inv = grp.product, grp.inverse_at
+    y = act[prod[inv[None, :], np.arange(n)[:, None]][:, :, None], np.arange(size)]
+    g, h, x = np.nonzero(y >= 0)
+    cls = np.arange(n * size)
+    np.minimum.at(cls, g * size + x, h * size + y[g, h, x])
+    assert np.array_equal(cls, component_roots(n * size, g * size + x, h * size + y[g, h, x]))
+    glob = mk.globalize(p)
+    unit = [glob.groupoid.tgt[f"{e}|{glob.embedding[u]}"] for e in grp.elements for u in units]
+    assert len(set(zip(cls.tolist(), unit))) == len(set(cls.tolist())) == len(set(unit))

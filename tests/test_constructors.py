@@ -348,6 +348,27 @@ def test_restrict_partial_identity():
     assert np.array_equal(q.action, p.action)
 
 
+_HALF_NULL = mk.PartialActionSystem(mk.cyclic_group(2), ("y0", "y1"), {"y0": 1.0, "y1": 0.0},
+                                     np.array([[0, 1], [0, -1]]))
+
+
+@pytest.mark.parametrize("keep, message", [
+    ([], "restriction to an empty subset"),
+    (["y1"], "restriction carries zero mass"),
+])
+def test_restrict_partial_rejects_empty_and_null_subsets(keep, message):
+    with pytest.raises(mk.InvalidPartialAction, match=f"^{message}$"):
+        mk.restrict_partial(_HALF_NULL, keep)
+
+
+@pytest.mark.parametrize("action", [np.array([[0, 1], [0, -1]]), np.array([[0, 1], [-1, -1]])])
+def test_transformation_groupoid_rejects_a_partial_action(action):
+    # a partial action (the flip undefined at y1, or nowhere) is no global one
+    with pytest.raises(mk.InvalidPartialAction, match="^a global action is defined at every unit$"):
+        mk.transformation_groupoid(mk.cyclic_group(2), action, ["y0", "y1"],
+                                   {"y0": 0.5, "y1": 0.5})
+
+
 def test_restrict_partial_rejects_unknown_units():
     # the same message and names as MeasuredGroupoid.restrict
     p = mk.half_domain_fixture()

@@ -653,6 +653,16 @@ def test_restrict(full3, s3_bundle):
         ).restrict(["x1"])
 
 
+@pytest.mark.parametrize("keep", [["x0"], ["x1", "x2"], ["x2", "x0", "x1"]])
+def test_restrict_renormalizes_exact_masses(keep):
+    exact = {"x0": Fraction(1, 2), "x1": Fraction(1, 3), "x2": Fraction(1, 6)}
+    g = mk.full_relation(list(exact), {u: float(m) for u, m in exact.items()}, exact_mass=exact)
+    sub, _ = g.restrict(keep)
+    total = sum(exact[u] for u in keep)
+    assert sub.exact_mass == {u: exact[u] / total for u in sub.units}
+    assert sub.units == tuple(u for u in g.units if u in keep) and sub.flags.mass_normalized
+
+
 def test_restrict_all_units_is_identity(full3):
     sub, factor = full3.restrict(list(full3.units))
     assert factor == pytest.approx(1.0)
@@ -664,6 +674,25 @@ def test_restrict_all_units_is_identity(full3):
         {a: a for a in full3.arrow_order},
         check_mass=True,
     )
+
+
+_SWAP_TO_FULL2 = {"0|x0": "r|x0|x0", "0|x1": "r|x1|x1", "1|x0": "r|x1|x0", "1|x1": "r|x0|x1"}
+_IDENTITY_UNITS = {"x0": "x0", "x1": "x1"}
+
+
+@pytest.mark.parametrize("source, target, units, arrows", [
+    ("swap_groupoid", "full2", {"x0": "x0"}, _SWAP_TO_FULL2),  # a unit left out
+    ("swap_groupoid", "full2", _IDENTITY_UNITS,  # an arrow of the source left out
+     {**{a: b for a, b in _SWAP_TO_FULL2.items() if a != "1|x1"}, "2|x1": "r|x0|x1"}),
+    ("swap_groupoid", "full2", _IDENTITY_UNITS, {**_SWAP_TO_FULL2, "1|x1": "r|x1|x0"}),  # not onto
+    ("swap_groupoid", "full2", _IDENTITY_UNITS,
+     {**_SWAP_TO_FULL2, "1|x0": "r|x0|x1", "1|x1": "r|x1|x0"}),  # endpoints swapped
+    ("klein4", "klein4", {"pt": "pt"},  # the identity swapped with an involution
+     {"pt.0.0": "pt.0.1", "pt.0.1": "pt.0.0", "pt.1.0": "pt.1.0", "pt.1.1": "pt.1.1"}),
+])
+def test_check_isomorphism_rejects(request, source, target, units, arrows):
+    a, b = request.getfixturevalue(source), request.getfixturevalue(target)
+    assert not check_isomorphism(a, b, units, arrows)
 
 
 @pytest.mark.parametrize("shift, same", [(0.0, True), (1e-10, True), (1e-6, False)])

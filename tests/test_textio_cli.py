@@ -658,7 +658,7 @@ _EXPORTED = (
     "CentralSetCertificate", "Cocycle", "CocycleIdentityViolated", "ConjugacyClass",
     "DanglingReference", "EmptyRestriction", "FactorialityReport", "FourierData",
     "GroupoidError", "IccVerdict", "KleppnerVerdict", "L2Space", "MatrixStarAlgebra",
-    "MeasuredGroupoid", "NonAssociative", "NonUniformFiber", "NotErgodic", "NotInAlgebra",
+    "MeasuredGroupoid", "NonAssociative", "NotErgodic", "NotInAlgebra",
     "NotIsotropy", "NotUnitModulus", "ParseError", "RegularityVerdict",
     "TranslationAlgebra", "TwistedIccVerdict", "algebra", "apply_coboundary", "basis",
     "build_basis", "center", "central_set_search", "check_basis", "check_isomorphism",
@@ -954,26 +954,30 @@ _SMALL_NAMED = ("full2", "full3", "klein4", "klein4-twisted", "s3-bundle", "swap
 
 
 def test_untwisted_reports_match_the_pinned_digests(tmp_path, capsys):
-    # sha256 of `factoroid report FILE --format json` and `--format text` on
-    # stdout, for `gen --family random --seed s`, s in 0-99, and the nine
-    # small named families; the keys read "<format> random --seed <s>" and
-    # "<format> <family>"
+    # sha256 of `factoroid report FILE --format <format>` on stdout, keyed
+    # "<format> <gen spec>", for `gen --family random --seed s`, s in 0-99,
+    # and the nine small named families in json and text, and in json for
+    # `sn-bundle --n 3` to `--n 6` and the S4 and S4xZ2 translations (the
+    # large multi-block centers); a key "center json <gen spec>" pins
+    # `factoroid center FILE --format json` on the sn-bundles
     with open(os.path.join(os.path.dirname(__file__), "data", "report-digests.json")) as fh:
         want = json.load(fh)
-    assert len(want) == 218
-    files = {}
-    for seed in range(100):
-        files[f"random --seed {seed}"] = ["--family", "random", "--seed", str(seed)]
-    for name in _SMALL_NAMED:
-        files[name] = ["--family", name]
-    got = {}
-    for key, spec in files.items():
-        path = str(tmp_path / "instance.txt")
-        assert run_cli(capsys, "gen", *spec, "--out", path)[0] == 0
-        for fmt in ("json", "text"):
-            code, out = run_cli(capsys, "report", path, "--format", fmt)
-            assert code == 0, (key, fmt)
-            got[f"{fmt} {key}"] = hashlib.sha256(out.encode()).hexdigest()
+    assert len(want) == 228
+    specs = [f"random --seed {seed}" for seed in range(100)] + list(_SMALL_NAMED)
+    keys = [f"{fmt} {spec}" for spec in specs for fmt in ("json", "text")]
+    for spec in [f"sn-bundle --n {n}" for n in range(3, 7)] + ["s4-translation",
+                                                               "s4xz2-translation"]:
+        keys += [f"json {spec}"] + ([f"center json {spec}"] if spec.startswith("sn") else [])
+    assert sorted(keys) == sorted(want)
+    got, made = {}, {}
+    for key in keys:
+        *command, fmt, spec = key.split(" ", 2 if key.startswith("center") else 1)
+        if spec not in made:
+            made[spec] = str(tmp_path / f"instance{len(made)}.txt")
+            assert run_cli(capsys, "gen", "--family", *spec.split(), "--out", made[spec])[0] == 0
+        code, out = run_cli(capsys, *(command or ["report"]), made[spec], "--format", fmt)
+        assert code == 0, key
+        got[key] = hashlib.sha256(out.encode()).hexdigest()
     assert got == want
 
 

@@ -869,6 +869,24 @@ def test_fourier_parseval_on_non_pmp_groupoids():
             assert data.parseval_gap < 1e-12
 
 
+@pytest.mark.parametrize("family", ["full2", "full3", "klein4", "klein4-twisted", "s3-bundle",
+                                    "swap"])
+def test_fourier_tolerances_scale_with_the_element(family):
+    # rounding grows with |op| and phi(a*a): at scale 1e6 the Parseval gap
+    # of a valid element was 4.9e-4 on klein4 and swap, over an absolute 1e-9
+    g, w = mk.NAMED_INSTANCES[family]()
+    basis, space = build_basis(g, symmetric=True), l2_space(g)
+    alg = algebra(g, w, space=space)
+    rng = np.random.default_rng(0)
+    c = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
+    for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9):
+        op = alg.element(scale * c)
+        data = fourier(g, w, op, basis, alg=alg, space=space)
+        assert data.residual <= 1e-10 * max(1.0, np.linalg.norm(op))
+        assert data.parseval_gap <= 1e-9 * max(1.0, np.vdot(op @ space.unit_vector,
+                                                            op @ space.unit_vector).real)
+
+
 def test_fourier_rejects_asymmetric(full2):
     space = l2_space(full2)
     alg = algebra(full2)
