@@ -2,10 +2,11 @@
 
 A cocycle assigns a phase to every composable pair of arrows, subject to the
 associativity identity  w(x,yz) w(y,z) = w(xy,z) w(x,y).  It is stored as one
-array in the order of the groupoid's pairs ``g.pairs``, of complex numbers
-or, in exact mode, of rational turns t (``Fraction``) representing
-exp(2*pi*i*t); exact mode makes every comparison an equality of fractions,
-which is convenient when all inputs are roots of unity.
+array in the order of the groupoid's pairs ``g.pairs``: of complex numbers,
+or, in exact mode, of ``int64`` numerators k over one denominator N, the
+cocycle's ``turns``, each standing for exp(2*pi*i*k/N).  Exact mode makes
+every comparison an equality of integers, which is convenient when all
+inputs are roots of unity: a product of phases is a sum of numerators mod N.
 
 The twisted factoriality decider looks for a "central" subset of the
 isotropy: a conjugation-invariant set supporting a nowhere-zero function that
@@ -22,7 +23,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -32,8 +33,7 @@ from .conjugacy import _loops_off_units, _require_isotropy
 UNIT_MODULUS_TOL = 1e-12
 IDENTITY_TOL = 1e-10
 HOLONOMY_TOL = 1e-9
-
-Phase = Union[complex, Fraction]
+MAX_TURNS = 2**60  # the largest denominator: a sum of two turns stays in int64
 
 
 class NotUnitModulus(GroupoidError):
@@ -44,66 +44,63 @@ class CocycleIdentityViolated(GroupoidError):
     pass
 
 
-# -- phase arithmetic (complex numbers or rational turns) -------------------
+# -- phase arithmetic: complex arrays (turns 0) or numerators over turns -----
 
-def _exact(a) -> bool:  # a rational turn, or an array of them
-    return a.dtype.kind == "O" if isinstance(a, np.ndarray) else isinstance(a, Fraction)
-
-
-def pmul(a: Phase, b: Phase) -> Phase:
-    """a b, entry by entry on arrays.  A complex array product is written
-    out as Python's ``*`` computes it, which NumPy's can miss in the last bit."""
-    if _exact(a):
-        return (a + b) % 1
-    if not isinstance(a, np.ndarray):
-        return a * b
+def pmul(a: np.ndarray, b, turns: int) -> np.ndarray:
+    """a b, entry by entry.  A complex product is written out as Python's
+    ``*`` computes it, which NumPy's can miss in the last bit."""
+    if turns:
+        return (a + b) % turns
     out = np.empty(a.shape, dtype=complex)
     out.real = a.real * b.real - a.imag * b.imag
     out.imag = a.real * b.imag + a.imag * b.real
     return out
 
 
-def pconj(a: Phase) -> Phase:
-    return (-a) % 1 if _exact(a) else a.conjugate()
+def pconj(a: np.ndarray, turns: int) -> np.ndarray:
+    return -a % turns if turns else a.conjugate()
 
 
-def phalf(a: Phase) -> Phase:
-    """Principal square root: halve the angle taken in (-pi, pi]."""
-    if isinstance(a, Fraction):
-        rep = a if a <= Fraction(1, 2) else a - 1
-        return (rep / 2) % 1
-    return cmath.exp(0.5j * cmath.phase(complex(a)))
-
-def pone(exact: bool) -> Phase:
-    return Fraction(0) if exact else complex(1.0)
+def _phase_sqrt(a: np.ndarray, turns: int) -> np.ndarray:
+    """Principal square roots: halve the angle taken in (-pi, pi]; for turns
+    N, halve the turn k/N taken in (-1/2, 1/2], giving numerators over 2N."""
+    if turns:
+        return np.where(2 * a <= turns, a, a - turns) % (2 * turns)
+    return np.array([cmath.exp(0.5j * cmath.phase(v)) for v in a.tolist()], dtype=complex)
 
 
-def as_complex(a: Phase) -> complex:
-    if isinstance(a, Fraction):
-        return cmath.exp(2j * cmath.pi * a)
-    return complex(a)
-
-
-def complex_array(a: np.ndarray) -> np.ndarray:
-    """An array of phases as complex numbers, a turn t as exp(2*pi*i*t)."""
-    if not _exact(a):
+def complex_array(a: np.ndarray, turns: int) -> np.ndarray:
+    """Phases as complex numbers: ``a`` itself for turns 0, else each
+    numerator k as exp(2*pi*i*(k/turns)), one ``cmath.exp`` per distinct k."""
+    if not turns:
         return a
-    return np.fromiter(map(as_complex, a.ravel()), complex, a.size).reshape(a.shape)
+    k, at = np.unique(a, return_inverse=True)
+    z = np.array([cmath.exp(2j * cmath.pi * (v / turns)) for v in k.tolist()], dtype=complex)
+    return z[at].reshape(a.shape)
+
+
+def _checked_turns(turns) -> int:
+    """``turns`` as an int, if it is an integer in 1..``MAX_TURNS``."""
+    if isinstance(turns, (int, np.integer)) and type(turns) is not bool and 0 < turns <= MAX_TURNS:
+        return int(turns)
+    raise CocycleIdentityViolated(f"turns must be an integer in 1..{MAX_TURNS}, not {turns!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class Cocycle:
-    """A validated cocycle: ``phases[p]`` is its phase, complex or in exact
-    mode a ``Fraction`` turn, at pair p of ``groupoid.pairs``.  ``w(g, h)``
-    reads the pair (g, h) by arrow names."""
+    """A validated cocycle: ``phases[p]`` is its phase at pair p of
+    ``groupoid.pairs``, complex for ``turns`` 0, else the numerator k in
+    0..turns-1 of the turn k/turns.  ``w(g, h)`` reads the pair (g, h) by
+    arrow names, a turn as a ``Fraction``."""
 
     groupoid: MeasuredGroupoid
     phases: np.ndarray
-    exact: bool
+    turns: int
     normalized: bool
 
-    def __call__(self, g: str, h: str) -> Phase:
-        return self.phases.item(self.groupoid.pair_position(g, h))
+    def __call__(self, g: str, h: str) -> complex | Fraction:
+        v = self.phases.item(self.groupoid.pair_position(g, h))
+        return Fraction(v, self.turns) if self.turns else v
 
     def on(self, g: MeasuredGroupoid) -> np.ndarray:
         """The phases, in the order of ``g.pairs``: ``g`` must be ``groupoid``."""
@@ -112,7 +109,7 @@ class Cocycle:
         return self.phases
 
     def conjugate_cocycle(self) -> "Cocycle":
-        return Cocycle(self.groupoid, pconj(self.phases), self.exact, self.normalized)
+        return Cocycle(self.groupoid, pconj(self.phases, self.turns), self.turns, self.normalized)
 
 
 class CentralSetCertificate(NamedTuple):
@@ -144,7 +141,7 @@ class TwistedIccVerdict(NamedTuple):
     certificate: Optional[CentralSetCertificate] = None
 
 
-def _is_normalized(g: MeasuredGroupoid, phases: np.ndarray) -> bool:
+def _is_normalized(g: MeasuredGroupoid, phases: np.ndarray, turns: int) -> bool:
     """Whether the phase is 1 on every (x, 1), (1, x) and (x, x^-1)."""
     t = g.pairs
     at = phases[np.concatenate([
@@ -152,36 +149,39 @@ def _is_normalized(g: MeasuredGroupoid, phases: np.ndarray) -> bool:
         t.start + t.rank[t.unit_arrow[t.tgt]],
         t.start[t.inv] + t.rank,
     ])]
-    if _exact(phases):
+    if turns:
         return bool((at == 0).all())
     return bool((np.abs(at - 1) <= UNIT_MODULUS_TOL).all())
 
 
 def validate_cocycle(
     g: MeasuredGroupoid,
-    phases: Sequence[Phase],
+    phases: np.ndarray,
     *,
-    exact: bool = False,
+    turns: int = 0,
 ) -> Cocycle:
     """Check unit modulus and the cocycle identity on all composable triples.
 
     ``phases`` holds one value per composable pair, in the order of
-    ``g.pairs`` (of ``composable_pairs()``).  In exact mode every value must
-    be a rational turn t standing for exp(2*pi*i*t), compared exactly;
-    otherwise values are arbitrary unit-modulus complex numbers.  The
-    identity is checked in one numpy pass over the composable triples of
-    ``g.pairs``.
+    ``g.pairs`` (of ``composable_pairs()``).  For ``turns`` 0 the values are
+    unit-modulus complex numbers; for turns N in 1..``MAX_TURNS`` they are
+    integers k standing for exp(2*pi*i*k/N), taken mod N and compared
+    exactly.  The identity is checked in one numpy pass over the composable
+    triples of ``g.pairs``.
     """
     t = g.pairs
-    if len(phases) != len(t.left):
+    w = np.asarray(phases) if turns else np.array(phases, dtype=complex)
+    if w.shape != t.left.shape:
         raise CocycleIdentityViolated(
-            f"a cocycle needs one phase per composable pair: {len(t.left)}, "
-            f"not {len(phases)}"
+            f"a cocycle needs one phase per composable pair, shape ({len(t.left)},), "
+            f"not {w.shape}"
         )
-    if exact:
-        w = np.fromiter((Fraction(v) % 1 for v in phases), dtype=object, count=len(t.left))
+    if turns:
+        turns = _checked_turns(turns)
+        if w.dtype.kind not in "iu":
+            raise CocycleIdentityViolated(f"exact phases are integers over turns, not {w.dtype}")
+        w = (w % turns).astype(np.int64)
     else:
-        w = np.array(phases, dtype=complex)
         bad = ~(np.abs(np.abs(w) - 1.0) <= UNIT_MODULUS_TOL)  # NaN fails too
         if bad.any():
             p = int(bad.argmax())
@@ -189,8 +189,8 @@ def validate_cocycle(
             raise NotUnitModulus(f"|w{pair!r}| = {abs(complex(w[p]))!r} is not 1", pair)
 
     def fails(xy, yz, xy_z, x_yz):  # w(x,yz) w(y,z) != w(xy,z) w(x,y)
-        if exact:  # rational turns, compared exactly
-            return (w[x_yz] + w[yz]) % 1 != (w[xy_z] + w[xy]) % 1
+        if turns:  # numerators, compared exactly
+            return pmul(w[x_yz], w[yz], turns) != pmul(w[xy_z], w[xy], turns)
         return ~(np.abs(w[x_yz] * w[yz] - w[xy_z] * w[xy]) <= IDENTITY_TOL)
     bad = t.first_failure(fails, "yz")
     if bad is not None:
@@ -198,25 +198,41 @@ def validate_cocycle(
         raise CocycleIdentityViolated(
             f"cocycle identity fails on triple ({x!r},{y!r},{z!r})", (x, y, z)
         )
-    return Cocycle(g, w, exact, _is_normalized(g, w))
+    return Cocycle(g, w, turns, _is_normalized(g, w, turns))
 
 
 def trivial_cocycle(g: MeasuredGroupoid, *, exact: bool = False) -> Cocycle:
-    phases = np.full(len(g.pairs.left), pone(exact), dtype=object if exact else complex)
-    return Cocycle(g, phases, exact, normalized=True)
+    """Phase 1 on every pair; in exact mode the turn 0 over 1."""
+    n = len(g.pairs.left)
+    return Cocycle(g, np.zeros(n, np.int64) if exact else np.ones(n, complex), int(exact), True)
 
 
-def _cobounded(g: MeasuredGroupoid, phases: np.ndarray, rho: Sequence[Phase]) -> np.ndarray:
+def _cobounded(g: MeasuredGroupoid, phases: np.ndarray, rho: np.ndarray, turns: int) -> np.ndarray:
     """The phases rho(x) rho(y) conj(rho(xy)) w(x,y), rho by arrow position."""
-    t, r = g.pairs, np.asarray(rho, dtype=phases.dtype)
-    return pmul(pmul(r[t.left], pmul(r[t.right], pconj(r[t.prod]))), phases)
+    t = g.pairs
+    return pmul(pmul(rho[t.left], pmul(rho[t.right], pconj(rho[t.prod], turns), turns), turns),
+                phases, turns)
 
 
 def apply_coboundary(g: MeasuredGroupoid, w: Cocycle, rho: np.ndarray) -> Cocycle:
     """The cohomologous cocycle  w'(x,y) = rho(x) rho(y) conj(rho(xy)) w(x,y),
-    rho given by arrow position."""
-    phases = _cobounded(g, w.on(g), rho)
-    return Cocycle(g, phases, w.exact, _is_normalized(g, phases))
+    rho given by arrow position: unit-modulus complex numbers, or for an
+    exact w integers k, each the turn k / ``w.turns``."""
+    phases, n = w.on(g), w.turns
+    rho = np.asarray(rho) if n else np.asarray(rho, dtype=complex)
+    if rho.shape != (len(g.arrow_order),) or (n and rho.dtype.kind not in "iu"):
+        raise CocycleIdentityViolated(f"a coboundary needs one {'integer' if n else 'phase'} "
+                                      f"per arrow, not {rho.dtype} of shape {rho.shape}")
+    if n:
+        rho = (rho % n).astype(np.int64)
+    else:
+        bad = ~(np.abs(np.abs(rho) - 1.0) <= UNIT_MODULUS_TOL)  # NaN fails too
+        if bad.any():
+            x = int(bad.argmax())
+            name = g.arrow_order[x]
+            raise NotUnitModulus(f"|rho({name!r})| = {abs(complex(rho[x]))!r} is not 1", [name])
+    phases = _cobounded(g, phases, rho, n)
+    return Cocycle(g, phases, n, _is_normalized(g, phases, n))
 
 
 def normalize_cocycle(g: MeasuredGroupoid, w: Cocycle) -> Cocycle:
@@ -229,16 +245,20 @@ def normalize_cocycle(g: MeasuredGroupoid, w: Cocycle) -> Cocycle:
     pair to 1 and the one by a square root of conj(w(x, x^-1)), shared by x
     and x^-1, brings every (x, x^-1) to 1 and leaves the unit pairs, all to
     that tolerance (exactly for turns).  A check at the tighter
-    ``UNIT_MODULUS_TOL`` would measure only the tolerance."""
-    t, phases = g.pairs, w.on(g)
-    step1 = _cobounded(g, phases, pconj(phases[t.start[t.unit_arrow[t.src]] + t.rank]))
+    ``UNIT_MODULUS_TOL`` would measure only the tolerance.  The square roots
+    of turns over N are over 2N, and so is an exact result."""
+    t, phases, n = g.pairs, w.on(g), w.turns
+    step1 = _cobounded(g, phases, pconj(phases[t.start[t.unit_arrow[t.src]] + t.rank], n), n)
     # one half-phase per inverse pair, taken at a canonical representative:
     # rho(x) rho(x^-1) then squares to the exact conjugate phase no matter
     # which branch the square root picks (the values at x and x^-1 agree only
     # up to rounding, which matters exactly on the branch cut)
     rep = np.minimum(np.arange(len(t.inv)), t.inv)
-    half = pconj(step1[t.start[t.inv[rep]] + t.rank[rep]])  # conj w(rep, rep^-1)
-    return Cocycle(g, _cobounded(g, step1, [phalf(v) for v in half.tolist()]), w.exact, True)
+    half = pconj(step1[t.start[t.inv[rep]] + t.rank[rep]], n)  # conj w(rep, rep^-1)
+    rho = _phase_sqrt(half, n)
+    if n:  # rho is over 2N: rewrite the phases over 2N too
+        n, step1 = _checked_turns(2 * n), 2 * step1
+    return Cocycle(g, _cobounded(g, step1, rho, n), n, True)
 
 
 def _normalized(g: MeasuredGroupoid, w: Optional[Cocycle]) -> Cocycle:
@@ -264,11 +284,11 @@ def central_set_search(
     if not len(loops):
         return None
     w = _normalized(g, w)
-    t, phase = g.pairs, w.on(g)
+    t, phase, n = g.pairs, w.on(g), w.turns
     i, p, a, c = t.conjugations(loops)  # the moves h = loops[i] -> c = a h a^-1
     keep = g.unit_masses[t.tgt[a]] > 0.0
     i, p, a, c = i[keep], p[keep], a[keep], c[keep]
-    factor = pmul(pconj(phase[t.start[a] + t.rank[c]]), phase[p])  # conj(w(c, a)) w(a, h)
+    factor = pmul(pconj(phase[t.start[a] + t.rank[c]], n), phase[p], n)  # conj(w(c, a)) w(a, h)
     j = np.searchsorted(loops, c)
     # moves run h in ascending order, so the first move onto a loop comes
     # from the least loop of its orbit, and is that loop's first onto it
@@ -276,12 +296,13 @@ def central_set_search(
     np.minimum.at(hit, j, np.arange(len(j)))
     root = i[hit]
     roots = np.flatnonzero(root == np.arange(len(loops)))
-    f = pmul(factor[hit], pone(w.exact))
-    f[roots], hit[roots] = pone(w.exact), -1
-    lhs, rhs = f[j], pmul(factor, f[i])
-    d = complex_array(lhs) - complex_array(rhs)
+    one = 0 if n else 1.0 + 0j
+    f = pmul(factor[hit], one, n)
+    f[roots], hit[roots] = one, -1
+    lhs, rhs = f[j], pmul(factor, f[i], n)
+    d = complex_array(lhs, n) - complex_array(rhs, n)
     defect = np.hypot(d.real, d.imag)  # as Python's abs, to the last bit
-    bad = lhs != rhs if w.exact else ~(defect <= HOLONOMY_TOL)
+    bad = lhs != rhs if n else ~(defect <= HOLONOMY_TOL)
     good = roots[np.bincount(root[i[bad]], minlength=len(loops))[roots] == 0]
     if not len(good):
         return None
@@ -290,7 +311,7 @@ def central_set_search(
     name = list(map(g.arrow_order.__getitem__, loops[orbit].tolist()))
     return CentralSetCertificate(
         support=frozenset(name),
-        f=dict(zip(name, complex_array(f[orbit]).tolist())),
+        f=dict(zip(name, complex_array(f[orbit], n).tolist())),
         max_defect=float(defect[root[i] == good[0]].max()),
     )
 
@@ -315,7 +336,7 @@ def is_omega_regular(
     x = np.array(sorted(map(g.arrow_index, ids)), dtype=np.intp)
     i, p, a, y = t.conjugations(x)  # y = a x a^-1
     ya, ax = phase[t.start[a] + t.rank[y]], phase[p]  # w(y, a), w(a, x)
-    bad = np.isin(y, x) & ~(ya == ax if w.exact else np.abs(ya - ax) <= HOLONOMY_TOL)
+    bad = np.isin(y, x) & ~(ya == ax if w.turns else np.abs(ya - ax) <= HOLONOMY_TOL)
     if not bad.any():
         return RegularityVerdict(True)
     m = int(bad.argmax())
@@ -342,7 +363,7 @@ def kleppner_holds(g: MeasuredGroupoid, w: Optional[Cocycle]) -> KleppnerVerdict
     fixes = c == h[i]  # a h a^-1 = h
     i, p, a = i[fixes], p[fixes], a[fixes]
     ha, ah = phase[t.start[a] + t.rank[h[i]]], phase[p]  # w(h, a), w(a, h)
-    close = ha == ah if w.exact else np.abs(ha - ah) <= HOLONOMY_TOL
+    close = ha == ah if w.turns else np.abs(ha - ah) <= HOLONOMY_TOL
     symmetric = np.flatnonzero(np.bincount(i[~close], minlength=len(h)) == 0)
     if len(symmetric):
         return KleppnerVerdict(False, witness=g.arrow_order[h[symmetric[0]]])

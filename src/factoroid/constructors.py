@@ -22,13 +22,11 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .cocycle import (Cocycle, Phase, apply_coboundary, as_complex, complex_array, pone,
-                      validate_cocycle)
+from .cocycle import Cocycle, apply_coboundary, complex_array, validate_cocycle
 from .groupoid import GroupoidError, MeasuredGroupoid, check_isomorphism
 
 
@@ -291,26 +289,30 @@ def pullback_group_cocycle(
     return table[element[g.pairs.left], element[g.pairs.right]]
 
 
+TURNS = 12  # the denominator of the exact families' turns
+
+
 def klein_bicharacter(exact: bool = False) -> np.ndarray:
     """The anticommuting phase on the Klein four-group, by element position:
     -1 exactly when the first factor has second coordinate 1 and the second
-    has first coordinate 1."""
+    has first coordinate 1; in exact mode as turns over ``TURNS``."""
     k = np.arange(4)
     minus = (k[:, None] % 2 == 1) & (k // 2 == 1)
-    return np.where(minus, *((Fraction(1, 2), Fraction(0)) if exact else (-1.0 + 0j, 1.0 + 0j)))
+    return minus * (TURNS // 2) if exact else np.where(minus, -1.0 + 0j, 1.0 + 0j)
 
 
 def cyclic_bicharacter(n: int, exact: bool = False) -> np.ndarray:
-    """The bicharacter (a, b) -> exp(2 pi i a b / n) on the cyclic group."""
-    turns = np.array([[Fraction(a * b, n) % 1 for b in range(n)] for a in range(n)], dtype=object)
-    return turns if exact else complex_array(turns)
+    """The bicharacter (a, b) -> exp(2 pi i a b / n) on the cyclic group; in
+    exact mode its turns over n."""
+    turns = np.outer(np.arange(n), np.arange(n)) % n
+    return turns if exact else complex_array(turns, n)
 
 
 def klein_four_twisted(exact: bool = False) -> tuple[MeasuredGroupoid, Cocycle]:
     """The one-unit Klein four groupoid with its anticommuting twist."""
     g = group_groupoid(klein_four_group())  # arrow x is element x
     vals = pullback_group_cocycle(g, np.arange(4), klein_bicharacter(exact))
-    return g, validate_cocycle(g, vals, exact=exact)
+    return g, validate_cocycle(g, vals, turns=TURNS if exact else 0)
 
 
 # -- partial actions ----------------------------------------------------------
@@ -844,22 +846,14 @@ def random_groupoid(seed: int) -> MeasuredGroupoid:
     raise GroupoidError(f"generator failed to fit bounds for seed {seed}")
 
 
-# the phases random_phase draws, by their turn in twelfths
-_TWELFTHS = tuple(as_complex(Fraction(j, 12)) for j in range(12))
-
-
-def random_phase(rng: random.Random, exact: bool = False) -> Phase:
-    m = rng.choice([1, 2, 3, 4, 6])
-    k = rng.randrange(m)
-    return Fraction(k, m) if exact else _TWELFTHS[12 * k // m]
-
-
 def random_coboundary(
     g: MeasuredGroupoid, rng: random.Random, exact: bool = False
 ) -> np.ndarray:
-    """One random phase per arrow, by arrow position."""
-    return np.array([random_phase(rng, exact) for _ in g.arrow_order],
-                    dtype=object if exact else complex)
+    """One random root of unity of order 1, 2, 3, 4 or 6 per arrow, by arrow
+    position; in exact mode as turns over ``TURNS``."""
+    orders = (rng.choice([1, 2, 3, 4, 6]) for _ in g.arrow_order)
+    k = np.array([TURNS // m * rng.randrange(m) for m in orders], dtype=np.int64)
+    return k if exact else complex_array(k, TURNS)
 
 
 def random_twisted_pair(
@@ -875,6 +869,7 @@ def random_twisted_pair(
     cocycles sit on the diagonal of one phase table.
     """
     rng = random.Random(f"twisted-{seed}")
+    one = 0 if exact else 1.0 + 0j  # the phase 1
     n_parts = rng.randint(1, 2)
     parts: list[MeasuredGroupoid] = []
     elements: list[np.ndarray] = []  # each part's arrows -> element positions
@@ -894,16 +889,18 @@ def random_twisted_pair(
         if name == "V4" and rng.random() < 0.75:
             tables.append(klein_bicharacter(exact))
         elif name in ("Z3", "Z4") and rng.random() < 0.5:
-            tables.append(cyclic_bicharacter(m, exact))
+            c = cyclic_bicharacter(m, exact)
+            tables.append(c * (TURNS // m) if exact else c)
         else:
-            tables.append(np.full((m, m), pone(exact)))
+            tables.append(np.full((m, m), one))
         parts.append(part)
     weights = [rng.random() + 0.1 for _ in parts]
     tot = sum(weights)
     g = disjoint_union(parts, [wi / tot for wi in weights])
     first = np.cumsum([0, *map(len, tables)])
-    table = np.full((first[-1], first[-1]), pone(exact))
+    table = np.full((first[-1], first[-1]), one)
     for at, c in zip(first.tolist(), tables):
         table[at:at + len(c), at:at + len(c)] = c
-    w0 = validate_cocycle(g, pullback_group_cocycle(g, _joined(elements, first), table), exact=exact)
+    w0 = validate_cocycle(g, pullback_group_cocycle(g, _joined(elements, first), table),
+                          turns=TURNS if exact else 0)
     return g, apply_coboundary(g, w0, random_coboundary(g, rng, exact))

@@ -290,7 +290,7 @@ def serialize(g: MeasuredGroupoid, w: Optional[Cocycle] = None) -> str:
     out.extend(map("{} {}".format, name, map(name.__getitem__, t.inv.tolist())))
     if w is not None:
         out.append("[cocycle]")
-        phase = complex_array(w.on(g))
+        phase = complex_array(w.on(g), w.turns)
         p = order[phase[order] != 1]
         rows = zip(t.left[p].tolist(), t.right[p].tolist(), phase[p].tolist())
         out.extend(f"{name[x]} {name[y]} {v.real!r} {v.imag!r}" for x, y, v in rows)

@@ -403,7 +403,7 @@ def _structure_constants(g: MeasuredGroupoid, w: Cocycle, space: L2Space) -> _Co
     pairs of positive-mass arrows (ab then has positive mass too), in the
     order of ``space.pairs``."""
     t = space.pairs
-    return t.left, t.right, t.prod, complex_array(w.on(g))[space.pair_positions]
+    return t.left, t.right, t.prod, complex_array(w.on(g)[space.pair_positions], w.turns)
 
 
 def _commutator_rows(alg: TranslationAlgebra) -> tuple[np.ndarray, ...]:
@@ -752,7 +752,7 @@ def factoriality_report(
     unit functions.  The report records whether the two sides agree; callers
     treat disagreement as a hard failure.
     """
-    twisted = w is not None and not (np.abs(complex_array(w.on(g)) - 1.0) <= 1e-15).all()
+    twisted = w is not None and not (np.abs(complex_array(w.on(g), w.turns) - 1.0) <= 1e-15).all()
     w = _normalized(g, w)
 
     erg = g.is_ergodic()

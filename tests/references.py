@@ -11,6 +11,12 @@ keys.  ``trivial_groupoid`` builds a table for the tests, and
 ``shift_connects_by_search`` decides membership in a shift groupoid by a
 witness search.
 
+The scalar phase arithmetic that exact cocycles ran on ``Fraction`` turns
+before they were stored as integers over a denominator (``pmul``,
+``pconj``, ``phalf``, ``pone`` and ``as_complex``) is kept verbatim as the
+oracle that the integer arithmetic is checked against; ``fraction_phases``
+reads a cocycle's phases in that form.
+
 ``central_set_search_by_bfs`` is the breadth-first walk that
 ``central_set_search`` ran before it set each orbit in one hop from its
 least loop, kept verbatim as the reference for its certificates;
@@ -49,6 +55,7 @@ the name-keyed set algebra that the tests walk: ``by_source``,
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -60,14 +67,9 @@ from factoroid.cocycle import (
     HOLONOMY_TOL,
     CentralSetCertificate,
     Cocycle,
-    Phase,
     RegularityVerdict,
     _normalized,
-    as_complex,
     normalize_cocycle,
-    pconj,
-    pmul,
-    pone,
     trivial_cocycle,
     validate_cocycle,
 )
@@ -75,6 +77,58 @@ from factoroid.conjugacy import IccVerdict, _loops_off_units
 from factoroid.constructors import DeaconuRenaultSystem, FiniteGroupTable, PartialActionSystem
 from factoroid.groupoid import GroupoidError, MeasuredGroupoid, validate_groupoid
 from factoroid.vna import L2Space, TranslationAlgebra
+
+
+Phase = Union[complex, Fraction]
+
+
+# -- phase arithmetic (complex numbers or rational turns) -------------------
+
+def _exact(a) -> bool:  # a rational turn, or an array of them
+    return a.dtype.kind == "O" if isinstance(a, np.ndarray) else isinstance(a, Fraction)
+
+
+def pmul(a: Phase, b: Phase) -> Phase:
+    """a b, entry by entry on arrays.  A complex array product is written
+    out as Python's ``*`` computes it, which NumPy's can miss in the last bit."""
+    if _exact(a):
+        return (a + b) % 1
+    if not isinstance(a, np.ndarray):
+        return a * b
+    out = np.empty(a.shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def pconj(a: Phase) -> Phase:
+    return (-a) % 1 if _exact(a) else a.conjugate()
+
+
+def phalf(a: Phase) -> Phase:
+    """Principal square root: halve the angle taken in (-pi, pi]."""
+    if isinstance(a, Fraction):
+        rep = a if a <= Fraction(1, 2) else a - 1
+        return (rep / 2) % 1
+    return cmath.exp(0.5j * cmath.phase(complex(a)))
+
+
+def pone(exact: bool) -> Phase:
+    return Fraction(0) if exact else complex(1.0)
+
+
+def as_complex(a: Phase) -> complex:
+    if isinstance(a, Fraction):
+        return cmath.exp(2j * cmath.pi * a)
+    return complex(a)
+
+
+def fraction_phases(w: Cocycle) -> np.ndarray:
+    """The phases of ``w`` in pair order: complex, or for turns N each
+    numerator k as the ``Fraction`` k/N in an object array."""
+    if not w.turns:
+        return w.phases
+    return np.array([Fraction(k, w.turns) for k in w.phases.tolist()], dtype=object)
 
 
 def by_source(g: MeasuredGroupoid, x: str) -> tuple[str, ...]:
@@ -185,7 +239,7 @@ def _transports(
     """For each loop h, its moves to c = a h a^-1 by the positive-target
     arrows a with s(a) = s(h), in storage order: (a, c, conj(w(c, a)) w(a, h)),
     the transport factor of f along h -> c, by arrow positions."""
-    t, phase = g.pairs, w.on(g)
+    t, phase = g.pairs, fraction_phases(w)
     i, p, a, c = t.conjugations(loops)
     factor = pmul(pconj(phase[t.start[a] + t.rank[c]]), phase[p])
     keep = g.unit_masses[t.tgt[a]] > 0.0
@@ -214,7 +268,7 @@ def central_set_search_by_bfs(g: MeasuredGroupoid, w: Cocycle) -> Optional[Centr
         if root not in unvisited:
             continue
         # breadth-first transport of f from f(root) = 1
-        f: dict[int, Phase] = {root: pone(w.exact)}
+        f: dict[int, Phase] = {root: pone(bool(w.turns))}
         order = [root]
         queue = [root]
         while queue:
@@ -381,7 +435,8 @@ def relabel(
     arrow_perm[i], new unit j is old unit unit_perm[j], and ``names`` gives
     the new (unit names, arrow labels) in the new order.  The compose rows
     are reordered by new product, then new right factor, and each phase is
-    carried from the old position of its pair (exact turns stay turns)."""
+    carried from the old position of its pair (exact turns stay turns over
+    the same denominator)."""
     t, unit_names, labels = g.pairs, *names
     arrow_at, unit_at = np.argsort(arrow_perm), np.argsort(unit_perm)
     rows = arrow_at[g._compose_rows()]
@@ -398,7 +453,7 @@ def relabel(
     if w is None:
         return h, None
     old = t.at(arrow_perm[h.pairs.left], arrow_perm[h.pairs.right])
-    return h, validate_cocycle(h, w.on(g)[old], exact=w.exact)
+    return h, validate_cocycle(h, w.on(g)[old], turns=w.turns)
 
 
 def trivial_groupoid(

@@ -404,7 +404,7 @@ def test_criterion_13_central_vector_identities(
     z2, klein4, z2_bundle, s3_bundle, full2, klein_twisted
 ):
     """Central elements live on the isotropy and transform by the twist."""
-    from factoroid.cocycle import as_complex
+    from references import as_complex
 
     fixtures = [
         (z2, None), (klein4, None), (z2_bundle, None), (s3_bundle, None),

@@ -9,21 +9,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from factoroid import constructors as mk, groupoid
+from factoroid import cocycle, constructors as mk, groupoid
 from factoroid.cli import _json
 from factoroid.cocycle import (
     IDENTITY_TOL,
+    MAX_TURNS,
     CocycleIdentityViolated,
     NotUnitModulus,
     apply_coboundary,
-    as_complex,
     central_set_search,
     is_omega_regular,
     kleppner_holds,
     normalize_cocycle,
-    pconj,
-    phalf,
-    pmul,
     trivial_cocycle,
     twisted_icc,
     validate_cocycle,
@@ -33,10 +30,14 @@ from factoroid.groupoid import GroupoidError
 from factoroid.vna import factoriality_report
 
 from references import (
+    as_complex,
     by_source,
     central_set_search_by_bfs,
     from_names,
+    pconj,
+    phalf,
     phase_close,
+    pmul,
     verify_central_certificate,
 )
 
@@ -89,6 +90,81 @@ def test_validate_requires_all_pairs(z2):
         validate_cocycle(z2, [1.0])
 
 
+def _wrong_phases(g):
+    """Phase arrays of the wrong shape or type, each with its turns."""
+    n = len(g.pairs.left)
+    return {
+        "a column": (np.ones((n, 1)), 0),
+        "a square": (np.ones((n, n)), 0),
+        "a scalar": (1.0, 0),
+        "exact NaN": (np.full(n, np.nan), 12),
+        "exact complex": (np.ones(n, complex), 12),
+        "exact Fractions": ([Fraction(0)] * n, 12),
+        "exact bools": (np.zeros(n, bool), 12),
+        "exact, turns negative": (np.zeros(n, np.int64), -12),
+        "exact, turns past MAX_TURNS": (np.zeros(n, np.int64), MAX_TURNS + 1),
+        "exact, turns not an integer": (np.zeros(n, np.int64), 12.5),
+        "exact, turns a bool": (np.zeros(n, np.int64), True),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_wrong_phases(mk.klein_four_twisted()[0])))
+def test_validate_rejects_phases_of_the_wrong_shape_or_type(case):
+    g, _ = klein_pair()
+    phases, turns = _wrong_phases(g)[case]
+    with pytest.raises(CocycleIdentityViolated, match="shape|integer"):
+        validate_cocycle(g, phases, turns=turns)
+
+
+def test_turns_up_to_max_turns_are_exact_and_normalizing_past_it_raises():
+    g, w = klein_pair(exact=True)
+    halves = w.phases // (w.turns // 2)  # the Klein twist takes the turns 0 and 1/2
+    big = validate_cocycle(g, halves * (MAX_TURNS // 2), turns=MAX_TURNS)
+    assert [big(*p) for p in g.composable_pairs()] == [w(*p) for p in g.composable_pairs()]
+    wn = normalize_cocycle(g, validate_cocycle(g, halves * (MAX_TURNS // 4), turns=MAX_TURNS // 2))
+    assert wn.turns == MAX_TURNS and wn.normalized
+    with pytest.raises(CocycleIdentityViolated, match="turns"):
+        normalize_cocycle(g, big)
+    with pytest.raises(CocycleIdentityViolated, match="turns"):
+        factoriality_report(g, big)
+
+
+def test_apply_coboundary_rejects_a_rho_off_the_unit_circle():
+    # rho = 2 gives phases of modulus 8, which a report called consistent
+    g, w = klein_pair()
+    with pytest.raises(NotUnitModulus, match="pt.0.0") as err:
+        apply_coboundary(g, w, np.full(len(g.arrow_order), 2.0))
+    assert err.value.ids == (g.arrow_order[0],)
+    rho = np.ones(len(g.arrow_order), complex)
+    rho[2] = np.nan
+    with pytest.raises(NotUnitModulus) as err:
+        apply_coboundary(g, w, rho)
+    assert err.value.ids == (g.arrow_order[2],)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_apply_coboundary_rejects_a_rho_of_the_wrong_shape_or_type(exact):
+    g, w = klein_pair(exact)
+    n = len(g.arrow_order)
+    bad = [np.zeros(n - 1, np.int64), np.zeros((n, 1), np.int64), np.zeros((n, n), np.int64)]
+    if exact:
+        bad += [np.zeros(n), np.ones(n, complex)]
+    for rho in bad:
+        with pytest.raises(CocycleIdentityViolated, match="per arrow"):
+            apply_coboundary(g, w, rho if exact else rho + 1)
+
+
+def test_exact_coboundaries_take_any_integers_mod_the_turns():
+    g, w = klein_pair(exact=True)
+    rho = np.array([-13, 5, 2**62, 7])
+    w1 = apply_coboundary(g, w, rho)
+    assert w1.turns == w.turns and w1.phases.dtype == np.int64
+    r = dict(zip(g.arrow_order, (Fraction(int(k), w.turns) % 1 for k in rho)))
+    for (x, y) in g.composable_pairs():
+        expect = pmul(pmul(r[x], pmul(r[y], pconj(r[g.compose[(x, y)]]))), w(x, y))
+        assert w1(x, y) == expect
+
+
 def _first_identity_failure_by_loop(g, table):
     """The triple-by-triple loop that ``validate_cocycle`` ran before its
     index pass, kept as the reference for the first failing triple."""
@@ -104,9 +180,10 @@ def _first_identity_failure_by_loop(g, table):
 def _named_as_the_loop_names(exact) -> int:
     """Perturb one phase of each ``random_twisted_pair`` 0-39, on a groupoid
     whose composition rows are shuffled, and check that ``validate_cocycle``
-    names the loop's first failing triple; returns how many raised."""
+    names the loop's first failing triple; returns how many raised.  Exact
+    phases are handed over as turns over 60, to hold the shift by 1/5."""
     rng = random.Random(1)
-    shift = Fraction(1, 5) if exact else cmath.exp(0.3j)
+    shift = Fraction(12, 60) if exact else cmath.exp(0.3j)
     raised = 0
     for seed in range(40):
         g, w = mk.random_twisted_pair(seed, exact=exact)
@@ -121,7 +198,8 @@ def _named_as_the_loop_names(exact) -> int:
         values[pair] = pmul(values[pair], shift)
         expect = _first_identity_failure_by_loop(g, values)
         try:
-            validate_cocycle(g, list(values.values()), exact=exact)
+            phases = [int(v * 60) for v in values.values()] if exact else list(values.values())
+            validate_cocycle(g, phases, turns=60 if exact else 0)
             got = None
         except CocycleIdentityViolated as exc:
             got = str(exc), exc.ids
@@ -298,12 +376,17 @@ def test_twisted_icc_examples():
 def test_exact_mode_matches_floats():
     g, w_exact = klein_pair(exact=True)
     g_float, w_float = klein_pair(exact=False)
-    assert w_exact.exact
+    assert w_exact.turns == mk.TURNS and w_exact.phases.dtype == np.int64
     assert isinstance(w_exact(*next(iter(g.composable_pairs()))), Fraction)
     wn = normalize_cocycle(g, w_exact)
-    assert wn.exact and wn.normalized
+    assert wn.turns == 2 * mk.TURNS and wn.normalized
     assert twisted_icc(g, w_exact).icc == twisted_icc(g_float, w_float).icc
     assert kleppner_holds(g, w_exact).holds == kleppner_holds(g_float, w_float).holds
+    bar = w_exact.conjugate_cocycle()
+    assert all(bar(*p) == pconj(w_exact(*p)) for p in g.composable_pairs())
+    one = trivial_cocycle(g, exact=True)
+    assert one.turns == 1 and all(one(*p) == 0 for p in g.composable_pairs())
+    assert twisted_icc(g, one).icc == twisted_icc(g, trivial_cocycle(g)).icc
 
 
 @settings(max_examples=50, deadline=None)
@@ -352,14 +435,14 @@ def test_certificates_verify(seed):
         verify_central_certificate(g, wn, cert)
 
 
-def heisenberg(n):
+def heisenberg(n, exact=False):
     """Z_n x Z_n with w((a,b),(c,d)) = exp(2 pi i a d / n); its twisted group
     algebra is M_n(C), a factor.  Element (a, b) sits at a n + b, and arrow x
-    is element x."""
+    is element x.  In exact mode the phases are turns over n."""
     g = mk.group_groupoid(mk.direct_product(mk.cyclic_group(n), mk.cyclic_group(n)))
     k = np.arange(n * n)
-    table = mk.cyclic_bicharacter(n)[np.ix_(k // n, k % n)]
-    return g, validate_cocycle(g, mk.pullback_group_cocycle(g, k, table))
+    table = mk.cyclic_bicharacter(n, exact)[np.ix_(k // n, k % n)]
+    return g, validate_cocycle(g, mk.pullback_group_cocycle(g, k, table), turns=n if exact else 0)
 
 
 _ORACLE_CASES = {
@@ -367,6 +450,7 @@ _ORACLE_CASES = {
     "twisted-exact": lambda: (mk.random_twisted_pair(s, exact=True) for s in range(200)),
     "random": lambda: ((g, trivial_cocycle(g)) for g in map(mk.random_groupoid, range(100))),
     "heisenberg": lambda: map(heisenberg, (5, 6)),
+    "heisenberg-exact": lambda: (heisenberg(n, exact=True) for n in (5, 6)),
 }
 
 
@@ -383,14 +467,49 @@ def test_central_set_search_matches_the_breadth_first_oracle(family):
             assert got.support == want.support
             assert repr(list(got.f.items())) == repr(list(want.f.items()))
             assert got.max_defect == want.max_defect
-    assert found > 0 or family == "heisenberg"
+    assert found > 0 or family.startswith("heisenberg")
 
 
 def test_heisenberg_twist_is_a_factor():
-    g, w = heisenberg(6)
-    assert twisted_icc(g, w).icc and kleppner_holds(g, w).holds
-    rep = factoriality_report(g, w)
-    assert rep.factor and rep.consistent
+    for exact in (False, True):
+        g, w = heisenberg(6, exact)
+        assert twisted_icc(g, w).icc and kleppner_holds(g, w).holds
+        rep = factoriality_report(g, w)
+        assert rep.factor and rep.consistent
+
+
+# denominators small, next to MAX_TURNS, and odd
+_DENOMINATORS = st.one_of(
+    st.sampled_from([1, 2, MAX_TURNS]),
+    st.integers(1, 10**6),
+    st.integers(MAX_TURNS - 10**6, MAX_TURNS),
+    st.integers(0, 10**6).map(lambda m: 2 * m + 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=_DENOMINATORS, data=st.data())
+def test_integer_turns_match_the_fraction_oracle(n, data):
+    # products, conjugates and the half-turns of normalization, as numerators
+    # over n, against the Fraction arithmetic in references; n // 2 is the
+    # half turn for an even n, whose square root must be +1/4
+    turns = st.lists(st.integers(0, n - 1), min_size=4, max_size=4)
+    a = np.array([0, n - 1, n // 2, *data.draw(turns)], dtype=np.int64)
+    b = np.array([n - 1, n - 1, n // 2, *data.draw(turns)], dtype=np.int64)
+    fa, fb = ([Fraction(k, n) for k in v.tolist()] for v in (a, b))
+    assert [Fraction(k, n) for k in cocycle.pmul(a, b, n).tolist()] == list(map(pmul, fa, fb))
+    assert [Fraction(k, n) for k in cocycle.pconj(a, n).tolist()] == list(map(pconj, fa))
+    half = cocycle._phase_sqrt(a, n).tolist()
+    assert [Fraction(k, 2 * n) for k in half] == list(map(phalf, fa))
+
+
+def test_complex_array_matches_the_fraction_oracle_bit_for_bit():
+    for n in range(1, 65):
+        k = np.arange(n)
+        got = cocycle.complex_array(k[::-1].reshape(1, n), n)[0, ::-1]
+        want = [cmath.exp(2j * cmath.pi * Fraction(j, n)) for j in range(n)]
+        assert list(map(repr, got.tolist())) == list(map(repr, want)), n
+        assert cocycle.complex_array(got, 0) is got
 
 
 def _exact_outputs(g, w) -> str:
@@ -399,8 +518,9 @@ def _exact_outputs(g, w) -> str:
     arrow, max_defect), the Kleppner verdict and the factoriality report."""
     cert = central_set_search(g, w)
     kv = kleppner_holds(g, w)
+    wn = normalize_cocycle(g, w)
     return "\n".join([
-        " ".join(map(str, normalize_cocycle(g, w).phases.tolist())),
+        " ".join(str(Fraction(k, wn.turns)) for k in wn.phases.tolist()),
         "none" if cert is None else repr((sorted(cert.support), sorted(cert.f.items()),
                                           float(cert.max_defect))),
         repr((bool(kv.holds), kv.witness)),

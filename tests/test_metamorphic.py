@@ -42,7 +42,8 @@ def _rebuild(g, w, rename, arrows, compose):
     )
     if w is None:
         return h, None
-    return h, validate_cocycle(h, [w(*p) for p in h.composable_pairs()], exact=w.exact)
+    phases = [int(w(*p) * w.turns) if w.turns else w(*p) for p in h.composable_pairs()]
+    return h, validate_cocycle(h, phases, turns=w.turns)
 
 
 def permute_arrows(g, w, rng):
@@ -107,7 +108,7 @@ def _relabelled(g, w, rng):
 
 def _cobounded(g, w, rng):
     base = trivial_cocycle(g) if w is None else w
-    return g, apply_coboundary(g, base, mk.random_coboundary(g, rng, base.exact))
+    return g, apply_coboundary(g, base, mk.random_coboundary(g, rng, bool(base.turns)))
 
 
 _TRANSFORMS = {

@@ -41,7 +41,7 @@ def test_round_trip_cocycle(klein_twisted):
     g, w = parse_text(text)
     assert w is not None
     for pair in g0.composable_pairs():
-        from factoroid.cocycle import as_complex
+        from references import as_complex
 
         assert w(*pair) == as_complex(w0(*pair))
     assert serialize(g, w) == text

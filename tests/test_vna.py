@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from factoroid import constructors as mk
 from factoroid.basis import build_basis
-from factoroid.cocycle import apply_coboundary, as_complex, normalize_cocycle, trivial_cocycle
+from factoroid.cocycle import apply_coboundary, normalize_cocycle, trivial_cocycle
 from factoroid.conjugacy import _loops_off_units, is_icc
 from factoroid import vna
 from factoroid.groupoid import MeasuredGroupoid, validate_groupoid
@@ -34,6 +34,7 @@ from factoroid.vna import (
 
 from dense_oracle import commutant, svd_span
 from references import (
+    as_complex,
     by_source,
     conjugate,
     from_names,
