@@ -28,7 +28,7 @@ from typing import Iterable, NamedTuple, Optional
 import numpy as np
 
 from .groupoid import GroupoidError, MeasuredGroupoid
-from .conjugacy import _loops_off_units, _require_isotropy
+from .conjugacy import _require_isotropy
 
 UNIT_MODULUS_TOL = 1e-12
 IDENTITY_TOL = 1e-10
@@ -74,9 +74,9 @@ def complex_array(a: np.ndarray, turns: int) -> np.ndarray:
     numerator k as exp(2*pi*i*(k/turns)), one ``cmath.exp`` per distinct k."""
     if not turns:
         return a
-    k, at = np.unique(a, return_inverse=True)
+    k = np.unique(a)
     z = np.array([cmath.exp(2j * cmath.pi * (v / turns)) for v in k.tolist()], dtype=complex)
-    return z[at].reshape(a.shape)
+    return z[k.searchsorted(a)]
 
 
 def _checked_turns(turns) -> int:
@@ -203,8 +203,9 @@ def validate_cocycle(
 
 def trivial_cocycle(g: MeasuredGroupoid, *, exact: bool = False) -> Cocycle:
     """Phase 1 on every pair; in exact mode the turn 0 over 1."""
-    n = len(g.pairs.left)
-    return Cocycle(g, np.zeros(n, np.int64) if exact else np.ones(n, complex), int(exact), True)
+    phases = np.empty(len(g.pairs.left), np.int64 if exact else complex)
+    phases.fill(0 if exact else 1)
+    return Cocycle(g, phases, int(exact), True)
 
 
 def _cobounded(g: MeasuredGroupoid, phases: np.ndarray, rho: np.ndarray, turns: int) -> np.ndarray:
@@ -246,7 +247,8 @@ def normalize_cocycle(g: MeasuredGroupoid, w: Cocycle) -> Cocycle:
     and x^-1, brings every (x, x^-1) to 1 and leaves the unit pairs, all to
     that tolerance (exactly for turns).  A check at the tighter
     ``UNIT_MODULUS_TOL`` would measure only the tolerance.  The square roots
-    of turns over N are over 2N, and so is an exact result."""
+    of turns over N are over 2N, and so is an exact result, which is then put
+    over the least denominator of its turns: normalizing it again keeps N."""
     t, phases, n = g.pairs, w.on(g), w.turns
     step1 = _cobounded(g, phases, pconj(phases[t.start[t.unit_arrow[t.src]] + t.rank], n), n)
     # one half-phase per inverse pair, taken at a canonical representative:
@@ -256,9 +258,12 @@ def normalize_cocycle(g: MeasuredGroupoid, w: Cocycle) -> Cocycle:
     rep = np.minimum(np.arange(len(t.inv)), t.inv)
     half = pconj(step1[t.start[t.inv[rep]] + t.rank[rep]], n)  # conj w(rep, rep^-1)
     rho = _phase_sqrt(half, n)
-    if n:  # rho is over 2N: rewrite the phases over 2N too
-        n, step1 = _checked_turns(2 * n), 2 * step1
-    return Cocycle(g, _cobounded(g, step1, rho, n), n, True)
+    if not n:
+        return Cocycle(g, _cobounded(g, step1, rho, n), n, True)
+    n = _checked_turns(2 * n)  # rho is over 2N: rewrite the phases over 2N too
+    phases = _cobounded(g, 2 * step1, rho, n)
+    d = int(np.gcd.reduce(phases, initial=n))
+    return Cocycle(g, phases // d, n // d, True)
 
 
 def _normalized(g: MeasuredGroupoid, w: Optional[Cocycle]) -> Cocycle:
@@ -280,7 +285,7 @@ def central_set_search(
     move onto c in storage order; the orbit is central exactly when every
     move closes up (holonomy 1 within ``HOLONOMY_TOL``, exactly for turns).
     The moves are read from ``g.pairs`` by position and checked at once."""
-    loops = np.flatnonzero(_loops_off_units(g)[1])
+    loops = g._loops_off_units[1].nonzero()[0]
     if not len(loops):
         return None
     w = _normalized(g, w)
@@ -289,13 +294,13 @@ def central_set_search(
     keep = g.unit_masses[t.tgt[a]] > 0.0
     i, p, a, c = i[keep], p[keep], a[keep], c[keep]
     factor = pmul(pconj(phase[t.start[a] + t.rank[c]], n), phase[p], n)  # conj(w(c, a)) w(a, h)
-    j = np.searchsorted(loops, c)
+    j = loops.searchsorted(c)
     # moves run h in ascending order, so the first move onto a loop comes
     # from the least loop of its orbit, and is that loop's first onto it
-    hit = np.full(len(loops), len(j))
+    hit = np.zeros(len(loops), dtype=np.intp) + len(j)
     np.minimum.at(hit, j, np.arange(len(j)))
     root = i[hit]
-    roots = np.flatnonzero(root == np.arange(len(loops)))
+    roots = (root == np.arange(len(loops))).nonzero()[0]
     one = 0 if n else 1.0 + 0j
     f = pmul(factor[hit], one, n)
     f[roots], hit[roots] = one, -1
@@ -306,8 +311,8 @@ def central_set_search(
     good = roots[np.bincount(root[i[bad]], minlength=len(loops))[roots] == 0]
     if not len(good):
         return None
-    orbit = np.flatnonzero(root == good[0])
-    orbit = orbit[np.argsort(hit[orbit])]
+    orbit = (root == good[0]).nonzero()[0]
+    orbit = orbit[hit[orbit].argsort()]
     name = list(map(g.arrow_order.__getitem__, loops[orbit].tolist()))
     return CentralSetCertificate(
         support=frozenset(name),
@@ -353,7 +358,7 @@ def kleppner_holds(g: MeasuredGroupoid, w: Optional[Cocycle]) -> KleppnerVerdict
     bisection forces the self-condition on each of its positive singletons.
     The conjugations and phases are read from ``g.pairs`` by position.
     """
-    h = np.flatnonzero(_loops_off_units(g)[1])
+    h = g._loops_off_units[1].nonzero()[0]
     if not len(h):
         return KleppnerVerdict(True)
     t, phase = g.pairs, _normalized(g, w).on(g)
@@ -364,7 +369,7 @@ def kleppner_holds(g: MeasuredGroupoid, w: Optional[Cocycle]) -> KleppnerVerdict
     i, p, a = i[fixes], p[fixes], a[fixes]
     ha, ah = phase[t.start[a] + t.rank[h[i]]], phase[p]  # w(h, a), w(a, h)
     close = ha == ah if w.turns else np.abs(ha - ah) <= HOLONOMY_TOL
-    symmetric = np.flatnonzero(np.bincount(i[~close], minlength=len(h)) == 0)
+    symmetric = (np.bincount(i[~close], minlength=len(h)) == 0).nonzero()[0]
     if len(symmetric):
         return KleppnerVerdict(False, witness=g.arrow_order[h[symmetric[0]]])
     return KleppnerVerdict(True)

@@ -82,7 +82,7 @@ def is_icc(g: MeasuredGroupoid) -> IccVerdict:
     the condition holds exactly when every isotropy arrow outside the units
     is based at a zero-mass unit.
     """
-    off, positive = _loops_off_units(g)
+    off, positive = g._loops_off_units
     witness = frozenset(compress(g.arrow_order, positive))
     counts = np.bincount(g.pairs.src[off], minlength=len(g.units))
     return IccVerdict(
@@ -90,15 +90,6 @@ def is_icc(g: MeasuredGroupoid) -> IccVerdict:
         witness=witness or None,
         fiber_counts=dict(zip(g.units, counts.tolist())),
     )
-
-
-def _loops_off_units(g: MeasuredGroupoid) -> tuple[np.ndarray, np.ndarray]:
-    """Masks over the arrows: the isotropy arrows that are not unit arrows,
-    and those of them at a positive-mass unit."""
-    t = g.pairs
-    off = t.src == t.tgt
-    off[t.unit_arrow] = False
-    return off, off & (g.unit_masses[t.src] > 0.0)
 
 
 def ergodic_class_decomposition(
@@ -117,8 +108,8 @@ def ergodic_class_decomposition(
     if not g.is_ergodic().ergodic:
         raise NotErgodic("decomposition requires an ergodic groupoid")
     src, positive = g.pairs.src, g.unit_masses > 0.0
-    live = np.flatnonzero(_closure(g, _require_isotropy(g, base)) & positive[src])
+    live = (_closure(g, _require_isotropy(g, base)) & positive[src]).nonzero()[0]
     k = int(np.bincount(src[live], minlength=len(positive))[positive].max(initial=0))
     rank = np.empty_like(live)
-    rank[np.argsort(src[live], kind="stable")] = np.arange(len(live)) % k
+    rank[src[live].argsort(kind="stable")] = np.arange(len(live)) % k
     return [tuple(g._names(g.arrow_order, live[rank == j])) for j in range(k)]

@@ -115,9 +115,9 @@ class PairTable:
     identity arrow of each unit.  Pair p, the p-th of ``composable_pairs()``,
     is (left[p], right[p]) with product prod[p], on row row[p] of the
     composition table.  The pair (x, y) is start[y] + rank[x], where rank[x]
-    is the place of x among the arrows with its source.  The orbit of unit u
-    is named by its least unit roots[u], the least source of an arrow into
-    u, since an orbit has an arrow between any two units.
+    is the place of x among the fan[u] arrows with its source u.  The orbit
+    of unit u is named by its least unit roots[u], the least source of an
+    arrow into u, since an orbit has an arrow between any two units.
     """
 
     left: np.ndarray
@@ -131,6 +131,7 @@ class PairTable:
     inv: np.ndarray
     unit_arrow: np.ndarray
     roots: np.ndarray
+    fan: np.ndarray
 
     def at(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The positions of the pairs (x[i], y[i]), -1 where an arrow is
@@ -143,9 +144,9 @@ class PairTable:
         """Every conjugation of the loops h: the pairs p = (a, h[i]) with a
         running over the arrows with source s(h[i]) in storage order, h[0]
         first, and the conjugates c = a h[i] a^-1.  Returns (i, p, a, c)."""
-        count = np.bincount(self.src, minlength=len(self.unit_arrow))[self.tgt[h]]
-        i = np.repeat(np.arange(len(h)), count)
-        p = np.arange(len(i)) + np.repeat(self.start[h] - (np.cumsum(count) - count), count)
+        count = self.fan[self.tgt[h]]
+        i = np.arange(len(h)).repeat(count)
+        p = np.arange(len(i)) + (self.start[h] - (count.cumsum() - count)).repeat(count)
         a = self.left[p]
         return i, p, a, self.prod[self.start[self.inv[a]] + self.rank[self.prod[p]]]
 
@@ -162,20 +163,18 @@ class PairTable:
         passes ``middles`` None on a table of at most _FULL_PASS_TRIPLES
         triples, and the generators first on a larger one.
 
-        A triple is a pair (y, z) and a rank j < s, s the number of arrows x
-        with source t(y): xy = start[y] + j and x(yz) = start[yz] + j.  The
+        A triple is a pair (y, z) and a rank j < s, s = fan[t(y)] the number of
+        arrows x with source t(y): xy = start[y] + j and x(yz) = start[yz] + j.  The
         triples are visited in 2-D blocks, pairs times ranks, of at most about
         _TRIPLE_BLOCK entries (see ``_triple_blocks``).
         """
-        n, fan = len(self.src), np.bincount(self.src)
+        n = len(self.src)
         if middles is None:
             pairs = np.arange(len(self.left))
-        else:
-            chosen = np.zeros(n, dtype=bool)
-            chosen[middles] = True
-            pairs = np.flatnonzero(chosen[self.left])
+        else:  # the pairs whose left arrow is a middle
+            pairs = np.bincount(middles, minlength=n)[self.left].nonzero()[0]
         best = None
-        for yz, j in _triple_blocks(pairs, fan[self.tgt[self.left[pairs]]]):
+        for yz, j in _triple_blocks(pairs, self.fan[self.tgt[self.left[pairs]]]):
             xy = self.start[self.left[yz]] + j
             xy_z = self.start[self.right[yz]] + self.rank[self.prod[xy]]
             bad = fails(xy, yz, xy_z, self.start[self.prod[yz]] + j)
@@ -211,7 +210,7 @@ class PairTable:
         """
         n, k = len(self.src), len(self.unit_arrow)
         root, first = self.roots, np.full(k, n)
-        from_root = np.flatnonzero(self.src == root[self.tgt])
+        from_root = (self.src == root[self.tgt]).nonzero()[0]
         np.minimum.at(first, self.tgt[from_root], from_root)  # the first arrow r -> u
         orbit = root[self.src]
         tree = first[root != np.arange(k)]
@@ -225,7 +224,7 @@ class PairTable:
                 if reached[made].all():
                     break
                 reached[made] = True
-            missed = np.flatnonzero(~reached)
+            missed = (~reached).nonzero()[0]
             if not len(missed):
                 return np.concatenate(found)
             first[:] = n  # the first missed arrow of each orbit
@@ -239,15 +238,15 @@ class PairTable:
         and the positions here of its pairs, in its order."""
         if units.all():
             return self, np.arange(len(self.left))
-        arrows = np.flatnonzero(units[self.src])
-        at = np.full(len(self.src), -1, dtype=np.intp)
-        at[arrows] = np.arange(len(arrows))
-        pairs = np.flatnonzero(units[self.src[self.right]])
-        count = np.bincount(self.src, minlength=len(units))[self.tgt[arrows]]
+        kept = units[self.src]
+        arrows, at = kept.nonzero()[0], kept.cumsum() - 1  # at: the place of a kept arrow
+        pairs = kept[self.right].nonzero()[0]
+        count = self.fan[self.tgt[arrows]]
         table = PairTable(
             at[self.left[pairs]], at[self.right[pairs]], at[self.prod[pairs]],
-            self.row[pairs], self.src[arrows], self.tgt[arrows], np.cumsum(count) - count,
-            self.rank[arrows], at[self.inv[arrows]], at[self.unit_arrow], self.roots,
+            self.row[pairs], self.src[arrows], self.tgt[arrows], count.cumsum() - count,
+            self.rank[arrows], at[self.inv[arrows]], np.where(units, at[self.unit_arrow], -1),
+            self.roots, self.fan * units,
         )
         return table, pairs
 
@@ -267,9 +266,9 @@ def _triple_blocks(pairs: np.ndarray, size: np.ndarray) -> Iterator[tuple[np.nda
     if len(pairs) * most <= _TRIPLE_BLOCK // 4:
         yield pairs[:, None], np.minimum(np.arange(most), size[:, None] - 1)
         return
-    order = np.argsort(size, kind="stable")
+    order = size.argsort(kind="stable")
     pairs, size = pairs[order], size[order]
-    cuts = (np.flatnonzero(size[1:] != size[:-1]) + 1).tolist()
+    cuts = ((size[1:] != size[:-1]).nonzero()[0] + 1).tolist()
     for first, end in zip([0, *cuts], [*cuts, len(pairs)]):
         s = int(size[first])
         j, step = np.arange(s), max(1, _TRIPLE_BLOCK // s)
@@ -502,10 +501,11 @@ class MeasuredGroupoid:
         if len(src) and max(usrc.max(), utgt.max()) >= k:  # the mask only then
             a = labels[((usrc >= k) | (utgt >= k)).argmax()]
             raise DanglingReference(f"arrow {a!r} references unknown unit", [a])
-        # src_ and tgt_ end with a -1, the endpoints of an unknown arrow,
-        # which every table below names as -1
-        src_, tgt_ = ends = np.full((2, n + 1), -1)
-        ends[:, :n] = src, tgt
+        # the endpoints and the inverse of each arrow, each row ending with
+        # the -1 of an unknown arrow, which every table below names as -1
+        src_, tgt_, inv = ends = np.empty((3, n + 1), dtype=np.intp)
+        ends.fill(-1)
+        ends[:2, :n] = src, tgt
 
         x, e = self._unit_arrows
         if len(x) != k or set(x.tolist()) != set(range(k)):
@@ -522,7 +522,6 @@ class MeasuredGroupoid:
         unit_arrow = np.empty(k, dtype=np.intp)
         unit_arrow[x] = e
         g, gi = _known(self._inverse, n)
-        inv = np.full(n + 1, -1)  # the inverse of each arrow, and of none
         inv[g] = gi
 
         pairs = self._table_in_positions(src_, tgt_, self._compose_rows(), inv[:-1], unit_arrow)
@@ -568,8 +567,7 @@ class MeasuredGroupoid:
         # name the first failing one
         def fails(xy, yz, xy_z, x_yz):
             return prod[xy_z] != prod[x_yz]
-        fan = np.bincount(src, minlength=k)
-        if (fan[src] @ fan[tgt] <= _FULL_PASS_TRIPLES
+        if (pairs.fan[src] @ pairs.fan[tgt] <= _FULL_PASS_TRIPLES
                 or pairs.first_failure(fails, "xy", pairs.generators()) is not None):
             found = pairs.first_failure(fails, "xy")
             if found is not None:
@@ -621,23 +619,23 @@ class MeasuredGroupoid:
 
         src, tgt = src_[:-1], tgt_[:-1]
         fan = np.bincount(src, minlength=len(self.units))
-        by_src = np.argsort(src, kind="stable")  # rank: the place in its source's run
+        by_src = src.argsort(kind="stable")  # rank: the place in its source's run
         rank = np.empty_like(by_src)
-        rank[by_src] = np.arange(len(src)) - (np.cumsum(fan) - fan)[src[by_src]]
+        rank[by_src] = np.arange(len(src)) - (fan.cumsum() - fan)[src[by_src]]
         count = fan[tgt]  # pairs with each arrow as right factor
-        start = np.cumsum(count) - count
+        start = count.cumsum() - count
         at, size = start[h] + rank[g], int(count.sum())
         hits = np.bincount(at, minlength=size)
         if hits.max(initial=1) > 1:
-            order = np.argsort(at, kind="stable")  # a row repeats the one before it
+            order = at.argsort(kind="stable")  # a row repeats the one before it
             i = int(order[1:][at[order[1:]] == at[order[:-1]]].min())
             a, b = self.arrow_order[g[i]], self.arrow_order[h[i]]
             raise DanglingReference(f"compose row for ({a!r},{b!r}) repeats an earlier row",
                                     [a, b])
         if len(at) < size:  # the rows are distinct composable pairs, not all
             p = int(hits.argmin())
-            y = int(np.searchsorted(start, p, side="right")) - 1
-            a = self.arrow_order[np.flatnonzero(src == tgt[y])[p - start[y]]]
+            y = int(start.searchsorted(p, side="right")) - 1
+            a = self.arrow_order[(src == tgt[y]).nonzero()[0][p - start[y]]]
             b = self.arrow_order[y]
             raise DanglingReference(f"missing composition for composable pair ({a!r},{b!r})",
                                     [a, b])
@@ -645,7 +643,7 @@ class MeasuredGroupoid:
         left[at], right[at], prod[at], row[at] = g, h, gh, np.arange(len(at))
         roots = np.arange(len(fan))  # the unit arrow of u runs into u
         np.minimum.at(roots, tgt, src)
-        return PairTable(left, right, prod, row, src, tgt, start, rank, inv, unit_arrow, roots)
+        return PairTable(left, right, prod, row, src, tgt, start, rank, inv, unit_arrow, roots, fan)
 
     # -- structural operations --------------------------------------------
 
@@ -657,22 +655,30 @@ class MeasuredGroupoid:
     def orbits(self) -> tuple[frozenset[str], ...]:
         """Partition of units generated by (src, tgt) pairs, in unit order."""
         roots = self.pairs.roots
-        return self._orbits_of(np.flatnonzero(roots == np.arange(len(roots))))
+        return self._orbits_of((roots == np.arange(len(roots))).nonzero()[0])
 
     def _orbits_of(self, roots: np.ndarray) -> tuple[frozenset[str], ...]:
         """The orbits of the given least units, by name."""
         of = self.pairs.roots
         return tuple(frozenset(compress(self.units, of == r)) for r in roots.tolist())
 
+    @functools.cached_property
     def _positive_orbits(self) -> np.ndarray:
         """The least units of the orbits that carry positive mass, in order."""
-        carries = np.zeros(len(self.units), dtype=bool)
-        carries[self.pairs.roots[self.unit_masses > 0.0]] = True
-        return np.flatnonzero(carries)
+        carries = np.bincount(self.pairs.roots[self.unit_masses > 0.0], minlength=len(self.units))
+        return carries.nonzero()[0]
+
+    @functools.cached_property
+    def _loops_off_units(self) -> tuple[np.ndarray, np.ndarray]:
+        """Masks over the arrows: the loops off the units, and those at a positive unit."""
+        t = self.pairs
+        off = t.src == t.tgt
+        off[t.unit_arrow] = False
+        return off, off & (self.unit_masses[t.src] > 0.0)
 
     def is_ergodic(self) -> ErgodicityVerdict:
         """True when a single orbit carries all the positive mass."""
-        positive = self._positive_orbits()
+        positive = self._positive_orbits
         if len(positive) <= 1:
             return ErgodicityVerdict(True)
         return ErgodicityVerdict(False, witness=self._orbits_of(positive[:2]))
@@ -700,8 +706,8 @@ class MeasuredGroupoid:
         if total <= 0.0:
             raise EmptyRestriction("restriction carries zero mass")
         kept = np.fromiter(map(keep_set.__contains__, self.units), bool)
-        units = np.flatnonzero(kept)
-        arrows = np.flatnonzero(kept[t.src] & kept[t.tgt])
+        units = kept.nonzero()[0]
+        arrows = (kept[t.src] & kept[t.tgt]).nonzero()[0]
         unit_at, at = np.full(len(kept), -1), np.full(len(t.src), -1)
         unit_at[units], at[arrows] = np.arange(len(units)), np.arange(len(arrows))
         rows = self._compose_rows()  # the pair table in row order, masked

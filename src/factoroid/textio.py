@@ -178,7 +178,8 @@ def _phases(g: MeasuredGroupoid, fields: list[str]) -> Optional[np.ndarray]:
         return None
     if not (np.abs(np.abs(v) - 1.0) <= UNIT_MODULUS_TOL).all():  # NaN fails too
         return None
-    phases = np.ones(len(t.left), dtype=complex)
+    phases = np.empty(len(t.left), dtype=complex)
+    phases.fill(1.0)
     phases[at] = v
     return phases
 

@@ -228,14 +228,14 @@ class MatrixStarAlgebra(_Span):
         tol: float = RANK_TOL,
         observed_gap: Optional[tuple[float, float]] = None,
     ):
-        ops = np.asarray(rows, dtype=complex)
-        self.basis_ops = ops
+        self.basis_ops = ops = np.asarray(rows, dtype=complex)
         self.tol = tol
         self.observed_gap = observed_gap
         self._rows = ops.reshape(len(ops), math.prod(ops.shape[1:]))
         self.dim = len(ops)
         gram = self._rows @ self._rows.conj().T
-        defect = float(np.abs(gram - np.eye(self.dim)).max(initial=0.0))
+        gram.flat[:: self.dim + 1] -= 1.0  # less the identity
+        defect = float(np.abs(gram).max(initial=0.0))
         if not defect <= RANK_TOL:
             raise InternalInconsistency(f"span rows are not orthonormal (defect {defect})")
 
@@ -269,8 +269,11 @@ class TranslationAlgebra(_Span):
         self.pairs = pairs
         self.matrix_dim = self.dim = n
         self.tol = tol
-        arrow, _, _, val = forms
-        self._scale = 1.0 / np.bincount(arrow, val.real ** 2 + val.imag ** 2, n)
+
+    @functools.cached_property
+    def _scale(self) -> np.ndarray:  # 1 / |T_a|_F^2 by arrow, read by ``residuals`` alone
+        arrow, _, _, val = self.forms
+        return 1.0 / np.bincount(arrow, val.real ** 2 + val.imag ** 2, self.matrix_dim)
 
     @property
     def basis_ops(self) -> np.ndarray:
@@ -292,7 +295,7 @@ class TranslationAlgebra(_Span):
         # <T_a, x> pairs each entry of T_a with the entry of x at its place
         inner = np.zeros((self.matrix_dim, len(ops)), dtype=complex)
         np.add.at(inner, arrow, (val.conj() * ops[:, row, col]).T)
-        proj = np.zeros_like(ops)  # entries of distinct translations never share a place
+        proj = np.zeros(ops.shape, complex)  # entries of distinct translations never share a place
         proj[:, row, col] = (inner.T * self._scale)[:, arrow] * val
         shape = (len(ops), math.prod(ops.shape[1:]))
         return _relative((ops - proj).reshape(shape), ops.reshape(shape))
@@ -303,7 +306,7 @@ def _relative(diff: np.ndarray, flat: np.ndarray) -> np.ndarray:
     The row norms are reduced as ``np.linalg.norm(x, axis=1)`` reduces them,
     so they are its bits, without its Python wrapper."""
     residual, norm = (np.sqrt(np.add.reduce((x.conj() * x).real, axis=1)) for x in (diff, flat))
-    return np.divide(residual, norm, out=np.zeros_like(residual), where=norm != 0.0)
+    return np.divide(residual, norm, out=np.zeros(len(residual)), where=norm != 0.0)
 
 
 def subspace_leq(
@@ -349,11 +352,10 @@ def _null_algebra(
     """
     sigmas = np.sqrt(np.maximum(eigvals, 0.0))
     scale = max(1.0, float(sigmas.max(initial=0.0)))
-    cand = np.flatnonzero(sigmas <= _CANDIDATE_CUT * scale)
+    cand = (sigmas <= _CANDIDATE_CUT * scale).nonzero()[0]
     elements, residuals = confirm(cand)
     ok = residuals <= tol * scale
-    rejected = np.ones(len(sigmas), dtype=bool)
-    rejected[cand[ok]] = False
+    rejected = np.bincount(cand[ok], minlength=len(sigmas)) == 0
     gap = (float(residuals[ok].max(initial=0.0)), float(sigmas[rejected].min(initial=np.inf)))
     return elements[ok], gap
 
@@ -406,8 +408,8 @@ def _structure_constants(g: MeasuredGroupoid, w: Cocycle, space: L2Space) -> _Co
     return t.left, t.right, t.prod, complex_array(w.on(g)[space.pair_positions], w.turns)
 
 
-def _commutator_rows(alg: TranslationAlgebra) -> tuple[np.ndarray, ...]:
-    """The entries of ``center``'s K, read off the pair index ``alg.pairs``.
+def _commutator_rows(alg: TranslationAlgebra, norms: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The entries of ``center``'s K, read off ``alg.pairs`` and the norms |L_a|_F.
 
     Pair p = (a, b) puts value[p] = |L_ab|_F w(a,b) in column a of row
     (b, ab) and -value[p] in column b of row (a, ab).  The row (b, ab) of a
@@ -415,10 +417,9 @@ def _commutator_rows(alg: TranslationAlgebra) -> tuple[np.ndarray, ...]:
     (b, c), in column c[m] = b^-1 a b, the product of the pair (b^-1, ab);
     every other row has one entry.  Returns (value, loop, c, mate).
     """
-    pairs, n = alg.pairs, alg.matrix_dim
-    i, j, k, phase = alg.forms
-    value = phase * np.sqrt(np.bincount(i, minlength=n))[k]
-    loop = np.flatnonzero(pairs.src[i] == pairs.tgt[i])
+    pairs, (i, j, k, phase) = alg.pairs, alg.forms
+    value = phase * norms[k]
+    loop = (pairs.src[i] == pairs.tgt[i]).nonzero()[0]
     b = j[loop]
     c = k[pairs.start[k[loop]] + pairs.rank[pairs.inv[b]]]
     return value, loop, c, pairs.start[c] + pairs.rank[b]
@@ -487,11 +488,9 @@ def center(
     n = alg.matrix_dim
     i, j = alg.forms[:2]  # the composable pairs (a, b)
     norms = np.sqrt(np.bincount(i, minlength=n))  # |L_a|_F^2 counts its entries
-    entries = _commutator_rows(alg)
-    value, loop, c, mate = entries
+    value, loop, c, mate = entries = _commutator_rows(alg, norms)
     a = i[loop]
-    lone = np.ones(len(i), dtype=bool)  # the rows (a, ab) with one entry
-    lone[mate] = False
+    lone = np.bincount(mate, minlength=len(i)) == 0  # the rows (a, ab) with one entry
     lone_col, lone_value = j[lone], value[lone]
 
     # the blocks: label[a] is the least column of a's class
@@ -506,7 +505,7 @@ def center(
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
     sizes = size[order]
-    at = np.cumsum(sizes) - sizes  # by sorted position
+    at = sizes.cumsum() - sizes  # by sorted position
     local = rank - rank[label]
     gram_row, gram_col, term = _gram_entries(alg, *entries)
     cell = at[rank[gram_row]] + local[gram_col]
@@ -515,14 +514,14 @@ def center(
 
     # the eigenvalue at sorted position p has its eigenvector, over the
     # columns of its block, at vecs[at[p]:][:s], as its Gram row was
-    eigvals, vecs = np.empty(n), np.ones(total, dtype=complex)
+    eigvals, vecs = np.empty(n), np.empty(total, dtype=complex)
     # a run of one block size starts at position 0 (if there is one) and
     # wherever the sorted sizes change
-    starts = np.flatnonzero(np.concatenate([sizes[:1] > 0, sizes[1:] != sizes[:-1]])).tolist()
+    starts = np.concatenate([sizes[:1] > 0, sizes[1:] != sizes[:-1]]).nonzero()[0].tolist()
     for lo, hi in zip(starts, [*starts[1:], n]):
         s, cells = sizes[lo], slice(at[lo], at[lo] + (hi - lo) * sizes[lo])
         if s == 1:
-            eigvals[lo:hi] = gram[cells].real
+            eigvals[lo:hi], vecs[cells] = gram[cells].real, 1.0
         else:
             e, v = np.linalg.eigh(gram[cells].reshape(-1, s, s))
             eigvals[lo:hi], vecs[cells] = e.ravel(), v.swapaxes(1, 2).ravel()
@@ -530,19 +529,19 @@ def center(
     def confirm(cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         first = cand - local[order[cand]]  # sorted position of the block's least column
         # entry ``step`` of the eigenvector of candidate ``own``
-        own = np.repeat(np.arange(len(cand)), sizes[cand])
-        step = np.arange(len(own)) - (np.cumsum(sizes[cand]) - sizes[cand])[own]
+        own = np.arange(len(cand)).repeat(sizes[cand])
+        step = np.arange(len(own)) - (sizes[cand].cumsum() - sizes[cand])[own]
         column, v = order[first[own] + step], vecs[at[cand][own] + step]
         y = norms[column] * v
         length = np.sqrt(np.bincount(own, y.real ** 2 + y.imag ** 2, len(cand)))
         # a row of K lies in one block, so candidates of distinct blocks share
         # one pass over the rows, each taking |Kv|^2 from its own block's rows
-        layer = np.arange(len(cand)) - np.searchsorted(first, first)
-        squares = np.zeros(len(cand) + 1)
+        layer = np.arange(len(cand)) - first.searchsorted(first)
+        squares = np.zeros(len(cand) + 1)  # the first for the columns of no candidate
         for t in range(layer.max(initial=-1) + 1):
             mine = layer[own] == t
-            coef, who = np.zeros(n, dtype=complex), np.full(n, len(cand))
-            coef[column[mine]], who[column[mine]] = v[mine], own[mine]
+            coef, who = np.zeros(n, dtype=complex), np.zeros(n, dtype=np.intp)
+            coef[column[mine]], who[column[mine]] = v[mine], own[mine] + 1
             kv = value * coef[i]  # the rows (b, ab), then the lone rows (a, ab)
             kv[loop] -= value[mate] * coef[c]
             lone_kv = lone_value * coef[lone_col]
@@ -550,7 +549,7 @@ def center(
             squares += np.bincount(who[lone_col], lone_kv.real ** 2 + lone_kv.imag ** 2, len(cand) + 1)
         x = np.zeros((len(cand), n), dtype=complex)
         x[own, column] = y / length[own]
-        return x, np.sqrt(squares[:-1]) / length
+        return x, np.sqrt(squares[1:]) / length
 
     rows, gap = _null_algebra(eigvals, confirm, tol)
     return MatrixStarAlgebra(rows, tol, gap)
@@ -568,8 +567,8 @@ def invariant_subalgebra(
     t = space.pairs
     # L_{e_u} has one entry per positive arrow with target u
     norms = np.sqrt(np.bincount(t.unit_arrow[t.tgt], minlength=space.dim))
-    positive = g._positive_orbits()
-    orbit = np.searchsorted(positive, g.pairs.roots[t.tgt])
+    positive = g._positive_orbits
+    orbit = positive.searchsorted(g.pairs.roots[t.tgt])
     rows = norms * (orbit == np.arange(len(positive))[:, None])
     # the row norms as np.linalg.norm reduces them, without its wrapper
     return MatrixStarAlgebra(rows / np.sqrt(np.add.reduce(rows * rows, axis=1, keepdims=True)))
@@ -643,10 +642,11 @@ def fourier(
     The coefficient at block B is E(a L_B^*), a function on units; the
     element is reconstructed as the sum of (coefficient as diagonal) L_B.
     Reconstruction is exact at finite dimension, so residuals beyond the
-    stated tolerances are treated as internal errors.  Rounding grows with
-    the element, so the residual is held to ``FOURIER_RESIDUAL_TOL`` times
-    max(1, |op|_F), which bounds |op|_2, and the Parseval gap to
-    ``PARSEVAL_TOL`` times max(1, phi(a*a)).
+    stated tolerances are treated as internal errors.  The residual is the
+    Frobenius norm of the reconstruction error, an upper bound on its
+    spectral norm that needs no SVD.  Rounding grows with the element, so the
+    residual is held to ``FOURIER_RESIDUAL_TOL`` times max(1, |op|_F), and the
+    Parseval gap to ``PARSEVAL_TOL`` times max(1, phi(a*a)).
     """
     if not basis.symmetric:
         raise AsymmetricBasis("expansion requires a symmetric basis")
@@ -659,13 +659,13 @@ def fourier(
         raise NotInAlgebra(f"operator is not in the algebra span ({res})")
     op = np.asarray(op, dtype=complex)
     coeffs: dict[int, dict[str, complex]] = {}
-    recon = np.zeros_like(op)
+    recon = np.zeros(op.shape, dtype=complex)
     arrow, col, row, val = alg.forms
     t, n = space.pairs, space.dim
     # the positive units, in the order of g.units, and the rows of their
     # unit arrows: E(x) reads x*1 only there, so of a L_B^* only these rows
     # are formed
-    positive = np.flatnonzero(g.unit_masses > 0.0)
+    positive = (g.unit_masses > 0.0).nonzero()[0]
     units = t.unit_arrow[positive]
     op_units = op[units]
     names = [g.units[u] for u in positive.tolist()]
@@ -686,10 +686,10 @@ def fourier(
         # a*1 takes the value cf_B(t(b)) at each arrow b of block B, and
         # |delta_b|^2 is the mass of s(b), which differs from that of t(b)
         # unless g is pmp; hypot is the rounding of abs() on a complex
-        b = np.flatnonzero(member)
+        b = member.nonzero()[0]
         cf = coef[t.tgt[b]]
         parseval += math.fsum((space.weights[b] * np.hypot(cf.real, cf.imag) ** 2).tolist())
-    residual = float(np.linalg.norm(recon - op, 2))
+    residual = float(np.linalg.norm(recon - op))
     phi_aa = float(np.real(np.vdot(op @ space.unit_vector, op @ space.unit_vector)))
     data = FourierData(
         coefficients=coeffs,

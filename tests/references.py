@@ -73,7 +73,7 @@ from factoroid.cocycle import (
     trivial_cocycle,
     validate_cocycle,
 )
-from factoroid.conjugacy import IccVerdict, _loops_off_units
+from factoroid.conjugacy import IccVerdict
 from factoroid.constructors import DeaconuRenaultSystem, FiniteGroupTable, PartialActionSystem
 from factoroid.groupoid import GroupoidError, MeasuredGroupoid, validate_groupoid
 from factoroid.vna import L2Space, TranslationAlgebra
@@ -258,7 +258,7 @@ def central_set_search_by_bfs(g: MeasuredGroupoid, w: Cocycle) -> Optional[Centr
     every off-tree move closes up (loop holonomy 1 within ``HOLONOMY_TOL``).  The
     moves and their phases are read from ``g.pairs`` by position.
     """
-    loops = np.flatnonzero(_loops_off_units(g)[1])
+    loops = np.flatnonzero(g._loops_off_units[1])
     if not len(loops):
         return None
     w = _normalized(g, w)

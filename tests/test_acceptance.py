@@ -15,7 +15,6 @@ from factoroid import constructors as mk
 from factoroid.basis import build_basis, conjugate_basis
 from factoroid.cocycle import is_omega_regular, normalize_cocycle, trivial_cocycle
 from factoroid.conjugacy import (
-    _loops_off_units,
     conjugacy_class,
     ergodic_class_decomposition,
     is_icc,
@@ -264,7 +263,7 @@ def _regularity_cases(twisted_corpus):
     an isotropy basis, under the normalized cocycle of a twisted instance."""
     for seed, g, w in twisted_corpus:
         w = normalize_cocycle(g, w)
-        loops = [[h] for h in np.asarray(g.arrow_order)[_loops_off_units(g)[1]].tolist()]
+        loops = [[h] for h in np.asarray(g.arrow_order)[g._loops_off_units[1]].tolist()]
         iso = [b for b in build_basis(g).blocks if all(g.src[a] == g.tgt[a] for a in b)]
         for ids in loops + iso:
             yield seed, g, w, ids

@@ -122,11 +122,29 @@ def test_turns_up_to_max_turns_are_exact_and_normalizing_past_it_raises():
     big = validate_cocycle(g, halves * (MAX_TURNS // 2), turns=MAX_TURNS)
     assert [big(*p) for p in g.composable_pairs()] == [w(*p) for p in g.composable_pairs()]
     wn = normalize_cocycle(g, validate_cocycle(g, halves * (MAX_TURNS // 4), turns=MAX_TURNS // 2))
-    assert wn.turns == MAX_TURNS and wn.normalized
+    # over 2N = MAX_TURNS, then over the least denominator, that of the twelfths
+    want = normalize_cocycle(g, w)
+    assert wn.turns == want.turns == 4 and wn.normalized
+    assert np.array_equal(wn.phases, want.phases)
     with pytest.raises(CocycleIdentityViolated, match="turns"):
         normalize_cocycle(g, big)
     with pytest.raises(CocycleIdentityViolated, match="turns"):
         factoriality_report(g, big)
+
+
+@pytest.mark.parametrize("seed", [None, 0, 3, 7])
+def test_normalizing_again_keeps_the_least_denominator(seed):
+    # the halved turns are put over their least denominator, so normalizing
+    # a normalized cocycle gives it back; the turns doubled on every call,
+    # and the 56th call on the Klein twist raised past MAX_TURNS
+    g, w = klein_pair(exact=True) if seed is None else mk.random_twisted_pair(seed, exact=True)
+    first = normalize_cocycle(g, w)
+    assert np.gcd.reduce(first.phases, initial=first.turns) == 1
+    assert (2 * mk.TURNS) % first.turns == 0
+    wn = first
+    for _ in range(100):
+        wn = normalize_cocycle(g, wn)
+        assert wn.turns == first.turns and np.array_equal(wn.phases, first.phases)
 
 
 def test_apply_coboundary_rejects_a_rho_off_the_unit_circle():
@@ -379,7 +397,7 @@ def test_exact_mode_matches_floats():
     assert w_exact.turns == mk.TURNS and w_exact.phases.dtype == np.int64
     assert isinstance(w_exact(*next(iter(g.composable_pairs()))), Fraction)
     wn = normalize_cocycle(g, w_exact)
-    assert wn.turns == 2 * mk.TURNS and wn.normalized
+    assert wn.turns == 4 and wn.normalized  # the -1 of the twist becomes -i
     assert twisted_icc(g, w_exact).icc == twisted_icc(g_float, w_float).icc
     assert kleppner_holds(g, w_exact).holds == kleppner_holds(g_float, w_float).holds
     bar = w_exact.conjugate_cocycle()

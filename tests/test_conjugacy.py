@@ -203,7 +203,8 @@ def test_one_hop_classes_match_the_fixed_point_oracles(family):
             base = [g.arrow_order[h]]
             assert np.array_equal(_closure(g, base), closure_by_fixed_point(g, base))
         alg = algebra(g, w, "left")
-        _, loop, c, _ = _commutator_rows(alg)
+        norms = np.sqrt(np.bincount(alg.forms[0], minlength=alg.matrix_dim))
+        _, loop, c, _ = _commutator_rows(alg, norms)
         a, label = alg.forms[0][loop], np.arange(alg.matrix_dim)
         np.minimum.at(label, a, c)
         assert np.array_equal(label, component_roots(alg.matrix_dim, a, c))

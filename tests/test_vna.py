@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import random
@@ -9,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from factoroid import constructors as mk
 from factoroid.basis import build_basis
 from factoroid.cocycle import apply_coboundary, normalize_cocycle, trivial_cocycle
-from factoroid.conjugacy import _loops_off_units, is_icc
-from factoroid import vna
+from factoroid.conjugacy import is_icc
+from factoroid import cli, vna
 from factoroid.groupoid import MeasuredGroupoid, validate_groupoid
 from factoroid.textio import parse_text, serialize
 from factoroid.vna import (
@@ -128,6 +129,37 @@ def test_report_reads_no_pair_list(monkeypatch):
         assert longest < len(g.compose) == len(g.pairs.left)
 
 
+# numpy's Python-level helpers that the report path calls as array methods
+# (or builds with np.zeros, np.empty and .fill) instead
+_WRAPPERS = ("flatnonzero", "cumsum", "searchsorted", "repeat", "argsort", "eye", "zeros_like")
+
+
+def test_report_path_calls_numpy_at_its_c_entry_points(monkeypatch):
+    # parsing, validation, the deciders, the center, the invariants and the
+    # rendering never go through the wrappers above; the instances are built
+    # before they are patched (S5 translation, 14,400 arrows, is left out)
+    cases = [mk.NAMED_INSTANCES[name]() for name in sorted(mk.NAMED_INSTANCES)
+             if name != "s5-translation"]
+    cases += [(mk.random_groupoid(seed), None) for seed in range(50)]
+    cases += [mk.random_twisted_pair(seed, exact=exact) for seed in range(20)
+              for exact in (False, True)]
+
+    def refuse(name):
+        def wrapper(*args, **kwargs):
+            raise AssertionError(f"np.{name} was called")
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        for name in _WRAPPERS:
+            patch.setattr(np, name, refuse(name))
+        for g, w in cases:
+            parsed = parse_text(serialize(g, w))
+            for h, v in (parsed, (g, w)) if w is not None and w.turns else (parsed,):
+                report = factoriality_report(h, v).to_dict()
+                assert report["consistent"]
+                assert cli._render(report, "json") and cli._render(report, "text")
+
+
 def _sweep_instances():
     """Seeded instances, the same with their units in shuffled order (so
     that orbits interleave), their restrictions to about half their units
@@ -163,7 +195,7 @@ def test_positional_stages_match_name_walking_references():
         assert erg.ergodic == (len(positive) <= 1)
         assert erg.witness == (None if erg.ergodic else tuple(positive[:2]))
         assert is_icc(g) == icc_by_name(g)
-        assert np.flatnonzero(_loops_off_units(g)[1]).tolist() == loops_off_units_by_name(g)
+        assert np.flatnonzero(g._loops_off_units[1]).tolist() == loops_off_units_by_name(g)
         assert g.iso_subgroupoid() == frozenset(a for a in g.arrow_order if g.src[a] == g.tgt[a])
         space = l2_space(g)
         index = tuple(a for a in g.arrow_order if g.mass[g.src[a]] > 0.0)
@@ -888,6 +920,27 @@ def test_fourier_tolerances_scale_with_the_element(family):
                                                             op @ space.unit_vector).real)
 
 
+def test_fourier_takes_no_svd(monkeypatch):
+    # the residual is the Frobenius norm of the reconstruction error, an
+    # upper bound on the spectral norm, which was a full SVD of the n x n
+    # error on every call (n = 576 here); np.linalg.norm finds svd in the
+    # globals of its module, so it is refused there too
+    g, w = mk.NAMED_INSTANCES["s4-translation"]()
+    basis, space = build_basis(g, symmetric=True), l2_space(g)
+    alg = algebra(g, w, space=space)
+    op = random_algebra_element(alg, np.random.default_rng(0))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an SVD was taken")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", refuse)
+    data = fourier(g, w, op, basis, alg=alg, space=space)
+    assert data.residual <= 1e-10 * max(1.0, np.linalg.norm(op))
+    assert data.parseval_gap <= 1e-9 * max(1.0, np.vdot(op @ space.unit_vector,
+                                                        op @ space.unit_vector).real)
+
+
 def test_fourier_rejects_asymmetric(full2):
     space = l2_space(full2)
     alg = algebra(full2)
@@ -1029,7 +1082,8 @@ def test_paired_row_gram_matches_the_sorted_rows(klein_twisted, s3_bundle):
     for g, w in cases:
         alg = algebra(g, w)
         n = alg.matrix_dim
-        row, col, term = vna._gram_entries(alg, *vna._commutator_rows(alg))
+        norms = np.sqrt(np.bincount(alg.forms[0], minlength=n))
+        row, col, term = vna._gram_entries(alg, *vna._commutator_rows(alg, norms))
         gram = np.zeros((n, n), dtype=complex)
         np.add.at(gram, (row, col), term)
         want = sorted_row_gram(alg)
