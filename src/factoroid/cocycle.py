@@ -74,7 +74,9 @@ def complex_array(a: np.ndarray, turns: int) -> np.ndarray:
     numerator k as exp(2*pi*i*(k/turns)), one ``cmath.exp`` per distinct k."""
     if not turns:
         return a
-    k = np.unique(a)
+    k = a.flatten()
+    k.sort()
+    k = k[k != np.concatenate([k[1:], k[-1:] + 1])]  # the last of each run: the distinct k
     z = np.array([cmath.exp(2j * cmath.pi * (v / turns)) for v in k.tolist()], dtype=complex)
     return z[k.searchsorted(a)]
 
@@ -149,9 +151,7 @@ def _is_normalized(g: MeasuredGroupoid, phases: np.ndarray, turns: int) -> bool:
         t.start + t.rank[t.unit_arrow[t.tgt]],
         t.start[t.inv] + t.rank,
     ])]
-    if turns:
-        return bool((at == 0).all())
-    return bool((np.abs(at - 1) <= UNIT_MODULUS_TOL).all())
+    return bool((at == 0).all() if turns else (np.abs(at - 1) <= UNIT_MODULUS_TOL).all())
 
 
 def validate_cocycle(

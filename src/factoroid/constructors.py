@@ -65,6 +65,15 @@ class FiniteGroupTable:
         at = {e: i for i, e in enumerate(self.elements)}
         return np.array([at[self.inverse[e]] for e in self.elements], dtype=np.intp)
 
+    @functools.cached_property
+    def _cyclic_coset_actions(self) -> list[tuple[np.ndarray, tuple[str, ...]]]:
+        """``coset_action`` on the powers of each element, by position."""
+        n = len(self.elements)
+        power = np.zeros((n, n), dtype=np.intp) + self.elements.index(self.identity)
+        for k in range(1, n):  # power[k, x] = x^k
+            power[k] = self.product[power[k - 1], np.arange(n)]
+        return [coset_action(self, map(self.elements.__getitem__, p)) for p in power.T.tolist()]
+
     def conjugacy_classes(self) -> list[frozenset[str]]:
         """Brute-force conjugacy classes, in first-element order."""
         seen, classes = np.zeros(len(self.elements), dtype=bool), []
@@ -97,9 +106,9 @@ def _group_from_perms(name: str, perms: Iterable[tuple[int, ...]]) -> FiniteGrou
     radix = d ** np.arange(d - 1, -1, -1)
 
     def element(rows: np.ndarray) -> np.ndarray:
-        return np.searchsorted(table @ radix, rows @ radix)
+        return (table @ radix).searchsorted(rows @ radix)
 
-    inv = dict(zip(label, map(label.__getitem__, element(np.argsort(table, axis=1)).tolist())))
+    inv = dict(zip(label, map(label.__getitem__, element(table.argsort(axis=1)).tolist())))
     return FiniteGroupTable(name, tuple(label), element(table[:, table]), inv,
                             _perm_label(tuple(range(d))))
 
@@ -132,11 +141,13 @@ def klein_four_group() -> FiniteGroupTable:
 
 # -- direct constructions ----------------------------------------------------
 
-def _joined(tables: Sequence[np.ndarray], offsets: Iterable[int]) -> np.ndarray:
+def _joined(tables: Sequence[np.ndarray], offsets: Sequence) -> np.ndarray:
     """Position tables side by side along their last axis, each shifted by
     its offset."""
     if not tables:
         return np.zeros(0, dtype=np.intp)
+    if len(tables) == 1:  # nothing to concatenate
+        return tables[0] + offsets[0]
     return np.concatenate([np.add(o, t) for o, t in zip(offsets, tables)], axis=-1)
 
 
@@ -148,12 +159,11 @@ def full_relation(
     Arrow x k + y, named ``r|x|y``, runs from unit y to unit x; (x, y)(y, z)
     is (x, z)."""
     k = len(units)
-    u = np.arange(k)
-    x, y, z = (v.ravel() for v in np.indices((k, k, k)))
+    u, a, t = np.arange(k), np.arange(k * k), np.arange(k ** 3)  # t = (x k + y) k + z
+    x, y, xy = a // k, a % k, t // k
     return MeasuredGroupoid(
         units, [mass[v] for v in units], [f"r|{a}|{b}" for a in units for b in units],
-        np.tile(u, k), np.repeat(u, k), (x * k + y, y * k + z, x * k + z),
-        (np.arange(k * k), (u[None, :] * k + u[:, None]).ravel()), (u, u * (k + 1)), **kw,
+        y, x, (xy, t % (k * k), xy - xy % k + t % k), (a, y * k + x), (u, u * (k + 1)), **kw,
     )
 
 
@@ -170,17 +180,15 @@ def group_bundle(
     units = tuple(units) if units is not None else tuple(fibers)
     tabs = [fibers[x] for x in units]
     size = np.array([len(t.elements) for t in tabs], dtype=np.intp)
-    first = np.cumsum(size) - size  # the first arrow of each fiber
-    rows = [
-        np.stack([np.repeat(np.arange(m), m), np.tile(np.arange(m), m), t.product.ravel()])
-        for m, t in zip(size.tolist(), tabs)
-    ]
-    src = np.repeat(np.arange(len(units)), size)
-    inverse = _joined([t.inverse_at for t in tabs], first)
+    first = size.cumsum() - size  # the first arrow of each fiber
+    rows = [np.array([*divmod(np.arange(m * m), m), t.product.ravel()])  # (i, j, ij) at i m + j
+            for m, t in zip(size.tolist(), tabs)]
+    src = np.arange(len(units)).repeat(size)
     return MeasuredGroupoid(
         units, [mass[x] for x in units],
         [f"{x}.{e}" for x, t in zip(units, tabs) for e in t.elements],
-        src, src, _joined(rows, first), (np.arange(len(inverse)), inverse),
+        src, src, _joined(rows, first),
+        (np.arange(len(src)), _joined([t.inverse_at for t in tabs], first)),
         (np.arange(len(units)), first + [t.elements.index(t.identity) for t in tabs]), **kw,
     )
 
@@ -203,7 +211,7 @@ def transformation_groupoid(
     partial action, so a non-action, or one undefined somewhere, raises
     InvalidPartialAction.  Keywords go to ``partial_action_groupoid``."""
     p = PartialActionSystem(group, tuple(units), dict(mass), action)
-    if (p.action < 0).any():
+    if len(p._graph[0]) < p.action.size:  # the graph leaves out an undefined entry
         raise InvalidPartialAction("a global action is defined at every unit")
     return partial_action_groupoid(p, **kw)
 
@@ -273,9 +281,9 @@ def coset_action(
     order, and the cosets are listed in that order."""
     e = group.elements
     low = group.product[:, [e.index(h) for h in set(subgroup)]].min(axis=1)  # the r of gH
-    reps = np.unique(low)
-    which = np.searchsorted(reps, low)
-    return which[group.product[:, reps]], tuple(f"c{e[r]}" for r in reps.tolist())
+    rep = np.bincount(low) > 0  # the representatives
+    reps, place = rep.nonzero()[0], rep.cumsum() - 1  # place[r]: the coset of representative r
+    return place[low[group.product[:, reps]]], tuple(f"c{e[r]}" for r in reps.tolist())
 
 
 # -- cocycles of group origin -----------------------------------------------
@@ -304,7 +312,7 @@ def klein_bicharacter(exact: bool = False) -> np.ndarray:
 def cyclic_bicharacter(n: int, exact: bool = False) -> np.ndarray:
     """The bicharacter (a, b) -> exp(2 pi i a b / n) on the cyclic group; in
     exact mode its turns over n."""
-    turns = np.outer(np.arange(n), np.arange(n)) % n
+    turns = np.arange(n)[:, None] * np.arange(n) % n
     return turns if exact else complex_array(turns, n)
 
 
@@ -338,14 +346,16 @@ class PartialActionSystem:
     def __post_init__(self) -> None:
         grp, act, n = self.group, self.action, len(self.units)
         shape = (len(grp.elements), n)
-        if not (isinstance(act, np.ndarray) and np.issubdtype(act.dtype, np.integer)
+        if not (isinstance(act, np.ndarray) and act.dtype.kind in "iu"
                 and act.shape == shape and ((act >= -1) & (act < n)).all()):
             raise InvalidPartialAction(
                 f"action must be a {shape[0]} x {n} integer array of unit positions or -1")
         # the action law on its graph in positions: (g, x, sigma_g(x)) in
-        # element order, then unit order
-        gm, x = np.nonzero(act >= 0)
+        # element order, then unit order, kept for partial_action_groupoid
+        gm, x = (act >= 0).nonzero()
         y = act[gm, x]
+        then = act[:, y]  # then[g1, i] = sigma_g1(y[i]), -1 off the domain
+        object.__setattr__(self, "_graph", (gm, x, y, then))
         if (act[grp.elements.index(grp.identity)] != np.arange(n)).any():
             raise InvalidPartialAction("identity map must fix every unit")
         inv = grp.inverse_at
@@ -358,7 +368,6 @@ class PartialActionSystem:
             )
         # sigma_g1 sigma_g2 = sigma_g1g2 where defined: for each g1, every
         # (g2, x) with sigma_g2(x) in the domain of sigma_g1
-        then = act[:, y]  # then[g1, i] = sigma_g1(y[i]), -1 off the domain
         bad = (then >= 0) & (act[grp.product[:, gm], x] != then)
         if bad.any():
             g1, i = divmod(int(np.argmax(bad)), len(x))
@@ -377,11 +386,10 @@ def partial_action_groupoid(p: PartialActionSystem, **kw) -> MeasuredGroupoid:
     then the left factor (h, sigma_g(x)) over h in element order, and the
     product (hg, x) is one index into the group's product table."""
     grp, act, e = p.group, p.action, p.group.elements
-    gm, x = np.nonzero(act >= 0)  # the arrows
-    y = act[gm, x]
-    arrow = np.full(act.shape, -1, dtype=np.intp)
+    gm, x, y, then = p._graph  # the arrows, and the left factors of each
+    arrow = np.zeros(act.shape, dtype=np.intp) - 1  # the arrow (g, x) at [g, x], else -1
     arrow[gm, x] = np.arange(len(gm))
-    i, h = np.nonzero((act[:, y] >= 0).T)  # right factor i, left factor h
+    i, h = (then >= 0).T.nonzero()  # right factor i, left factor h
     return MeasuredGroupoid(
         p.units, [p.mass[u] for u in p.units],
         [f"{e[g]}|{p.units[u]}" for g, u in zip(gm.tolist(), x.tolist())], x, y,
@@ -750,11 +758,7 @@ def _random_global_action(
     a random element; returns (action, units)."""
     if translation:
         return grp.product, grp.elements
-    e = grp.elements
-    x, sub = e.index(rng.choice(e)), [e.index(grp.identity)]  # the powers of x
-    while grp.product[sub[-1], x] != sub[0]:
-        sub.append(int(grp.product[sub[-1], x]))
-    return coset_action(grp, map(e.__getitem__, sub))
+    return grp._cyclic_coset_actions[grp.elements.index(rng.choice(grp.elements))]
 
 
 def _random_part(
@@ -777,9 +781,9 @@ def disjoint_union(
     it: the union's validation checks every axiom of every part."""
     units = [f"p{i}:{u}" for i, part in enumerate(parts) for u in part.units]
     labels = [f"p{i}:{a}" for i, part in enumerate(parts) for a in part.arrow_order]
-    unit_at = np.cumsum([0, *(len(part.units) for part in parts)])
-    at = np.cumsum([0, *(len(part.arrow_order) for part in parts)])
-    unit_rows_at = np.stack([unit_at, at], axis=1)[:, :, None]  # (u, e) rows shift by both
+    unit_at = [0, *itertools.accumulate(len(part.units) for part in parts)]
+    at = [0, *itertools.accumulate(len(part.arrow_order) for part in parts)]
+    unit_rows_at = np.array([unit_at, at]).T[:, :, None]  # (u, e) rows shift by both
     return MeasuredGroupoid(
         units, [w * m for part, w in zip(parts, weights) for m in part.unit_masses.tolist()],
         labels,
@@ -882,24 +886,24 @@ def random_twisted_pair(
         if style == "bundle":  # arrows x.g, g in element order, over each unit x
             units = [f"x{i}" for i in range(rng.randint(1, 2))]
             part = group_bundle(dict.fromkeys(units, grp), _random_masses(rng, units))
-            elements.append(np.tile(np.arange(m), len(units)))
+            elements.append(np.arange(m * len(units)) % m)
         else:  # arrows g|x, g in element order, then x
             part = _random_part(rng, grp, style)
-            elements.append(np.repeat(np.arange(m), len(part.units)))
+            elements.append(np.arange(m).repeat(len(part.units)))
         if name == "V4" and rng.random() < 0.75:
             tables.append(klein_bicharacter(exact))
         elif name in ("Z3", "Z4") and rng.random() < 0.5:
             c = cyclic_bicharacter(m, exact)
             tables.append(c * (TURNS // m) if exact else c)
         else:
-            tables.append(np.full((m, m), one))
+            tables.append(np.zeros((m, m), type(one)) + one)
         parts.append(part)
     weights = [rng.random() + 0.1 for _ in parts]
     tot = sum(weights)
     g = disjoint_union(parts, [wi / tot for wi in weights])
-    first = np.cumsum([0, *map(len, tables)])
-    table = np.full((first[-1], first[-1]), one)
-    for at, c in zip(first.tolist(), tables):
+    first = [0, *itertools.accumulate(map(len, tables))]
+    table = np.zeros((first[-1], first[-1]), type(one)) + one
+    for at, c in zip(first, tables):
         table[at:at + len(c), at:at + len(c)] = c
     w0 = validate_cocycle(g, pullback_group_cocycle(g, _joined(elements, first), table),
                           turns=TURNS if exact else 0)

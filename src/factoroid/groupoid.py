@@ -209,7 +209,7 @@ class PairTable:
         of the right endpoints, which ``validate`` also checks first.
         """
         n, k = len(self.src), len(self.unit_arrow)
-        root, first = self.roots, np.full(k, n)
+        root, first = self.roots, np.zeros(k, dtype=np.intp) + n
         from_root = (self.src == root[self.tgt]).nonzero()[0]
         np.minimum.at(first, self.tgt[from_root], from_root)  # the first arrow r -> u
         orbit = root[self.src]
@@ -231,13 +231,13 @@ class PairTable:
             np.minimum.at(first, orbit[missed], missed)
             found.append(first[first < n])
 
-    def over(self, units: np.ndarray) -> tuple["PairTable", np.ndarray]:
+    def over(self, units: np.ndarray) -> tuple["PairTable", np.ndarray | slice]:
         """The table of the arrows with source in ``units``, a mask of the
         units that is a union of orbits, numbered in storage order (a unit
         not in ``units`` keeps its number and root and gets unit arrow -1);
-        and the positions here of its pairs, in its order."""
+        and an index of its pairs here, in its order (a slice if all)."""
         if units.all():
-            return self, np.arange(len(self.left))
+            return self, slice(None)
         kept = units[self.src]
         arrows, at = kept.nonzero()[0], kept.cumsum() - 1  # at: the place of a kept arrow
         pairs = kept[self.right].nonzero()[0]
@@ -348,8 +348,8 @@ class MeasuredGroupoid:
     the composition table, which ``compose``, a read-only mapping (g, h) ->
     gh in row order, and a later validation read.  The dicts by
     identifier ``src``, ``tgt``, ``inverse`` and ``unit_arrow`` (the last two
-    in table row order) are views, as are ``arrows`` and ``unit_arrow_set``;
-    ``mass`` maps unit to mass.
+    in table row order) are views, as are ``arrows``, ``unit_arrow_set`` and
+    ``mass``, unit id -> mass.
     """
 
     def __init__(
@@ -369,15 +369,13 @@ class MeasuredGroupoid:
     ):
         self.units = tuple(units)
         self.unit_masses = np.array(mass, dtype=float)
-        self.mass = dict(zip(self.units, self.unit_masses.tolist()))
         self.exact_mass = dict(exact_mass) if exact_mass is not None else None
         self.unnormalized = bool(unnormalized)
         self.arrow_order = tuple(labels)
-        self._src, self._tgt = (np.asarray(a, dtype=np.intp) for a in (src, tgt))
+        self._src, self._tgt = np.asarray(src, dtype=np.intp), np.asarray(tgt, dtype=np.intp)
         self._rows: Optional[np.ndarray] = np.asarray(compose, dtype=np.intp).reshape(3, -1)
-        self._inverse, self._unit_arrows = (
-            np.asarray(a, dtype=np.intp).reshape(2, -1) for a in (inverse, unit_arrows)
-        )
+        self._inverse = np.asarray(inverse, dtype=np.intp).reshape(2, -1)
+        self._unit_arrows = np.asarray(unit_arrows, dtype=np.intp).reshape(2, -1)
         self._unknown = tuple(unknown)
 
     # -- name views, built on first read ---------------------------------
@@ -385,6 +383,10 @@ class MeasuredGroupoid:
     @staticmethod
     def _names(names: Sequence[str], at: np.ndarray) -> list[str]:
         return list(map(names.__getitem__, at.tolist()))
+
+    @functools.cached_property
+    def mass(self) -> dict[str, float]:
+        return dict(zip(self.units, self.unit_masses.tolist()))
 
     @functools.cached_property
     def src(self) -> dict[str, str]:
@@ -455,9 +457,9 @@ class MeasuredGroupoid:
         if self._rows is not None:
             return self._rows
         t = self.pairs
-        by_row = np.empty_like(t.row)
-        by_row[t.row] = np.arange(len(t.row))
-        return np.stack([t.left[by_row], t.right[by_row], t.prod[by_row]])
+        rows = np.empty((3, len(t.row)), dtype=np.intp)
+        rows[:, t.row] = t.left, t.right, t.prod
+        return rows
 
     def _name(self, at: int) -> str:
         """The identifier at an arrow position, or of an unknown id."""
@@ -700,32 +702,29 @@ class MeasuredGroupoid:
         t, keep_set = self.pairs, set(keep)
         unknown = keep_set - set(self.units)
         if unknown:
-            raise DanglingReference("restriction units not in groupoid",
-                                    sorted(unknown))
-        total = math.fsum(self.mass[u] for u in keep_set)
+            raise DanglingReference("restriction units not in groupoid", sorted(unknown))
+        kept = np.fromiter(map(keep_set.__contains__, self.units), bool)
+        total = math.fsum(self.unit_masses[kept].tolist())
         if total <= 0.0:
             raise EmptyRestriction("restriction carries zero mass")
-        kept = np.fromiter(map(keep_set.__contains__, self.units), bool)
-        units = kept.nonzero()[0]
-        arrows = (kept[t.src] & kept[t.tgt]).nonzero()[0]
-        unit_at, at = np.full(len(kept), -1), np.full(len(t.src), -1)
-        unit_at[units], at[arrows] = np.arange(len(units)), np.arange(len(arrows))
+        inside = kept[t.src] & kept[t.tgt]
+        units, arrows = kept.nonzero()[0], inside.nonzero()[0]
+        unit_at, at = kept.cumsum() - 1, inside.cumsum() - 1  # read at kept ones only
         rows = self._compose_rows()  # the pair table in row order, masked
-        rows = at[rows[:, (at[rows[0]] >= 0) & (at[rows[1]] >= 0)]]
+        rows = at[rows[:, inside[rows[0]] & inside[rows[1]]]]
         names = [self.units[u] for u in units.tolist()]
         exact = None
         if self.exact_mass is not None:
             etotal = sum(self.exact_mass[u] for u in keep_set)
             if etotal > 0:
                 exact = {u: self.exact_mass[u] / etotal for u in names}
-        sub = MeasuredGroupoid(
+        return MeasuredGroupoid(
             names, self.unit_masses[units] / total,
             [self.arrow_order[a] for a in arrows.tolist()],
             unit_at[t.src[arrows]], unit_at[t.tgt[arrows]], rows,
             (np.arange(len(arrows)), at[t.inv[arrows]]),
             (np.arange(len(units)), at[t.unit_arrow[units]]), exact_mass=exact,
-        )
-        return sub, total
+        ), total
 
     def is_full(self, keep: Iterable[str]) -> Fullness:
         """Whether every unit (resp. positive-mass unit) is reachable from K."""

@@ -266,35 +266,29 @@ def parse_file(path) -> tuple[MeasuredGroupoid, Optional[Cocycle]]:
         return parse_text(fh.read())
 
 
-def _mass_token(g: MeasuredGroupoid, unit: str) -> str:
-    if g.exact_mass is not None:
-        frac = g.exact_mass[unit]
-        return f"{frac.numerator}/{frac.denominator}"
-    return repr(g.mass[unit])
-
-
 def serialize(g: MeasuredGroupoid, w: Optional[Cocycle] = None) -> str:
     """Deterministic text rendering; parse(serialize(x)) == x."""
     t, unit, name = g.pairs, g.units, g.arrow_order
-    out: list[str] = ["[units]"]
-    out.extend(f"{u} {_mass_token(g, u)}" for u in unit)
-    out.append("[arrows]")
-    ends = (map(unit.__getitem__, v.tolist()) for v in (t.src, t.tgt))
-    out.extend(map("{} {} {}".format, name, *ends))
+    if g.exact_mass is None:
+        mass = g.unit_masses.tolist()  # a float formats as its repr
+    else:
+        mass = [f"{m.numerator}/{m.denominator}" for m in map(g.exact_mass.__getitem__, unit)]
+    out = ["[units]", *[f"{u} {m}" for u, m in zip(unit, mass)], "[arrows]"]
+    out += [f"{a} {unit[x]} {unit[y]}" for a, x, y in zip(name, t.src.tolist(), t.tgt.tolist())]
     out.append("[unit_arrows]")
-    out.extend(map("{} {}".format, unit, map(name.__getitem__, t.unit_arrow.tolist())))
+    out += [f"{u} {name[a]}" for u, a in zip(unit, t.unit_arrow.tolist())]
     out.append("[compose]")
     order = np.lexsort((t.right, t.left))  # by left factor, then right
     rows = zip(t.left[order].tolist(), t.right[order].tolist(), t.prod[order].tolist())
-    out.extend(f"{name[x]} {name[y]} {name[xy]}" for x, y, xy in rows)
+    out += [f"{name[x]} {name[y]} {name[xy]}" for x, y, xy in rows]
     out.append("[inverse]")
-    out.extend(map("{} {}".format, name, map(name.__getitem__, t.inv.tolist())))
+    out += [f"{a} {name[b]}" for a, b in zip(name, t.inv.tolist())]
     if w is not None:
         out.append("[cocycle]")
         phase = complex_array(w.on(g), w.turns)
         p = order[phase[order] != 1]
         rows = zip(t.left[p].tolist(), t.right[p].tolist(), phase[p].tolist())
-        out.extend(f"{name[x]} {name[y]} {v.real!r} {v.imag!r}" for x, y, v in rows)
+        out += [f"{name[x]} {name[y]} {v.real!r} {v.imag!r}" for x, y, v in rows]
     return "\n".join(out) + "\n"
 
 

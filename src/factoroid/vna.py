@@ -108,17 +108,16 @@ class L2Space:
     """Orthonormalized coordinates on the positive-mass arrows.
 
     ``pairs`` is the composition table of the positive-mass arrows in these
-    coordinates' positions, and ``pair_positions`` the positions of its
-    pairs in ``groupoid.pairs``: the positive-mass arrows are the groupoid
+    coordinates' positions, and ``pair_positions`` indexes its pairs in
+    ``groupoid.pairs`` (a slice if all): the positive-mass arrows are the groupoid
     over the positive units, a union of orbits when it is nonsingular.
     """
 
     groupoid: MeasuredGroupoid
     weights: np.ndarray
     sqrt_weights: np.ndarray
-    unit_vector: np.ndarray  # coordinates of the unit-space indicator
     pairs: PairTable
-    pair_positions: np.ndarray
+    pair_positions: np.ndarray | slice
 
     @property
     def dim(self) -> int:
@@ -129,6 +128,12 @@ class L2Space:
         """The arrow id of each coordinate (``pos`` the reverse), on first read."""
         g = self.groupoid
         return tuple(compress(g.arrow_order, (g.unit_masses > 0.0)[g.pairs.src]))
+
+    @functools.cached_property
+    def unit_vector(self) -> np.ndarray:
+        """The unit-space indicator: sqrt(weight) at each unit arrow, on first read."""
+        t = self.pairs
+        return (self.sqrt_weights * (t.unit_arrow[t.src] == np.arange(self.dim))).astype(complex)
 
     @functools.cached_property
     def pos(self) -> dict[str, int]:
@@ -152,14 +157,9 @@ def l2_space(g: MeasuredGroupoid) -> L2Space:
             "representation requires a nonsingular groupoid "
             "(null units must only connect to null units)"
         )
-    positive = g.unit_masses > 0.0
-    pairs, pair_positions = g.pairs.over(positive)
+    pairs, pair_positions = g.pairs.over(g.unit_masses > 0.0)
     weights = g.unit_masses[pairs.src]
-    sqrt_weights = np.sqrt(weights)
-    unit_vector = np.zeros(len(weights), dtype=complex)
-    units = pairs.unit_arrow[positive]  # the unit arrows of the positive units
-    unit_vector[units] = sqrt_weights[units]
-    return L2Space(g, weights, sqrt_weights, unit_vector, pairs, pair_positions)
+    return L2Space(g, weights, np.sqrt(weights), pairs, pair_positions)
 
 
 def _column_forms(constants: _Constants, side: str, space: L2Space) -> _Constants:

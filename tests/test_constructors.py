@@ -601,6 +601,23 @@ def test_gen_output_matches_the_pinned_digests(family):
     assert got == {k: _GEN_DIGESTS[k] for k in keys}
 
 
+def test_acceptance_instances_match_the_pinned_digests():
+    # every instance of the acceptance corpora, byte for byte: sha256 of the
+    # serialized random_groupoid(s), s < 500, and random_twisted_pair(s),
+    # s < 200; and of the turns and then the phases of the exact pairs,
+    # space-separated
+    with open(os.path.join(os.path.dirname(__file__), "data", "instance-digests.json")) as fh:
+        want = json.load(fh)
+    got = {}
+    for s in range(500):
+        got[f"random --seed {s}"] = serialize(mk.random_groupoid(s))
+    for s in range(200):
+        got[f"random-twisted --seed {s}"] = serialize(*mk.random_twisted_pair(s))
+        w = mk.random_twisted_pair(s, exact=True)[1]
+        got[f"random-twisted --seed {s} --exact"] = " ".join(map(str, [w.turns, *w.phases]))
+    assert {k: hashlib.sha256(v.encode()).hexdigest() for k, v in got.items()} == want
+
+
 def test_generator_output_is_pinned():
     # the globalizations pin the partial-action builders' output; the other
     # families are pinned one instance at a time in tests/data/gen-digests.json

@@ -627,6 +627,19 @@ def test_report_commands_load_neither_builders_nor_basis(tmp_path, capsys):
     ])
 
 
+def test_generators_and_reports_never_load_numpy_ma(tmp_path, capsys):
+    # numpy.ma costs 11-15 ms to import; np.unique loads it, so neither the
+    # acceptance generators (seed 4 draws a coset action first, the twisted
+    # ones turn their coboundaries to phases) nor a report calls np.unique
+    path = str(tmp_path / "t.txt")
+    run_cli(capsys, "gen", "--family", "random-twisted", "--seed", "3", "--out", path)
+    _run_blocked(capsys, ["numpy.ma"], [
+        ["gen", "--family", "random", "--seed", "4"],
+        ["gen", "--family", "random-twisted", "--seed", "3"],
+        ["corpus", "--count", "20"], ["corpus", "--twisted", "--count", "20"], ["report", path],
+    ])
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "--family", "s3-bundle"], ["corpus", "--count", "3"],
     ["fourier", "{file}", "--elements", "2"], ["globalize", "--demo"], ["dr-scan"],

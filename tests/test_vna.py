@@ -125,25 +125,22 @@ def test_report_reads_no_pair_list(monkeypatch):
             report = factoriality_report(g, w)
         assert report.consistent and report.twisted == (w is not None)
         assert (w is not None) == ("[cocycle]" in text)
-        longest = max(len(v) for v in vars(g).values() if isinstance(v, dict))
+        longest = max((len(v) for v in vars(g).values() if isinstance(v, dict)), default=0)
         assert longest < len(g.compose) == len(g.pairs.left)
 
 
-# numpy's Python-level helpers that the report path calls as array methods
-# (or builds with np.zeros, np.empty and .fill) instead
-_WRAPPERS = ("flatnonzero", "cumsum", "searchsorted", "repeat", "argsort", "eye", "zeros_like")
+# numpy's Python-level helpers that the builders and the report path call as
+# array methods, or replace by index arithmetic, np.zeros, np.empty and
+# .fill, np.bincount or a sorted copy
+_WRAPPERS = ("flatnonzero", "cumsum", "searchsorted", "repeat", "argsort", "eye", "zeros_like",
+             "tile", "stack", "full", "indices", "unique", "issubdtype")
 
 
 def test_report_path_calls_numpy_at_its_c_entry_points(monkeypatch):
+    # building the instances (their group tables too), restricting them,
     # parsing, validation, the deciders, the center, the invariants and the
-    # rendering never go through the wrappers above; the instances are built
-    # before they are patched (S5 translation, 14,400 arrows, is left out)
-    cases = [mk.NAMED_INSTANCES[name]() for name in sorted(mk.NAMED_INSTANCES)
-             if name != "s5-translation"]
-    cases += [(mk.random_groupoid(seed), None) for seed in range(50)]
-    cases += [mk.random_twisted_pair(seed, exact=exact) for seed in range(20)
-              for exact in (False, True)]
-
+    # rendering never go through the wrappers above (S5 translation, 14,400
+    # arrows, is left out)
     def refuse(name):
         def wrapper(*args, **kwargs):
             raise AssertionError(f"np.{name} was called")
@@ -152,6 +149,15 @@ def test_report_path_calls_numpy_at_its_c_entry_points(monkeypatch):
     with monkeypatch.context() as patch:
         for name in _WRAPPERS:
             patch.setattr(np, name, refuse(name))
+        mk._small_group.cache_clear()
+        cases = [mk.NAMED_INSTANCES[name]() for name in sorted(mk.NAMED_INSTANCES)
+                 if name != "s5-translation"]
+        randoms = [mk.random_groupoid(seed) for seed in range(50)]
+        cases += [(g, None) for g in randoms]
+        cases += [(g.restrict(g.units[::2])[0], None) for g in randoms
+                  if any(g.mass[u] > 0.0 for u in g.units[::2])]
+        cases += [mk.random_twisted_pair(seed, exact=exact) for seed in range(20)
+                  for exact in (False, True)]
         for g, w in cases:
             parsed = parse_text(serialize(g, w))
             for h, v in (parsed, (g, w)) if w is not None and w.turns else (parsed,):
