@@ -6,7 +6,8 @@ errors, when memory runs out and when the reader of stdout goes away early,
 and the numerical center, or an internal self-check fails (either should
 never happen and fails any surrounding build).
 
-The parser is built once per process (see ``build_parser``). A command
+``_TABLE`` is the command line; ``main`` reads its plain forms itself and
+leaves the rest, help and usage errors among it, to argparse. A command
 loads only the modules it runs: the instance builders in ``constructors``
 are imported inside ``gen``, ``corpus``, ``globalize`` and ``dr-scan``, and
 ``basis`` inside ``fourier``, so a report, ``validate``, ``center``,
@@ -15,13 +16,13 @@ are imported inside ``gen``, ``corpus``, ``globalize`` and ``dr-scan``, and
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Optional
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -54,13 +55,6 @@ class InputError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors are input errors (exit 1), not argparse's exit 2."""
-
-    def error(self, message: str):
-        raise InputError(f"{self.prog}: {message}")
-
-
 def _tolerance(raw: str, below: float = math.inf) -> float:
     """A tolerance: a number at least ``MIN_TOLERANCE`` and below ``below``."""
     try:
@@ -68,9 +62,7 @@ def _tolerance(raw: str, below: float = math.inf) -> float:
     except ValueError:
         tol = math.nan
     if not MIN_TOLERANCE <= tol < below:
-        raise argparse.ArgumentTypeError(
-            f"must be a number >= {MIN_TOLERANCE:g} and < {below:g}, got {raw!r}"
-        )
+        raise ValueError(f"must be a number >= {MIN_TOLERANCE:g} and < {below:g}, got {raw!r}")
     return tol
 
 
@@ -86,7 +78,7 @@ def _count(raw: str) -> int:
     except ValueError:
         n = 0
     if n < 1:
-        raise argparse.ArgumentTypeError(f"must be a whole number >= 1, got {raw!r}")
+        raise ValueError(f"must be a whole number >= 1, got {raw!r}")
     return n
 
 
@@ -94,7 +86,7 @@ def _default_rank_tol() -> float:
     raw = os.environ.get(_ENV_TOL)
     try:
         return _tolerance(raw) if raw else RANK_TOL
-    except argparse.ArgumentTypeError as exc:
+    except ValueError as exc:
         raise InputError(f"{_ENV_TOL} {exc}") from None
 
 
@@ -377,102 +369,143 @@ def cmd_dr_scan(args) -> int:
     return 0
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The ``factoroid`` parser, built once per process and shared by every
-    call: it depends on no file, argument or environment variable, and holds
-    no per-call state (parsing leaves it as it was)."""
-    parser = _Parser(
-        prog="factoroid",
-        description=(
-            "finite measured groupoids, their twisted von Neumann algebras, "
-            "and factoriality deciders"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Option(NamedTuple):
+    """An option as ``add_argument`` takes it; ``type`` raises ValueError."""
 
-    def add(name, help, *shared):
-        """A subcommand with the ``shared`` arguments it reads: file, format,
-        rank, containment."""
-        p = sub.add_parser(name, help=help)
-        if "file" in shared:
-            p.add_argument("file", help="groupoid file")
-        if "format" in shared:
-            p.add_argument("--format", choices=["text", "json"], default="text")
-        if "rank" in shared:
-            p.add_argument(
-                "--rank-tol", type=_tolerance,
-                help="singular value tolerance for rank decisions",
-            )
-        if "containment" in shared:
-            p.add_argument(
-                "--containment-tol", type=_containment_tolerance, default=CONTAINMENT_TOL,
-                help="subspace containment tolerance",
-            )
-        return p
+    flag: str
+    type: Optional[Callable[[str], object]] = None
+    default: object = None
+    choices: Optional[tuple] = None
+    required: bool = False
+    store_true: bool = False
+    help: Optional[str] = None
 
-    add("validate", "check the groupoid axioms", "file")
-    add("report", "full factoriality report", "file", "format", "rank", "containment")
-    add("icc", "conjugacy-class decider", "file", "format")
-    add("twisted-icc", "twisted decider", "file", "format")
-    add("kleppner", "phase-symmetry condition", "file", "format")
-    add("center", "numerical center dimension", "file", "format", "rank")
-    p = add("fourier", "expansion residuals on random elements", "file", "format")
-    p.add_argument("--elements", type=_count, default=20)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("gen", "emit an example family instance")
-    p.add_argument("--family", required=True, help=", ".join(_FAMILY_NAMES))
-    p.add_argument("--n", type=int, default=3, help="size for sn-bundle")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="output path (default stdout)")
-
-    p = add("corpus", "run reports over seeded random instances", "rank", "containment")
-    p.add_argument("--count", type=_count, default=50)
-    p.add_argument("--seed", type=int, default=0, help="first seed")
-    p.add_argument("--twisted", action="store_true")
-    p.add_argument(
-        "--kleppner-converse", action="store_true",
-        help="list ergodic non-factors satisfying the phase-symmetry condition",
-    )
-
-    p = add("globalize", "globalize a partial action", "format")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--demo", action="store_true",
-                   help="use the half-domain fixture")
-    p.add_argument("--out", help="write the global groupoid here")
-
-    p = add("dr-scan", "shift-system loop degrees", "format")
-    p.add_argument("--map", help="sigma as `x0:x1,x1:x1`")
-    p.add_argument("--masses", help="masses as `x0:0.5,x1:0.5`")
-    p.add_argument("--bound", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--size", type=int, default=6)
-    return parser
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
 
 
-_COMMANDS = {
-    "validate": cmd_validate,
-    "report": cmd_report,
-    "icc": cmd_icc,
-    "twisted-icc": cmd_twisted_icc,
-    "kleppner": cmd_kleppner,
-    "center": cmd_center,
-    "fourier": cmd_fourier,
-    "gen": cmd_gen,
-    "corpus": cmd_corpus,
-    "globalize": cmd_globalize,
-    "dr-scan": cmd_dr_scan,
+_FILE = (("file", "groupoid file"),)
+_FORMAT = _Option("--format", choices=("text", "json"), default="text")
+_RANK = _Option("--rank-tol", _tolerance, help="singular value tolerance for rank decisions")
+_CONTAINMENT = _Option("--containment-tol", _containment_tolerance, CONTAINMENT_TOL,
+                       help="subspace containment tolerance")
+_SEED = _Option("--seed", int, 0)
+
+# the command line: each subcommand's function, help, positionals (name,
+# help) and options, in the order the help lists them
+_TABLE = {
+    "validate": (cmd_validate, "check the groupoid axioms", _FILE, ()),
+    "report": (cmd_report, "full factoriality report", _FILE, (_FORMAT, _RANK, _CONTAINMENT)),
+    "icc": (cmd_icc, "conjugacy-class decider", _FILE, (_FORMAT,)),
+    "twisted-icc": (cmd_twisted_icc, "twisted decider", _FILE, (_FORMAT,)),
+    "kleppner": (cmd_kleppner, "phase-symmetry condition", _FILE, (_FORMAT,)),
+    "center": (cmd_center, "numerical center dimension", _FILE, (_FORMAT, _RANK)),
+    "fourier": (cmd_fourier, "expansion residuals on random elements", _FILE,
+                (_FORMAT, _Option("--elements", _count, 20), _SEED)),
+    "gen": (cmd_gen, "emit an example family instance", (), (
+        _Option("--family", required=True, help=", ".join(_FAMILY_NAMES)),
+        _Option("--n", int, 3, help="size for sn-bundle"), _SEED,
+        _Option("--out", help="output path (default stdout)"))),
+    "corpus": (cmd_corpus, "run reports over seeded random instances", (), (
+        _RANK, _CONTAINMENT, _Option("--count", _count, 50), _SEED._replace(help="first seed"),
+        _Option("--twisted", default=False, store_true=True),
+        _Option("--kleppner-converse", default=False, store_true=True, help=(
+            "list ergodic non-factors satisfying the phase-symmetry condition")))),
+    "globalize": (cmd_globalize, "globalize a partial action", (), (
+        _FORMAT, _SEED,
+        _Option("--demo", default=False, store_true=True, help="use the half-domain fixture"),
+        _Option("--out", help="write the global groupoid here"))),
+    "dr-scan": (cmd_dr_scan, "shift-system loop degrees", (), (
+        _FORMAT, _Option("--map", help="sigma as `x0:x1,x1:x1`"),
+        _Option("--masses", help="masses as `x0:0.5,x1:0.5`"),
+        _Option("--bound", int, 3), _SEED, _Option("--size", int, 6))),
 }
 
 
+def _read(argv: list[str]) -> Optional[SimpleNamespace]:
+    """``argv`` as ``build_parser().parse_args`` reads it, when it has only
+    plain forms: the command, its positionals in order, exact option names
+    each with a value not starting with ``-``, and store_true flags. Any
+    other argv, help and usage errors among it, gives None for argparse."""
+    if not argv or argv[0] not in _TABLE:
+        return None
+    _, _, positionals, options = _TABLE[argv[0]]
+    by_flag = {o.flag: o for o in options}
+    args = {"command": argv[0], **{o.dest: o.default for o in options}}
+    given, plain = set(), []
+    rest = iter(argv[1:])
+    for arg in rest:
+        if not arg.startswith("-"):
+            plain.append(arg)
+            continue
+        o = by_flag.get(arg)
+        if o is None:
+            return None
+        if o.store_true:
+            args[o.dest] = True
+            continue
+        raw = next(rest, "-")
+        if raw.startswith("-"):
+            return None
+        try:
+            value = o.type(raw) if o.type else raw
+        except ValueError:
+            return None
+        if o.choices and value not in o.choices:
+            return None
+        args[o.dest] = value
+        given.add(o.flag)
+    if len(plain) != len(positionals) or any(o.required and o.flag not in given for o in options):
+        return None
+    args.update(zip((name for name, _ in positionals), plain))
+    return SimpleNamespace(**args)
+
+
+@functools.cache
+def build_parser():
+    """The ``factoroid`` argparse parser, built from ``_TABLE`` once per
+    process and shared by every call: it depends on no file, argument or
+    environment variable, and holds no per-call state."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """Usage errors are input errors (exit 1), not argparse's exit 2."""
+
+        def error(self, message: str):
+            raise InputError(f"{self.prog}: {message}")
+
+    def checked(convert):
+        """``convert`` with its ValueError text as the usage error; int's is argparse's."""
+        def read(raw):
+            try:
+                return convert(raw)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+        return convert if convert in (None, int) else read
+
+    parser = Parser(prog="factoroid", description=(
+        "finite measured groupoids, their twisted von Neumann algebras, and factoriality deciders"))
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, summary, positionals, options) in _TABLE.items():
+        p = sub.add_parser(name, help=summary)
+        for arg, arg_help in positionals:
+            p.add_argument(arg, help=arg_help)
+        for o in options:
+            kind = ({"action": "store_true"} if o.store_true else
+                    {"type": checked(o.type), "choices": o.choices, "required": o.required})
+            p.add_argument(o.flag, dest=o.dest, default=o.default, help=o.help, **kind)
+    return parser
+
+
 def main(argv: Optional[list[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = _read(argv) or build_parser().parse_args(argv)
         # only subcommands that take --rank-tol read the environment
         if getattr(args, "rank_tol", RANK_TOL) is None:
             args.rank_tol = _default_rank_tol()
-        code = _COMMANDS[args.command](args)
+        code = _TABLE[args.command][0](args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit
         return code
     except InternalInconsistency as exc:

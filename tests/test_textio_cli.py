@@ -897,6 +897,125 @@ def test_cli_shared_parser_keeps_no_state(tmp_path, capsys, monkeypatch):
     assert "--rank-tol" in capsys.readouterr().err
     assert run_cli(capsys, "report", path, "--format", "json") == (0, first)
     assert cli.build_parser() is cli.build_parser()
+    # a flag, an option or a seed of one call is gone in the next
+    untwisted = run_cli(capsys, "corpus", "--count", "1")
+    assert run_cli(capsys, "corpus", "--twisted", "--count", "1") != untwisted
+    assert run_cli(capsys, "corpus", "--count", "1") == untwisted
+    for env in (None, "1e-7"):
+        if env:
+            monkeypatch.setenv("FACTOROID_TOLERANCE", env)
+        run_cli(capsys, "report", "--rank-tol", "1e-6", path)
+        code, out = run_cli(capsys, "report", path)
+        assert code == 0 and text_rank_tol(out) == ["1e-07" if env else "1e-09"]
+    run_cli(capsys, "fourier", path, "--elements", "2", "--seed", "5")
+    code, out = run_cli(capsys, "fourier", path, "--format", "json")
+    assert code == 0 and json.loads(out)["elements"] == 20
+    assert run_cli(capsys, "fourier", path, "--format", "json", "--seed", "0") == (0, out)
+
+
+_FLAGS = sorted({o.flag for *_, options in cli._TABLE.values() for o in options})
+_ARG_VALUES = st.sampled_from([
+    "0", "1", "3", "20", " 7", "1e-9", "0.5", "1e-16", "nan", "inf", "-1", "-2.5", "",
+    "abc", "text", "json", "xml", "z2", "x0:x1", "k.txt", "report",
+])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_reader_reads_argv_as_argparse_does_or_leaves_it(data):
+    # the reader returns exactly what argparse parses (types included), or
+    # None where argparse is to print help or a usage error, or reads a form
+    # the reader skips; argv is the command, at most its positionals, its
+    # options with good or bad values, and up to two odd tokens, in any order
+    command = data.draw(st.sampled_from([*cli._TABLE, "nosuch", "-h", ""]))
+    _, _, positionals, options = cli._TABLE.get(command, (None, None, (), ()))
+    own = st.sampled_from([o.flag for o in options] or _FLAGS)
+    flags = own | st.sampled_from(_FLAGS)
+    odd = st.one_of(
+        st.tuples(flags, _ARG_VALUES),
+        flags.map(lambda f: (f,)),  # a flag, or an option missing its value
+        st.tuples(flags, _ARG_VALUES).map(lambda fv: ("=".join(fv),)),
+        flags.flatmap(lambda f: st.tuples(  # an abbreviation and a value
+            st.integers(3, max(3, len(f) - 1)).map(lambda n: f[:n]), _ARG_VALUES)),
+        st.sampled_from(["-h", "--help", "--", "--nosuch", "-x", "-"]).map(lambda t: (t,)),
+        _ARG_VALUES.map(lambda v: (v,)),  # an extra positional
+        st.text(max_size=3).map(lambda t: (t,)),
+    )
+    n = len(positionals)
+    pieces = [*data.draw(st.lists(st.tuples(own, _ARG_VALUES) | own.map(lambda f: (f,)), max_size=4)),
+              *[(v,) for v in data.draw(st.lists(_ARG_VALUES, max_size=n))],
+              *data.draw(st.lists(odd, max_size=2))]
+    argv = [command, *itertools.chain.from_iterable(data.draw(st.permutations(pieces)))]
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            want = vars(cli.build_parser().parse_args(argv))
+    except (cli.InputError, SystemExit):
+        want = None
+    got = cli._read(argv)
+    if got is not None:
+        got, want = ({k: (type(v), v) for k, v in d.items()} for d in (vars(got), want or {}))
+    assert got is None or got == want, argv
+
+
+# every argv form of the benchmark, the README and the CI workflow that runs;
+# the workflow's larger instances are swapped for small ones of the same form
+_PLAIN_FORMS = [
+    "gen --family klein4-twisted --out {d}/k.txt", "report {d}/k.txt --format json",
+    "validate {d}/k.txt", "report {d}/k.txt",
+    "icc {d}/k.txt", "twisted-icc {d}/k.txt", "kleppner {d}/k.txt", "center {d}/k.txt",
+    "fourier {d}/k.txt --elements 50", "corpus --count 100 --seed 0",
+    "corpus --count 100 --twisted --kleppner-converse", "globalize --seed 3",
+    "dr-scan --map x0:x1,x1:x1 --bound 4",
+    "globalize --seed 3 --out {d}/g.txt", "report {d}/g.txt",
+    "gen --family random-twisted --seed 3 --out {d}/t.txt", "report {d}/t.txt",
+    "twisted-icc {d}/t.txt", "kleppner {d}/t.txt", "gen --family sn-bundle --n 4",
+    "gen --family sn-bundle --n 4 --out {d}/sn.txt", "report --rank-tol 0.5 {d}/sn.txt",
+    "gen --family random --seed 4", "gen --family s4-translation",
+    "twisted-icc {d}/t.txt --format json", "kleppner {d}/t.txt --format json",
+    "validate {data}/z2-near-unit-cocycle.txt", "report {data}/z2-near-unit-cocycle.txt",
+    "twisted-icc {data}/z2-near-unit-cocycle.txt", "kleppner {data}/z2-near-unit-cocycle.txt",
+    "center {data}/z2-near-unit-cocycle.txt", "globalize --demo --format json",
+    "globalize --seed 2 --format json", "dr-scan --seed 5 --size 9 --bound 4 --format json",
+    "center {d}/sn.txt --format json", "fourier {d}/k.txt --format json",
+    "fourier {d}/k.txt --elements 3 --format json", "dr-scan --map x0:x1,x1:x0 --bound 2 --format json",
+    "report {data}/klein4-twisted-messy.txt --format json", "center {d}/sn.txt",
+]
+
+
+def test_plain_argv_never_builds_the_parser(tmp_path, capsys, monkeypatch):
+    data_dir = os.path.join(os.path.dirname(__file__), "data")
+    forms = [[arg.format(d=tmp_path, data=data_dir) for arg in form.split()] for form in _PLAIN_FORMS]
+    want = [run_cli(capsys, *argv) for argv in forms]
+    assert all(code == 0 for code, _ in want)
+
+    def no_parser():
+        raise AssertionError("argparse parser built")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    assert [run_cli(capsys, *argv) for argv in forms] == want
+    monkeypatch.setattr(sys, "argv", ["factoroid", *forms[0]])
+    assert (cli.main(), capsys.readouterr().out) == want[0]  # main() reads sys.argv[1:]
+
+
+def test_forms_left_to_argparse_print_the_same_bytes(tmp_path, capsys):
+    path = str(tmp_path / "k.txt")
+    run_cli(capsys, "gen", "--family", "klein4-twisted", "--out", path)
+    want = run_cli(capsys, "report", path, "--format", "json")
+    assert want[0] == 0
+    for argv in (["report", path, "--format=json"], ["report", path, "--form", "json"],
+                 ["report", "--format", "json", "--", path]):
+        assert cli._read(argv) is None and run_cli(capsys, *argv) == want, argv
+
+
+def test_plain_commands_never_import_argparse(tmp_path, capsys):
+    # argparse (and gettext, which it loads) costs about 2 ms of a fresh start
+    path = str(tmp_path / "k.txt")
+    run_cli(capsys, "gen", "--family", "klein4-twisted", "--out", path)
+    _run_blocked(capsys, ["argparse"], [
+        ["report", path], ["report", path, "--format", "json"], ["center", path],
+        ["validate", path], ["icc", path], ["twisted-icc", path], ["kleppner", path],
+        ["gen", "--family", "z2"], ["corpus", "--count", "3"],
+    ])
 
 
 @pytest.mark.parametrize(
