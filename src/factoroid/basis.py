@@ -139,12 +139,11 @@ def extend_iso_basis(g: MeasuredGroupoid, iso_basis: Basis) -> Basis:
     return basis
 
 
-def check_basis(
-    g: MeasuredGroupoid, basis: Basis, arrows: Optional[frozenset[str]] = None
-) -> None:
-    """Assert the basis axioms; ``arrows`` defaults to the whole arrow set."""
-    if arrows is None:
-        arrows = frozenset(g.arrow_order)
+def check_basis(g: MeasuredGroupoid, basis: Basis) -> None:
+    """Assert the basis axioms: disjoint bisections covering every arrow,
+    the designated block the unit arrows, and closure under inversion if
+    the basis is symmetric."""
+    arrows = frozenset(g.arrow_order)
     seen: set[str] = set()
     for block in basis.blocks:
         if not block:

@@ -41,8 +41,6 @@ from .vna import (
     l2_space,
 )
 
-_ENV_TOL = "FACTOROID_TOLERANCE"
-
 # the least rank or containment tolerance taken: the worst rounding seen on
 # valid input is 1.5e-15 (a containment residual of the S5 translation
 # groupoid) and 5.4e-16 (an accepted center residual over its scale, on
@@ -80,14 +78,6 @@ def _count(raw: str) -> int:
     if n < 1:
         raise ValueError(f"must be a whole number >= 1, got {raw!r}")
     return n
-
-
-def _default_rank_tol() -> float:
-    raw = os.environ.get(_ENV_TOL)
-    try:
-        return _tolerance(raw) if raw else RANK_TOL
-    except ValueError as exc:
-        raise InputError(f"{_ENV_TOL} {exc}") from None
 
 
 def _json(value, indent: str = "\n") -> str:
@@ -193,7 +183,7 @@ def cmd_center(args) -> int:
     z = center(g, w, tol=args.rank_tol)
     data = {
         "center_dim": z.dim,
-        "gap": list(z.observed_gap) if z.observed_gap else None,
+        "gap": list(z.observed_gap),
     }
     print(_render(data, args.format))
     return 0
@@ -387,7 +377,8 @@ class _Option(NamedTuple):
 
 _FILE = (("file", "groupoid file"),)
 _FORMAT = _Option("--format", choices=("text", "json"), default="text")
-_RANK = _Option("--rank-tol", _tolerance, help="singular value tolerance for rank decisions")
+_RANK = _Option("--rank-tol", _tolerance, RANK_TOL,
+                help="singular value tolerance for rank decisions")
 _CONTAINMENT = _Option("--containment-tol", _containment_tolerance, CONTAINMENT_TOL,
                        help="subspace containment tolerance")
 _SEED = _Option("--seed", int, 0)
@@ -465,8 +456,8 @@ def _read(argv: list[str]) -> Optional[SimpleNamespace]:
 @functools.cache
 def build_parser():
     """The ``factoroid`` argparse parser, built from ``_TABLE`` once per
-    process and shared by every call: it depends on no file, argument or
-    environment variable, and holds no per-call state."""
+    process and shared by every call: its defaults are the table's alone,
+    read from no file or environment variable, and it holds no per-call state."""
     import argparse
 
     class Parser(argparse.ArgumentParser):
@@ -502,9 +493,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = _read(argv) or build_parser().parse_args(argv)
-        # only subcommands that take --rank-tol read the environment
-        if getattr(args, "rank_tol", RANK_TOL) is None:
-            args.rank_tol = _default_rank_tol()
         code = _TABLE[args.command][0](args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit
         return code

@@ -170,14 +170,14 @@ def full_relation(
 def group_bundle(
     fibers: Mapping[str, FiniteGroupTable],
     mass: Mapping[str, float],
-    units: Optional[Sequence[str]] = None,
     **kw,
 ) -> MeasuredGroupoid:
     """Disjoint union of groups sitting over the units; all arrows are loops.
 
-    The arrows over unit x are ``x.g`` for the elements g in table order, and
-    the rows over x are the fiber's product table, one array per fiber."""
-    units = tuple(units) if units is not None else tuple(fibers)
+    The units are the keys of ``fibers`` in order.  The arrows over unit x
+    are ``x.g`` for the elements g in table order, and the rows over x are
+    the fiber's product table, one array per fiber."""
+    units = tuple(fibers)
     tabs = [fibers[x] for x in units]
     size = np.array([len(t.elements) for t in tabs], dtype=np.intp)
     first = size.cumsum() - size  # the first arrow of each fiber
@@ -193,9 +193,9 @@ def group_bundle(
     )
 
 
-def group_groupoid(table: FiniteGroupTable, unit: str = "pt", **kw) -> MeasuredGroupoid:
-    """A group as a one-unit groupoid with full mass."""
-    return group_bundle({unit: table}, {unit: 1.0}, **kw)
+def group_groupoid(table: FiniteGroupTable, **kw) -> MeasuredGroupoid:
+    """A group as a groupoid with the one unit ``pt``, of full mass."""
+    return group_bundle({"pt": table}, {"pt": 1.0}, **kw)
 
 
 def transformation_groupoid(
@@ -495,8 +495,7 @@ def globalize(p: PartialActionSystem) -> Globalization:
     gm, x = np.nonzero(act >= 0)  # arrow (g, x) goes to (g, the class of (1, x))
     arrow_bij = {f"{e[a]}|{units[b]}": f"{e[a]}|{space_units[c]}"
                  for a, b, c in zip(gm.tolist(), x.tolist(), label[x].tolist())}
-    iso = check_isomorphism(partial_action_groupoid(p), restricted, embedding, arrow_bij,
-                            check_mass=True)
+    iso = check_isomorphism(partial_action_groupoid(p), restricted, embedding, arrow_bij)
     if not (full and iso):
         raise InvalidPartialAction(
             f"globalization postconditions failed (full={full}, isomorphic={iso})"
@@ -668,12 +667,11 @@ def sn_bundle(n_max: int) -> tuple[MeasuredGroupoid, frozenset[str]]:
     """
     if n_max < 2:
         raise GroupoidError("the bundle starts at S_2")
-    units = tuple(f"n{n}" for n in range(2, n_max + 1))
     raw = {f"n{n}": 2.0 ** (-n) / math.comb(n, 2) for n in range(2, n_max + 1)}
     total = math.fsum(raw.values())
     mass = {u: v / total for u, v in raw.items()}
     fibers = {f"n{n}": symmetric_group(n) for n in range(2, n_max + 1)}
-    g = group_bundle(fibers, mass, units)
+    g = group_bundle(fibers, mass)
     transpositions = frozenset(
         f"n{n}." + _perm_label((1, 0) + tuple(range(2, n)))
         for n in range(2, n_max + 1)

@@ -772,11 +772,9 @@ def check_isomorphism(
     b: MeasuredGroupoid,
     unit_map: Mapping[str, str],
     arrow_map: Mapping[str, str],
-    *,
-    check_mass: bool = False,
 ) -> bool:
-    """Verify that explicit unit/arrow bijections form a groupoid isomorphism,
-    with equal masses within ``ISOMORPHISM_MASS_TOL`` if ``check_mass``."""
+    """Verify that explicit unit/arrow bijections form a groupoid isomorphism
+    of measured groupoids: masses are equal within ``ISOMORPHISM_MASS_TOL``."""
     s, t = a.pairs, b.pairs
     if sorted(unit_map) != sorted(a.units) or sorted(unit_map.values()) != sorted(b.units):
         return False
@@ -793,6 +791,4 @@ def check_isomorphism(
     at = t.at(x[s.left], x[s.right])  # the image of each pair of a
     if (at < 0).any() or not np.array_equal(t.prod[at], x[s.prod]):
         return False
-    return not check_mass or bool(
-        (np.abs(a.unit_masses - b.unit_masses[u]) <= ISOMORPHISM_MASS_TOL).all()
-    )
+    return bool((np.abs(a.unit_masses - b.unit_masses[u]) <= ISOMORPHISM_MASS_TOL).all())

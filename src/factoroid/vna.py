@@ -78,6 +78,7 @@ RANK_TOL = 1e-9
 CONTAINMENT_TOL = 1e-8
 FOURIER_RESIDUAL_TOL = 1e-10
 PARSEVAL_TOL = 1e-9
+TRIVIAL_PHASE_TOL = 1e-15  # a cocycle this close to 1 on every pair is untwisted
 
 # generous first cut when picking nullspace candidates from a Gram spectrum;
 # final membership is decided by direct residuals at the caller's tolerance
@@ -203,12 +204,10 @@ def multiplication_operator(
 class _Span:
     """Membership of one array, from the batched ``residuals`` of a span."""
 
-    tol: float
-
-    def contains(self, mat: np.ndarray, tol: Optional[float] = None) -> tuple[bool, float]:
-        """Span membership: (verdict, relative projection residual)."""
+    def contains(self, mat: np.ndarray) -> tuple[bool, float]:
+        """Span membership at ``RANK_TOL``: (verdict, relative projection residual)."""
         residual = float(self.residuals(np.asarray(mat)[None])[0])
-        return residual <= (self.tol if tol is None else tol), residual
+        return residual <= RANK_TOL, residual
 
 
 class MatrixStarAlgebra(_Span):
@@ -218,18 +217,15 @@ class MatrixStarAlgebra(_Span):
 
     The rows are orthonormal by construction, so the rank is their number
     and projection needs no SVD.  That is checked once, at ``RANK_TOL``
-    whatever the containment ``tol``: a defect above it (or a NaN) is a
-    broken invariant and raises ``InternalInconsistency``.
+    whatever tolerance accepted the rows: a defect above it (or a NaN) is a
+    broken invariant and raises ``InternalInconsistency``.  ``observed_gap``
+    is ``center``'s, None for any other span.
     """
 
     def __init__(
-        self,
-        rows: Sequence[np.ndarray],
-        tol: float = RANK_TOL,
-        observed_gap: Optional[tuple[float, float]] = None,
+        self, rows: Sequence[np.ndarray], observed_gap: Optional[tuple[float, float]] = None
     ):
         self.basis_ops = ops = np.asarray(rows, dtype=complex)
-        self.tol = tol
         self.observed_gap = observed_gap
         self._rows = ops.reshape(len(ops), math.prod(ops.shape[1:]))
         self.dim = len(ops)
@@ -259,16 +255,13 @@ class TranslationAlgebra(_Span):
     membership projects by the coefficients c_a = <T_a, x> / |T_a|_F^2, and
     nothing of size n^3 is formed unless ``basis_ops`` is read.  ``pairs``
     is the composition table of the arrows (``L2Space.pairs``), entry p
-    being its pair p; ``center`` reads it.
+    being its pair p; ``center`` reads it.  Membership holds at ``RANK_TOL``.
     """
 
-    def __init__(
-        self, forms: _Constants, n: int, tol: float = RANK_TOL, pairs: Optional[PairTable] = None
-    ):
+    def __init__(self, forms: _Constants, n: int, pairs: Optional[PairTable] = None):
         self.forms = forms
         self.pairs = pairs
         self.matrix_dim = self.dim = n
-        self.tol = tol
 
     @functools.cached_property
     def _scale(self) -> np.ndarray:  # 1 / |T_a|_F^2 by arrow, read by ``residuals`` alone
@@ -366,14 +359,14 @@ def algebra(
     side: str = "left",
     *,
     space: Optional[L2Space] = None,
-    tol: float = RANK_TOL,
 ) -> TranslationAlgebra:
     """The span of all translation operators of single arrows.
 
     An unnormalized cocycle is replaced by its normalized representative, so
     w is 1 on every pair with a unit arrow and on every (a^-1, a).  At finite
     dimension the span is then a unital *-algebra of rank n, and nothing is
-    left to check: validation has proved it on the tables.
+    left to check and no tolerance to take: validation has proved it on the
+    tables.
 
     - Products.  L_a L_b = w(a,b) L_ab (on the right side with conjugated
       phases) holds on the entries exactly when (ab)h = a(bh) and w(a,b)
@@ -397,7 +390,7 @@ def algebra(
     if space is None:
         space = l2_space(g)
     constants = _structure_constants(g, _normalized(g, w), space)
-    return TranslationAlgebra(_column_forms(constants, side, space), space.dim, tol, space.pairs)
+    return TranslationAlgebra(_column_forms(constants, side, space), space.dim, space.pairs)
 
 
 def _structure_constants(g: MeasuredGroupoid, w: Cocycle, space: L2Space) -> _Constants:
@@ -484,7 +477,7 @@ def center(
     |L_a|_F c_a; ``alg.element(y / |L_a|_F)`` is its matrix.
     """
     if alg is None:
-        alg = algebra(g, w, "left", tol=tol)
+        alg = algebra(g, w, "left")
     n = alg.matrix_dim
     i, j = alg.forms[:2]  # the composable pairs (a, b)
     norms = np.sqrt(np.bincount(i, minlength=n))  # |L_a|_F^2 counts its entries
@@ -552,7 +545,7 @@ def center(
         return x, np.sqrt(squares[1:]) / length
 
     rows, gap = _null_algebra(eigvals, confirm, tol)
-    return MatrixStarAlgebra(rows, tol, gap)
+    return MatrixStarAlgebra(rows, gap)
 
 
 def invariant_subalgebra(
@@ -588,12 +581,11 @@ def conditional_expectation(
     op: np.ndarray,
     alg: TranslationAlgebra,
     space: Optional[L2Space] = None,
-    tol: Optional[float] = None,
 ) -> dict[str, complex]:
     """Restriction of a*1 to the unit arrows, as a function on units."""
     if space is None:
         space = l2_space(g)
-    ok, res = alg.contains(op, tol)
+    ok, res = alg.contains(op)
     if not ok:
         raise NotInAlgebra(f"operator is not in the algebra span ({res})")
     return space.unit_values(j_map(g, op, space))
@@ -752,7 +744,8 @@ def factoriality_report(
     unit functions.  The report records whether the two sides agree; callers
     treat disagreement as a hard failure.
     """
-    twisted = w is not None and not (np.abs(complex_array(w.on(g), w.turns) - 1.0) <= 1e-15).all()
+    twisted = w is not None and not (
+        np.abs(complex_array(w.on(g), w.turns) - 1.0) <= TRIVIAL_PHASE_TOL).all()
     w = _normalized(g, w)
 
     erg = g.is_ergodic()
@@ -771,7 +764,7 @@ def factoriality_report(
     kv = kleppner_holds(g, w)
 
     space = l2_space(g)
-    alg = algebra(g, w, "left", space=space, tol=rank_tol)
+    alg = algebra(g, w, "left", space=space)
     z = center(g, w, alg=alg, tol=rank_tol)
     inv = invariant_subalgebra(g, space)
     equal, residual = subspaces_equal(z, inv, containment_tol)
@@ -803,5 +796,5 @@ def factoriality_report(
         consistent=decider_ok and factor_ok and kleppner_ok,
         rank_tol=rank_tol,
         containment_tol=containment_tol,
-        center_gap=z.observed_gap or (0.0, float("inf")),
+        center_gap=z.observed_gap,
     )

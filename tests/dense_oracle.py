@@ -40,7 +40,7 @@ def svd_span(
     flat = ops.reshape(len(ops), math.prod(ops.shape[1:]))
     _, s, vh = np.linalg.svd(flat, full_matrices=False)
     rank = int(np.sum(s > tol * max(1.0, s.max(initial=0.0))))
-    return MatrixStarAlgebra(vh[:rank].reshape(rank, *ops.shape[1:]), tol, observed_gap)
+    return MatrixStarAlgebra(vh[:rank].reshape(rank, *ops.shape[1:]), observed_gap)
 
 
 def _as_real_if_possible(ops: np.ndarray) -> np.ndarray:
